@@ -51,7 +51,6 @@ from .model import (
 )
 from .dynamics import (
     DensityMatrix,
-    Dissipator,
     TimeSeries,
     build_cavity_lowering,
     build_dissipators,

@@ -62,8 +62,29 @@ _SECTION_KEYS = {
     "observable": {"name", "kind", "qubit", "qubits"},
     "perturb": {"mode", "order", "initial", "final", "model", "epsilon",
                 "lambdas", "cavity_offset_factor", "parameter", "bracket", "pair"},
-    "ecc": {"seed", "random_states"},
+    "ecc": {"seed"},
 }
+# Fields that must hold a JSON number ("bracket" and "lambdas": a list of them).
+_NUMERIC_KEYS = {
+    "system": {"omega_c", "kappa", "fock_cutoff"},
+    "qubit": {"omega", "lam", "theta", "gamma"},
+    "sweep": {"start", "stop", "points", "levels"},
+    "inset": {"start", "stop", "points"},
+    "anticross": {"tol", "bracket"},
+    "dynamics": {"half_periods", "points"},
+    "perturb": {"order", "epsilon", "cavity_offset_factor", "lambdas", "bracket"},
+    "ecc": {"seed"},
+}
+_REQUIRED_KEYS = {
+    "sweep": ("parameter", "start", "stop", "points", "levels"),
+    "inset": ("start", "stop", "points"),
+}
+
+
+def _is_numeric(key: str, value) -> bool:
+    if key in ("bracket", "lambdas"):
+        return isinstance(value, list) and all(_is_numeric("", v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _fmt(x: float) -> str:
@@ -121,9 +142,14 @@ def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
             errors.append(f"unknown top-level field {key!r}")
 
     def check_keys(section: dict, schema: str, where: str):
-        for key in section:
+        for key, value in section.items():
             if key not in _SECTION_KEYS[schema]:
                 errors.append(f"unknown field {key!r} in {where}")
+            elif key in _NUMERIC_KEYS.get(schema, ()) and not _is_numeric(key, value):
+                errors.append(f"field {key!r} in {where} must be numeric, got {value!r}")
+        for key in _REQUIRED_KEYS.get(schema, ()):
+            if key not in section:
+                errors.append(f"{where} needs {key!r}")
 
     system = cfg.get("system")
     if system is not None:
@@ -187,7 +213,8 @@ def build_system(cfg: dict, cutoff_override: int | None = None) -> SystemConfig:
         qubits=qubits,
         omega_c=float(system["omega_c"]),
         kappa=float(system.get("kappa", 0.0)),
-        fock_cutoff=int(cutoff_override or system.get("fock_cutoff", 8)),
+        fock_cutoff=int(cutoff_override if cutoff_override is not None
+                        else system.get("fock_cutoff", 8)),
     )
 
 
@@ -223,20 +250,15 @@ def _sweep_csv(result) -> bytes:
 
 def cmd_levels(cfg: dict, system: SystemConfig, threads: int) -> dict[str, bytes]:
     sweep = _require(cfg, "sweep")
-    grid = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["points"]))
-    result = sweep_levels(
-        system, sweep["parameter"], grid, int(sweep["levels"]),
-        model=sweep.get("model", "dicke"), threads=threads,
-    )
-    outputs = {"levels.csv": _sweep_csv(result)}
-    inset = sweep.get("inset")
-    if inset:
-        grid2 = np.linspace(float(inset["start"]), float(inset["stop"]), int(inset["points"]))
-        result2 = sweep_levels(
-            system, sweep["parameter"], grid2, int(sweep["levels"]),
-            model=sweep.get("model", "dicke"), threads=threads,
-        )
-        outputs["levels_inset.csv"] = _sweep_csv(result2)
+    outputs = {}
+    for name, span in (("levels.csv", sweep), ("levels_inset.csv", sweep.get("inset"))):
+        if span:
+            grid = np.linspace(float(span["start"]), float(span["stop"]), int(span["points"]))
+            result = sweep_levels(
+                system, sweep["parameter"], grid, int(sweep["levels"]),
+                model=sweep.get("model", "dicke"), threads=threads,
+            )
+            outputs[name] = _sweep_csv(result)
     return outputs
 
 
@@ -330,8 +352,8 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         raise ConfigError("zero splitting; cannot set the dynamics time scale")
     t_max = float(dyn.get("half_periods", 2.0)) * math.pi / (2.0 * half_j)
     grid = np.linspace(0.0, t_max, int(dyn.get("points", 600)))
-    dissipators = () if dyn.get("lossless", False) else build_dissipators(spectrum, tuned)
-    series = evolve(rho0, hamiltonian, dissipators, grid, spectrum=spectrum)
+    rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, tuned)
+    series = evolve(rho0, hamiltonian, rates, grid, spectrum=spectrum)
 
     columns = []
     for obs in observables:
@@ -347,7 +369,7 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         "splitting": rep.splitting,
         "effective_coupling": half_j,
         "coupling_sign": sign,
-        "dissipator_count": len(dissipators),
+        "dissipator_count": sum(int(np.count_nonzero(r)) for r in rates.values()),
         "initial": initial if isinstance(initial, str) else list(initial),
         "time_unit": "1/omega_0",
     }

@@ -1,18 +1,19 @@
 """Dressed-picture zero-temperature Lindblad dynamics and observables.
 
-Dissipation is treated in the eigenbasis of the full Hamiltonian: for every
-ordered eigenstate pair (j, k) with E_k > E_j there is an independent decay
-channel with jump operator |j><k| and rate
+Dissipation is treated in the eigenbasis of the full Hamiltonian: every
+ordered eigenstate pair (j, k) with E_k > E_j is an independent decay term
+with jump operator |j><k|.  Each bath channel contributes one rate matrix
+over the ascending eigenbasis, with entries for E_k > E_j
 
-    cavity:   kappa   |<j| (a + a+) |k>|^2
-    qubit i:  gamma_i |<j| sigma_x^(i) |k>|^2
+    cavity:   R[j, k] = kappa   |<j| (a + a+) |k>|^2
+    qubit i:  R[j, k] = gamma_i |<j| sigma_x^(i) |k>|^2
 
-i.e. the Born-Markov rates evaluated with dressed transition matrix elements
-(flat bath spectral densities; no frequency weighting beyond the matrix
-elements).  This construction is exact at zero coupling, where the jump
-operators reduce to bare sigma_- and a, and remains meaningful in the
-ultrastrong-coupling regime where bare lowering operators would create
-excitations out of the dressed vacuum.
+and zeros elsewhere, i.e. the Born-Markov rates evaluated with dressed
+transition matrix elements (flat bath spectral densities; no frequency
+weighting beyond the matrix elements).  This construction is exact at zero
+coupling, where the jump operators reduce to bare sigma_- and a, and remains
+meaningful in the ultrastrong-coupling regime where bare lowering operators
+would create excitations out of the dressed vacuum.
 
 Observables use dressed ladder operators: for qubit i the lowering operator
 maps each eigenstate labeled (e_i, rest) to the one labeled (g_i, rest); for
@@ -41,7 +42,6 @@ from .model import SystemConfig
 from .spectrum import SpectrumResult, diagonalize
 
 __all__ = [
-    "Dissipator",
     "DensityMatrix",
     "TimeSeries",
     "build_dressed_lowering",
@@ -53,22 +53,12 @@ __all__ = [
 ]
 
 _RATE_FLOOR = 1e-24  # squared matrix elements below this are truncation noise
-
-
-@dataclass(frozen=True)
-class Dissipator:
-    """One decay channel |j><k| (eigenbasis indices, E_k > E_j) with its rate."""
-
-    j: int
-    k: int
-    rate: float
-    channel: str
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ConfigError(f"negative rate {self.rate}")
-        if self.j == self.k:
-            raise ConfigError("jump operator must connect distinct eigenstates")
+_ENERGY_TOL = 1e-12  # eigenvalue gap below which a pair counts as degenerate
+_DRIFT_TOL = 1e-7  # trace drift that makes evolve reject its step size
+# DensityMatrix.validate limits: Hermiticity defect, trace error, lowest eigenvalue.
+_STATE_HERM_TOL = 1e-10
+_STATE_TRACE_TOL = 1e-8
+_STATE_EIG_FLOOR = -1e-8
 
 
 @dataclass(frozen=True)
@@ -93,23 +83,23 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.mat)))
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-8, eig_floor=-1e-8) -> None:
+    def validate(self) -> None:
         defect = float(np.max(np.abs(self.mat - self.mat.conj().T)))
-        if defect > herm_tol:
+        if defect > _STATE_HERM_TOL:
             raise NumericalError(f"density matrix not Hermitian: defect {defect:.3e}")
-        if abs(self.trace - 1.0) > trace_tol:
+        if abs(self.trace - 1.0) > _STATE_TRACE_TOL:
             raise NumericalError(f"trace deviates from 1 by {self.trace - 1.0:.3e}")
         lo = float(np.min(np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)))
-        if lo < eig_floor:
+        if lo < _STATE_EIG_FLOOR:
             raise NumericalError(f"negative population {lo:.3e}")
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Strictly increasing time grid with named traces (numbers or snapshots)."""
+    """Strictly increasing time grid with one density-matrix snapshot per time."""
 
     times: np.ndarray
-    traces: Mapping[str, tuple]
+    states: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
@@ -117,13 +107,8 @@ class TimeSeries:
             raise ConfigError("time grid must be strictly increasing")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        for name, tr in self.traces.items():
-            if len(tr) != t.size:
-                raise ConfigError(f"trace {name!r} length does not match time grid")
-
-    @property
-    def states(self) -> tuple:
-        return self.traces["rho"]
+        if len(self.states) != t.size:
+            raise ConfigError("snapshot count does not match time grid")
 
 
 def _qubit_context_pairs(spectrum: SpectrumResult, qubit_index: int):
@@ -198,7 +183,7 @@ def build_dressed_lowering(
     return Operator(mat, spectrum.layout)
 
 
-def build_cavity_lowering(spectrum: SpectrumResult, energy_tol: float = 1e-12) -> Operator:
+def build_cavity_lowering(spectrum: SpectrumResult) -> Operator:
     """Positive-frequency part of X = a + a+ in the eigenbasis (bare-basis matrix).
 
     A_- = sum_{E_j < E_k} <psi_j|X|psi_k| |psi_j><psi_k|; annihilates the
@@ -208,40 +193,37 @@ def build_cavity_lowering(spectrum: SpectrumResult, energy_tol: float = 1e-12) -
     u = spectrum.states
     x_eig = u.conj().T @ cavity_quadrature(spectrum.layout).mat @ u
     e = spectrum.energies
-    lower = np.where(e[:, None] < e[None, :] - energy_tol, x_eig, 0.0)
+    lower = np.where(e[:, None] < e[None, :] - _ENERGY_TOL, x_eig, 0.0)
     return Operator(u @ lower @ u.conj().T, spectrum.layout)
 
 
-def build_dissipators(spectrum: SpectrumResult, config: SystemConfig) -> tuple[Dissipator, ...]:
-    """Zero-temperature decay channels for the cavity and each qubit.
+def build_dissipators(spectrum: SpectrumResult, config: SystemConfig) -> dict[str, np.ndarray]:
+    """Zero-temperature decay rate matrices for the cavity and each qubit.
 
-    Rates are kappa (gamma_i) times the squared dressed matrix element of
-    X (sigma_x^(i)) between eigenstates; only downward transitions appear and
-    exactly-zero rates are dropped.
+    Returns ``{channel: R}`` with channels ``cavity``, ``qubit1``, ... in that
+    order, one for every positive kappa (gamma_i).  ``R[j, k]`` is kappa
+    (gamma_i) times the squared dressed matrix element of X (sigma_x^(i))
+    between eigenstates j and k when E_k > E_j, and zero for upward or
+    degenerate pairs and for squared elements at or below the noise floor.
     """
     layout = spectrum.layout
     if layout != config.layout:
         raise ConfigError("spectrum and config layouts differ")
     u = spectrum.states
     e = spectrum.energies
-    channels: list[tuple[str, float, np.ndarray]] = []
+    downward = e[None, :] > e[:, None]
+
+    def rate_matrix(strength: float, op: Operator) -> np.ndarray:
+        elem2 = np.abs(u.conj().T @ op.mat @ u) ** 2
+        return np.where(downward & (elem2 > _RATE_FLOOR), strength * elem2, 0.0)
+
+    rates = {}
     if config.kappa > 0:
-        channels.append(("cavity", config.kappa, cavity_quadrature(layout).mat))
+        rates["cavity"] = rate_matrix(config.kappa, cavity_quadrature(layout))
     for i, q in enumerate(config.qubits, start=1):
         if q.gamma > 0:
-            channels.append((f"qubit{i}", q.gamma, embed_qubit_op(layout, i, SIGMA_X).mat))
-    out: list[Dissipator] = []
-    for name, strength, op in channels:
-        m_eig = u.conj().T @ op @ u
-        for k in range(layout.dim):
-            for j in range(layout.dim):
-                if e[k] <= e[j]:
-                    continue
-                elem2 = float(abs(m_eig[j, k]) ** 2)
-                if elem2 <= _RATE_FLOOR:
-                    continue
-                out.append(Dissipator(j=j, k=k, rate=strength * elem2, channel=name))
-    return tuple(out)
+            rates[f"qubit{i}"] = rate_matrix(q.gamma, embed_qubit_op(layout, i, SIGMA_X))
+    return rates
 
 
 def _rk4_scalar(z: np.ndarray) -> np.ndarray:
@@ -272,22 +254,23 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
 def evolve(
     rho0,
     hamiltonian: Operator,
-    dissipators: Sequence[Dissipator],
+    rates: Mapping[str, np.ndarray],
     t_grid: Sequence[float],
     spectrum: SpectrumResult | None = None,
     max_step: float | None = None,
-    trace_tol: float = 1e-7,
 ) -> TimeSeries:
-    """Integrate drho/dt = -i[H, rho] + sum Gamma (L rho L+ - {L+L, rho}/2).
+    """Integrate drho/dt = -i[H, rho] + sum R[j,k] (L rho L+ - {L+L, rho}/2), L = |j><k|.
 
     ``rho0`` (density matrix, Ket, or vector) is the state at ``t_grid[0]``;
     snapshots are returned at every grid time in the same basis as the inputs.
-    ``dissipators`` index the ascending eigenbasis of ``hamiltonian`` (pass
-    the ``spectrum`` they were built from to guarantee consistent ordering).
+    ``rates`` maps channel names to d x d rate matrices over the ascending
+    eigenbasis of ``hamiltonian``, as :func:`build_dissipators` returns them
+    (pass the ``spectrum`` they were built from to guarantee consistent
+    ordering); ``{}`` is lossless.
 
     The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
     ``max_step`` replaces that rule with an explicit bound.  Trace drift
-    beyond ``trace_tol`` raises :class:`StepSizeError`.
+    beyond 1e-7 raises :class:`StepSizeError`.
     """
     spec = spectrum if spectrum is not None else diagonalize(hamiltonian)
     dim = spec.dim
@@ -303,10 +286,15 @@ def evolve(
     rho = u.conj().T @ _coerce_rho(rho0, dim) @ u
 
     gain = np.zeros((dim, dim))
-    for d in dissipators:
-        if not (0 <= d.j < dim and 0 <= d.k < dim):
-            raise ConfigError(f"dissipator indices ({d.j}, {d.k}) out of range")
-        gain[d.j, d.k] += d.rate
+    for name, r in rates.items():
+        r = np.asarray(r, dtype=float)
+        if r.shape != (dim, dim):
+            raise ConfigError(f"rate matrix {name!r} has shape {r.shape}, need {(dim, dim)}")
+        if not np.all(r >= 0):
+            raise ConfigError(f"rate matrix {name!r} has negative or NaN entries")
+        if np.any(np.diagonal(r) != 0):
+            raise ConfigError(f"rate matrix {name!r} must be zero on the diagonal")
+        gain += r
     out_rate = gain.sum(axis=0)
 
     if max_step is not None:
@@ -349,13 +337,13 @@ def evolve(
         rho = g_n * rho
         np.fill_diagonal(rho, pops)
         drift = abs(float(np.real(np.trace(rho))) - trace0)
-        if drift > trace_tol:
+        if drift > _DRIFT_TOL:
             raise StepSizeError(
-                f"trace drift {drift:.3e} exceeds {trace_tol:.1e} at t = {times[p]:.6g}; "
+                f"trace drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
                 "retry with a smaller max_step"
             )
         snapshots.append(DensityMatrix(u @ rho @ u.conj().T, time=float(times[p])))
-    return TimeSeries(times=times, traces={"rho": tuple(snapshots)})
+    return TimeSeries(times=times, states=tuple(snapshots))
 
 
 def expectation(rho: DensityMatrix, operators) -> float:

@@ -205,7 +205,7 @@ SCENARIOS: dict[str, dict] = {
     },
     "ecc": {
         "description": "error-correction suite: all single bit/phase flips, both encoders",
-        "ecc": {"seed": 7, "random_states": 10},
+        "ecc": {"seed": 7},
     },
 }
 

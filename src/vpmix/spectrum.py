@@ -45,6 +45,7 @@ MODEL_BUILDERS: dict[str, Callable[[SystemConfig], Operator]] = {
 # any third state at most _THIRD_MAX, otherwise tracking is ambiguous.
 _PAIR_MIN = 0.45
 _THIRD_MAX = 0.45
+_HERMITICITY_TOL = 1e-9  # largest |H - H+| entry diagonalize accepts
 
 
 @dataclass(frozen=True)
@@ -91,41 +92,38 @@ class SpectrumResult:
         }
 
 
-def diagonalize(op: Operator, hermiticity_tol: float = 1e-9) -> SpectrumResult:
+def diagonalize(op: Operator) -> SpectrumResult:
     """Full eigendecomposition with max-overlap labeling.
 
     Eigenvector phases are gauged so the dominant component of each column is
     real and positive, which makes downstream superpositions well defined.
     """
     defect = op.hermiticity_defect()
-    if defect > hermiticity_tol:
+    if defect > _HERMITICITY_TOL:
         raise HermiticityError(
-            f"matrix is not Hermitian (max deviation {defect:.3e} > {hermiticity_tol:.1e})"
+            f"matrix is not Hermitian (max deviation {defect:.3e} > {_HERMITICITY_TOL:.1e})"
         )
     energies, states = np.linalg.eigh(op.mat)
     energies = energies - energies[0]
 
-    labels = []
-    claimed: dict[int, int] = {}
+    dominant = np.argmax(np.abs(states) ** 2, axis=0)
+    amp = states[dominant, np.arange(states.shape[1])]
+    # hypot, as scalar abs() computes it: numpy's vectorized complex abs rounds
+    # differently on some CPUs and would move the gauged states by an ulp.
+    norm = np.hypot(amp.real, amp.imag)
+    states = states * np.conj(amp / norm)
+    labels = tuple(zip(dominant.tolist(), (norm * norm).tolist()))
+
+    claimed: set[int] = set()
     collisions: list[int] = []
-    states = np.array(states)
-    for k in range(states.shape[1]):
-        col = states[:, k]
-        dominant = int(np.argmax(np.abs(col) ** 2))
-        amp = col[dominant]
-        phase = amp / abs(amp)
-        states[:, k] = col * np.conj(phase)
-        weight = float(abs(amp) ** 2)
-        labels.append((dominant, weight))
-        if dominant in claimed:
-            if dominant not in collisions:
-                collisions.append(dominant)
-        else:
-            claimed[dominant] = k
+    for bare in dominant.tolist():
+        if bare in claimed and bare not in collisions:
+            collisions.append(bare)
+        claimed.add(bare)
     return SpectrumResult(
         energies=energies,
         states=states,
-        labels=tuple(labels),
+        labels=labels,
         layout=op.layout,
         label_collisions=tuple(collisions),
     )
@@ -204,8 +202,7 @@ def sweep_levels(
     def solve(value: float):
         spec = diagonalize(builder(set_parameter(config, parameter, value)))
         sel = slice(1, level_count + 1)
-        lab = np.array([b for b, _ in spec.labels[sel]], dtype=int)
-        wt = np.array([w for _, w in spec.labels[sel]], dtype=float)
+        lab, wt = zip(*spec.labels[sel])
         return spec.energies[sel], lab, wt, (spec.states if keep_states else None)
 
     if threads > 1 and grid_arr.size > 1:
@@ -214,23 +211,15 @@ def sweep_levels(
     else:
         rows = [solve(v) for v in grid_arr]
 
-    n = grid_arr.size
-    energies = np.zeros((n, level_count))
-    labels = np.zeros((n, level_count), dtype=int)
-    overlaps = np.zeros((n, level_count))
-    states: list[np.ndarray] = []
-    for p, (e, lab, wt, vecs) in enumerate(rows):
-        energies[p], labels[p], overlaps[p] = e, lab, wt
-        if keep_states:
-            states.append(vecs)
+    shape = (grid_arr.size, level_count)
     return SweepResult(
         parameter=parameter,
         grid=grid_arr,
-        energies=energies,
-        labels=labels,
-        overlaps=overlaps,
+        energies=np.array([r[0] for r in rows], dtype=float).reshape(shape),
+        labels=np.array([r[1] for r in rows], dtype=int).reshape(shape),
+        overlaps=np.array([r[2] for r in rows], dtype=float).reshape(shape),
         layout=layout,
-        states=tuple(states) if keep_states else None,
+        states=tuple(r[3] for r in rows) if keep_states else None,
     )
 
 

@@ -247,7 +247,7 @@ def test_criterion_09_ghz_generation(three_mix, exchange_reports, four_qubit_exc
                   / math.sqrt(2.0), cfg3.layout)
     half_j3 = three_mix["report"].splitting / 2.0
     grid3 = np.linspace(0.0, math.pi / (4.0 * half_j3), 200)
-    lossless3 = evolve(three_mix["u"], build_generalized_dicke(cfg3), (), grid3,
+    lossless3 = evolve(three_mix["u"], build_generalized_dicke(cfg3), {}, grid3,
                        spectrum=three_mix["spectrum"])
     runs.append(("three-mix", state_fidelity(lossless3.states[-1], target3)))
 
@@ -261,7 +261,7 @@ def test_criterion_09_ghz_generation(three_mix, exchange_reports, four_qubit_exc
     target4 = Ket((u4.amp - 1j * sign4 * v4.amp) / math.sqrt(2.0), lay4)
     half_j4 = rep4.splitting / 2.0
     grid4 = np.linspace(0.0, math.pi / (4.0 * half_j4), 200)
-    lossless4 = evolve(u4, build_generalized_dicke(cfg4), (), grid4, spectrum=spec4)
+    lossless4 = evolve(u4, build_generalized_dicke(cfg4), {}, grid4, spectrum=spec4)
     runs.append(("exchange four-mix", state_fidelity(lossless4.states[-1], target4)))
 
     ok = all(f > 0.99 for _, f in runs)

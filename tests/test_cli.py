@@ -72,6 +72,28 @@ def test_validate_names_unknown_fields():
     assert any("mystery" in e for e in errors)
 
 
+def test_ecc_random_states_is_unknown():
+    errors, _ = validate_config({"ecc": {"seed": 7, "random_states": 10}})
+    assert errors == ["unknown field 'random_states' in ecc"]
+    assert validate_config(resolve_config({"scenario": "ecc"}))[0] == []
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"scenario": "fig4", "system": {"omega_c": "abc"}}, "omega_c"),
+    ({"scenario": "fig4", "sweep": {"start": None}}, "start"),
+    ({"system": TINY_SYSTEM, "sweep": {"parameter": "qubits[2].omega", "start": 0.9,
+                                       "stop": 1.1, "levels": 2}}, "points"),
+])
+def test_bad_field_values_exit_2_without_outputs(tmp_path, capsys, payload, field):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["levels", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+    errors, _ = validate_config(resolve_config(payload))
+    assert any(field in e for e in errors)
+
+
 def test_malformed_config_exits_2_without_outputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -158,6 +180,17 @@ def test_cutoff_override(tmp_path):
     assert r1["splitting"] > 0
     # the override changes truncation, so values agree only approximately
     assert r2["splitting"] == pytest.approx(r1["splitting"], rel=0.05)
+
+
+def test_zero_cutoff_override_exits_2(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "system": TINY_SYSTEM,
+        "anticross": {"parameter": "qubits[2].omega", "bracket": [0.95, 1.03],
+                      "pair": [["gge", 0], ["eeg", 0]]},
+    })
+    out = tmp_path / "out"
+    assert main(["anticross", "--config", cfg, "--out", str(out), "--cutoff", "0"]) == 2
+    assert not out.exists()
 
 
 def test_ecc_report_shape(tmp_path):

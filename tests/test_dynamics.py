@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpmix import (
     ConfigError,
     DensityMatrix,
-    Dissipator,
     MixKind,
     Operator,
     QubitParams,
@@ -18,6 +19,7 @@ from vpmix import (
     build_effective_mixing,
     build_generalized_dicke,
     cavity_annihilation,
+    cavity_quadrature,
     diagonalize,
     embed_qubit_op,
     evolve,
@@ -27,7 +29,7 @@ from vpmix import (
     state_fidelity,
     superposition_states,
 )
-from vpmix.algebra import SIGMA_MINUS, HilbertLayout, Ket
+from vpmix.algebra import SIGMA_MINUS, SIGMA_X, HilbertLayout, Ket
 
 PI6 = math.pi / 6
 
@@ -79,13 +81,46 @@ class TestDressedOperators:
         assert np.linalg.norm(a.mat @ ground) < 1e-10
 
 
+def nonzero_rates(rates):
+    """(channel, j, k, rate) for every nonzero entry of every rate matrix."""
+    return [(name, int(j), int(k), float(r[j, k]))
+            for name, r in rates.items() for j, k in zip(*np.nonzero(r))]
+
+
+def pair_loop_rates(spectrum, config):
+    """Reference: the per-(j, k) loop that built one decay term per downward
+    eigenstate pair before rates became matrices.  Returns the channel names
+    in order and the (channel, j, k, rate) terms."""
+    layout = spectrum.layout
+    u = spectrum.states
+    e = spectrum.energies
+    channels = []
+    if config.kappa > 0:
+        channels.append(("cavity", config.kappa, cavity_quadrature(layout).mat))
+    for i, q in enumerate(config.qubits, start=1):
+        if q.gamma > 0:
+            channels.append((f"qubit{i}", q.gamma, embed_qubit_op(layout, i, SIGMA_X).mat))
+    terms = []
+    for name, strength, op in channels:
+        m_eig = u.conj().T @ op @ u
+        for k in range(layout.dim):
+            for j in range(layout.dim):
+                if e[k] <= e[j]:
+                    continue
+                elem2 = float(abs(m_eig[j, k]) ** 2)
+                if elem2 <= 1e-24:
+                    continue
+                terms.append((name, j, k, strength * elem2))
+    return [name for name, _, _ in channels], terms
+
+
 class TestDissipators:
     def test_no_decay_no_channels(self):
         cfg = SystemConfig(
             (QubitParams(0.4, 0.1), QubitParams(0.9, 0.1)), omega_c=1.3, fock_cutoff=3
         )
         spec = diagonalize(build_generalized_dicke(cfg))
-        assert build_dissipators(spec, cfg) == ()
+        assert build_dissipators(spec, cfg) == {}
 
     def test_decoupled_cavity_rates_are_kappa_n(self):
         kappa = 5e-3
@@ -93,24 +128,56 @@ class TestDissipators:
             (QubitParams(0.4, 0.0),), omega_c=1.3, kappa=kappa, fock_cutoff=5
         )
         spec = diagonalize(build_generalized_dicke(cfg))
-        cavity = [d for d in build_dissipators(spec, cfg) if d.channel == "cavity"]
+        rates = build_dissipators(spec, cfg)
+        assert list(rates) == ["cavity"]
         lay = cfg.layout
-        for d in cavity:
-            levels_j, n_j = lay.bare_labels(spec.labels[d.j][0])
-            levels_k, n_k = lay.bare_labels(spec.labels[d.k][0])
+        for _, j, k, rate in nonzero_rates(rates):
+            levels_j, n_j = lay.bare_labels(spec.labels[j][0])
+            levels_k, n_k = lay.bare_labels(spec.labels[k][0])
             if levels_j == levels_k and n_k == n_j + 1:
-                assert d.rate == pytest.approx(kappa * n_k, rel=1e-10)
+                assert rate == pytest.approx(kappa * n_k, rel=1e-10)
 
     def test_rates_bounded(self, fig1b_preset):
         spec = diagonalize(build_generalized_dicke(fig1b_preset))
-        diss = build_dissipators(spec, fig1b_preset)
+        rates = build_dissipators(spec, fig1b_preset)
         bound = max(fig1b_preset.kappa, max(q.gamma for q in fig1b_preset.qubits))
-        assert all(0 < d.rate <= bound * fig1b_preset.layout.dim for d in diss)
+        assert list(rates) == ["cavity", "qubit1", "qubit2", "qubit3"]
+        assert all(np.all(r >= 0) for r in rates.values())
+        terms = nonzero_rates(rates)
+        assert terms
+        assert all(0 < rate <= bound * fig1b_preset.layout.dim for *_, rate in terms)
 
     def test_only_downward_transitions(self, fig1b_preset):
         spec = diagonalize(build_generalized_dicke(fig1b_preset))
-        for d in build_dissipators(spec, fig1b_preset):
-            assert spec.energies[d.k] > spec.energies[d.j]
+        for _, j, k, _ in nonzero_rates(build_dissipators(spec, fig1b_preset)):
+            assert spec.energies[k] > spec.energies[j]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        qubits=st.lists(
+            st.builds(QubitParams, omega=st.floats(0.2, 1.8), lam=st.floats(0.0, 0.3),
+                      theta=st.floats(0.0, 1.6), gamma=st.sampled_from([0.0, 3e-5, 1e-3])),
+            min_size=1, max_size=3,
+        ),
+        omega_c=st.floats(0.5, 2.0),
+        kappa=st.sampled_from([0.0, 3e-5, 5e-3]),
+        cutoff=st.integers(1, 6),
+    )
+    def test_rate_matrices_match_pair_loop(self, qubits, omega_c, kappa, cutoff):
+        cfg = SystemConfig(tuple(qubits), omega_c=omega_c, kappa=kappa, fock_cutoff=cutoff)
+        spec = diagonalize(build_generalized_dicke(cfg))
+        names, terms = pair_loop_rates(spec, cfg)
+        rates = build_dissipators(spec, cfg)
+        assert list(rates) == names
+        new_terms = sorted(nonzero_rates(rates))
+        old_terms = sorted(terms)
+        assert [t[:3] for t in new_terms] == [t[:3] for t in old_terms]
+        assert sum(int(np.count_nonzero(r)) for r in rates.values()) == len(terms)
+        # The loop squared with scalar ** 2 (libm pow, not always correctly
+        # rounded); the matrices square exactly, so rates may differ by an ulp
+        # of the square carried through the product with the channel strength.
+        np.testing.assert_array_max_ulp(np.array([t[3] for t in new_terms]),
+                                        np.array([t[3] for t in old_terms]), maxulp=2)
 
 
 class TestEvolve:
@@ -120,7 +187,7 @@ class TestEvolve:
         lay = h.layout
         rho0 = bare_state(lay, "gge", 0)
         t = np.linspace(0.0, math.pi / j, 200)
-        series = evolve(rho0, h, (), t)
+        series = evolve(rho0, h, {}, t)
         s3 = embed_qubit_op(lay, 3, SIGMA_MINUS)
         p3 = np.array([expectation(r, [s3.dag() @ s3]) for r in series.states])
         assert np.max(np.abs(p3 - np.cos(j * t) ** 2)) < 1e-8
@@ -129,7 +196,7 @@ class TestEvolve:
         lay = HilbertLayout(1, 1)
         h = Operator(np.zeros((2, 2)), lay)
         rho0 = DensityMatrix(np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex))
-        series = evolve(rho0, h, (), np.linspace(0, 10.0, 5))
+        series = evolve(rho0, h, {}, np.linspace(0, 10.0, 5))
         assert np.max(np.abs(series.states[-1].mat - rho0.mat)) < 1e-14
 
     def test_matches_literal_stage_rk4(self, rng):
@@ -137,20 +204,25 @@ class TestEvolve:
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = Operator(raw + raw.conj().T, HilbertLayout(2, 1))
         spec = diagonalize(h)
-        diss = (Dissipator(0, 3, 0.05, "cavity"), Dissipator(1, 2, 0.02, "qubit1"))
+        cavity = np.zeros((dim, dim))
+        cavity[0, 3] = 0.05
+        qubit1 = np.zeros((dim, dim))
+        qubit1[1, 2] = 0.02
+        rates = {"cavity": cavity, "qubit1": qubit1}
         rho0 = np.zeros((dim, dim), complex)
         rho0[3, 3] = 0.6
         rho0[2, 2] = 0.4
         rho0[2, 3] = rho0[3, 2] = 0.2
         step = 0.01
         n_steps = 64
-        series = evolve(DensityMatrix(rho0), h, diss, [0.0, n_steps * step],
+        series = evolve(DensityMatrix(rho0), h, rates, [0.0, n_steps * step],
                         spectrum=spec, max_step=step)
 
         jump_ops = [
-            (d.rate, np.outer(spec.states[:, d.j], spec.states[:, d.k].conj()))
-            for d in diss
+            (rate, np.outer(spec.states[:, j], spec.states[:, k].conj()))
+            for _, j, k, rate in nonzero_rates(rates)
         ]
+        assert len(jump_ops) == 2
 
         def rhs(rho):
             out = -1j * (h.mat @ rho - rho @ h.mat)
@@ -174,7 +246,7 @@ class TestEvolve:
         spec = diagonalize(h)
         psi0 = bare_state(cfg.layout, "gge", 0)
         t = np.linspace(0.0, 400.0, 9)
-        series = evolve(psi0, h, (), t, spectrum=spec)
+        series = evolve(psi0, h, {}, t, spectrum=spec)
         coeffs = spec.states.conj().T @ psi0.amp
         for snap, tk in zip(series.states, t):
             exact = spec.states @ (np.exp(-1j * spec.energies * tk) * coeffs)
@@ -196,9 +268,26 @@ class TestEvolve:
         h = build_generalized_dicke(fig1b_preset)
         rho0 = bare_state(fig1b_preset.layout, "gge", 0)
         with pytest.raises(ConfigError):
-            evolve(rho0, h, (), [0.0, 2.0, 1.0])
+            evolve(rho0, h, {}, [0.0, 2.0, 1.0])
         with pytest.raises(ConfigError):
-            evolve(rho0, h, (), [])
+            evolve(rho0, h, {}, [])
+
+    def test_rate_matrix_validation(self):
+        lay = HilbertLayout(1, 2)
+        h = Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay)
+        rho0 = bare_state(lay, "e", 1)
+        good = np.zeros((4, 4))
+        good[0, 3] = 0.1
+        evolve(rho0, h, {"cavity": good}, [0.0, 1.0])
+        negative = good.copy()
+        negative[1, 2] = -1e-9
+        diagonal = good.copy()
+        diagonal[2, 2] = 0.1
+        nan = good.copy()
+        nan[0, 1] = np.nan
+        for bad in (np.zeros((3, 3)), np.zeros(4), negative, diagonal, nan):
+            with pytest.raises(ConfigError):
+                evolve(rho0, h, {"cavity": good, "qubit1": bad}, [0.0, 1.0])
 
 
 class TestObservables:

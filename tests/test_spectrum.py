@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpmix import (
     BranchTrackingError,
@@ -30,6 +32,70 @@ def test_diagonalize_offsets_and_orthonormality(fig1b_spec_literal):
     assert np.all(np.diff(spec.energies) >= -1e-13)
     gram = spec.states.conj().T @ spec.states
     assert np.max(np.abs(gram - np.eye(spec.dim))) < 1e-10
+
+
+def column_loop_labels(op):
+    """Reference: the per-column labeling loop diagonalize ran before it
+    worked on the whole eigenvector matrix.  Returns (gauged states, labels,
+    collisions)."""
+    _, states = np.linalg.eigh(op.mat)
+    labels = []
+    claimed = {}
+    collisions = []
+    states = np.array(states)
+    for k in range(states.shape[1]):
+        col = states[:, k]
+        dominant = int(np.argmax(np.abs(col) ** 2))
+        amp = col[dominant]
+        phase = amp / abs(amp)
+        states[:, k] = col * np.conj(phase)
+        weight = float(abs(amp) ** 2)
+        labels.append((dominant, weight))
+        if dominant in claimed:
+            if dominant not in collisions:
+                collisions.append(dominant)
+        else:
+            claimed[dominant] = k
+    return states, labels, tuple(collisions)
+
+
+def assert_matches_column_loop(op):
+    states, labels, collisions = column_loop_labels(op)
+    spec = diagonalize(op)
+    assert np.array_equal(spec.states, states)
+    assert [b for b, _ in spec.labels] == [b for b, _ in labels]
+    assert all(type(b) is int and type(w) is float for b, w in spec.labels)
+    assert spec.label_collisions == collisions
+    # The loop squared with scalar ** 2 (libm pow, not always correctly
+    # rounded); diagonalize squares exactly, so a weight may differ by one ulp.
+    np.testing.assert_array_max_ulp(np.array([w for _, w in spec.labels]),
+                                    np.array([w for _, w in labels]), maxulp=1)
+    return spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    qubits=st.lists(
+        st.builds(QubitParams, omega=st.floats(0.2, 1.8), lam=st.floats(0.0, 0.3),
+                  theta=st.floats(0.0, 1.6)),
+        min_size=1, max_size=3,
+    ),
+    omega_c=st.floats(0.5, 2.0),
+    cutoff=st.integers(1, 6),
+)
+def test_labels_match_column_loop_on_models(qubits, omega_c, cutoff):
+    cfg = SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff)
+    assert_matches_column_loop(build_generalized_dicke(cfg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), qubits=st.integers(1, 3), cutoff=st.integers(1, 4))
+def test_labels_match_column_loop_on_random_hermitian(seed, qubits, cutoff):
+    # dense complex eigenvectors: non-trivial phase gauge and many collisions
+    lay = HilbertLayout(qubits, cutoff)
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(lay.dim, lay.dim)) + 1j * rng.normal(size=(lay.dim, lay.dim))
+    assert_matches_column_loop(Operator(raw + raw.conj().T, lay))
 
 
 def test_decoupled_labels_are_exact():
