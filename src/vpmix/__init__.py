@@ -50,11 +50,11 @@ from .model import (
     total_excitation_number,
 )
 from .dynamics import (
-    DensityMatrix,
     TimeSeries,
     build_cavity_lowering,
     build_dissipators,
     build_dressed_lowering,
+    check_density,
     evolve,
     expectation,
     state_fidelity,

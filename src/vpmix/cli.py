@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import bare_state
+from .algebra import bare_state, cavity_number
 from .circuits import run_ecc
-from .algebra import cavity_number
 from .dynamics import (
     build_cavity_lowering,
     build_dissipators,
@@ -51,40 +50,43 @@ _COMMANDS = ("levels", "anticross", "perturb", "dynamics", "ecc", "validate")
 
 _TOP_KEYS = {"scenario", "description", "out", "system", "sweep", "anticross",
              "dynamics", "perturb", "ecc"}
-_SECTION_KEYS = {
-    "system": {"qubits", "omega_c", "kappa", "fock_cutoff"},
-    "qubit": {"omega", "lam", "theta", "gamma"},
-    "sweep": {"parameter", "start", "stop", "points", "levels", "model", "inset"},
-    "inset": {"start", "stop", "points"},
-    "anticross": {"parameter", "bracket", "pair", "model", "tol"},
-    "dynamics": {"initial", "tune_to_minimum", "half_periods", "points",
-                 "lossless", "observables"},
-    "observable": {"name", "kind", "qubit", "qubits"},
-    "perturb": {"mode", "order", "initial", "final", "model", "epsilon",
-                "lambdas", "cavity_offset_factor", "parameter", "bracket", "pair"},
-    "ecc": {"seed"},
-}
-# Fields that must hold a JSON number ("bracket" and "lambdas": a list of them).
-_NUMERIC_KEYS = {
-    "system": {"omega_c", "kappa", "fock_cutoff"},
-    "qubit": {"omega", "lam", "theta", "gamma"},
-    "sweep": {"start", "stop", "points", "levels"},
-    "inset": {"start", "stop", "points"},
-    "anticross": {"tol", "bracket"},
-    "dynamics": {"half_periods", "points"},
-    "perturb": {"order", "epsilon", "cavity_offset_factor", "lambdas", "bracket"},
-    "ecc": {"seed"},
+# Allowed fields of each section and the JSON type each must hold (None: any).
+# "number" and "integer" exclude bools, "integer" also 2.5; "numbers" and
+# "integers" are lists of them; a "bracket" is a list of exactly two numbers.
+_SCHEMA = {
+    "system": {"qubits": None, "omega_c": "number", "kappa": "number", "fock_cutoff": "integer"},
+    "qubit": dict.fromkeys(("omega", "lam", "theta", "gamma"), "number"),
+    "sweep": {"parameter": None, "start": "number", "stop": "number", "points": "integer",
+              "levels": "integer", "model": None, "inset": None},
+    "inset": {"start": "number", "stop": "number", "points": "integer"},
+    "anticross": {"parameter": None, "bracket": "bracket", "pair": None, "model": None,
+                  "tol": "number"},
+    "dynamics": {"initial": None, "tune_to_minimum": "boolean", "half_periods": "number",
+                 "points": "integer", "lossless": "boolean", "observables": None},
+    "observable": {"name": "string", "kind": "string", "qubit": "integer", "qubits": "integers"},
+    "perturb": {"mode": None, "order": "integer", "initial": None, "final": None, "model": None,
+                "epsilon": "number", "lambdas": "numbers", "cavity_offset_factor": "number",
+                "parameter": None, "bracket": "bracket", "pair": None},
+    "ecc": {"seed": "integer"},
 }
 _REQUIRED_KEYS = {
     "sweep": ("parameter", "start", "stop", "points", "levels"),
     "inset": ("start", "stop", "points"),
+    "observable": ("name", "kind"),
 }
+_OBSERVABLE_NEEDS = {"excitation": "qubit", "correlation": "qubits"}
 
 
-def _is_numeric(key: str, value) -> bool:
-    if key in ("bracket", "lambdas"):
-        return isinstance(value, list) and all(_is_numeric("", v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_SCALAR_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
+
+
+def _has_type(kind: str, value) -> bool:
+    if kind in ("numbers", "integers", "bracket"):
+        item = "integer" if kind == "integers" else "number"
+        return (isinstance(value, list) and all(_has_type(item, v) for v in value)
+                and (kind != "bracket" or len(value) == 2))
+    return isinstance(value, _SCALAR_TYPES[kind]) and (
+        kind == "boolean" or not isinstance(value, bool))
 
 
 def _fmt(x: float) -> str:
@@ -143,10 +145,11 @@ def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
 
     def check_keys(section: dict, schema: str, where: str):
         for key, value in section.items():
-            if key not in _SECTION_KEYS[schema]:
+            kind = _SCHEMA[schema].get(key)
+            if key not in _SCHEMA[schema]:
                 errors.append(f"unknown field {key!r} in {where}")
-            elif key in _NUMERIC_KEYS.get(schema, ()) and not _is_numeric(key, value):
-                errors.append(f"field {key!r} in {where} must be numeric, got {value!r}")
+            elif kind and not _has_type(kind, value):
+                errors.append(f"field {key!r} in {where} must be of type {kind}, got {value!r}")
         for key in _REQUIRED_KEYS.get(schema, ()):
             if key not in section:
                 errors.append(f"{where} needs {key!r}")
@@ -190,9 +193,25 @@ def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
         if name == "sweep" and isinstance(section.get("inset"), dict):
             check_keys(section["inset"], "inset", "sweep.inset")
         if name == "dynamics":
-            for j, obs in enumerate(section.get("observables", [])):
-                if isinstance(obs, dict):
-                    check_keys(obs, "observable", f"dynamics.observables[{j}]")
+            initial = section.get("initial")
+            if isinstance(initial, list) and not (
+                    len(initial) == 3 and initial[0] == "bare"
+                    and isinstance(initial[1], str) and _has_type("integer", initial[2])):
+                errors.append(
+                    f"dynamics.initial must be ['bare', levels, photons], got {initial!r}")
+            observables = section.get("observables", [])
+            if not isinstance(observables, list):
+                errors.append("dynamics.observables must be a list")
+                continue
+            for j, obs in enumerate(observables):
+                where = f"dynamics.observables[{j}]"
+                if not isinstance(obs, dict):
+                    errors.append(f"{where} must be an object")
+                    continue
+                check_keys(obs, "observable", where)
+                needed = _OBSERVABLE_NEEDS.get(str(obs.get("kind")))
+                if needed and needed not in obs:
+                    errors.append(f"{where} of kind {obs['kind']!r} needs {needed!r}")
     return errors, warnings
 
 
@@ -358,7 +377,7 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     columns = []
     for obs in observables:
         ops = _observable_ops(obs, lowering, layout, spectrum)
-        columns.append((obs["name"], [expectation(r, ops) for r in series.states]))
+        columns.append((obs["name"], expectation(series.states, ops)))
 
     lines = [",".join(["t"] + [name for name, _ in columns])]
     for p, t in enumerate(grid):

@@ -25,7 +25,9 @@ Runge-Kutta scheme.  In the eigenbasis the generator is time independent and
 acts on coherences and populations separately, so the RK4 step is a constant
 linear map; steps are composed by exact powers of the per-step multipliers,
 which reproduces the literal stage-by-stage iteration to rounding error at a
-tiny fraction of the cost.
+tiny fraction of the cost.  The trajectory is one read-only (T, d, d) array of
+bare-basis density matrices; :func:`expectation` forms an operator product once
+and contracts it with the whole stack, sum_ij rho_ij(t) O_ji, O(d^2) per time.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from .model import SystemConfig
 from .spectrum import SpectrumResult, diagonalize
 
 __all__ = [
-    "DensityMatrix",
     "TimeSeries",
     "build_dressed_lowering",
     "build_cavity_lowering",
     "build_dissipators",
+    "check_density",
     "evolve",
     "expectation",
     "state_fidelity",
@@ -55,60 +57,36 @@ __all__ = [
 _RATE_FLOOR = 1e-24  # squared matrix elements below this are truncation noise
 _ENERGY_TOL = 1e-12  # eigenvalue gap below which a pair counts as degenerate
 _DRIFT_TOL = 1e-7  # trace drift that makes evolve reject its step size
-# DensityMatrix.validate limits: Hermiticity defect, trace error, lowest eigenvalue.
+# check_density limits: Hermiticity defect, trace error, lowest eigenvalue.
 _STATE_HERM_TOL = 1e-10
 _STATE_TRACE_TOL = 1e-8
 _STATE_EIG_FLOOR = -1e-8
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Density operator snapshot at one time."""
-
-    mat: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError(f"density matrix must be square, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.mat)))
-
-    def validate(self) -> None:
-        defect = float(np.max(np.abs(self.mat - self.mat.conj().T)))
-        if defect > _STATE_HERM_TOL:
-            raise NumericalError(f"density matrix not Hermitian: defect {defect:.3e}")
-        if abs(self.trace - 1.0) > _STATE_TRACE_TOL:
-            raise NumericalError(f"trace deviates from 1 by {self.trace - 1.0:.3e}")
-        lo = float(np.min(np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)))
-        if lo < _STATE_EIG_FLOOR:
-            raise NumericalError(f"negative population {lo:.3e}")
+def check_density(rho) -> None:
+    """Raise :class:`NumericalError` unless ``rho`` is a Hermitian, unit-trace,
+    positive semidefinite d x d matrix (to the module's ``_STATE_*`` limits)."""
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigError(f"density matrix must be square, got {m.shape}")
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if defect > _STATE_HERM_TOL:
+        raise NumericalError(f"density matrix not Hermitian: defect {defect:.3e}")
+    trace = float(np.real(np.trace(m)))
+    if abs(trace - 1.0) > _STATE_TRACE_TOL:
+        raise NumericalError(f"trace deviates from 1 by {trace - 1.0:.3e}")
+    lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+    if lo < _STATE_EIG_FLOOR:
+        raise NumericalError(f"negative population {lo:.3e}")
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Strictly increasing time grid with one density-matrix snapshot per time."""
+    """Result of :func:`evolve`: the strictly increasing time grid and the
+    read-only (T, d, d) stack of density matrices, ``states[p]`` at ``times[p]``."""
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ConfigError("time grid must be strictly increasing")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        if len(self.states) != t.size:
-            raise ConfigError("snapshot count does not match time grid")
+    states: np.ndarray
 
 
 def _qubit_context_pairs(spectrum: SpectrumResult, qubit_index: int):
@@ -117,11 +95,7 @@ def _qubit_context_pairs(spectrum: SpectrumResult, qubit_index: int):
     if not 1 <= qubit_index <= layout.qubit_count:
         raise ConfigError(f"qubit index {qubit_index} outside 1..{layout.qubit_count}")
     stride = 2 ** (layout.qubit_count - qubit_index) * layout.fock_cutoff
-    pairs = []
-    for idx in range(layout.dim):
-        if (idx // stride) % 2 == 0:
-            pairs.append((idx, idx + stride))
-    return pairs
+    return [(idx, idx + stride) for idx in range(layout.dim) if (idx // stride) % 2 == 0]
 
 
 def build_dressed_lowering(
@@ -238,14 +212,8 @@ def _rk4_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def _coerce_rho(state, dim: int) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        mat = np.array(state.mat, dtype=complex)
-    elif isinstance(state, Ket):
-        v = state.amp
-        mat = np.outer(v, v.conj())
-    else:
-        arr = np.asarray(state, dtype=complex)
-        mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)
+    arr = state.amp if isinstance(state, Ket) else np.asarray(state, dtype=complex)
+    mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)
     if mat.shape != (dim, dim):
         raise ConfigError(f"initial state dimension {mat.shape} does not match {dim}")
     return mat
@@ -261,8 +229,9 @@ def evolve(
 ) -> TimeSeries:
     """Integrate drho/dt = -i[H, rho] + sum R[j,k] (L rho L+ - {L+L, rho}/2), L = |j><k|.
 
-    ``rho0`` (density matrix, Ket, or vector) is the state at ``t_grid[0]``;
-    snapshots are returned at every grid time in the same basis as the inputs.
+    ``rho0`` (density matrix, Ket, or vector) is the state at ``t_grid[0]``.
+    The result's ``states`` is a read-only (T, d, d) array holding the state
+    at every grid time, in the same basis as the inputs.
     ``rates`` maps channel names to d x d rate matrices over the ascending
     eigenbasis of ``hamiltonian``, as :func:`build_dissipators` returns them
     (pass the ``spectrum`` they were built from to guarantee consistent
@@ -328,8 +297,10 @@ def evolve(
             step_cache[key] = (g_n, p_n)
         return step_cache[key]
 
+    u_dag = u.conj().T
+    states = np.empty((times.size, dim, dim), dtype=complex)
+    states[0] = u @ rho @ u_dag
     trace0 = float(np.real(np.trace(rho)))
-    snapshots = [DensityMatrix(u @ rho @ u.conj().T, time=float(times[0]))]
     for p in range(1, times.size):
         dt = float(times[p] - times[p - 1])
         g_n, p_n = interval_maps(dt)
@@ -342,12 +313,18 @@ def evolve(
                 f"trace drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
                 "retry with a smaller max_step"
             )
-        snapshots.append(DensityMatrix(u @ rho @ u.conj().T, time=float(times[p])))
-    return TimeSeries(times=times, states=tuple(snapshots))
+        states[p] = u @ rho @ u_dag
+    times.setflags(write=False)
+    states.setflags(write=False)
+    return TimeSeries(times=times, states=states)
 
 
-def expectation(rho: DensityMatrix, operators) -> float:
-    """Real expectation value Tr[rho * O_1 O_2 ...] of an operator product."""
+def expectation(rho, operators):
+    """Real expectation values Tr[rho O_1 O_2 ...] of an operator product.
+
+    ``rho`` is one d x d density matrix or a (..., d, d) stack such as
+    ``TimeSeries.states``; the result has the stack's leading shape.
+    """
     if isinstance(operators, Operator):
         operators = (operators,)
     if not operators:
@@ -357,23 +334,26 @@ def expectation(rho: DensityMatrix, operators) -> float:
         if op.mat.shape != prod.shape:
             raise ConfigError("operator dimensions differ")
         prod = prod @ op.mat
-    if prod.shape[0] != rho.dim:
+    rho = np.asarray(rho)
+    if rho.ndim < 2 or rho.shape[-2:] != prod.shape:
         raise ConfigError(
-            f"operator dimension {prod.shape[0]} does not match state dimension {rho.dim}"
+            f"operator dimension {prod.shape[0]} does not match state shape {rho.shape}"
         )
-    val = complex(np.trace(rho.mat @ prod))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise NumericalError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    val = np.einsum("...ij,ji->...", rho, prod)
+    residue = np.abs(val.imag)
+    if np.any(residue > 1e-10 * np.maximum(1.0, np.abs(val.real))):
+        raise NumericalError(f"expectation has imaginary residue {np.max(residue):.3e}")
+    return val.real
 
 
-def state_fidelity(rho: DensityMatrix, target: Ket) -> float:
-    """<target| rho |target> for a pure target state."""
-    if target.dim != rho.dim:
+def state_fidelity(rho, target: Ket) -> float:
+    """<target| rho |target> for a d x d density matrix and a pure target state."""
+    rho = np.asarray(rho)
+    if rho.shape != (target.dim, target.dim):
         raise ConfigError(
-            f"target dimension {target.dim} does not match state dimension {rho.dim}"
+            f"target dimension {target.dim} does not match state shape {rho.shape}"
         )
-    val = complex(np.vdot(target.amp, rho.mat @ target.amp))
+    val = complex(np.vdot(target.amp, rho @ target.amp))
     if abs(val.imag) > 1e-10:
         raise NumericalError(f"fidelity has imaginary residue {val.imag:.3e}")
     return float(min(max(val.real, 0.0), 1.0))

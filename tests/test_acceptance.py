@@ -321,7 +321,7 @@ def test_criterion_11_numerical_hygiene(fig1b_preset, four_qubit_cascade,
     check("11a", "levels and splittings stable to < 1e-6 between cutoffs 8 and 12",
           ok_cutoff, f"max relative change {max(level_dev, split_dev_3, split_dev_4):.2e}")
 
-    drift = max(abs(s.trace - 1.0) for s in fig3_run["series"].states)
+    drift = max(abs(np.trace(s).real - 1.0) for s in fig3_run["series"].states)
     check("11b", "density-matrix trace drift below 1e-7 over the dynamics run",
           drift < 1e-7, f"drift {drift:.2e}")
 

@@ -26,6 +26,17 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def assert_config_error(tmp_path, capsys, command, payload, field):
+    """The run exits 2, writes nothing and names the field; validate names it too."""
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+    errors, _ = validate_config(resolve_config(payload))
+    assert any(field in e for e in errors)
+
+
 def test_resolve_unknown_scenario():
     from vpmix.errors import ConfigError
     with pytest.raises(ConfigError):
@@ -85,13 +96,50 @@ def test_ecc_random_states_is_unknown():
                                        "stop": 1.1, "levels": 2}}, "points"),
 ])
 def test_bad_field_values_exit_2_without_outputs(tmp_path, capsys, payload, field):
-    cfg = write_config(tmp_path, "cfg.json", payload)
-    out = tmp_path / "out"
-    assert main(["levels", "--config", cfg, "--out", str(out)]) == 2
-    assert not out.exists()
-    assert field in capsys.readouterr().err
-    errors, _ = validate_config(resolve_config(payload))
-    assert any(field in e for e in errors)
+    assert_config_error(tmp_path, capsys, "levels", payload, field)
+
+
+def test_presets_validate_without_errors():
+    for scenario in SCENARIOS:
+        assert validate_config(resolve_config({"scenario": scenario}))[0] == []
+
+
+def fig3_dynamics(**fields):
+    return {"scenario": "fig3", "dynamics": fields}
+
+
+def fig3_observable(**fields):
+    return fig3_dynamics(observables=[fields])
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    # a bracket is exactly two numbers
+    ("anticross", {"scenario": "fig1b", "anticross": {"bracket": [0.9]}}, "bracket"),
+    ("anticross", {"scenario": "fig1b", "anticross": {"bracket": [0.9, 1.0, 1.02]}}, "bracket"),
+    ("perturb", {"scenario": "fig2", "perturb": {"bracket": [0.9]}}, "bracket"),
+    # booleans and integers are read by JSON type, not by truthiness or int()
+    ("dynamics", fig3_dynamics(lossless="false"), "lossless"),
+    ("dynamics", fig3_dynamics(tune_to_minimum=1), "tune_to_minimum"),
+    ("dynamics", fig3_dynamics(points=50.0), "points"),
+    ("levels", {"scenario": "fig1b", "sweep": {"points": 2.5}}, "points"),
+    ("levels", {"scenario": "fig1b", "sweep": {"levels": True}}, "levels"),
+    ("levels", {"scenario": "fig1b", "system": {"fock_cutoff": 4.7}}, "fock_cutoff"),
+    ("perturb", {"scenario": "fig2", "perturb": {"order": 4.0}}, "order"),
+    ("ecc", {"scenario": "ecc", "ecc": {"seed": 1.5}}, "seed"),
+    ("dynamics", fig3_observable(name="P1", kind="excitation", qubit=1.0), "qubit"),
+    ("dynamics", fig3_observable(name="C12", kind="correlation", qubits=[1, True]), "qubits"),
+    # observables and a bare initial state need all their fields
+    ("dynamics", fig3_observable(name="P1", kind="excitation"), "qubit"),
+    ("dynamics", fig3_observable(name="C12", kind="correlation"), "qubits"),
+    ("dynamics", fig3_observable(kind="photon"), "name"),
+    ("dynamics", fig3_observable(name="photon"), "kind"),
+    ("dynamics", fig3_observable(name=3, kind="photon"), "name"),
+    ("dynamics", fig3_dynamics(observables=["photon"]), "observables[0]"),
+    ("dynamics", fig3_dynamics(initial=["bare", "gge"]), "initial"),
+    ("dynamics", fig3_dynamics(initial=["bare", "gge", 0.5]), "initial"),
+])
+def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, field):
+    assert_config_error(tmp_path, capsys, command, payload, field)
 
 
 def test_malformed_config_exits_2_without_outputs(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vpmix import (
     ConfigError,
-    DensityMatrix,
+    NumericalError,
     MixKind,
     Operator,
     QubitParams,
@@ -20,6 +20,7 @@ from vpmix import (
     build_generalized_dicke,
     cavity_annihilation,
     cavity_quadrature,
+    check_density,
     diagonalize,
     embed_qubit_op,
     evolve,
@@ -64,7 +65,7 @@ class TestDressedOperators:
         s1 = build_dressed_lowering(spec, 1, on_ambiguous="skip")
         target = next(k for k in range(spec.dim) if spec.label_string(k) == "egg:0")
         psi = spec.eigenket(target)
-        rho = DensityMatrix(np.outer(psi.amp, psi.amp.conj()))
+        rho = np.outer(psi.amp, psi.amp.conj())
         assert expectation(rho, [s1.dag(), s1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_decoupled_cavity_lowering_is_annihilation(self):
@@ -195,9 +196,9 @@ class TestEvolve:
     def test_zero_generator_is_constant(self):
         lay = HilbertLayout(1, 1)
         h = Operator(np.zeros((2, 2)), lay)
-        rho0 = DensityMatrix(np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex))
+        rho0 = np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex)
         series = evolve(rho0, h, {}, np.linspace(0, 10.0, 5))
-        assert np.max(np.abs(series.states[-1].mat - rho0.mat)) < 1e-14
+        assert np.max(np.abs(series.states[-1] - rho0)) < 1e-14
 
     def test_matches_literal_stage_rk4(self, rng):
         dim = 4
@@ -215,7 +216,7 @@ class TestEvolve:
         rho0[2, 3] = rho0[3, 2] = 0.2
         step = 0.01
         n_steps = 64
-        series = evolve(DensityMatrix(rho0), h, rates, [0.0, n_steps * step],
+        series = evolve(rho0, h, rates, [0.0, n_steps * step],
                         spectrum=spec, max_step=step)
 
         jump_ops = [
@@ -238,7 +239,7 @@ class TestEvolve:
             k3 = rhs(rho + 0.5 * step * k2)
             k4 = rhs(rho + step * k3)
             rho = rho + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert np.max(np.abs(series.states[-1].mat - rho)) < 1e-12
+        assert np.max(np.abs(series.states[-1] - rho)) < 1e-12
 
     def test_lossless_matches_exact_unitary(self, fig1b_preset):
         cfg = set_parameter(fig1b_preset, "qubits[2].omega", 0.7)
@@ -261,8 +262,19 @@ class TestEvolve:
         rho0 = bare_state(cfg.layout, "gge", 0)
         series = evolve(rho0, h, diss, np.linspace(0.0, 5000.0, 12), spectrum=spec)
         for snap in series.states:
-            assert abs(snap.trace - 1.0) < 1e-7
-            snap.validate()
+            assert abs(np.trace(snap).real - 1.0) < 1e-7
+            check_density(snap)
+
+    def test_states_are_read_only_stack(self):
+        lay = HilbertLayout(1, 2)
+        h = Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay)
+        series = evolve(bare_state(lay, "e", 1), h, {}, np.linspace(0.0, 1.0, 7))
+        assert isinstance(series.states, np.ndarray)
+        assert series.states.shape == (7, lay.dim, lay.dim)
+        assert series.states.dtype == complex
+        assert not series.states.flags.writeable
+        with pytest.raises(ValueError):
+            series.states[0, 0, 0] = 0.0
 
     def test_time_grid_validation(self, fig1b_preset):
         h = build_generalized_dicke(fig1b_preset)
@@ -290,11 +302,70 @@ class TestEvolve:
                 evolve(rho0, h, {"cavity": good, "qubit1": bad}, [0.0, 1.0])
 
 
+def snapshot_loop_expectation(stack, operators):
+    """Reference: the per-snapshot Tr[rho O_1 O_2 ...] loop that evaluated
+    observables before the time series became one array."""
+    prod = operators[0].mat
+    for op in operators[1:]:
+        prod = prod @ op.mat
+    values = []
+    for rho in stack:
+        val = complex(np.trace(rho @ prod))
+        assert abs(val.imag) <= 1e-10 * max(1.0, abs(val.real))
+        values.append(float(val.real))
+    return np.array(values)
+
+
 class TestObservables:
+    @settings(max_examples=60, deadline=None)
+    @given(qubits=st.integers(1, 2), cutoff=st.integers(1, 2), snapshots=st.integers(1, 6),
+           n_ops=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_expectation_matches_snapshot_loop(self, qubits, cutoff, snapshots,
+                                                       n_ops, seed):
+        rng = np.random.default_rng(seed)
+        lay = HilbertLayout(qubits, cutoff)
+        d = lay.dim
+
+        def random_matrix(shape):
+            return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+        raw = random_matrix((snapshots, d, d))
+        stack = raw + raw.conj().transpose(0, 2, 1)
+        # A+ ... [H] ... A keeps the product Hermitian, as the observables are
+        outer = [Operator(random_matrix((d, d)), lay) for _ in range(n_ops // 2)]
+        middle = []
+        if n_ops % 2:
+            h = random_matrix((d, d))
+            middle = [Operator(h + h.conj().T, lay)]
+        ops = [a.dag() for a in outer] + middle + outer[::-1]
+        values = expectation(stack, ops)
+        assert values.shape == (snapshots,)
+        np.testing.assert_allclose(values, snapshot_loop_expectation(stack, ops),
+                                   rtol=0, atol=1e-12)
+        assert expectation(stack[0], ops) == pytest.approx(values[0], abs=1e-12)
+
+    def test_expectation_checks_every_snapshot_for_imaginary_residue(self):
+        lay = HilbertLayout(1, 1)
+        s1 = embed_qubit_op(lay, 1, SIGMA_MINUS)
+        real = np.eye(2) / 2
+        complex_coherence = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+        assert expectation(np.stack([real, real]), [s1]).tolist() == [0.0, 0.0]
+        with pytest.raises(NumericalError):
+            expectation(np.stack([real, complex_coherence]), [s1])
+
+    def test_check_density(self):
+        check_density(np.diag([0.25, 0.75]))
+        for bad in (np.array([[0.5, 0.1], [0.0, 0.5]]), np.diag([0.5, 0.6]),
+                    np.diag([1.1, -0.1])):
+            with pytest.raises(NumericalError):
+                check_density(bad)
+        with pytest.raises(ConfigError):
+            check_density(np.ones((2, 3)))
+
     def test_expectation_projector(self):
         lay = HilbertLayout(2, 1)
         ket = bare_state(lay, "eg", 0)
-        rho = DensityMatrix(np.outer(ket.amp, ket.amp.conj()))
+        rho = np.outer(ket.amp, ket.amp.conj())
         s1 = embed_qubit_op(lay, 1, SIGMA_MINUS)
         assert expectation(rho, [s1.dag(), s1]) == pytest.approx(1.0, abs=1e-14)
         s2 = embed_qubit_op(lay, 2, SIGMA_MINUS)
@@ -303,14 +374,14 @@ class TestObservables:
     def test_expectation_dimension_mismatch(self):
         lay2 = HilbertLayout(2, 1)
         lay3 = HilbertLayout(3, 1)
-        rho = DensityMatrix(np.eye(lay2.dim) / lay2.dim)
+        rho = np.eye(lay2.dim) / lay2.dim
         with pytest.raises(ConfigError):
             expectation(rho, [embed_qubit_op(lay3, 1, SIGMA_MINUS)])
 
     def test_fidelity_limits(self):
         lay = HilbertLayout(1, 2)
         ket = bare_state(lay, "g", 1)
-        rho = DensityMatrix(np.outer(ket.amp, ket.amp.conj()))
+        rho = np.outer(ket.amp, ket.amp.conj())
         assert state_fidelity(rho, ket) == pytest.approx(1.0, abs=1e-14)
         orthogonal = bare_state(lay, "e", 0)
         assert state_fidelity(rho, orthogonal) == pytest.approx(0.0, abs=1e-14)
