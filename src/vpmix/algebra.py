@@ -117,13 +117,19 @@ class HilbertLayout:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense operator on a :class:`HilbertLayout`, immutable after creation."""
+    """Dense operator on a :class:`HilbertLayout`, immutable after creation.
+
+    The matrix dtype follows the input: real input is stored as float64 and
+    stays real through ``+``, ``-`` and multiplication by a real scalar, so a
+    real Hamiltonian reaches the real-symmetric eigensolver; complex input
+    (anything built from the ``SIGMA_*`` constants) is stored as complex128.
+    """
 
     mat: np.ndarray
     layout: HilbertLayout
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex if np.iscomplexobj(self.mat) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError(f"operator matrix must be square, got shape {m.shape}")
         if m.shape[0] != self.layout.dim:
@@ -151,7 +157,7 @@ class Operator:
             if other.layout != self.layout:
                 raise ConfigError("operators live on different layouts")
             return other.mat
-        return np.asarray(other, dtype=complex)
+        return np.asarray(other, dtype=complex if np.iscomplexobj(other) else float)
 
     def __matmul__(self, other):
         if isinstance(other, Ket):
@@ -165,7 +171,8 @@ class Operator:
         return Operator(self.mat - self._coerce(other), self.layout)
 
     def __mul__(self, scalar):
-        return Operator(self.mat * complex(scalar), self.layout)
+        scalar = complex(scalar) if np.iscomplexobj(scalar) else float(scalar)
+        return Operator(self.mat * scalar, self.layout)
 
     __rmul__ = __mul__
 

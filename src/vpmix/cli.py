@@ -52,21 +52,24 @@ _TOP_KEYS = {"scenario", "description", "out", "system", "sweep", "anticross",
              "dynamics", "perturb", "ecc"}
 # Allowed fields of each section and the JSON type each must hold (None: any).
 # "number" and "integer" exclude bools, "integer" also 2.5; "numbers" and
-# "integers" are lists of them; a "bracket" is a list of exactly two numbers.
+# "integers" are lists of them; a "bracket" is a list of exactly two numbers;
+# a "state" is [levels, photons], a "pair" two states; a "model" names one of
+# MODEL_BUILDERS.
 _SCHEMA = {
     "system": {"qubits": None, "omega_c": "number", "kappa": "number", "fock_cutoff": "integer"},
     "qubit": dict.fromkeys(("omega", "lam", "theta", "gamma"), "number"),
-    "sweep": {"parameter": None, "start": "number", "stop": "number", "points": "integer",
-              "levels": "integer", "model": None, "inset": None},
+    "sweep": {"parameter": "string", "start": "number", "stop": "number", "points": "integer",
+              "levels": "integer", "model": "model", "inset": None},
     "inset": {"start": "number", "stop": "number", "points": "integer"},
-    "anticross": {"parameter": None, "bracket": "bracket", "pair": None, "model": None,
+    "anticross": {"parameter": "string", "bracket": "bracket", "pair": "pair", "model": "model",
                   "tol": "number"},
     "dynamics": {"initial": None, "tune_to_minimum": "boolean", "half_periods": "number",
                  "points": "integer", "lossless": "boolean", "observables": None},
     "observable": {"name": "string", "kind": "string", "qubit": "integer", "qubits": "integers"},
-    "perturb": {"mode": None, "order": "integer", "initial": None, "final": None, "model": None,
-                "epsilon": "number", "lambdas": "numbers", "cavity_offset_factor": "number",
-                "parameter": None, "bracket": "bracket", "pair": None},
+    "perturb": {"mode": None, "order": "integer", "initial": "state", "final": "state",
+                "model": "model", "epsilon": "number", "lambdas": "numbers",
+                "cavity_offset_factor": "number", "parameter": "string", "bracket": "bracket",
+                "pair": "pair"},
     "ecc": {"seed": "integer"},
 }
 _REQUIRED_KEYS = {
@@ -78,9 +81,22 @@ _OBSERVABLE_NEEDS = {"excitation": "qubit", "correlation": "qubits"}
 
 
 _SCALAR_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
+_KIND_TEXT = {
+    "model": "one of " + ", ".join(map(repr, MODEL_BUILDERS)),
+    "state": "a [levels, photons] state",
+    "pair": "two [levels, photons] states",
+}
 
 
 def _has_type(kind: str, value) -> bool:
+    if kind == "model":
+        return isinstance(value, str) and value in MODEL_BUILDERS
+    if kind == "state":
+        return (isinstance(value, list) and len(value) == 2
+                and _has_type("string", value[0]) and _has_type("integer", value[1]))
+    if kind == "pair":
+        return (isinstance(value, list) and len(value) == 2
+                and all(_has_type("state", v) for v in value))
     if kind in ("numbers", "integers", "bracket"):
         item = "integer" if kind == "integers" else "number"
         return (isinstance(value, list) and all(_has_type(item, v) for v in value)
@@ -149,7 +165,8 @@ def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
             if key not in _SCHEMA[schema]:
                 errors.append(f"unknown field {key!r} in {where}")
             elif kind and not _has_type(kind, value):
-                errors.append(f"field {key!r} in {where} must be of type {kind}, got {value!r}")
+                expected = _KIND_TEXT.get(kind, f"of type {kind}")
+                errors.append(f"field {key!r} in {where} must be {expected}, got {value!r}")
         for key in _REQUIRED_KEYS.get(schema, ()):
             if key not in section:
                 errors.append(f"{where} needs {key!r}")

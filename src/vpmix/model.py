@@ -11,6 +11,11 @@ theta_i mixes transverse and longitudinal coupling; theta_i = 0 conserves the
 parity of qubit i.  The Tavis-Cummings variant keeps only the excitation-
 conserving terms lam_i (a sigma_+^(i) + a+ sigma_-^(i)) and ignores theta.
 
+Every term of both models is real.  Their diagonals and matrices are built
+once per :class:`HilbertLayout` and cached, and each Hamiltonian is a few
+scaled sums of them: a real float64 :class:`Operator`, with no tensor products
+or matrix products per call.
+
 Effective qubit-only Hamiltonians describe the resonant mixing processes that
 the full model generates at fourth order: a two-qubit excitation swap, a
 three-qubit down-conversion (one excitation splits into two), and the two
@@ -24,19 +29,17 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
     HilbertLayout,
     Operator,
-    cavity_annihilation,
     cavity_number,
-    cavity_quadrature,
     embed_qubit_op,
 )
 from .errors import ConfigError, ResonantParameterError
@@ -109,44 +112,79 @@ class SystemConfig:
         return HilbertLayout(self.qubit_count, self.fock_cutoff)
 
 
+class _LayoutTerms(NamedTuple):
+    """Real building blocks of both models on one layout (read-only arrays)."""
+
+    sigma_z: np.ndarray     # (N, d): diagonal of sigma_z^(i) in row i-1
+    number: np.ndarray      # (d,): diagonal of a+ a
+    quadrature: np.ndarray  # (d, d): X = a + a+
+    x_sigma_x: np.ndarray   # (N, d, d): X sigma_x^(i)
+    exchange: np.ndarray    # (N, d, d): a sigma_+^(i) + a+ sigma_-^(i)
+
+
+@lru_cache(maxsize=8)
+def _layout_terms(layout: HilbertLayout) -> _LayoutTerms:
+    """Every term of both Hamiltonians on ``layout``, built once per layout.
+
+    X sigma_z^(i) is not stored: sigma_z^(i) is diagonal, so it is X with its
+    columns scaled by the ``sigma_z`` row.
+    """
+    nq, cutoff = layout.qubit_count, layout.fock_cutoff
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+    x = a + a.T
+    up = np.array([[0.0, 0.0], [1.0, 0.0]])  # sigma_+ = |e><g|, real
+
+    def lift(i: int, local: np.ndarray, mode: np.ndarray) -> np.ndarray:
+        left, right = np.eye(2 ** (i - 1)), np.eye(2 ** (nq - i))
+        return np.kron(np.kron(left, local), np.kron(right, mode))
+
+    qubits = range(1, nq + 1)
+    terms = _LayoutTerms(
+        sigma_z=np.array([np.kron(np.kron(np.ones(2 ** (i - 1)), [-1.0, 1.0]),
+                                  np.ones(2 ** (nq - i) * cutoff)) for i in qubits]),
+        number=np.tile(np.arange(cutoff, dtype=float), 2**nq),
+        quadrature=np.kron(np.eye(2**nq), x),
+        x_sigma_x=np.array([lift(i, up + up.T, x) for i in qubits]),
+        exchange=np.array([lift(i, up, a) + lift(i, up.T, a.T) for i in qubits]),
+    )
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
+
+
 def bare_hamiltonian(config: SystemConfig) -> Operator:
     """Non-interacting part: sum_i (omega_i/2) sigma_z^(i) + omega_c a+ a.
 
     Diagonal in the bare product basis; its diagonal supplies the unperturbed
     energies used by the path enumerator.
     """
-    layout = config.layout
-    h = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for i, q in enumerate(config.qubits, start=1):
-        h += 0.5 * q.omega * embed_qubit_op(layout, i, SIGMA_Z).mat
-    h += config.omega_c * cavity_number(layout).mat
-    return Operator(h, layout)
+    terms = _layout_terms(config.layout)
+    diag = np.zeros(config.layout.dim)
+    for q, sz in zip(config.qubits, terms.sigma_z):
+        diag += 0.5 * q.omega * sz
+    diag += config.omega_c * terms.number
+    return Operator(np.diag(diag), config.layout)
 
 
 def dicke_interaction(config: SystemConfig) -> Operator:
     """Coupling term (a + a+) sum_i lam_i (cos(theta_i) sigma_x + sin(theta_i) sigma_z)."""
-    layout = config.layout
-    x = cavity_quadrature(layout).mat
-    coup = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for i, q in enumerate(config.qubits, start=1):
-        coup += q.lam * (
-            math.cos(q.theta) * embed_qubit_op(layout, i, SIGMA_X).mat
-            + math.sin(q.theta) * embed_qubit_op(layout, i, SIGMA_Z).mat
-        )
-    return Operator(x @ coup, layout)
+    terms = _layout_terms(config.layout)
+    longitudinal = np.zeros(config.layout.dim)
+    for q, sz in zip(config.qubits, terms.sigma_z):
+        longitudinal += q.lam * math.sin(q.theta) * sz
+    coup = terms.quadrature * longitudinal
+    for q, x_sx in zip(config.qubits, terms.x_sigma_x):
+        coup += q.lam * math.cos(q.theta) * x_sx
+    return Operator(coup, config.layout)
 
 
 def tavis_cummings_interaction(config: SystemConfig) -> Operator:
     """Excitation-conserving coupling sum_i lam_i (a sigma_+^(i) + a+ sigma_-^(i))."""
-    layout = config.layout
-    a = cavity_annihilation(layout).mat
-    ad = a.conj().T
-    v = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for i, q in enumerate(config.qubits, start=1):
-        sp = embed_qubit_op(layout, i, SIGMA_PLUS).mat
-        sm = embed_qubit_op(layout, i, SIGMA_MINUS).mat
-        v += q.lam * (a @ sp + ad @ sm)
-    return Operator(v, layout)
+    terms = _layout_terms(config.layout)
+    v = np.zeros((config.layout.dim, config.layout.dim))
+    for q, term in zip(config.qubits, terms.exchange):
+        v += q.lam * term
+    return Operator(v, config.layout)
 
 
 def build_generalized_dicke(config: SystemConfig) -> Operator:

@@ -6,6 +6,11 @@ are offset so the ground state sits at zero.  Avoided crossings are located
 by golden-section minimization of the gap between the two eigenbranches that
 span a nominated pair of bare states; the half-gap at the minimum is the
 effective coupling of the resonant mixing process.
+
+Both model Hamiltonians are real float64 matrices, assembled from terms that
+:mod:`vpmix.model` caches once per layout, so ``eigh`` takes its
+real-symmetric path and the phase gauge of :func:`diagonalize` reduces to a
+sign gauge.  Eigenvectors are stored complex either way.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ MODEL_BUILDERS: dict[str, Callable[[SystemConfig], Operator]] = {
 _PAIR_MIN = 0.45
 _THIRD_MAX = 0.45
 _HERMITICITY_TOL = 1e-9  # largest |H - H+| entry diagonalize accepts
+
+
+def _builder(model: str) -> Callable[[SystemConfig], Operator]:
+    if model not in MODEL_BUILDERS:
+        raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODEL_BUILDERS)}")
+    return MODEL_BUILDERS[model]
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,8 @@ def diagonalize(op: Operator) -> SpectrumResult:
     """Full eigendecomposition with max-overlap labeling.
 
     Eigenvector phases are gauged so the dominant component of each column is
-    real and positive, which makes downstream superpositions well defined.
+    real and positive, which makes downstream superpositions well defined; for
+    a real symmetric input this is a choice of sign.
     """
     defect = op.hermiticity_defect()
     if defect > _HERMITICITY_TOL:
@@ -194,7 +206,7 @@ def sweep_levels(
         diffs = np.diff(grid_arr)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep grid must be strictly monotone")
-    builder = MODEL_BUILDERS[model]
+    builder = _builder(model)
     layout = config.layout
     if level_count < 1 or level_count >= layout.dim:
         raise ConfigError(f"level_count must be in 1..{layout.dim - 1}")
@@ -281,7 +293,7 @@ def find_anticrossing(
     :func:`sweep_levels` to establish one).  Golden-section refinement runs to
     parameter tolerance ``tol``.
     """
-    builder = MODEL_BUILDERS[model]
+    builder = _builder(model)
     layout = config.layout
     u = _resolve_bare(layout, bare_pair[0])
     v = _resolve_bare(layout, bare_pair[1])

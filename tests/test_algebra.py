@@ -10,6 +10,7 @@ from vpmix import (
     SIGMA_Z,
     ConfigError,
     HilbertLayout,
+    Operator,
     bare_state,
     cavity_annihilation,
     cavity_number,
@@ -168,6 +169,21 @@ def test_operator_dimension_checks():
     other = identity(HilbertLayout(1, 3))
     with pytest.raises(ConfigError):
         _ = ident @ other
+
+
+def test_operator_dtype_follows_input():
+    lay = HilbertLayout(1, 2)
+    real = Operator(np.eye(lay.dim), lay)
+    assert Operator([[1, 0, 0, 0]] * 4, lay).mat.dtype == np.float64
+    kept_real = (real, real + real, real - np.eye(lay.dim), 2.5 * real, real * np.float64(0.5),
+                 -real, real @ real, real.dag())
+    assert all(op.mat.dtype == np.float64 for op in kept_real)
+    assert np.array_equal((2.5 * real).mat, 2.5 * np.eye(lay.dim))
+    cplx = Operator(np.eye(lay.dim, dtype=complex), lay)
+    promoted = (cplx, real + cplx, cplx - real, 1j * real, cplx * 2.0, real @ cplx,
+                embed_qubit_op(lay, 1, SIGMA_X))
+    assert all(op.mat.dtype == np.complex128 for op in promoted)
+    assert np.array_equal((1j * real).mat, 1j * np.eye(lay.dim))
 
 
 def test_sigma_ladder_conventions():

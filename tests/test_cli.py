@@ -137,6 +137,16 @@ def fig3_observable(**fields):
     ("dynamics", fig3_dynamics(observables=["photon"]), "observables[0]"),
     ("dynamics", fig3_dynamics(initial=["bare", "gge"]), "initial"),
     ("dynamics", fig3_dynamics(initial=["bare", "gge", 0.5]), "initial"),
+    # models name a builder, parameters are strings, bare states are [levels, photons]
+    ("anticross", {"scenario": "fig1b", "anticross": {"model": "xyz"}}, "model"),
+    ("levels", {"scenario": "fig1b", "sweep": {"model": "xyz"}}, "model"),
+    ("perturb", {"scenario": "fig2", "perturb": {"model": ["tc"]}}, "model"),
+    ("levels", {"scenario": "fig1b", "sweep": {"parameter": 5}}, "parameter"),
+    ("anticross", {"scenario": "fig1b", "anticross": {"parameter": None}}, "parameter"),
+    ("anticross", {"scenario": "fig1b", "anticross": {"pair": [["gge"], ["eeg", 0]]}}, "pair"),
+    ("perturb", {"scenario": "fig2", "perturb": {"pair": [["gge", 0]]}}, "pair"),
+    ("perturb", {"scenario": "fig2", "perturb": {"initial": ["gge"]}}, "initial"),
+    ("perturb", {"scenario": "fig2", "perturb": {"final": ["eeg", 0.5]}}, "final"),
 ])
 def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, field):
     assert_config_error(tmp_path, capsys, command, payload, field)

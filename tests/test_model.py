@@ -21,7 +21,20 @@ from vpmix import (
     tavis_cummings_interaction,
     total_excitation_number,
 )
-from vpmix.algebra import SIGMA_MINUS, SIGMA_PLUS, cavity_annihilation, embed_qubit_op
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vpmix.algebra import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Z,
+    cavity_annihilation,
+    cavity_number,
+    cavity_quadrature,
+    embed_qubit_op,
+)
+from vpmix.model import bare_hamiltonian
 
 PI6 = math.pi / 6
 
@@ -104,12 +117,73 @@ def test_dicke_minus_tc_is_counter_rotating():
     lay = cfg.layout
     diff = dicke_interaction(cfg).mat - tavis_cummings_interaction(cfg).mat
     a = cavity_annihilation(lay).mat
-    expected = np.zeros_like(diff)
+    expected = np.zeros_like(diff, dtype=complex)
     for i, q in enumerate(cfg.qubits, start=1):
         sp = embed_qubit_op(lay, i, SIGMA_PLUS).mat
         sm = embed_qubit_op(lay, i, SIGMA_MINUS).mat
         expected += q.lam * (a @ sm + a.conj().T @ sp)
     assert np.max(np.abs(diff - expected)) < 1e-14
+
+
+# The kron-built assembly that the cached real terms replaced, kept as the
+# reference: complex arithmetic, one embedding per term and a matrix product.
+def kron_bare_hamiltonian(config):
+    layout = config.layout
+    h = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for i, q in enumerate(config.qubits, start=1):
+        h += 0.5 * q.omega * embed_qubit_op(layout, i, SIGMA_Z).mat
+    h += config.omega_c * cavity_number(layout).mat
+    return h
+
+
+def kron_dicke_interaction(config):
+    layout = config.layout
+    x = cavity_quadrature(layout).mat
+    coup = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for i, q in enumerate(config.qubits, start=1):
+        coup += q.lam * (
+            math.cos(q.theta) * embed_qubit_op(layout, i, SIGMA_X).mat
+            + math.sin(q.theta) * embed_qubit_op(layout, i, SIGMA_Z).mat
+        )
+    return x @ coup
+
+
+def kron_tavis_cummings_interaction(config):
+    layout = config.layout
+    a = cavity_annihilation(layout).mat
+    ad = a.conj().T
+    v = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for i, q in enumerate(config.qubits, start=1):
+        sp = embed_qubit_op(layout, i, SIGMA_PLUS).mat
+        sm = embed_qubit_op(layout, i, SIGMA_MINUS).mat
+        v += q.lam * (a @ sp + ad @ sm)
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    qubits=st.lists(
+        st.builds(QubitParams, omega=st.floats(0.05, 3.0), lam=st.floats(0.0, 0.5),
+                  theta=st.floats(-100.0, 100.0)),
+        min_size=1, max_size=4,
+    ),
+    omega_c=st.floats(0.05, 3.0),
+    cutoff=st.integers(1, 6),
+)
+def test_cached_assembly_matches_kron_build(qubits, omega_c, cutoff):
+    cfg = SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff)
+    bare = kron_bare_hamiltonian(cfg)
+    dicke = kron_dicke_interaction(cfg)
+    tc = kron_tavis_cummings_interaction(cfg)
+    for built, reference in (
+        (bare_hamiltonian(cfg), bare),
+        (dicke_interaction(cfg), dicke),
+        (tavis_cummings_interaction(cfg), tc),
+        (build_generalized_dicke(cfg), bare + dicke),
+        (build_tavis_cummings(cfg), bare + tc),
+    ):
+        assert built.mat.dtype == np.float64
+        assert np.max(np.abs(built.mat - reference)) <= 1e-13
 
 
 def test_spectrum_invariant_under_qubit_relabeling():

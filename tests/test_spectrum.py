@@ -21,7 +21,9 @@ from vpmix import (
     track_branches,
 )
 from vpmix.algebra import HilbertLayout
-from vpmix.spectrum import coupling_sign
+from vpmix.cli import build_system
+from vpmix.presets import SCENARIOS, get_preset
+from vpmix.spectrum import MODEL_BUILDERS, coupling_sign
 
 PI6 = math.pi / 6
 
@@ -96,6 +98,37 @@ def test_labels_match_column_loop_on_random_hermitian(seed, qubits, cutoff):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(lay.dim, lay.dim)) + 1j * rng.normal(size=(lay.dim, lay.dim))
     assert_matches_column_loop(Operator(raw + raw.conj().T, lay))
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+@pytest.mark.parametrize("scenario", [name for name in SCENARIOS if "system" in SCENARIOS[name]])
+def test_real_eigh_matches_complex_eigh_on_presets(scenario, model):
+    h = MODEL_BUILDERS[model](build_system(get_preset(scenario)))
+    assert h.mat.dtype == np.float64
+    real = diagonalize(h)
+    ref = diagonalize(Operator(h.mat.astype(complex), h.layout))
+    assert np.max(np.abs(real.energies - ref.energies)) <= 1e-12
+    # fig2's two identical qubits give exact weight ties, which rounding breaks
+    # either way; every other label is determined and must agree.
+    weights = np.sort(np.abs(ref.states) ** 2, axis=0)
+    determined = weights[-1] - weights[-2] > 1e-9
+    labels = np.array([[bare for bare, _ in spec.labels] for spec in (real, ref)])
+    assert np.array_equal(labels[0][determined], labels[1][determined])
+    gaps = np.diff(ref.energies)
+    isolated = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-8
+    overlap = np.sum(real.states.conj() * ref.states, axis=0)
+    assert isolated.sum() > 0.9 * ref.dim
+    assert np.all(np.abs(overlap[isolated]) >= 1.0 - 1e-10)
+    # with a unique dominant component both gauges pick the same sign
+    assert np.all(overlap.real[isolated & determined] >= 1.0 - 1e-10)
+
+
+def test_unknown_model_is_a_config_error(fig1b_preset):
+    with pytest.raises(ConfigError, match="xyz"):
+        sweep_levels(fig1b_preset, "omega_c", [1.0, 1.1], 2, model="xyz")
+    with pytest.raises(ConfigError, match="xyz"):
+        find_anticrossing(fig1b_preset, "qubits[2].omega", (0.95, 1.03),
+                          (("gge", 0), ("eeg", 0)), model="xyz")
 
 
 def test_decoupled_labels_are_exact():
