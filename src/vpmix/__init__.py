@@ -57,6 +57,7 @@ from .dynamics import (
     check_density,
     evolve,
     expectation,
+    expectation_series,
     state_fidelity,
 )
 from .perturbation import (

@@ -29,8 +29,7 @@ from .dynamics import (
     build_cavity_lowering,
     build_dissipators,
     build_dressed_lowering,
-    evolve,
-    expectation,
+    expectation_series,
 )
 from .errors import ConfigError, VpmixError
 from .model import QubitParams, SystemConfig
@@ -389,16 +388,15 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     t_max = float(dyn.get("half_periods", 2.0)) * math.pi / (2.0 * half_j)
     grid = np.linspace(0.0, t_max, int(dyn.get("points", 600)))
     rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, tuned)
-    series = evolve(rho0, hamiltonian, rates, grid, spectrum=spectrum)
+    values = expectation_series(
+        rho0, hamiltonian, rates, grid,
+        [_observable_ops(obs, lowering, layout, spectrum) for obs in observables],
+        spectrum=spectrum,
+    )
 
-    columns = []
-    for obs in observables:
-        ops = _observable_ops(obs, lowering, layout, spectrum)
-        columns.append((obs["name"], expectation(series.states, ops)))
-
-    lines = [",".join(["t"] + [name for name, _ in columns])]
-    for p, t in enumerate(grid):
-        lines.append(",".join([_fmt(t)] + [_fmt(vals[p]) for _, vals in columns]))
+    lines = [",".join(["t"] + [obs["name"] for obs in observables])]
+    for t, row in zip(grid, values):
+        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
     meta = {
         "parameter": anti["parameter"],
         "location": rep.location,

@@ -25,9 +25,14 @@ Runge-Kutta scheme.  In the eigenbasis the generator is time independent and
 acts on coherences and populations separately, so the RK4 step is a constant
 linear map; steps are composed by exact powers of the per-step multipliers,
 which reproduces the literal stage-by-stage iteration to rounding error at a
-tiny fraction of the cost.  The trajectory is one read-only (T, d, d) array of
-bare-basis density matrices; :func:`expectation` forms an operator product once
-and contracts it with the whole stack, sum_ij rho_ij(t) O_ji, O(d^2) per time.
+tiny fraction of the cost.  The state is streamed in the eigenbasis,
+rho~(t_p) = U+ rho(t_p) U, one grid time at a time.  :func:`expectation_series`
+transforms each observable product once, O~ = U+ O U, and contracts it with
+every rho~(t_p) as it is produced, sum_ij rho~_ij O~_ji, O(d^2) per observable
+and time; no snapshot stack is built, and the ``dynamics`` command takes this
+path.  :func:`evolve` instead turns every rho~(t_p) back into the bare basis
+and keeps them all as one read-only (T, d, d) array, which :func:`expectation`
+contracts with an operator product.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ __all__ = [
     "check_density",
     "evolve",
     "expectation",
+    "expectation_series",
     "state_fidelity",
 ]
 
@@ -219,27 +225,11 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
     return mat
 
 
-def evolve(
-    rho0,
-    hamiltonian: Operator,
-    rates: Mapping[str, np.ndarray],
-    t_grid: Sequence[float],
-    spectrum: SpectrumResult | None = None,
-    max_step: float | None = None,
-) -> TimeSeries:
-    """Integrate drho/dt = -i[H, rho] + sum R[j,k] (L rho L+ - {L+L, rho}/2), L = |j><k|.
+def _eigenbasis_stream(rho0, hamiltonian, rates, t_grid, spectrum, max_step):
+    """Validate the inputs of :func:`evolve` eagerly, then return the time grid,
+    the spectrum and a generator of rho~(t_p) = U+ rho(t_p) U, one per grid time.
 
-    ``rho0`` (density matrix, Ket, or vector) is the state at ``t_grid[0]``.
-    The result's ``states`` is a read-only (T, d, d) array holding the state
-    at every grid time, in the same basis as the inputs.
-    ``rates`` maps channel names to d x d rate matrices over the ascending
-    eigenbasis of ``hamiltonian``, as :func:`build_dissipators` returns them
-    (pass the ``spectrum`` they were built from to guarantee consistent
-    ordering); ``{}`` is lossless.
-
-    The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
-    ``max_step`` replaces that rule with an explicit bound.  Trace drift
-    beyond 1e-7 raises :class:`StepSizeError`.
+    Each yielded matrix is a fresh array that later steps do not modify.
     """
     spec = spectrum if spectrum is not None else diagonalize(hamiltonian)
     dim = spec.dim
@@ -297,34 +287,103 @@ def evolve(
             step_cache[key] = (g_n, p_n)
         return step_cache[key]
 
+    def steps(rho: np.ndarray):
+        trace0 = float(np.real(np.trace(rho)))
+        yield rho
+        for p in range(1, times.size):
+            dt = float(times[p] - times[p - 1])
+            g_n, p_n = interval_maps(dt)
+            pops = p_n @ np.real(np.diag(rho))
+            rho = g_n * rho
+            np.fill_diagonal(rho, pops)
+            drift = abs(float(np.real(np.trace(rho))) - trace0)
+            if not drift <= _DRIFT_TOL:  # also an overflow to inf or NaN
+                raise StepSizeError(
+                    f"trace drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
+                    "retry with a smaller max_step"
+                )
+            yield rho
+
+    return times, spec, steps(rho)
+
+
+def evolve(
+    rho0,
+    hamiltonian: Operator,
+    rates: Mapping[str, np.ndarray],
+    t_grid: Sequence[float],
+    spectrum: SpectrumResult | None = None,
+    max_step: float | None = None,
+) -> TimeSeries:
+    """Integrate drho/dt = -i[H, rho] + sum R[j,k] (L rho L+ - {L+L, rho}/2), L = |j><k|.
+
+    ``rho0`` (density matrix, Ket, or vector) is the state at ``t_grid[0]``.
+    The result's ``states`` is a read-only (T, d, d) array holding the state
+    at every grid time, in the same basis as the inputs; it takes T d^2 16
+    bytes, so prefer :func:`expectation_series` when only observables are needed.
+    ``rates`` maps channel names to d x d rate matrices over the ascending
+    eigenbasis of ``hamiltonian``, as :func:`build_dissipators` returns them
+    (pass the ``spectrum`` they were built from to guarantee consistent
+    ordering); ``{}`` is lossless.
+
+    The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
+    ``max_step`` replaces that rule with an explicit bound.  Trace drift
+    beyond 1e-7 raises :class:`StepSizeError`.
+    """
+    times, spec, stream = _eigenbasis_stream(
+        rho0, hamiltonian, rates, t_grid, spectrum, max_step
+    )
+    u = spec.states
     u_dag = u.conj().T
-    states = np.empty((times.size, dim, dim), dtype=complex)
-    states[0] = u @ rho @ u_dag
-    trace0 = float(np.real(np.trace(rho)))
-    for p in range(1, times.size):
-        dt = float(times[p] - times[p - 1])
-        g_n, p_n = interval_maps(dt)
-        pops = p_n @ np.real(np.diag(rho))
-        rho = g_n * rho
-        np.fill_diagonal(rho, pops)
-        drift = abs(float(np.real(np.trace(rho))) - trace0)
-        if drift > _DRIFT_TOL:
-            raise StepSizeError(
-                f"trace drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
-                "retry with a smaller max_step"
-            )
+    states = np.empty((times.size, spec.dim, spec.dim), dtype=complex)
+    for p, rho in enumerate(stream):
         states[p] = u @ rho @ u_dag
     times.setflags(write=False)
     states.setflags(write=False)
     return TimeSeries(times=times, states=states)
 
 
-def expectation(rho, operators):
-    """Real expectation values Tr[rho O_1 O_2 ...] of an operator product.
+def expectation_series(
+    rho0,
+    hamiltonian: Operator,
+    rates: Mapping[str, np.ndarray],
+    t_grid: Sequence[float],
+    observables: Sequence,
+    spectrum: SpectrumResult | None = None,
+    max_step: float | None = None,
+) -> np.ndarray:
+    """Real expectation values of several observables along the dynamics of :func:`evolve`.
 
-    ``rho`` is one d x d density matrix or a (..., d, d) stack such as
-    ``TimeSeries.states``; the result has the stack's leading shape.
+    Takes the arguments of :func:`evolve` plus ``observables``, each entry an
+    :class:`Operator` or a sequence of them as :func:`expectation` takes, and
+    returns a float (T, n_obs) array: column k holds Tr[rho(t_p) O_k] at every
+    grid time.  No density matrix leaves the eigenbasis: each product is
+    transformed once, O~ = U+ O U, and contracted with rho~(t_p) as it is
+    produced; unlike :func:`evolve`, no (T, d, d) stack of snapshots is built.
     """
+    times, spec, stream = _eigenbasis_stream(
+        rho0, hamiltonian, rates, t_grid, spectrum, max_step
+    )
+    dim = spec.dim
+    u = spec.states
+    u_dag = u.conj().T
+    # Tr[rho~ O~] = sum_ij rho~_ij O~_ji, so row k holds vec(O~_k^T).
+    basis = np.empty((len(observables), dim * dim), dtype=complex)
+    for k, operators in enumerate(observables):
+        prod = _operator_product(operators)
+        if prod.shape != (dim, dim):
+            raise ConfigError(
+                f"operator dimension {prod.shape[0]} does not match state dimension {dim}"
+            )
+        basis[k] = (u_dag @ prod @ u).T.ravel()
+    values = np.empty((times.size, len(observables)), dtype=complex)
+    for p, rho in enumerate(stream):
+        values[p] = basis @ rho.ravel()
+    return _real_values(values)
+
+
+def _operator_product(operators) -> np.ndarray:
+    """Matrix of the product O_1 O_2 ... of an Operator or a sequence of them."""
     if isinstance(operators, Operator):
         operators = (operators,)
     if not operators:
@@ -334,16 +393,30 @@ def expectation(rho, operators):
         if op.mat.shape != prod.shape:
             raise ConfigError("operator dimensions differ")
         prod = prod @ op.mat
+    return prod
+
+
+def _real_values(val: np.ndarray) -> np.ndarray:
+    """Real part of expectation values, after checking every imaginary residue."""
+    residue = np.abs(val.imag)
+    if np.any(residue > 1e-10 * np.maximum(1.0, np.abs(val.real))):
+        raise NumericalError(f"expectation has imaginary residue {np.max(residue):.3e}")
+    return val.real
+
+
+def expectation(rho, operators):
+    """Real expectation values Tr[rho O_1 O_2 ...] of an operator product.
+
+    ``rho`` is one d x d density matrix or a (..., d, d) stack such as
+    ``TimeSeries.states``; the result has the stack's leading shape.
+    """
+    prod = _operator_product(operators)
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-2:] != prod.shape:
         raise ConfigError(
             f"operator dimension {prod.shape[0]} does not match state shape {rho.shape}"
         )
-    val = np.einsum("...ij,ji->...", rho, prod)
-    residue = np.abs(val.imag)
-    if np.any(residue > 1e-10 * np.maximum(1.0, np.abs(val.real))):
-        raise NumericalError(f"expectation has imaginary residue {np.max(residue):.3e}")
-    return val.real
+    return _real_values(np.einsum("...ij,ji->...", rho, prod))
 
 
 def state_fidelity(rho, target: Ket) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import HilbertLayout, Ket, Operator, bare_state
-from .errors import BranchTrackingError, ConfigError, HermiticityError
+from .errors import BranchTrackingError, ConfigError, HermiticityError, NumericalError
 from .model import SystemConfig, build_generalized_dicke, build_tavis_cummings
 
 __all__ = [
@@ -51,6 +51,9 @@ MODEL_BUILDERS: dict[str, Callable[[SystemConfig], Operator]] = {
 _PAIR_MIN = 0.45
 _THIRD_MAX = 0.45
 _HERMITICITY_TOL = 1e-9  # largest |H - H+| entry diagonalize accepts
+# Bare weights within this of an eigenstate's largest count as tied for its
+# label, and the lowest tied bare index wins, so rounding noise cannot decide.
+_LABEL_TIE_TOL = 1e-12
 
 
 def _builder(model: str) -> Callable[[SystemConfig], Operator]:
@@ -106,6 +109,8 @@ class SpectrumResult:
 def diagonalize(op: Operator) -> SpectrumResult:
     """Full eigendecomposition with max-overlap labeling.
 
+    Each eigenstate is labeled by its dominant bare state, the lowest bare
+    index whose weight is within ``_LABEL_TIE_TOL`` of the largest.
     Eigenvector phases are gauged so the dominant component of each column is
     real and positive, which makes downstream superpositions well defined; for
     a real symmetric input this is a choice of sign.
@@ -118,7 +123,8 @@ def diagonalize(op: Operator) -> SpectrumResult:
     energies, states = np.linalg.eigh(op.mat)
     energies = energies - energies[0]
 
-    dominant = np.argmax(np.abs(states) ** 2, axis=0)
+    weights = np.abs(states) ** 2
+    dominant = np.argmax(weights >= weights.max(axis=0) - _LABEL_TIE_TOL, axis=0)
     amp = states[dominant, np.arange(states.shape[1])]
     # hypot, as scalar abs() computes it: numpy's vectorized complex abs rounds
     # differently on some CPUs and would move the gauged states by an ulp.
@@ -291,7 +297,8 @@ def find_anticrossing(
 
     The gap is assumed unimodal inside ``bracket`` (pre-scan with
     :func:`sweep_levels` to establish one).  Golden-section refinement runs to
-    parameter tolerance ``tol``.
+    parameter tolerance ``tol``; a minimum within ``tol`` of either bracket end
+    raises :class:`NumericalError`, since the gap may still fall beyond it.
     """
     builder = _builder(model)
     layout = config.layout
@@ -331,6 +338,11 @@ def find_anticrossing(
             d_x = a_x + invphi * h
             yd, _, _ = gap_at(d_x)
     x_min = 0.5 * (a_x + b_x)
+    if min(x_min - lo, hi - x_min) <= tol:
+        raise NumericalError(
+            f"gap minimum {x_min:.9g} lies within tol {tol:g} of an end of the "
+            f"bracket [{lo:g}, {hi:g}]; widen the bracket"
+        )
     gap, spec, (ia, ib) = gap_at(x_min)
 
     plus = (bare_state(layout, *layout.bare_labels(u)).amp

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -152,6 +153,31 @@ def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, 
     assert_config_error(tmp_path, capsys, command, payload, field)
 
 
+def test_dynamics_without_observables_writes_time_column(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", fig3_dynamics(observables=[], points=5))
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "dynamics.csv").read_text().splitlines()
+    assert lines[0] == "t"
+    assert len(lines) == 6
+    assert float(lines[1]) == 0.0
+    assert all("," not in line for line in lines)
+
+
+def test_dynamics_memory_stays_bounded(tmp_path):
+    # numpy's allocations as traced by tracemalloc, not RSS, so the peak repeats;
+    # a (T, d, d) stack of bare-basis snapshots alone takes 150 MiB on fig5b
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": "fig5b"})
+    tracemalloc.start()
+    try:
+        code = main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 40 * 2**20
+
+
 def test_malformed_config_exits_2_without_outputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -191,6 +217,15 @@ def test_numerical_failure_exits_3(tmp_path):
         },
     })
     assert main(["anticross", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_anticross_minimum_at_bracket_edge_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"scenario": "fig1b", "anticross": {"bracket": [0.97, 1.0]}})
+    out = tmp_path / "out"
+    assert main(["anticross", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "widen the bracket" in capsys.readouterr().err
 
 
 def test_levels_csv_format_and_manifest(tmp_path):

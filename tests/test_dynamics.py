@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vpmix import (
     ConfigError,
     NumericalError,
+    StepSizeError,
     MixKind,
     Operator,
     QubitParams,
@@ -25,6 +26,7 @@ from vpmix import (
     embed_qubit_op,
     evolve,
     expectation,
+    expectation_series,
     find_anticrossing,
     set_parameter,
     state_fidelity,
@@ -385,6 +387,162 @@ class TestObservables:
         assert state_fidelity(rho, ket) == pytest.approx(1.0, abs=1e-14)
         orthogonal = bare_state(lay, "e", 0)
         assert state_fidelity(rho, orthogonal) == pytest.approx(0.0, abs=1e-14)
+
+
+def reference_evolve(rho0, hamiltonian, rates, t_grid, spectrum=None, max_step=None):
+    """Reference: the step loop of evolve before the dynamics were streamed,
+    turning every step back into the bare basis (input checks left out)."""
+    spec = spectrum if spectrum is not None else diagonalize(hamiltonian)
+    dim = spec.dim
+    u = spec.states
+    e = spec.energies
+    times = np.asarray(list(t_grid), dtype=float)
+    arr = rho0.amp if isinstance(rho0, Ket) else np.asarray(rho0, dtype=complex)
+    rho = u.conj().T @ (np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)) @ u
+    gain = np.zeros((dim, dim))
+    for r in rates.values():
+        gain += np.asarray(r, dtype=float)
+    out_rate = gain.sum(axis=0)
+    if max_step is not None:
+        h_max = float(max_step)
+    else:
+        spread = float(e[-1] - e[0])
+        span = float(times[-1] - times[0])
+        h_max = math.inf
+        if spread > 0:
+            h_max = 0.01 / spread
+        if span > 0:
+            h_max = min(h_max, span / 1000.0)
+    omega = e[:, None] - e[None, :]
+    decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
+    w_pop = gain - np.diag(out_rate)
+
+    def interval_maps(dt):
+        n = max(1, int(math.ceil(dt / h_max))) if math.isfinite(h_max) else 1
+        h = dt / n
+        z = h * (-1j * omega - decay)
+        g_step = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+        m = h * w_pop
+        m2 = m @ m
+        p_step = np.eye(dim) + m + m2 / 2.0 + (m2 @ m) / 6.0 + (m2 @ m2) / 24.0
+        return g_step**n, np.linalg.matrix_power(p_step, n)
+
+    u_dag = u.conj().T
+    states = np.empty((times.size, dim, dim), dtype=complex)
+    states[0] = u @ rho @ u_dag
+    for p in range(1, times.size):
+        g_n, p_n = interval_maps(float(times[p] - times[p - 1]))
+        pops = p_n @ np.real(np.diag(rho))
+        rho = g_n * rho
+        np.fill_diagonal(rho, pops)
+        states[p] = u @ rho @ u_dag
+    return states
+
+
+def reference_expectation(stack, operators):
+    """Reference: the stacked expectation, one einsum over all snapshots."""
+    if isinstance(operators, Operator):
+        operators = (operators,)
+    prod = operators[0].mat
+    for op in operators[1:]:
+        prod = prod @ op.mat
+    val = np.einsum("...ij,ji->...", stack, prod)
+    assert np.all(np.abs(val.imag) <= 1e-10 * np.maximum(1.0, np.abs(val.real)))
+    return val.real
+
+
+def random_hermitian_product(rng, layout, n_ops):
+    """A+ ... [H] ... A with unit-norm factors: Hermitian, expectations within [-1, 1]."""
+    d = layout.dim
+
+    def unit_matrix():
+        m = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        return m / np.linalg.norm(m, 2)
+
+    outer = [Operator(unit_matrix(), layout) for _ in range(n_ops // 2)]
+    middle = []
+    if n_ops % 2:
+        h = unit_matrix()
+        middle = [Operator((h + h.conj().T) / 2, layout)]
+    return [a.dag() for a in outer] + middle + outer[::-1]
+
+
+SMALL_LAYOUTS = [HilbertLayout(q, c) for q in (1, 2, 3) for c in range(1, 9)
+                 if 2**q * c <= 16]
+
+
+class TestExpectationSeries:
+    @settings(max_examples=40, deadline=None)
+    @given(layout=st.sampled_from(SMALL_LAYOUTS), channels=st.integers(0, 2),
+           uniform=st.booleans(), points=st.integers(1, 12), n_obs=st.integers(0, 3),
+           pass_spectrum=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_snapshot_stack(self, layout, channels, uniform, points, n_obs,
+                                    pass_spectrum, seed):
+        rng = np.random.default_rng(seed)
+        d = layout.dim
+        raw = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        h = Operator(raw + raw.conj().T, layout)
+        spec = diagonalize(h) if pass_spectrum else None
+        # downward rates over the ascending eigenbasis, each entry present at random
+        rates = {f"channel{c}": np.triu(rng.uniform(0, 0.05, (d, d))
+                                        * (rng.random((d, d)) < 0.5), 1)
+                 for c in range(channels)}
+        t0 = rng.uniform(-1, 1)
+        if uniform:
+            grid = np.linspace(t0, t0 + rng.uniform(0.1, 5.0), points)
+        else:
+            grid = t0 + np.cumsum(rng.uniform(0.01, 1.0, points))
+        a = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0).real
+        observables = [random_hermitian_product(rng, layout, int(rng.integers(1, 5)))
+                       for _ in range(n_obs)]
+        if observables and len(observables[0]) == 1:
+            observables[0] = observables[0][0]  # a bare Operator, as expectation takes
+
+        values = expectation_series(rho0, h, rates, grid, observables, spectrum=spec)
+        stack = reference_evolve(rho0, h, rates, grid, spectrum=spec)
+        assert values.shape == (points, n_obs)
+        assert values.dtype == float
+        expected = np.array([reference_expectation(stack, ops) for ops in observables])
+        np.testing.assert_allclose(values, expected.reshape(n_obs, points).T,
+                                   rtol=0, atol=1e-12)
+        series = evolve(rho0, h, rates, grid, spectrum=spec)
+        np.testing.assert_array_equal(series.states, stack)
+
+    def test_rejects_what_evolve_rejects(self):
+        lay = HilbertLayout(1, 2)
+        h = Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay)
+        rho0 = bare_state(lay, "e", 1)
+        s1 = embed_qubit_op(lay, 1, SIGMA_MINUS)
+        rates = np.zeros((4, 4))
+        rates[[0, 1, 0, 2, 1], [3, 3, 1, 3, 2]] = [1.0, 0.5, 0.3, 0.2, 0.4]
+        diagonal = rates.copy()
+        diagonal[2, 2] = 0.1
+        cases = [
+            (ConfigError, {}, [0.0, 2.0, 1.0], None),
+            (ConfigError, {}, [], None),
+            (ConfigError, {"cavity": diagonal}, [0.0, 1.0], None),
+            (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 100.0),
+            # the step overflows the populations to inf and the trace to NaN
+            (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 10.0),
+        ]
+        with np.errstate(all="ignore"):
+            for error, channels, grid, max_step in cases:
+                with pytest.raises(error):
+                    evolve(rho0, h, channels, grid, max_step=max_step)
+                with pytest.raises(error):
+                    expectation_series(rho0, h, channels, grid, [[s1.dag(), s1]],
+                                       max_step=max_step)
+        with pytest.raises(ConfigError):
+            expectation_series(rho0, h, {}, [0.0, 1.0],
+                               [embed_qubit_op(HilbertLayout(3, 1), 1, SIGMA_MINUS)])
+        with pytest.raises(ConfigError):
+            expectation_series(rho0, h, {}, [0.0, 1.0], [[]])
+        # every value passes the imaginary-residue check, as in expectation
+        coherent = (bare_state(lay, "e", 0).amp + 1j * bare_state(lay, "g", 0).amp) / math.sqrt(2)
+        with pytest.raises(NumericalError):
+            expectation_series(coherent, h, {}, [0.0, 1.0], [s1])
 
 
 def test_cascade_triple_correlation_tracks_excitations(four_qubit_cascade):

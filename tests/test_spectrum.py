@@ -9,6 +9,7 @@ from vpmix import (
     BranchTrackingError,
     ConfigError,
     HermiticityError,
+    NumericalError,
     Operator,
     QubitParams,
     SystemConfig,
@@ -47,7 +48,8 @@ def column_loop_labels(op):
     states = np.array(states)
     for k in range(states.shape[1]):
         col = states[:, k]
-        dominant = int(np.argmax(np.abs(col) ** 2))
+        weights = np.abs(col) ** 2
+        dominant = int(np.argmax(weights >= weights.max() - 1e-12))  # lowest of tied
         amp = col[dominant]
         phase = amp / abs(amp)
         states[:, k] = col * np.conj(phase)
@@ -108,12 +110,12 @@ def test_real_eigh_matches_complex_eigh_on_presets(scenario, model):
     real = diagonalize(h)
     ref = diagonalize(Operator(h.mat.astype(complex), h.layout))
     assert np.max(np.abs(real.energies - ref.energies)) <= 1e-12
-    # fig2's two identical qubits give exact weight ties, which rounding breaks
-    # either way; every other label is determined and must agree.
+    # fig2's two identical qubits give exact weight ties, which both solvers
+    # break to the lowest bare index, so every label agrees.
+    assert [b for b, _ in real.labels] == [b for b, _ in ref.labels]
+    assert real.label_collisions == ref.label_collisions
     weights = np.sort(np.abs(ref.states) ** 2, axis=0)
     determined = weights[-1] - weights[-2] > 1e-9
-    labels = np.array([[bare for bare, _ in spec.labels] for spec in (real, ref)])
-    assert np.array_equal(labels[0][determined], labels[1][determined])
     gaps = np.diff(ref.energies)
     isolated = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-8
     overlap = np.sum(real.states.conj() * ref.states, axis=0)
@@ -129,6 +131,14 @@ def test_unknown_model_is_a_config_error(fig1b_preset):
     with pytest.raises(ConfigError, match="xyz"):
         find_anticrossing(fig1b_preset, "qubits[2].omega", (0.95, 1.03),
                           (("gge", 0), ("eeg", 0)), model="xyz")
+
+
+@pytest.mark.parametrize("bracket", [(0.95, 0.965), (0.97, 1.0), (0.9, 0.95)])
+def test_minimum_at_a_bracket_edge_raises(fig1b_preset, bracket):
+    # the fig1b gap minimum sits at 0.968, outside each bracket
+    with pytest.raises(NumericalError, match="widen the bracket"):
+        find_anticrossing(fig1b_preset, "qubits[2].omega", bracket,
+                          (("gge", 0), ("eeg", 0)))
 
 
 def test_decoupled_labels_are_exact():
