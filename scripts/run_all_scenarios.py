@@ -29,7 +29,7 @@ NATURAL_COMMANDS = {
 }
 
 
-def run(root: Path, threads: int) -> int:
+def run(root: Path) -> int:
     failures = 0
     for scenario, commands in NATURAL_COMMANDS.items():
         assert scenario in SCENARIOS
@@ -39,8 +39,7 @@ def run(root: Path, threads: int) -> int:
         for command in commands:
             out_dir = root / f"{scenario}-{command}"
             started = time.time()
-            code = vpmix_main([command, "--config", config_path,
-                               "--out", str(out_dir), "--threads", str(threads)])
+            code = vpmix_main([command, "--config", config_path, "--out", str(out_dir)])
             elapsed = time.time() - started
             status = "ok" if code == 0 else f"exit {code}"
             print(f"{scenario:7s} {command:9s} {status:7s} {elapsed:6.1f}s -> {out_dir}")
@@ -51,9 +50,8 @@ def run(root: Path, threads: int) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default="out", help="output root directory")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
-    failures = run(Path(args.root), args.threads)
+    failures = run(Path(args.root))
     if failures:
         print(f"{failures} run(s) failed", file=sys.stderr)
         return 1

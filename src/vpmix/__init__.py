@@ -11,7 +11,6 @@ from .algebra import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     HilbertLayout,
     Ket,
@@ -79,7 +78,6 @@ from .spectrum import (
     set_parameter,
     superposition_states,
     sweep_levels,
-    track_branches,
 )
 
 __version__ = "0.1.0"

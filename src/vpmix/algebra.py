@@ -31,7 +31,6 @@ __all__ = [
     "Operator",
     "Ket",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "SIGMA_PLUS",
     "SIGMA_MINUS",
@@ -52,7 +51,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 # Local qubit operators in the (|g>, |e>) basis.
 SIGMA_X = _readonly([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Y = _readonly([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = _readonly([[-1.0, 0.0], [0.0, 1.0]])
 SIGMA_PLUS = _readonly([[0.0, 0.0], [1.0, 0.0]])   # |e><g|
 SIGMA_MINUS = _readonly([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
@@ -203,12 +201,6 @@ class Ket:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
-
-    def normalized(self) -> "Ket":
-        n = self.norm
-        if n == 0.0:
-            raise ConfigError("cannot normalize the zero vector")
-        return Ket(self.amp / n, self.layout)
 
     def overlap(self, other: "Ket") -> complex:
         return complex(np.vdot(self.amp, other.amp))

@@ -53,7 +53,7 @@ _TOP_KEYS = {"scenario", "description", "out", "system", "sweep", "anticross",
 # "number" and "integer" exclude bools, "integer" also 2.5; "numbers" and
 # "integers" are lists of them; a "bracket" is a list of exactly two numbers;
 # a "state" is [levels, photons], a "pair" two states; a "model" names one of
-# MODEL_BUILDERS.
+# MODEL_BUILDERS; "positive" is a number above 0, "natural" an integer >= 0.
 _SCHEMA = {
     "system": {"qubits": None, "omega_c": "number", "kappa": "number", "fock_cutoff": "integer"},
     "qubit": dict.fromkeys(("omega", "lam", "theta", "gamma"), "number"),
@@ -61,7 +61,7 @@ _SCHEMA = {
               "levels": "integer", "model": "model", "inset": None},
     "inset": {"start": "number", "stop": "number", "points": "integer"},
     "anticross": {"parameter": "string", "bracket": "bracket", "pair": "pair", "model": "model",
-                  "tol": "number"},
+                  "tol": "positive"},
     "dynamics": {"initial": None, "tune_to_minimum": "boolean", "half_periods": "number",
                  "points": "integer", "lossless": "boolean", "observables": None},
     "observable": {"name": "string", "kind": "string", "qubit": "integer", "qubits": "integers"},
@@ -69,7 +69,7 @@ _SCHEMA = {
                 "model": "model", "epsilon": "number", "lambdas": "numbers",
                 "cavity_offset_factor": "number", "parameter": "string", "bracket": "bracket",
                 "pair": "pair"},
-    "ecc": {"seed": "integer"},
+    "ecc": {"seed": "natural"},
 }
 _REQUIRED_KEYS = {
     "sweep": ("parameter", "start", "stop", "points", "levels"),
@@ -84,10 +84,16 @@ _KIND_TEXT = {
     "model": "one of " + ", ".join(map(repr, MODEL_BUILDERS)),
     "state": "a [levels, photons] state",
     "pair": "two [levels, photons] states",
+    "positive": "a positive number",
+    "natural": "a non-negative integer",
 }
 
 
 def _has_type(kind: str, value) -> bool:
+    if kind == "positive":
+        return _has_type("number", value) and value > 0
+    if kind == "natural":
+        return _has_type("integer", value) and value >= 0
     if kind == "model":
         return isinstance(value, str) and value in MODEL_BUILDERS
     if kind == "state":
@@ -283,7 +289,7 @@ def _sweep_csv(result) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def cmd_levels(cfg: dict, system: SystemConfig, threads: int) -> dict[str, bytes]:
+def cmd_levels(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     sweep = _require(cfg, "sweep")
     outputs = {}
     for name, span in (("levels.csv", sweep), ("levels_inset.csv", sweep.get("inset"))):
@@ -291,7 +297,7 @@ def cmd_levels(cfg: dict, system: SystemConfig, threads: int) -> dict[str, bytes
             grid = np.linspace(float(span["start"]), float(span["stop"]), int(span["points"]))
             result = sweep_levels(
                 system, sweep["parameter"], grid, int(sweep["levels"]),
-                model=sweep.get("model", "dicke"), threads=threads,
+                model=sweep.get("model", "dicke"),
             )
             outputs[name] = _sweep_csv(result)
     return outputs
@@ -482,6 +488,8 @@ def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
 def cmd_ecc(cfg: dict, seed_override: int | None) -> dict[str, bytes]:
     block = _require(cfg, "ecc")
     seed = int(seed_override if seed_override is not None else block.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"ecc seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     rows = []
     cases = [("bitflip", None), ("bitflip", ("x", 1)), ("bitflip", ("x", 2)),
@@ -508,9 +516,17 @@ def cmd_ecc(cfg: dict, seed_override: int | None) -> dict[str, bytes]:
     return {"ecc_report.json": (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()}
 
 
-def run_command(command: str, cfg: dict, out_dir: Path, threads: int,
-                cutoff: int | None, seed: int | None) -> dict:
-    """Validate, execute one subcommand, write outputs and a manifest."""
+def run_command(command: str, cfg: dict, out_dir: Path, threads: int = 1,
+                cutoff: int | None = None, seed: int | None = None) -> dict:
+    """Validate, execute one subcommand, write outputs and a manifest.
+
+    Sweeps evaluate their grid points serially.  ``threads`` remains only
+    for callers written when they could use a thread pool, such as
+    ``perfbench/test_oracle.py``, which passes ``threads=1``; any other value
+    raises :class:`ConfigError`.
+    """
+    if threads != 1:
+        raise ConfigError(f"threads must be 1, got {threads!r}; sweeps run serially")
     errors, warnings = validate_config(cfg)
     if errors:
         raise ConfigError("; ".join(errors))
@@ -523,7 +539,7 @@ def run_command(command: str, cfg: dict, out_dir: Path, threads: int,
     else:
         system = build_system(cfg, cutoff)
         if command == "levels":
-            outputs = cmd_levels(cfg, system, threads)
+            outputs = cmd_levels(cfg, system)
         elif command == "anticross":
             outputs = cmd_anticross(cfg, system)
         elif command == "dynamics":
@@ -571,7 +587,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="sweep worker threads")
         p.add_argument("--cutoff", type=int, default=None, help="override fock_cutoff")
         p.add_argument("--seed", type=int, default=None, help="override random seed")
     args = parser.parse_args(argv)
@@ -582,7 +597,7 @@ def main(argv=None) -> int:
             return cmd_validate(cfg)
         out_dir = Path(args.out or cfg.get("out")
                        or f"out/{cfg.get('scenario', 'custom')}-{args.command}")
-        run_command(args.command, cfg, out_dir, args.threads, args.cutoff, args.seed)
+        run_command(args.command, cfg, out_dir, cutoff=args.cutoff, seed=args.seed)
         return 0
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

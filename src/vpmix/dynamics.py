@@ -62,7 +62,9 @@ __all__ = [
 
 _RATE_FLOOR = 1e-24  # squared matrix elements below this are truncation noise
 _ENERGY_TOL = 1e-12  # eigenvalue gap below which a pair counts as degenerate
-_DRIFT_TOL = 1e-7  # trace drift that makes evolve reject its step size
+# Trace drift, or depth of a negative population, that makes evolve reject
+# its step size.
+_DRIFT_TOL = 1e-7
 # check_density limits: Hermiticity defect, trace error, lowest eigenvalue.
 _STATE_HERM_TOL = 1e-10
 _STATE_TRACE_TOL = 1e-8
@@ -302,6 +304,14 @@ def _eigenbasis_stream(rho0, hamiltonian, rates, t_grid, spectrum, max_step):
                     f"trace drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
                     "retry with a smaller max_step"
                 )
+            # An unstable population step can keep the trace and still
+            # overshoot, which shows as a negative population.
+            low = float(pops.min())
+            if not low >= -_DRIFT_TOL:
+                raise StepSizeError(
+                    f"population {low:.3e} below -{_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
+                    "retry with a smaller max_step"
+                )
             yield rho
 
     return times, spec, steps(rho)
@@ -328,7 +338,7 @@ def evolve(
 
     The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
     ``max_step`` replaces that rule with an explicit bound.  Trace drift
-    beyond 1e-7 raises :class:`StepSizeError`.
+    beyond 1e-7, or a population below -1e-7, raises :class:`StepSizeError`.
     """
     times, spec, stream = _eigenbasis_stream(
         rho0, hamiltonian, rates, t_grid, spectrum, max_step

@@ -219,8 +219,7 @@ class DetuningTable:
 
     Indices are 1-based qubit numbers or the string "c" for the cavity.
     ``d(a, b) = w_a - w_b`` is antisymmetric, ``s(a, b) = w_a + w_b``
-    symmetric; ``d2c(n) = 2 w_c - w_n`` and ``s2c(n) = 2 w_c + w_n`` involve
-    two cavity quanta.
+    symmetric.
     """
 
     omegas: tuple[float, ...]
@@ -243,19 +242,6 @@ class DetuningTable:
 
     def s(self, a, b) -> float:
         return self.w(a) + self.w(b)
-
-    def d2c(self, n) -> float:
-        return 2.0 * self.omega_c - self.w(n)
-
-    def s2c(self, n) -> float:
-        return 2.0 * self.omega_c + self.w(n)
-
-    def signed_coupling(self, signs: str) -> float:
-        if len(signs) != len(self.lambdas):
-            raise ConfigError(f"need {len(self.lambdas)} signs, got {signs!r}")
-        return sum(
-            (1.0 if s == "+" else -1.0) * l for s, l in zip(signs, self.lambdas)
-        )
 
     @property
     def coupling_product(self) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 
-__all__ = ["SCENARIOS", "get_preset", "scenario_names"]
+__all__ = ["SCENARIOS", "get_preset"]
 
 _PI6 = math.pi / 6
 _DECAY = 3e-5
@@ -208,10 +208,6 @@ SCENARIOS: dict[str, dict] = {
         "ecc": {"seed": 7},
     },
 }
-
-
-def scenario_names() -> tuple[str, ...]:
-    return tuple(SCENARIOS)
 
 
 def get_preset(name: str) -> dict:

@@ -5,7 +5,9 @@ state with which they have maximum squared overlap.  All reported energies
 are offset so the ground state sits at zero.  Avoided crossings are located
 by golden-section minimization of the gap between the two eigenbranches that
 span a nominated pair of bare states; the half-gap at the minimum is the
-effective coupling of the resonant mixing process.
+effective coupling of the resonant mixing process.  Sweeps evaluate their
+grid points one after another in a single thread; the eigensolver's BLAS
+already runs multithreaded.
 
 Both model Hamiltonians are real float64 matrices, assembled from terms that
 :mod:`vpmix.model` caches once per layout, so ``eigh`` takes its
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -36,7 +37,6 @@ __all__ = [
     "sweep_levels",
     "find_anticrossing",
     "superposition_states",
-    "track_branches",
     "MODEL_BUILDERS",
 ]
 
@@ -177,7 +177,7 @@ class SweepResult:
 
     ``energies[p, m]`` is the (m+1)-th excited ground-offset energy at grid
     point p; ``labels``/``overlaps`` give each level's dominant bare index and
-    weight.  ``states`` retains full eigenvector sets only when requested.
+    weight.
     """
 
     parameter: str
@@ -186,7 +186,6 @@ class SweepResult:
     labels: np.ndarray
     overlaps: np.ndarray
     layout: HilbertLayout
-    states: tuple[np.ndarray, ...] | None = None
 
     def label_string(self, point: int, level: int) -> str:
         return self.layout.label_string(int(self.labels[point, level]))
@@ -198,14 +197,12 @@ def sweep_levels(
     grid: Sequence[float],
     level_count: int,
     model: str = "dicke",
-    keep_states: bool = False,
-    threads: int = 1,
 ) -> SweepResult:
     """Diagonalize along a grid and report the lowest excited levels.
 
-    Grid points are independent; with ``threads > 1`` they are evaluated in a
-    thread pool (the eigensolver releases the GIL).  Results are ordered by
-    grid index either way.
+    Grid points are evaluated serially in grid order.  They are independent,
+    but a thread pool over them measured slower than this loop, because the
+    eigensolver's BLAS already uses the available cores.
     """
     grid_arr = np.asarray(list(grid), dtype=float)
     if grid_arr.size > 1:
@@ -221,14 +218,9 @@ def sweep_levels(
         spec = diagonalize(builder(set_parameter(config, parameter, value)))
         sel = slice(1, level_count + 1)
         lab, wt = zip(*spec.labels[sel])
-        return spec.energies[sel], lab, wt, (spec.states if keep_states else None)
+        return spec.energies[sel], lab, wt
 
-    if threads > 1 and grid_arr.size > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve, grid_arr))
-    else:
-        rows = [solve(v) for v in grid_arr]
-
+    rows = [solve(v) for v in grid_arr]
     shape = (grid_arr.size, level_count)
     return SweepResult(
         parameter=parameter,
@@ -237,7 +229,6 @@ def sweep_levels(
         labels=np.array([r[1] for r in rows], dtype=int).reshape(shape),
         overlaps=np.array([r[2] for r in rows], dtype=float).reshape(shape),
         layout=layout,
-        states=tuple(r[3] for r in rows) if keep_states else None,
     )
 
 
@@ -299,6 +290,9 @@ def find_anticrossing(
     :func:`sweep_levels` to establish one).  Golden-section refinement runs to
     parameter tolerance ``tol``; a minimum within ``tol`` of either bracket end
     raises :class:`NumericalError`, since the gap may still fall beyond it.
+    A ``tol`` below the float spacing of the bracket ends (zero and negative
+    ones included) raises :class:`ConfigError`: the interval stops shrinking
+    there, and the refinement would never end.
     """
     builder = _builder(model)
     layout = config.layout
@@ -309,6 +303,12 @@ def find_anticrossing(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ConfigError(f"invalid bracket {bracket}")
+    spacing = float(np.spacing(max(abs(lo), abs(hi))))
+    if not tol >= spacing:  # also NaN
+        raise ConfigError(
+            f"tol must be positive and at least the float spacing {spacing:.3g} "
+            f"of the bracket ends, got {tol!r}"
+        )
     evaluations = 0
 
     def gap_at(x: float) -> tuple[float, SpectrumResult, tuple[int, int]]:
@@ -422,31 +422,3 @@ def coupling_sign(spectrum: SpectrumResult, bare_u: int, bare_v: int,
         )
     return -1 if prod > 0 else 1
 
-
-def track_branches(sweep: SweepResult) -> np.ndarray:
-    """Follow eigenbranches through crossings by eigenvector continuity.
-
-    Requires a sweep built with ``keep_states=True``.  Returns an integer
-    array ``branch[p, m]`` giving the eigenstate index at grid point p that
-    continues branch m, where branches are seeded by energy order at the first
-    point.  Matching is greedy on squared overlap between consecutive points.
-    """
-    if sweep.states is None:
-        raise ConfigError("track_branches needs a sweep with keep_states=True")
-    n_pts = sweep.grid.size
-    n_lvl = sweep.energies.shape[1]
-    branch = np.zeros((n_pts, n_lvl), dtype=int)
-    branch[0] = np.arange(1, n_lvl + 1)
-    for p in range(1, n_pts):
-        prev_vecs = sweep.states[p - 1]
-        cur_vecs = sweep.states[p]
-        overlap = np.abs(prev_vecs.conj().T @ cur_vecs) ** 2
-        taken: set[int] = set()
-        for m in range(n_lvl):
-            row = overlap[branch[p - 1, m]].copy()
-            for t in taken:
-                row[t] = -1.0
-            pick = int(np.argmax(row))
-            branch[p, m] = pick
-            taken.add(pick)
-    return branch

@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from vpmix.cli import load_config, main, resolve_config, validate_config
+from vpmix.cli import load_config, main, resolve_config, run_command, validate_config
+from vpmix.errors import ConfigError
 from vpmix.presets import SCENARIOS
 
 PI6 = math.pi / 6
@@ -148,6 +149,10 @@ def fig3_observable(**fields):
     ("perturb", {"scenario": "fig2", "perturb": {"pair": [["gge", 0]]}}, "pair"),
     ("perturb", {"scenario": "fig2", "perturb": {"initial": ["gge"]}}, "initial"),
     ("perturb", {"scenario": "fig2", "perturb": {"final": ["eeg", 0.5]}}, "final"),
+    # a search tolerance is positive and a seed is non-negative
+    ("anticross", {"scenario": "fig1b", "anticross": {"tol": 0}}, "tol"),
+    ("anticross", {"scenario": "fig1b", "anticross": {"tol": -1}}, "tol"),
+    ("ecc", {"scenario": "ecc", "ecc": {"seed": -3}}, "seed"),
 ])
 def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, field):
     assert_config_error(tmp_path, capsys, command, payload, field)
@@ -255,8 +260,29 @@ def test_levels_deterministic_bytes(tmp_path):
     })
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["levels", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["levels", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
+    assert main(["levels", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "levels.csv").read_bytes() == (out2 / "levels.csv").read_bytes()
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": "fig1b"})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(["levels", "--config", cfg, "--out", str(out), "--threads", "2"])
+    assert exited.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="threads"):
+        run_command("levels", resolve_config({"scenario": "fig1b"}), out, threads=2)
+    assert not out.exists()
+
+
+def test_unresolvable_tol_exits_2_without_outputs(tmp_path, capsys):
+    # positive, so the schema accepts it, but finer than the float spacing
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": "fig1b", "anticross": {"tol": 1e-300}})
+    out = tmp_path / "out"
+    assert main(["anticross", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "tol" in capsys.readouterr().err
 
 
 def test_cutoff_override(tmp_path):
@@ -284,6 +310,14 @@ def test_zero_cutoff_override_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["anticross", "--config", cfg, "--out", str(out), "--cutoff", "0"]) == 2
     assert not out.exists()
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": "ecc"})
+    out = tmp_path / "out"
+    assert main(["ecc", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
+    assert "seed" in capsys.readouterr().err
 
 
 def test_ecc_report_shape(tmp_path):

@@ -519,6 +519,8 @@ class TestExpectationSeries:
         rates[[0, 1, 0, 2, 1], [3, 3, 1, 3, 2]] = [1.0, 0.5, 0.3, 0.2, 0.4]
         diagonal = rates.copy()
         diagonal[2, 2] = 0.1
+        cascade = np.zeros((4, 4))
+        cascade[[0, 1, 0, 2, 1], [1, 2, 2, 3, 3]] = [1.0, 0.5, 0.3, 0.7, 0.2]
         cases = [
             (ConfigError, {}, [0.0, 2.0, 1.0], None),
             (ConfigError, {}, [], None),
@@ -526,6 +528,9 @@ class TestExpectationSeries:
             (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 100.0),
             # the step overflows the populations to inf and the trace to NaN
             (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 10.0),
+            # the step keeps the trace at 1 but sends the populations to
+            # -22.0, 357.0, -518.3 and 184.4
+            (StepSizeError, {"cavity": cascade}, [0.0, 10.0], 10.0),
         ]
         with np.errstate(all="ignore"):
             for error, channels, grid, max_step in cases:

