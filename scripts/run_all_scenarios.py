@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run every bundled scenario through its natural subcommands.
 
-Writes one output directory per (scenario, command) under --root and prints a
-one-line summary for each run.  Useful as a smoke test and to regenerate the
-full set of CSV/JSON artifacts in one go.
+Writes one output directory per (scenario, command) under --root, next to the
+one-line config ``<scenario>.json`` it ran from, and prints a one-line summary
+for each run.  Useful as a smoke test and to regenerate the full set of
+CSV/JSON artifacts in one go.
 """
 
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -30,16 +30,16 @@ NATURAL_COMMANDS = {
 
 
 def run(root: Path) -> int:
+    root.mkdir(parents=True, exist_ok=True)
     failures = 0
     for scenario, commands in NATURAL_COMMANDS.items():
         assert scenario in SCENARIOS
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as handle:
-            json.dump({"scenario": scenario}, handle)
-            config_path = handle.name
+        config_path = root / f"{scenario}.json"
+        config_path.write_text(json.dumps({"scenario": scenario}))
         for command in commands:
             out_dir = root / f"{scenario}-{command}"
             started = time.time()
-            code = vpmix_main([command, "--config", config_path, "--out", str(out_dir)])
+            code = vpmix_main([command, "--config", str(config_path), "--out", str(out_dir)])
             elapsed = time.time() - started
             status = "ok" if code == 0 else f"exit {code}"
             print(f"{scenario:7s} {command:9s} {status:7s} {elapsed:6.1f}s -> {out_dir}")

@@ -2,6 +2,8 @@
 
 Wires are numbered 1..n to match ket notation |q1, q2, ..., qn>; amplitudes
 are stored with wire 1 as the most significant bit and |0> = |g|, |1> = |e>.
+Every gate is a 2^k x 2^k matrix that one kernel applies to k named wires,
+the first named wire as the matrix's most significant bit.
 
 The three- and four-wire mixing gates are the spontaneous-evolution unitaries
 of the resonant down-conversion processes after a quarter Rabi cycle
@@ -20,9 +22,9 @@ The five-qubit error-correction circuit corrects a single bit flip (or, with
 basis rotations around the error channel, a single phase flip) on any of the
 three data wires.  Its encoder, decoder and the shared-control half of the
 syndrome extraction exist in two interchangeable implementations: CNOT pairs,
-or the four-wire mixing gate (which needs one extra wire).  The syndrome ->
-correction table is calibrated by simulating each single error once rather
-than hard-coded.
+or the four-wire mixing gate (which needs one extra wire); each is one table
+entry of wire roles and gate lists.  The syndrome -> correction table is
+calibrated by simulating each single error once rather than hard-coded.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ __all__ = [
     "run_ecc",
     "reduced_qubit",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class RegisterState:
@@ -90,15 +89,18 @@ def _check_wires(state: RegisterState, wires) -> tuple[int, ...]:
     return ws
 
 
-def _bit(index: int, wire: int, n: int) -> int:
-    return (index >> (n - wire)) & 1
-
-
-def _apply_single(amp: np.ndarray, mat: np.ndarray, wire: int, n: int) -> np.ndarray:
-    full = amp.reshape([2] * n)
-    moved = np.moveaxis(full, wire - 1, -1)
-    out = moved @ mat.T
-    return np.moveaxis(out, -1, wire - 1).reshape(-1)
+def _apply(state: RegisterState, wires, mat: np.ndarray) -> RegisterState:
+    """Apply the 2^k x 2^k matrix ``mat`` to the k named wires, the first
+    named wire as the most significant bit of ``mat``'s index."""
+    ws = _check_wires(state, wires)
+    n, k = state.qubit_count, len(ws)
+    if mat.shape[0] != 2**k:
+        raise ConfigError(f"gate acts on {mat.shape[0].bit_length() - 1} wires, got {ws}")
+    axes, tail = [w - 1 for w in ws], list(range(n - k, n))
+    moved = np.moveaxis(state.amp.reshape((2,) * n), axes, tail)
+    out = moved.reshape(moved.shape[:n - k] + (2**k,)) @ mat.T
+    out = np.moveaxis(out.reshape(moved.shape), tail, axes)
+    return RegisterState(n, out.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -119,77 +121,59 @@ def _y_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-_X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
-_S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
+def _mix_matrix(k: int) -> np.ndarray:
+    """Identity on k wires except |10..0> <-> -i|01..1>."""
+    mat = np.eye(2**k, dtype=complex)
+    hi, lo = 2 ** (k - 1), 2 ** (k - 1) - 1
+    mat[[hi, lo], [hi, lo]] = 0.0
+    mat[hi, lo] = mat[lo, hi] = -1j
+    return mat
+
+
+_GATES = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "z": np.diag([1, -1]).astype(complex),
+    "s": np.diag([1, 1j]),
+    "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "u3mix": _mix_matrix(3),
+    "u4mix": _mix_matrix(4),
+}
 
 
 def apply_gate(state: RegisterState, gate: GateSpec) -> RegisterState:
     """Apply one gate; unitary, norm preserved to rounding."""
-    n = state.qubit_count
     kind = gate.kind.lower()
-    if kind in ("x", "z", "s", "y"):
-        (w,) = _check_wires(state, gate.wires)
-        if kind == "y":
-            if gate.angle is None:
-                raise ConfigError("y rotation needs an angle")
-            mat = _y_matrix(gate.angle)
-        else:
-            mat = {"x": _X_MAT, "z": _Z_MAT, "s": _S_MAT}[kind]
-        return RegisterState(n, _apply_single(state.amp, mat, w, n))
-    if kind == "cnot":
-        control, target = _check_wires(state, gate.wires)
-        out = np.array(state.amp)
-        tmask = 1 << (n - target)
-        for idx in range(out.shape[0]):
-            if _bit(idx, control, n) == 1 and not idx & tmask:
-                out[idx], out[idx | tmask] = state.amp[idx | tmask], state.amp[idx]
-        return RegisterState(n, out)
-    if kind == "u3mix":
-        return u3_mix(state, gate.wires)
-    if kind == "u4mix":
-        return u4_mix(state, gate.wires)
-    raise ConfigError(f"unknown gate kind {gate.kind!r}")
-
-
-def _mix(state: RegisterState, wires, pattern_hi: tuple[int, ...]) -> RegisterState:
-    """Identity except -i swap between wire patterns pattern_hi and its complement."""
-    ws = _check_wires(state, wires)
-    n = state.qubit_count
-    out = np.array(state.amp)
-    masks = [1 << (n - w) for w in ws]
-    hi_bits = sum(m for m, b in zip(masks, pattern_hi) if b)
-    lo_bits = sum(m for m, b in zip(masks, pattern_hi) if not b)
-    group = sum(masks)
-    for idx in range(out.shape[0]):
-        if idx & group == hi_bits:
-            partner = (idx & ~group) | lo_bits
-            out[idx] = -1j * state.amp[partner]
-            out[partner] = -1j * state.amp[idx]
-    return RegisterState(n, out)
+    if kind == "y":
+        if gate.angle is None:
+            raise ConfigError("y rotation needs an angle")
+        return _apply(state, gate.wires, _y_matrix(gate.angle))
+    if kind not in _GATES:
+        raise ConfigError(f"unknown gate kind {gate.kind!r}")
+    return _apply(state, gate.wires, _GATES[kind])
 
 
 def u3_mix(state: RegisterState, wires) -> RegisterState:
     """Three-wire mixing gate: |100> <-> -i|011> on the named wires."""
-    if len(wires) != 3:
-        raise ConfigError("u3_mix needs exactly 3 wires")
-    return _mix(state, wires, (1, 0, 0))
+    return _apply(state, wires, _GATES["u3mix"])
 
 
 def u4_mix(state: RegisterState, wires) -> RegisterState:
     """Four-wire mixing gate: |1000> <-> -i|0111> on the named wires."""
-    if len(wires) != 4:
-        raise ConfigError("u4_mix needs exactly 4 wires")
-    return _mix(state, wires, (1, 0, 0, 0))
+    return _apply(state, wires, _GATES["u4mix"])
+
+
+def _run(state: RegisterState, gates) -> RegisterState:
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return state
 
 
 def _embed_logical(logical, total_wires: int) -> RegisterState:
     """Place a one-qubit state on wire 1 of a fresh |0...0> register."""
     if isinstance(logical, RegisterState):
         if logical.qubit_count == total_wires:
-            for idx, val in enumerate(logical.amp):
-                if idx % 2**(total_wires - 1) != 0 and abs(val) > 1e-12:
-                    raise ConfigError("ancilla wires must start in |0>")
+            if np.any(np.abs(logical.amp.reshape(2, -1)[:, 1:]) > 1e-12):
+                raise ConfigError("ancilla wires must start in |0>")
             return logical
         if logical.qubit_count != 1:
             raise ConfigError(
@@ -203,6 +187,14 @@ def _embed_logical(logical, total_wires: int) -> RegisterState:
     amp[0] = a
     amp[2 ** (total_wires - 1)] = b
     return RegisterState(total_wires, amp)
+
+
+def _encoder(variant: str, n_copies: int) -> tuple[GateSpec, ...]:
+    """Gates of the ``n_copies`` repetition encoder with the input on wire 1."""
+    if variant == "cnot":
+        return tuple(GateSpec("cnot", (1, t)) for t in range(2, n_copies + 1))
+    return (GateSpec(f"u{n_copies + 1}mix", tuple(range(1, n_copies + 2))),
+            GateSpec("s", (2,)))
 
 
 def repetition_encode(logical, n_copies: int, variant: str = "cnot"):
@@ -219,19 +211,11 @@ def repetition_encode(logical, n_copies: int, variant: str = "cnot"):
     """
     if n_copies not in (2, 3):
         raise ConfigError(f"n_copies must be 2 or 3, got {n_copies}")
-    if variant == "cnot":
-        state = _embed_logical(logical, n_copies)
-        for target in range(2, n_copies + 1):
-            state = apply_gate(state, GateSpec("cnot", (1, target)))
-        return state, None
-    if variant == "mix":
-        total = n_copies + 1
-        state = _embed_logical(logical, total)
-        wires = tuple(range(1, total + 1))
-        state = u4_mix(state, wires) if n_copies == 3 else u3_mix(state, wires)
-        state = apply_gate(state, GateSpec("s", (2,)))
-        return state, 1
-    raise ConfigError(f"unknown variant {variant!r}")
+    if variant not in ("cnot", "mix"):
+        raise ConfigError(f"unknown variant {variant!r}")
+    total = n_copies if variant == "cnot" else n_copies + 1
+    state = _run(_embed_logical(logical, total), _encoder(variant, n_copies))
+    return state, None if variant == "cnot" else 1
 
 
 @dataclass(frozen=True)
@@ -250,9 +234,9 @@ def measure_qubit(state: RegisterState, wire: int, rng: np.random.Generator | No
     """
     (w,) = _check_wires(state, (wire,))
     n = state.qubit_count
-    mask = 1 << (n - w)
-    amp = state.amp
-    p1 = float(sum(abs(amp[i]) ** 2 for i in range(amp.shape[0]) if i & mask))
+    ones = np.moveaxis(state.amp.reshape((2,) * n), w - 1, 0)[1].reshape(-1)
+    # summed one by one in index order, each |amp| rounded as scalar abs() does
+    p1 = float(np.cumsum(np.hypot(ones.real, ones.imag) ** 2)[-1])
     p1 = min(max(p1, 0.0), 1.0)
     if rng is not None:
         outcome = 1 if rng.random() < p1 else 0
@@ -261,10 +245,8 @@ def measure_qubit(state: RegisterState, wire: int, rng: np.random.Generator | No
     prob = p1 if outcome == 1 else 1.0 - p1
     if prob <= 0.0:
         raise NumericalError(f"measurement outcome {outcome} has zero probability")
-    out = np.array(amp)
-    for i in range(out.shape[0]):
-        if bool(i & mask) != bool(outcome):
-            out[i] = 0.0
+    out = np.array(state.amp)
+    np.moveaxis(out.reshape((2,) * n), w - 1, 0)[1 - outcome] = 0.0
     out /= math.sqrt(prob)
     return MeasurementResult(outcome=outcome, state=RegisterState(n, out), probability=prob)
 
@@ -290,76 +272,60 @@ class EccReport:
     fidelity: float
 
 
-# Wire roles for the two implementations.  Data positions are the physical
-# wires holding logical data qubits 1..3 after encoding; for "mix" the first
-# syndrome block moves logical qubit 1 onto the freed input wire.
-_CNOT_LAYOUT = {
-    "total": 5,
-    "data": (1, 2, 3),
-    "ancillas": (4, 5),
-    "data_after_s1": (1, 2, 3),
-}
-_MIX_LAYOUT = {
-    "total": 6,
-    "data": (2, 3, 4),
-    "ancillas": (5, 6),
-    "data_after_s1": (1, 3, 4),
-}
+def _gates(*specs) -> tuple[GateSpec, ...]:
+    return tuple(GateSpec(kind, wires) for kind, *wires in specs)
 
 
-def _encode(state: RegisterState, implementation: str) -> RegisterState:
-    if implementation == "cnot":
-        state = apply_gate(state, GateSpec("cnot", (1, 2)))
-        return apply_gate(state, GateSpec("cnot", (1, 3)))
-    state = u4_mix(state, (1, 2, 3, 4))
-    return apply_gate(state, GateSpec("s", (2,)))
+@dataclass(frozen=True)
+class _EccLayout:
+    """Wires and gate lists of one error-correction implementation.
+
+    ``data`` holds logical data qubits 1..3 after encoding and ``corrected``
+    after the syndrome block; ``output`` carries the decoded state."""
+
+    total: int
+    data: tuple[int, ...]
+    ancillas: tuple[int, int]
+    corrected: tuple[int, ...]
+    output: int
+    encode: tuple[GateSpec, ...]
+    syndrome: tuple[GateSpec, ...]
+    decode: tuple[GateSpec, ...]
 
 
-def _decode(state: RegisterState, implementation: str) -> RegisterState:
-    if implementation == "cnot":
-        state = apply_gate(state, GateSpec("cnot", (1, 3)))
-        return apply_gate(state, GateSpec("cnot", (1, 2)))
-    # inverse of the mix encoder on the post-syndrome data wires (1, 3, 4),
-    # rebuilt on the freed wire 2: S+ then U4+ (= U4 cubed, a 3/4 Rabi cycle)
-    state = apply_gate(state, GateSpec("s", (1,)))
-    state = apply_gate(state, GateSpec("s", (1,)))
-    state = apply_gate(state, GateSpec("s", (1,)))
-    for _ in range(3):
-        state = u4_mix(state, (2, 1, 3, 4))
-    return state
-
-
-def _syndrome_block(state: RegisterState, implementation: str) -> RegisterState:
-    if implementation == "cnot":
+_ECC = {
+    "cnot": _EccLayout(
+        total=5, data=(1, 2, 3), ancillas=(4, 5), corrected=(1, 2, 3), output=1,
+        encode=_encoder("cnot", 3),
         # S1: shared control on data 1; S2: data 2 and 3
-        state = apply_gate(state, GateSpec("cnot", (1, 4)))
-        state = apply_gate(state, GateSpec("cnot", (1, 5)))
-        state = apply_gate(state, GateSpec("cnot", (2, 4)))
-        return apply_gate(state, GateSpec("cnot", (3, 5)))
+        syndrome=_gates(("cnot", 1, 4), ("cnot", 1, 5), ("cnot", 2, 4), ("cnot", 3, 5)),
+        decode=_gates(("cnot", 1, 3), ("cnot", 1, 2)),
+    ),
     # S1 via the mixing gate: fan data wire 2 out onto (5, 6, 1); wire 2 is
-    # freed and logical qubit 1 continues on wire 1.
-    state = u4_mix(state, (2, 5, 6, 1))
-    state = apply_gate(state, GateSpec("s", (5,)))
-    state = apply_gate(state, GateSpec("cnot", (3, 5)))
-    return apply_gate(state, GateSpec("cnot", (4, 6)))
+    # freed and logical qubit 1 continues on wire 1.  The decoder inverts the
+    # encoder on (1, 3, 4), rebuilt on wire 2: S+ then U4+ (= U4 cubed, a 3/4
+    # Rabi cycle).
+    "mix": _EccLayout(
+        total=6, data=(2, 3, 4), ancillas=(5, 6), corrected=(1, 3, 4), output=2,
+        encode=_encoder("mix", 3),
+        syndrome=_gates(("u4mix", 2, 5, 6, 1), ("s", 5), ("cnot", 3, 5), ("cnot", 4, 6)),
+        decode=_gates(*[("s", 1)] * 3, *[("u4mix", 2, 1, 3, 4)] * 3),
+    ),
+}
 
 
 def _run_circuit(a: complex, b: complex, error, mode: str, implementation: str):
-    layout = _CNOT_LAYOUT if implementation == "cnot" else _MIX_LAYOUT
-    state = _embed_logical((a, b), layout["total"])
-    state = _encode(state, implementation)
-    data = layout["data"]
+    ecc = _ECC[implementation]
+    state = _run(_embed_logical((a, b), ecc.total), ecc.encode)
     if mode == "phaseflip":
-        for w in data:
-            state = apply_gate(state, GateSpec("y", (w,), angle=math.pi / 2))
+        state = _run(state, [GateSpec("y", (w,), angle=math.pi / 2) for w in ecc.data])
     if error is not None:
         kind, logical_wire = error
-        state = apply_gate(state, GateSpec(kind, (data[logical_wire - 1],)))
+        state = apply_gate(state, GateSpec(kind, (ecc.data[logical_wire - 1],)))
     if mode == "phaseflip":
-        for w in data:
-            state = apply_gate(state, GateSpec("y", (w,), angle=-math.pi / 2))
-    state = _syndrome_block(state, implementation)
-    anc_m, anc_n = layout["ancillas"]
+        state = _run(state, [GateSpec("y", (w,), angle=-math.pi / 2) for w in ecc.data])
+    state = _run(state, ecc.syndrome)
+    anc_m, anc_n = ecc.ancillas
     res_m = measure_qubit(state, anc_m)
     res_n = measure_qubit(res_m.state, anc_n)
     return (res_m.outcome, res_n.outcome), res_n.state, (res_m.probability, res_n.probability)
@@ -395,7 +361,7 @@ def run_ecc(a: complex, b: complex, error, mode: str = "bitflip",
     comes from the calibrated table, and the fidelity compares the decoded
     wire against the input state.
     """
-    if implementation not in ("cnot", "mix"):
+    if implementation not in _ECC:
         raise ConfigError(f"unknown implementation {implementation!r}")
     if mode not in ("bitflip", "phaseflip"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -408,7 +374,7 @@ def run_ecc(a: complex, b: complex, error, mode: str = "bitflip",
             raise ConfigError(f"error kind must be 'x' or 'z', got {kind!r}")
         if wire not in (1, 2, 3):
             raise ConfigError(f"error wire {wire} outside 1..3")
-    layout = _CNOT_LAYOUT if implementation == "cnot" else _MIX_LAYOUT
+    ecc = _ECC[implementation]
     syndrome, state, probs = _run_circuit(complex(a), complex(b), error, mode, implementation)
     if min(probs) < 1.0 - 1e-10:
         raise NumericalError(
@@ -417,12 +383,8 @@ def run_ecc(a: complex, b: complex, error, mode: str = "bitflip",
     table = _syndrome_table(implementation)
     corrected = table.get(syndrome)
     if corrected is not None:
-        state = apply_gate(
-            state, GateSpec("x", (layout["data_after_s1"][corrected - 1],))
-        )
-    state = _decode(state, implementation)
-    out_wire = 1 if implementation == "cnot" else 2
-    rho = reduced_qubit(state, out_wire)
+        state = apply_gate(state, GateSpec("x", (ecc.corrected[corrected - 1],)))
+    rho = reduced_qubit(_run(state, ecc.decode), ecc.output)
     target = np.array([a, b], dtype=complex)
     fidelity = float(np.real(target.conj() @ rho @ target))
     return EccReport(

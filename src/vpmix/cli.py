@@ -53,17 +53,18 @@ _TOP_KEYS = {"scenario", "description", "out", "system", "sweep", "anticross",
 # "number" and "integer" exclude bools, "integer" also 2.5; "numbers" and
 # "integers" are lists of them; a "bracket" is a list of exactly two numbers;
 # a "state" is [levels, photons], a "pair" two states; a "model" names one of
-# MODEL_BUILDERS; "positive" is a number above 0, "natural" an integer >= 0.
+# MODEL_BUILDERS; "positive" is a number above 0, "natural" an integer >= 0
+# and "count" an integer >= 1.
 _SCHEMA = {
     "system": {"qubits": None, "omega_c": "number", "kappa": "number", "fock_cutoff": "integer"},
     "qubit": dict.fromkeys(("omega", "lam", "theta", "gamma"), "number"),
-    "sweep": {"parameter": "string", "start": "number", "stop": "number", "points": "integer",
+    "sweep": {"parameter": "string", "start": "number", "stop": "number", "points": "count",
               "levels": "integer", "model": "model", "inset": None},
-    "inset": {"start": "number", "stop": "number", "points": "integer"},
+    "inset": {"start": "number", "stop": "number", "points": "count"},
     "anticross": {"parameter": "string", "bracket": "bracket", "pair": "pair", "model": "model",
                   "tol": "positive"},
-    "dynamics": {"initial": None, "tune_to_minimum": "boolean", "half_periods": "number",
-                 "points": "integer", "lossless": "boolean", "observables": None},
+    "dynamics": {"initial": None, "half_periods": "positive", "points": "count",
+                 "lossless": "boolean", "observables": None},
     "observable": {"name": "string", "kind": "string", "qubit": "integer", "qubits": "integers"},
     "perturb": {"mode": None, "order": "integer", "initial": "state", "final": "state",
                 "model": "model", "epsilon": "number", "lambdas": "numbers",
@@ -86,6 +87,7 @@ _KIND_TEXT = {
     "pair": "two [levels, photons] states",
     "positive": "a positive number",
     "natural": "a non-negative integer",
+    "count": "a positive integer",
 }
 
 
@@ -94,6 +96,8 @@ def _has_type(kind: str, value) -> bool:
         return _has_type("number", value) and value > 0
     if kind == "natural":
         return _has_type("integer", value) and value >= 0
+    if kind == "count":
+        return _has_type("integer", value) and value >= 1
     if kind == "model":
         return isinstance(value, str) and value in MODEL_BUILDERS
     if kind == "state":
@@ -355,8 +359,7 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     dyn = _require(cfg, "dynamics")
     anti = _require(cfg, "anticross")
     rep = _anticross_report(system, anti)
-    tuned = set_parameter(system, anti["parameter"], rep.location) \
-        if dyn.get("tune_to_minimum", True) else system
+    tuned = set_parameter(system, anti["parameter"], rep.location)
     builder = MODEL_BUILDERS[anti.get("model", "dicke")]
     hamiltonian = builder(tuned)
     spectrum = diagonalize(hamiltonian)
@@ -392,7 +395,14 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     if half_j <= 0:
         raise ConfigError("zero splitting; cannot set the dynamics time scale")
     t_max = float(dyn.get("half_periods", 2.0)) * math.pi / (2.0 * half_j)
-    grid = np.linspace(0.0, t_max, int(dyn.get("points", 600)))
+    if not math.isfinite(t_max):
+        raise ConfigError(f"dynamics duration overflows: half_periods gives t = {t_max}")
+    points = int(dyn.get("points", 600))
+    # a step with at most 53 - bit_length(points - 1) significant bits makes
+    # every p * step exact, so all intervals are equal and share one RK4 map
+    mantissa, exponent = math.frexp(t_max / max(points - 1, 1))
+    bits = 53 - (points - 1).bit_length()
+    grid = math.ldexp(round(mantissa * 2**bits), exponent - bits) * np.arange(points)
     rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, tuned)
     values = expectation_series(
         rho0, hamiltonian, rates, grid,

@@ -116,7 +116,6 @@ SCENARIOS: dict[str, dict] = {
         "anticross": _ANTICROSS_3QM,
         "dynamics": {
             "initial": "pair_symmetric",
-            "tune_to_minimum": True,
             "half_periods": 2.3,
             "points": 700,
             "lossless": False,
@@ -160,7 +159,6 @@ SCENARIOS: dict[str, dict] = {
         "anticross": _ANTICROSS_4QM_EXCHANGE,
         "dynamics": {
             "initial": "pair_symmetric",
-            "tune_to_minimum": True,
             "half_periods": 2.0,
             "points": 600,
             "lossless": False,
@@ -192,7 +190,6 @@ SCENARIOS: dict[str, dict] = {
         "anticross": _ANTICROSS_4QM_CASCADE,
         "dynamics": {
             "initial": "pair_symmetric",
-            "tune_to_minimum": True,
             "half_periods": 2.0,
             "points": 600,
             "lossless": False,

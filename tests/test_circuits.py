@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpmix import ConfigError
+from vpmix import ConfigError, NumericalError
 from vpmix.circuits import (
     GateSpec,
     RegisterState,
@@ -54,6 +54,11 @@ class TestGates:
             apply_gate(basis(2, 0), GateSpec("cnot", (1, 1)))
         with pytest.raises(ConfigError):
             apply_gate(basis(2, 0), GateSpec("nope", (1,)))
+        # each gate matrix fixes its number of wires
+        for gate in (GateSpec("x", (1, 2)), GateSpec("y", (1, 2), angle=0.1),
+                     GateSpec("cnot", (1,))):
+            with pytest.raises(ConfigError):
+                apply_gate(basis(2, 0), gate)
 
     @settings(max_examples=25)
     @given(logical_states)
@@ -240,3 +245,157 @@ class TestEcc:
         state = register_state(np.array([1.0, 0.0, 0.0, 1.0]) / SQRT2, 2)
         rho = reduced_qubit(state, 1)
         assert np.allclose(rho, np.eye(2) / 2, atol=1e-14)
+
+
+# The gate and measurement code before gates became matrices on named wires:
+# index loops for CNOT and the mixing gates, kept here as the oracle.
+
+def _ref_check_wires(state, wires):
+    ws = tuple(int(w) for w in wires)
+    for w in ws:
+        if not 1 <= w <= state.qubit_count:
+            raise ConfigError(f"wire {w} outside 1..{state.qubit_count}")
+    if len(set(ws)) != len(ws):
+        raise ConfigError(f"wires must be distinct, got {ws}")
+    return ws
+
+
+def _ref_bit(index, wire, n):
+    return (index >> (n - wire)) & 1
+
+
+def _ref_apply_single(amp, mat, wire, n):
+    full = amp.reshape([2] * n)
+    moved = np.moveaxis(full, wire - 1, -1)
+    out = moved @ mat.T
+    return np.moveaxis(out, -1, wire - 1).reshape(-1)
+
+
+def _ref_y_matrix(theta):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+_REF_MATS = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+}
+
+
+def ref_apply_gate(state, gate):
+    n = state.qubit_count
+    kind = gate.kind.lower()
+    if kind in ("x", "z", "s", "y"):
+        (w,) = _ref_check_wires(state, gate.wires)
+        mat = _ref_y_matrix(gate.angle) if kind == "y" else _REF_MATS[kind]
+        return RegisterState(n, _ref_apply_single(state.amp, mat, w, n))
+    if kind == "cnot":
+        control, target = _ref_check_wires(state, gate.wires)
+        out = np.array(state.amp)
+        tmask = 1 << (n - target)
+        for idx in range(out.shape[0]):
+            if _ref_bit(idx, control, n) == 1 and not idx & tmask:
+                out[idx], out[idx | tmask] = state.amp[idx | tmask], state.amp[idx]
+        return RegisterState(n, out)
+    return ref_mix(state, gate.wires, (1,) + (0,) * (len(gate.wires) - 1))
+
+
+def ref_mix(state, wires, pattern_hi):
+    ws = _ref_check_wires(state, wires)
+    n = state.qubit_count
+    out = np.array(state.amp)
+    masks = [1 << (n - w) for w in ws]
+    hi_bits = sum(m for m, b in zip(masks, pattern_hi) if b)
+    lo_bits = sum(m for m, b in zip(masks, pattern_hi) if not b)
+    group = sum(masks)
+    for idx in range(out.shape[0]):
+        if idx & group == hi_bits:
+            partner = (idx & ~group) | lo_bits
+            out[idx] = -1j * state.amp[partner]
+            out[partner] = -1j * state.amp[idx]
+    return RegisterState(n, out)
+
+
+def ref_measure_qubit(state, wire, rng=None):
+    (w,) = _ref_check_wires(state, (wire,))
+    n = state.qubit_count
+    mask = 1 << (n - w)
+    amp = state.amp
+    p1 = float(sum(abs(amp[i]) ** 2 for i in range(amp.shape[0]) if i & mask))
+    p1 = min(max(p1, 0.0), 1.0)
+    if rng is not None:
+        outcome = 1 if rng.random() < p1 else 0
+    else:
+        outcome = 1 if p1 > 0.5 else 0
+    prob = p1 if outcome == 1 else 1.0 - p1
+    if prob <= 0.0:
+        raise NumericalError(f"measurement outcome {outcome} has zero probability")
+    out = np.array(amp)
+    for i in range(out.shape[0]):
+        if bool(i & mask) != bool(outcome):
+            out[i] = 0.0
+    out /= math.sqrt(prob)
+    return outcome, out, prob
+
+
+class _FixedDraw:
+    """Stands in for a generator: outcome 1 for draw 0.0 when p1 > 0, else 0."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+_ARITY = {"x": 1, "z": 1, "s": 1, "y": 1, "cnot": 2, "u3mix": 3, "u4mix": 4}
+
+
+@st.composite
+def registers_and_gates(draw):
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    if draw(st.booleans()):
+        # some exact zeros, as in the code words of the circuits
+        amp[rng.random(2**n) < 0.5] = 0.0
+    if not np.any(amp):
+        amp[0] = 1.0
+    amp /= np.linalg.norm(amp)
+    kinds = [k for k, arity in _ARITY.items() if arity <= n]
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(kinds))
+        wires = tuple(draw(st.permutations(range(1, n + 1)))[:_ARITY[kind]])
+        angle = draw(st.floats(-7.0, 7.0)) if kind == "y" else None
+        gates.append(GateSpec(kind, wires, angle=angle))
+    return RegisterState(n, amp), gates, draw(st.integers(1, n))
+
+
+class TestOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(registers_and_gates())
+    def test_kernel_matches_index_loops(self, case):
+        state, gates, wire = case
+        ref = state
+        for gate in gates:
+            state, ref = apply_gate(state, gate), ref_apply_gate(ref, gate)
+            np.testing.assert_array_equal(state.amp, ref.amp)
+        mixes = {"u3mix": u3_mix, "u4mix": u4_mix}
+        for gate in gates:
+            if gate.kind in mixes:
+                np.testing.assert_array_equal(mixes[gate.kind](state, gate.wires).amp,
+                                              ref_apply_gate(state, gate).amp)
+        for rng in (None, _FixedDraw(0.0), _FixedDraw(1.0)):
+            try:
+                expected = ref_measure_qubit(state, wire, rng)
+            except NumericalError:
+                with pytest.raises(NumericalError):
+                    measure_qubit(state, wire, rng)
+                continue
+            outcome, amp, prob = expected
+            got = measure_qubit(state, wire, rng)
+            assert (got.outcome, got.probability) == (outcome, prob)
+            np.testing.assert_array_equal(got.state.amp, amp)

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from vpmix.cli import load_config, main, resolve_config, run_command, validate_config
@@ -121,7 +122,8 @@ def fig3_observable(**fields):
     ("perturb", {"scenario": "fig2", "perturb": {"bracket": [0.9]}}, "bracket"),
     # booleans and integers are read by JSON type, not by truthiness or int()
     ("dynamics", fig3_dynamics(lossless="false"), "lossless"),
-    ("dynamics", fig3_dynamics(tune_to_minimum=1), "tune_to_minimum"),
+    # dynamics always runs at the located minimum; the old switch is unknown
+    ("dynamics", fig3_dynamics(tune_to_minimum=False), "tune_to_minimum"),
     ("dynamics", fig3_dynamics(points=50.0), "points"),
     ("levels", {"scenario": "fig1b", "sweep": {"points": 2.5}}, "points"),
     ("levels", {"scenario": "fig1b", "sweep": {"levels": True}}, "levels"),
@@ -153,6 +155,14 @@ def fig3_observable(**fields):
     ("anticross", {"scenario": "fig1b", "anticross": {"tol": 0}}, "tol"),
     ("anticross", {"scenario": "fig1b", "anticross": {"tol": -1}}, "tol"),
     ("ecc", {"scenario": "ecc", "ecc": {"seed": -3}}, "seed"),
+    # point counts are at least 1 and the duration is positive
+    ("levels", {"scenario": "fig1b", "sweep": {"points": 0}}, "points"),
+    ("levels", {"scenario": "fig1b", "sweep": {"points": -3}}, "points"),
+    ("levels", {"scenario": "fig1b", "sweep": {"inset": {"points": -1}}}, "points"),
+    ("dynamics", fig3_dynamics(points=0), "points"),
+    ("dynamics", fig3_dynamics(points=-5), "points"),
+    ("dynamics", fig3_dynamics(half_periods=0), "half_periods"),
+    ("dynamics", fig3_dynamics(half_periods=-1.5), "half_periods"),
 ])
 def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, field):
     assert_config_error(tmp_path, capsys, command, payload, field)
@@ -167,6 +177,25 @@ def test_dynamics_without_observables_writes_time_column(tmp_path):
     assert len(lines) == 6
     assert float(lines[1]) == 0.0
     assert all("," not in line for line in lines)
+
+
+def test_dynamics_grid_has_one_exact_step(tmp_path):
+    # t_p = p * step exactly, so every interval reuses one RK4 map
+    cfg = write_config(tmp_path, "cfg.json", fig3_dynamics(observables=[], points=700))
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 0
+    t = np.array([float(x) for x in (out / "dynamics.csv").read_text().split()[1:]])
+    assert t.shape == (700,)
+    np.testing.assert_array_equal(t, t[1] * np.arange(700))
+    assert len(set(np.diff(t))) == 1
+
+
+def test_overflowing_dynamics_duration_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", fig3_dynamics(half_periods=1e308, points=5))
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "half_periods" in capsys.readouterr().err
 
 
 def test_dynamics_memory_stays_bounded(tmp_path):
