@@ -231,7 +231,8 @@ def _eigenbasis_stream(rho0, hamiltonian, rates, t_grid, spectrum, max_step):
     """Validate the inputs of :func:`evolve` eagerly, then return the time grid,
     the spectrum and a generator of rho~(t_p) = U+ rho(t_p) U, one per grid time.
 
-    Each yielded matrix is a fresh array that later steps do not modify.
+    The generator advances one matrix in place: a yielded rho~ is valid until
+    the next step, so a caller that keeps it must copy it.
     """
     spec = spectrum if spectrum is not None else diagonalize(hamiltonian)
     dim = spec.dim
@@ -296,7 +297,7 @@ def _eigenbasis_stream(rho0, hamiltonian, rates, t_grid, spectrum, max_step):
             dt = float(times[p] - times[p - 1])
             g_n, p_n = interval_maps(dt)
             pops = p_n @ np.real(np.diag(rho))
-            rho = g_n * rho
+            np.multiply(g_n, rho, out=rho)
             np.fill_diagonal(rho, pops)
             drift = abs(float(np.real(np.trace(rho))) - trace0)
             if not drift <= _DRIFT_TOL:  # also an overflow to inf or NaN

@@ -14,7 +14,10 @@ conserving terms lam_i (a sigma_+^(i) + a+ sigma_-^(i)) and ignores theta.
 Every term of both models is real.  Their diagonals and matrices are built
 once per :class:`HilbertLayout` and cached, and each Hamiltonian is a few
 scaled sums of them: a real float64 :class:`Operator`, with no tensor products
-or matrix products per call.
+or matrix products per call.  One private assembler per model writes that sum
+into caller-owned buffers; the public builders hand it fresh ones, while the
+sweeps and searches of :mod:`vpmix.spectrum` reuse one buffer for every grid
+point.
 
 Effective qubit-only Hamiltonians describe the resonant mixing processes that
 the full model generates at fourth order: a two-qubit excitation swap, a
@@ -152,49 +155,95 @@ def _layout_terms(layout: HilbertLayout) -> _LayoutTerms:
     return terms
 
 
+def _buffers(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Two fresh d x d float64 arrays: an assembly target and its scratch."""
+    dim = config.layout.dim
+    return np.empty((dim, dim)), np.empty((dim, dim))
+
+
+def _bare_diagonal(config: SystemConfig, terms: _LayoutTerms) -> np.ndarray:
+    diag = np.zeros(config.layout.dim)
+    for q, sz in zip(config.qubits, terms.sigma_z):
+        diag += 0.5 * q.omega * sz
+    diag += config.omega_c * terms.number
+    return diag
+
+
+def _dicke_coupling(config: SystemConfig, terms: _LayoutTerms,
+                    out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    longitudinal = np.zeros(config.layout.dim)
+    for q, sz in zip(config.qubits, terms.sigma_z):
+        longitudinal += q.lam * math.sin(q.theta) * sz
+    np.multiply(terms.quadrature, longitudinal, out=out)
+    for q, x_sx in zip(config.qubits, terms.x_sigma_x):
+        out += np.multiply(x_sx, q.lam * math.cos(q.theta), out=scratch)
+    return out
+
+
+def _tc_coupling(config: SystemConfig, terms: _LayoutTerms,
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    out.fill(0.0)
+    for q, term in zip(config.qubits, terms.exchange):
+        out += np.multiply(term, q.lam, out=scratch)
+    return out
+
+
+def _add_bare(config: SystemConfig, terms: _LayoutTerms, coupling: np.ndarray) -> np.ndarray:
+    """Add the bare diagonal to ``coupling`` in place, bit for bit the full sum
+    bare + coupling: adding +0.0 turns each -0.0 entry into +0.0, as adding
+    the bare term's zero off-diagonal did."""
+    coupling += 0.0
+    coupling.reshape(-1)[:: coupling.shape[0] + 1] += _bare_diagonal(config, terms)
+    return coupling
+
+
+def _assemble_dicke(config: SystemConfig, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write the generalized Dicke Hamiltonian of ``config`` into ``out``.
+
+    ``out`` and ``scratch`` are caller-owned C-ordered d x d float64 arrays;
+    ``scratch`` is overwritten.  Returns ``out``.  Sweeps and searches call
+    this with the same two buffers at every grid point.
+    """
+    terms = _layout_terms(config.layout)
+    return _add_bare(config, terms, _dicke_coupling(config, terms, out, scratch))
+
+
+def _assemble_tc(config: SystemConfig, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Tavis-Cummings counterpart of :func:`_assemble_dicke`."""
+    terms = _layout_terms(config.layout)
+    return _add_bare(config, terms, _tc_coupling(config, terms, out, scratch))
+
+
 def bare_hamiltonian(config: SystemConfig) -> Operator:
     """Non-interacting part: sum_i (omega_i/2) sigma_z^(i) + omega_c a+ a.
 
     Diagonal in the bare product basis; its diagonal supplies the unperturbed
     energies used by the path enumerator.
     """
-    terms = _layout_terms(config.layout)
-    diag = np.zeros(config.layout.dim)
-    for q, sz in zip(config.qubits, terms.sigma_z):
-        diag += 0.5 * q.omega * sz
-    diag += config.omega_c * terms.number
-    return Operator(np.diag(diag), config.layout)
+    return Operator(np.diag(_bare_diagonal(config, _layout_terms(config.layout))),
+                    config.layout)
 
 
 def dicke_interaction(config: SystemConfig) -> Operator:
     """Coupling term (a + a+) sum_i lam_i (cos(theta_i) sigma_x + sin(theta_i) sigma_z)."""
-    terms = _layout_terms(config.layout)
-    longitudinal = np.zeros(config.layout.dim)
-    for q, sz in zip(config.qubits, terms.sigma_z):
-        longitudinal += q.lam * math.sin(q.theta) * sz
-    coup = terms.quadrature * longitudinal
-    for q, x_sx in zip(config.qubits, terms.x_sigma_x):
-        coup += q.lam * math.cos(q.theta) * x_sx
-    return Operator(coup, config.layout)
+    coupling = _dicke_coupling(config, _layout_terms(config.layout), *_buffers(config))
+    return Operator(coupling, config.layout)
 
 
 def tavis_cummings_interaction(config: SystemConfig) -> Operator:
     """Excitation-conserving coupling sum_i lam_i (a sigma_+^(i) + a+ sigma_-^(i))."""
-    terms = _layout_terms(config.layout)
-    v = np.zeros((config.layout.dim, config.layout.dim))
-    for q, term in zip(config.qubits, terms.exchange):
-        v += q.lam * term
-    return Operator(v, config.layout)
+    coupling = _tc_coupling(config, _layout_terms(config.layout), *_buffers(config))
+    return Operator(coupling, config.layout)
 
 
 def build_generalized_dicke(config: SystemConfig) -> Operator:
     """Full Hamiltonian including counter-rotating and longitudinal terms."""
-    return bare_hamiltonian(config) + dicke_interaction(config)
+    return Operator(_assemble_dicke(config, *_buffers(config)), config.layout)
 
 
 def build_tavis_cummings(config: SystemConfig) -> Operator:
     """Rotating-wave Hamiltonian; commutes with the total excitation number."""
-    return bare_hamiltonian(config) + tavis_cummings_interaction(config)
+    return Operator(_assemble_tc(config, *_buffers(config)), config.layout)
 
 
 def total_excitation_number(layout: HilbertLayout) -> Operator:

@@ -6,13 +6,15 @@ are offset so the ground state sits at zero.  Avoided crossings are located
 by golden-section minimization of the gap between the two eigenbranches that
 span a nominated pair of bare states; the half-gap at the minimum is the
 effective coupling of the resonant mixing process.  Sweeps evaluate their
-grid points one after another in a single thread; the eigensolver's BLAS
-already runs multithreaded.
+grid points one after another in a single thread.
 
 Both model Hamiltonians are real float64 matrices, assembled from terms that
 :mod:`vpmix.model` caches once per layout, so ``eigh`` takes its
 real-symmetric path and the phase gauge of :func:`diagonalize` reduces to a
-sign gauge.  Eigenvectors are stored complex either way.
+sign gauge.  Eigenvectors are stored complex either way.  Sweeps and searches
+assemble every grid point into one pair of reused buffers and read labels,
+energies and branch weights straight off the real eigenvectors, so a grid
+point allocates no d x d array besides the one ``eigh`` returns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ import numpy as np
 
 from .algebra import HilbertLayout, Ket, Operator, bare_state
 from .errors import BranchTrackingError, ConfigError, HermiticityError, NumericalError
-from .model import SystemConfig, build_generalized_dicke, build_tavis_cummings
+from .model import (
+    SystemConfig,
+    _assemble_dicke,
+    _assemble_tc,
+    _buffers,
+    build_generalized_dicke,
+    build_tavis_cummings,
+)
 
 __all__ = [
     "SpectrumResult",
@@ -44,22 +53,24 @@ MODEL_BUILDERS: dict[str, Callable[[SystemConfig], Operator]] = {
     "dicke": build_generalized_dicke,
     "tc": build_tavis_cummings,
 }
+# The in-place assembler behind each builder: (config, out, scratch) -> out.
+_ASSEMBLERS = {"dicke": _assemble_dicke, "tc": _assemble_tc}
 
 # Thresholds for identifying the two eigenbranches spanned by a bare pair:
 # each selected branch must hold at least _PAIR_MIN of the pair weight and
 # any third state at most _THIRD_MAX, otherwise tracking is ambiguous.
 _PAIR_MIN = 0.45
 _THIRD_MAX = 0.45
-_HERMITICITY_TOL = 1e-9  # largest |H - H+| entry diagonalize accepts
+_HERMITICITY_TOL = 1e-9  # largest |H - H+| entry _eigh accepts
 # Bare weights within this of an eigenstate's largest count as tied for its
 # label, and the lowest tied bare index wins, so rounding noise cannot decide.
 _LABEL_TIE_TOL = 1e-12
 
 
-def _builder(model: str) -> Callable[[SystemConfig], Operator]:
-    if model not in MODEL_BUILDERS:
+def _assembler(model: str) -> Callable[[SystemConfig, np.ndarray, np.ndarray], np.ndarray]:
+    if model not in _ASSEMBLERS:
         raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODEL_BUILDERS)}")
-    return MODEL_BUILDERS[model]
+    return _ASSEMBLERS[model]
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,42 @@ class SpectrumResult:
         }
 
 
+def _eigh(mat: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked ``eigh``: ground-offset energies and the raw eigenvectors.
+
+    ``scratch``, an array of ``mat``'s shape and dtype, holds the Hermiticity
+    check's |H - H+| and is overwritten.  A real ``mat`` gives real
+    eigenvectors, which are neither labeled nor gauged here.
+    """
+    # copyto, not a ufunc on the transposed view, which would buffer it
+    np.copyto(scratch, mat.T)
+    np.conjugate(scratch, out=scratch)
+    np.subtract(mat, scratch, out=scratch)
+    defect = float(np.max(np.abs(scratch, out=scratch)).real)
+    if defect > _HERMITICITY_TOL:
+        raise HermiticityError(
+            f"matrix is not Hermitian (max deviation {defect:.3e} > {_HERMITICITY_TOL:.1e})"
+        )
+    energies, states = np.linalg.eigh(mat)
+    energies -= energies[0]
+    return energies, states
+
+
+def _dominant(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dominant bare index of each column, with its amplitude and |amplitude|.
+
+    The dominant index is the lowest one whose weight is within
+    ``_LABEL_TIE_TOL`` of the column's largest.  Only the given columns are
+    read, so a sweep pays for the levels it reports.
+    """
+    weights = np.abs(columns) ** 2
+    dominant = np.argmax(weights >= weights.max(axis=0) - _LABEL_TIE_TOL, axis=0)
+    amp = columns[dominant, np.arange(columns.shape[1])]
+    # hypot, as scalar abs() computes it: numpy's vectorized complex abs rounds
+    # differently on some CPUs and would move the gauged states by an ulp.
+    return dominant, amp, np.hypot(amp.real, amp.imag)
+
+
 def diagonalize(op: Operator) -> SpectrumResult:
     """Full eigendecomposition with max-overlap labeling.
 
@@ -115,20 +162,8 @@ def diagonalize(op: Operator) -> SpectrumResult:
     real and positive, which makes downstream superpositions well defined; for
     a real symmetric input this is a choice of sign.
     """
-    defect = op.hermiticity_defect()
-    if defect > _HERMITICITY_TOL:
-        raise HermiticityError(
-            f"matrix is not Hermitian (max deviation {defect:.3e} > {_HERMITICITY_TOL:.1e})"
-        )
-    energies, states = np.linalg.eigh(op.mat)
-    energies = energies - energies[0]
-
-    weights = np.abs(states) ** 2
-    dominant = np.argmax(weights >= weights.max(axis=0) - _LABEL_TIE_TOL, axis=0)
-    amp = states[dominant, np.arange(states.shape[1])]
-    # hypot, as scalar abs() computes it: numpy's vectorized complex abs rounds
-    # differently on some CPUs and would move the gauged states by an ulp.
-    norm = np.hypot(amp.real, amp.imag)
+    energies, states = _eigh(op.mat, np.empty_like(op.mat))
+    dominant, amp, norm = _dominant(states)
     states = states * np.conj(amp / norm)
     labels = tuple(zip(dominant.tolist(), (norm * norm).tolist()))
 
@@ -200,34 +235,42 @@ def sweep_levels(
 ) -> SweepResult:
     """Diagonalize along a grid and report the lowest excited levels.
 
-    Grid points are evaluated serially in grid order.  They are independent,
-    but a thread pool over them measured slower than this loop, because the
-    eigensolver's BLAS already uses the available cores.
+    Grid points are evaluated serially in grid order, each assembled into the
+    same two d x d buffers.  They are independent, but a thread pool over them
+    measured slower than this loop: OpenBLAS serializes concurrent callers.
+    Each point's energies, labels and weights equal those of
+    :func:`diagonalize` on the model's builder bit for bit.
     """
     grid_arr = np.asarray(list(grid), dtype=float)
     if grid_arr.size > 1:
         diffs = np.diff(grid_arr)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep grid must be strictly monotone")
-    builder = _builder(model)
+    assemble = _assembler(model)
     layout = config.layout
     if level_count < 1 or level_count >= layout.dim:
         raise ConfigError(f"level_count must be in 1..{layout.dim - 1}")
 
-    def solve(value: float):
-        spec = diagonalize(builder(set_parameter(config, parameter, value)))
-        sel = slice(1, level_count + 1)
-        lab, wt = zip(*spec.labels[sel])
-        return spec.energies[sel], lab, wt
-
-    rows = [solve(v) for v in grid_arr]
+    mat, scratch = _buffers(config)
     shape = (grid_arr.size, level_count)
+    energies, labels, overlaps = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape)
+    sel = slice(1, level_count + 1)
+    for p, value in enumerate(grid_arr):
+        # ``states`` holds the previous point's eigenvectors until this eigh
+        # has returned.  Freed earlier, they would leave more than glibc's trim
+        # threshold free at the heap top, which is then returned to the OS and
+        # faulted back in at every point (47,000 minor faults a levels pass
+        # instead of 540).
+        e, states = _eigh(assemble(set_parameter(config, parameter, value), mat, scratch),
+                          scratch)
+        dominant, _, norm = _dominant(states[:, sel])
+        energies[p], labels[p], overlaps[p] = e[sel], dominant, norm * norm
     return SweepResult(
         parameter=parameter,
         grid=grid_arr,
-        energies=np.array([r[0] for r in rows], dtype=float).reshape(shape),
-        labels=np.array([r[1] for r in rows], dtype=int).reshape(shape),
-        overlaps=np.array([r[2] for r in rows], dtype=float).reshape(shape),
+        energies=energies,
+        labels=labels,
+        overlaps=overlaps,
         layout=layout,
     )
 
@@ -261,9 +304,10 @@ def _resolve_bare(layout: HilbertLayout, spec) -> int:
     return layout.bare_index(levels, photons)
 
 
-def _pair_branches(spec: SpectrumResult, u: int, v: int) -> tuple[int, int]:
-    """Indices of the two eigenstates carrying the weight of bare states u, v."""
-    combined = np.abs(spec.states[u, :]) ** 2 + np.abs(spec.states[v, :]) ** 2
+def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
+    """Indices of the two eigenvectors (columns of ``states``) carrying the
+    weight of bare states u, v."""
+    combined = np.abs(states[u, :]) ** 2 + np.abs(states[v, :]) ** 2
     order = np.argsort(combined)[::-1]
     a, b = int(order[0]), int(order[1])
     third = float(combined[order[2]]) if combined.size > 2 else 0.0
@@ -294,7 +338,7 @@ def find_anticrossing(
     ones included) raises :class:`ConfigError`: the interval stops shrinking
     there, and the refinement would never end.
     """
-    builder = _builder(model)
+    assemble = _assembler(model)
     layout = config.layout
     u = _resolve_bare(layout, bare_pair[0])
     v = _resolve_bare(layout, bare_pair[1])
@@ -310,13 +354,19 @@ def find_anticrossing(
             f"of the bracket ends, got {tol!r}"
         )
     evaluations = 0
+    mat, scratch = _buffers(config)
 
-    def gap_at(x: float) -> tuple[float, SpectrumResult, tuple[int, int]]:
+    # Each ``*_`` below keeps the previous evaluation's eigenvectors until the
+    # next one has returned, for the heap-trim reason given in sweep_levels.
+    def gap_at(x: float) -> tuple[float, np.ndarray, np.ndarray, tuple[int, int]]:
+        # The returned eigenvectors are raw real columns: the sign gauge of
+        # diagonalize changes no weight and no |overlap| read from them.
         nonlocal evaluations
         evaluations += 1
-        spec = diagonalize(builder(set_parameter(config, parameter, x)))
-        a, b = _pair_branches(spec, u, v)
-        return float(spec.energies[b] - spec.energies[a]), spec, (a, b)
+        energies, states = _eigh(assemble(set_parameter(config, parameter, x), mat, scratch),
+                                 scratch)
+        a, b = _pair_branches(states, u, v)
+        return float(energies[b] - energies[a]), energies, states, (a, b)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -324,32 +374,32 @@ def find_anticrossing(
     h = b_x - a_x
     c_x = a_x + invphi2 * h
     d_x = a_x + invphi * h
-    yc, _, _ = gap_at(c_x)
-    yd, _, _ = gap_at(d_x)
+    yc, *_ = gap_at(c_x)
+    yd, *_ = gap_at(d_x)
     while h > tol:
         if yc < yd:
             b_x, d_x, yd = d_x, c_x, yc
             h = b_x - a_x
             c_x = a_x + invphi2 * h
-            yc, _, _ = gap_at(c_x)
+            yc, *_ = gap_at(c_x)
         else:
             a_x, c_x, yc = c_x, d_x, yd
             h = b_x - a_x
             d_x = a_x + invphi * h
-            yd, _, _ = gap_at(d_x)
+            yd, *_ = gap_at(d_x)
     x_min = 0.5 * (a_x + b_x)
     if min(x_min - lo, hi - x_min) <= tol:
         raise NumericalError(
             f"gap minimum {x_min:.9g} lies within tol {tol:g} of an end of the "
             f"bracket [{lo:g}, {hi:g}]; widen the bracket"
         )
-    gap, spec, (ia, ib) = gap_at(x_min)
+    gap, energies, states, (ia, ib) = gap_at(x_min)
 
     plus = (bare_state(layout, *layout.bare_labels(u)).amp
             + bare_state(layout, *layout.bare_labels(v)).amp) / math.sqrt(2.0)
     minus = (bare_state(layout, *layout.bare_labels(u)).amp
              - bare_state(layout, *layout.bare_labels(v)).amp) / math.sqrt(2.0)
-    psi_a, psi_b = spec.states[:, ia], spec.states[:, ib]
+    psi_a, psi_b = states[:, ia], states[:, ib]
     o_ap = abs(np.vdot(plus, psi_a)) ** 2
     o_am = abs(np.vdot(minus, psi_a)) ** 2
     o_bp = abs(np.vdot(plus, psi_b)) ** 2
@@ -365,7 +415,7 @@ def find_anticrossing(
         location=float(x_min),
         splitting=float(gap),
         branch_indices=(ia, ib),
-        branch_energies=(float(spec.energies[ia]), float(spec.energies[ib])),
+        branch_energies=(float(energies[ia]), float(energies[ib])),
         superposition_overlaps=overlaps,
         bare_pair=(u, v),
         evaluations=evaluations,

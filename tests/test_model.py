@@ -34,7 +34,7 @@ from vpmix.algebra import (
     cavity_quadrature,
     embed_qubit_op,
 )
-from vpmix.model import bare_hamiltonian
+from vpmix.model import _assemble_dicke, _assemble_tc, _layout_terms, bare_hamiltonian
 
 PI6 = math.pi / 6
 
@@ -184,6 +184,65 @@ def test_cached_assembly_matches_kron_build(qubits, omega_c, cutoff):
     ):
         assert built.mat.dtype == np.float64
         assert np.max(np.abs(built.mat - reference)) <= 1e-13
+
+
+# The out-of-place sums the in-place assemblers replaced, kept as the
+# reference: a fresh array per term, two Operators and their sum.
+def summed_bare(config):
+    terms = _layout_terms(config.layout)
+    diag = np.zeros(config.layout.dim)
+    for q, sz in zip(config.qubits, terms.sigma_z):
+        diag += 0.5 * q.omega * sz
+    diag += config.omega_c * terms.number
+    return np.diag(diag)
+
+
+def summed_dicke(config):
+    terms = _layout_terms(config.layout)
+    longitudinal = np.zeros(config.layout.dim)
+    for q, sz in zip(config.qubits, terms.sigma_z):
+        longitudinal += q.lam * math.sin(q.theta) * sz
+    coup = terms.quadrature * longitudinal
+    for q, x_sx in zip(config.qubits, terms.x_sigma_x):
+        coup += q.lam * math.cos(q.theta) * x_sx
+    return summed_bare(config) + coup
+
+
+def summed_tc(config):
+    terms = _layout_terms(config.layout)
+    v = np.zeros((config.layout.dim, config.layout.dim))
+    for q, term in zip(config.qubits, terms.exchange):
+        v += q.lam * term
+    return summed_bare(config) + v
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    qubits=st.lists(
+        st.builds(QubitParams, omega=st.floats(0.05, 3.0), lam=st.floats(0.0, 0.5),
+                  theta=st.floats(-100.0, 100.0)),
+        min_size=1, max_size=4,
+    ),
+    omega_c=st.floats(0.05, 3.0),
+    cutoff=st.integers(1, 8),
+)
+def test_in_place_assembly_matches_summed_terms(qubits, omega_c, cutoff):
+    cfg = SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff)
+    dim = cfg.layout.dim
+    for assemble, summed, public in (
+        (_assemble_dicke, summed_dicke, bare_hamiltonian(cfg) + dicke_interaction(cfg)),
+        (_assemble_tc, summed_tc, bare_hamiltonian(cfg) + tavis_cummings_interaction(cfg)),
+    ):
+        reference = summed(cfg)
+        # stale buffers, as a sweep hands them over: every entry is rewritten
+        out, scratch = np.full((dim, dim), np.nan), np.full((dim, dim), np.nan)
+        assert assemble(cfg, out, scratch) is out
+        assert np.array_equal(out, reference)
+        # bytes too, so the sign of every zero is kept
+        assert out.tobytes() == reference.tobytes()
+        assert public.mat.tobytes() == reference.tobytes()
+    assert build_generalized_dicke(cfg).mat.tobytes() == summed_dicke(cfg).tobytes()
+    assert build_tavis_cummings(cfg).mat.tobytes() == summed_tc(cfg).tobytes()
 
 
 def test_spectrum_invariant_under_qubit_relabeling():

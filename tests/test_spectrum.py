@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from vpmix import (
     superposition_states,
     sweep_levels,
 )
-from vpmix.algebra import HilbertLayout
+from vpmix.algebra import HilbertLayout, bare_state
+from vpmix.model import _assemble_dicke, _assemble_tc
 from vpmix.cli import build_system
 from vpmix.presets import SCENARIOS, get_preset
-from vpmix.spectrum import MODEL_BUILDERS, coupling_sign
+from vpmix.spectrum import MODEL_BUILDERS, _eigh, _pair_branches, coupling_sign
 
 PI6 = math.pi / 6
 
@@ -157,6 +160,19 @@ def test_non_hermitian_rejected():
         diagonalize(bad)
 
 
+@pytest.mark.parametrize("bad, defect", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), "1.000e+00"),
+    # symmetric but not Hermitian: only the conjugate exposes it
+    (np.array([[0.0, 1j], [1j, 0.0]]), "2.000e+00"),
+])
+def test_eigh_rejects_non_hermitian(bad, defect):
+    message = f"matrix is not Hermitian (max deviation {defect} > 1.0e-09)"
+    with pytest.raises(HermiticityError, match=re.escape(message)):
+        _eigh(bad, np.empty_like(bad))
+    with pytest.raises(HermiticityError, match=re.escape(message)):
+        diagonalize(Operator(bad, HilbertLayout(1, 1)))
+
+
 def test_gauge_fixed_dominant_component_positive(fig1b_spec_literal):
     spec = diagonalize(build_generalized_dicke(fig1b_spec_literal))
     for k, (bare, _) in enumerate(spec.labels):
@@ -201,6 +217,77 @@ def test_sweep_empty_grid(fig1b_spec_literal):
 def test_sweep_monotonicity_enforced(fig1b_spec_literal):
     with pytest.raises(ConfigError):
         sweep_levels(fig1b_spec_literal, "qubits[2].omega", [0.5, 0.4, 0.6], 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    qubits=st.lists(
+        st.builds(QubitParams, omega=st.floats(0.2, 1.8), lam=st.floats(0.0, 0.3),
+                  theta=st.floats(-3.2, 3.2)),
+        min_size=1, max_size=4,
+    ),
+    omega_c=st.floats(0.5, 2.0),
+    cutoff=st.integers(1, 8),
+    model=st.sampled_from(sorted(MODEL_BUILDERS)),
+    data=st.data(),
+)
+def test_sweep_rows_match_diagonalize(qubits, omega_c, cutoff, model, data):
+    cfg = SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff)
+    level_count = data.draw(st.integers(1, min(cfg.layout.dim - 1, 6)))
+    parameter = data.draw(st.sampled_from(
+        ["omega_c"] + [f"qubits[{k}].{field}" for k in range(len(qubits))
+                       for field in ("omega", "lam", "theta")]))
+    start = data.draw(st.floats(0.3, 1.5))
+    grid = start + np.linspace(0.0, 0.2, data.draw(st.integers(1, 4)))
+    sweep = sweep_levels(cfg, parameter, grid, level_count, model=model)
+    sel = slice(1, level_count + 1)
+    for p, x in enumerate(grid):
+        spec = diagonalize(MODEL_BUILDERS[model](set_parameter(cfg, parameter, x)))
+        assert sweep.energies[p].tobytes() == spec.energies[sel].tobytes()
+        assert sweep.labels[p].tolist() == [b for b, _ in spec.labels[sel]]
+        assert sweep.overlaps[p].tolist() == [w for _, w in spec.labels[sel]]
+
+
+def test_sweep_allocates_no_per_point_arrays():
+    # d = 128.  A point holds the two reused assembly buffers, the eigenvector
+    # matrix that eigh returns and, until eigh has returned, the previous
+    # point's; one more d x d array kept per point, or a grid-sized stack,
+    # breaks one of the two bounds.
+    cfg = build_system(get_preset("fig4"))
+    mat_bytes = cfg.layout.dim ** 2 * 8
+    assert cfg.layout.dim == 128
+
+    def peak(points: int) -> int:
+        grid = np.linspace(1.3, 1.5, points)
+        sweep_levels(cfg, "omega_c", grid[:2], 5)  # layout terms cached first
+        tracemalloc.start()
+        try:
+            sweep_levels(cfg, "omega_c", grid, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(5), peak(40)
+    assert many - few < mat_bytes
+    assert many < 4.5 * mat_bytes
+
+    # A temporary freed within its stage does not raise the sweep's peak, so
+    # each stage is bounded on its own: assembly writes only into the buffers
+    # (numpy's broadcast X * longitudinal takes a 64 KiB ufunc buffer, half a
+    # d x d array), and the checked eigensolve allocates only what eigh returns.
+    mat, scratch = np.empty((128, 128)), np.empty((128, 128))
+    tracemalloc.start()
+    try:
+        _assemble_dicke(cfg, mat, scratch)
+        _assemble_tc(cfg, mat, scratch)
+        assembly = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _eigh(mat, scratch)
+        solve = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert assembly < mat_bytes
+    assert solve < 1.1 * mat_bytes
 
 
 def track_branches(config, parameter, grid, level_count):
@@ -297,6 +384,47 @@ class TestAnticrossing:
         with pytest.raises(BranchTrackingError):
             find_anticrossing(scrambled, "qubits[0].omega", (0.45, 0.55),
                               (("ge", 4), ("eg", 4)))
+
+    def test_untrackable_pair_raises_in_tc_model(self):
+        scrambled = SystemConfig(
+            (QubitParams(0.5, 0.9), QubitParams(0.7, 0.9)), omega_c=1.0, fock_cutoff=6
+        )
+        with pytest.raises(BranchTrackingError, match="cannot isolate two branches"):
+            find_anticrossing(scrambled, "qubits[0].omega", (0.45, 0.55),
+                              (("ge", 4), ("eg", 4)), model="tc")
+
+    @pytest.mark.parametrize("dim, message", [
+        # pair weight 2/3 on each of three eigenvectors: a third branch
+        (3, "top weights 0.667, 0.667, third 0.667"),
+        # pair weight 1/4 on each of eight: no branch holds enough of it
+        (8, "top weights 0.250, 0.250, third 0.250"),
+    ])
+    def test_pair_branches_guard(self, dim, message):
+        spread = np.exp(2j * np.pi * np.outer(np.arange(dim), np.arange(dim)) / dim)
+        with pytest.raises(BranchTrackingError, match=re.escape(message)):
+            _pair_branches(spread / math.sqrt(dim), 0, 1)
+
+    def test_report_matches_diagonalize_at_minimum(self, fig1b_preset):
+        # branch energies and overlaps are read off the raw eigenvectors; the
+        # gauged ones of diagonalize must give the same bits
+        rep = find_anticrossing(
+            fig1b_preset, "qubits[2].omega", (0.90, 1.02), (("gge", 0), ("eeg", 0)),
+        )
+        spec = diagonalize(build_generalized_dicke(
+            set_parameter(fig1b_preset, "qubits[2].omega", rep.location)))
+        u, v = rep.bare_pair
+        ia, ib = rep.branch_indices
+        assert _pair_branches(spec.states, u, v) == (ia, ib)
+        assert rep.branch_energies == (float(spec.energies[ia]), float(spec.energies[ib]))
+        assert rep.splitting == float(spec.energies[ib] - spec.energies[ia])
+        lay = fig1b_preset.layout
+        bare_u = bare_state(lay, *lay.bare_labels(u)).amp
+        bare_v = bare_state(lay, *lay.bare_labels(v)).amp
+        plus, minus = (bare_u + bare_v) / math.sqrt(2.0), (bare_u - bare_v) / math.sqrt(2.0)
+        o_ap, o_am, o_bp, o_bm = (abs(np.vdot(vec, spec.states[:, k])) ** 2
+                                  for k in (ia, ib) for vec in (plus, minus))
+        expected = (o_ap, o_bm) if o_ap + o_bm >= o_am + o_bp else (o_am, o_bp)
+        assert rep.superposition_overlaps == tuple(float(o) for o in expected)
 
     def test_superposition_states_orthonormal(self, fig1b_preset):
         rep = find_anticrossing(
