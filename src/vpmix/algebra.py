@@ -18,8 +18,9 @@ Everything here is dense; the largest space used anywhere in the package is
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,20 +98,33 @@ class HilbertLayout:
             idx = 2 * idx + (1 if lev == "e" else 0)
         return idx * self.fock_cutoff + photons
 
-    def bare_labels(self, index: int) -> tuple[str, int]:
-        """Inverse of :meth:`bare_index`: returns (levels string, photons)."""
+    def resolve(self, spec) -> int:
+        """Basis index of a bare-state spec: an index, which is range-checked, or
+        a ``(levels, photons)`` pair, as :meth:`bare_index` takes it."""
+        if isinstance(spec, (int, np.integer)):
+            return self._checked(spec)
+        levels, photons = spec
+        return self.bare_index(levels, photons)
+
+    def _checked(self, index: int) -> int:
         if not 0 <= index < self.dim:
             raise ConfigError(f"basis index {index} outside 0..{self.dim - 1}")
-        qpart, photons = divmod(index, self.fock_cutoff)
-        levels = []
-        for _ in range(self.qubit_count):
-            qpart, bit = divmod(qpart, 2)
-            levels.append(_LEVELS[bit])
-        return "".join(reversed(levels)), photons
+        return int(index)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """``levels:photons`` name of every basis index, in index order."""
+        return tuple(f"{''.join(levels)}:{photons}"
+                     for levels in itertools.product(_LEVELS, repeat=self.qubit_count)
+                     for photons in range(self.fock_cutoff))
+
+    def bare_labels(self, index: int) -> tuple[str, int]:
+        """Inverse of :meth:`bare_index`: returns (levels string, photons)."""
+        levels, photons = self.label_string(index).split(":")
+        return levels, int(photons)
 
     def label_string(self, index: int) -> str:
-        levels, photons = self.bare_labels(index)
-        return f"{levels}:{photons}"
+        return self.labels[self._checked(index)]
 
 
 @dataclass(frozen=True)
@@ -213,6 +227,25 @@ def identity(layout: HilbertLayout) -> Operator:
     return Operator(np.eye(layout.dim), layout)
 
 
+def _ladder(cutoff: int) -> np.ndarray:
+    """Real truncated annihilation operator a on ``cutoff`` Fock levels."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+
+
+def _lift(layout: HilbertLayout, i: int, local: np.ndarray, mode: np.ndarray) -> np.ndarray:
+    """``local`` on qubit i (1-based) and ``mode`` on the cavity, identity elsewhere.
+
+    The Kronecker product is taken one factor at a time from the left: a
+    complex ``local`` then gets the same signed zeros whatever the layout, as
+    a product of the factors in basis order gives them.  Grouping the factors
+    otherwise moves the sign of some zero entries.
+    """
+    out = np.kron(np.eye(2 ** (i - 1)), local) if i > 1 else local
+    for _ in range(i, layout.qubit_count):
+        out = np.kron(out, np.eye(2))
+    return np.kron(out, mode)
+
+
 def embed_qubit_op(layout: HilbertLayout, qubit_index: int, local: np.ndarray) -> Operator:
     """Lift a 2x2 operator acting on one qubit to the full space.
 
@@ -227,23 +260,12 @@ def embed_qubit_op(layout: HilbertLayout, qubit_index: int, local: np.ndarray) -
     loc = np.asarray(local, dtype=complex)
     if loc.shape != (2, 2):
         raise ConfigError(f"local operator must be 2x2, got shape {loc.shape}")
-    factors = [np.eye(2, dtype=complex)] * layout.qubit_count
-    factors[qubit_index - 1] = loc
-    factors.append(np.eye(layout.fock_cutoff, dtype=complex))
-    return Operator(reduce(np.kron, factors), layout)
-
-
-def _annihilation_matrix(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in range(1, cutoff):
-        a[n - 1, n] = np.sqrt(n)
-    return a
+    return Operator(_lift(layout, qubit_index, loc, np.eye(layout.fock_cutoff)), layout)
 
 
 def cavity_annihilation(layout: HilbertLayout) -> Operator:
     """Truncated annihilation operator a, embedded on the mode factor."""
-    mat = np.kron(np.eye(2**layout.qubit_count, dtype=complex),
-                  _annihilation_matrix(layout.fock_cutoff))
+    mat = _lift(layout, 1, np.eye(2, dtype=complex), _ladder(layout.fock_cutoff))
     return Operator(mat, layout)
 
 

@@ -235,8 +235,9 @@ def measure_qubit(state: RegisterState, wire: int, rng: np.random.Generator | No
     (w,) = _check_wires(state, (wire,))
     n = state.qubit_count
     ones = np.moveaxis(state.amp.reshape((2,) * n), w - 1, 0)[1].reshape(-1)
-    # summed one by one in index order, each |amp| rounded as scalar abs() does
-    p1 = float(np.cumsum(np.hypot(ones.real, ones.imag) ** 2)[-1])
+    # summed one by one in index order, each term squared by scalar ** (libm pow),
+    # which can differ by an ulp from numpy's exact array square
+    p1 = float(sum(abs(a) ** 2 for a in ones.tolist()))
     p1 = min(max(p1, 0.0), 1.0)
     if rng is not None:
         outcome = 1 if rng.random() < p1 else 0

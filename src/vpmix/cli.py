@@ -18,6 +18,8 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +74,13 @@ _SCHEMA = {
                 "pair": "pair"},
     "ecc": {"seed": "natural"},
 }
+# Fields each section must hold; "coupling_sweep" adds to "perturb" in that mode.
 _REQUIRED_KEYS = {
     "sweep": ("parameter", "start", "stop", "points", "levels"),
     "inset": ("start", "stop", "points"),
+    "anticross": ("parameter", "bracket", "pair"),
+    "perturb": ("initial", "final"),
+    "coupling_sweep": ("lambdas", "parameter", "bracket", "pair"),
     "observable": ("name", "kind"),
 }
 _OBSERVABLE_NEEDS = {"excitation": "qubit", "correlation": "qubits"}
@@ -120,6 +126,18 @@ def _fmt(x: float) -> str:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _json(payload) -> bytes:
+    """Bytes of a JSON data file: sorted keys, two-space indent, final newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _csv(header, rows) -> bytes:
+    """Bytes of a CSV data file: strings as given, numbers through :func:`_fmt`."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _deep_merge(base, override):
@@ -176,7 +194,10 @@ def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
             elif kind and not _has_type(kind, value):
                 expected = _KIND_TEXT.get(kind, f"of type {kind}")
                 errors.append(f"field {key!r} in {where} must be {expected}, got {value!r}")
-        for key in _REQUIRED_KEYS.get(schema, ()):
+        required = _REQUIRED_KEYS.get(schema, ())
+        if schema == "perturb" and section.get("mode") == "coupling_sweep":
+            required += _REQUIRED_KEYS["coupling_sweep"]
+        for key in required:
             if key not in section:
                 errors.append(f"{where} needs {key!r}")
 
@@ -273,24 +294,14 @@ def _require(cfg: dict, section: str) -> dict:
     return block
 
 
-def _pair_indices(system: SystemConfig, pair) -> tuple[int, int]:
-    layout = system.layout
-    return (layout.bare_index(pair[0][0], int(pair[0][1])),
-            layout.bare_index(pair[1][0], int(pair[1][1])))
-
-
 def _sweep_csv(result) -> bytes:
     n_levels = result.energies.shape[1]
     header = ([result.parameter]
               + [f"E{m + 1}" for m in range(n_levels)]
               + [f"label{m + 1}" for m in range(n_levels)])
-    lines = [",".join(header)]
-    for p, x in enumerate(result.grid):
-        row = [_fmt(x)]
-        row += [_fmt(e) for e in result.energies[p]]
-        row += [result.label_string(p, m) for m in range(n_levels)]
-        lines.append(",".join(row))
-    return ("\n".join(lines) + "\n").encode()
+    names = result.layout.labels
+    return _csv(header, ([x, *energies, *(names[b] for b in labels)] for x, energies, labels
+                         in zip(result.grid, result.energies, result.labels.tolist())))
 
 
 def cmd_levels(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
@@ -308,12 +319,11 @@ def cmd_levels(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
 
 
 def _anticross_report(system: SystemConfig, block: dict):
-    pair = _pair_indices(system, block["pair"])
     return find_anticrossing(
         system,
         block["parameter"],
         tuple(float(x) for x in block["bracket"]),
-        pair,
+        block["pair"],
         model=block.get("model", "dicke"),
         tol=float(block.get("tol", 1e-6)),
     )
@@ -322,7 +332,6 @@ def _anticross_report(system: SystemConfig, block: dict):
 def cmd_anticross(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     block = _require(cfg, "anticross")
     rep = _anticross_report(system, block)
-    layout = system.layout
     payload = {
         "parameter": rep.parameter,
         "location": rep.location,
@@ -331,20 +340,20 @@ def cmd_anticross(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         "branch_indices": list(rep.branch_indices),
         "branch_energies": list(rep.branch_energies),
         "superposition_overlaps": list(rep.superposition_overlaps),
-        "pair": [layout.label_string(b) for b in rep.bare_pair],
+        "pair": [system.layout.label_string(b) for b in rep.bare_pair],
         "evaluations": rep.evaluations,
     }
-    return {"anticross.json": (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()}
+    return {"anticross.json": _json(payload)}
 
 
-def _observable_ops(obs: dict, lowering: dict, layout, spectrum):
+def _observable_ops(obs: dict, lowering, layout, spectrum):
     kind = obs.get("kind")
     if kind == "excitation":
-        s = lowering[int(obs["qubit"])]
+        s = lowering(int(obs["qubit"]))
         return [s.dag(), s]
     if kind == "correlation":
         qs = [int(q) for q in obs["qubits"]]
-        return [lowering[q].dag() for q in qs] + [lowering[q] for q in reversed(qs)]
+        return [lowering(q).dag() for q in qs] + [lowering(q) for q in reversed(qs)]
     if kind == "photon":
         return [bare_state(layout, "g" * layout.qubit_count, 1).projector()]
     if kind == "cavity_number":
@@ -364,22 +373,14 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     hamiltonian = builder(tuned)
     spectrum = diagonalize(hamiltonian)
     layout = system.layout
-    u_idx, v_idx = _pair_indices(system, anti["pair"])
+    u_idx, v_idx = rep.bare_pair
     u_dressed, v_dressed = superposition_states(spectrum, u_idx, v_idx, rep.branch_indices)
     sign = coupling_sign(spectrum, u_idx, v_idx, rep.branch_indices)
     overrides = {u_idx: u_dressed, v_idx: v_dressed}
 
-    observables = dyn.get("observables", [])
-    needed_qubits = set()
-    for obs in observables:
-        if obs.get("kind") == "excitation":
-            needed_qubits.add(int(obs["qubit"]))
-        elif obs.get("kind") == "correlation":
-            needed_qubits.update(int(q) for q in obs["qubits"])
-    lowering = {
-        q: build_dressed_lowering(spectrum, q, overrides, on_ambiguous="skip")
-        for q in sorted(needed_qubits)
-    }
+    @cache  # each qubit's operator is built once, when an observable first needs it
+    def lowering(q: int):
+        return build_dressed_lowering(spectrum, q, overrides, on_ambiguous="skip")
 
     initial = dyn.get("initial", "pair_symmetric")
     if initial == "pair_symmetric":
@@ -404,15 +405,13 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     bits = 53 - (points - 1).bit_length()
     grid = math.ldexp(round(mantissa * 2**bits), exponent - bits) * np.arange(points)
     rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, tuned)
+    observables = dyn.get("observables", [])
     values = expectation_series(
         rho0, hamiltonian, rates, grid,
         [_observable_ops(obs, lowering, layout, spectrum) for obs in observables],
         spectrum=spectrum,
     )
 
-    lines = [",".join(["t"] + [obs["name"] for obs in observables])]
-    for t, row in zip(grid, values):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
     meta = {
         "parameter": anti["parameter"],
         "location": rep.location,
@@ -424,74 +423,58 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         "time_unit": "1/omega_0",
     }
     return {
-        "dynamics.csv": ("\n".join(lines) + "\n").encode(),
-        "dynamics_meta.json": (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
+        "dynamics.csv": _csv(["t"] + [obs["name"] for obs in observables],
+                             ([t, *row] for t, row in zip(grid, values))),
+        "dynamics_meta.json": _json(meta),
     }
 
 
 def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     block = _require(cfg, "perturb")
     mode = block.get("mode", "paths")
-    layout = system.layout
+    initial, final = block["initial"], block["final"]
+    order = int(block.get("order", 4))
+    epsilon = float(block.get("epsilon", 1e-9))
+    model = block.get("model", "dicke")
     if mode == "paths":
-        initial = (block["initial"][0], int(block["initial"][1]))
-        final = (block["final"][0], int(block["final"][1]))
-        report = effective_coupling(
-            system, initial, final, int(block.get("order", 4)),
-            epsilon=float(block.get("epsilon", 1e-9)),
-            model=block.get("model", "dicke"),
-        )
+        report = effective_coupling(system, initial, final, order, epsilon=epsilon, model=model)
+        names = system.layout.labels
         payload = {
             "order": report.order,
-            "initial": layout.label_string(report.initial),
-            "final": layout.label_string(report.final),
+            "initial": names[report.initial],
+            "final": names[report.final],
             "path_count": report.path_count,
-            "per_diagram": {layout.label_string(k): v for k, v in report.per_diagram.items()},
+            "per_diagram": {names[k]: v for k, v in report.per_diagram.items()},
             "total": report.total,
             "paths": [
                 {
-                    "states": [layout.label_string(s) for s in p.states],
+                    "states": [names[s] for s in p.states],
                     "amplitude": p.amplitude,
-                    "diagram": layout.label_string(p.diagram),
+                    "diagram": names[p.diagram],
                 }
                 for p in report.paths
             ],
         }
-        return {"paths.json": (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()}
+        return {"paths.json": _json(payload)}
     if mode == "coupling_sweep":
         factor = float(block.get("cavity_offset_factor", 2.5))
-        pair = block["pair"]
-        initial = (block["initial"][0], int(block["initial"][1]))
-        final = (block["final"][0], int(block["final"][1]))
+        bracket = tuple(float(x) for x in block["bracket"])
         theta = system.qubits[0].theta
         omega_ref = system.qubits[-1].omega
-        lines = ["lam,omega_c,splitting_numeric,two_j_paths,two_j_closed_form"]
-        for lam in block["lambdas"]:
-            lam = float(lam)
+        rows = []
+        for lam in map(float, block["lambdas"]):
             omega_c = omega_ref + factor * lam
-            cfg_l = SystemConfig(
-                qubits=tuple(
-                    QubitParams(q.omega, lam, q.theta, q.gamma) for q in system.qubits
-                ),
-                omega_c=omega_c,
-                kappa=system.kappa,
-                fock_cutoff=system.fock_cutoff,
-            )
-            rep = find_anticrossing(
-                cfg_l, block["parameter"],
-                tuple(float(x) for x in block["bracket"]),
-                _pair_indices(cfg_l, pair),
-                model=block.get("model", "dicke"),
-            )
-            path_rep = effective_coupling(
-                cfg_l, initial, final, int(block.get("order", 4)),
-                epsilon=float(block.get("epsilon", 1e-9)),
-            )
+            cfg_l = replace(system, omega_c=omega_c,
+                            qubits=tuple(replace(q, lam=lam) for q in system.qubits))
+            rep = find_anticrossing(cfg_l, block["parameter"], bracket, block["pair"],
+                                    model=model)
+            path_rep = effective_coupling(cfg_l, initial, final, order, epsilon=epsilon,
+                                          model=model)
             closed = three_mix_coupling(lam, omega_ref, omega_c, theta)
-            lines.append(",".join(_fmt(x) for x in (
-                lam, omega_c, rep.splitting, 2.0 * abs(path_rep.total), 2.0 * abs(closed),
-            )))
-        return {"coupling_sweep.csv": ("\n".join(lines) + "\n").encode()}
+            rows.append([lam, omega_c, rep.splitting, 2.0 * abs(path_rep.total),
+                         2.0 * abs(closed)])
+        header = ["lam", "omega_c", "splitting_numeric", "two_j_paths", "two_j_closed_form"]
+        return {"coupling_sweep.csv": _csv(header, rows)}
     raise ConfigError(f"unknown perturb mode {mode!r}")
 
 
@@ -523,7 +506,7 @@ def cmd_ecc(cfg: dict, seed_override: int | None) -> dict[str, bytes]:
                 "logical_state": [a.real, a.imag, b.real, b.imag],
             })
     payload = {"seed": seed, "cases": rows}
-    return {"ecc_report.json": (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()}
+    return {"ecc_report.json": _json(payload)}
 
 
 def run_command(command: str, cfg: dict, out_dir: Path, threads: int = 1,
@@ -571,7 +554,7 @@ def run_command(command: str, cfg: dict, out_dir: Path, threads: int = 1,
         "wall_time_s": time.time() - started,
         "outputs": records,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_bytes(_json(manifest))
     return manifest
 
 

@@ -40,8 +40,11 @@ import numpy as np
 from .algebra import (
     SIGMA_MINUS,
     SIGMA_PLUS,
+    SIGMA_X,
     HilbertLayout,
     Operator,
+    _ladder,
+    _lift,
     cavity_number,
     embed_qubit_op,
 )
@@ -133,22 +136,17 @@ def _layout_terms(layout: HilbertLayout) -> _LayoutTerms:
     columns scaled by the ``sigma_z`` row.
     """
     nq, cutoff = layout.qubit_count, layout.fock_cutoff
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+    a = _ladder(cutoff)
     x = a + a.T
-    up = np.array([[0.0, 0.0], [1.0, 0.0]])  # sigma_+ = |e><g|, real
-
-    def lift(i: int, local: np.ndarray, mode: np.ndarray) -> np.ndarray:
-        left, right = np.eye(2 ** (i - 1)), np.eye(2 ** (nq - i))
-        return np.kron(np.kron(left, local), np.kron(right, mode))
-
     qubits = range(1, nq + 1)
     terms = _LayoutTerms(
         sigma_z=np.array([np.kron(np.kron(np.ones(2 ** (i - 1)), [-1.0, 1.0]),
                                   np.ones(2 ** (nq - i) * cutoff)) for i in qubits]),
         number=np.tile(np.arange(cutoff, dtype=float), 2**nq),
-        quadrature=np.kron(np.eye(2**nq), x),
-        x_sigma_x=np.array([lift(i, up + up.T, x) for i in qubits]),
-        exchange=np.array([lift(i, up, a) + lift(i, up.T, a.T) for i in qubits]),
+        quadrature=_lift(layout, 1, np.eye(2), x),
+        x_sigma_x=np.array([_lift(layout, i, SIGMA_X.real, x) for i in qubits]),
+        exchange=np.array([_lift(layout, i, SIGMA_PLUS.real, a)
+                           + _lift(layout, i, SIGMA_MINUS.real, a.T) for i in qubits]),
     )
     for arr in terms:
         arr.setflags(write=False)

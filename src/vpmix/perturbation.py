@@ -189,14 +189,14 @@ def effective_coupling(
     epsilon: float = 1e-9,
     model: str = "dicke",
 ) -> PathSumReport:
-    """Path-sum effective coupling for a config, states given as (levels, photons).
+    """Path-sum effective coupling for a config, states given as (levels, photons)
+    or as basis indices (see :meth:`HilbertLayout.resolve`).
 
     ``model`` selects the interaction: "dicke" (full, with counter-rotating
     and longitudinal terms) or "tc" (excitation-conserving only).
     """
     layout = config.layout
-    idx_i = initial if isinstance(initial, (int, np.integer)) else layout.bare_index(*initial)
-    idx_f = final if isinstance(final, (int, np.integer)) else layout.bare_index(*final)
+    idx_i, idx_f = layout.resolve(initial), layout.resolve(final)
     h0 = np.real(np.diag(bare_hamiltonian(config).mat))
     if model == "dicke":
         v = dicke_interaction(config)
@@ -205,7 +205,7 @@ def effective_coupling(
     else:
         raise ConfigError(f"unknown model {model!r}")
     try:
-        return enumerate_paths(h0, v, int(idx_i), int(idx_f), order, epsilon)
+        return enumerate_paths(h0, v, idx_i, idx_f, order, epsilon)
     except DegenerateIntermediateError as err:
         raise DegenerateIntermediateError(
             err.state_index,

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import HilbertLayout, Ket, Operator, bare_state
+from .algebra import HilbertLayout, Ket, Operator
 from .errors import BranchTrackingError, ConfigError, HermiticityError, NumericalError
 from .model import (
     SystemConfig,
@@ -222,9 +222,6 @@ class SweepResult:
     overlaps: np.ndarray
     layout: HilbertLayout
 
-    def label_string(self, point: int, level: int) -> str:
-        return self.layout.label_string(int(self.labels[point, level]))
-
 
 def sweep_levels(
     config: SystemConfig,
@@ -294,16 +291,6 @@ class AnticrossingReport:
     evaluations: int
 
 
-def _resolve_bare(layout: HilbertLayout, spec) -> int:
-    if isinstance(spec, (int, np.integer)):
-        idx = int(spec)
-        if not 0 <= idx < layout.dim:
-            raise ConfigError(f"bare index {idx} outside 0..{layout.dim - 1}")
-        return idx
-    levels, photons = spec
-    return layout.bare_index(levels, photons)
-
-
 def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
     """Indices of the two eigenvectors (columns of ``states``) carrying the
     weight of bare states u, v."""
@@ -340,8 +327,7 @@ def find_anticrossing(
     """
     assemble = _assembler(model)
     layout = config.layout
-    u = _resolve_bare(layout, bare_pair[0])
-    v = _resolve_bare(layout, bare_pair[1])
+    u, v = layout.resolve(bare_pair[0]), layout.resolve(bare_pair[1])
     if u == v:
         raise ConfigError("bare pair must be two distinct states")
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -395,10 +381,9 @@ def find_anticrossing(
         )
     gap, energies, states, (ia, ib) = gap_at(x_min)
 
-    plus = (bare_state(layout, *layout.bare_labels(u)).amp
-            + bare_state(layout, *layout.bare_labels(v)).amp) / math.sqrt(2.0)
-    minus = (bare_state(layout, *layout.bare_labels(u)).amp
-             - bare_state(layout, *layout.bare_labels(v)).amp) / math.sqrt(2.0)
+    bare_u, bare_v = np.eye(layout.dim, dtype=complex)[[u, v]]
+    plus = (bare_u + bare_v) / math.sqrt(2.0)
+    minus = (bare_u - bare_v) / math.sqrt(2.0)
     psi_a, psi_b = states[:, ia], states[:, ib]
     o_ap = abs(np.vdot(plus, psi_a)) ** 2
     o_am = abs(np.vdot(minus, psi_a)) ** 2

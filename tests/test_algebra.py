@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,3 +196,93 @@ def test_sigma_ladder_conventions():
     assert np.array_equal(SIGMA_MINUS @ e, g)
     assert np.array_equal(SIGMA_Z @ e, e)
     assert np.array_equal(SIGMA_Z @ g, -g)
+
+
+# The builds that algebra._lift and algebra._ladder replaced, kept verbatim as
+# the reference: embed_qubit_op as a reduce over complex factors, and the
+# complex ladder of cavity_annihilation.
+def reduce_embed(layout, qubit_index, local):
+    factors = [np.eye(2, dtype=complex)] * layout.qubit_count
+    factors[qubit_index - 1] = np.asarray(local, dtype=complex)
+    factors.append(np.eye(layout.fock_cutoff, dtype=complex))
+    return reduce(np.kron, factors)
+
+
+def complex_ladder_annihilation(layout):
+    cutoff = layout.fock_cutoff
+    a = np.zeros((cutoff, cutoff), dtype=complex)
+    for n in range(1, cutoff):
+        a[n - 1, n] = np.sqrt(n)
+    return np.kron(np.eye(2**layout.qubit_count, dtype=complex), a)
+
+
+# signed zeros included: the order of the complex products decides their sign
+signed_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5]), finite)
+signed_locals = st.lists(st.tuples(signed_entries, signed_entries), min_size=4, max_size=4).map(
+    lambda parts: np.array([complex(re, im) for re, im in parts]).reshape(2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubits=st.integers(1, 4), cutoff=st.integers(1, 8), data=st.data())
+def test_lifted_operators_match_reduce_kron(qubits, cutoff, data):
+    lay = HilbertLayout(qubits, cutoff)
+    i = data.draw(st.integers(1, qubits))
+    for local in (data.draw(signed_locals), -SIGMA_X, SIGMA_Z, SIGMA_PLUS, np.eye(2)):
+        assert (embed_qubit_op(lay, i, local).mat.tobytes()
+                == reduce_embed(lay, i, local).tobytes())
+    a = complex_ladder_annihilation(lay)
+    assert cavity_annihilation(lay).mat.tobytes() == a.tobytes()
+    assert cavity_quadrature(lay).mat.tobytes() == (a + a.conj().T).tobytes()
+
+
+# The decoders that HilbertLayout.labels and HilbertLayout.resolve replaced,
+# kept verbatim as the reference.
+def divmod_bare_labels(layout, index):
+    if not 0 <= index < layout.dim:
+        raise ConfigError(f"basis index {index} outside 0..{layout.dim - 1}")
+    qpart, photons = divmod(index, layout.fock_cutoff)
+    levels = []
+    for _ in range(layout.qubit_count):
+        qpart, bit = divmod(qpart, 2)
+        levels.append(("g", "e")[bit])
+    return "".join(reversed(levels)), photons
+
+
+def divmod_label_string(layout, index):
+    levels, photons = divmod_bare_labels(layout, index)
+    return f"{levels}:{photons}"
+
+
+def spectrum_resolve_bare(layout, spec):
+    if isinstance(spec, (int, np.integer)):
+        idx = int(spec)
+        if not 0 <= idx < layout.dim:
+            raise ConfigError(f"bare index {idx} outside 0..{layout.dim - 1}")
+        return idx
+    levels, photons = spec
+    return layout.bare_index(levels, photons)
+
+
+def outcome(func, *args):
+    """Return value, or the type of the error raised."""
+    try:
+        return func(*args)
+    except Exception as err:  # noqa: BLE001 - the type is what is compared
+        return type(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qubits=st.integers(1, 4), cutoff=st.integers(1, 8), data=st.data())
+def test_labels_and_resolve_match_old_decoders(qubits, cutoff, data):
+    lay = HilbertLayout(qubits, cutoff)
+    assert lay.labels == tuple(divmod_label_string(lay, k) for k in range(lay.dim))
+    indices = data.draw(st.lists(st.integers(-2, lay.dim + 2), min_size=1, max_size=8))
+    for index in indices + [np.int64(index) for index in indices]:
+        assert outcome(lay.label_string, index) == outcome(divmod_label_string, lay, index)
+        assert outcome(lay.bare_labels, index) == outcome(divmod_bare_labels, lay, index)
+        assert outcome(lay.resolve, index) == outcome(spectrum_resolve_bare, lay, index)
+    spec = data.draw(st.tuples(st.text("geu", max_size=5), st.integers(-1, cutoff)))
+    assert outcome(lay.resolve, spec) == outcome(spectrum_resolve_bare, lay, spec)
+    assert outcome(lay.resolve, list(spec)) == outcome(spectrum_resolve_bare, lay, list(spec))
+    with pytest.raises(ConfigError, match=f"basis index {lay.dim} outside"):
+        lay.label_string(lay.dim)

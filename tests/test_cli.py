@@ -163,9 +163,29 @@ def fig3_observable(**fields):
     ("dynamics", fig3_dynamics(points=-5), "points"),
     ("dynamics", fig3_dynamics(half_periods=0), "half_periods"),
     ("dynamics", fig3_dynamics(half_periods=-1.5), "half_periods"),
+    # custom sections need the fields their command reads
+    ("anticross", {"system": TINY_SYSTEM, "anticross": {"parameter": "qubits[2].omega",
+                                                        "bracket": [0.9, 1.1]}}, "pair"),
+    ("perturb", {"system": TINY_SYSTEM, "perturb": {"final": ["eeg", 0]}}, "initial"),
+    ("perturb", {"system": TINY_SYSTEM, "perturb": {
+        "mode": "coupling_sweep", "lambdas": [0.05], "parameter": "qubits[2].omega",
+        "bracket": [0.9, 1.1], "initial": ["gge", 0], "final": ["eeg", 0]}}, "pair"),
 ])
 def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, field):
     assert_config_error(tmp_path, capsys, command, payload, field)
+
+
+def test_coupling_sweep_path_sum_uses_the_model(tmp_path):
+    # Tavis-Cummings conserves excitations, so no path joins |gge,0> to |eeg,0>
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"scenario": "fig2", "perturb": {"model": "tc", "lambdas": [0.1]}})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    header, row = (out / "coupling_sweep.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["lam"] == 0.1
+    assert values["two_j_paths"] == 0.0
+    assert values["two_j_closed_form"] > 0.0
 
 
 def test_dynamics_without_observables_writes_time_column(tmp_path):

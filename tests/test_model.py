@@ -32,6 +32,7 @@ from vpmix.algebra import (
     cavity_annihilation,
     cavity_number,
     cavity_quadrature,
+    HilbertLayout,
     embed_qubit_op,
 )
 from vpmix.model import _assemble_dicke, _assemble_tc, _layout_terms, bare_hamiltonian
@@ -243,6 +244,33 @@ def test_in_place_assembly_matches_summed_terms(qubits, omega_c, cutoff):
         assert public.mat.tobytes() == reference.tobytes()
     assert build_generalized_dicke(cfg).mat.tobytes() == summed_dicke(cfg).tobytes()
     assert build_tavis_cummings(cfg).mat.tobytes() == summed_tc(cfg).tobytes()
+
+
+# The model's own lift and ladder that algebra._lift and algebra._ladder
+# replaced, kept verbatim as the reference for the cached terms.
+def local_lift_terms(layout):
+    nq, cutoff = layout.qubit_count, layout.fock_cutoff
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+    x = a + a.T
+    up = np.array([[0.0, 0.0], [1.0, 0.0]])  # sigma_+ = |e><g|, real
+
+    def lift(i, local, mode):
+        left, right = np.eye(2 ** (i - 1)), np.eye(2 ** (nq - i))
+        return np.kron(np.kron(left, local), np.kron(right, mode))
+
+    qubits = range(1, nq + 1)
+    return {
+        "quadrature": np.kron(np.eye(2**nq), x),
+        "x_sigma_x": np.array([lift(i, up + up.T, x) for i in qubits]),
+        "exchange": np.array([lift(i, up, a) + lift(i, up.T, a.T) for i in qubits]),
+    }
+
+
+@pytest.mark.parametrize("qubits, cutoff", itertools.product(range(1, 5), range(1, 9)))
+def test_layout_terms_match_local_lift(qubits, cutoff):
+    terms = _layout_terms(HilbertLayout(qubits, cutoff))
+    for name, reference in local_lift_terms(HilbertLayout(qubits, cutoff)).items():
+        assert getattr(terms, name).tobytes() == reference.tobytes(), name
 
 
 def test_spectrum_invariant_under_qubit_relabeling():

@@ -1,12 +1,17 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vpmix
 from vpmix import (
     BranchTrackingError,
     ConfigError,
@@ -288,6 +293,50 @@ def test_sweep_allocates_no_per_point_arrays():
         tracemalloc.stop()
     assert assembly < mat_bytes
     assert solve < 1.1 * mat_bytes
+
+
+# Minor faults of one warm fig4 sweep (200 points, d = 128) and one warm fig4
+# search, counted in a fresh interpreter: a heap grown by earlier tests hides
+# the trim this guards against.
+_HEAP_PROBE = """
+import resource
+import numpy as np
+from vpmix.cli import build_system
+from vpmix.presets import get_preset
+from vpmix.spectrum import find_anticrossing, sweep_levels
+
+preset = get_preset("fig4")
+cfg, sweep, anti = build_system(preset), preset["sweep"], preset["anticross"]
+grid = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
+
+def faults(run):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+def levels():
+    sweep_levels(cfg, sweep["parameter"], grid, sweep["levels"])
+
+def search():
+    find_anticrossing(cfg, anti["parameter"], tuple(anti["bracket"]), anti["pair"])
+
+print(faults(levels), faults(levels), faults(search))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux minor-fault counts")
+def test_warm_sweep_and_search_reuse_their_heap():
+    # sweep_levels and find_anticrossing keep the previous point's eigenvectors
+    # alive until the next eigh has returned.  Freed earlier, they leave more
+    # than glibc's trim threshold free at the heap top, which is returned to the
+    # OS and faulted back in at every point: 19,800 minor faults on the sweep
+    # and 2,700 on the search, instead of about 130 each.
+    env = dict(os.environ, PYTHONPATH=str(Path(vpmix.__file__).resolve().parents[1]))
+    probe = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True,
+                           text=True, timeout=300, check=True)
+    _, levels, search = map(int, probe.stdout.split())
+    assert levels < 2000
+    assert search < 1000
 
 
 def track_branches(config, parameter, grid, level_count):
