@@ -87,6 +87,8 @@ class HilbertLayout:
             raise ConfigError(
                 f"expected {self.qubit_count} qubit levels, got {len(levels)}"
             )
+        if isinstance(photons, bool) or not isinstance(photons, (int, np.integer)):
+            raise ConfigError(f"photon number must be an integer, got {photons!r}")
         if not 0 <= photons < self.fock_cutoff:
             raise ConfigError(
                 f"photon number {photons} outside 0..{self.fock_cutoff - 1}"
@@ -101,9 +103,14 @@ class HilbertLayout:
     def resolve(self, spec) -> int:
         """Basis index of a bare-state spec: an index, which is range-checked, or
         a ``(levels, photons)`` pair, as :meth:`bare_index` takes it."""
-        if isinstance(spec, (int, np.integer)):
+        if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
             return self._checked(spec)
-        levels, photons = spec
+        try:
+            levels, photons = spec
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"bare state must be a basis index or (levels, photons), got {spec!r}"
+            ) from None
         return self.bare_index(levels, photons)
 
     def _checked(self, index: int) -> int:

@@ -7,6 +7,12 @@ field overridable) or supplies everything explicitly (``"scenario":
 "custom"``).  Outputs (CSV/JSON plus a manifest with checksums) are written
 to ``--out``; identical configurations produce byte-identical data files.
 
+One table, ``_SCHEMA``, is the source of every field's kind and required
+flag.  Each command and ``validate`` check the resolved configuration against
+it first, so ``validate`` reports every schema error a command would raise;
+the commands then pass on only the fields a configuration sets and leave the
+rest to the library defaults.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -49,75 +55,118 @@ from .spectrum import (
 
 _COMMANDS = ("levels", "anticross", "perturb", "dynamics", "ecc", "validate")
 
-_TOP_KEYS = {"scenario", "description", "out", "system", "sweep", "anticross",
-             "dynamics", "perturb", "ecc"}
-# Allowed fields of each section and the JSON type each must hold (None: any).
-# "number" and "integer" exclude bools, "integer" also 2.5; "numbers" and
-# "integers" are lists of them; a "bracket" is a list of exactly two numbers;
-# a "state" is [levels, photons], a "pair" two states; a "model" names one of
-# MODEL_BUILDERS; "positive" is a number above 0, "natural" an integer >= 0
-# and "count" an integer >= 1.
+# The one schema of a run configuration.  Each section maps a field to
+# (kind, required), where required is True, False, or the (field, value) that
+# makes it required, as an observable's kind does.  A required list must not
+# be empty.  A kind is a section (dict), a list of one section ([section]), a
+# tuple of the allowed values, or a name: "number" and "integer" exclude bools,
+# "integer" also 2.5; "numbers" and "integers" are lists of them; a "bracket"
+# is a list of exactly two numbers; a "state" is [levels, photons], a "pair"
+# two states; "positive" is a number above 0, "non_negative" a number >= 0,
+# "natural" an integer >= 0 and "count" an integer >= 1.
+_MODELS = tuple(MODEL_BUILDERS)
+_SPAN = {"start": ("number", True), "stop": ("number", True), "points": ("count", True)}
 _SCHEMA = {
-    "system": {"qubits": None, "omega_c": "number", "kappa": "number", "fock_cutoff": "integer"},
-    "qubit": dict.fromkeys(("omega", "lam", "theta", "gamma"), "number"),
-    "sweep": {"parameter": "string", "start": "number", "stop": "number", "points": "count",
-              "levels": "integer", "model": "model", "inset": None},
-    "inset": {"start": "number", "stop": "number", "points": "count"},
-    "anticross": {"parameter": "string", "bracket": "bracket", "pair": "pair", "model": "model",
-                  "tol": "positive"},
-    "dynamics": {"initial": None, "half_periods": "positive", "points": "count",
-                 "lossless": "boolean", "observables": None},
-    "observable": {"name": "string", "kind": "string", "qubit": "integer", "qubits": "integers"},
-    "perturb": {"mode": None, "order": "integer", "initial": "state", "final": "state",
-                "model": "model", "epsilon": "number", "lambdas": "numbers",
-                "cavity_offset_factor": "number", "parameter": "string", "bracket": "bracket",
-                "pair": "pair"},
-    "ecc": {"seed": "natural"},
+    "scenario": ("string", False),
+    "description": ("string", False),
+    "out": ("string", False),
+    "system": ({
+        "qubits": ([{"omega": ("positive", True), "lam": ("non_negative", True),
+                     "theta": ("number", False), "gamma": ("non_negative", False)}], True),
+        "omega_c": ("positive", True), "kappa": ("non_negative", False),
+        "fock_cutoff": ("count", False)}, False),
+    "sweep": ({"parameter": ("string", True), **_SPAN, "levels": ("integer", True),
+               "model": (_MODELS, False), "inset": (_SPAN, False)}, False),
+    "anticross": ({"parameter": ("string", True), "bracket": ("bracket", True),
+                   "pair": ("pair", True), "model": (_MODELS, False),
+                   "tol": ("positive", False)}, False),
+    "dynamics": ({
+        "initial": ("initial", False), "half_periods": ("positive", False),
+        "points": ("count", False), "lossless": ("boolean", False),
+        "observables": ([{
+            "name": ("string", True),
+            "kind": (("excitation", "correlation", "photon", "cavity_number",
+                      "cavity_emission"), True),
+            "qubit": ("integer", ("kind", "excitation")),
+            "qubits": ("integers", ("kind", "correlation"))}], False)}, False),
+    "perturb": ({
+        "mode": (("paths", "coupling_sweep"), False), "order": ((2, 3, 4), False),
+        "initial": ("state", True), "final": ("state", True), "model": (_MODELS, False),
+        "epsilon": ("non_negative", False),
+        "lambdas": ("numbers", ("mode", "coupling_sweep")),
+        "cavity_offset_factor": ("number", False),
+        "parameter": ("string", ("mode", "coupling_sweep")),
+        "bracket": ("bracket", ("mode", "coupling_sweep")),
+        "pair": ("pair", ("mode", "coupling_sweep"))}, False),
+    "ecc": ({"seed": ("natural", False)}, False),
 }
-# Fields each section must hold; "coupling_sweep" adds to "perturb" in that mode.
-_REQUIRED_KEYS = {
-    "sweep": ("parameter", "start", "stop", "points", "levels"),
-    "inset": ("start", "stop", "points"),
-    "anticross": ("parameter", "bracket", "pair"),
-    "perturb": ("initial", "final"),
-    "coupling_sweep": ("lambdas", "parameter", "bracket", "pair"),
-    "observable": ("name", "kind"),
-}
-_OBSERVABLE_NEEDS = {"excitation": "qubit", "correlation": "qubits"}
-
 
 _SCALAR_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str}
 _KIND_TEXT = {
-    "model": "one of " + ", ".join(map(repr, MODEL_BUILDERS)),
     "state": "a [levels, photons] state",
     "pair": "two [levels, photons] states",
+    "initial": "'pair_symmetric', 'pair_antisymmetric' or ['bare', levels, photons]",
     "positive": "a positive number",
+    "non_negative": "a non-negative number",
     "natural": "a non-negative integer",
     "count": "a positive integer",
 }
 
 
-def _has_type(kind: str, value) -> bool:
-    if kind == "positive":
-        return _has_type("number", value) and value > 0
+def _has_type(kind, value) -> bool:
+    if isinstance(kind, tuple):  # the JSON type counts too: order 4.0 is not 4
+        return any(type(value) is type(v) and value == v for v in kind)
+    if kind in ("positive", "non_negative"):
+        return _has_type("number", value) and (value > 0 if kind == "positive" else value >= 0)
     if kind == "natural":
         return _has_type("integer", value) and value >= 0
     if kind == "count":
         return _has_type("integer", value) and value >= 1
-    if kind == "model":
-        return isinstance(value, str) and value in MODEL_BUILDERS
     if kind == "state":
         return (isinstance(value, list) and len(value) == 2
                 and _has_type("string", value[0]) and _has_type("integer", value[1]))
     if kind == "pair":
         return (isinstance(value, list) and len(value) == 2
                 and all(_has_type("state", v) for v in value))
+    if kind == "initial":
+        return value in ("pair_symmetric", "pair_antisymmetric") or (
+            isinstance(value, list) and value[:1] == ["bare"] and _has_type("state", value[1:]))
     if kind in ("numbers", "integers", "bracket"):
         item = "integer" if kind == "integers" else "number"
         return (isinstance(value, list) and all(_has_type(item, v) for v in value)
                 and (kind != "bracket" or len(value) == 2))
     return isinstance(value, _SCALAR_TYPES[kind]) and (
         kind == "boolean" or not isinstance(value, bool))
+
+
+def _check(kind, value, where: str, errors: list[str]) -> None:
+    """Append to ``errors`` every way ``value`` at ``where`` breaks ``kind``."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            errors.append(f"{where} must be a list, got {value!r}")
+            return
+        for j, item in enumerate(value):
+            _check(kind[0], item, f"{where}[{j}]", errors)
+    elif isinstance(kind, dict):
+        if not isinstance(value, dict):
+            errors.append(f"{where} must be an object, got {value!r}")
+            return
+        for key, item in value.items():
+            if key in kind:
+                _check(kind[key][0], item, f"{where}.{key}" if where else key, errors)
+            else:
+                errors.append(f"unknown field {key!r} in {where or 'the config'}")
+        for key, (_, required) in kind.items():
+            if not required or value.get(key, []) != []:
+                continue
+            if required is True:
+                errors.append(f"{where} needs {key!r}")
+            elif value.get(required[0]) == required[1]:
+                errors.append(f"{where} needs {key!r} for {required[0]} {required[1]!r}")
+    elif not _has_type(kind, value):
+        text = ("one of " + ", ".join(map(repr, kind)) if isinstance(kind, tuple)
+                else _KIND_TEXT.get(kind, f"of type {kind}"))
+        errors.append(f"{where} must be {text}, got {value!r}")
 
 
 def _fmt(x: float) -> str:
@@ -165,7 +214,7 @@ def load_config(path: str) -> dict:
 
 def resolve_config(user_cfg: dict) -> dict:
     scenario = user_cfg.get("scenario", "custom")
-    if scenario == "custom":
+    if scenario == "custom" or not isinstance(scenario, str):  # validate rejects the latter
         return dict(user_cfg)
     if scenario not in SCENARIOS:
         raise ConfigError(
@@ -179,109 +228,33 @@ def resolve_config(user_cfg: dict) -> dict:
 
 
 def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
-    """Schema and physics checks; returns (errors, warnings)."""
+    """Check ``cfg`` against :data:`_SCHEMA`, then the dispersive regime of a
+    valid system; returns (errors, warnings)."""
     errors: list[str] = []
-    warnings: list[str] = []
-    for key in cfg:
-        if key not in _TOP_KEYS:
-            errors.append(f"unknown top-level field {key!r}")
-
-    def check_keys(section: dict, schema: str, where: str):
-        for key, value in section.items():
-            kind = _SCHEMA[schema].get(key)
-            if key not in _SCHEMA[schema]:
-                errors.append(f"unknown field {key!r} in {where}")
-            elif kind and not _has_type(kind, value):
-                expected = _KIND_TEXT.get(kind, f"of type {kind}")
-                errors.append(f"field {key!r} in {where} must be {expected}, got {value!r}")
-        required = _REQUIRED_KEYS.get(schema, ())
-        if schema == "perturb" and section.get("mode") == "coupling_sweep":
-            required += _REQUIRED_KEYS["coupling_sweep"]
-        for key in required:
-            if key not in section:
-                errors.append(f"{where} needs {key!r}")
-
-    system = cfg.get("system")
-    if system is not None:
-        if not isinstance(system, dict):
-            errors.append("'system' must be an object")
-        else:
-            check_keys(system, "system", "system")
-            qubits = system.get("qubits", [])
-            if not isinstance(qubits, list) or not qubits:
-                errors.append("system.qubits must be a non-empty list")
-            else:
-                for i, q in enumerate(qubits):
-                    if not isinstance(q, dict):
-                        errors.append(f"system.qubits[{i}] must be an object")
-                        continue
-                    check_keys(q, "qubit", f"system.qubits[{i}]")
-                    if "omega" not in q or "lam" not in q:
-                        errors.append(f"system.qubits[{i}] needs 'omega' and 'lam'")
-            if "omega_c" not in system:
-                errors.append("system needs 'omega_c'")
-            if not errors and all(isinstance(q, dict) for q in qubits):
-                omega_c = float(system["omega_c"])
-                for i, q in enumerate(qubits, start=1):
-                    omega, lam = float(q.get("omega", 0)), float(q.get("lam", 0))
-                    if lam > 0 and abs(omega - omega_c) < 3.0 * lam:
-                        warnings.append(
-                            f"qubit {i}: |omega - omega_c| = {abs(omega - omega_c):.4g} "
-                            f"< 3 lam = {3 * lam:.4g}; dispersive regime is marginal"
-                        )
-    for name in ("sweep", "anticross", "dynamics", "perturb", "ecc"):
-        section = cfg.get(name)
-        if section is None:
-            continue
-        if not isinstance(section, dict):
-            errors.append(f"'{name}' must be an object")
-            continue
-        check_keys(section, name, name)
-        if name == "sweep" and isinstance(section.get("inset"), dict):
-            check_keys(section["inset"], "inset", "sweep.inset")
-        if name == "dynamics":
-            initial = section.get("initial")
-            if isinstance(initial, list) and not (
-                    len(initial) == 3 and initial[0] == "bare"
-                    and isinstance(initial[1], str) and _has_type("integer", initial[2])):
-                errors.append(
-                    f"dynamics.initial must be ['bare', levels, photons], got {initial!r}")
-            observables = section.get("observables", [])
-            if not isinstance(observables, list):
-                errors.append("dynamics.observables must be a list")
-                continue
-            for j, obs in enumerate(observables):
-                where = f"dynamics.observables[{j}]"
-                if not isinstance(obs, dict):
-                    errors.append(f"{where} must be an object")
-                    continue
-                check_keys(obs, "observable", where)
-                needed = _OBSERVABLE_NEEDS.get(str(obs.get("kind")))
-                if needed and needed not in obs:
-                    errors.append(f"{where} of kind {obs['kind']!r} needs {needed!r}")
+    _check(_SCHEMA, cfg, "", errors)
+    warnings = []
+    if not errors and "system" in cfg:
+        omega_c = cfg["system"]["omega_c"]
+        for i, q in enumerate(cfg["system"]["qubits"], start=1):
+            detuning, lam = abs(q["omega"] - omega_c), q["lam"]
+            if lam > 0 and detuning < 3.0 * lam:
+                warnings.append(f"qubit {i}: |omega - omega_c| = {detuning:.4g} "
+                                f"< 3 lam = {3 * lam:.4g}; dispersive regime is marginal")
     return errors, warnings
 
 
 def build_system(cfg: dict, cutoff_override: int | None = None) -> SystemConfig:
-    system = cfg.get("system")
-    if system is None:
-        raise ConfigError("this command needs a 'system' section")
-    qubits = tuple(
-        QubitParams(
-            omega=float(q["omega"]),
-            lam=float(q["lam"]),
-            theta=float(q.get("theta", 0.0)),
-            gamma=float(q.get("gamma", 0.0)),
-        )
-        for q in system["qubits"]
-    )
-    return SystemConfig(
-        qubits=qubits,
-        omega_c=float(system["omega_c"]),
-        kappa=float(system.get("kappa", 0.0)),
-        fock_cutoff=int(cutoff_override if cutoff_override is not None
-                        else system.get("fock_cutoff", 8)),
-    )
+    system = dict(_require(cfg, "system"))
+    qubits = tuple(QubitParams(**q) for q in system.pop("qubits"))
+    if cutoff_override is not None:
+        system["fock_cutoff"] = cutoff_override
+    return SystemConfig(qubits, **system)
+
+
+def _given(block: dict, *keys: str) -> dict:
+    """The fields among ``keys`` that ``block`` sets, so a library default
+    fills in the others."""
+    return {key: block[key] for key in keys if key in block}
 
 
 def _require(cfg: dict, section: str) -> dict:
@@ -309,24 +282,16 @@ def cmd_levels(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     outputs = {}
     for name, span in (("levels.csv", sweep), ("levels_inset.csv", sweep.get("inset"))):
         if span:
-            grid = np.linspace(float(span["start"]), float(span["stop"]), int(span["points"]))
-            result = sweep_levels(
-                system, sweep["parameter"], grid, int(sweep["levels"]),
-                model=sweep.get("model", "dicke"),
-            )
+            grid = np.linspace(span["start"], span["stop"], span["points"])
+            result = sweep_levels(system, sweep["parameter"], grid, sweep["levels"],
+                                  **_given(sweep, "model"))
             outputs[name] = _sweep_csv(result)
     return outputs
 
 
 def _anticross_report(system: SystemConfig, block: dict):
-    return find_anticrossing(
-        system,
-        block["parameter"],
-        tuple(float(x) for x in block["bracket"]),
-        block["pair"],
-        model=block.get("model", "dicke"),
-        tol=float(block.get("tol", 1e-6)),
-    )
+    return find_anticrossing(system, block["parameter"], tuple(block["bracket"]),
+                             block["pair"], **_given(block, "model", "tol"))
 
 
 def cmd_anticross(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
@@ -347,21 +312,19 @@ def cmd_anticross(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
 
 
 def _observable_ops(obs: dict, lowering, layout, spectrum):
-    kind = obs.get("kind")
+    kind = obs["kind"]
     if kind == "excitation":
-        s = lowering(int(obs["qubit"]))
+        s = lowering(obs["qubit"])
         return [s.dag(), s]
     if kind == "correlation":
-        qs = [int(q) for q in obs["qubits"]]
+        qs = obs["qubits"]
         return [lowering(q).dag() for q in qs] + [lowering(q) for q in reversed(qs)]
     if kind == "photon":
         return [bare_state(layout, "g" * layout.qubit_count, 1).projector()]
     if kind == "cavity_number":
         return [cavity_number(layout)]
-    if kind == "cavity_emission":
-        a = build_cavity_lowering(spectrum)
-        return [a.dag(), a]
-    raise ConfigError(f"unknown observable kind {kind!r}")
+    a = build_cavity_lowering(spectrum)  # cavity_emission
+    return [a.dag(), a]
 
 
 def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
@@ -383,14 +346,10 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         return build_dressed_lowering(spectrum, q, overrides, on_ambiguous="skip")
 
     initial = dyn.get("initial", "pair_symmetric")
-    if initial == "pair_symmetric":
-        rho0 = u_dressed
-    elif initial == "pair_antisymmetric":
-        rho0 = v_dressed
-    elif isinstance(initial, (list, tuple)) and initial and initial[0] == "bare":
-        rho0 = bare_state(layout, initial[1], int(initial[2]))
+    if isinstance(initial, list):  # ["bare", levels, photons]
+        rho0 = bare_state(layout, initial[1], initial[2])
     else:
-        raise ConfigError(f"unknown initial state spec {initial!r}")
+        rho0 = u_dressed if initial == "pair_symmetric" else v_dressed
 
     half_j = rep.splitting / 2.0
     if half_j <= 0:
@@ -419,7 +378,7 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         "effective_coupling": half_j,
         "coupling_sign": sign,
         "dissipator_count": sum(int(np.count_nonzero(r)) for r in rates.values()),
-        "initial": initial if isinstance(initial, str) else list(initial),
+        "initial": initial,
         "time_unit": "1/omega_0",
     }
     return {
@@ -431,13 +390,11 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
 
 def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     block = _require(cfg, "perturb")
-    mode = block.get("mode", "paths")
     initial, final = block["initial"], block["final"]
-    order = int(block.get("order", 4))
-    epsilon = float(block.get("epsilon", 1e-9))
-    model = block.get("model", "dicke")
-    if mode == "paths":
-        report = effective_coupling(system, initial, final, order, epsilon=epsilon, model=model)
+    order = block.get("order", 4)
+    options = _given(block, "epsilon", "model")
+    if block.get("mode", "paths") == "paths":
+        report = effective_coupling(system, initial, final, order, **options)
         names = system.layout.labels
         payload = {
             "order": report.order,
@@ -456,31 +413,28 @@ def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
             ],
         }
         return {"paths.json": _json(payload)}
-    if mode == "coupling_sweep":
-        factor = float(block.get("cavity_offset_factor", 2.5))
-        bracket = tuple(float(x) for x in block["bracket"])
-        theta = system.qubits[0].theta
-        omega_ref = system.qubits[-1].omega
-        rows = []
-        for lam in map(float, block["lambdas"]):
-            omega_c = omega_ref + factor * lam
-            cfg_l = replace(system, omega_c=omega_c,
-                            qubits=tuple(replace(q, lam=lam) for q in system.qubits))
-            rep = find_anticrossing(cfg_l, block["parameter"], bracket, block["pair"],
-                                    model=model)
-            path_rep = effective_coupling(cfg_l, initial, final, order, epsilon=epsilon,
-                                          model=model)
-            closed = three_mix_coupling(lam, omega_ref, omega_c, theta)
-            rows.append([lam, omega_c, rep.splitting, 2.0 * abs(path_rep.total),
-                         2.0 * abs(closed)])
-        header = ["lam", "omega_c", "splitting_numeric", "two_j_paths", "two_j_closed_form"]
-        return {"coupling_sweep.csv": _csv(header, rows)}
-    raise ConfigError(f"unknown perturb mode {mode!r}")
+    factor = block.get("cavity_offset_factor", 2.5)
+    bracket = tuple(block["bracket"])
+    theta = system.qubits[0].theta
+    omega_ref = system.qubits[-1].omega
+    rows = []
+    for lam in map(float, block["lambdas"]):
+        omega_c = omega_ref + factor * lam
+        cfg_l = replace(system, omega_c=omega_c,
+                        qubits=tuple(replace(q, lam=lam) for q in system.qubits))
+        rep = find_anticrossing(cfg_l, block["parameter"], bracket, block["pair"],
+                                **_given(block, "model"))
+        path_rep = effective_coupling(cfg_l, initial, final, order, **options)
+        closed = three_mix_coupling(lam, omega_ref, omega_c, theta)
+        rows.append([lam, omega_c, rep.splitting, 2.0 * abs(path_rep.total),
+                     2.0 * abs(closed)])
+    header = ["lam", "omega_c", "splitting_numeric", "two_j_paths", "two_j_closed_form"]
+    return {"coupling_sweep.csv": _csv(header, rows)}
 
 
 def cmd_ecc(cfg: dict, seed_override: int | None) -> dict[str, bytes]:
     block = _require(cfg, "ecc")
-    seed = int(seed_override if seed_override is not None else block.get("seed", 0))
+    seed = seed_override if seed_override is not None else block.get("seed", 0)
     if seed < 0:
         raise ConfigError(f"ecc seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
@@ -509,7 +463,7 @@ def cmd_ecc(cfg: dict, seed_override: int | None) -> dict[str, bytes]:
     return {"ecc_report.json": _json(payload)}
 
 
-def run_command(command: str, cfg: dict, out_dir: Path, threads: int = 1,
+def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
                 cutoff: int | None = None, seed: int | None = None) -> dict:
     """Validate, execute one subcommand, write outputs and a manifest.
 
@@ -542,6 +496,7 @@ def run_command(command: str, cfg: dict, out_dir: Path, threads: int = 1,
         else:
             raise ConfigError(f"unknown command {command!r}")
 
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for name, data in outputs.items():
@@ -588,8 +543,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(load_config(args.config))
         if args.command == "validate":
             return cmd_validate(cfg)
-        out_dir = Path(args.out or cfg.get("out")
-                       or f"out/{cfg.get('scenario', 'custom')}-{args.command}")
+        out_dir = (args.out or cfg.get("out")
+                   or f"out/{cfg.get('scenario', 'custom')}-{args.command}")
         run_command(args.command, cfg, out_dir, cutoff=args.cutoff, seed=args.seed)
         return 0
     except ConfigError as err:

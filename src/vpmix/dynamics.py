@@ -43,7 +43,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import SIGMA_X, Ket, Operator, cavity_quadrature, embed_qubit_op
+from .algebra import (
+    SIGMA_MINUS,
+    SIGMA_X,
+    Ket,
+    Operator,
+    _lift,
+    cavity_quadrature,
+    embed_qubit_op,
+)
 from .errors import ConfigError, LabelAmbiguityError, NumericalError, StepSizeError
 from .model import SystemConfig
 from .spectrum import SpectrumResult, diagonalize
@@ -98,12 +106,13 @@ class TimeSeries:
 
 
 def _qubit_context_pairs(spectrum: SpectrumResult, qubit_index: int):
-    """(bare_g, bare_e) index pairs differing only in the level of one qubit."""
+    """(bare_g, bare_e) index pairs differing only in the level of one qubit,
+    in ascending order: the nonzeros of sigma_- lifted onto that qubit."""
     layout = spectrum.layout
     if not 1 <= qubit_index <= layout.qubit_count:
         raise ConfigError(f"qubit index {qubit_index} outside 1..{layout.qubit_count}")
-    stride = 2 ** (layout.qubit_count - qubit_index) * layout.fock_cutoff
-    return [(idx, idx + stride) for idx in range(layout.dim) if (idx // stride) % 2 == 0]
+    lowering = _lift(layout, qubit_index, SIGMA_MINUS.real, np.eye(layout.fock_cutoff))
+    return list(zip(*(idx.tolist() for idx in np.nonzero(lowering))))
 
 
 def build_dressed_lowering(

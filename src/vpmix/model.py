@@ -41,6 +41,7 @@ from .algebra import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
+    SIGMA_Z,
     HilbertLayout,
     Operator,
     _ladder,
@@ -135,14 +136,14 @@ def _layout_terms(layout: HilbertLayout) -> _LayoutTerms:
     X sigma_z^(i) is not stored: sigma_z^(i) is diagonal, so it is X with its
     columns scaled by the ``sigma_z`` row.
     """
-    nq, cutoff = layout.qubit_count, layout.fock_cutoff
+    cutoff = layout.fock_cutoff
     a = _ladder(cutoff)
     x = a + a.T
-    qubits = range(1, nq + 1)
+    eye = np.eye(cutoff)
+    qubits = range(1, layout.qubit_count + 1)
     terms = _LayoutTerms(
-        sigma_z=np.array([np.kron(np.kron(np.ones(2 ** (i - 1)), [-1.0, 1.0]),
-                                  np.ones(2 ** (nq - i) * cutoff)) for i in qubits]),
-        number=np.tile(np.arange(cutoff, dtype=float), 2**nq),
+        sigma_z=np.array([_lift(layout, i, SIGMA_Z.real, eye).diagonal() for i in qubits]),
+        number=np.array(_lift(layout, 1, np.eye(2), np.diag(np.arange(float(cutoff)))).diagonal()),
         quadrature=_lift(layout, 1, np.eye(2), x),
         x_sigma_x=np.array([_lift(layout, i, SIGMA_X.real, x) for i in qubits]),
         exchange=np.array([_lift(layout, i, SIGMA_PLUS.real, a)

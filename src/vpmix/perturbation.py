@@ -40,6 +40,7 @@ from .model import (
     dicke_interaction,
     tavis_cummings_interaction,
 )
+from .spectrum import _check_model
 
 __all__ = [
     "TransitionPath",
@@ -105,6 +106,8 @@ def enumerate_paths(
     """
     if order not in (2, 3, 4):
         raise ConfigError(f"order must be 2, 3 or 4, got {order}")
+    if not epsilon >= 0:  # also NaN
+        raise ConfigError(f"epsilon must be non-negative, got {epsilon!r}")
     e = np.asarray(energies, dtype=float)
     v = interaction.mat if isinstance(interaction, Operator) else np.asarray(interaction)
     dim = e.shape[0]
@@ -195,15 +198,11 @@ def effective_coupling(
     ``model`` selects the interaction: "dicke" (full, with counter-rotating
     and longitudinal terms) or "tc" (excitation-conserving only).
     """
+    _check_model(model)
     layout = config.layout
     idx_i, idx_f = layout.resolve(initial), layout.resolve(final)
     h0 = np.real(np.diag(bare_hamiltonian(config).mat))
-    if model == "dicke":
-        v = dicke_interaction(config)
-    elif model == "tc":
-        v = tavis_cummings_interaction(config)
-    else:
-        raise ConfigError(f"unknown model {model!r}")
+    v = dicke_interaction(config) if model == "dicke" else tavis_cummings_interaction(config)
     try:
         return enumerate_paths(h0, v, idx_i, idx_f, order, epsilon)
     except DegenerateIntermediateError as err:

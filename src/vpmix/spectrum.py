@@ -67,10 +67,11 @@ _HERMITICITY_TOL = 1e-9  # largest |H - H+| entry _eigh accepts
 _LABEL_TIE_TOL = 1e-12
 
 
-def _assembler(model: str) -> Callable[[SystemConfig, np.ndarray, np.ndarray], np.ndarray]:
-    if model not in _ASSEMBLERS:
+def _check_model(model: str) -> str:
+    """``model`` if it names one of :data:`MODEL_BUILDERS`, else :class:`ConfigError`."""
+    if not isinstance(model, str) or model not in MODEL_BUILDERS:
         raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODEL_BUILDERS)}")
-    return _ASSEMBLERS[model]
+    return model
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ def sweep_levels(
         diffs = np.diff(grid_arr)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep grid must be strictly monotone")
-    assemble = _assembler(model)
+    assemble = _ASSEMBLERS[_check_model(model)]
     layout = config.layout
     if level_count < 1 or level_count >= layout.dim:
         raise ConfigError(f"level_count must be in 1..{layout.dim - 1}")
@@ -325,7 +326,7 @@ def find_anticrossing(
     ones included) raises :class:`ConfigError`: the interval stops shrinking
     there, and the refinement would never end.
     """
-    assemble = _assembler(model)
+    assemble = _ASSEMBLERS[_check_model(model)]
     layout = config.layout
     u, v = layout.resolve(bare_pair[0]), layout.resolve(bare_pair[1])
     if u == v:

@@ -286,3 +286,26 @@ def test_labels_and_resolve_match_old_decoders(qubits, cutoff, data):
     assert outcome(lay.resolve, list(spec)) == outcome(spectrum_resolve_bare, lay, list(spec))
     with pytest.raises(ConfigError, match=f"basis index {lay.dim} outside"):
         lay.label_string(lay.dim)
+
+
+@pytest.mark.parametrize("spec", [("gge", 1.5), ("gge", True), ("gge", "0"), True, False,
+                                  1.0, "gge"])
+def test_resolve_rejects_non_integer_photons_and_indices(spec):
+    with pytest.raises(ConfigError):
+        HilbertLayout(3, 8).resolve(spec)
+
+
+def test_bare_index_rejects_non_integer_photons():
+    lay = HilbertLayout(3, 8)
+    for photons in (1.5, 1.0, True, np.float64(2.0)):
+        with pytest.raises(ConfigError, match="photon number must be an integer"):
+            lay.bare_index("gge", photons)
+    assert lay.bare_index("gge", np.int64(1)) == lay.bare_index("gge", 1) == 9
+
+
+def test_effective_coupling_rejects_non_integer_photons():
+    from vpmix import QubitParams, SystemConfig, effective_coupling
+    cfg = SystemConfig((QubitParams(0.5, 0.1, 0.5),) * 2 + (QubitParams(1.0, 0.1, 0.5),),
+                       omega_c=1.25, fock_cutoff=4)
+    with pytest.raises(ConfigError, match="photon number must be an integer, got 1.5"):
+        effective_coupling(cfg, ("gge", 1.5), ("eeg", 0), 4)

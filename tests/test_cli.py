@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,14 @@ def fig3_observable(**fields):
     ("anticross", {"scenario": "fig1b", "anticross": {"tol": 0}}, "tol"),
     ("anticross", {"scenario": "fig1b", "anticross": {"tol": -1}}, "tol"),
     ("ecc", {"scenario": "ecc", "ecc": {"seed": -3}}, "seed"),
+    # frequencies are positive, rates non-negative and the cutoff at least 1
+    ("levels", {"scenario": "fig1b", "system": {"fock_cutoff": 0}}, "fock_cutoff"),
+    ("levels", {"scenario": "fig1b", "system": {"omega_c": 0}}, "omega_c"),
+    ("levels", {"scenario": "fig1b", "system": {"kappa": -1e-3}}, "kappa"),
+    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": -0.5, "lam": 0.05}])}, "omega"),
+    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": 0.5, "lam": -0.05}])}, "lam"),
+    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": 0.5, "lam": 0.05,
+                                                     "gamma": -1.0}])}, "gamma"),
     # point counts are at least 1 and the duration is positive
     ("levels", {"scenario": "fig1b", "sweep": {"points": 0}}, "points"),
     ("levels", {"scenario": "fig1b", "sweep": {"points": -3}}, "points"),
@@ -164,15 +174,43 @@ def fig3_observable(**fields):
     ("dynamics", fig3_dynamics(half_periods=0), "half_periods"),
     ("dynamics", fig3_dynamics(half_periods=-1.5), "half_periods"),
     # custom sections need the fields their command reads
+    ("levels", {"scenario": "fig1b", "system": {"qubits": []}}, "qubits"),
+    ("perturb", {"scenario": "fig2", "perturb": {"lambdas": []}}, "lambdas"),
+    ("dynamics", fig3_observable(name="C", kind="correlation", qubits=[]), "qubits"),
     ("anticross", {"system": TINY_SYSTEM, "anticross": {"parameter": "qubits[2].omega",
                                                         "bracket": [0.9, 1.1]}}, "pair"),
     ("perturb", {"system": TINY_SYSTEM, "perturb": {"final": ["eeg", 0]}}, "initial"),
     ("perturb", {"system": TINY_SYSTEM, "perturb": {
         "mode": "coupling_sweep", "lambdas": [0.05], "parameter": "qubits[2].omega",
         "bracket": [0.9, 1.1], "initial": ["gge", 0], "final": ["eeg", 0]}}, "pair"),
+    # top-level fields are strings and the inset a section
+    ("levels", {"scenario": "fig1b", "out": 5}, "out"),
+    ("levels", {"scenario": ["fig1b"]}, "scenario"),
+    ("levels", {"scenario": "fig1b", "sweep": {"inset": 5}}, "inset"),
+    # enumerated fields take only the values their command handles
+    ("dynamics", fig3_observable(name="x", kind="bogus"), "kind"),
+    ("dynamics", fig3_dynamics(initial="pair_sym"), "initial"),
+    ("perturb", {"scenario": "fig2", "perturb": {"mode": "pathz"}}, "mode"),
+    ("perturb", {"scenario": "fig2", "perturb": {"order": 7}}, "order"),
+    ("perturb", {"scenario": "fig2", "perturb": {"epsilon": -1}}, "epsilon"),
 ])
 def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, field):
     assert_config_error(tmp_path, capsys, command, payload, field)
+
+
+def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
+    # perfbench/tracer.py patches module-level names and MODEL_BUILDERS entries;
+    # a command reached some other way (say a dict of cmd_* functions) drops out
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    cfg = write_config(tmp_path, "cfg.json", fig3_dynamics(points=5))
+    with tracer.installed(), tracer.command("fig3-dynamics"):
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    for name in ("cli.cmd", "cli.run_command", "model.build", "spectrum.find_anticrossing"):
+        assert tracer.counts[f"{name}.calls"] == 1, name
 
 
 def test_coupling_sweep_path_sum_uses_the_model(tmp_path):

@@ -48,12 +48,14 @@ def decoupled_config(cutoff=4):
 
 class TestDressedOperators:
     def test_decoupled_lowering_is_bare_sigma_minus(self):
-        cfg = decoupled_config()
-        spec = diagonalize(build_generalized_dicke(cfg))
-        for i in (1, 2):
-            s = build_dressed_lowering(spec, i)
-            bare = embed_qubit_op(cfg.layout, i, SIGMA_MINUS)
-            assert np.max(np.abs(s.mat - bare.mat)) < 1e-12
+        for qubits, cutoff in ((2, 4), (3, 4), (4, 4), (3, 3), (4, 3)):
+            cfg = SystemConfig(tuple(QubitParams(0.3 + 0.2 * i, 0.0) for i in range(qubits)),
+                               omega_c=1.3, fock_cutoff=cutoff)
+            spec = diagonalize(build_generalized_dicke(cfg))
+            for i in range(1, qubits + 1):
+                s = build_dressed_lowering(spec, i)
+                bare = embed_qubit_op(cfg.layout, i, SIGMA_MINUS)
+                assert np.max(np.abs(s.mat - bare.mat)) < 1e-12, (qubits, cutoff, i)
 
     def test_lowering_squares_to_zero(self, fig1b_spec_literal):
         cfg = set_parameter(fig1b_spec_literal, "qubits[2].omega", 0.7)

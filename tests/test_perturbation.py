@@ -217,6 +217,11 @@ class TestEnumeratorContracts:
         with pytest.raises(ConfigError):
             effective_coupling(cfg, ("gge", 0), ("eeg", 0), order=5)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, math.nan])
+    def test_epsilon_is_non_negative(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon must be non-negative"):
+            effective_coupling(symmetric_three(), ("gge", 0), ("eeg", 0), 4, epsilon=epsilon)
+
     def test_endpoints_never_intermediates(self):
         rep = effective_coupling(symmetric_three(), ("gge", 0), ("eeg", 0), order=4)
         for p in rep.paths:

@@ -132,12 +132,17 @@ def test_real_eigh_matches_complex_eigh_on_presets(scenario, model):
     assert np.all(overlap.real[isolated & determined] >= 1.0 - 1e-10)
 
 
-def test_unknown_model_is_a_config_error(fig1b_preset):
-    with pytest.raises(ConfigError, match="xyz"):
+def test_unknown_model_is_a_config_error(fig1b_preset, monkeypatch):
+    # the path sum checks the name before it builds anything
+    monkeypatch.setattr(vpmix.perturbation, "bare_hamiltonian", None)
+    message = re.escape("unknown model 'xyz'; choose from dicke, tc")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         sweep_levels(fig1b_preset, "omega_c", [1.0, 1.1], 2, model="xyz")
-    with pytest.raises(ConfigError, match="xyz"):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         find_anticrossing(fig1b_preset, "qubits[2].omega", (0.95, 1.03),
                           (("gge", 0), ("eeg", 0)), model="xyz")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        vpmix.effective_coupling(fig1b_preset, ("gge", 0), ("eeg", 0), 4, model="xyz")
 
 
 @pytest.mark.parametrize("bracket", [(0.95, 0.965), (0.97, 1.0), (0.9, 0.95)])
