@@ -157,14 +157,6 @@ def fig3_observable(**fields):
     ("anticross", {"scenario": "fig1b", "anticross": {"tol": 0}}, "tol"),
     ("anticross", {"scenario": "fig1b", "anticross": {"tol": -1}}, "tol"),
     ("ecc", {"scenario": "ecc", "ecc": {"seed": -3}}, "seed"),
-    # frequencies are positive, rates non-negative and the cutoff at least 1
-    ("levels", {"scenario": "fig1b", "system": {"fock_cutoff": 0}}, "fock_cutoff"),
-    ("levels", {"scenario": "fig1b", "system": {"omega_c": 0}}, "omega_c"),
-    ("levels", {"scenario": "fig1b", "system": {"kappa": -1e-3}}, "kappa"),
-    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": -0.5, "lam": 0.05}])}, "omega"),
-    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": 0.5, "lam": -0.05}])}, "lam"),
-    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": 0.5, "lam": 0.05,
-                                                     "gamma": -1.0}])}, "gamma"),
     # point counts are at least 1 and the duration is positive
     ("levels", {"scenario": "fig1b", "sweep": {"points": 0}}, "points"),
     ("levels", {"scenario": "fig1b", "sweep": {"points": -3}}, "points"),
@@ -174,15 +166,25 @@ def fig3_observable(**fields):
     ("dynamics", fig3_dynamics(half_periods=0), "half_periods"),
     ("dynamics", fig3_dynamics(half_periods=-1.5), "half_periods"),
     # custom sections need the fields their command reads
-    ("levels", {"scenario": "fig1b", "system": {"qubits": []}}, "qubits"),
-    ("perturb", {"scenario": "fig2", "perturb": {"lambdas": []}}, "lambdas"),
-    ("dynamics", fig3_observable(name="C", kind="correlation", qubits=[]), "qubits"),
     ("anticross", {"system": TINY_SYSTEM, "anticross": {"parameter": "qubits[2].omega",
                                                         "bracket": [0.9, 1.1]}}, "pair"),
     ("perturb", {"system": TINY_SYSTEM, "perturb": {"final": ["eeg", 0]}}, "initial"),
     ("perturb", {"system": TINY_SYSTEM, "perturb": {
         "mode": "coupling_sweep", "lambdas": [0.05], "parameter": "qubits[2].omega",
         "bracket": [0.9, 1.1], "initial": ["gge", 0], "final": ["eeg", 0]}}, "pair"),
+    # appended cases go last so the earlier cases keep their ids
+    # frequencies are positive, rates non-negative and the cutoff at least 1
+    ("levels", {"scenario": "fig1b", "system": {"fock_cutoff": 0}}, "fock_cutoff"),
+    ("levels", {"scenario": "fig1b", "system": {"omega_c": 0}}, "omega_c"),
+    ("levels", {"scenario": "fig1b", "system": {"kappa": -1e-3}}, "kappa"),
+    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": -0.5, "lam": 0.05}])}, "omega"),
+    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": 0.5, "lam": -0.05}])}, "lam"),
+    ("levels", {"system": dict(TINY_SYSTEM, qubits=[{"omega": 0.5, "lam": 0.05,
+                                                     "gamma": -1.0}])}, "gamma"),
+    # empty lists where the command needs entries
+    ("levels", {"scenario": "fig1b", "system": {"qubits": []}}, "qubits"),
+    ("perturb", {"scenario": "fig2", "perturb": {"lambdas": []}}, "lambdas"),
+    ("dynamics", fig3_observable(name="C", kind="correlation", qubits=[]), "qubits"),
     # top-level fields are strings and the inset a section
     ("levels", {"scenario": "fig1b", "out": 5}, "out"),
     ("levels", {"scenario": ["fig1b"]}, "scenario"),
