@@ -81,12 +81,16 @@ class HilbertLayout:
     def dim(self) -> int:
         return 2**self.qubit_count * self.fock_cutoff
 
+    def qubit_index(self, index: int) -> int:
+        """A 1-based qubit index, checked against the register."""
+        if not 1 <= index <= self.qubit_count:
+            raise ConfigError(f"qubit index {index} outside 1..{self.qubit_count}")
+        return index
+
     def bare_index(self, levels: Sequence[str], photons: int) -> int:
         """Basis index of |levels, photons> under the fixed ordering."""
-        if len(levels) != self.qubit_count:
-            raise ConfigError(
-                f"expected {self.qubit_count} qubit levels, got {len(levels)}"
-            )
+        if not isinstance(levels, Sequence) or len(levels) != self.qubit_count:
+            raise ConfigError(f"expected {self.qubit_count} qubit levels, got {levels!r}")
         if isinstance(photons, bool) or not isinstance(photons, (int, np.integer)):
             raise ConfigError(f"photon number must be an integer, got {photons!r}")
         if not 0 <= photons < self.fock_cutoff:
@@ -260,10 +264,7 @@ def embed_qubit_op(layout: HilbertLayout, qubit_index: int, local: np.ndarray) -
     tensor factor, so operators embedded on distinct factors commute exactly
     and the embedding is an algebra homomorphism on each factor.
     """
-    if not 1 <= qubit_index <= layout.qubit_count:
-        raise ConfigError(
-            f"qubit_index {qubit_index} outside 1..{layout.qubit_count}"
-        )
+    layout.qubit_index(qubit_index)
     loc = np.asarray(local, dtype=complex)
     if loc.shape != (2, 2):
         raise ConfigError(f"local operator must be 2x2, got shape {loc.shape}")

@@ -9,9 +9,9 @@ to ``--out``; identical configurations produce byte-identical data files.
 
 One table, ``_SCHEMA``, is the source of every field's kind and required
 flag.  Each command and ``validate`` check the resolved configuration against
-it first, so ``validate`` reports every schema error a command would raise;
-the commands then pass on only the fields a configuration sets and leave the
-rest to the library defaults.
+it, then its values against the library's own argument checks, so
+``validate`` reports every configuration error a command would raise; the
+commands pass on only the fields a configuration sets (library defaults).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -40,15 +40,14 @@ from .dynamics import (
     expectation_series,
 )
 from .errors import ConfigError, VpmixError
-from .model import QubitParams, SystemConfig
+from .model import MODEL_BUILDERS, QubitParams, SystemConfig
 from .perturbation import effective_coupling, three_mix_coupling
 from .presets import SCENARIOS, get_preset
 from .spectrum import (
-    MODEL_BUILDERS,
+    _search_inputs,
+    _sweep_inputs,
     coupling_sign,
-    diagonalize,
     find_anticrossing,
-    set_parameter,
     superposition_states,
     sweep_levels,
 )
@@ -228,32 +227,76 @@ def resolve_config(user_cfg: dict) -> dict:
 
 
 def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
-    """Check ``cfg`` against :data:`_SCHEMA`, then the dispersive regime of a
-    valid system; returns (errors, warnings)."""
+    """Check ``cfg`` against :data:`_SCHEMA`, then, given a system, its values
+    (:func:`_value_errors`) and dispersive regime; returns (errors, warnings)."""
     errors: list[str] = []
     _check(_SCHEMA, cfg, "", errors)
     warnings = []
     if not errors and "system" in cfg:
-        omega_c = cfg["system"]["omega_c"]
-        for i, q in enumerate(cfg["system"]["qubits"], start=1):
-            detuning, lam = abs(q["omega"] - omega_c), q["lam"]
+        system = build_system(cfg)
+        errors = _value_errors(cfg, system)
+        for i, q in enumerate(system.qubits, start=1):
+            detuning, lam = abs(q.omega - system.omega_c), q.lam
             if lam > 0 and detuning < 3.0 * lam:
                 warnings.append(f"qubit {i}: |omega - omega_c| = {detuning:.4g} "
                                 f"< 3 lam = {3 * lam:.4g}; dispersive regime is marginal")
     return errors, warnings
 
 
-def build_system(cfg: dict, cutoff_override: int | None = None) -> SystemConfig:
+def _value_errors(cfg: dict, system: SystemConfig) -> list[str]:
+    """The library's argument-check errors on a schema-valid ``cfg``, by section."""
+    errors = []
+
+    def check(where, resolve, *args, **options):
+        try:
+            resolve(*args, **options)
+        except ConfigError as err:
+            errors.append(f"{where}: {err}")
+
+    layout = system.layout
+    sweep, anti, pert, dyn = (cfg.get(key, {})
+                              for key in ("sweep", "anticross", "perturb", "dynamics"))
+    if sweep:
+        check("sweep", _sweeps, _sweep_inputs, system, sweep)
+    if anti:
+        check("anticross", _search, _search_inputs, system, anti)
+    if pert.get("mode") == "coupling_sweep":
+        check("perturb", _search, _search_inputs, system, pert)
+    states = {f"perturb.{key}": pert[key] for key in ("initial", "final") if key in pert}
+    if isinstance(dyn.get("initial"), list):  # ["bare", levels, photons]
+        states["dynamics.initial"] = dyn["initial"][1:]
+    for where, state in states.items():
+        check(where, layout.resolve, state)
+    for j, obs in enumerate(dyn.get("observables", [])):
+        qubits = {"excitation": [obs.get("qubit")], "correlation": obs.get("qubits")}
+        for q in qubits.get(obs["kind"], []):
+            check(f"dynamics.observables[{j}]", layout.qubit_index, q)
+    return errors
+
+
+def _sweeps(run, system: SystemConfig, sweep: dict) -> dict:
+    """``run`` (:func:`sweep_levels` or its argument checks) on the sweep and
+    on its inset if it has one, by output file name."""
+    return {name: run(system, sweep["parameter"],
+                      np.linspace(span["start"], span["stop"], span["points"]),
+                      sweep["levels"], **_given(sweep, "model"))
+            for name, span in (("levels.csv", sweep), ("levels_inset.csv", sweep.get("inset")))
+            if span}
+
+
+def _search(run, system: SystemConfig, block: dict):
+    """``run`` (:func:`find_anticrossing` or its argument checks) on a section."""
+    return run(system, block["parameter"], tuple(block["bracket"]), block["pair"],
+               **_given(block, "model", "tol"))
+
+
+def build_system(cfg: dict) -> SystemConfig:
     system = dict(_require(cfg, "system"))
-    qubits = tuple(QubitParams(**q) for q in system.pop("qubits"))
-    if cutoff_override is not None:
-        system["fock_cutoff"] = cutoff_override
-    return SystemConfig(qubits, **system)
+    return SystemConfig(tuple(QubitParams(**q) for q in system.pop("qubits")), **system)
 
 
 def _given(block: dict, *keys: str) -> dict:
-    """The fields among ``keys`` that ``block`` sets, so a library default
-    fills in the others."""
+    """The fields among ``keys`` that ``block`` sets; library defaults fill the rest."""
     return {key: block[key] for key in keys if key in block}
 
 
@@ -278,36 +321,17 @@ def _sweep_csv(result) -> bytes:
 
 
 def cmd_levels(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
-    sweep = _require(cfg, "sweep")
-    outputs = {}
-    for name, span in (("levels.csv", sweep), ("levels_inset.csv", sweep.get("inset"))):
-        if span:
-            grid = np.linspace(span["start"], span["stop"], span["points"])
-            result = sweep_levels(system, sweep["parameter"], grid, sweep["levels"],
-                                  **_given(sweep, "model"))
-            outputs[name] = _sweep_csv(result)
-    return outputs
-
-
-def _anticross_report(system: SystemConfig, block: dict):
-    return find_anticrossing(system, block["parameter"], tuple(block["bracket"]),
-                             block["pair"], **_given(block, "model", "tol"))
+    return {name: _sweep_csv(result)
+            for name, result in _sweeps(sweep_levels, system, _require(cfg, "sweep")).items()}
 
 
 def cmd_anticross(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
-    block = _require(cfg, "anticross")
-    rep = _anticross_report(system, block)
-    payload = {
-        "parameter": rep.parameter,
-        "location": rep.location,
-        "splitting": rep.splitting,
-        "half_splitting": rep.splitting / 2.0,
-        "branch_indices": list(rep.branch_indices),
-        "branch_energies": list(rep.branch_energies),
-        "superposition_overlaps": list(rep.superposition_overlaps),
-        "pair": [system.layout.label_string(b) for b in rep.bare_pair],
-        "evaluations": rep.evaluations,
-    }
+    rep = _search(find_anticrossing, system, _require(cfg, "anticross"))
+    payload = {key: getattr(rep, key) for key in (
+        "parameter", "location", "splitting", "branch_indices", "branch_energies",
+        "superposition_overlaps", "evaluations")}
+    payload.update(half_splitting=rep.splitting / 2.0,
+                   pair=[system.layout.label_string(b) for b in rep.bare_pair])
     return {"anticross.json": _json(payload)}
 
 
@@ -329,17 +353,10 @@ def _observable_ops(obs: dict, lowering, layout, spectrum):
 
 def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     dyn = _require(cfg, "dynamics")
-    anti = _require(cfg, "anticross")
-    rep = _anticross_report(system, anti)
-    tuned = set_parameter(system, anti["parameter"], rep.location)
-    builder = MODEL_BUILDERS[anti.get("model", "dicke")]
-    hamiltonian = builder(tuned)
-    spectrum = diagonalize(hamiltonian)
-    layout = system.layout
-    u_idx, v_idx = rep.bare_pair
-    u_dressed, v_dressed = superposition_states(spectrum, u_idx, v_idx, rep.branch_indices)
-    sign = coupling_sign(spectrum, u_idx, v_idx, rep.branch_indices)
-    overrides = {u_idx: u_dressed, v_idx: v_dressed}
+    rep = _search(find_anticrossing, system, _require(cfg, "anticross"))
+    spectrum, layout = rep.spectrum, system.layout
+    u_dressed, v_dressed = superposition_states(rep)
+    overrides = dict(zip(rep.bare_pair, (u_dressed, v_dressed)))
 
     @cache  # each qubit's operator is built once, when an observable first needs it
     def lowering(q: int):
@@ -363,20 +380,17 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     mantissa, exponent = math.frexp(t_max / max(points - 1, 1))
     bits = 53 - (points - 1).bit_length()
     grid = math.ldexp(round(mantissa * 2**bits), exponent - bits) * np.arange(points)
-    rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, tuned)
+    rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, system)
     observables = dyn.get("observables", [])
-    values = expectation_series(
-        rho0, hamiltonian, rates, grid,
-        [_observable_ops(obs, lowering, layout, spectrum) for obs in observables],
-        spectrum=spectrum,
-    )
+    values = expectation_series(rho0, spectrum, rates, grid, [
+        _observable_ops(obs, lowering, layout, spectrum) for obs in observables])
 
     meta = {
-        "parameter": anti["parameter"],
+        "parameter": rep.parameter,
         "location": rep.location,
         "splitting": rep.splitting,
         "effective_coupling": half_j,
-        "coupling_sign": sign,
+        "coupling_sign": coupling_sign(rep),
         "dissipator_count": sum(int(np.count_nonzero(r)) for r in rates.values()),
         "initial": initial,
         "time_unit": "1/omega_0",
@@ -414,7 +428,6 @@ def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         }
         return {"paths.json": _json(payload)}
     factor = block.get("cavity_offset_factor", 2.5)
-    bracket = tuple(block["bracket"])
     theta = system.qubits[0].theta
     omega_ref = system.qubits[-1].omega
     rows = []
@@ -422,8 +435,7 @@ def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         omega_c = omega_ref + factor * lam
         cfg_l = replace(system, omega_c=omega_c,
                         qubits=tuple(replace(q, lam=lam) for q in system.qubits))
-        rep = find_anticrossing(cfg_l, block["parameter"], bracket, block["pair"],
-                                **_given(block, "model"))
+        rep = _search(find_anticrossing, cfg_l, block)
         path_rep = effective_coupling(cfg_l, initial, final, order, **options)
         closed = three_mix_coupling(lam, omega_ref, omega_c, theta)
         rows.append([lam, omega_c, rep.splitting, 2.0 * abs(path_rep.total),
@@ -432,11 +444,8 @@ def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
     return {"coupling_sweep.csv": _csv(header, rows)}
 
 
-def cmd_ecc(cfg: dict, seed_override: int | None) -> dict[str, bytes]:
-    block = _require(cfg, "ecc")
-    seed = seed_override if seed_override is not None else block.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"ecc seed must be a non-negative integer, got {seed}")
+def cmd_ecc(cfg: dict) -> dict[str, bytes]:
+    seed = _require(cfg, "ecc").get("seed", 0)
     rng = np.random.default_rng(seed)
     rows = []
     cases = [("bitflip", None), ("bitflip", ("x", 1)), ("bitflip", ("x", 2)),
@@ -467,6 +476,8 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
                 cutoff: int | None = None, seed: int | None = None) -> dict:
     """Validate, execute one subcommand, write outputs and a manifest.
 
+    ``cutoff`` and ``seed`` replace the configuration's ``fock_cutoff`` and
+    ``ecc.seed`` before validation, so the checks and the manifest see the run.
     Sweeps evaluate their grid points serially.  ``threads`` remains only
     for callers written when they could use a thread pool, such as
     ``perfbench/test_oracle.py``, which passes ``threads=1``; any other value
@@ -474,6 +485,9 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     """
     if threads != 1:
         raise ConfigError(f"threads must be 1, got {threads!r}; sweeps run serially")
+    for section, key, value in (("system", "fock_cutoff", cutoff), ("ecc", "seed", seed)):
+        if value is not None and section in cfg:
+            cfg = _deep_merge(cfg, {section: {key: value}})
     errors, warnings = validate_config(cfg)
     if errors:
         raise ConfigError("; ".join(errors))
@@ -482,9 +496,9 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
 
     started = time.time()
     if command == "ecc":
-        outputs = cmd_ecc(cfg, seed)
+        outputs = cmd_ecc(cfg)
     else:
-        system = build_system(cfg, cutoff)
+        system = build_system(cfg)
         if command == "levels":
             outputs = cmd_levels(cfg, system)
         elif command == "anticross":

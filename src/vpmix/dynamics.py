@@ -1,6 +1,7 @@
 """Dressed-picture zero-temperature Lindblad dynamics and observables.
 
-Dissipation is treated in the eigenbasis of the full Hamiltonian: every
+Everything here works in the eigenbasis of the full Hamiltonian, passed as its
+spectrum (from ``diagonalize`` or an anticrossing report).  Dissipation: every
 ordered eigenstate pair (j, k) with E_k > E_j is an independent decay term
 with jump operator |j><k|.  Each bath channel contributes one rate matrix
 over the ascending eigenbasis, with entries for E_k > E_j
@@ -54,7 +55,7 @@ from .algebra import (
 )
 from .errors import ConfigError, LabelAmbiguityError, NumericalError, StepSizeError
 from .model import SystemConfig
-from .spectrum import SpectrumResult, diagonalize
+from .spectrum import SpectrumResult
 
 __all__ = [
     "TimeSeries",
@@ -109,9 +110,8 @@ def _qubit_context_pairs(spectrum: SpectrumResult, qubit_index: int):
     """(bare_g, bare_e) index pairs differing only in the level of one qubit,
     in ascending order: the nonzeros of sigma_- lifted onto that qubit."""
     layout = spectrum.layout
-    if not 1 <= qubit_index <= layout.qubit_count:
-        raise ConfigError(f"qubit index {qubit_index} outside 1..{layout.qubit_count}")
-    lowering = _lift(layout, qubit_index, SIGMA_MINUS.real, np.eye(layout.fock_cutoff))
+    lowering = _lift(layout, layout.qubit_index(qubit_index), SIGMA_MINUS.real,
+                     np.eye(layout.fock_cutoff))
     return list(zip(*(idx.tolist() for idx in np.nonzero(lowering))))
 
 
@@ -236,17 +236,14 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
     return mat
 
 
-def _eigenbasis_stream(rho0, hamiltonian, rates, t_grid, spectrum, max_step):
-    """Validate the inputs of :func:`evolve` eagerly, then return the time grid,
-    the spectrum and a generator of rho~(t_p) = U+ rho(t_p) U, one per grid time.
+def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step):
+    """Validate the inputs of :func:`evolve` eagerly, then return the time grid
+    and a generator of rho~(t_p) = U+ rho(t_p) U, one per grid time.
 
     The generator advances one matrix in place: a yielded rho~ is valid until
     the next step, so a caller that keeps it must copy it.
     """
-    spec = spectrum if spectrum is not None else diagonalize(hamiltonian)
-    dim = spec.dim
-    u = spec.states
-    e = spec.energies
+    dim, u, e = spectrum.dim, spectrum.states, spectrum.energies
 
     times = np.asarray(list(t_grid), dtype=float)
     if times.size < 1:
@@ -324,38 +321,35 @@ def _eigenbasis_stream(rho0, hamiltonian, rates, t_grid, spectrum, max_step):
                 )
             yield rho
 
-    return times, spec, steps(rho)
+    return times, steps(rho)
 
 
 def evolve(
     rho0,
-    hamiltonian: Operator,
+    spectrum: SpectrumResult,
     rates: Mapping[str, np.ndarray],
     t_grid: Sequence[float],
-    spectrum: SpectrumResult | None = None,
     max_step: float | None = None,
 ) -> TimeSeries:
     """Integrate drho/dt = -i[H, rho] + sum R[j,k] (L rho L+ - {L+L, rho}/2), L = |j><k|.
 
-    ``rho0`` (density matrix, Ket, or vector) is the state at ``t_grid[0]``.
-    The result's ``states`` is a read-only (T, d, d) array holding the state
-    at every grid time, in the same basis as the inputs; it takes T d^2 16
-    bytes, so prefer :func:`expectation_series` when only observables are needed.
-    ``rates`` maps channel names to d x d rate matrices over the ascending
-    eigenbasis of ``hamiltonian``, as :func:`build_dissipators` returns them
-    (pass the ``spectrum`` they were built from to guarantee consistent
-    ordering); ``{}`` is lossless.
+    H is given by its eigendecomposition ``spectrum``.  ``rho0`` (density
+    matrix, Ket, or vector) is the state at ``t_grid[0]``.  The result's
+    ``states`` is a read-only (T, d, d) array holding the state at every grid
+    time, in the bare basis; it takes T d^2 16 bytes, so prefer
+    :func:`expectation_series` when only observables are needed.  ``rates``
+    maps channel names to d x d rate matrices over the ascending eigenbasis
+    of ``spectrum``, as :func:`build_dissipators` returns them; ``{}`` is
+    lossless.
 
     The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
     ``max_step`` replaces that rule with an explicit bound.  Trace drift
     beyond 1e-7, or a population below -1e-7, raises :class:`StepSizeError`.
     """
-    times, spec, stream = _eigenbasis_stream(
-        rho0, hamiltonian, rates, t_grid, spectrum, max_step
-    )
-    u = spec.states
+    times, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
+    u = spectrum.states
     u_dag = u.conj().T
-    states = np.empty((times.size, spec.dim, spec.dim), dtype=complex)
+    states = np.empty((times.size, spectrum.dim, spectrum.dim), dtype=complex)
     for p, rho in enumerate(stream):
         states[p] = u @ rho @ u_dag
     times.setflags(write=False)
@@ -365,11 +359,10 @@ def evolve(
 
 def expectation_series(
     rho0,
-    hamiltonian: Operator,
+    spectrum: SpectrumResult,
     rates: Mapping[str, np.ndarray],
     t_grid: Sequence[float],
     observables: Sequence,
-    spectrum: SpectrumResult | None = None,
     max_step: float | None = None,
 ) -> np.ndarray:
     """Real expectation values of several observables along the dynamics of :func:`evolve`.
@@ -381,11 +374,8 @@ def expectation_series(
     transformed once, O~ = U+ O U, and contracted with rho~(t_p) as it is
     produced; unlike :func:`evolve`, no (T, d, d) stack of snapshots is built.
     """
-    times, spec, stream = _eigenbasis_stream(
-        rho0, hamiltonian, rates, t_grid, spectrum, max_step
-    )
-    dim = spec.dim
-    u = spec.states
+    times, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
+    dim, u = spectrum.dim, spectrum.states
     u_dag = u.conj().T
     # Tr[rho~ O~] = sum_ij rho~_ij O~_ji, so row k holds vec(O~_k^T).
     basis = np.empty((len(observables), dim * dim), dtype=complex)

@@ -245,6 +245,23 @@ def build_tavis_cummings(config: SystemConfig) -> Operator:
     return Operator(_assemble_tc(config, *_buffers(config)), config.layout)
 
 
+# Builder and in-place assembler of each model, by name.
+MODEL_BUILDERS = {"dicke": build_generalized_dicke, "tc": build_tavis_cummings}
+_ASSEMBLERS = {"dicke": _assemble_dicke, "tc": _assemble_tc}
+# Parameters no term of a model reads: the decay rates enter only the
+# dissipators, and the Tavis-Cummings coupling ignores theta.
+_UNREAD = {"dicke": ("kappa", "gamma"), "tc": ("kappa", "gamma", "theta")}
+
+
+def _check_model(model: str, field: str | None = None) -> str:
+    """``model`` if it names a model whose Hamiltonian reads ``field``, else ConfigError."""
+    if not isinstance(model, str) or model not in MODEL_BUILDERS:
+        raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODEL_BUILDERS)}")
+    if field in _UNREAD[model]:
+        raise ConfigError(f"the {model} Hamiltonian does not depend on {field}")
+    return model
+
+
 def total_excitation_number(layout: HilbertLayout) -> Operator:
     """N = a+ a + sum_i |e><e|^(i)."""
     n = cavity_number(layout).mat.copy()
@@ -268,10 +285,7 @@ def dispersive_pair_coupling(config: SystemConfig, i: int, j: int) -> float:
     Valid in the dispersive regime |Delta_k| >> lam_k; a warning is emitted
     when |Delta_k| < 10 lam_k and exact resonance is an error.
     """
-    for k in (i, j):
-        if not 1 <= k <= config.qubit_count:
-            raise ConfigError(f"qubit index {k} outside 1..{config.qubit_count}")
-    qi, qj = config.qubits[i - 1], config.qubits[j - 1]
+    qi, qj = (config.qubits[config.layout.qubit_index(k) - 1] for k in (i, j))
     couplings = []
     for label, q in ((i, qi), (j, qj)):
         delta = q.omega - config.omega_c

@@ -36,11 +36,11 @@ from .errors import (
 )
 from .model import (
     SystemConfig,
+    _check_model,
     bare_hamiltonian,
     dicke_interaction,
     tavis_cummings_interaction,
 )
-from .spectrum import _check_model
 
 __all__ = [
     "TransitionPath",

@@ -5,7 +5,8 @@ state with which they have maximum squared overlap.  All reported energies
 are offset so the ground state sits at zero.  Avoided crossings are located
 by golden-section minimization of the gap between the two eigenbranches that
 span a nominated pair of bare states; the half-gap at the minimum is the
-effective coupling of the resonant mixing process.  Sweeps evaluate their
+effective coupling of the resonant mixing process, and the search's report
+carries the spectrum there, which the dynamics take.  Sweeps evaluate their
 grid points one after another in a single thread.
 
 Both model Hamiltonians are real float64 matrices, assembled from terms that
@@ -21,21 +22,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import HilbertLayout, Ket, Operator
 from .errors import BranchTrackingError, ConfigError, HermiticityError, NumericalError
-from .model import (
-    SystemConfig,
-    _assemble_dicke,
-    _assemble_tc,
-    _buffers,
-    build_generalized_dicke,
-    build_tavis_cummings,
-)
+from .model import MODEL_BUILDERS, SystemConfig, _ASSEMBLERS, _buffers, _check_model
 
 __all__ = [
     "SpectrumResult",
@@ -49,13 +43,6 @@ __all__ = [
     "MODEL_BUILDERS",
 ]
 
-MODEL_BUILDERS: dict[str, Callable[[SystemConfig], Operator]] = {
-    "dicke": build_generalized_dicke,
-    "tc": build_tavis_cummings,
-}
-# The in-place assembler behind each builder: (config, out, scratch) -> out.
-_ASSEMBLERS = {"dicke": _assemble_dicke, "tc": _assemble_tc}
-
 # Thresholds for identifying the two eigenbranches spanned by a bare pair:
 # each selected branch must hold at least _PAIR_MIN of the pair weight and
 # any third state at most _THIRD_MAX, otherwise tracking is ambiguous.
@@ -65,13 +52,6 @@ _HERMITICITY_TOL = 1e-9  # largest |H - H+| entry _eigh accepts
 # Bare weights within this of an eigenstate's largest count as tied for its
 # label, and the lowest tied bare index wins, so rounding noise cannot decide.
 _LABEL_TIE_TOL = 1e-12
-
-
-def _check_model(model: str) -> str:
-    """``model`` if it names one of :data:`MODEL_BUILDERS`, else :class:`ConfigError`."""
-    if not isinstance(model, str) or model not in MODEL_BUILDERS:
-        raise ConfigError(f"unknown model {model!r}; choose from {', '.join(MODEL_BUILDERS)}")
-    return model
 
 
 @dataclass(frozen=True)
@@ -186,25 +166,37 @@ def diagonalize(op: Operator) -> SpectrumResult:
 _PATH_RE = re.compile(r"^qubits\[(\d+)\]\.(omega|lam|theta|gamma)$")
 
 
+def _parameter_field(config: SystemConfig, path: str) -> tuple[int | None, str]:
+    """(qubit list index or None for a config field, field name) of a path."""
+    if path in ("omega_c", "kappa"):
+        return None, path
+    m = _PATH_RE.match(path)
+    if not m:
+        raise ConfigError(f"cannot resolve parameter path {path!r}")
+    k = int(m.group(1))
+    if not 0 <= k < config.qubit_count:
+        raise ConfigError(f"qubit list index {k} outside 0..{config.qubit_count - 1}")
+    return k, m.group(2)
+
+
 def set_parameter(config: SystemConfig, path: str, value: float) -> SystemConfig:
     """Return a copy of ``config`` with one scalar field replaced.
 
     Paths: ``omega_c``, ``kappa``, or ``qubits[k].field`` with k a 0-based
     list index and field one of omega/lam/theta/gamma.
     """
-    if path == "omega_c":
-        return replace(config, omega_c=value)
-    if path == "kappa":
-        return replace(config, kappa=value)
-    m = _PATH_RE.match(path)
-    if not m:
-        raise ConfigError(f"cannot resolve parameter path {path!r}")
-    k, fieldname = int(m.group(1)), m.group(2)
-    if not 0 <= k < config.qubit_count:
-        raise ConfigError(f"qubit list index {k} outside 0..{config.qubit_count - 1}")
+    k, name = _parameter_field(config, path)
+    if k is None:
+        return replace(config, **{name: value})
     qubits = list(config.qubits)
-    qubits[k] = replace(qubits[k], **{fieldname: value})
+    qubits[k] = replace(qubits[k], **{name: value})
     return replace(config, qubits=tuple(qubits))
+
+
+def _assembler(config: SystemConfig, parameter: str, model: str):
+    """In-place assembler of ``model``, once ``parameter`` resolves on ``config``
+    to a field the model's Hamiltonian reads (any other gives a flat sweep)."""
+    return _ASSEMBLERS[_check_model(model, _parameter_field(config, parameter)[1])]
 
 
 @dataclass(frozen=True)
@@ -224,6 +216,20 @@ class SweepResult:
     layout: HilbertLayout
 
 
+def _sweep_inputs(config: SystemConfig, parameter: str, grid: Sequence[float],
+                  level_count: int, model: str = "dicke"):
+    """Checked grid array and assembler: the argument checks of :func:`sweep_levels`."""
+    grid_arr = np.asarray(list(grid), dtype=float)
+    if grid_arr.size > 1:
+        diffs = np.diff(grid_arr)
+        if not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ConfigError("sweep grid must be strictly monotone")
+    assemble = _assembler(config, parameter, model)
+    if level_count < 1 or level_count >= config.layout.dim:
+        raise ConfigError(f"level_count must be in 1..{config.layout.dim - 1}, got {level_count}")
+    return grid_arr, assemble
+
+
 def sweep_levels(
     config: SystemConfig,
     parameter: str,
@@ -239,16 +245,7 @@ def sweep_levels(
     Each point's energies, labels and weights equal those of
     :func:`diagonalize` on the model's builder bit for bit.
     """
-    grid_arr = np.asarray(list(grid), dtype=float)
-    if grid_arr.size > 1:
-        diffs = np.diff(grid_arr)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ConfigError("sweep grid must be strictly monotone")
-    assemble = _ASSEMBLERS[_check_model(model)]
-    layout = config.layout
-    if level_count < 1 or level_count >= layout.dim:
-        raise ConfigError(f"level_count must be in 1..{layout.dim - 1}")
-
+    grid_arr, assemble = _sweep_inputs(config, parameter, grid, level_count, model)
     mat, scratch = _buffers(config)
     shape = (grid_arr.size, level_count)
     energies, labels, overlaps = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape)
@@ -263,14 +260,8 @@ def sweep_levels(
                           scratch)
         dominant, _, norm = _dominant(states[:, sel])
         energies[p], labels[p], overlaps[p] = e[sel], dominant, norm * norm
-    return SweepResult(
-        parameter=parameter,
-        grid=grid_arr,
-        energies=energies,
-        labels=labels,
-        overlaps=overlaps,
-        layout=layout,
-    )
+    return SweepResult(parameter=parameter, grid=grid_arr, energies=energies, labels=labels,
+                       overlaps=overlaps, layout=config.layout)
 
 
 @dataclass(frozen=True)
@@ -280,6 +271,7 @@ class AnticrossingReport:
     ``splitting`` is the full gap 2J at the minimum; ``superposition_overlaps``
     are the squared overlaps of the two branch eigenstates with the symmetric/
     antisymmetric combinations (|u> +- |v>)/sqrt(2) of the nominated pair.
+    All are read from ``spectrum``, the model diagonalized at ``location``.
     """
 
     parameter: str
@@ -290,6 +282,7 @@ class AnticrossingReport:
     superposition_overlaps: tuple[float, float]
     bare_pair: tuple[int, int]
     evaluations: int
+    spectrum: SpectrumResult = field(compare=False, repr=False)
 
 
 def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
@@ -308,6 +301,23 @@ def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _search_inputs(config: SystemConfig, parameter: str, bracket: tuple[float, float],
+                   bare_pair: tuple, model: str = "dicke", tol: float = 1e-6):
+    """Checked assembler, u, v and bracket: the argument checks of :func:`find_anticrossing`."""
+    assemble = _assembler(config, parameter, model)
+    u, v = config.layout.resolve(bare_pair[0]), config.layout.resolve(bare_pair[1])
+    if u == v:
+        raise ConfigError("bare pair must be two distinct states")
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not hi > lo:
+        raise ConfigError(f"invalid bracket {bracket}")
+    spacing = float(np.spacing(max(abs(lo), abs(hi))))
+    if not tol >= spacing:  # also NaN
+        raise ConfigError(f"tol must be positive and at least the float spacing {spacing:.3g} "
+                          f"of the bracket ends, got {tol!r}")
+    return assemble, u, v, lo, hi
+
+
 def find_anticrossing(
     config: SystemConfig,
     parameter: str,
@@ -324,36 +334,23 @@ def find_anticrossing(
     raises :class:`NumericalError`, since the gap may still fall beyond it.
     A ``tol`` below the float spacing of the bracket ends (zero and negative
     ones included) raises :class:`ConfigError`: the interval stops shrinking
-    there, and the refinement would never end.
+    there, and the refinement would never end.  The last evaluation builds the
+    model at the minimum and diagonalizes it for the report's ``spectrum``.
     """
-    assemble = _ASSEMBLERS[_check_model(model)]
-    layout = config.layout
-    u, v = layout.resolve(bare_pair[0]), layout.resolve(bare_pair[1])
-    if u == v:
-        raise ConfigError("bare pair must be two distinct states")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise ConfigError(f"invalid bracket {bracket}")
-    spacing = float(np.spacing(max(abs(lo), abs(hi))))
-    if not tol >= spacing:  # also NaN
-        raise ConfigError(
-            f"tol must be positive and at least the float spacing {spacing:.3g} "
-            f"of the bracket ends, got {tol!r}"
-        )
+    assemble, u, v, lo, hi = _search_inputs(config, parameter, bracket, bare_pair, model, tol)
     evaluations = 0
     mat, scratch = _buffers(config)
 
     # Each ``*_`` below keeps the previous evaluation's eigenvectors until the
     # next one has returned, for the heap-trim reason given in sweep_levels.
-    def gap_at(x: float) -> tuple[float, np.ndarray, np.ndarray, tuple[int, int]]:
-        # The returned eigenvectors are raw real columns: the sign gauge of
-        # diagonalize changes no weight and no |overlap| read from them.
+    def gap_at(x: float) -> tuple[float, np.ndarray]:
+        # raw real eigenvectors: the sign gauge of diagonalize changes no weight
         nonlocal evaluations
         evaluations += 1
         energies, states = _eigh(assemble(set_parameter(config, parameter, x), mat, scratch),
                                  scratch)
         a, b = _pair_branches(states, u, v)
-        return float(energies[b] - energies[a]), energies, states, (a, b)
+        return float(energies[b] - energies[a]), states
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -380,40 +377,26 @@ def find_anticrossing(
             f"gap minimum {x_min:.9g} lies within tol {tol:g} of an end of the "
             f"bracket [{lo:g}, {hi:g}]; widen the bracket"
         )
-    gap, energies, states, (ia, ib) = gap_at(x_min)
+    evaluations += 1
+    spectrum = diagonalize(MODEL_BUILDERS[model](set_parameter(config, parameter, x_min)))
+    energies, states = spectrum.energies, spectrum.states
+    ia, ib = _pair_branches(states, u, v)
 
-    bare_u, bare_v = np.eye(layout.dim, dtype=complex)[[u, v]]
-    plus = (bare_u + bare_v) / math.sqrt(2.0)
-    minus = (bare_u - bare_v) / math.sqrt(2.0)
-    psi_a, psi_b = states[:, ia], states[:, ib]
-    o_ap = abs(np.vdot(plus, psi_a)) ** 2
-    o_am = abs(np.vdot(minus, psi_a)) ** 2
-    o_bp = abs(np.vdot(plus, psi_b)) ** 2
-    o_bm = abs(np.vdot(minus, psi_b)) ** 2
+    bare_u, bare_v = np.eye(spectrum.dim, dtype=complex)[[u, v]]
+    plus, minus = (bare_u + bare_v) / math.sqrt(2.0), (bare_u - bare_v) / math.sqrt(2.0)
+    o_ap, o_am, o_bp, o_bm = (float(abs(np.vdot(vec, states[:, k])) ** 2)
+                              for k in (ia, ib) for vec in (plus, minus))
     # Assign each branch its better-matching superposition, without reuse.
-    if o_ap + o_bm >= o_am + o_bp:
-        overlaps = (float(o_ap), float(o_bm))
-    else:
-        overlaps = (float(o_am), float(o_bp))
+    overlaps = (o_ap, o_bm) if o_ap + o_bm >= o_am + o_bp else (o_am, o_bp)
 
     return AnticrossingReport(
-        parameter=parameter,
-        location=float(x_min),
-        splitting=float(gap),
-        branch_indices=(ia, ib),
-        branch_energies=(float(energies[ia]), float(energies[ib])),
-        superposition_overlaps=overlaps,
-        bare_pair=(u, v),
-        evaluations=evaluations,
-    )
+        parameter=parameter, location=float(x_min), splitting=float(energies[ib] - energies[ia]),
+        branch_indices=(ia, ib), branch_energies=(float(energies[ia]), float(energies[ib])),
+        superposition_overlaps=overlaps, bare_pair=(u, v), evaluations=evaluations,
+        spectrum=spectrum)
 
 
-def superposition_states(
-    spectrum: SpectrumResult,
-    bare_u: int,
-    bare_v: int,
-    branches: tuple[int, int],
-) -> tuple[Ket, Ket]:
+def superposition_states(report: AnticrossingReport) -> tuple[Ket, Ket]:
     """Reconstruct the dressed pair (u~, v~) from the two split eigenstates.
 
     At the gap minimum the eigenstates are close to (u~ +- v~)/sqrt(2); the
@@ -421,15 +404,12 @@ def superposition_states(
     the bare pair.  Phases are gauged so <u_bare|u~> and <v_bare|v~> are real
     and positive.
     """
-    ia, ib = branches
-    psi_a = spectrum.states[:, ia]
-    psi_b = spectrum.states[:, ib]
+    spectrum, (bare_u, bare_v) = report.spectrum, report.bare_pair
+    psi_a, psi_b = (spectrum.states[:, k] for k in report.branch_indices)
     plus = (psi_a + psi_b) / math.sqrt(2.0)
     minus = (psi_a - psi_b) / math.sqrt(2.0)
-    if abs(plus[bare_u]) ** 2 >= abs(minus[bare_u]) ** 2:
-        u_vec, v_vec = plus, minus
-    else:
-        u_vec, v_vec = minus, plus
+    u_vec, v_vec = ((plus, minus) if abs(plus[bare_u]) ** 2 >= abs(minus[bare_u]) ** 2
+                    else (minus, plus))
     for vec, bare in ((u_vec, bare_u), (v_vec, bare_v)):
         amp = vec[bare]
         if abs(amp) < 1e-12:
@@ -440,8 +420,7 @@ def superposition_states(
     return Ket(u_vec, spectrum.layout), Ket(v_vec, spectrum.layout)
 
 
-def coupling_sign(spectrum: SpectrumResult, bare_u: int, bare_v: int,
-                  branches: tuple[int, int]) -> int:
+def coupling_sign(report: AnticrossingReport) -> int:
     """Sign of the effective coupling J at an anticrossing minimum.
 
     In the two-level reduction H_eff = J (|u><v| + |v><u|) the lower branch is
@@ -450,11 +429,11 @@ def coupling_sign(spectrum: SpectrumResult, bare_u: int, bare_v: int,
     state generated from u~ after a quarter Rabi period is
     (u~ - i sign(J) v~)/sqrt(2).
     """
-    lower = spectrum.states[:, min(branches)]
+    bare_u, bare_v = report.bare_pair
+    lower = report.spectrum.states[:, min(report.branch_indices)]
     prod = float(np.real(lower[bare_u]) * np.real(lower[bare_v]))
     if prod == 0.0:
         raise BranchTrackingError(
             "lower branch carries no weight on the bare pair; sign undefined"
         )
     return -1 if prod > 0 else 1
-

@@ -56,15 +56,12 @@ def symmetric_three(lam, omega_c, theta=PI6, cutoff=8, gamma=0.0):
 def three_mix(fig1b_preset):
     report = find_anticrossing(fig1b_preset, "qubits[2].omega", (0.90, 1.02),
                                (("gge", 0), ("eeg", 0)))
-    tuned = set_parameter(fig1b_preset, "qubits[2].omega", report.location)
-    spectrum = diagonalize(build_generalized_dicke(tuned))
     lay = fig1b_preset.layout
     u_idx, v_idx = lay.bare_index("gge", 0), lay.bare_index("eeg", 0)
-    u_dressed, v_dressed = superposition_states(spectrum, u_idx, v_idx,
-                                                report.branch_indices)
-    sign = coupling_sign(spectrum, u_idx, v_idx, report.branch_indices)
+    u_dressed, v_dressed = superposition_states(report)
+    sign = coupling_sign(report)
     return {
-        "config": tuned, "report": report, "spectrum": spectrum,
+        "config": fig1b_preset, "report": report, "spectrum": report.spectrum,
         "u_idx": u_idx, "v_idx": v_idx, "u": u_dressed, "v": v_dressed, "sign": sign,
     }
 
@@ -79,9 +76,8 @@ def fig3_run(three_mix):
     half_j = three_mix["report"].splitting / 2.0
     t_half = math.pi / (2.0 * half_j)
     grid = np.linspace(0.0, 1.3 * t_half, 700)
-    hamiltonian = build_generalized_dicke(cfg)
     dissipators = build_dissipators(spectrum, cfg)
-    series = evolve(three_mix["u"], hamiltonian, dissipators, grid, spectrum=spectrum)
+    series = evolve(three_mix["u"], spectrum, dissipators, grid)
     photon_proj = bare_state(cfg.layout, "ggg", 1).projector()
     s1, s2 = lowering[1], lowering[2]
     return {
@@ -247,21 +243,17 @@ def test_criterion_09_ghz_generation(three_mix, exchange_reports, four_qubit_exc
                   / math.sqrt(2.0), cfg3.layout)
     half_j3 = three_mix["report"].splitting / 2.0
     grid3 = np.linspace(0.0, math.pi / (4.0 * half_j3), 200)
-    lossless3 = evolve(three_mix["u"], build_generalized_dicke(cfg3), {}, grid3,
-                       spectrum=three_mix["spectrum"])
+    lossless3 = evolve(three_mix["u"], three_mix["spectrum"], {}, grid3)
     runs.append(("three-mix", state_fidelity(lossless3.states[-1], target3)))
 
     rep4 = exchange_reports["dicke"]
-    cfg4 = set_parameter(four_qubit_exchange, "qubits[0].omega", rep4.location)
-    spec4 = diagonalize(build_generalized_dicke(cfg4))
     lay4 = four_qubit_exchange.layout
-    u_idx, v_idx = lay4.bare_index("egge", 0), lay4.bare_index("geeg", 0)
-    u4, v4 = superposition_states(spec4, u_idx, v_idx, rep4.branch_indices)
-    sign4 = coupling_sign(spec4, u_idx, v_idx, rep4.branch_indices)
+    u4, v4 = superposition_states(rep4)
+    sign4 = coupling_sign(rep4)
     target4 = Ket((u4.amp - 1j * sign4 * v4.amp) / math.sqrt(2.0), lay4)
     half_j4 = rep4.splitting / 2.0
     grid4 = np.linspace(0.0, math.pi / (4.0 * half_j4), 200)
-    lossless4 = evolve(u4, build_generalized_dicke(cfg4), {}, grid4, spectrum=spec4)
+    lossless4 = evolve(u4, rep4.spectrum, {}, grid4)
     runs.append(("exchange four-mix", state_fidelity(lossless4.states[-1], target4)))
 
     ok = all(f > 0.99 for _, f in runs)

@@ -289,7 +289,7 @@ def test_labels_and_resolve_match_old_decoders(qubits, cutoff, data):
 
 
 @pytest.mark.parametrize("spec", [("gge", 1.5), ("gge", True), ("gge", "0"), True, False,
-                                  1.0, "gge"])
+                                  1.0, "gge", (5, 0)])
 def test_resolve_rejects_non_integer_photons_and_indices(spec):
     with pytest.raises(ConfigError):
         HilbertLayout(3, 8).resolve(spec)
@@ -301,6 +301,8 @@ def test_bare_index_rejects_non_integer_photons():
         with pytest.raises(ConfigError, match="photon number must be an integer"):
             lay.bare_index("gge", photons)
     assert lay.bare_index("gge", np.int64(1)) == lay.bare_index("gge", 1) == 9
+    with pytest.raises(ConfigError, match="expected 3 qubit levels, got 5"):
+        lay.bare_index(5, 0)
 
 
 def test_effective_coupling_rejects_non_integer_photons():

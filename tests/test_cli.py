@@ -195,6 +195,28 @@ def fig3_observable(**fields):
     ("perturb", {"scenario": "fig2", "perturb": {"mode": "pathz"}}, "mode"),
     ("perturb", {"scenario": "fig2", "perturb": {"order": 7}}, "order"),
     ("perturb", {"scenario": "fig2", "perturb": {"epsilon": -1}}, "epsilon"),
+    # values the library's own checks reject: bracket order, grid, tolerance
+    # spacing, and fields resolved against the system's layout
+    ("anticross", {"scenario": "fig1b", "anticross": {"bracket": [1.0, 0.9]}}, "bracket"),
+    ("levels", {"scenario": "fig1b", "sweep": {"start": 1.0, "stop": 1.0}}, "monotone"),
+    ("anticross", {"scenario": "fig1b", "anticross": {"tol": 1e-300}}, "tol"),
+    ("dynamics", fig3_observable(name="P9", kind="excitation", qubit=9), "qubit index 9"),
+    ("levels", {"scenario": "fig1b", "sweep": {"parameter": "qubits[7].omega"}},
+     "qubit list index 7"),
+    ("levels", {"scenario": "fig1b", "sweep": {"levels": 500}}, "level_count"),
+    ("dynamics", fig3_observable(name="C", kind="correlation", qubits=[1, 4]), "qubit index 4"),
+    ("dynamics", fig3_dynamics(initial=["bare", "gggg", 0]), "dynamics.initial"),
+    ("perturb", {"scenario": "fig2", "perturb": {"final": ["eeg", 8]}}, "perturb.final"),
+    ("anticross", {"scenario": "fig1b", "anticross": {"pair": [["gge", 0], ["gge", 0]]}},
+     "distinct"),
+    ("levels", {"scenario": "fig1b", "sweep": {"inset": {"start": 1, "stop": 1, "points": 3}}},
+     "monotone"),
+    # a sweep or search over a field the Hamiltonian does not read
+    ("anticross", {"scenario": "fig1b", "anticross": {"parameter": "kappa"}}, "kappa"),
+    ("levels", {"scenario": "fig1b", "sweep": {"parameter": "qubits[0].gamma"}}, "gamma"),
+    ("levels", {"scenario": "fig1b", "sweep": {"parameter": "qubits[0].theta", "model": "tc"}},
+     "theta"),
+    ("perturb", {"scenario": "fig2", "perturb": {"parameter": "kappa"}}, "kappa"),
 ])
 def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, field):
     assert_config_error(tmp_path, capsys, command, payload, field)
@@ -213,6 +235,37 @@ def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
         assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     for name in ("cli.cmd", "cli.run_command", "model.build", "spectrum.find_anticrossing"):
         assert tracer.counts[f"{name}.calls"] == 1, name
+
+
+@pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
+def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch, scenario):
+    # the search's last evaluation supplies the spectrum the dynamics run in
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario, "dynamics": {"points": 5}})
+    assert main(["anticross", "--config", cfg, "--out", str(tmp_path / "anticross")]) == 0
+    report = json.loads((tmp_path / "anticross" / "anticross.json").read_text())
+    calls.clear()
+    assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "dynamics")]) == 0
+    assert len(calls) == report["evaluations"]
+
+
+def test_cutoff_override_is_validated_as_the_system_it_runs(tmp_path, capsys):
+    # 40 levels exceed the 31 excited levels of the config's cutoff 4 but not of 8
+    cfg = write_config(tmp_path, "cfg.json", {"system": TINY_SYSTEM, "sweep": {
+        "parameter": "qubits[2].omega", "start": 0.9, "stop": 1.1, "points": 3, "levels": 40}})
+    assert main(["levels", "--config", cfg, "--out", str(tmp_path / "c4")]) == 2
+    assert "level_count" in capsys.readouterr().err
+    out = tmp_path / "c8"
+    assert main(["levels", "--config", cfg, "--out", str(out), "--cutoff", "8"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["system"]["fock_cutoff"] == 8
 
 
 def test_coupling_sweep_path_sum_uses_the_model(tmp_path):

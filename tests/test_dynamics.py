@@ -192,7 +192,7 @@ class TestEvolve:
         lay = h.layout
         rho0 = bare_state(lay, "gge", 0)
         t = np.linspace(0.0, math.pi / j, 200)
-        series = evolve(rho0, h, {}, t)
+        series = evolve(rho0, diagonalize(h), {}, t)
         s3 = embed_qubit_op(lay, 3, SIGMA_MINUS)
         p3 = np.array([expectation(r, [s3.dag() @ s3]) for r in series.states])
         assert np.max(np.abs(p3 - np.cos(j * t) ** 2)) < 1e-8
@@ -201,7 +201,7 @@ class TestEvolve:
         lay = HilbertLayout(1, 1)
         h = Operator(np.zeros((2, 2)), lay)
         rho0 = np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex)
-        series = evolve(rho0, h, {}, np.linspace(0, 10.0, 5))
+        series = evolve(rho0, diagonalize(h), {}, np.linspace(0, 10.0, 5))
         assert np.max(np.abs(series.states[-1] - rho0)) < 1e-14
 
     def test_matches_literal_stage_rk4(self, rng):
@@ -220,8 +220,7 @@ class TestEvolve:
         rho0[2, 3] = rho0[3, 2] = 0.2
         step = 0.01
         n_steps = 64
-        series = evolve(rho0, h, rates, [0.0, n_steps * step],
-                        spectrum=spec, max_step=step)
+        series = evolve(rho0, spec, rates, [0.0, n_steps * step], max_step=step)
 
         jump_ops = [
             (rate, np.outer(spec.states[:, j], spec.states[:, k].conj()))
@@ -251,7 +250,7 @@ class TestEvolve:
         spec = diagonalize(h)
         psi0 = bare_state(cfg.layout, "gge", 0)
         t = np.linspace(0.0, 400.0, 9)
-        series = evolve(psi0, h, {}, t, spectrum=spec)
+        series = evolve(psi0, spec, {}, t)
         coeffs = spec.states.conj().T @ psi0.amp
         for snap, tk in zip(series.states, t):
             exact = spec.states @ (np.exp(-1j * spec.energies * tk) * coeffs)
@@ -264,7 +263,7 @@ class TestEvolve:
         spec = diagonalize(h)
         diss = build_dissipators(spec, cfg)
         rho0 = bare_state(cfg.layout, "gge", 0)
-        series = evolve(rho0, h, diss, np.linspace(0.0, 5000.0, 12), spectrum=spec)
+        series = evolve(rho0, spec, diss, np.linspace(0.0, 5000.0, 12))
         for snap in series.states:
             assert abs(np.trace(snap).real - 1.0) < 1e-7
             check_density(snap)
@@ -272,7 +271,7 @@ class TestEvolve:
     def test_states_are_read_only_stack(self):
         lay = HilbertLayout(1, 2)
         h = Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay)
-        series = evolve(bare_state(lay, "e", 1), h, {}, np.linspace(0.0, 1.0, 7))
+        series = evolve(bare_state(lay, "e", 1), diagonalize(h), {}, np.linspace(0.0, 1.0, 7))
         assert isinstance(series.states, np.ndarray)
         assert series.states.shape == (7, lay.dim, lay.dim)
         assert series.states.dtype == complex
@@ -281,20 +280,20 @@ class TestEvolve:
             series.states[0, 0, 0] = 0.0
 
     def test_time_grid_validation(self, fig1b_preset):
-        h = build_generalized_dicke(fig1b_preset)
+        spec = diagonalize(build_generalized_dicke(fig1b_preset))
         rho0 = bare_state(fig1b_preset.layout, "gge", 0)
         with pytest.raises(ConfigError):
-            evolve(rho0, h, {}, [0.0, 2.0, 1.0])
+            evolve(rho0, spec, {}, [0.0, 2.0, 1.0])
         with pytest.raises(ConfigError):
-            evolve(rho0, h, {}, [])
+            evolve(rho0, spec, {}, [])
 
     def test_rate_matrix_validation(self):
         lay = HilbertLayout(1, 2)
-        h = Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
         rho0 = bare_state(lay, "e", 1)
         good = np.zeros((4, 4))
         good[0, 3] = 0.1
-        evolve(rho0, h, {"cavity": good}, [0.0, 1.0])
+        evolve(rho0, spec, {"cavity": good}, [0.0, 1.0])
         negative = good.copy()
         negative[1, 2] = -1e-9
         diagonal = good.copy()
@@ -303,7 +302,7 @@ class TestEvolve:
         nan[0, 1] = np.nan
         for bad in (np.zeros((3, 3)), np.zeros(4), negative, diagonal, nan):
             with pytest.raises(ConfigError):
-                evolve(rho0, h, {"cavity": good, "qubit1": bad}, [0.0, 1.0])
+                evolve(rho0, spec, {"cavity": good, "qubit1": bad}, [0.0, 1.0])
 
 
 def snapshot_loop_expectation(stack, operators):
@@ -477,14 +476,13 @@ class TestExpectationSeries:
     @settings(max_examples=40, deadline=None)
     @given(layout=st.sampled_from(SMALL_LAYOUTS), channels=st.integers(0, 2),
            uniform=st.booleans(), points=st.integers(1, 12), n_obs=st.integers(0, 3),
-           pass_spectrum=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_snapshot_stack(self, layout, channels, uniform, points, n_obs,
-                                    pass_spectrum, seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_snapshot_stack(self, layout, channels, uniform, points, n_obs, seed):
         rng = np.random.default_rng(seed)
         d = layout.dim
         raw = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
         h = Operator(raw + raw.conj().T, layout)
-        spec = diagonalize(h) if pass_spectrum else None
+        spec = diagonalize(h)
         # downward rates over the ascending eigenbasis, each entry present at random
         rates = {f"channel{c}": np.triu(rng.uniform(0, 0.05, (d, d))
                                         * (rng.random((d, d)) < 0.5), 1)
@@ -502,19 +500,19 @@ class TestExpectationSeries:
         if observables and len(observables[0]) == 1:
             observables[0] = observables[0][0]  # a bare Operator, as expectation takes
 
-        values = expectation_series(rho0, h, rates, grid, observables, spectrum=spec)
+        values = expectation_series(rho0, spec, rates, grid, observables)
         stack = reference_evolve(rho0, h, rates, grid, spectrum=spec)
         assert values.shape == (points, n_obs)
         assert values.dtype == float
         expected = np.array([reference_expectation(stack, ops) for ops in observables])
         np.testing.assert_allclose(values, expected.reshape(n_obs, points).T,
                                    rtol=0, atol=1e-12)
-        series = evolve(rho0, h, rates, grid, spectrum=spec)
+        series = evolve(rho0, spec, rates, grid)
         np.testing.assert_array_equal(series.states, stack)
 
     def test_rejects_what_evolve_rejects(self):
         lay = HilbertLayout(1, 2)
-        h = Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
         rho0 = bare_state(lay, "e", 1)
         s1 = embed_qubit_op(lay, 1, SIGMA_MINUS)
         rates = np.zeros((4, 4))
@@ -537,19 +535,19 @@ class TestExpectationSeries:
         with np.errstate(all="ignore"):
             for error, channels, grid, max_step in cases:
                 with pytest.raises(error):
-                    evolve(rho0, h, channels, grid, max_step=max_step)
+                    evolve(rho0, spec, channels, grid, max_step=max_step)
                 with pytest.raises(error):
-                    expectation_series(rho0, h, channels, grid, [[s1.dag(), s1]],
+                    expectation_series(rho0, spec, channels, grid, [[s1.dag(), s1]],
                                        max_step=max_step)
         with pytest.raises(ConfigError):
-            expectation_series(rho0, h, {}, [0.0, 1.0],
+            expectation_series(rho0, spec, {}, [0.0, 1.0],
                                [embed_qubit_op(HilbertLayout(3, 1), 1, SIGMA_MINUS)])
         with pytest.raises(ConfigError):
-            expectation_series(rho0, h, {}, [0.0, 1.0], [[]])
+            expectation_series(rho0, spec, {}, [0.0, 1.0], [[]])
         # every value passes the imaginary-residue check, as in expectation
         coherent = (bare_state(lay, "e", 0).amp + 1j * bare_state(lay, "g", 0).amp) / math.sqrt(2)
         with pytest.raises(NumericalError):
-            expectation_series(coherent, h, {}, [0.0, 1.0], [s1])
+            expectation_series(coherent, spec, {}, [0.0, 1.0], [s1])
 
 
 def test_cascade_triple_correlation_tracks_excitations(four_qubit_cascade):
@@ -557,18 +555,15 @@ def test_cascade_triple_correlation_tracks_excitations(four_qubit_cascade):
     # the triple correlator rises close to the single-qubit excitation curves
     rep = find_anticrossing(four_qubit_cascade, "qubits[0].omega", (1.60, 1.69),
                             (("eggg", 0), ("geee", 0)))
-    cfg = set_parameter(four_qubit_cascade, "qubits[0].omega", rep.location)
-    spec = diagonalize(build_generalized_dicke(cfg))
-    lay = cfg.layout
+    spec, lay = rep.spectrum, four_qubit_cascade.layout
     u_idx, v_idx = lay.bare_index("eggg", 0), lay.bare_index("geee", 0)
-    ud, vd = superposition_states(spec, u_idx, v_idx, rep.branch_indices)
+    ud, vd = superposition_states(rep)
     overrides = {u_idx: ud, v_idx: vd}
     low = {i: build_dressed_lowering(spec, i, overrides, on_ambiguous="skip")
            for i in (2, 3, 4)}
     half_j = rep.splitting / 2
     t = np.linspace(0.0, 1.1 * math.pi / (2 * half_j), 300)
-    series = evolve(ud, build_generalized_dicke(cfg),
-                    build_dissipators(spec, cfg), t, spectrum=spec)
+    series = evolve(ud, spec, build_dissipators(spec, four_qubit_cascade), t)
     p2 = np.array([expectation(r, [low[2].dag(), low[2]]) for r in series.states])
     triple_ops = ([low[q].dag() for q in (2, 3, 4)] + [low[q] for q in (4, 3, 2)])
     c234 = np.array([expectation(r, triple_ops) for r in series.states])
@@ -581,17 +576,14 @@ def test_transfer_timing_matches_splitting(fig1b_preset):
     # first minimum of the swept-qubit excitation sits at pi/(2J) +- 5%
     rep = find_anticrossing(fig1b_preset, "qubits[2].omega", (0.90, 1.02),
                             (("gge", 0), ("eeg", 0)))
-    cfg = set_parameter(fig1b_preset, "qubits[2].omega", rep.location)
-    spec = diagonalize(build_generalized_dicke(cfg))
-    lay = cfg.layout
+    spec, lay = rep.spectrum, fig1b_preset.layout
     u_idx, v_idx = lay.bare_index("gge", 0), lay.bare_index("eeg", 0)
-    ud, vd = superposition_states(spec, u_idx, v_idx, rep.branch_indices)
+    ud, vd = superposition_states(rep)
     s3 = build_dressed_lowering(spec, 3, {u_idx: ud, v_idx: vd}, on_ambiguous="skip")
     half_j = rep.splitting / 2
     t_half = math.pi / (2 * half_j)
     t = np.linspace(0.0, 1.2 * t_half, 500)
-    series = evolve(ud, build_generalized_dicke(cfg),
-                    build_dissipators(spec, cfg), t, spectrum=spec)
+    series = evolve(ud, spec, build_dissipators(spec, fig1b_preset), t)
     p3 = np.array([expectation(r, [s3.dag(), s3]) for r in series.states])
     t_min = t[int(np.argmin(p3))]
     assert abs(t_min - t_half) / t_half < 0.05
@@ -611,13 +603,11 @@ def test_transfer_robust_to_tenfold_cavity_damping(fig1b_preset):
     for kappa in (fig1b_preset.kappa, 10 * fig1b_preset.kappa):
         cfg = SystemConfig(fig1b_preset.qubits, omega_c=fig1b_preset.omega_c,
                            kappa=kappa, fock_cutoff=fig1b_preset.fock_cutoff)
-        cfg = set_parameter(cfg, "qubits[2].omega", rep.location)
-        spec = diagonalize(build_generalized_dicke(cfg))
-        ud, vd = superposition_states(spec, u_idx, v_idx, rep.branch_indices)
+        spec = rep.spectrum
+        ud, vd = superposition_states(rep)
         s1 = build_dressed_lowering(spec, 1, {u_idx: ud, v_idx: vd},
                                     on_ambiguous="skip")
-        series = evolve(ud, build_generalized_dicke(cfg),
-                        build_dissipators(spec, cfg), t, spectrum=spec)
+        series = evolve(ud, spec, build_dissipators(spec, cfg), t)
         p1 = np.array([expectation(r, [s1.dag(), s1]) for r in series.states])
         peaks.append(t[int(np.argmax(p1))])
     assert abs(peaks[1] - peaks[0]) / peaks[0] < 0.05

@@ -145,6 +145,20 @@ def test_unknown_model_is_a_config_error(fig1b_preset, monkeypatch):
         vpmix.effective_coupling(fig1b_preset, ("gge", 0), ("eeg", 0), 4, model="xyz")
 
 
+@pytest.mark.parametrize("model, parameter", [
+    ("dicke", "kappa"), ("dicke", "qubits[1].gamma"), ("tc", "kappa"),
+    ("tc", "qubits[0].gamma"), ("tc", "qubits[2].theta"),
+])
+def test_unread_parameter_is_a_config_error(fig1b_preset, model, parameter):
+    # a decay rate, or theta under Tavis-Cummings, leaves the spectrum unchanged
+    message = f"^the {model} Hamiltonian does not depend on {parameter.rpartition('.')[2]}$"
+    with pytest.raises(ConfigError, match=message):
+        sweep_levels(fig1b_preset, parameter, [0.1, 0.2], 2, model=model)
+    with pytest.raises(ConfigError, match=message):
+        find_anticrossing(fig1b_preset, parameter, (0.1, 0.2), (("gge", 0), ("eeg", 0)),
+                          model=model)
+
+
 @pytest.mark.parametrize("bracket", [(0.95, 0.965), (0.97, 1.0), (0.9, 0.95)])
 def test_minimum_at_a_bracket_edge_raises(fig1b_preset, bracket):
     # the fig1b gap minimum sits at 0.968, outside each bracket
@@ -244,9 +258,10 @@ def test_sweep_monotonicity_enforced(fig1b_spec_literal):
 def test_sweep_rows_match_diagonalize(qubits, omega_c, cutoff, model, data):
     cfg = SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff)
     level_count = data.draw(st.integers(1, min(cfg.layout.dim - 1, 6)))
+    # the Tavis-Cummings Hamiltonian does not read theta, so it is no sweep parameter there
+    fields = ("omega", "lam", "theta") if model == "dicke" else ("omega", "lam")
     parameter = data.draw(st.sampled_from(
-        ["omega_c"] + [f"qubits[{k}].{field}" for k in range(len(qubits))
-                       for field in ("omega", "lam", "theta")]))
+        ["omega_c"] + [f"qubits[{k}].{field}" for k in range(len(qubits)) for field in fields]))
     start = data.draw(st.floats(0.3, 1.5))
     grid = start + np.linspace(0.0, 0.2, data.draw(st.integers(1, 4)))
     sweep = sweep_levels(cfg, parameter, grid, level_count, model=model)
@@ -459,37 +474,44 @@ class TestAnticrossing:
             _pair_branches(spread / math.sqrt(dim), 0, 1)
 
     def test_report_matches_diagonalize_at_minimum(self, fig1b_preset):
-        # branch energies and overlaps are read off the raw eigenvectors; the
-        # gauged ones of diagonalize must give the same bits
-        rep = find_anticrossing(
-            fig1b_preset, "qubits[2].omega", (0.90, 1.02), (("gge", 0), ("eeg", 0)),
-        )
-        spec = diagonalize(build_generalized_dicke(
-            set_parameter(fig1b_preset, "qubits[2].omega", rep.location)))
-        u, v = rep.bare_pair
-        ia, ib = rep.branch_indices
-        assert _pair_branches(spec.states, u, v) == (ia, ib)
-        assert rep.branch_energies == (float(spec.energies[ia]), float(spec.energies[ib]))
-        assert rep.splitting == float(spec.energies[ib] - spec.energies[ia])
-        lay = fig1b_preset.layout
-        bare_u = bare_state(lay, *lay.bare_labels(u)).amp
-        bare_v = bare_state(lay, *lay.bare_labels(v)).amp
-        plus, minus = (bare_u + bare_v) / math.sqrt(2.0), (bare_u - bare_v) / math.sqrt(2.0)
-        o_ap, o_am, o_bp, o_bm = (abs(np.vdot(vec, spec.states[:, k])) ** 2
-                                  for k in (ia, ib) for vec in (plus, minus))
-        expected = (o_ap, o_bm) if o_ap + o_bm >= o_am + o_bp else (o_am, o_bp)
-        assert rep.superposition_overlaps == tuple(float(o) for o in expected)
+        # the report carries the spectrum of its last evaluation: bit for bit
+        # an independent diagonalize of the builder at the location, and the
+        # source of the branches, energies and overlaps
+        fig4 = get_preset("fig4")
+        cases = [(fig1b_preset, {"parameter": "qubits[2].omega", "bracket": (0.90, 1.02),
+                                 "pair": (("gge", 0), ("eeg", 0))}),
+                 (build_system(fig4), fig4["anticross"])]
+        for cfg, block in cases:
+            rep = find_anticrossing(cfg, block["parameter"], tuple(block["bracket"]),
+                                    block["pair"])
+            spec = diagonalize(build_generalized_dicke(
+                set_parameter(cfg, block["parameter"], rep.location)))
+            assert rep.spectrum.energies.tobytes() == spec.energies.tobytes()
+            assert rep.spectrum.states.tobytes() == spec.states.tobytes()
+            assert rep.spectrum.labels == spec.labels
+            assert rep.spectrum.label_collisions == spec.label_collisions
+            assert rep.spectrum.layout == spec.layout
+            u, v = rep.bare_pair
+            ia, ib = rep.branch_indices
+            assert _pair_branches(spec.states, u, v) == (ia, ib)
+            assert rep.branch_energies == (float(spec.energies[ia]), float(spec.energies[ib]))
+            assert rep.splitting == float(spec.energies[ib] - spec.energies[ia])
+            lay = cfg.layout
+            bare_u = bare_state(lay, *lay.bare_labels(u)).amp
+            bare_v = bare_state(lay, *lay.bare_labels(v)).amp
+            plus = (bare_u + bare_v) / math.sqrt(2.0)
+            minus = (bare_u - bare_v) / math.sqrt(2.0)
+            o_ap, o_am, o_bp, o_bm = (abs(np.vdot(vec, spec.states[:, k])) ** 2
+                                      for k in (ia, ib) for vec in (plus, minus))
+            expected = (o_ap, o_bm) if o_ap + o_bm >= o_am + o_bp else (o_am, o_bp)
+            assert rep.superposition_overlaps == tuple(float(o) for o in expected)
 
     def test_superposition_states_orthonormal(self, fig1b_preset):
         rep = find_anticrossing(
             fig1b_preset, "qubits[2].omega", (0.90, 1.02), (("gge", 0), ("eeg", 0)),
         )
-        cfg = set_parameter(fig1b_preset, "qubits[2].omega", rep.location)
-        spec = diagonalize(build_generalized_dicke(cfg))
         lay = fig1b_preset.layout
-        u, v = superposition_states(
-            spec, lay.bare_index("gge", 0), lay.bare_index("eeg", 0), rep.branch_indices
-        )
+        u, v = superposition_states(rep)
         assert u.norm == pytest.approx(1.0, abs=1e-12)
         assert v.norm == pytest.approx(1.0, abs=1e-12)
         assert abs(u.overlap(v)) < 1e-12
@@ -500,9 +522,4 @@ class TestAnticrossing:
         rep = find_anticrossing(
             fig1b_preset, "qubits[2].omega", (0.90, 1.02), (("gge", 0), ("eeg", 0)),
         )
-        cfg = set_parameter(fig1b_preset, "qubits[2].omega", rep.location)
-        spec = diagonalize(build_generalized_dicke(cfg))
-        lay = fig1b_preset.layout
-        s = coupling_sign(spec, lay.bare_index("gge", 0), lay.bare_index("eeg", 0),
-                          rep.branch_indices)
-        assert s in (-1, 1)
+        assert coupling_sign(rep) in (-1, 1)
