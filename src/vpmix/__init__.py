@@ -73,6 +73,7 @@ from .spectrum import (
     AnticrossingReport,
     SpectrumResult,
     SweepResult,
+    coupling_sign,
     diagonalize,
     find_anticrossing,
     set_parameter,

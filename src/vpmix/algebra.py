@@ -83,9 +83,11 @@ class HilbertLayout:
 
     def qubit_index(self, index: int) -> int:
         """A 1-based qubit index, checked against the register."""
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ConfigError(f"qubit index must be an integer, got {index!r}")
         if not 1 <= index <= self.qubit_count:
             raise ConfigError(f"qubit index {index} outside 1..{self.qubit_count}")
-        return index
+        return int(index)
 
     def bare_index(self, levels: Sequence[str], photons: int) -> int:
         """Basis index of |levels, photons> under the fixed ordering."""
@@ -264,11 +266,11 @@ def embed_qubit_op(layout: HilbertLayout, qubit_index: int, local: np.ndarray) -
     tensor factor, so operators embedded on distinct factors commute exactly
     and the embedding is an algebra homomorphism on each factor.
     """
-    layout.qubit_index(qubit_index)
+    i = layout.qubit_index(qubit_index)
     loc = np.asarray(local, dtype=complex)
     if loc.shape != (2, 2):
         raise ConfigError(f"local operator must be 2x2, got shape {loc.shape}")
-    return Operator(_lift(layout, qubit_index, loc, np.eye(layout.fock_cutoff)), layout)
+    return Operator(_lift(layout, i, loc, np.eye(layout.fock_cutoff)), layout)
 
 
 def cavity_annihilation(layout: HilbertLayout) -> Operator:

@@ -360,7 +360,7 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
 
     @cache  # each qubit's operator is built once, when an observable first needs it
     def lowering(q: int):
-        return build_dressed_lowering(spectrum, q, overrides, on_ambiguous="skip")
+        return build_dressed_lowering(spectrum, q, overrides)
 
     initial = dyn.get("initial", "pair_symmetric")
     if isinstance(initial, list):  # ["bare", levels, photons]

@@ -16,10 +16,13 @@ coupling, where the jump operators reduce to bare sigma_- and a, and remains
 meaningful in the ultrastrong-coupling regime where bare lowering operators
 would create excitations out of the dressed vacuum.
 
-Observables use dressed ladder operators: for qubit i the lowering operator
-maps each eigenstate labeled (e_i, rest) to the one labeled (g_i, rest); for
-the cavity the lowering operator is the positive-frequency part of a + a+ in
-the eigenbasis, which annihilates the dressed vacuum by construction.
+Observables use dressed ladder operators.  For qubit i the lowering operator
+is the bare sigma_-^(i) seen through one dressed frame F, S_- = F sigma_- F+,
+where column b of F is the eigenstate that bare state b labels (zero where
+no eigenstate, or more than one, claims b).  It maps each eigenstate labeled
+(e_i, rest) to the one labeled (g_i, rest).  For the cavity the lowering
+operator is the positive-frequency part of a + a+ in the eigenbasis, which
+annihilates the dressed vacuum by construction.
 
 The master equation is integrated with the classical fixed-step fourth-order
 Runge-Kutta scheme.  In the eigenbasis the generator is time independent and
@@ -49,7 +52,6 @@ from .algebra import (
     SIGMA_X,
     Ket,
     Operator,
-    _lift,
     cavity_quadrature,
     embed_qubit_op,
 )
@@ -106,72 +108,46 @@ class TimeSeries:
     states: np.ndarray
 
 
-def _qubit_context_pairs(spectrum: SpectrumResult, qubit_index: int):
-    """(bare_g, bare_e) index pairs differing only in the level of one qubit,
-    in ascending order: the nonzeros of sigma_- lifted onto that qubit."""
-    layout = spectrum.layout
-    lowering = _lift(layout, layout.qubit_index(qubit_index), SIGMA_MINUS.real,
-                     np.eye(layout.fock_cutoff))
-    return list(zip(*(idx.tolist() for idx in np.nonzero(lowering))))
-
-
 def build_dressed_lowering(
     spectrum: SpectrumResult,
     qubit_index: int,
     overrides: Mapping[int, Ket] | None = None,
-    on_ambiguous: str = "raise",
 ) -> Operator:
     """Dressed lowering operator of one qubit, expressed in the bare basis.
 
-    S_- = sum over contexts |psi(g_i, rest)><psi(e_i, rest)| where psi(b) is
-    the eigenstate labeled by bare state b.  Contexts whose labels are not
-    claimed by any eigenstate (truncation-edge states) are skipped; a context
-    touching a label claimed by two eigenstates is ambiguous and raises by
-    default (``on_ambiguous="skip"`` drops it instead, appropriate when the
-    collisions sit at the truncation edge far above the populated sector).
-    With all couplings zero this reduces exactly to the bare sigma_-.
+    S_- = F sigma_-^(i) F+, where the dressed frame F carries each bare state
+    b to the eigenstate it labels: column b of F is the eigenvector that alone
+    claims label b, or ``overrides[b]`` where one is given, and zero where no
+    eigenstate or several claim b.  So S_- sums |psi(g_i, rest)><psi(e_i, rest)|
+    over the contexts whose two labels both have a dressed vector; a context
+    touching a truncation-edge or collided label drops out.  With all
+    couplings zero this reduces exactly to the bare sigma_-.
 
     At an anticrossing minimum the two split eigenstates are +- superpositions
     and neither carries a unique label; pass the recombined dressed pair from
-    :func:`vpmix.spectrum.superposition_states` via ``overrides``
-    (bare index -> Ket) to resolve those contexts explicitly.
+    :func:`vpmix.spectrum.superposition_states` via ``overrides`` (bare index
+    -> Ket) to give those two labels their vectors.  When no context has both
+    labels, :class:`LabelAmbiguityError` is raised.  That is the case for
+    either qubit of a degenerate pair (two qubits at one frequency): each of
+    their contexts passes through a state with one of the pair excited, and
+    of those two labels the pair's symmetric and antisymmetric eigenstates
+    both claim one and leave the other unclaimed.
     """
-    if on_ambiguous not in ("raise", "skip"):
-        raise ConfigError(f"on_ambiguous must be 'raise' or 'skip', got {on_ambiguous!r}")
-    lmap = spectrum.label_map()
-    collided = set(spectrum.label_collisions)
-    overrides = dict(overrides or {})
-
-    def dressed_vector(bare: int) -> np.ndarray | None:
-        if bare in overrides:
-            return overrides[bare].amp
-        if bare in collided:
-            if on_ambiguous == "skip":
-                return None
-            raise LabelAmbiguityError(
-                f"bare label {bare} claimed by multiple eigenstates; "
-                f"cannot build dressed lowering for qubit {qubit_index} "
-                "(pass an override for this state)"
-            )
-        if bare in lmap:
-            return spectrum.states[:, lmap[bare]]
-        return None
-
-    mat = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
-    resolved = 0
-    for b_g, b_e in _qubit_context_pairs(spectrum, qubit_index):
-        v_g = dressed_vector(b_g)
-        v_e = dressed_vector(b_e)
-        if v_g is None or v_e is None:
-            continue
-        mat += np.outer(v_g, v_e.conj())
-        resolved += 1
-    if resolved == 0:
+    layout = spectrum.layout
+    lowering = embed_qubit_op(layout, qubit_index, SIGMA_MINUS).mat
+    labels = np.array([bare for bare, _ in spectrum.labels])
+    unique = ~np.isin(labels, spectrum.label_collisions)
+    frame = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
+    frame[:, labels[unique]] = spectrum.states[:, unique]
+    for bare, ket in (overrides or {}).items():
+        frame[:, layout.resolve(bare)] = ket.amp
+    claimed = frame.any(axis=0)
+    if not lowering[np.ix_(claimed, claimed)].any():
         raise LabelAmbiguityError(
             f"no resolvable contexts for qubit {qubit_index}; labels do not "
             "cover the needed sector"
         )
-    return Operator(mat, spectrum.layout)
+    return Operator(frame @ lowering @ frame.conj().T, layout)
 
 
 def build_cavity_lowering(spectrum: SpectrumResult) -> Operator:

@@ -40,6 +40,7 @@ __all__ = [
     "sweep_levels",
     "find_anticrossing",
     "superposition_states",
+    "coupling_sign",
     "MODEL_BUILDERS",
 ]
 
@@ -60,8 +61,9 @@ class SpectrumResult:
 
     ``labels[k]`` is ``(bare_index, weight)`` where weight is the squared
     overlap of eigenstate k with its dominant bare state.  ``label_collisions``
-    lists bare indices claimed by more than one eigenstate (ties are resolved
-    by energy order but flagged here).
+    lists bare indices claimed by more than one eigenstate.  Nothing resolves
+    them: a collided label gets no dressed vector, so dressed operators drop
+    every context that passes through it.
     """
 
     energies: np.ndarray
@@ -87,15 +89,6 @@ class SpectrumResult:
 
     def label_string(self, k: int) -> str:
         return self.layout.label_string(self.labels[k][0])
-
-    def label_map(self) -> dict[int, int]:
-        """bare index -> eigenstate index, for uniquely claimed labels only."""
-        collided = set(self.label_collisions)
-        return {
-            bare: k
-            for k, (bare, _) in enumerate(self.labels)
-            if bare not in collided
-        }
 
 
 def _eigh(mat: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,14 +294,23 @@ def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _two(name: str, items) -> tuple:
+    """The two items of ``items``, or :class:`ConfigError` for any other count."""
+    try:
+        first, second = items
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must have exactly two items, got {items!r}") from None
+    return first, second
+
+
 def _search_inputs(config: SystemConfig, parameter: str, bracket: tuple[float, float],
                    bare_pair: tuple, model: str = "dicke", tol: float = 1e-6):
     """Checked assembler, u, v and bracket: the argument checks of :func:`find_anticrossing`."""
     assemble = _assembler(config, parameter, model)
-    u, v = config.layout.resolve(bare_pair[0]), config.layout.resolve(bare_pair[1])
+    u, v = (config.layout.resolve(spec) for spec in _two("bare_pair", bare_pair))
     if u == v:
         raise ConfigError("bare pair must be two distinct states")
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = (float(end) for end in _two("bracket", bracket))
     if not hi > lo:
         raise ConfigError(f"invalid bracket {bracket}")
     spacing = float(np.spacing(max(abs(lo), abs(hi))))

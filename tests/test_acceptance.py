@@ -71,8 +71,7 @@ def fig3_run(three_mix):
     cfg = three_mix["config"]
     spectrum = three_mix["spectrum"]
     overrides = {three_mix["u_idx"]: three_mix["u"], three_mix["v_idx"]: three_mix["v"]}
-    lowering = {i: build_dressed_lowering(spectrum, i, overrides, on_ambiguous="skip")
-                for i in (1, 2, 3)}
+    lowering = {i: build_dressed_lowering(spectrum, i, overrides) for i in (1, 2, 3)}
     half_j = three_mix["report"].splitting / 2.0
     t_half = math.pi / (2.0 * half_j)
     grid = np.linspace(0.0, 1.3 * t_half, 700)

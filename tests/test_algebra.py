@@ -311,3 +311,29 @@ def test_effective_coupling_rejects_non_integer_photons():
                        omega_c=1.25, fock_cutoff=4)
     with pytest.raises(ConfigError, match="photon number must be an integer, got 1.5"):
         effective_coupling(cfg, ("gge", 1.5), ("eeg", 0), 4)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True, np.float64(1.0), "1", None])
+def test_qubit_index_rejects_non_integers(index):
+    from vpmix import (QubitParams, SystemConfig, build_dressed_lowering, diagonalize,
+                       dispersive_pair_coupling)
+    cfg = SystemConfig((QubitParams(0.4, 0.0), QubitParams(0.9, 0.0)), omega_c=1.3,
+                       fock_cutoff=2)
+    spec = diagonalize(identity(cfg.layout))
+    match = "qubit index must be an integer"
+    with pytest.raises(ConfigError, match=match):
+        cfg.layout.qubit_index(index)
+    with pytest.raises(ConfigError, match=match):
+        embed_qubit_op(cfg.layout, index, SIGMA_X)
+    with pytest.raises(ConfigError, match=match):
+        build_dressed_lowering(spec, index)
+    with pytest.raises(ConfigError, match=match):
+        dispersive_pair_coupling(cfg, index, 2)
+
+
+def test_qubit_index_accepts_numpy_integers():
+    lay = HilbertLayout(2, 2)
+    assert lay.qubit_index(np.int64(2)) == 2
+    assert type(lay.qubit_index(np.int64(2))) is int
+    assert np.array_equal(embed_qubit_op(lay, np.int64(2), SIGMA_X).mat,
+                          embed_qubit_op(lay, 2, SIGMA_X).mat)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vpmix import (
     ConfigError,
+    LabelAmbiguityError,
     NumericalError,
     StepSizeError,
     MixKind,
@@ -33,6 +34,9 @@ from vpmix import (
     superposition_states,
 )
 from vpmix.algebra import SIGMA_MINUS, SIGMA_X, HilbertLayout, Ket
+from vpmix.cli import _search, build_system
+from vpmix.presets import get_preset
+from vpmix.spectrum import MODEL_BUILDERS
 
 PI6 = math.pi / 6
 
@@ -60,13 +64,13 @@ class TestDressedOperators:
     def test_lowering_squares_to_zero(self, fig1b_spec_literal):
         cfg = set_parameter(fig1b_spec_literal, "qubits[2].omega", 0.7)
         spec = diagonalize(build_generalized_dicke(cfg))
-        s = build_dressed_lowering(spec, 1, on_ambiguous="skip")
+        s = build_dressed_lowering(spec, 1)
         assert np.max(np.abs((s @ s).mat)) < 1e-12
 
     def test_raising_projects_labeled_eigenstate(self, fig1b_spec_literal):
         cfg = set_parameter(fig1b_spec_literal, "qubits[2].omega", 0.7)
         spec = diagonalize(build_generalized_dicke(cfg))
-        s1 = build_dressed_lowering(spec, 1, on_ambiguous="skip")
+        s1 = build_dressed_lowering(spec, 1)
         target = next(k for k in range(spec.dim) if spec.label_string(k) == "egg:0")
         psi = spec.eigenket(target)
         rho = np.outer(psi.amp, psi.amp.conj())
@@ -84,6 +88,96 @@ class TestDressedOperators:
         a = build_cavity_lowering(spec)
         ground = spec.states[:, 0]
         assert np.linalg.norm(a.mat @ ground) < 1e-10
+
+
+def context_loop_lowering(spectrum, qubit_index, overrides=None):
+    """Reference: the per-context loop that built dressed lowering operators
+    before the dressed frame, with contexts through a collided label skipped.
+    Sums |psi(g_i, rest)><psi(e_i, rest)| one outer product at a time."""
+    layout = spectrum.layout
+    collided = set(spectrum.label_collisions)
+    label_map = {bare: k for k, (bare, _) in enumerate(spectrum.labels) if bare not in collided}
+    overrides = dict(overrides or {})
+
+    def dressed_vector(bare):
+        if bare in overrides:
+            return overrides[bare].amp
+        if bare in label_map:
+            return spectrum.states[:, label_map[bare]]
+        return None
+
+    stride = 2 ** (layout.qubit_count - qubit_index) * layout.fock_cutoff
+    mat = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
+    resolved = 0
+    for b_g in range(spectrum.dim):
+        if (b_g // stride) % 2:  # qubit excited: not the ground side of a context
+            continue
+        v_g, v_e = dressed_vector(b_g), dressed_vector(b_g + stride)
+        if v_g is None or v_e is None:
+            continue
+        mat += np.outer(v_g, v_e.conj())
+        resolved += 1
+    if resolved == 0:
+        raise LabelAmbiguityError(f"no resolvable contexts for qubit {qubit_index}")
+    return mat
+
+
+def assert_lowering_matches_context_loop(spectrum, qubit_index, overrides=None):
+    try:
+        ref = context_loop_lowering(spectrum, qubit_index, overrides)
+    except LabelAmbiguityError:
+        with pytest.raises(LabelAmbiguityError, match="no resolvable contexts"):
+            build_dressed_lowering(spectrum, qubit_index, overrides)
+        return
+    new = build_dressed_lowering(spectrum, qubit_index, overrides).mat
+    assert np.max(np.abs(new - ref)) <= 1e-14
+
+
+class TestDressedFrame:
+    @settings(max_examples=60, deadline=None)
+    @given(qubits=st.integers(1, 3), cutoff=st.integers(2, 5),
+           model=st.sampled_from(sorted(MODEL_BUILDERS)), with_overrides=st.booleans(),
+           data=st.data())
+    def test_matches_context_loop_on_small_systems(self, qubits, cutoff, model,
+                                                    with_overrides, data):
+        freq = st.floats(0.2, 1.6, allow_nan=False)
+        cfg = SystemConfig(
+            tuple(QubitParams(data.draw(freq), data.draw(st.floats(0.0, 0.3)),
+                              data.draw(st.floats(0.0, math.pi / 2)))
+                  for _ in range(qubits)),
+            omega_c=data.draw(freq), fock_cutoff=cutoff)
+        spec = diagonalize(MODEL_BUILDERS[model](cfg))
+        overrides = None
+        if with_overrides:
+            bare = data.draw(st.lists(st.integers(0, spec.dim - 1), min_size=2, max_size=2,
+                                      unique=True))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            vecs = rng.normal(size=(2, spec.dim)) + 1j * rng.normal(size=(2, spec.dim))
+            overrides = {b: Ket(v / np.linalg.norm(v), cfg.layout) for b, v in zip(bare, vecs)}
+        for i in range(1, qubits + 1):
+            assert_lowering_matches_context_loop(spec, i, overrides)
+
+    @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
+    def test_matches_context_loop_at_preset_minima(self, scenario):
+        cfg = get_preset(scenario)
+        system = build_system(cfg)
+        rep = _search(find_anticrossing, system, cfg["anticross"])
+        overrides = dict(zip(rep.bare_pair, superposition_states(rep)))
+        for i in range(1, system.qubit_count + 1):
+            assert_lowering_matches_context_loop(rep.spectrum, i, overrides)
+
+    def test_degenerate_pair_has_no_resolvable_contexts(self):
+        # the library-use system of the README: qubits 1 and 2 at one frequency
+        cfg = SystemConfig((QubitParams(0.5, 0.1, PI6), QubitParams(0.5, 0.1, PI6),
+                            QubitParams(1.0, 0.1, PI6)), omega_c=1.25)
+        rep = find_anticrossing(cfg, "qubits[2].omega", (0.9, 1.06),
+                                (("gge", 0), ("eeg", 0)))
+        overrides = dict(zip(rep.bare_pair, superposition_states(rep)))
+        for i in (1, 2):
+            with pytest.raises(LabelAmbiguityError, match="no resolvable contexts"):
+                build_dressed_lowering(rep.spectrum, i, overrides)
+        s3 = build_dressed_lowering(rep.spectrum, 3, overrides)
+        assert np.max(np.abs(s3.mat - context_loop_lowering(rep.spectrum, 3, overrides))) <= 1e-14
 
 
 def nonzero_rates(rates):
@@ -559,8 +653,7 @@ def test_cascade_triple_correlation_tracks_excitations(four_qubit_cascade):
     u_idx, v_idx = lay.bare_index("eggg", 0), lay.bare_index("geee", 0)
     ud, vd = superposition_states(rep)
     overrides = {u_idx: ud, v_idx: vd}
-    low = {i: build_dressed_lowering(spec, i, overrides, on_ambiguous="skip")
-           for i in (2, 3, 4)}
+    low = {i: build_dressed_lowering(spec, i, overrides) for i in (2, 3, 4)}
     half_j = rep.splitting / 2
     t = np.linspace(0.0, 1.1 * math.pi / (2 * half_j), 300)
     series = evolve(ud, spec, build_dissipators(spec, four_qubit_cascade), t)
@@ -579,7 +672,7 @@ def test_transfer_timing_matches_splitting(fig1b_preset):
     spec, lay = rep.spectrum, fig1b_preset.layout
     u_idx, v_idx = lay.bare_index("gge", 0), lay.bare_index("eeg", 0)
     ud, vd = superposition_states(rep)
-    s3 = build_dressed_lowering(spec, 3, {u_idx: ud, v_idx: vd}, on_ambiguous="skip")
+    s3 = build_dressed_lowering(spec, 3, {u_idx: ud, v_idx: vd})
     half_j = rep.splitting / 2
     t_half = math.pi / (2 * half_j)
     t = np.linspace(0.0, 1.2 * t_half, 500)
@@ -605,8 +698,7 @@ def test_transfer_robust_to_tenfold_cavity_damping(fig1b_preset):
                            kappa=kappa, fock_cutoff=fig1b_preset.fock_cutoff)
         spec = rep.spectrum
         ud, vd = superposition_states(rep)
-        s1 = build_dressed_lowering(spec, 1, {u_idx: ud, v_idx: vd},
-                                    on_ambiguous="skip")
+        s1 = build_dressed_lowering(spec, 1, {u_idx: ud, v_idx: vd})
         series = evolve(ud, spec, build_dissipators(spec, cfg), t)
         p1 = np.array([expectation(r, [s1.dag(), s1]) for r in series.states])
         peaks.append(t[int(np.argmax(p1))])

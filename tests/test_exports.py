@@ -40,3 +40,14 @@ def test_every_module_export_resolves():
     missing = [f"{m.__name__}.{name}" for m in modules
                for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert missing == []
+
+
+def test_package_reexports_the_physics_modules():
+    # circuits, presets and cli keep their own namespaces; the builder table
+    # belongs to model and spectrum lists it for its callers
+    modules = ["algebra", "model", "spectrum", "dynamics", "perturbation"]
+    missing = [f"vpmix.{m}.{name}" for m in modules
+               for name in importlib.import_module(f"vpmix.{m}").__all__
+               if name != "MODEL_BUILDERS" and not hasattr(vpmix, name)]
+    assert missing == []
+    assert vpmix.coupling_sign is importlib.import_module("vpmix.spectrum").coupling_sign

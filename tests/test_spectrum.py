@@ -430,6 +430,18 @@ class TestAnticrossing:
             find_anticrossing(fig1b_preset, "qubits[2].omega", (1.0, 0.9),
                               (("gge", 0), ("eeg", 0)))
 
+    @pytest.mark.parametrize("bracket, pair", [
+        ((0.9,), (("gge", 0), ("eeg", 0))),
+        ((0.9, 1.02, 1.1), (("gge", 0), ("eeg", 0))),
+        (0.9, (("gge", 0), ("eeg", 0))),
+        ((0.9, 1.02), (("gge", 0),)),
+        ((0.9, 1.02), (("gge", 0), ("eeg", 0), ("egg", 0))),
+        ((0.9, 1.02), 5),
+    ])
+    def test_bracket_and_pair_need_exactly_two_items(self, fig1b_preset, bracket, pair):
+        with pytest.raises(ConfigError, match="must have exactly two items"):
+            find_anticrossing(fig1b_preset, "qubits[2].omega", bracket, pair)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-300, math.nan])
     def test_unresolvable_tol_rejected(self, fig1b_preset, tol):
         # each of these would keep the golden-section loop running forever
