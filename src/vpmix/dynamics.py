@@ -26,17 +26,25 @@ annihilates the dressed vacuum by construction.
 
 The master equation is integrated with the classical fixed-step fourth-order
 Runge-Kutta scheme.  In the eigenbasis the generator is time independent and
-acts on coherences and populations separately, so the RK4 step is a constant
+secular: each coherence rho~_ij evolves alone, multiplied by its own g_ij at
+every step, and only the populations mix.  So the RK4 step is a constant
 linear map; steps are composed by exact powers of the per-step multipliers,
 which reproduces the literal stage-by-stage iteration to rounding error at a
 tiny fraction of the cost.  The state is streamed in the eigenbasis,
-rho~(t_p) = U+ rho(t_p) U, one grid time at a time.  :func:`expectation_series`
-transforms each observable product once, O~ = U+ O U, and contracts it with
-every rho~(t_p) as it is produced, sum_ij rho~_ij O~_ji, O(d^2) per observable
-and time; no snapshot stack is built, and the ``dynamics`` command takes this
-path.  :func:`evolve` instead turns every rho~(t_p) back into the bare basis
-and keeps them all as one read-only (T, d, d) array, which :func:`expectation`
-contracts with an operator product.
+rho~(t_p) = U+ rho(t_p) U, one grid time at a time, as a real population
+vector plus a 1-D array of the coherences kept at fixed indices (i, j).
+:func:`expectation_series` transforms each observable product once,
+O~ = U+ O U, and keeps only the coherences that can reach an observable: it
+drops them in ascending order of the bound
+w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|)^(T-1) while their summed
+bound stays <= 1e-15, so no value moves by more than that.  Each time step
+then costs O(d^2) for the populations plus O(m n_obs) for the m kept
+coherences, contracted as pops . diag(O~_k) + sum rho~_ij O~_k,ji; a
+``pair_symmetric`` start keeps 2.  No snapshot stack is built, and the
+``dynamics`` command takes this path.  :func:`evolve` keeps every coherence
+with rho~0_ij != 0 (the rest stay exactly zero), turns every rho~(t_p) back
+into the bare basis and keeps them all as one read-only (T, d, d) array,
+which :func:`expectation` contracts with an operator product.
 """
 
 from __future__ import annotations
@@ -73,13 +81,18 @@ __all__ = [
 
 _RATE_FLOOR = 1e-24  # squared matrix elements below this are truncation noise
 _ENERGY_TOL = 1e-12  # eigenvalue gap below which a pair counts as degenerate
-# Trace drift, or depth of a negative population, that makes evolve reject
-# its step size.
+# Trace drift, depth of a negative population, or excess of a coherence
+# multiplier over 1 that makes evolve reject its step size.
 _DRIFT_TOL = 1e-7
+# Summed weight of the coherences expectation_series drops: no observable
+# moves by more than this at any grid time.
+_DROP_BOUND = 1e-15
 # check_density limits: Hermiticity defect, trace error, lowest eigenvalue.
 _STATE_HERM_TOL = 1e-10
 _STATE_TRACE_TOL = 1e-8
 _STATE_EIG_FLOOR = -1e-8
+# Rounding margin outside [0, 1] that state_fidelity clips rather than rejects.
+_FIDELITY_MARGIN = 1e-10
 
 
 def check_density(rho) -> None:
@@ -88,15 +101,21 @@ def check_density(rho) -> None:
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"density matrix must be square, got {m.shape}")
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > _STATE_HERM_TOL:
-        raise NumericalError(f"density matrix not Hermitian: defect {defect:.3e}")
-    trace = float(np.real(np.trace(m)))
-    if abs(trace - 1.0) > _STATE_TRACE_TOL:
-        raise NumericalError(f"trace deviates from 1 by {trace - 1.0:.3e}")
+    _check_hermitian_unit_trace(m, NumericalError, "density matrix")
     lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
     if lo < _STATE_EIG_FLOOR:
         raise NumericalError(f"negative population {lo:.3e}")
+
+
+def _check_hermitian_unit_trace(m: np.ndarray, error: type[Exception], what: str) -> None:
+    """Raise ``error`` if the square matrix ``m`` has a Hermiticity defect or
+    a trace error beyond the ``_STATE_*`` limits; O(d^2), no eigensolve."""
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if not defect <= _STATE_HERM_TOL:
+        raise error(f"{what} not Hermitian: defect {defect:.3e}")
+    trace = float(np.real(np.trace(m)))
+    if not abs(trace - 1.0) <= _STATE_TRACE_TOL:
+        raise error(f"{what} trace deviates from 1 by {trace - 1.0:.3e}")
 
 
 @dataclass(frozen=True)
@@ -205,18 +224,35 @@ def _rk4_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def _coerce_rho(state, dim: int) -> np.ndarray:
+    """The initial state as a d x d matrix; a Ket or vector becomes its projector.
+
+    Raises :class:`ConfigError` unless the matrix is Hermitian and has unit
+    trace, to the ``_STATE_*`` limits of :func:`check_density`.
+    """
     arr = state.amp if isinstance(state, Ket) else np.asarray(state, dtype=complex)
     mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)
     if mat.shape != (dim, dim):
         raise ConfigError(f"initial state dimension {mat.shape} does not match {dim}")
+    _check_hermitian_unit_trace(mat, ConfigError, "initial state")
     return mat
 
 
-def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step):
-    """Validate the inputs of :func:`evolve` eagerly, then return the time grid
-    and a generator of rho~(t_p) = U+ rho(t_p) U, one per grid time.
+def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
+    """Validate the inputs of :func:`evolve` eagerly, then return the time grid,
+    the flat indices i d + j of the coherences rho~_ij that are kept, and a
+    generator of (diagonal, kept coherences) of rho~(t_p) = U+ rho(t_p) U, one
+    pair per grid time.
 
-    The generator advances one matrix in place: a yielded rho~ is valid until
+    The first diagonal is rho~(t_0)'s own; later ones are the real populations.
+    Without ``reach`` every coherence with rho~0_ij != 0 is kept: the rest
+    stay exactly zero.  ``reach`` is a d x d array bounding the observables
+    elementwise, reach >= |O~_k| for every eigenbasis observable O~_k.  With
+    it, coherence ij has the weight w_ij = |rho~0_ij| reach_ji
+    max(1, |g_ij|)^(T-1), which bounds its term in every Tr[rho~(t_p) O~_k];
+    coherences are dropped in ascending weight while their summed weight
+    stays <= ``_DROP_BOUND``.
+
+    The generator advances its arrays in place: a yielded pair is valid until
     the next step, so a caller that keeps it must copy it.
     """
     dim, u, e = spectrum.dim, spectrum.states, spectrum.energies
@@ -258,30 +294,53 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step):
     decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
     w_pop = gain - np.diag(out_rate)
 
-    step_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def interval_maps(dt: float) -> tuple[np.ndarray, np.ndarray]:
+    # One RK4 map per distinct interval: the coherence multipliers g_n and the
+    # population map p_n.  A stable step keeps every |g_n| <= 1; g_reach is
+    # max(1, |g_ij|) over all intervals, which the drop weights need.
+    intervals = np.diff(times).tolist()
+    maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    g_reach = np.ones((dim, dim))
+    for p, dt in enumerate(intervals, start=1):
+        if dt in maps:
+            continue
         n = max(1, int(math.ceil(dt / h_max))) if math.isfinite(h_max) else 1
-        key = (dt, n)
-        if key not in step_cache:
-            h = dt / n
-            g_step = _rk4_scalar(h * (-1j * omega - decay))
-            g_n = g_step**n
-            p_step = _rk4_matrix(h * w_pop)
-            p_n = np.linalg.matrix_power(p_step, n)
-            step_cache[key] = (g_n, p_n)
-        return step_cache[key]
+        h = dt / n
+        g_n = _rk4_scalar(h * (-1j * omega - decay)) ** n
+        size = np.abs(g_n)
+        np.fill_diagonal(size, 1.0)  # the populations follow p_n instead
+        worst = float(size.max())
+        if not worst <= 1.0 + _DRIFT_TOL:  # also an overflow to inf or NaN
+            raise StepSizeError(
+                f"coherence multiplier {worst:.3e} exceeds 1 + {_DRIFT_TOL:.1e} at "
+                f"t = {times[p]:.6g}; retry with a smaller max_step"
+            )
+        np.maximum(g_reach, size, out=g_reach)
+        maps[dt] = (g_n, np.linalg.matrix_power(_rk4_matrix(h * w_pop), n))
 
-    def steps(rho: np.ndarray):
-        trace0 = float(np.real(np.trace(rho)))
-        yield rho
-        for p in range(1, times.size):
-            dt = float(times[p] - times[p - 1])
-            g_n, p_n = interval_maps(dt)
-            pops = p_n @ np.real(np.diag(rho))
-            np.multiply(g_n, rho, out=rho)
-            np.fill_diagonal(rho, pops)
-            drift = abs(float(np.real(np.trace(rho))) - trace0)
+    weight = np.abs(rho)
+    bound = 0.0  # drops exactly the coherences that start at zero
+    if reach is not None:
+        weight *= reach.T * g_reach ** (times.size - 1)
+        bound = _DROP_BOUND
+    np.fill_diagonal(weight, 0.0)  # the populations are always carried
+    weight = weight.reshape(-1)
+    order = np.argsort(weight, kind="stable")
+    dropped = int(np.searchsorted(np.cumsum(weight[order]), bound, side="right"))
+    keep = np.sort(order[dropped:])
+    step_maps = {dt: (g_n.reshape(-1)[keep], p_n) for dt, (g_n, p_n) in maps.items()}
+
+    def steps():
+        pops = np.real(np.diagonal(rho))
+        coh = rho.reshape(-1)[keep]
+        trace0 = float(pops.sum())
+        yield np.diagonal(rho), coh
+        for p, dt in enumerate(intervals, start=1):
+            g_n, p_n = step_maps[dt]
+            pops = p_n @ pops
+            # g * rho~ in this operand order: with fused multiply-adds a complex
+            # product can differ in the last bit when its factors swap
+            np.multiply(g_n, coh, out=coh)
+            drift = abs(float(pops.sum()) - trace0)
             if not drift <= _DRIFT_TOL:  # also an overflow to inf or NaN
                 raise StepSizeError(
                     f"trace drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
@@ -295,9 +354,9 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step):
                     f"population {low:.3e} below -{_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
                     "retry with a smaller max_step"
                 )
-            yield rho
+            yield pops, coh
 
-    return times, steps(rho)
+    return times, keep, steps()
 
 
 def evolve(
@@ -310,23 +369,28 @@ def evolve(
     """Integrate drho/dt = -i[H, rho] + sum R[j,k] (L rho L+ - {L+L, rho}/2), L = |j><k|.
 
     H is given by its eigendecomposition ``spectrum``.  ``rho0`` (density
-    matrix, Ket, or vector) is the state at ``t_grid[0]``.  The result's
-    ``states`` is a read-only (T, d, d) array holding the state at every grid
-    time, in the bare basis; it takes T d^2 16 bytes, so prefer
+    matrix, Ket, or vector) is the state at ``t_grid[0]``; a state that is not
+    Hermitian or has a trace away from 1 raises :class:`ConfigError`.  The
+    result's ``states`` is a read-only (T, d, d) array holding the state at
+    every grid time, in the bare basis; it takes T d^2 16 bytes, so prefer
     :func:`expectation_series` when only observables are needed.  ``rates``
     maps channel names to d x d rate matrices over the ascending eigenbasis
     of ``spectrum``, as :func:`build_dissipators` returns them; ``{}`` is
     lossless.
 
     The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
-    ``max_step`` replaces that rule with an explicit bound.  Trace drift
-    beyond 1e-7, or a population below -1e-7, raises :class:`StepSizeError`.
+    ``max_step`` replaces that rule with an explicit bound.  A coherence
+    multiplier above 1 + 1e-7 over any grid interval, trace drift beyond
+    1e-7, or a population below -1e-7 raises :class:`StepSizeError`.
     """
-    times, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
-    u = spectrum.states
+    times, keep, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
+    dim, u = spectrum.dim, spectrum.states
     u_dag = u.conj().T
-    states = np.empty((times.size, spectrum.dim, spectrum.dim), dtype=complex)
-    for p, rho in enumerate(stream):
+    rho = np.zeros((dim, dim), dtype=complex)
+    states = np.empty((times.size, dim, dim), dtype=complex)
+    for p, (diagonal, coh) in enumerate(stream):
+        np.fill_diagonal(rho, diagonal)
+        rho.reshape(-1)[keep] = coh
         states[p] = u @ rho @ u_dag
     times.setflags(write=False)
     states.setflags(write=False)
@@ -347,24 +411,31 @@ def expectation_series(
     :class:`Operator` or a sequence of them as :func:`expectation` takes, and
     returns a float (T, n_obs) array: column k holds Tr[rho(t_p) O_k] at every
     grid time.  No density matrix leaves the eigenbasis: each product is
-    transformed once, O~ = U+ O U, and contracted with rho~(t_p) as it is
-    produced; unlike :func:`evolve`, no (T, d, d) stack of snapshots is built.
+    transformed once, O~ = U+ O U, and contracted with the populations and
+    the kept coherences of rho~(t_p) as they are produced; the coherences
+    left out change no value by more than 1e-15.  Unlike :func:`evolve`, no
+    (T, d, d) stack of snapshots is built.
     """
-    times, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
     dim, u = spectrum.dim, spectrum.states
     u_dag = u.conj().T
-    # Tr[rho~ O~] = sum_ij rho~_ij O~_ji, so row k holds vec(O~_k^T).
-    basis = np.empty((len(observables), dim * dim), dtype=complex)
+    basis = np.empty((len(observables), dim, dim), dtype=complex)
+    reach = np.zeros((dim, dim))
     for k, operators in enumerate(observables):
         prod = _operator_product(operators)
         if prod.shape != (dim, dim):
             raise ConfigError(
                 f"operator dimension {prod.shape[0]} does not match state dimension {dim}"
             )
-        basis[k] = (u_dag @ prod @ u).T.ravel()
+        basis[k] = u_dag @ prod @ u
+        np.maximum(reach, np.abs(basis[k]), out=reach)
+    times, keep, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach)
+    # Tr[rho~ O~] = sum_i rho~_ii O~_ii + sum_ij rho~_ij O~_ji over the kept ij
+    ii, jj = np.divmod(keep, dim)
+    diagonal_basis = np.diagonal(basis, axis1=1, axis2=2).T.copy()
+    coherence_basis = basis[:, jj, ii].T.copy()
     values = np.empty((times.size, len(observables)), dtype=complex)
-    for p, rho in enumerate(stream):
-        values[p] = basis @ rho.ravel()
+    for p, (diagonal, coh) in enumerate(stream):
+        values[p] = diagonal @ diagonal_basis + coh @ coherence_basis
     return _real_values(values)
 
 
@@ -406,7 +477,12 @@ def expectation(rho, operators):
 
 
 def state_fidelity(rho, target: Ket) -> float:
-    """<target| rho |target> for a d x d density matrix and a pure target state."""
+    """<target| rho |target> for a d x d density matrix and a pure target state.
+
+    A value up to 1e-10 outside [0, 1] is rounding and is clipped into it; a
+    value further out means ``rho`` is not a density matrix or ``target`` is
+    not normalised, and raises :class:`NumericalError`.
+    """
     rho = np.asarray(rho)
     if rho.shape != (target.dim, target.dim):
         raise ConfigError(
@@ -415,4 +491,6 @@ def state_fidelity(rho, target: Ket) -> float:
     val = complex(np.vdot(target.amp, rho @ target.amp))
     if abs(val.imag) > 1e-10:
         raise NumericalError(f"fidelity has imaginary residue {val.imag:.3e}")
+    if not -_FIDELITY_MARGIN <= val.real <= 1.0 + _FIDELITY_MARGIN:
+        raise NumericalError(f"fidelity {val.real:.12g} lies outside [0, 1]")
     return float(min(max(val.real, 0.0), 1.0))

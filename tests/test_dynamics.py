@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -29,10 +30,12 @@ from vpmix import (
     expectation,
     expectation_series,
     find_anticrossing,
+    identity,
     set_parameter,
     state_fidelity,
     superposition_states,
 )
+from vpmix import cli, dynamics
 from vpmix.algebra import SIGMA_MINUS, SIGMA_X, HilbertLayout, Ket
 from vpmix.cli import _search, build_system
 from vpmix.presets import get_preset
@@ -483,17 +486,24 @@ class TestObservables:
         orthogonal = bare_state(lay, "e", 0)
         assert state_fidelity(rho, orthogonal) == pytest.approx(0.0, abs=1e-14)
 
+    def test_fidelity_clips_only_rounding(self):
+        lay = HilbertLayout(1, 2)
+        ket = bare_state(lay, "g", 1)
+        rho = np.outer(ket.amp, ket.amp.conj())
+        assert state_fidelity((1 + 5e-11) * rho, ket) == 1.0
+        assert state_fidelity(-5e-11 * rho, ket) == 0.0
+        for bad in (2 * rho, (1 + 1e-9) * rho, -1e-9 * rho):
+            with pytest.raises(NumericalError, match="outside"):
+                state_fidelity(bad, ket)
 
-def reference_evolve(rho0, hamiltonian, rates, t_grid, spectrum=None, max_step=None):
-    """Reference: the step loop of evolve before the dynamics were streamed,
-    turning every step back into the bare basis (input checks left out)."""
-    spec = spectrum if spectrum is not None else diagonalize(hamiltonian)
+
+def reference_interval_maps(spec, rates, times, max_step=None):
+    """Reference: the RK4 maps of one grid interval, as the step loop of
+    evolve built them before the dynamics were streamed.  Returns a function
+    of the interval length giving the coherence multipliers g_n (d x d) and
+    the population map p_n."""
     dim = spec.dim
-    u = spec.states
     e = spec.energies
-    times = np.asarray(list(t_grid), dtype=float)
-    arr = rho0.amp if isinstance(rho0, Ket) else np.asarray(rho0, dtype=complex)
-    rho = u.conj().T @ (np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)) @ u
     gain = np.zeros((dim, dim))
     for r in rates.values():
         gain += np.asarray(r, dtype=float)
@@ -512,6 +522,7 @@ def reference_evolve(rho0, hamiltonian, rates, t_grid, spectrum=None, max_step=N
     decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
     w_pop = gain - np.diag(out_rate)
 
+    @functools.cache  # one build per distinct interval, as evolve's step cache did
     def interval_maps(dt):
         n = max(1, int(math.ceil(dt / h_max))) if math.isfinite(h_max) else 1
         h = dt / n
@@ -522,6 +533,19 @@ def reference_evolve(rho0, hamiltonian, rates, t_grid, spectrum=None, max_step=N
         p_step = np.eye(dim) + m + m2 / 2.0 + (m2 @ m) / 6.0 + (m2 @ m2) / 24.0
         return g_step**n, np.linalg.matrix_power(p_step, n)
 
+    return interval_maps
+
+
+def reference_evolve(rho0, hamiltonian, rates, t_grid, spectrum=None, max_step=None):
+    """Reference: the step loop of evolve before the dynamics were streamed,
+    turning every step back into the bare basis (input checks left out)."""
+    spec = spectrum if spectrum is not None else diagonalize(hamiltonian)
+    dim = spec.dim
+    u = spec.states
+    times = np.asarray(list(t_grid), dtype=float)
+    arr = rho0.amp if isinstance(rho0, Ket) else np.asarray(rho0, dtype=complex)
+    rho = u.conj().T @ (np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)) @ u
+    interval_maps = reference_interval_maps(spec, rates, times, max_step)
     u_dag = u.conj().T
     states = np.empty((times.size, dim, dim), dtype=complex)
     states[0] = u @ rho @ u_dag
@@ -570,8 +594,9 @@ class TestExpectationSeries:
     @settings(max_examples=40, deadline=None)
     @given(layout=st.sampled_from(SMALL_LAYOUTS), channels=st.integers(0, 2),
            uniform=st.booleans(), points=st.integers(1, 12), n_obs=st.integers(0, 3),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_snapshot_stack(self, layout, channels, uniform, points, n_obs, seed):
+           explicit_step=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_snapshot_stack(self, layout, channels, uniform, points, n_obs,
+                                    explicit_step, seed):
         rng = np.random.default_rng(seed)
         d = layout.dim
         raw = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
@@ -593,15 +618,18 @@ class TestExpectationSeries:
                        for _ in range(n_obs)]
         if observables and len(observables[0]) == 1:
             observables[0] = observables[0][0]  # a bare Operator, as expectation takes
+        max_step = None
+        if explicit_step:  # a stable step below the default rule's 0.01 / spread
+            max_step = rng.uniform(0.1, 1) * 0.01 / (spec.energies[-1] - spec.energies[0])
 
-        values = expectation_series(rho0, spec, rates, grid, observables)
-        stack = reference_evolve(rho0, h, rates, grid, spectrum=spec)
+        values = expectation_series(rho0, spec, rates, grid, observables, max_step=max_step)
+        stack = reference_evolve(rho0, h, rates, grid, spectrum=spec, max_step=max_step)
         assert values.shape == (points, n_obs)
         assert values.dtype == float
         expected = np.array([reference_expectation(stack, ops) for ops in observables])
         np.testing.assert_allclose(values, expected.reshape(n_obs, points).T,
-                                   rtol=0, atol=1e-12)
-        series = evolve(rho0, spec, rates, grid)
+                                   rtol=0, atol=1e-13)
+        series = evolve(rho0, spec, rates, grid, max_step=max_step)
         np.testing.assert_array_equal(series.states, stack)
 
     def test_rejects_what_evolve_rejects(self):
@@ -615,6 +643,9 @@ class TestExpectationSeries:
         diagonal[2, 2] = 0.1
         cascade = np.zeros((4, 4))
         cascade[[0, 1, 0, 2, 1], [1, 2, 2, 3, 3]] = [1.0, 0.5, 0.3, 0.7, 0.2]
+        plus = Ket(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2), lay)
+        quadrature = Operator(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                        [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), lay)
         cases = [
             (ConfigError, {}, [0.0, 2.0, 1.0], None),
             (ConfigError, {}, [], None),
@@ -625,13 +656,18 @@ class TestExpectationSeries:
             # the step keeps the trace at 1 but sends the populations to
             # -22.0, 357.0, -518.3 and 184.4
             (StepSizeError, {"cavity": cascade}, [0.0, 10.0], 10.0),
+            # lossless, so trace and populations stay exact, but the step
+            # multiplies the coherence of (|0> + |1>)/sqrt(2) by about 3.4e4,
+            # and its quadrature |0><1| + h.c. reached 6.6e25 unchecked
+            (StepSizeError, {}, np.linspace(0.0, 100.0, 11), 10.0, plus, [quadrature]),
         ]
         with np.errstate(all="ignore"):
-            for error, channels, grid, max_step in cases:
+            for error, channels, grid, max_step, *state in cases:
+                start, observable = state or (rho0, [s1.dag(), s1])
                 with pytest.raises(error):
-                    evolve(rho0, spec, channels, grid, max_step=max_step)
+                    evolve(start, spec, channels, grid, max_step=max_step)
                 with pytest.raises(error):
-                    expectation_series(rho0, spec, channels, grid, [[s1.dag(), s1]],
+                    expectation_series(start, spec, channels, grid, [observable],
                                        max_step=max_step)
         with pytest.raises(ConfigError):
             expectation_series(rho0, spec, {}, [0.0, 1.0],
@@ -642,6 +678,91 @@ class TestExpectationSeries:
         coherent = (bare_state(lay, "e", 0).amp + 1j * bare_state(lay, "g", 0).amp) / math.sqrt(2)
         with pytest.raises(NumericalError):
             expectation_series(coherent, spec, {}, [0.0, 1.0], [s1])
+
+    def test_rejects_initial_states_that_are_not_density_matrices(self):
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        one = [identity(lay)]
+        for bad in (Ket([2.0, 0.0, 0.0, 0.0], lay), np.array([2.0, 0.0, 0.0, 0.0]),
+                    np.diag([0.5, 0.5, 1e-6, 0.0]),
+                    np.array([[0.5, 0.1, 0, 0], [0.0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])):
+            with pytest.raises(ConfigError, match="initial state"):
+                expectation_series(bad, spec, {}, [0.0, 1.0], one)
+            with pytest.raises(ConfigError, match="initial state"):
+                evolve(bad, spec, {}, [0.0, 1.0])
+        # within the check_density limits the state is taken as given
+        close = np.diag([0.5 + 1e-9, 0.5, 0.0, 0.0]).astype(complex)
+        close[0, 1] = 1e-11
+        assert expectation_series(close, spec, {}, [0.0, 1.0], one)[:, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
+    def test_matches_snapshot_stack_at_preset_minima(self, scenario):
+        rho0, spec, rates, grid, observables = dynamics_arguments(scenario)
+        assert isinstance(rho0, Ket)  # the pair_symmetric start
+        values = expectation_series(rho0, spec, rates, grid, observables)
+        stack = reference_evolve(rho0, None, rates, grid, spectrum=spec)
+        expected = np.array([reference_expectation(stack, ops) for ops in observables]).T
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("start", ["pair_symmetric", "bare", "random"])
+    def test_dropped_coherences_stay_within_the_bound(self, start):
+        rho0, spec, rates, grid, observables = dynamics_arguments("fig3")
+        d = spec.dim
+        if start == "bare":
+            rho0 = bare_state(spec.layout, "gge", 0)
+        elif start == "random":
+            rng = np.random.default_rng(7)
+            a = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+            rho0 = a @ a.conj().T
+            rho0 /= np.trace(rho0).real
+        u = spec.states
+        basis = np.array([u.conj().T @ functools.reduce(np.matmul, [op.mat for op in ops]) @ u
+                          for ops in observables])
+        reach = np.abs(basis).max(axis=0)
+        _, keep, _ = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
+
+        # w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|)^(T-1), off the diagonal
+        rho0_mat = (np.outer(rho0.amp, rho0.amp.conj()) if isinstance(rho0, Ket)
+                    else rho0)
+        (dt,) = set(np.diff(grid).tolist())
+        g_n, _ = reference_interval_maps(spec, rates, grid)(dt)
+        weight = (np.abs(u.conj().T @ rho0_mat @ u) * reach.T
+                  * np.maximum(1.0, np.abs(g_n)) ** (len(grid) - 1))
+        np.fill_diagonal(weight, 0.0)
+        kept = np.zeros(d * d, dtype=bool)
+        kept[keep] = True
+        kept = kept.reshape(d, d)
+        dropped = weight[~kept & ~np.eye(d, dtype=bool)]
+        assert dropped.sum() <= 1e-15
+        assert np.count_nonzero(dropped) > 0
+        assert dropped.max() <= 1e-15
+        # the rule drops as much as the bound allows: one more would cross it
+        assert dropped.sum() + weight[kept].min() > 1e-15
+
+        values = expectation_series(rho0, spec, rates, grid, observables)
+        stack = reference_evolve(rho0, None, rates, grid, spectrum=spec)
+        expected = np.array([reference_expectation(stack, ops) for ops in observables]).T
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
+
+
+@functools.cache
+def dynamics_arguments(scenario):
+    """The arguments the ``dynamics`` command passes to expectation_series for
+    a bundled scenario: the initial state, the spectrum at the search minimum,
+    the rates, the time grid and the observables, built with the pair
+    overrides."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return expectation_series(*args)
+
+    cfg = get_preset(scenario)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "expectation_series", record)
+        cli.cmd_dynamics(cfg, build_system(cfg))
+    (args,) = calls
+    return args
 
 
 def test_cascade_triple_correlation_tracks_excitations(four_qubit_cascade):
