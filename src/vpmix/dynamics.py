@@ -295,8 +295,12 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
     w_pop = gain - np.diag(out_rate)
 
     # One RK4 map per distinct interval: the coherence multipliers g_n and the
-    # population map p_n.  A stable step keeps every |g_n| <= 1; g_reach is
-    # max(1, |g_ij|) over all intervals, which the drop weights need.
+    # population map p_n.  A stable step keeps |g_n| <= 1 on every live
+    # coherence, one with rho~0_ij != 0: the others stay exactly zero whatever
+    # their multipliers.  g_reach is max(1, |g_ij|) over all intervals on the
+    # live coherences, which the drop weights need.
+    live = rho != 0
+    np.fill_diagonal(live, False)  # the populations follow p_n instead
     intervals = np.diff(times).tolist()
     maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     g_reach = np.ones((dim, dim))
@@ -306,8 +310,7 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
         n = max(1, int(math.ceil(dt / h_max))) if math.isfinite(h_max) else 1
         h = dt / n
         g_n = _rk4_scalar(h * (-1j * omega - decay)) ** n
-        size = np.abs(g_n)
-        np.fill_diagonal(size, 1.0)  # the populations follow p_n instead
+        size = np.where(live, np.abs(g_n), 1.0)
         worst = float(size.max())
         if not worst <= 1.0 + _DRIFT_TOL:  # also an overflow to inf or NaN
             raise StepSizeError(
@@ -380,8 +383,10 @@ def evolve(
 
     The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
     ``max_step`` replaces that rule with an explicit bound.  A coherence
-    multiplier above 1 + 1e-7 over any grid interval, trace drift beyond
-    1e-7, or a population below -1e-7 raises :class:`StepSizeError`.
+    multiplier above 1 + 1e-7 over any grid interval, on a coherence
+    rho~0_ij != 0 of the initial state in the eigenbasis, trace drift beyond
+    1e-7, or a population below -1e-7 raises :class:`StepSizeError`; so a
+    returned state is a density matrix only to those 1e-7 limits.
     """
     times, keep, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
     dim, u = spectrum.dim, spectrum.states
@@ -481,7 +486,9 @@ def state_fidelity(rho, target: Ket) -> float:
 
     A value up to 1e-10 outside [0, 1] is rounding and is clipped into it; a
     value further out means ``rho`` is not a density matrix or ``target`` is
-    not normalised, and raises :class:`NumericalError`.
+    not normalised, and raises :class:`NumericalError`.  :func:`evolve` only
+    guarantees its states to 1e-7 in trace and populations, so on a state it
+    returned from an explicit, coarse ``max_step`` this can raise.
     """
     rho = np.asarray(rho)
     if rho.shape != (target.dim, target.dim):

@@ -486,6 +486,21 @@ class TestObservables:
         orthogonal = bare_state(lay, "e", 0)
         assert state_fidelity(rho, orthogonal) == pytest.approx(0.0, abs=1e-14)
 
+    def test_fidelity_of_an_evolved_lossy_state(self):
+        # evolve guarantees trace and populations only to 1e-7, but with the
+        # default step the trace here drifts by 1.6e-11, inside the margin
+        cfg = decoupled_config()
+        spec = diagonalize(build_generalized_dicke(cfg))
+        start = bare_state(cfg.layout, "eg", 0)
+        ground = bare_state(cfg.layout, "gg", 0)
+        times = np.linspace(0.0, 2000.0, 9)
+        series = evolve(start, spec, build_dissipators(spec, cfg), times)
+        survival = np.array([state_fidelity(rho, start) for rho in series.states])
+        decayed = np.array([state_fidelity(rho, ground) for rho in series.states])
+        np.testing.assert_allclose(survival, np.exp(-1e-3 * times), rtol=1e-9)
+        traces = np.trace(series.states, axis1=1, axis2=2).real
+        np.testing.assert_allclose(survival + decayed, traces, rtol=0, atol=1e-14)
+
     def test_fidelity_clips_only_rounding(self):
         lay = HilbertLayout(1, 2)
         ket = bare_state(lay, "g", 1)
@@ -646,28 +661,42 @@ class TestExpectationSeries:
         plus = Ket(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2), lay)
         quadrature = Operator(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                                         [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), lay)
+        # rate dominated: spread 0.01, decay rate 1
+        lay2 = HilbertLayout(1, 1)
+        spec2 = diagonalize(Operator(np.diag([0.0, 0.01]), lay2))
+        decay = {"qubit1": np.array([[0.0, 1.0], [0.0, 0.0]])}
+        plus2 = Ket(np.array([1.0, 1.0]) / math.sqrt(2), lay2)
+        s2 = embed_qubit_op(lay2, 1, SIGMA_MINUS)
         cases = [
-            (ConfigError, {}, [0.0, 2.0, 1.0], None),
-            (ConfigError, {}, [], None),
-            (ConfigError, {"cavity": diagonal}, [0.0, 1.0], None),
-            (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 100.0),
+            (ConfigError, {}, [0.0, 2.0, 1.0], None, "strictly increasing"),
+            (ConfigError, {}, [], None, "empty"),
+            (ConfigError, {"cavity": diagonal}, [0.0, 1.0], None, "diagonal"),
+            (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 100.0, "trace drift"),
             # the step overflows the populations to inf and the trace to NaN
-            (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 10.0),
+            (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 10.0, "trace drift"),
             # the step keeps the trace at 1 but sends the populations to
             # -22.0, 357.0, -518.3 and 184.4
-            (StepSizeError, {"cavity": cascade}, [0.0, 10.0], 10.0),
+            (StepSizeError, {"cavity": cascade}, [0.0, 10.0], 10.0, "population"),
+            # with h = 4 the live coherence of (|0> + |1>)/sqrt(2) shrinks by
+            # about 0.33 a step, while the upper population grows fivefold and
+            # the lower one goes to -1.5 ...
+            (StepSizeError, decay, [0.0, 4.0], 4.0, "population", plus2, [s2.dag(), s2], spec2),
+            # ... and 500 such steps overflow them, the trace to NaN
+            (StepSizeError, decay, [0.0, 2000.0], 4.0, "trace drift", plus2, [s2.dag(), s2],
+             spec2),
             # lossless, so trace and populations stay exact, but the step
             # multiplies the coherence of (|0> + |1>)/sqrt(2) by about 3.4e4,
             # and its quadrature |0><1| + h.c. reached 6.6e25 unchecked
-            (StepSizeError, {}, np.linspace(0.0, 100.0, 11), 10.0, plus, [quadrature]),
+            (StepSizeError, {}, np.linspace(0.0, 100.0, 11), 10.0, "coherence multiplier",
+             plus, [quadrature], spec),
         ]
         with np.errstate(all="ignore"):
-            for error, channels, grid, max_step, *state in cases:
-                start, observable = state or (rho0, [s1.dag(), s1])
-                with pytest.raises(error):
-                    evolve(start, spec, channels, grid, max_step=max_step)
-                with pytest.raises(error):
-                    expectation_series(start, spec, channels, grid, [observable],
+            for error, channels, grid, max_step, match, *state in cases:
+                start, observable, spectrum = state or (rho0, [s1.dag(), s1], spec)
+                with pytest.raises(error, match=match):
+                    evolve(start, spectrum, channels, grid, max_step=max_step)
+                with pytest.raises(error, match=match):
+                    expectation_series(start, spectrum, channels, grid, [observable],
                                        max_step=max_step)
         with pytest.raises(ConfigError):
             expectation_series(rho0, spec, {}, [0.0, 1.0],
@@ -678,6 +707,21 @@ class TestExpectationSeries:
         coherent = (bare_state(lay, "e", 0).amp + 1j * bare_state(lay, "g", 0).amp) / math.sqrt(2)
         with pytest.raises(NumericalError):
             expectation_series(coherent, spec, {}, [0.0, 1.0], [s1])
+
+    def test_coarse_step_on_a_population_start(self):
+        # the lossless coarse step rejected above multiplies the coherences by
+        # up to 3.4e4, but a population-only start has none to multiply: they
+        # stay exactly zero and the step is taken
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        rho0 = bare_state(lay, "e", 1)
+        s1 = embed_qubit_op(lay, 1, SIGMA_MINUS)
+        grid = np.linspace(0.0, 100.0, 11)
+        series = evolve(rho0, spec, {}, grid, max_step=10.0)
+        np.testing.assert_array_equal(
+            series.states, reference_evolve(rho0, None, {}, grid, spectrum=spec, max_step=10.0))
+        values = expectation_series(rho0, spec, {}, grid, [[s1.dag(), s1]], max_step=10.0)
+        np.testing.assert_array_equal(values, np.ones((11, 1)))
 
     def test_rejects_initial_states_that_are_not_density_matrices(self):
         lay = HilbertLayout(1, 2)
@@ -705,7 +749,7 @@ class TestExpectationSeries:
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("start", ["pair_symmetric", "bare", "random"])
-    def test_dropped_coherences_stay_within_the_bound(self, start):
+    def test_dropped_coherences_stay_within_the_bound(self, start, monkeypatch):
         rho0, spec, rates, grid, observables = dynamics_arguments("fig3")
         d = spec.dim
         if start == "bare":
@@ -718,19 +762,37 @@ class TestExpectationSeries:
         u = spec.states
         basis = np.array([u.conj().T @ functools.reduce(np.matmul, [op.mat for op in ops]) @ u
                           for ops in observables])
-        reach = np.abs(basis).max(axis=0)
-        _, keep, _ = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
+
+        # the same stream with nothing but the zero coherences dropped
+        times, every, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None)
+        ii, jj = np.divmod(every, d)
+        undropped = np.array([diagonal @ np.diagonal(basis, axis1=1, axis2=2).T
+                              + coh @ basis[:, jj, ii].T for diagonal, coh in stream]).real
+
+        seen = {}
+        eigenbasis_stream = dynamics._eigenbasis_stream
+
+        def spy(*args):
+            seen["reach"] = args[-1]
+            times, keep, steps = eigenbasis_stream(*args)
+            seen["keep"] = keep
+            return times, keep, steps
+
+        monkeypatch.setattr(dynamics, "_eigenbasis_stream", spy)
+        values = expectation_series(rho0, spec, rates, grid, observables)
+        # the observables' bound that expectation_series passes covers each of them
+        np.testing.assert_allclose(seen["reach"], np.abs(basis).max(axis=0), rtol=1e-12, atol=0)
 
         # w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|)^(T-1), off the diagonal
         rho0_mat = (np.outer(rho0.amp, rho0.amp.conj()) if isinstance(rho0, Ket)
                     else rho0)
         (dt,) = set(np.diff(grid).tolist())
         g_n, _ = reference_interval_maps(spec, rates, grid)(dt)
-        weight = (np.abs(u.conj().T @ rho0_mat @ u) * reach.T
+        weight = (np.abs(u.conj().T @ rho0_mat @ u) * np.abs(basis).max(axis=0).T
                   * np.maximum(1.0, np.abs(g_n)) ** (len(grid) - 1))
         np.fill_diagonal(weight, 0.0)
         kept = np.zeros(d * d, dtype=bool)
-        kept[keep] = True
+        kept[seen["keep"]] = True
         kept = kept.reshape(d, d)
         dropped = weight[~kept & ~np.eye(d, dtype=bool)]
         assert dropped.sum() <= 1e-15
@@ -739,7 +801,9 @@ class TestExpectationSeries:
         # the rule drops as much as the bound allows: one more would cross it
         assert dropped.sum() + weight[kept].min() > 1e-15
 
-        values = expectation_series(rho0, spec, rates, grid, observables)
+        # the drops move no value by more than the bound, plus rounding of the
+        # two sums (measured: at most 6.3e-16)
+        np.testing.assert_allclose(values, undropped, rtol=0, atol=2e-15)
         stack = reference_evolve(rho0, None, rates, grid, spectrum=spec)
         expected = np.array([reference_expectation(stack, ops) for ops in observables]).T
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
