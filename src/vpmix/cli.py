@@ -320,9 +320,12 @@ def _sweep_csv(result) -> bytes:
                          in zip(result.grid, result.energies, result.labels.tolist())))
 
 
-def cmd_levels(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
-    return {name: _sweep_csv(result)
-            for name, result in _sweeps(sweep_levels, system, _require(cfg, "sweep")).items()}
+def cmd_levels(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
+    """The sweep's CSV files, and how its main grid was evaluated for the manifest."""
+    results = _sweeps(sweep_levels, system, _require(cfg, "sweep"))
+    grid = results["levels.csv"]
+    return ({name: _sweep_csv(result) for name, result in results.items()},
+            {"sweep": {"workers": grid.workers, "blas_pinned": grid.blas_pinned}})
 
 
 def cmd_anticross(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
@@ -478,13 +481,16 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
 
     ``cutoff`` and ``seed`` replace the configuration's ``fock_cutoff`` and
     ``ecc.seed`` before validation, so the checks and the manifest see the run.
-    Sweeps evaluate their grid points serially.  ``threads`` remains only
-    for callers written when they could use a thread pool, such as
-    ``perfbench/test_oracle.py``, which passes ``threads=1``; any other value
-    raises :class:`ConfigError`.
+    Sweeps spread their grid points over the available cores by themselves,
+    and a ``levels`` manifest records how (``sweep.workers`` threads, and
+    whether OpenBLAS was held at one thread, ``sweep.blas_pinned``).
+    ``threads`` remains only for callers written when the thread count was an
+    argument, such as ``perfbench/test_oracle.py``, which passes
+    ``threads=1``; any other value raises :class:`ConfigError`.
     """
     if threads != 1:
-        raise ConfigError(f"threads must be 1, got {threads!r}; sweeps run serially")
+        raise ConfigError(f"threads must be 1, got {threads!r}; sweeps choose their own "
+                          "thread count")
     for section, key, value in (("system", "fock_cutoff", cutoff), ("ecc", "seed", seed)):
         if value is not None and section in cfg:
             cfg = _deep_merge(cfg, {section: {key: value}})
@@ -495,12 +501,13 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
         print(f"warning: {w}", file=sys.stderr)
 
     started = time.time()
+    extra = {}
     if command == "ecc":
         outputs = cmd_ecc(cfg)
     else:
         system = build_system(cfg)
         if command == "levels":
-            outputs = cmd_levels(cfg, system)
+            outputs, extra = cmd_levels(cfg, system)
         elif command == "anticross":
             outputs = cmd_anticross(cfg, system)
         elif command == "dynamics":
@@ -522,6 +529,7 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
         "config": cfg,
         "wall_time_s": time.time() - started,
         "outputs": records,
+        **extra,
     }
     (out_dir / "manifest.json").write_bytes(_json(manifest))
     return manifest

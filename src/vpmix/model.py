@@ -11,13 +11,13 @@ theta_i mixes transverse and longitudinal coupling; theta_i = 0 conserves the
 parity of qubit i.  The Tavis-Cummings variant keeps only the excitation-
 conserving terms lam_i (a sigma_+^(i) + a+ sigma_-^(i)) and ignores theta.
 
-Every term of both models is real.  Their diagonals and matrices are built
-once per :class:`HilbertLayout` and cached, and each Hamiltonian is a few
-scaled sums of them: a real float64 :class:`Operator`, with no tensor products
-or matrix products per call.  One private assembler per model writes that sum
-into caller-owned buffers; the public builders hand it fresh ones, while the
-sweeps and searches of :mod:`vpmix.spectrum` reuse one buffer for every grid
-point.
+Every term of both models is real.  Their diagonals and nonzero entries are
+built once per :class:`HilbertLayout` and cached, and each Hamiltonian is a
+few scaled sums of them: a real float64 :class:`Operator`, with no tensor
+products or matrix products per call.  One private assembler per model writes
+that sum into a caller-owned buffer; the public builders hand it a fresh one,
+while the sweeps and searches of :mod:`vpmix.spectrum` reuse one buffer for
+every grid point.
 
 Effective qubit-only Hamiltonians describe the resonant mixing processes that
 the full model generates at fourth order: a two-qubit excitation swap, a
@@ -119,22 +119,41 @@ class SystemConfig:
         return HilbertLayout(self.qubit_count, self.fock_cutoff)
 
 
+class _Sparse(NamedTuple):
+    """Nonzero entries of a d x d term: flat indices into the matrix, values."""
+
+    flat: np.ndarray
+    value: np.ndarray
+
+
+def _sparse(dense: np.ndarray) -> _Sparse:
+    """The nonzero entries of ``dense``, read-only."""
+    flat = np.flatnonzero(dense)
+    term = _Sparse(flat, dense.reshape(-1)[flat])
+    for arr in term:
+        arr.setflags(write=False)
+    return term
+
+
 class _LayoutTerms(NamedTuple):
     """Real building blocks of both models on one layout (read-only arrays)."""
 
-    sigma_z: np.ndarray     # (N, d): diagonal of sigma_z^(i) in row i-1
-    number: np.ndarray      # (d,): diagonal of a+ a
-    quadrature: np.ndarray  # (d, d): X = a + a+
-    x_sigma_x: np.ndarray   # (N, d, d): X sigma_x^(i)
-    exchange: np.ndarray    # (N, d, d): a sigma_+^(i) + a+ sigma_-^(i)
+    sigma_z: np.ndarray                # (N, d): diagonal of sigma_z^(i) in row i-1
+    number: np.ndarray                 # (d,): diagonal of a+ a
+    quadrature: _Sparse                # X = a + a+
+    x_sigma_x: tuple[_Sparse, ...]     # X sigma_x^(i)
+    exchange: tuple[_Sparse, ...]      # a sigma_+^(i) + a+ sigma_-^(i)
 
 
 @lru_cache(maxsize=8)
 def _layout_terms(layout: HilbertLayout) -> _LayoutTerms:
     """Every term of both Hamiltonians on ``layout``, built once per layout.
 
-    X sigma_z^(i) is not stored: sigma_z^(i) is diagonal, so it is X with its
-    columns scaled by the ``sigma_z`` row.
+    The off-diagonal terms are stored by their nonzero entries.  No two of
+    them share an entry, and none touches the diagonal, so each is written
+    into a zeroed matrix by one scatter.  X sigma_z^(i) is not stored:
+    sigma_z^(i) is diagonal, so it is X with its columns scaled by the
+    ``sigma_z`` row.
     """
     cutoff = layout.fock_cutoff
     a = _ladder(cutoff)
@@ -144,20 +163,20 @@ def _layout_terms(layout: HilbertLayout) -> _LayoutTerms:
     terms = _LayoutTerms(
         sigma_z=np.array([_lift(layout, i, SIGMA_Z.real, eye).diagonal() for i in qubits]),
         number=np.array(_lift(layout, 1, np.eye(2), np.diag(np.arange(float(cutoff)))).diagonal()),
-        quadrature=_lift(layout, 1, np.eye(2), x),
-        x_sigma_x=np.array([_lift(layout, i, SIGMA_X.real, x) for i in qubits]),
-        exchange=np.array([_lift(layout, i, SIGMA_PLUS.real, a)
-                           + _lift(layout, i, SIGMA_MINUS.real, a.T) for i in qubits]),
+        quadrature=_sparse(_lift(layout, 1, np.eye(2), x)),
+        x_sigma_x=tuple(_sparse(_lift(layout, i, SIGMA_X.real, x)) for i in qubits),
+        exchange=tuple(_sparse(_lift(layout, i, SIGMA_PLUS.real, a)
+                               + _lift(layout, i, SIGMA_MINUS.real, a.T)) for i in qubits),
     )
-    for arr in terms:
-        arr.setflags(write=False)
+    terms.sigma_z.setflags(write=False)
+    terms.number.setflags(write=False)
     return terms
 
 
-def _buffers(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Two fresh d x d float64 arrays: an assembly target and its scratch."""
+def _buffer(config: SystemConfig) -> np.ndarray:
+    """A fresh d x d float64 array, an assembly target."""
     dim = config.layout.dim
-    return np.empty((dim, dim)), np.empty((dim, dim))
+    return np.empty((dim, dim))
 
 
 def _bare_diagonal(config: SystemConfig, terms: _LayoutTerms) -> np.ndarray:
@@ -168,22 +187,24 @@ def _bare_diagonal(config: SystemConfig, terms: _LayoutTerms) -> np.ndarray:
     return diag
 
 
-def _dicke_coupling(config: SystemConfig, terms: _LayoutTerms,
-                    out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _dicke_coupling(config: SystemConfig, terms: _LayoutTerms, out: np.ndarray) -> np.ndarray:
     longitudinal = np.zeros(config.layout.dim)
     for q, sz in zip(config.qubits, terms.sigma_z):
         longitudinal += q.lam * math.sin(q.theta) * sz
-    np.multiply(terms.quadrature, longitudinal, out=out)
+    out.fill(0.0)
+    flat = out.reshape(-1)
+    x = terms.quadrature
+    flat[x.flat] = x.value * longitudinal[x.flat % config.layout.dim]
     for q, x_sx in zip(config.qubits, terms.x_sigma_x):
-        out += np.multiply(x_sx, q.lam * math.cos(q.theta), out=scratch)
+        flat[x_sx.flat] = x_sx.value * (q.lam * math.cos(q.theta))
     return out
 
 
-def _tc_coupling(config: SystemConfig, terms: _LayoutTerms,
-                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _tc_coupling(config: SystemConfig, terms: _LayoutTerms, out: np.ndarray) -> np.ndarray:
     out.fill(0.0)
+    flat = out.reshape(-1)
     for q, term in zip(config.qubits, terms.exchange):
-        out += np.multiply(term, q.lam, out=scratch)
+        flat[term.flat] = term.value * q.lam
     return out
 
 
@@ -196,21 +217,21 @@ def _add_bare(config: SystemConfig, terms: _LayoutTerms, coupling: np.ndarray) -
     return coupling
 
 
-def _assemble_dicke(config: SystemConfig, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _assemble_dicke(config: SystemConfig, out: np.ndarray) -> np.ndarray:
     """Write the generalized Dicke Hamiltonian of ``config`` into ``out``.
 
-    ``out`` and ``scratch`` are caller-owned C-ordered d x d float64 arrays;
-    ``scratch`` is overwritten.  Returns ``out``.  Sweeps and searches call
-    this with the same two buffers at every grid point.
+    ``out`` is a caller-owned C-ordered d x d float64 array, and every entry
+    is rewritten.  Returns ``out``.  Sweeps and searches call this with the
+    same buffer at every grid point.
     """
     terms = _layout_terms(config.layout)
-    return _add_bare(config, terms, _dicke_coupling(config, terms, out, scratch))
+    return _add_bare(config, terms, _dicke_coupling(config, terms, out))
 
 
-def _assemble_tc(config: SystemConfig, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _assemble_tc(config: SystemConfig, out: np.ndarray) -> np.ndarray:
     """Tavis-Cummings counterpart of :func:`_assemble_dicke`."""
     terms = _layout_terms(config.layout)
-    return _add_bare(config, terms, _tc_coupling(config, terms, out, scratch))
+    return _add_bare(config, terms, _tc_coupling(config, terms, out))
 
 
 def bare_hamiltonian(config: SystemConfig) -> Operator:
@@ -225,24 +246,24 @@ def bare_hamiltonian(config: SystemConfig) -> Operator:
 
 def dicke_interaction(config: SystemConfig) -> Operator:
     """Coupling term (a + a+) sum_i lam_i (cos(theta_i) sigma_x + sin(theta_i) sigma_z)."""
-    coupling = _dicke_coupling(config, _layout_terms(config.layout), *_buffers(config))
+    coupling = _dicke_coupling(config, _layout_terms(config.layout), _buffer(config))
     return Operator(coupling, config.layout)
 
 
 def tavis_cummings_interaction(config: SystemConfig) -> Operator:
     """Excitation-conserving coupling sum_i lam_i (a sigma_+^(i) + a+ sigma_-^(i))."""
-    coupling = _tc_coupling(config, _layout_terms(config.layout), *_buffers(config))
+    coupling = _tc_coupling(config, _layout_terms(config.layout), _buffer(config))
     return Operator(coupling, config.layout)
 
 
 def build_generalized_dicke(config: SystemConfig) -> Operator:
     """Full Hamiltonian including counter-rotating and longitudinal terms."""
-    return Operator(_assemble_dicke(config, *_buffers(config)), config.layout)
+    return Operator(_assemble_dicke(config, _buffer(config)), config.layout)
 
 
 def build_tavis_cummings(config: SystemConfig) -> Operator:
     """Rotating-wave Hamiltonian; commutes with the total excitation number."""
-    return Operator(_assemble_tc(config, *_buffers(config)), config.layout)
+    return Operator(_assemble_tc(config, _buffer(config)), config.layout)
 
 
 # Builder and in-place assembler of each model, by name.

@@ -1,12 +1,18 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+import vpmix
+from vpmix import spectrum
 from vpmix.cli import load_config, main, resolve_config, run_command, validate_config
 from vpmix.errors import ConfigError
 from vpmix.presets import SCENARIOS
@@ -222,14 +228,18 @@ def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, 
     assert_config_error(tmp_path, capsys, command, payload, field)
 
 
-def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
-    # perfbench/tracer.py patches module-level names and MODEL_BUILDERS entries;
-    # a command reached some other way (say a dict of cmd_* functions) drops out
+def perfbench_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer()
+    return tracer_module.Tracer()
+
+
+def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
+    # perfbench/tracer.py patches module-level names and MODEL_BUILDERS entries;
+    # a command reached some other way (say a dict of cmd_* functions) drops out
+    tracer = perfbench_tracer()
     cfg = write_config(tmp_path, "cfg.json", fig3_dynamics(points=5))
     with tracer.installed(), tracer.command("fig3-dynamics"):
         assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -239,15 +249,17 @@ def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
 def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch, scenario):
-    # the search's last evaluation supplies the spectrum the dynamics run in
+    # the search's last evaluation supplies the spectrum the dynamics run in.
+    # The gufunc behind numpy.linalg.eigh counts every eigensolve, whether it
+    # comes through that function or straight from vpmix.spectrum._eigh.
     calls = []
-    eigh = np.linalg.eigh
+    eigh = _umath_linalg.eigh_lo
 
     def counted(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", counted)
     cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario, "dynamics": {"points": 5}})
     assert main(["anticross", "--config", cfg, "--out", str(tmp_path / "anticross")]) == 0
     report = json.loads((tmp_path / "anticross" / "anticross.json").read_text())
@@ -392,6 +404,57 @@ def test_levels_csv_format_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"][0]["file"] == "levels.csv"
     assert len(manifest["outputs"][0]["sha256"]) == 64
+    pinned = spectrum._blas_control() is not None
+    workers = min(spectrum._available_cores(), 5) if pinned else 1
+    assert manifest["sweep"] == {"workers": workers, "blas_pinned": pinned}
+
+
+def test_sweep_workers_call_no_traced_function(tmp_path, monkeypatch):
+    # the tracer keeps one span stack, so only the calling thread may reach a
+    # function it wraps; a worker that did would add calls and corrupt spans
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: 3)
+    tracer = perfbench_tracer()
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": "fig1b"})
+    with tracer.installed(), tracer.command("fig1b-levels"):
+        assert main(["levels", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert tracer.counts["spectrum.sweep_levels.calls"] == 2  # the sweep and its inset
+    for name, count in tracer.counts.items():
+        if name.endswith(".calls") and name.split(".")[0] in ("model", "algebra", "dynamics"):
+            assert count == 0, name
+    assert tracer.counts["spectrum.diagonalize.calls"] == 0
+    by_index = {span[2]: span for span in tracer.spans}
+    for name, _, _, parent, start, end in tracer.spans:
+        assert end >= start
+        if parent is not None:
+            assert by_index[parent][4] <= start and end <= by_index[parent][5], name
+
+
+def test_levels_manifest_records_the_forced_worker_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: 3)
+    out = tmp_path / "out"
+    manifest = run_command("levels", resolve_config({"scenario": "fig1b"}), out)
+    pinned = spectrum._blas_control() is not None
+    assert manifest["sweep"] == {"workers": 3 if pinned else 1, "blas_pinned": pinned}
+    assert json.loads((out / "manifest.json").read_text())["sweep"] == manifest["sweep"]
+    assert "sweep" not in run_command("anticross", resolve_config({"scenario": "fig1b"}),
+                                      tmp_path / "anticross")
+
+
+def test_levels_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # d = 256, where a two-thread BLAS moves eigh's energies by up to 1.8e-14
+    # against a one-thread BLAS; the sweep holds BLAS at one thread either way
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": "fig4", "sweep": {"points": 5}})
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(vpmix.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "vpmix.cli", "levels", "--config", cfg,
+                        "--out", str(out), "--cutoff", "16"],
+                       env=env, capture_output=True, timeout=300, check=True)
+        written.append((out / "levels.csv").read_bytes())
+    assert written[0].count(b"\n") == 6
+    assert written[0] == written[1]
 
 
 def test_levels_deterministic_bytes(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -188,7 +189,8 @@ def test_cached_assembly_matches_kron_build(qubits, omega_c, cutoff):
 
 
 # The out-of-place sums the in-place assemblers replaced, kept as the
-# reference: a fresh array per term, two Operators and their sum.
+# reference: a fresh array per dense term of the kron build below, two
+# Operators and their sum.
 def summed_bare(config):
     terms = _layout_terms(config.layout)
     diag = np.zeros(config.layout.dim)
@@ -199,22 +201,40 @@ def summed_bare(config):
 
 
 def summed_dicke(config):
-    terms = _layout_terms(config.layout)
+    terms = local_lift_terms(config.layout)
     longitudinal = np.zeros(config.layout.dim)
-    for q, sz in zip(config.qubits, terms.sigma_z):
+    for q, sz in zip(config.qubits, _layout_terms(config.layout).sigma_z):
         longitudinal += q.lam * math.sin(q.theta) * sz
-    coup = terms.quadrature * longitudinal
-    for q, x_sx in zip(config.qubits, terms.x_sigma_x):
+    coup = terms["quadrature"] * longitudinal
+    for q, x_sx in zip(config.qubits, terms["x_sigma_x"]):
         coup += q.lam * math.cos(q.theta) * x_sx
     return summed_bare(config) + coup
 
 
 def summed_tc(config):
-    terms = _layout_terms(config.layout)
+    terms = local_lift_terms(config.layout)
     v = np.zeros((config.layout.dim, config.layout.dim))
-    for q, term in zip(config.qubits, terms.exchange):
+    for q, term in zip(config.qubits, terms["exchange"]):
         v += q.lam * term
     return summed_bare(config) + v
+
+
+def check_assembly(cfg):
+    dim = cfg.layout.dim
+    for assemble, summed, public in (
+        (_assemble_dicke, summed_dicke, bare_hamiltonian(cfg) + dicke_interaction(cfg)),
+        (_assemble_tc, summed_tc, bare_hamiltonian(cfg) + tavis_cummings_interaction(cfg)),
+    ):
+        reference = summed(cfg)
+        # a stale buffer, as a sweep hands it over: every entry is rewritten
+        out = np.full((dim, dim), np.nan)
+        assert assemble(cfg, out) is out
+        assert np.array_equal(out, reference)
+        # bytes too, so the sign of every zero is kept
+        assert out.tobytes() == reference.tobytes()
+        assert public.mat.tobytes() == reference.tobytes()
+    assert build_generalized_dicke(cfg).mat.tobytes() == summed_dicke(cfg).tobytes()
+    assert build_tavis_cummings(cfg).mat.tobytes() == summed_tc(cfg).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -228,26 +248,25 @@ def summed_tc(config):
     cutoff=st.integers(1, 8),
 )
 def test_in_place_assembly_matches_summed_terms(qubits, omega_c, cutoff):
-    cfg = SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff)
-    dim = cfg.layout.dim
-    for assemble, summed, public in (
-        (_assemble_dicke, summed_dicke, bare_hamiltonian(cfg) + dicke_interaction(cfg)),
-        (_assemble_tc, summed_tc, bare_hamiltonian(cfg) + tavis_cummings_interaction(cfg)),
-    ):
-        reference = summed(cfg)
-        # stale buffers, as a sweep hands them over: every entry is rewritten
-        out, scratch = np.full((dim, dim), np.nan), np.full((dim, dim), np.nan)
-        assert assemble(cfg, out, scratch) is out
-        assert np.array_equal(out, reference)
-        # bytes too, so the sign of every zero is kept
-        assert out.tobytes() == reference.tobytes()
-        assert public.mat.tobytes() == reference.tobytes()
-    assert build_generalized_dicke(cfg).mat.tobytes() == summed_dicke(cfg).tobytes()
-    assert build_tavis_cummings(cfg).mat.tobytes() == summed_tc(cfg).tobytes()
+    check_assembly(SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff))
+
+
+@pytest.mark.parametrize("lam, theta", [
+    (0.0, 0.3),           # every coupling entry is a zero, some of them -0.0
+    (0.0, 2.5),
+    (0.2, 2.5),           # cos(theta) < 0: negative transverse entries
+    (0.2, math.pi / 2),   # cos(theta) ~ 6e-17
+    (0.2, -math.pi / 2),  # sin(theta) = -1: negative longitudinal entries
+])
+def test_assembly_keeps_the_sign_of_zeros(lam, theta):
+    qubits = (QubitParams(0.4, lam, theta), QubitParams(0.7, 0.1, 0.2),
+              QubitParams(1.1, lam, -theta))
+    check_assembly(SystemConfig(qubits, omega_c=1.2, fock_cutoff=5))
 
 
 # The model's own lift and ladder that algebra._lift and algebra._ladder
 # replaced, kept verbatim as the reference for the cached terms.
+@functools.lru_cache(maxsize=None)
 def local_lift_terms(layout):
     nq, cutoff = layout.qubit_count, layout.fock_cutoff
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
@@ -268,9 +287,25 @@ def local_lift_terms(layout):
 
 @pytest.mark.parametrize("qubits, cutoff", itertools.product(range(1, 5), range(1, 9)))
 def test_layout_terms_match_local_lift(qubits, cutoff):
-    terms = _layout_terms(HilbertLayout(qubits, cutoff))
-    for name, reference in local_lift_terms(HilbertLayout(qubits, cutoff)).items():
-        assert getattr(terms, name).tobytes() == reference.tobytes(), name
+    layout = HilbertLayout(qubits, cutoff)
+    terms = _layout_terms(layout)
+
+    def dense(term):
+        # the entries the assemblers scatter, into a zeroed matrix
+        mat = np.zeros(layout.dim * layout.dim)
+        mat[term.flat] = term.value
+        return mat.reshape(layout.dim, layout.dim)
+
+    for name, reference in local_lift_terms(layout).items():
+        term = getattr(terms, name)
+        built = dense(term) if name == "quadrature" else np.array([dense(t) for t in term])
+        assert built.tobytes() == reference.tobytes(), name
+    # the assemblers write each term by assignment and add the bare diagonal
+    # last, so no two terms of a model may share an entry, nor touch the diagonal
+    for flats in (np.concatenate([terms.quadrature.flat, *(t.flat for t in terms.x_sigma_x)]),
+                  np.concatenate([t.flat for t in terms.exchange])):
+        assert np.unique(flats).size == flats.size
+        assert np.all(flats % (layout.dim + 1) != 0)
 
 
 def test_spectrum_invariant_under_qubit_relabeling():

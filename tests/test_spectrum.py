@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from vpmix.algebra import HilbertLayout, bare_state
 from vpmix.model import _assemble_dicke, _assemble_tc
 from vpmix.cli import build_system
 from vpmix.presets import SCENARIOS, get_preset
+from vpmix import spectrum
 from vpmix.spectrum import MODEL_BUILDERS, _eigh, _pair_branches, coupling_sign
 
 PI6 = math.pi / 6
@@ -197,6 +199,18 @@ def test_eigh_rejects_non_hermitian(bad, defect):
         diagonalize(Operator(bad, HilbertLayout(1, 1)))
 
 
+def test_eigh_reports_nonconvergence_as_numpy_does():
+    # NaN qubit frequencies on a coupled system: LAPACK does not converge, and
+    # _eigh raises numpy.linalg.eigh's error, given outputs or not
+    cfg = SystemConfig((QubitParams(float("nan"), 0.1),), omega_c=1.0, fock_cutoff=3)
+    mat = build_generalized_dicke(cfg).mat
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        np.linalg.eigh(mat)
+    for out in (None, (np.empty(6), np.empty((6, 6)))):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _eigh(mat, np.empty_like(mat), out)
+
+
 def test_gauge_fixed_dominant_component_positive(fig1b_spec_literal):
     spec = diagonalize(build_generalized_dicke(fig1b_spec_literal))
     for k, (bare, _) in enumerate(spec.labels):
@@ -273,48 +287,189 @@ def test_sweep_rows_match_diagonalize(qubits, omega_c, cutoff, model, data):
         assert sweep.overlaps[p].tolist() == [w for _, w in spec.labels[sel]]
 
 
-def test_sweep_allocates_no_per_point_arrays():
-    # d = 128.  A point holds the two reused assembly buffers, the eigenvector
-    # matrix that eigh returns and, until eigh has returned, the previous
-    # point's; one more d x d array kept per point, or a grid-sized stack,
-    # breaks one of the two bounds.
+def test_sweep_allocates_no_per_point_arrays(monkeypatch):
+    # d = 128.  Each thread of a sweep holds its assembly buffer, the
+    # Hermiticity check's scratch and the eigenvectors that eigh writes, all
+    # reused at every point; one more d x d array kept per point, or a
+    # grid-sized stack, breaks one of the bounds.
     cfg = build_system(get_preset("fig4"))
     mat_bytes = cfg.layout.dim ** 2 * 8
     assert cfg.layout.dim == 128
 
-    def peak(points: int) -> int:
+    def peak(points: int) -> tuple[int, int]:
         grid = np.linspace(1.3, 1.5, points)
         sweep_levels(cfg, "omega_c", grid[:2], 5)  # layout terms cached first
         tracemalloc.start()
         try:
-            sweep_levels(cfg, "omega_c", grid, 5)
-            return tracemalloc.get_traced_memory()[1]
+            workers = sweep_levels(cfg, "omega_c", grid, 5).workers
+            return tracemalloc.get_traced_memory()[1], workers
         finally:
             tracemalloc.stop()
 
-    few, many = peak(5), peak(40)
+    (few, _), (many, workers) = peak(5), peak(40)
     assert many - few < mat_bytes
-    assert many < 4.5 * mat_bytes
+    assert many < 4.5 * workers * mat_bytes
+    for forced in (1, 3):
+        monkeypatch.setattr(spectrum, "_available_cores", lambda: forced)
+        (few, _), (many, workers) = peak(5), peak(40)
+        assert workers == forced
+        assert many - few < mat_bytes
+        assert many < 4.5 * forced * mat_bytes
+        # three reused arrays a thread (3.2 measured); a fresh eigenvector
+        # array per point, allocated while the previous one lives, makes four
+        assert many < 3.5 * forced * mat_bytes
 
     # A temporary freed within its stage does not raise the sweep's peak, so
-    # each stage is bounded on its own: assembly writes only into the buffers
-    # (numpy's broadcast X * longitudinal takes a 64 KiB ufunc buffer, half a
-    # d x d array), and the checked eigensolve allocates only what eigh returns.
+    # each stage is bounded on its own: assembly writes only into its buffer,
+    # the checked eigensolve allocates only the outputs it is not given, and
+    # with them given it allocates no d x d array at all.
     mat, scratch = np.empty((128, 128)), np.empty((128, 128))
+    out = (np.empty(128), np.empty((128, 128)))
     tracemalloc.start()
     try:
-        _assemble_dicke(cfg, mat, scratch)
-        _assemble_tc(cfg, mat, scratch)
+        _assemble_dicke(cfg, mat)
+        _assemble_tc(cfg, mat)
         assembly = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         _eigh(mat, scratch)
         solve = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _eigh(mat, scratch, out)
+        solve_into = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert assembly < mat_bytes
+    assert assembly < mat_bytes / 8
     assert solve < 1.1 * mat_bytes
+    assert solve_into < mat_bytes / 8
 
 
+def blas_threads() -> int:
+    control = spectrum._blas_control()
+    return control[0]() if control else 0
+
+
+needs_blas_control = pytest.mark.skipif(spectrum._blas_control() is None,
+                                        reason="numpy's BLAS exports no OpenBLAS thread control")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("points", [0, 1, 2, 7])
+def test_pooled_sweep_rows_match_diagonalize(monkeypatch, workers, points):
+    # more workers than cores, and than points, included: each point's row
+    # must equal the serial diagonalization's bit for bit
+    cfg = build_system(get_preset("fig1b"))
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: workers)
+    grid = np.linspace(0.45, 0.55, points)
+    sweep = sweep_levels(cfg, "qubits[2].omega", grid, 6)
+    pinned = spectrum._blas_control() is not None
+    assert sweep.blas_pinned == pinned
+    assert sweep.workers == (max(1, min(workers, points)) if pinned else 1)
+    assert sweep.energies.shape == (points, 6)
+    for p, x in enumerate(grid):
+        spec = diagonalize(build_generalized_dicke(set_parameter(cfg, "qubits[2].omega", x)))
+        assert sweep.energies[p].tobytes() == spec.energies[1:7].tobytes()
+        assert sweep.labels[p].tolist() == [b for b, _ in spec.labels[1:7]]
+        assert sweep.overlaps[p].tolist() == [w for _, w in spec.labels[1:7]]
+
+
+@needs_blas_control
+@pytest.mark.parametrize("failing", [0, 5])  # on the calling thread, on a worker
+def test_pooled_sweep_raises_a_point_error_and_restores_blas(monkeypatch, failing):
+    cfg = build_system(get_preset("fig1b"))
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: 3)
+    grid = np.linspace(0.45, 0.55, 7)
+    target = _assemble_dicke(set_parameter(cfg, "qubits[2].omega", grid[failing]),
+                             np.empty((cfg.layout.dim,) * 2))
+    eigh, threads_seen = spectrum._eigh, []
+
+    def failing_eigh(mat, scratch, out=None):
+        threads_seen.append(blas_threads())
+        if np.array_equal(mat, target):
+            raise NumericalError(f"planted at point {failing}")
+        return eigh(mat, scratch, out)
+
+    monkeypatch.setattr(spectrum, "_eigh", failing_eigh)
+    before = blas_threads()
+    with pytest.raises(NumericalError, match=f"planted at point {failing}"):
+        sweep_levels(cfg, "qubits[2].omega", grid, 6)
+    assert blas_threads() == before
+    assert set(threads_seen) == {1}
+    # chunks [0, 2), [2, 4) and [4, 7): each point but the one after the
+    # failing point, in its chunk, was evaluated
+    assert len(threads_seen) == 6
+
+
+@needs_blas_control
+def test_blas_count_is_restored_after_each_solver(monkeypatch):
+    preset = get_preset("fig1b")
+    cfg, anti = build_system(preset), preset["anticross"]
+    control_get, control_set = spectrum._blas_control()
+    original, eigh, seen = control_get(), spectrum._eigh, []
+
+    def spy(mat, scratch, out=None):
+        seen.append(blas_threads())
+        return eigh(mat, scratch, out)
+
+    monkeypatch.setattr(spectrum, "_eigh", spy)
+    try:
+        for count in (2, 3):
+            control_set(count)
+            sweep_levels(cfg, "qubits[2].omega", np.linspace(0.45, 0.55, 4), 6)
+            assert blas_threads() == count
+            find_anticrossing(cfg, anti["parameter"], tuple(anti["bracket"]), anti["pair"])
+            assert blas_threads() == count
+            diagonalize(build_generalized_dicke(cfg))
+            assert blas_threads() == count
+    finally:
+        control_set(original)
+    assert seen and set(seen) == {1}
+
+
+def test_sweep_without_blas_control_runs_on_one_worker(monkeypatch):
+    cfg = build_system(get_preset("fig1b"))
+    grid = np.linspace(0.45, 0.55, 7)
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: 3)
+    pooled = sweep_levels(cfg, "qubits[2].omega", grid, 6)
+    monkeypatch.setattr(spectrum, "_blas_control", lambda: None)
+    started = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("thread started"))
+    try:
+        serial = sweep_levels(cfg, "qubits[2].omega", grid, 6)
+    finally:
+        monkeypatch.setattr(threading.Thread, "start", started)
+    assert (serial.workers, serial.blas_pinned) == (1, False)
+    for name in ("energies", "labels", "overlaps"):
+        assert getattr(serial, name).tobytes() == getattr(pooled, name).tobytes()
+
+
+@needs_blas_control
+def test_blas_pin_survives_concurrent_entries():
+    # more threads than cores enter and leave the shared pin at a shortened
+    # switch interval: inside, BLAS runs on one thread; once all have left, the
+    # count is back, which a lost update of the entry count would break
+    control_get, control_set = spectrum._blas_control()
+    original = control_get()
+    inside, interval = [], sys.getswitchinterval()
+
+    def enter_often():
+        for _ in range(200):
+            with spectrum._one_blas_thread() as pinned:
+                inside.append(pinned and control_get() == 1)
+
+    control_set(3)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_often) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(inside) == 1600 and all(inside)
+        assert control_get() == 3
+    finally:
+        sys.setswitchinterval(interval)
+        control_set(original)
 # Minor faults of one warm fig4 sweep (200 points, d = 128) and one warm fig4
 # search, counted in a fresh interpreter: a heap grown by earlier tests hides
 # the trim this guards against.
@@ -346,11 +501,16 @@ print(faults(levels), faults(levels), faults(search))
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux minor-fault counts")
 def test_warm_sweep_and_search_reuse_their_heap():
-    # sweep_levels and find_anticrossing keep the previous point's eigenvectors
-    # alive until the next eigh has returned.  Freed earlier, they leave more
-    # than glibc's trim threshold free at the heap top, which is returned to the
-    # OS and faulted back in at every point: 19,800 minor faults on the sweep
-    # and 2,700 on the search, instead of about 130 each.
+    # sweep_levels and find_anticrossing have eigh write into outputs they
+    # reuse at every point.  A d x d array allocated and freed per point can
+    # leave more than glibc's trim threshold free at the heap top, which is
+    # returned to the OS and faulted back in: 19,800 minor faults on the sweep
+    # and 2,700 on the search when the previous eigenvectors were freed before
+    # the next eigh, and 9,900 and 1,500 in some heap layouts even when they
+    # were kept until it returned, against at most 140 and 270 with reused
+    # outputs over every layout tried.  The probe runs with the caller's
+    # environment, whose size moves the heap layout: the extra variables that
+    # pytest sets were enough to turn it.
     env = dict(os.environ, PYTHONPATH=str(Path(vpmix.__file__).resolve().parents[1]))
     probe = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True,
                            text=True, timeout=300, check=True)
