@@ -43,7 +43,6 @@ from .model import (
     build_generalized_dicke,
     build_tavis_cummings,
     dicke_interaction,
-    dispersive_pair_coupling,
     parity_operator,
     tavis_cummings_interaction,
     total_excitation_number,
@@ -60,9 +59,9 @@ from .dynamics import (
     state_fidelity,
 )
 from .perturbation import (
-    DetuningTable,
     PathSumReport,
     TransitionPath,
+    dispersive_pair_coupling,
     effective_coupling,
     enumerate_paths,
     four_mix_coupling_rabi,

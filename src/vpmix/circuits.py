@@ -367,7 +367,7 @@ def run_ecc(a: complex, b: complex, error, mode: str = "bitflip",
     if mode not in ("bitflip", "phaseflip"):
         raise ConfigError(f"unknown mode {mode!r}")
     norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # also NaN
         raise ConfigError(f"logical amplitudes not normalized: |a|^2+|b|^2 = {norm}")
     if error is not None:
         kind, wire = error

@@ -59,6 +59,7 @@ _COMMANDS = ("levels", "anticross", "perturb", "dynamics", "ecc", "validate")
 # makes it required, as an observable's kind does.  A required list must not
 # be empty.  A kind is a section (dict), a list of one section ([section]), a
 # tuple of the allowed values, or a name: "number" and "integer" exclude bools,
+# "number" also what no float holds: JSON's NaN and Infinity and larger ints,
 # "integer" also 2.5; "numbers" and "integers" are lists of them; a "bracket"
 # is a list of exactly two numbers; a "state" is [levels, photons], a "pair"
 # two states; "positive" is a number above 0, "non_negative" a number >= 0,
@@ -105,8 +106,9 @@ _KIND_TEXT = {
     "state": "a [levels, photons] state",
     "pair": "two [levels, photons] states",
     "initial": "'pair_symmetric', 'pair_antisymmetric' or ['bare', levels, photons]",
-    "positive": "a positive number",
-    "non_negative": "a non-negative number",
+    "number": "a finite number",
+    "positive": "a positive finite number",
+    "non_negative": "a non-negative finite number",
     "natural": "a non-negative integer",
     "count": "a positive integer",
 }
@@ -135,7 +137,8 @@ def _has_type(kind, value) -> bool:
         return (isinstance(value, list) and all(_has_type(item, v) for v in value)
                 and (kind != "bracket" or len(value) == 2))
     return isinstance(value, _SCALAR_TYPES[kind]) and (
-        kind == "boolean" or not isinstance(value, bool))
+        kind == "boolean" or not isinstance(value, bool)) and (
+        kind != "number" or abs(value) <= sys.float_info.max)  # NaN fails too
 
 
 def _check(kind, value, where: str, errors: list[str]) -> None:

@@ -278,7 +278,7 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
     out_rate = gain.sum(axis=0)
 
     if max_step is not None:
-        if max_step <= 0:
+        if not max_step > 0:  # also NaN
             raise ConfigError("max_step must be positive")
         h_max = float(max_step)
     else:

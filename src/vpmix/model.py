@@ -29,7 +29,6 @@ cascade, resonance omega_4 = omega_1+omega_2+omega_3).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -49,7 +48,7 @@ from .algebra import (
     cavity_number,
     embed_qubit_op,
 )
-from .errors import ConfigError, ResonantParameterError
+from .errors import ConfigError
 
 __all__ = [
     "QubitParams",
@@ -61,7 +60,6 @@ __all__ = [
     "build_generalized_dicke",
     "build_tavis_cummings",
     "parity_operator",
-    "dispersive_pair_coupling",
     "build_effective_mixing",
 ]
 
@@ -77,6 +75,9 @@ class QubitParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega", "lam", "theta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"qubit {name} must be finite, got {getattr(self, name)!r}")
         if self.omega <= 0:
             raise ConfigError(f"qubit frequency must be positive, got {self.omega}")
         if self.lam < 0:
@@ -103,6 +104,9 @@ class SystemConfig:
         object.__setattr__(self, "qubits", tuple(self.qubits))
         if len(self.qubits) < 1:
             raise ConfigError("need at least one qubit")
+        for name in ("omega_c", "kappa", "fock_cutoff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.omega_c <= 0:
             raise ConfigError(f"cavity frequency must be positive, got {self.omega_c}")
         if self.kappa < 0:
@@ -296,33 +300,6 @@ def parity_operator(layout: HilbertLayout) -> Operator:
     """Excitation parity exp(i pi N); diagonal with entries (-1)^N."""
     n_diag = np.real(np.diag(total_excitation_number(layout).mat))
     return Operator(np.diag((-1.0) ** np.rint(n_diag)), layout)
-
-
-def dispersive_pair_coupling(config: SystemConfig, i: int, j: int) -> float:
-    """Second-order virtual-photon coupling between qubits i and j (1-based).
-
-    J = lam_i lam_j (1/Delta_i + 1/Delta_j) / 2  with  Delta_k = omega_k - omega_c.
-
-    Valid in the dispersive regime |Delta_k| >> lam_k; a warning is emitted
-    when |Delta_k| < 10 lam_k and exact resonance is an error.
-    """
-    qi, qj = (config.qubits[config.layout.qubit_index(k) - 1] for k in (i, j))
-    couplings = []
-    for label, q in ((i, qi), (j, qj)):
-        delta = q.omega - config.omega_c
-        if delta == 0.0:
-            raise ResonantParameterError(
-                f"qubit {label} is resonant with the cavity; dispersive formula invalid"
-            )
-        if q.lam > 0 and abs(delta) < 10.0 * q.lam:
-            warnings.warn(
-                f"qubit {label}: |omega - omega_c| = {abs(delta):.4g} is not large "
-                f"compared to lam = {q.lam:.4g}; dispersive approximation is marginal",
-                stacklevel=2,
-            )
-        couplings.append(delta)
-    di, dj = couplings
-    return qi.lam * qj.lam * (1.0 / di + 1.0 / dj) / 2.0
 
 
 class MixKind(Enum):

@@ -1,4 +1,4 @@
-"""Virtual-transition path enumeration and closed-form effective couplings.
+"""Virtual-transition path enumeration and every closed-form effective coupling.
 
 The amplitude of an order-n process connecting degenerate bare states |i> and
 |f> through the interaction V is the sum over all chains of intermediate bare
@@ -16,11 +16,16 @@ the enumerator is the oracle against which the closed forms below are tested.
 
 Paths are grouped by their first intermediate state ("diagram"); the group
 subtotals always sum to the reported total in the same floating-point order.
+
+Every closed-form coupling lives here too: the second-order dispersive J, the
+three-qubit down-conversion J and the four-qubit exchange couplings.  Their
+denominator factors all pass one pole rule, :func:`_guard_poles`.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,9 +50,9 @@ from .model import (
 __all__ = [
     "TransitionPath",
     "PathSumReport",
-    "DetuningTable",
     "enumerate_paths",
     "effective_coupling",
+    "dispersive_pair_coupling",
     "three_mix_coupling",
     "four_mix_coupling_tc",
     "four_mix_coupling_rabi",
@@ -212,48 +217,37 @@ def effective_coupling(
         ) from None
 
 
-@dataclass(frozen=True)
-class DetuningTable:
-    """Signed frequency differences/sums used by the closed-form couplings.
-
-    Indices are 1-based qubit numbers or the string "c" for the cavity.
-    ``d(a, b) = w_a - w_b`` is antisymmetric, ``s(a, b) = w_a + w_b``
-    symmetric.
-    """
-
-    omegas: tuple[float, ...]
-    lambdas: tuple[float, ...]
-    omega_c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
-        object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
-        if len(self.omegas) != len(self.lambdas):
-            raise ConfigError("omegas and lambdas must have equal length")
-
-    def w(self, a) -> float:
-        if a == "c":
-            return self.omega_c
-        return self.omegas[int(a) - 1]
-
-    def d(self, a, b) -> float:
-        return self.w(a) - self.w(b)
-
-    def s(self, a, b) -> float:
-        return self.w(a) + self.w(b)
-
-    @property
-    def coupling_product(self) -> float:
-        return float(np.prod(self.lambdas))
-
-
-def _guard_poles(factors: Sequence[tuple[str, float]], scale: float):
-    for name, value in factors:
-        if abs(value) <= 1e-12 * max(scale, 1e-300):
+def _guard_poles(factors: Sequence[tuple[str, float, float]]):
+    """Reject a denominator factor ``(name, a, b)`` = a - b (a sum a + b as
+    a - (-b)) once |a - b| <= 1e-12 max(|a|, |b|): relative to its own terms,
+    so a common scale of the frequencies never decides whether a form raises."""
+    for name, a, b in factors:
+        if abs(a - b) <= 1e-12 * max(abs(a), abs(b)):
             raise ResonantParameterError(
-                f"denominator factor {name} vanishes; "
-                "cavity becomes resonant with one of the qubits"
+                f"denominator factor {name} = {a - b:.3g} vanishes against its terms "
+                f"{a:.6g} and {b:.6g}; the closed form has a pole here"
             )
+
+
+def dispersive_pair_coupling(config: SystemConfig, i: int, j: int) -> float:
+    """Second-order virtual-photon coupling between qubits i and j (1-based).
+
+    J = lam_i lam_j (1/Delta_i + 1/Delta_j) / 2  with  Delta_k = omega_k - omega_c.
+
+    Valid in the dispersive regime |Delta_k| >> lam_k; a warning is emitted
+    when |Delta_k| < 10 lam_k and a vanishing Delta_k is a pole.
+    """
+    qi, qj = (config.qubits[config.layout.qubit_index(k) - 1] for k in (i, j))
+    di, dj = (q.omega - config.omega_c for q in (qi, qj))
+    for label, q, delta in ((i, qi, di), (j, qj, dj)):
+        _guard_poles([(f"omega_{label} - omega_c", q.omega, config.omega_c)])
+        if q.lam > 0 and abs(delta) < 10.0 * q.lam:
+            warnings.warn(
+                f"qubit {label}: |omega - omega_c| = {abs(delta):.4g} is not large "
+                f"compared to lam = {q.lam:.4g}; dispersive approximation is marginal",
+                stacklevel=2,
+            )
+    return qi.lam * qj.lam * (1.0 / di + 1.0 / dj) / 2.0
 
 
 def three_mix_coupling(lam: float, omega3: float, omega_c: float, theta: float) -> float:
@@ -266,15 +260,14 @@ def three_mix_coupling(lam: float, omega3: float, omega_c: float, theta: float) 
             / [w3 (w3^2 - w_c^2)(w3^2 - 4 w_c^2)^2]
 
     The coupling vanishes at w_c = (sqrt(7)/2) w3 and is maximal in theta at
-    pi/6.  Poles at w_c = w3 and w_c = w3/2 are rejected.
+    pi/6.  Poles at w3 = 0, w_c = w3 and w_c = w3/2 are rejected.
     """
-    scale = omega3 * omega3
     _guard_poles(
         [
-            ("omega3^2 - omega_c^2", omega3**2 - omega_c**2),
-            ("omega3^2 - 4 omega_c^2", omega3**2 - 4.0 * omega_c**2),
-        ],
-        scale,
+            ("omega3", omega3, 0.0),
+            ("omega3^2 - omega_c^2", omega3**2, omega_c**2),
+            ("omega3^2 - 4 omega_c^2", omega3**2, 4.0 * omega_c**2),
+        ]
     )
     num = (
         64.0
@@ -304,19 +297,19 @@ def four_mix_coupling_tc(
     """
     if len(lambdas) != 4 or len(omegas) != 4:
         raise ConfigError("need exactly four couplings and four frequencies")
-    t = DetuningTable(tuple(omegas), tuple(lambdas), omega_c)
+    w1, w2, w3, w4 = (float(w) for w in omegas)
+    l4 = float(np.prod([float(l) for l in lambdas]))
     factors = [
-        ("D13", t.d(1, 3)),
-        ("D23", t.d(2, 3)),
-        ("D14", t.d(1, 4)),
-        ("D24", t.d(2, 4)),
-        ("D1c", t.d(1, "c")),
-        ("D2c", t.d(2, "c")),
+        ("D13", w1, w3),
+        ("D23", w2, w3),
+        ("D14", w1, w4),
+        ("D24", w2, w4),
+        ("D1c", w1, omega_c),
+        ("D2c", w2, omega_c),
     ]
-    scale = max(abs(w) for w in t.omegas) ** 2
-    _guard_poles(factors, scale)
-    d13, d23, d14, d24, d1c, d2c = (v for _, v in factors)
-    num = t.coupling_product * (d13 + d24) * (d13 * d24 + d14 * d23)
+    _guard_poles(factors)
+    d13, d23, d14, d24, d1c, d2c = (a - b for _, a, b in factors)
+    num = l4 * (d13 + d24) * (d13 * d24 + d14 * d23)
     return num / (d13 * d23 * d14 * d24 * d1c * d2c)
 
 
@@ -344,26 +337,25 @@ def four_mix_coupling_rabi(
     """
     if len(lambdas) != 4 or len(omegas) != 4:
         raise ConfigError("need exactly four couplings and four frequencies")
-    t = DetuningTable(tuple(omegas), tuple(lambdas), omega_c)
+    w1, w2, w3, w4 = (float(w) for w in omegas)
+    l4 = float(np.prod([float(l) for l in lambdas]))
     wc = omega_c
-    o12, o34 = t.s(1, 2), t.s(3, 4)
-    p12 = t.w(1) * t.w(2)
-    p34 = t.w(3) * t.w(4)
-    d13, d14, d23, d24 = t.d(1, 3), t.d(1, 4), t.d(2, 3), t.d(2, 4)
     den_factors = [
-        ("O12", o12),
-        ("O34", o34),
-        ("Oc3", t.s("c", 3)),
-        ("Oc4", t.s("c", 4)),
-        ("D13", d13),
-        ("D14", d14),
-        ("D23", d23),
-        ("D24", d24),
-        ("Dc1", t.d("c", 1)),
-        ("Dc2", t.d("c", 2)),
+        ("O12", w1, -w2),
+        ("O34", w3, -w4),
+        ("Oc3", wc, -w3),
+        ("Oc4", wc, -w4),
+        ("D13", w1, w3),
+        ("D14", w1, w4),
+        ("D23", w2, w3),
+        ("D24", w2, w4),
+        ("Dc1", wc, w1),
+        ("Dc2", wc, w2),
     ]
-    scale = max(abs(w) for w in t.omegas) ** 2
-    _guard_poles(den_factors, scale)
+    _guard_poles(den_factors)
+    o12, o34, _, _, d13, d14, d23, d24, _, _ = (a - b for _, a, b in den_factors)
+    p12 = w1 * w2
+    p34 = w3 * w4
     q = (
         p12**2
         + p34**2
@@ -373,6 +365,6 @@ def four_mix_coupling_rabi(
     )
     num = 3.0 * o12 * o34 * d13 * d14 * d23 * d24 + 2.0 * wc * (o12 - o34 - 2.0 * wc) * q
     den = 1.0
-    for _, value in den_factors:
-        den *= value
-    return t.coupling_product * (o12 - o34) * num / den
+    for _, a, b in den_factors:
+        den *= a - b
+    return l4 * (o12 - o34) * num / den

@@ -198,7 +198,7 @@ def _eigh(mat: np.ndarray, scratch: np.ndarray,
     np.conjugate(scratch, out=scratch)
     np.subtract(mat, scratch, out=scratch)
     defect = float(np.max(np.abs(scratch, out=scratch)).real)
-    if defect > _HERMITICITY_TOL:
+    if not defect <= _HERMITICITY_TOL:  # also NaN
         raise HermiticityError(
             f"matrix is not Hermitian (max deviation {defect:.3e} > {_HERMITICITY_TOL:.1e})"
         )

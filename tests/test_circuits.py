@@ -241,6 +241,11 @@ class TestEcc:
         with pytest.raises(ConfigError):
             run_ecc(1.0, 0.0, None, implementation="toffoli")
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_amplitudes_rejected(self, a):
+        with pytest.raises(ConfigError, match="not normalized"):
+            run_ecc(a, 0.0, None)
+
     def test_reduced_qubit_helper(self):
         state = register_state(np.array([1.0, 0.0, 0.0, 1.0]) / SQRT2, 2)
         rho = reduced_qubit(state, 1)

@@ -123,6 +123,12 @@ def fig3_observable(**fields):
     return fig3_dynamics(observables=[fields])
 
 
+def fig1b_first_qubit(**fields):
+    qubits = [dict(q) for q in SCENARIOS["fig1b"]["system"]["qubits"]]
+    qubits[0].update(fields)
+    return {"scenario": "fig1b", "system": {"qubits": qubits}}
+
+
 @pytest.mark.parametrize("command, payload, field", [
     # a bracket is exactly two numbers
     ("anticross", {"scenario": "fig1b", "anticross": {"bracket": [0.9]}}, "bracket"),
@@ -223,6 +229,26 @@ def fig3_observable(**fields):
     ("levels", {"scenario": "fig1b", "sweep": {"parameter": "qubits[0].theta", "model": "tc"}},
      "theta"),
     ("perturb", {"scenario": "fig2", "perturb": {"parameter": "kappa"}}, "kappa"),
+    # JSON's NaN and Infinity are no numbers here, whatever the kind
+    ("levels", fig1b_first_qubit(theta=math.nan), "theta"),
+    ("levels", fig1b_first_qubit(theta=math.inf), "theta"),
+    ("anticross", fig1b_first_qubit(theta=math.inf), "theta"),
+    ("levels", fig1b_first_qubit(omega=math.inf), "omega"),
+    ("levels", fig1b_first_qubit(lam=math.nan), "lam"),
+    ("levels", fig1b_first_qubit(gamma=math.inf), "gamma"),
+    ("dynamics", {"scenario": "fig3", "system": {"kappa": math.inf}}, "kappa"),
+    ("levels", {"scenario": "fig1b", "system": {"omega_c": math.inf}}, "omega_c"),
+    ("perturb", {"scenario": "fig2", "perturb": {"cavity_offset_factor": math.nan}},
+     "cavity_offset_factor"),
+    ("perturb", {"scenario": "fig2", "perturb": {"lambdas": [0.05, math.nan]}}, "lambdas"),
+    ("perturb", {"scenario": "fig2", "perturb": {"epsilon": math.inf}}, "epsilon"),
+    ("levels", {"scenario": "fig1b", "sweep": {"start": -math.inf}}, "start"),
+    ("levels", {"scenario": "fig1b", "sweep": {"inset": {"start": 0.9, "stop": math.nan,
+                                                         "points": 3}}}, "stop"),
+    ("anticross", {"scenario": "fig1b", "anticross": {"bracket": [0.9, math.inf]}}, "bracket"),
+    ("anticross", {"scenario": "fig1b", "anticross": {"tol": math.inf}}, "tol"),
+    ("dynamics", fig3_dynamics(half_periods=math.inf), "half_periods"),
+    ("levels", {"scenario": "fig1b", "sweep": {"stop": 10**400}}, "stop"),
 ])
 def test_bad_fields_of_every_command_exit_2(tmp_path, capsys, command, payload, field):
     assert_config_error(tmp_path, capsys, command, payload, field)

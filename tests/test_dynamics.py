@@ -723,6 +723,16 @@ class TestExpectationSeries:
         values = expectation_series(rho0, spec, {}, grid, [[s1.dag(), s1]], max_step=10.0)
         np.testing.assert_array_equal(values, np.ones((11, 1)))
 
+    @pytest.mark.parametrize("max_step", [math.nan, 0.0, -1.0])
+    def test_rejects_a_step_that_is_not_positive(self, max_step):
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        rho0 = bare_state(lay, "e", 1)
+        with pytest.raises(ConfigError, match="max_step must be positive"):
+            evolve(rho0, spec, {}, [0.0, 1.0], max_step=max_step)
+        with pytest.raises(ConfigError, match="max_step must be positive"):
+            expectation_series(rho0, spec, {}, [0.0, 1.0], [identity(lay)], max_step=max_step)
+
     def test_rejects_initial_states_that_are_not_density_matrices(self):
         lay = HilbertLayout(1, 2)
         spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))

@@ -58,6 +58,22 @@ def test_config_validation():
         SystemConfig((QubitParams(0.5, 0.1),), omega_c=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["omega", "lam", "theta", "gamma"])
+def test_qubit_rejects_non_finite_fields(field, value):
+    fields = {"omega": 0.5, "lam": 0.1, "theta": 0.2, "gamma": 1e-3, field: value}
+    with pytest.raises(ConfigError, match=f"qubit {field} must be finite"):
+        QubitParams(**fields)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["omega_c", "kappa", "fock_cutoff"])
+def test_system_rejects_non_finite_fields(field, value):
+    fields = {"omega_c": 1.0, "kappa": 1e-3, "fock_cutoff": 2, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        SystemConfig((QubitParams(0.5, 0.1),), **fields)
+
+
 def test_decoupled_spectrum_is_bare_sums():
     cfg = two_qubit(lam=0.0, cutoff=3)
     spec = diagonalize(build_generalized_dicke(cfg))

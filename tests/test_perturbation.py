@@ -1,13 +1,15 @@
 import math
+import warnings
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vpmix import (
     ConfigError,
     DegenerateIntermediateError,
-    DetuningTable,
     NonResonantPairError,
     QubitParams,
     ResonantParameterError,
@@ -240,22 +242,150 @@ class TestEnumeratorContracts:
         assert spread < 1e-8
 
 
-class TestDetuningTable:
-    @given(
-        omegas=st.lists(st.floats(0.1, 5.0), min_size=4, max_size=4),
-        omega_c=st.floats(0.1, 8.0),
-        a=st.integers(1, 4),
-        b=st.integers(1, 4),
-    )
-    @settings(max_examples=60)
-    def test_antisymmetry_and_symmetry(self, omegas, omega_c, a, b):
-        table = DetuningTable(tuple(omegas), (0.1,) * 4, omega_c)
-        assert table.d(a, b) == -table.d(b, a)
-        assert table.s(a, b) == table.s(b, a)
+# The closed forms as they were before the pole rule moved onto the terms of
+# each factor, kept as the oracle for the arithmetic.  Their pole guard is
+# left out: the property test below stays away from every pole.
+@dataclass(frozen=True)
+class OracleDetuningTable:
+    omegas: tuple
+    lambdas: tuple
+    omega_c: float
 
-    def test_cavity_detuning_and_coupling_product(self):
-        table = DetuningTable((1.0, 2.0, 3.0), (0.1, 0.2, 0.3), 1.5)
-        assert table.d("c", 1) == 0.5
-        assert table.coupling_product == pytest.approx(0.006)
-        with pytest.raises(ConfigError):
-            DetuningTable((1.0, 2.0), (0.1, 0.2, 0.3), 1.5)
+    def w(self, a):
+        return self.omega_c if a == "c" else self.omegas[int(a) - 1]
+
+    def d(self, a, b):
+        return self.w(a) - self.w(b)
+
+    def s(self, a, b):
+        return self.w(a) + self.w(b)
+
+    @property
+    def coupling_product(self):
+        return float(np.prod(self.lambdas))
+
+
+def oracle_three_mix(lam, omega3, omega_c, theta):
+    num = (64.0 * lam**4 * omega_c**2 * (4.0 * omega_c**2 - 7.0 * omega3**2)
+           * math.sin(theta) * math.cos(theta) ** 3)
+    den = omega3 * (omega3**2 - omega_c**2) * (omega3**2 - 4.0 * omega_c**2) ** 2
+    return num / den
+
+
+def oracle_four_mix_tc(lambdas, omegas, omega_c):
+    t = OracleDetuningTable(tuple(map(float, omegas)), tuple(map(float, lambdas)), omega_c)
+    d13, d23, d14, d24, d1c, d2c = (t.d(1, 3), t.d(2, 3), t.d(1, 4), t.d(2, 4),
+                                    t.d(1, "c"), t.d(2, "c"))
+    num = t.coupling_product * (d13 + d24) * (d13 * d24 + d14 * d23)
+    return num / (d13 * d23 * d14 * d24 * d1c * d2c)
+
+
+def oracle_four_mix_rabi(lambdas, omegas, omega_c):
+    t = OracleDetuningTable(tuple(map(float, omegas)), tuple(map(float, lambdas)), omega_c)
+    wc = omega_c
+    o12, o34 = t.s(1, 2), t.s(3, 4)
+    p12 = t.w(1) * t.w(2)
+    p34 = t.w(3) * t.w(4)
+    d13, d14, d23, d24 = t.d(1, 3), t.d(1, 4), t.d(2, 3), t.d(2, 4)
+    den_factors = [o12, o34, t.s("c", 3), t.s("c", 4), d13, d14, d23, d24,
+                   t.d("c", 1), t.d("c", 2)]
+    q = (p12**2 + p34**2 - 3.0 * p12 * p34 + (o12**2 + p12) * (o34**2 + p34)
+         - 3.0 * o12 * o34 * (p12 + p34))
+    num = 3.0 * o12 * o34 * d13 * d14 * d23 * d24 + 2.0 * wc * (o12 - o34 - 2.0 * wc) * q
+    den = 1.0
+    for value in den_factors:
+        den *= value
+    return t.coupling_product * (o12 - o34) * num / den
+
+
+def clear_of_poles(*terms):
+    """Every factor a - b lies at least 1e-9 (relative to its terms) from zero."""
+    return all(abs(a - b) >= 1e-9 * max(abs(a), abs(b)) for a, b in terms)
+
+
+frequency = st.builds(lambda m, sign: sign * m, st.floats(1e-3, 1e3), st.sampled_from((1, -1)))
+coupling = st.floats(0.0, 1.0)
+
+
+class TestClosedFormsMatchOracle:
+    @given(lam=coupling, omega3=frequency, omega_c=frequency, theta=st.floats(-4.0, 4.0))
+    @settings(max_examples=400)
+    def test_three_mix(self, lam, omega3, omega_c, theta):
+        assume(clear_of_poles((omega3, 0.0), (omega3**2, omega_c**2),
+                              (omega3**2, 4.0 * omega_c**2)))
+        assert (three_mix_coupling(lam, omega3, omega_c, theta).hex()
+                == oracle_three_mix(lam, omega3, omega_c, theta).hex())
+
+    @given(lambdas=st.lists(coupling, min_size=4, max_size=4),
+           omegas=st.lists(frequency, min_size=4, max_size=4), omega_c=frequency)
+    @settings(max_examples=400)
+    def test_four_mix(self, lambdas, omegas, omega_c):
+        w1, w2, w3, w4 = omegas
+        tc_terms = [(w1, w3), (w2, w3), (w1, w4), (w2, w4), (w1, omega_c), (w2, omega_c)]
+        if clear_of_poles(*tc_terms):
+            assert (four_mix_coupling_tc(lambdas, omegas, omega_c).hex()
+                    == oracle_four_mix_tc(lambdas, omegas, omega_c).hex())
+        rabi_terms = tc_terms + [(w1, -w2), (w3, -w4), (omega_c, -w3), (omega_c, -w4)]
+        if clear_of_poles(*rabi_terms):
+            assert (four_mix_coupling_rabi(lambdas, omegas, omega_c).hex()
+                    == oracle_four_mix_rabi(lambdas, omegas, omega_c).hex())
+
+
+def near_pole_cases():
+    """(closed form of a frequency scale s, whether it should raise)."""
+    def tc(offset, form=four_mix_coupling_tc):
+        # omega3 sits a relative offset above omega1: D13 is nearly zero
+        omegas = (4.0, 1.2, 4.0 * (1.0 + offset), 2.0)
+        return lambda s: form([0.1] * 4, [w * s for w in omegas], 6.0 * s)
+
+    def three(omega3, omega_c):
+        return lambda s: three_mix_coupling(0.1, omega3 * s, omega_c * s, PI6)
+
+    def dispersive(omega):
+        return lambda s: dispersive_pair_coupling(SystemConfig(
+            (QubitParams(omega * s, 0.01), QubitParams(0.5 * s, 0.01)), omega_c=s,
+            fock_cutoff=2), 1, 2)
+
+    return [
+        pytest.param(tc(2e-14), True, id="tc-D13-2e-14"),
+        pytest.param(tc(4e-12), False, id="tc-D13-4e-12"),
+        pytest.param(tc(2e-14, four_mix_coupling_rabi), True, id="rabi-D13-2e-14"),
+        pytest.param(tc(4e-12, four_mix_coupling_rabi), False, id="rabi-D13-4e-12"),
+        pytest.param(three(1.0, 1.0 + 1e-13), True, id="three-cavity-1e-13"),
+        pytest.param(three(1.0, 1.0 + 1e-11), False, id="three-cavity-1e-11"),
+        pytest.param(three(0.0, 1.25), True, id="three-omega3-zero"),
+        pytest.param(dispersive(1.0 + 1e-15), True, id="dispersive-1e-15"),
+        pytest.param(dispersive(1.0 + 1e-11), False, id="dispersive-1e-11"),
+    ]
+
+
+@pytest.mark.parametrize("form, raises", near_pole_cases())
+def test_pole_rule_ignores_the_frequency_scale(form, raises):
+    def raised(s):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                form(s)
+        except ResonantParameterError:
+            return True
+        return False
+
+    assert [raised(2.0**k) for k in range(-8, 9)] == [raises] * 17
+
+
+def test_every_denominator_factor_is_guarded():
+    with pytest.raises(ResonantParameterError, match="omega3 ="):
+        three_mix_coupling(0.1, 0.0, 1.25, 0.5)
+    cfg = SystemConfig((QubitParams(1.0 + 1e-15, 0.01), QubitParams(0.5, 0.01)),
+                       omega_c=1.0, fock_cutoff=2)
+    with pytest.raises(ResonantParameterError, match="omega_1 - omega_c"):
+        dispersive_pair_coupling(cfg, 1, 2)
+
+
+def test_pole_error_names_its_factor():
+    with pytest.raises(ResonantParameterError) as info:
+        four_mix_coupling_tc([0.1] * 4, (4.0, 1.2, 4.0, 2.0), 6.0)
+    assert "D13" in str(info.value)
+    assert "cavity" not in str(info.value)
+    with pytest.raises(ResonantParameterError, match="O34"):
+        four_mix_coupling_rabi([0.1] * 4, (4.0, 1.2, 3.0, -3.0), 6.0)

@@ -199,14 +199,34 @@ def test_eigh_rejects_non_hermitian(bad, defect):
         diagonalize(Operator(bad, HilbertLayout(1, 1)))
 
 
-def test_eigh_reports_nonconvergence_as_numpy_does():
-    # NaN qubit frequencies on a coupled system: LAPACK does not converge, and
-    # _eigh raises numpy.linalg.eigh's error, given outputs or not
-    cfg = SystemConfig((QubitParams(float("nan"), 0.1),), omega_c=1.0, fock_cutoff=3)
-    mat = build_generalized_dicke(cfg).mat
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        np.linalg.eigh(mat)
-    for out in (None, (np.empty(6), np.empty((6, 6)))):
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_eigh_rejects_non_finite_matrices(entry):
+    # NaN compares false with the tolerance, so only a check that the defect
+    # is small passes it on; inf - inf makes the defect NaN
+    rng = np.random.default_rng(3)
+    mat = rng.normal(size=(40, 40))
+    mat += mat.T
+    mat[3, 17] = mat[17, 3] = entry
+    lay = HilbertLayout(1, 1)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(HermiticityError):
+            _eigh(mat, np.empty_like(mat))
+        with pytest.raises(HermiticityError):
+            diagonalize(Operator(np.array([[entry, 0.0], [0.0, 1.0]]), lay))
+
+
+def test_eigh_reports_lapack_failure_as_numpy_does(monkeypatch):
+    # A failed eigh_lo raises the floating-point invalid flag, as the stand-in
+    # does, and _eigh turns it into numpy.linalg.eigh's error, given outputs
+    # or not.  NaN input, which once drove LAPACK there, now stops at the
+    # Hermiticity check.
+    def failing(mat, out, signature):
+        np.sqrt(np.full(1, -1.0))
+        return out
+
+    monkeypatch.setattr(spectrum._umath_linalg, "eigh_lo", failing)
+    mat = np.diag([0.0, 1.0])
+    for out in (None, (np.empty(2), np.empty((2, 2)))):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             _eigh(mat, np.empty_like(mat), out)
 
@@ -341,6 +361,43 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
     assert assembly < mat_bytes / 8
     assert solve < 1.1 * mat_bytes
     assert solve_into < mat_bytes / 8
+
+
+def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
+    # d = 128.  The search loop holds one thread's workspace, as a sweep
+    # does: the assembly buffer, the Hermiticity check's scratch and the eigh
+    # outputs, reused at every evaluation.  The last evaluation builds and
+    # diagonalizes the model afresh for the report, so the measured span ends
+    # where the search asks for the builder.
+    preset = get_preset("fig4")
+    cfg, block = build_system(preset), preset["anticross"]
+    mat_bytes = cfg.layout.dim ** 2 * 8
+    assert cfg.layout.dim == 128
+    build, peaks = MODEL_BUILDERS["dicke"], []
+
+    def end_span(config):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return build(config)
+
+    monkeypatch.setitem(MODEL_BUILDERS, "dicke", end_span)
+
+    def peak(tol: float) -> tuple[int, int]:
+        tracemalloc.start()
+        try:
+            report = find_anticrossing(cfg, block["parameter"], block["bracket"],
+                                       block["pair"], tol=tol)
+        finally:
+            tracemalloc.stop()
+        return peaks.pop(), report.evaluations
+
+    peak(1e-3)  # layout terms cached first
+    (few, n_few), (many, n_many) = peak(1e-3), peak(1e-7)
+    assert n_many > n_few + 10
+    assert many - few < mat_bytes
+    # three reused arrays; fresh eigh outputs at each evaluation, allocated
+    # while the workspace's are held, make four
+    assert many < 3.5 * mat_bytes
 
 
 def blas_threads() -> int:
