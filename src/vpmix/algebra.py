@@ -19,6 +19,8 @@ Everything here is dense; the largest space used anywhere in the package is
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -59,12 +61,29 @@ SIGMA_MINUS = _readonly([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
 _LEVELS = ("g", "e")
 
 
+def _require_finite(owner, names: Sequence[str], prefix: str = "") -> None:
+    """Raise :class:`ConfigError` unless each attribute ``names`` of ``owner``
+    is a finite number: NaN, an infinity or an int beyond the float range is not."""
+    for name in names:
+        value = getattr(owner, name)
+        if not abs(value) <= sys.float_info.max:  # also NaN, and without an OverflowError
+            raise ConfigError(f"{prefix}{name} must be finite, got {value!r}")
+
+
+def _require_integer(what: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an int or numpy integer
+    (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HilbertLayout:
     """Shape of the composite space: N qubits and one truncated mode.
 
-    ``fock_cutoff=1`` gives a qubit-only register (the single photon level
-    n=0 is a spectator), which is how effective qubit Hamiltonians are
+    Both sizes are integers of at least 1; this is the one place that checks
+    them.  ``fock_cutoff=1`` gives a qubit-only register (the single photon
+    level n=0 is a spectator), which is how effective qubit Hamiltonians are
     represented.
     """
 
@@ -72,10 +91,12 @@ class HilbertLayout:
     fock_cutoff: int
 
     def __post_init__(self):
-        if self.qubit_count < 1:
-            raise ConfigError(f"qubit_count must be >= 1, got {self.qubit_count}")
-        if self.fock_cutoff < 1:
-            raise ConfigError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
+        _require_finite(self, ("qubit_count", "fock_cutoff"))
+        for name in ("qubit_count", "fock_cutoff"):
+            value = getattr(self, name)
+            _require_integer(name, value)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
     @property
     def dim(self) -> int:
@@ -83,8 +104,7 @@ class HilbertLayout:
 
     def qubit_index(self, index: int) -> int:
         """A 1-based qubit index, checked against the register."""
-        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-            raise ConfigError(f"qubit index must be an integer, got {index!r}")
+        _require_integer("qubit index", index)
         if not 1 <= index <= self.qubit_count:
             raise ConfigError(f"qubit index {index} outside 1..{self.qubit_count}")
         return int(index)
@@ -93,8 +113,7 @@ class HilbertLayout:
         """Basis index of |levels, photons> under the fixed ordering."""
         if not isinstance(levels, Sequence) or len(levels) != self.qubit_count:
             raise ConfigError(f"expected {self.qubit_count} qubit levels, got {levels!r}")
-        if isinstance(photons, bool) or not isinstance(photons, (int, np.integer)):
-            raise ConfigError(f"photon number must be an integer, got {photons!r}")
+        _require_integer("photon number", photons)
         if not 0 <= photons < self.fock_cutoff:
             raise ConfigError(
                 f"photon number {photons} outside 0..{self.fock_cutoff - 1}"
@@ -172,7 +191,7 @@ class Operator:
         return Operator(self.mat.conj().T, self.layout)
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.mat - self.mat.conj().T)))
+        return _hermiticity_defect(self.mat)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return self.hermiticity_defect() <= tol
@@ -234,6 +253,35 @@ class Ket:
 
     def projector(self) -> Operator:
         return Operator(np.outer(self.amp, self.amp.conj()), self.layout)
+
+
+def _hermiticity_defect(mat: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """Largest entry of |M - M+| for the square array ``mat``; NaN or inf if
+    ``mat`` holds a NaN or an infinity, and no floating-point warning.
+
+    ``scratch``, an array of ``mat``'s shape and dtype, is overwritten with
+    |M - M+|; without it one is allocated.  Given one, nothing is allocated,
+    so a loop can run this at every point.
+    """
+    scratch = np.empty_like(mat) if scratch is None else scratch
+    # copyto, not a ufunc on the transposed view, which would buffer it
+    np.copyto(scratch, mat.T)
+    np.conjugate(scratch, out=scratch)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow
+        np.subtract(mat, scratch, out=scratch)
+    return float(np.max(np.abs(scratch, out=scratch)).real)
+
+
+def _check_hermitian(mat: np.ndarray, tol: float, error: type[Exception], what: str,
+                    scratch: np.ndarray | None = None) -> None:
+    """Raise ``error`` naming ``what`` if ``mat`` holds a NaN or an infinity,
+    or if its :func:`_hermiticity_defect` exceeds ``tol``.  The finite case
+    allocates nothing given ``scratch``."""
+    defect = _hermiticity_defect(mat, scratch)
+    if not math.isfinite(defect) and not np.isfinite(mat).all():
+        raise error(f"{what} has a non-finite entry")
+    if not defect <= tol:
+        raise error(f"{what} is not Hermitian (max deviation {defect:.3e} > {tol:.1e})")
 
 
 def identity(layout: HilbertLayout) -> Operator:

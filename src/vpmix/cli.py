@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, VpmixError
 from .model import MODEL_BUILDERS, QubitParams, SystemConfig
-from .perturbation import effective_coupling, three_mix_coupling
+from .perturbation import _dispersive_warning, effective_coupling, three_mix_coupling
 from .presets import SCENARIOS, get_preset
 from .spectrum import (
     _search_inputs,
@@ -234,16 +234,11 @@ def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
     (:func:`_value_errors`) and dispersive regime; returns (errors, warnings)."""
     errors: list[str] = []
     _check(_SCHEMA, cfg, "", errors)
-    warnings = []
-    if not errors and "system" in cfg:
-        system = build_system(cfg)
-        errors = _value_errors(cfg, system)
-        for i, q in enumerate(system.qubits, start=1):
-            detuning, lam = abs(q.omega - system.omega_c), q.lam
-            if lam > 0 and detuning < 3.0 * lam:
-                warnings.append(f"qubit {i}: |omega - omega_c| = {detuning:.4g} "
-                                f"< 3 lam = {3 * lam:.4g}; dispersive regime is marginal")
-    return errors, warnings
+    if errors or "system" not in cfg:
+        return errors, []
+    system = build_system(cfg)
+    return _value_errors(cfg, system), [message for i, q in enumerate(system.qubits, start=1)
+                                        if (message := _dispersive_warning(i, q, system.omega_c))]
 
 
 def _value_errors(cfg: dict, system: SystemConfig) -> list[str]:
@@ -465,15 +460,7 @@ def cmd_ecc(cfg: dict) -> dict[str, bytes]:
             norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
             a, b = a / norm, b / norm
             report = run_ecc(a, b, error, mode=mode, implementation=implementation)
-            rows.append({
-                "implementation": report.implementation,
-                "mode": report.mode,
-                "error": None if report.error is None else list(report.error),
-                "syndrome": list(report.syndrome),
-                "corrected_wire": report.corrected_wire,
-                "fidelity": report.fidelity,
-                "logical_state": [a.real, a.imag, b.real, b.imag],
-            })
+            rows.append(asdict(report) | {"logical_state": [a.real, a.imag, b.real, b.imag]})
     payload = {"seed": seed, "cases": rows}
     return {"ecc_report.json": _json(payload)}
 

@@ -60,6 +60,7 @@ from .algebra import (
     SIGMA_X,
     Ket,
     Operator,
+    _check_hermitian,
     cavity_quadrature,
     embed_qubit_op,
 )
@@ -108,11 +109,10 @@ def check_density(rho) -> None:
 
 
 def _check_hermitian_unit_trace(m: np.ndarray, error: type[Exception], what: str) -> None:
-    """Raise ``error`` if the square matrix ``m`` has a Hermiticity defect or
-    a trace error beyond the ``_STATE_*`` limits; O(d^2), no eigensolve."""
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if not defect <= _STATE_HERM_TOL:
-        raise error(f"{what} not Hermitian: defect {defect:.3e}")
+    """Raise ``error`` if the square matrix ``m`` is not finite, or has a
+    Hermiticity defect or a trace error beyond the ``_STATE_*`` limits;
+    O(d^2), no eigensolve."""
+    _check_hermitian(m, _STATE_HERM_TOL, error, what)
     trace = float(np.real(np.trace(m)))
     if not abs(trace - 1.0) <= _STATE_TRACE_TOL:
         raise error(f"{what} trace deviates from 1 by {trace - 1.0:.3e}")
@@ -230,7 +230,8 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
     trace, to the ``_STATE_*`` limits of :func:`check_density`.
     """
     arr = state.amp if isinstance(state, Ket) else np.asarray(state, dtype=complex)
-    mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)
+    with np.errstate(invalid="ignore"):  # inf times 0 is NaN, which the check names
+        mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)
     if mat.shape != (dim, dim):
         raise ConfigError(f"initial state dimension {mat.shape} does not match {dim}")
     _check_hermitian_unit_trace(mat, ConfigError, "initial state")

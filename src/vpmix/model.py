@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +45,7 @@ from .algebra import (
     Operator,
     _ladder,
     _lift,
+    _require_finite,
     cavity_number,
     embed_qubit_op,
 )
@@ -75,9 +76,7 @@ class QubitParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega", "lam", "theta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"qubit {name} must be finite, got {getattr(self, name)!r}")
+        _require_finite(self, ("omega", "lam", "theta", "gamma"), prefix="qubit ")
         if self.omega <= 0:
             raise ConfigError(f"qubit frequency must be positive, got {self.omega}")
         if self.lam < 0:
@@ -92,7 +91,8 @@ class SystemConfig:
 
     All frequencies are unitless (expressed in omega_0).  ``fock_cutoff``
     bounds the photon ladder; 8 is adequate for every bundled scenario and 12
-    is used for convergence checks.
+    is used for convergence checks.  The qubit count and the cutoff are
+    checked by the :class:`HilbertLayout` built here.
     """
 
     qubits: tuple[QubitParams, ...]
@@ -102,23 +102,18 @@ class SystemConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        if len(self.qubits) < 1:
-            raise ConfigError("need at least one qubit")
-        for name in ("omega_c", "kappa", "fock_cutoff"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        self.layout  # built now, so a bad qubit count or cutoff raises here
+        _require_finite(self, ("omega_c", "kappa"))
         if self.omega_c <= 0:
             raise ConfigError(f"cavity frequency must be positive, got {self.omega_c}")
         if self.kappa < 0:
             raise ConfigError(f"cavity decay rate must be >= 0, got {self.kappa}")
-        if self.fock_cutoff < 1:
-            raise ConfigError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
 
     @property
     def qubit_count(self) -> int:
         return len(self.qubits)
 
-    @property
+    @cached_property
     def layout(self) -> HilbertLayout:
         return HilbertLayout(self.qubit_count, self.fock_cutoff)
 

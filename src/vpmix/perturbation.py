@@ -40,6 +40,7 @@ from .errors import (
     ResonantParameterError,
 )
 from .model import (
+    QubitParams,
     SystemConfig,
     _check_model,
     bare_hamiltonian,
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 _LINK_FLOOR = 1e-14
+# A qubit closer to the cavity than this many lam is marginally dispersive.
+_DISPERSIVE_LAMS = 3.0
 
 
 @dataclass(frozen=True)
@@ -229,24 +232,32 @@ def _guard_poles(factors: Sequence[tuple[str, float, float]]):
             )
 
 
+def _dispersive_warning(label: int, qubit: QubitParams, omega_c: float) -> str | None:
+    """Why qubit ``label`` is marginally dispersive, or None if it is not:
+    the one rule, |omega - omega_c| < 3 lam, of ``validate`` and
+    :func:`dispersive_pair_coupling`."""
+    detuning, limit = abs(qubit.omega - omega_c), _DISPERSIVE_LAMS * qubit.lam
+    if detuning < limit:
+        return (f"qubit {label}: |omega - omega_c| = {detuning:.4g} < {_DISPERSIVE_LAMS:g} "
+                f"lam = {limit:.4g}; dispersive regime is marginal")
+    return None
+
+
 def dispersive_pair_coupling(config: SystemConfig, i: int, j: int) -> float:
     """Second-order virtual-photon coupling between qubits i and j (1-based).
 
     J = lam_i lam_j (1/Delta_i + 1/Delta_j) / 2  with  Delta_k = omega_k - omega_c.
 
     Valid in the dispersive regime |Delta_k| >> lam_k; a warning is emitted
-    when |Delta_k| < 10 lam_k and a vanishing Delta_k is a pole.
+    when |Delta_k| < 3 lam_k, the rule ``vpmix validate`` applies, and a
+    vanishing Delta_k is a pole.
     """
     qi, qj = (config.qubits[config.layout.qubit_index(k) - 1] for k in (i, j))
     di, dj = (q.omega - config.omega_c for q in (qi, qj))
-    for label, q, delta in ((i, qi, di), (j, qj, dj)):
+    for label, q in ((i, qi), (j, qj)):
         _guard_poles([(f"omega_{label} - omega_c", q.omega, config.omega_c)])
-        if q.lam > 0 and abs(delta) < 10.0 * q.lam:
-            warnings.warn(
-                f"qubit {label}: |omega - omega_c| = {abs(delta):.4g} is not large "
-                f"compared to lam = {q.lam:.4g}; dispersive approximation is marginal",
-                stacklevel=2,
-            )
+        if message := _dispersive_warning(label, q, config.omega_c):
+            warnings.warn(message, stacklevel=2)
     return qi.lam * qj.lam * (1.0 / di + 1.0 / dj) / 2.0
 
 
@@ -281,6 +292,14 @@ def three_mix_coupling(lam: float, omega3: float, omega_c: float, theta: float) 
     return num / den
 
 
+def _four_qubit_inputs(lambdas: Sequence[float], omegas: Sequence[float]):
+    """(L4, w1, w2, w3, w4): the product of the four couplings and the four
+    frequencies, as floats, or :class:`ConfigError` unless there are four of each."""
+    if len(lambdas) != 4 or len(omegas) != 4:
+        raise ConfigError("need exactly four couplings and four frequencies")
+    return float(np.prod([float(l) for l in lambdas])), *(float(w) for w in omegas)
+
+
 def four_mix_coupling_tc(
     lambdas: Sequence[float], omegas: Sequence[float], omega_c: float
 ) -> float:
@@ -295,10 +314,7 @@ def four_mix_coupling_tc(
     with D_ab = w_a - w_b and D_ic = w_i - w_c.  The factor D13 + D24 =
     (w1 + w2) - (w3 + w4) makes the coupling vanish identically on resonance.
     """
-    if len(lambdas) != 4 or len(omegas) != 4:
-        raise ConfigError("need exactly four couplings and four frequencies")
-    w1, w2, w3, w4 = (float(w) for w in omegas)
-    l4 = float(np.prod([float(l) for l in lambdas]))
+    l4, w1, w2, w3, w4 = _four_qubit_inputs(lambdas, omegas)
     factors = [
         ("D13", w1, w3),
         ("D23", w2, w3),
@@ -335,10 +351,7 @@ def four_mix_coupling_rabi(
     The overall factor (w1 + w2) - (w3 + w4) kills the coupling at the bare
     resonance; away from it the counter-rotating contributions survive.
     """
-    if len(lambdas) != 4 or len(omegas) != 4:
-        raise ConfigError("need exactly four couplings and four frequencies")
-    w1, w2, w3, w4 = (float(w) for w in omegas)
-    l4 = float(np.prod([float(l) for l in lambdas]))
+    l4, w1, w2, w3, w4 = _four_qubit_inputs(lambdas, omegas)
     wc = omega_c
     den_factors = [
         ("O12", w1, -w2),

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .algebra import HilbertLayout, Ket, Operator
+from .algebra import HilbertLayout, Ket, Operator, _check_hermitian
 from .errors import BranchTrackingError, ConfigError, HermiticityError, NumericalError
 from .model import MODEL_BUILDERS, SystemConfig, _ASSEMBLERS, _buffer, _check_model
 
@@ -181,7 +181,8 @@ def _eigh(mat: np.ndarray, scratch: np.ndarray,
     """Checked ``eigh``: ground-offset energies and the raw eigenvectors.
 
     ``scratch``, an array of ``mat``'s shape and dtype, holds the Hermiticity
-    check's |H - H+| and is overwritten.  A real ``mat`` gives real
+    check's |H - H+| and is overwritten; a NaN or an infinity in ``mat``
+    raises :class:`HermiticityError` there.  A real ``mat`` gives real
     eigenvectors, which are neither labeled nor gauged here.  They and the
     energies are written into ``out``, a real length-d array and an array
     like ``mat``, or into fresh arrays if it is None.
@@ -193,15 +194,7 @@ def _eigh(mat: np.ndarray, scratch: np.ndarray,
     returned to the OS and faulted back in (9,900 minor faults a warm
     200-point sweep instead of 130).
     """
-    # copyto, not a ufunc on the transposed view, which would buffer it
-    np.copyto(scratch, mat.T)
-    np.conjugate(scratch, out=scratch)
-    np.subtract(mat, scratch, out=scratch)
-    defect = float(np.max(np.abs(scratch, out=scratch)).real)
-    if not defect <= _HERMITICITY_TOL:  # also NaN
-        raise HermiticityError(
-            f"matrix is not Hermitian (max deviation {defect:.3e} > {_HERMITICITY_TOL:.1e})"
-        )
+    _check_hermitian(mat, _HERMITICITY_TOL, HermiticityError, "matrix", scratch)
     if out is None:
         out = np.empty(len(mat)), np.empty_like(mat)
     with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",

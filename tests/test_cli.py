@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from numpy.linalg import _umath_linalg
 
 import vpmix
 from vpmix import spectrum
-from vpmix.cli import load_config, main, resolve_config, run_command, validate_config
+from vpmix.cli import (build_system, load_config, main, resolve_config, run_command,
+                       validate_config)
 from vpmix.errors import ConfigError
 from vpmix.presets import SCENARIOS
 
@@ -113,6 +115,37 @@ def test_bad_field_values_exit_2_without_outputs(tmp_path, capsys, payload, fiel
 def test_presets_validate_without_errors():
     for scenario in SCENARIOS:
         assert validate_config(resolve_config({"scenario": scenario}))[0] == []
+
+
+MARGINAL = "dispersive regime is marginal"
+
+
+@pytest.mark.parametrize("scenario, expected", [
+    ("fig1b", [f"qubit 3: |omega - omega_c| = 0.0125 < 3 lam = 0.015; {MARGINAL}"]),
+    ("fig2", [f"qubit 3: |omega - omega_c| = 0.25 < 3 lam = 0.3; {MARGINAL}"]),
+    ("fig3", [f"qubit 3: |omega - omega_c| = 0.0125 < 3 lam = 0.015; {MARGINAL}"]),
+    ("figS2a", [f"qubit 1: |omega - omega_c| = 0.1052 < 3 lam = 0.15; {MARGINAL}"]),
+    ("figS2b", [f"qubit 1: |omega - omega_c| = 0.1052 < 3 lam = 0.15; {MARGINAL}"]),
+    ("fig4", []), ("fig5a", []), ("fig5b", []), ("ecc", []),
+])
+def test_presets_keep_their_dispersive_warnings(scenario, expected):
+    assert validate_config(resolve_config({"scenario": scenario})) == ([], expected)
+
+
+@pytest.mark.parametrize("lams, flagged", [(2.99, {1, 2}), (3.01, set())])
+def test_validate_and_dispersive_coupling_flag_the_same_qubits(lams, flagged):
+    lam = 0.01
+    system = {"qubits": [{"omega": 1.0 + lams * lam, "lam": lam},
+                         {"omega": 1.0 - lams * lam, "lam": lam},
+                         {"omega": 0.5, "lam": lam}], "omega_c": 1.0, "fock_cutoff": 2}
+    _, messages = validate_config({"system": system})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            vpmix.dispersive_pair_coupling(build_system({"system": system}), i, j)
+    library = [str(w.message) for w in caught]
+    assert {int(m.split(":")[0].removeprefix("qubit ")) for m in messages} == flagged
+    assert set(library) == set(messages)
 
 
 def fig3_dynamics(**fields):

@@ -462,6 +462,22 @@ class TestObservables:
         with pytest.raises(ConfigError):
             check_density(np.ones((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_states_are_named(self, entry):
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        rho[0, 1] = rho[1, 0] = entry
+        with pytest.raises(NumericalError, match="density matrix has a non-finite entry"):
+            check_density(rho)
+        vector = np.array([entry, 1.0, 0.0, 0.0])
+        for bad in (rho, vector, Ket(vector, lay)):
+            with pytest.raises(ConfigError, match="initial state has a non-finite entry"):
+                evolve(bad, spec, {}, [0.0, 1.0])
+            with pytest.raises(ConfigError, match="initial state has a non-finite entry"):
+                expectation_series(bad, spec, {}, [0.0, 1.0], [identity(lay)])
+
     def test_expectation_projector(self):
         lay = HilbertLayout(2, 1)
         ket = bare_state(lay, "eg", 0)

@@ -74,6 +74,23 @@ def test_system_rejects_non_finite_fields(field, value):
         SystemConfig((QubitParams(0.5, 0.1),), **fields)
 
 
+def test_sizes_and_fields_beyond_the_float_range_raise_config_errors():
+    with pytest.raises(ConfigError, match="qubit omega must be finite"):
+        QubitParams(10**400, 0.1)
+    with pytest.raises(ConfigError, match="kappa must be finite"):
+        SystemConfig((QubitParams(0.5, 0.1),), omega_c=1.0, kappa=-10**400)
+    with pytest.raises(ConfigError, match="fock_cutoff must be an integer, got 2.5"):
+        SystemConfig((QubitParams(0.5, 0.1),), omega_c=1.0, fock_cutoff=2.5)
+    with pytest.raises(ConfigError, match="qubit_count must be an integer, got 1.5"):
+        HilbertLayout(1.5, 2)
+    with pytest.raises(ConfigError, match="fock_cutoff must be an integer, got True"):
+        HilbertLayout(2, True)
+    with pytest.raises(ConfigError, match="qubit_count must be >= 1, got 0"):
+        SystemConfig((), omega_c=1.0)
+    assert SystemConfig((QubitParams(0.5, 0.1),), omega_c=1.0,
+                        fock_cutoff=np.int64(3)).layout == HilbertLayout(1, 3)
+
+
 def test_decoupled_spectrum_is_bare_sums():
     cfg = two_qubit(lam=0.0, cutoff=3)
     spec = diagonalize(build_generalized_dicke(cfg))

@@ -199,20 +199,24 @@ def test_eigh_rejects_non_hermitian(bad, defect):
         diagonalize(Operator(bad, HilbertLayout(1, 1)))
 
 
-@pytest.mark.parametrize("entry", [math.nan, math.inf])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
 def test_eigh_rejects_non_finite_matrices(entry):
     # NaN compares false with the tolerance, so only a check that the defect
-    # is small passes it on; inf - inf makes the defect NaN
+    # is small passes it on; inf - inf makes the defect NaN.  Either way the
+    # error names the entry, and no floating-point warning comes first.
     rng = np.random.default_rng(3)
     mat = rng.normal(size=(40, 40))
     mat += mat.T
     mat[3, 17] = mat[17, 3] = entry
-    lay = HilbertLayout(1, 1)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(HermiticityError):
-            _eigh(mat, np.empty_like(mat))
-        with pytest.raises(HermiticityError):
-            diagonalize(Operator(np.array([[entry, 0.0], [0.0, 1.0]]), lay))
+    one_sided = mat.copy()
+    one_sided[17, 3] = 0.0
+    message = "matrix has a non-finite entry"
+    for bad in (mat, one_sided, mat.astype(complex), np.diag([entry, 1.0])):
+        with pytest.raises(HermiticityError, match=message):
+            _eigh(bad, np.empty_like(bad))
+        with pytest.raises(HermiticityError, match=message):
+            diagonalize(Operator(bad, HilbertLayout(1, len(bad) // 2)))
 
 
 def test_eigh_reports_lapack_failure_as_numpy_does(monkeypatch):
