@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,9 +64,12 @@ _LEVELS = ("g", "e")
 
 def _require_finite(owner, names: Sequence[str], prefix: str = "") -> None:
     """Raise :class:`ConfigError` unless each attribute ``names`` of ``owner``
-    is a finite number: NaN, an infinity or an int beyond the float range is not."""
+    is a finite real number: a string, None or a complex number is no real
+    number, and NaN, an infinity or an int beyond the float range is not finite."""
     for name in names:
         value = getattr(owner, name)
+        if not isinstance(value, numbers.Real):
+            raise ConfigError(f"{prefix}{name} must be a real number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # also NaN, and without an OverflowError
             raise ConfigError(f"{prefix}{name} must be finite, got {value!r}")
 

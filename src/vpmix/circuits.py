@@ -35,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algebra import _require_integer
 from .errors import ConfigError, NumericalError
 
 __all__ = [
@@ -79,8 +80,15 @@ def register_state(amplitudes, qubit_count: int | None = None) -> RegisterState:
     return RegisterState(qubit_count=n, amp=v)
 
 
+def _integer_wires(wires) -> tuple[int, ...]:
+    """``wires`` as a tuple of ints; a wire that is no integer is a :class:`ConfigError`."""
+    for w in wires:
+        _require_integer("wire", w)
+    return tuple(int(w) for w in wires)
+
+
 def _check_wires(state: RegisterState, wires) -> tuple[int, ...]:
-    ws = tuple(int(w) for w in wires)
+    ws = _integer_wires(wires)
     for w in ws:
         if not 1 <= w <= state.qubit_count:
             raise ConfigError(f"wire {w} outside 1..{state.qubit_count}")
@@ -113,7 +121,7 @@ class GateSpec:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
+        object.__setattr__(self, "wires", _integer_wires(self.wires))
 
 
 def _y_matrix(theta: float) -> np.ndarray:

@@ -323,7 +323,8 @@ def cmd_levels(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]
     results = _sweeps(sweep_levels, system, _require(cfg, "sweep"))
     grid = results["levels.csv"]
     return ({name: _sweep_csv(result) for name, result in results.items()},
-            {"sweep": {"workers": grid.workers, "blas_pinned": grid.blas_pinned}})
+            {"sweep": {"workers": grid.workers, "blas_pinned": grid.blas_pinned,
+                       "eigensolver": grid.eigensolver}})
 
 
 def cmd_anticross(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
@@ -472,8 +473,9 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     ``cutoff`` and ``seed`` replace the configuration's ``fock_cutoff`` and
     ``ecc.seed`` before validation, so the checks and the manifest see the run.
     Sweeps spread their grid points over the available cores by themselves,
-    and a ``levels`` manifest records how (``sweep.workers`` threads, and
-    whether OpenBLAS was held at one thread, ``sweep.blas_pinned``).
+    and a ``levels`` manifest records how (``sweep.workers`` threads,
+    whether OpenBLAS was held at one thread, ``sweep.blas_pinned``, and
+    ``sweep.eigensolver``, ``"dsyevr"`` or ``"eigh"``).
     ``threads`` remains only for callers written when the thread count was an
     argument, such as ``perfbench/test_oracle.py``, which passes
     ``threads=1``; any other value raises :class:`ConfigError`.

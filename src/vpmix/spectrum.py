@@ -19,10 +19,15 @@ Both model Hamiltonians are real float64 matrices, assembled from terms that
 :mod:`vpmix.model` caches once per layout, so ``eigh`` takes its
 real-symmetric path and the phase gauge of :func:`diagonalize` reduces to a
 sign gauge.  Eigenvectors are stored complex either way.  Each thread of a
-sweep, and each search, assembles every grid point into one reused buffer,
-has ``eigh`` write into one reused pair of outputs, and reads labels,
-energies and branch weights straight off the real eigenvectors, so a grid
-point allocates no d x d array.
+sweep, and each search, assembles every grid point into one reused buffer
+and reads labels, energies and branch weights straight off the real
+eigenvectors, so a grid point allocates no d x d array.  A search has
+``eigh`` write all of them into one reused pair of outputs.  A sweep reads
+only its lowest levels, and LAPACK's ``dsyevr`` solves for just those into
+small reused arrays; its rows therefore match :func:`diagonalize` to
+rounding rather than bit for bit (see :func:`sweep_levels`).
+:func:`diagonalize` and :func:`find_anticrossing` keep ``eigh``: the dynamics
+need every eigenvector of the search's final spectrum.
 """
 
 from __future__ import annotations
@@ -73,13 +78,19 @@ _BLAS_CONTROLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_
 
 
 @cache
+def _linalg_library():
+    """The library behind numpy's LAPACK calls, or None where it cannot be loaded."""
+    try:
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+
+
+@cache
 def _blas_control():
     """(get, set) of the thread count of the BLAS numpy's LAPACK calls, or
     None where that BLAS is no OpenBLAS or its controls are not exported."""
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
-        return None
+    lib = _linalg_library()
     for names in _BLAS_CONTROLS:
         try:
             get, set_ = (getattr(lib, name) for name in names)
@@ -89,6 +100,25 @@ def _blas_control():
         set_.argtypes, set_.restype = (ctypes.c_int,), None
         return get, set_
     return None
+
+
+@cache
+def _dsyevr():
+    """LAPACK's ``dsyevr`` as the scipy-openblas build that numpy wheels bundle
+    exports it (64-bit integers, gfortran's string lengths last), or None."""
+    try:
+        fn = _linalg_library().scipy_dsyevr_64_
+    except AttributeError:  # no library, or no such symbol
+        return None
+    ints, reals, arr = (ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double),
+                         ctypes.c_void_p)
+    # JOBZ RANGE UPLO, N A LDA, VL VU IL IU ABSTOL, M W Z LDZ ISUPPZ,
+    # WORK LWORK IWORK LIWORK INFO, and the three string lengths
+    fn.argtypes = ((ctypes.c_char_p,) * 3 + (ints, arr, ints) + (reals, reals, ints, ints, reals)
+                   + (ints, arr, arr, ints, arr) + (arr, ints, arr, ints, ints)
+                   + (ctypes.c_size_t,) * 3)
+    fn.restype = None
+    return fn
 
 
 class _BlasPin:
@@ -205,11 +235,78 @@ def _eigh(mat: np.ndarray, scratch: np.ndarray,
     return energies, states
 
 
-def _workspace(config: SystemConfig):
+class _LowestPairs:
+    """One thread's ``dsyevr`` solve (MRRR, RANGE='I') for the lowest
+    ``count`` eigenpairs of ``mat``, its reused real symmetric assembly buffer.
+
+    Fortran reads the C-ordered ``mat`` transposed, so UPLO='U' reads the
+    triangle that ``eigh`` reads; the solve overwrites ``mat``.  The
+    eigenvalues land in a length-d array and the eigenvectors in the rows of
+    a ``count`` x d one.  One workspace query on ``mat`` sizes the work
+    arrays, and the ctypes arguments are built here once, so a solve
+    allocates no array.
+    """
+
+    def __init__(self, dsyevr, mat: np.ndarray, count: int):
+        d = len(mat)
+        self._dsyevr, self._count = dsyevr, count
+        w, z = np.empty(d), np.empty((count, d))
+        self._solution = w[:count], z.T
+        self._m, self._info = ctypes.c_int64(), ctypes.c_int64()
+        n, il, iu = ctypes.c_int64(d), ctypes.c_int64(1), ctypes.c_int64(count)
+        lwork, liwork, zero = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_double(0.0)
+        # A, W, Z, ISUPPZ, WORK, IWORK; the query's one-element work arrays
+        # are replaced by full ones below
+        arrays = [mat, w, z, np.empty(2 * count, dtype=np.int64), np.empty(1),
+                  np.empty(1, dtype=np.int64)]
+
+        def arguments() -> tuple:
+            a, w, z, isuppz, work, iwork = (array.ctypes.data for array in arrays)
+            n_, zero_ = ctypes.byref(n), ctypes.byref(zero)
+            return (b"V", b"I", b"U", n_, a, n_, zero_, zero_, ctypes.byref(il),
+                    ctypes.byref(iu), zero_, ctypes.byref(self._m), w, z, n_, isuppz, work,
+                    ctypes.byref(lwork), iwork, ctypes.byref(liwork), ctypes.byref(self._info),
+                    1, 1, 1)
+
+        dsyevr(*arguments())  # workspace query: the sizes land in work[0], iwork[0]
+        if self._info.value != 0:
+            raise LinAlgError("Eigenvalues did not converge")
+        lwork.value, liwork.value = int(arrays[4][0]), int(arrays[5][0])
+        arrays[4:] = np.empty(lwork.value), np.empty(liwork.value, dtype=np.int64)
+        self._arrays, self._arguments = arrays, arguments()  # the arrays outlive the pointers
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lowest eigenvalues and, as columns, their eigenvectors, both
+        views that the next solve overwrites."""
+        self._dsyevr(*self._arguments)
+        if self._info.value != 0 or self._m.value != self._count:
+            raise LinAlgError("Eigenvalues did not converge")
+        return self._solution
+
+
+def _workspace(config: SystemConfig, count: int | None = None):
     """Arrays one thread reuses at every grid point: the assembly target, the
-    Hermiticity check's scratch and the outputs of ``eigh``."""
-    mat = _buffer(config)
-    return mat, np.empty_like(mat), (np.empty(len(mat)), np.empty_like(mat))
+    Hermiticity check's scratch and where the solve writes.  That is the
+    outputs of ``eigh``, or, given ``count`` and where :func:`_dsyevr` is
+    found, a :class:`_LowestPairs` for the lowest ``count`` eigenpairs."""
+    mat, scratch = _buffer(config), _buffer(config)
+    dsyevr = None if count is None else _dsyevr()
+    out = ((np.empty(len(mat)), np.empty_like(mat)) if dsyevr is None
+           else _LowestPairs(dsyevr, mat, count))
+    return mat, scratch, out
+
+
+def _eigh_lowest(mat: np.ndarray, scratch: np.ndarray,
+                 out: _LowestPairs | tuple[np.ndarray, np.ndarray]):
+    """:func:`_eigh` for a sweep, into what :func:`_workspace` gives: a
+    :class:`_LowestPairs` solves for its lowest eigenpairs only, overwriting
+    ``mat``; a pair of ``eigh`` outputs, where ``dsyevr`` is missing, for all."""
+    if not isinstance(out, _LowestPairs):
+        return _eigh(mat, scratch, out)
+    _check_hermitian(mat, _HERMITICITY_TOL, HermiticityError, "matrix", scratch)
+    energies, states = out()
+    energies -= energies[0]
+    return energies, states
 
 
 def _dominant(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -311,6 +408,7 @@ class SweepResult:
     layout: HilbertLayout
     workers: int
     blas_pinned: bool
+    eigensolver: str
 
 
 def _sweep_inputs(config: SystemConfig, parameter: str, grid: Sequence[float],
@@ -342,29 +440,43 @@ def sweep_levels(
     rows of the result, while OpenBLAS is held at one thread: at d = 128 on
     two cores this takes 1.14 ms a point against 2.0 ms serially, where the
     same threads over a two-thread BLAS took 3.47 ms.  Where OpenBLAS's
-    thread count cannot be set, one thread evaluates the whole grid.  Each
-    point's energies, labels and weights equal those of :func:`diagonalize`
-    on the model's builder bit for bit, whatever the number of threads.
+    thread count cannot be set, one thread evaluates the whole grid.
+
+    Each point is solved for its lowest ``level_count + 1`` eigenpairs only,
+    the ground state and the reported levels, by LAPACK's ``dsyevr`` (MRRR),
+    which at d = 128 and 13 pairs takes 1.3 ms against 2.3 ms for ``eigh``.
+    Where numpy's LAPACK does not export it, ``eigh`` solves for all of them;
+    ``eigensolver`` records which.  The rows therefore match
+    :func:`diagonalize` of the model's builder to rounding, not bit for bit:
+    energies within 1e-13, and the weight and label of each level more than
+    1e-6 from its neighbours.  In a degenerate or nearly degenerate group of
+    levels, which identical qubits make, each solver's choice of eigenvectors
+    is arbitrary, and so are the labels and weights read off them.  The rows
+    are the same bits whatever the number of threads.
     """
     grid_arr, assemble = _sweep_inputs(config, parameter, grid, level_count, model)
     shape = (grid_arr.size, level_count)
     energies, labels, overlaps = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape)
     sel = slice(1, level_count + 1)
+    eigensolver = "eigh" if _dsyevr() is None else "dsyevr"
 
     def evaluate(lo: int, hi: int) -> None:
-        mat, scratch, out = _workspace(config)
+        mat, scratch, out = workspaces.pop()
         for p in range(lo, hi):
-            e, states = _eigh(assemble(set_parameter(config, parameter, grid_arr[p]), mat),
-                              scratch, out)
+            e, states = _eigh_lowest(
+                assemble(set_parameter(config, parameter, grid_arr[p]), mat), scratch, out)
             dominant, _, norm = _dominant(states[:, sel])
             energies[p], labels[p], overlaps[p] = e[sel], dominant, norm * norm
 
     with _one_blas_thread() as pinned:
         workers = max(1, min(_available_cores(), grid_arr.size)) if pinned else 1
+        # every thread's arrays exist before any thread starts, so the peak
+        # memory of a sweep does not depend on how its threads overlap
+        workspaces = [_workspace(config, level_count + 1) for _ in range(workers)]
         _in_chunks(evaluate, grid_arr.size, workers)
     return SweepResult(parameter=parameter, grid=grid_arr, energies=energies, labels=labels,
                        overlaps=overlaps, layout=config.layout, workers=workers,
-                       blas_pinned=pinned)
+                       blas_pinned=pinned, eigensolver=eigensolver)
 
 
 def _in_chunks(evaluate, points: int, workers: int) -> None:

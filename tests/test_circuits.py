@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ class TestGates:
                      GateSpec("cnot", (1,))):
             with pytest.raises(ConfigError):
                 apply_gate(basis(2, 0), gate)
+
+    @pytest.mark.parametrize("wire", [1.5, 1.0, "1", True, None])
+    def test_wires_must_be_integers(self, wire):
+        # a wire that is no integer is rejected, not truncated to one
+        message = f"^wire must be an integer, got {re.escape(repr(wire))}$"
+        with pytest.raises(ConfigError, match=message):
+            GateSpec("x", (wire,))
+        with pytest.raises(ConfigError, match=message):
+            u3_mix(basis(3, 0b100), (1, wire, 3))
+        with pytest.raises(ConfigError, match=message):
+            measure_qubit(basis(2, 0), wire)
+        out = apply_gate(basis(2, 0), GateSpec("x", (np.int64(2),)))
+        assert out.amp[0b01] == 1.0
 
     @settings(max_examples=25)
     @given(logical_states)

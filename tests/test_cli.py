@@ -465,7 +465,8 @@ def test_levels_csv_format_and_manifest(tmp_path):
     assert len(manifest["outputs"][0]["sha256"]) == 64
     pinned = spectrum._blas_control() is not None
     workers = min(spectrum._available_cores(), 5) if pinned else 1
-    assert manifest["sweep"] == {"workers": workers, "blas_pinned": pinned}
+    assert manifest["sweep"] == {"workers": workers, "blas_pinned": pinned,
+                                 "eigensolver": sweep_eigensolver()}
 
 
 def test_sweep_workers_call_no_traced_function(tmp_path, monkeypatch):
@@ -493,10 +494,36 @@ def test_levels_manifest_records_the_forced_worker_count(tmp_path, monkeypatch):
     out = tmp_path / "out"
     manifest = run_command("levels", resolve_config({"scenario": "fig1b"}), out)
     pinned = spectrum._blas_control() is not None
-    assert manifest["sweep"] == {"workers": 3 if pinned else 1, "blas_pinned": pinned}
+    assert manifest["sweep"] == {"workers": 3 if pinned else 1, "blas_pinned": pinned,
+                                 "eigensolver": sweep_eigensolver()}
     assert json.loads((out / "manifest.json").read_text())["sweep"] == manifest["sweep"]
     assert "sweep" not in run_command("anticross", resolve_config({"scenario": "fig1b"}),
                                       tmp_path / "anticross")
+
+
+def sweep_eigensolver() -> str:
+    return "eigh" if spectrum._dsyevr() is None else "dsyevr"
+
+
+def test_levels_manifest_records_the_eigensolver(tmp_path, monkeypatch):
+    # dsyevr where numpy's LAPACK exports it, eigh where it does not; the
+    # data files are the same to within the eigensolvers' rounding
+    cfg = resolve_config({"scenario": "fig1b"})
+    found = run_command("levels", cfg, tmp_path / "found")
+    assert found["sweep"]["eigensolver"] == sweep_eigensolver()
+    monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
+    missing = run_command("levels", cfg, tmp_path / "missing")
+    assert missing["sweep"]["eigensolver"] == "eigh"
+    for name, run in (("found", found), ("missing", missing)):
+        written = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert written["sweep"] == run["sweep"]
+    rows = [np.genfromtxt(tmp_path / name / "levels.csv", delimiter=",", names=True,
+                          dtype=None, encoding="utf-8") for name in ("found", "missing")]
+    for column in rows[0].dtype.names:
+        if column.startswith("label") or column == rows[0].dtype.names[0]:
+            assert rows[0][column].tolist() == rows[1][column].tolist()
+        else:
+            np.testing.assert_allclose(rows[0][column], rows[1][column], rtol=0, atol=1e-13)
 
 
 def test_levels_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ def test_system_rejects_non_finite_fields(field, value):
     fields = {"omega_c": 1.0, "kappa": 1e-3, "fock_cutoff": 2, field: value}
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         SystemConfig((QubitParams(0.5, 0.1),), **fields)
+
+
+@pytest.mark.parametrize("value", ["x", None, 1j, [0.5]])
+def test_fields_that_are_no_real_numbers_raise_config_errors(value):
+    message = f" must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match="^qubit omega" + message):
+        QubitParams(value, 0.1)
+    with pytest.raises(ConfigError, match="^qubit gamma" + message):
+        QubitParams(0.5, 0.1, gamma=value)
+    with pytest.raises(ConfigError, match="^omega_c" + message):
+        SystemConfig((QubitParams(0.5, 0.1),), omega_c=value)
+    with pytest.raises(ConfigError, match="^fock_cutoff" + message):
+        SystemConfig((QubitParams(0.5, 0.1),), omega_c=1.0, fock_cutoff=value)
+    with pytest.raises(ConfigError, match="^qubit_count" + message):
+        HilbertLayout(value, 2)
 
 
 def test_sizes_and_fields_beyond_the_float_range_raise_config_errors():

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import re
@@ -303,22 +304,48 @@ def test_sweep_rows_match_diagonalize(qubits, omega_c, cutoff, model, data):
     start = data.draw(st.floats(0.3, 1.5))
     grid = start + np.linspace(0.0, 0.2, data.draw(st.integers(1, 4)))
     sweep = sweep_levels(cfg, parameter, grid, level_count, model=model)
-    sel = slice(1, level_count + 1)
     for p, x in enumerate(grid):
         spec = diagonalize(MODEL_BUILDERS[model](set_parameter(cfg, parameter, x)))
-        assert sweep.energies[p].tobytes() == spec.energies[sel].tobytes()
-        assert sweep.labels[p].tolist() == [b for b, _ in spec.labels[sel]]
-        assert sweep.overlaps[p].tolist() == [w for _, w in spec.labels[sel]]
+        assert_row_matches_diagonalize(sweep, p, spec)
+
+
+def assert_row_matches_diagonalize(sweep, p, spec):
+    """Row p of ``sweep`` against ``diagonalize`` at its grid point.
+
+    A sweep solves for its lowest eigenpairs with dsyevr, where diagonalize
+    solves for all of them with eigh, so the two agree to rounding, not bit
+    for bit.  Energies agree within 1e-13.  A level more than 1e-6 from both
+    neighbours, reported or not, has one eigenvector up to sign: its weight
+    agrees within 1e-9, and its label is one of the bare indices tied within
+    1e-8 for diagonalize's largest weight.  Within a degenerate or nearly
+    degenerate group each solver picks its own basis, and there neither the
+    weight nor the label is fixed.
+    """
+    levels = sweep.energies.shape[1]
+    reference = spec.energies[1:levels + 1]
+    assert np.max(np.abs(sweep.energies[p] - reference), initial=0.0) <= 1e-13
+    gaps = np.diff(spec.energies)
+    for m in range(levels):
+        k = m + 1
+        below, above = gaps[k - 1], gaps[k] if k < len(gaps) else np.inf
+        if min(below, above) <= 1e-6:
+            continue
+        assert abs(sweep.overlaps[p, m] - spec.labels[k][1]) <= 1e-9
+        weights = np.abs(spec.states[:, k]) ** 2
+        assert weights[sweep.labels[p, m]] >= weights.max() - 1e-8
 
 
 def test_sweep_allocates_no_per_point_arrays(monkeypatch):
     # d = 128.  Each thread of a sweep holds its assembly buffer, the
-    # Hermiticity check's scratch and the eigenvectors that eigh writes, all
-    # reused at every point; one more d x d array kept per point, or a
-    # grid-sized stack, breaks one of the bounds.
+    # Hermiticity check's scratch and the solver's outputs and work arrays:
+    # dsyevr's for the lowest 6 eigenpairs (0.45 of a d x d array), or, where
+    # it is missing, eigh's eigenvectors.  All are reused at every point; one
+    # more d x d array kept per point, or a grid-sized stack, breaks one of
+    # the bounds.
     cfg = build_system(get_preset("fig4"))
     mat_bytes = cfg.layout.dim ** 2 * 8
     assert cfg.layout.dim == 128
+    subset = spectrum._dsyevr() is not None
 
     def peak(points: int) -> tuple[int, int]:
         grid = np.linspace(1.3, 1.5, points)
@@ -339,14 +366,18 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
         assert workers == forced
         assert many - few < mat_bytes
         assert many < 4.5 * forced * mat_bytes
-        # three reused arrays a thread (3.2 measured); a fresh eigenvector
-        # array per point, allocated while the previous one lives, makes four
-        assert many < 3.5 * forced * mat_bytes
+        # three reused arrays a thread with eigh (3.2 measured); a fresh
+        # eigenvector array per point, allocated while the previous one lives,
+        # makes four.  With dsyevr two and its small arrays (2.5 measured); a
+        # d x d eigenvector array kept beside them makes 3.5.
+        assert many < (3.0 if subset else 3.5) * forced * mat_bytes
 
     # A temporary freed within its stage does not raise the sweep's peak, so
     # each stage is bounded on its own: assembly writes only into its buffer,
     # the checked eigensolve allocates only the outputs it is not given, and
-    # with them given it allocates no d x d array at all.
+    # with them given it allocates no d x d array at all.  A sweep's
+    # workspace holds two d x d arrays and dsyevr's small ones, and its query
+    # runs on the assembly buffer; the subset solve allocates nothing more.
     mat, scratch = np.empty((128, 128)), np.empty((128, 128))
     out = (np.empty(128), np.empty((128, 128)))
     tracemalloc.start()
@@ -360,11 +391,20 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
         tracemalloc.reset_peak()
         _eigh(mat, scratch, out)
         solve_into = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        workspace = spectrum._workspace(cfg, 6)
+        held, setup = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        spectrum._eigh_lowest(_assemble_dicke(cfg, workspace[0]), *workspace[1:])
+        subset_solve = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert assembly < mat_bytes / 8
     assert solve < 1.1 * mat_bytes
     assert solve_into < mat_bytes / 8
+    assert held < (2.5 if subset else 3.1) * mat_bytes
+    assert setup - held < mat_bytes / 8
+    assert subset_solve < mat_bytes / 8
 
 
 def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
@@ -417,20 +457,87 @@ needs_blas_control = pytest.mark.skipif(spectrum._blas_control() is None,
 @pytest.mark.parametrize("points", [0, 1, 2, 7])
 def test_pooled_sweep_rows_match_diagonalize(monkeypatch, workers, points):
     # more workers than cores, and than points, included: each point's row
-    # must equal the serial diagonalization's bit for bit
+    # matches the diagonalization's, and equals a one-thread sweep's bit for bit
     cfg = build_system(get_preset("fig1b"))
-    monkeypatch.setattr(spectrum, "_available_cores", lambda: workers)
     grid = np.linspace(0.45, 0.55, points)
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: 1)
+    serial = sweep_levels(cfg, "qubits[2].omega", grid, 6)
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: workers)
     sweep = sweep_levels(cfg, "qubits[2].omega", grid, 6)
     pinned = spectrum._blas_control() is not None
     assert sweep.blas_pinned == pinned
     assert sweep.workers == (max(1, min(workers, points)) if pinned else 1)
     assert sweep.energies.shape == (points, 6)
+    assert sweep.eigensolver == ("eigh" if spectrum._dsyevr() is None else "dsyevr")
+    for name in ("energies", "labels", "overlaps"):
+        assert getattr(sweep, name).tobytes() == getattr(serial, name).tobytes()
     for p, x in enumerate(grid):
         spec = diagonalize(build_generalized_dicke(set_parameter(cfg, "qubits[2].omega", x)))
+        assert_row_matches_diagonalize(sweep, p, spec)
+        # fig1b's levels here are far apart: every label is diagonalize's
+        assert sweep.labels[p].tolist() == [b for b, _ in spec.labels[1:7]]
+
+
+@pytest.mark.parametrize("scenario", ["fig1b", "fig4", "fig5a", "figS2a"])
+def test_bundled_sweeps_keep_the_labels_of_diagonalize(scenario):
+    # the main grid and the inset, where there is one
+    preset = get_preset(scenario)
+    cfg, block = build_system(preset), preset["sweep"]
+    model = block.get("model", "dicke")
+    for span in filter(None, (block, block.get("inset"))):
+        grid = np.linspace(span["start"], span["stop"], span["points"])
+        sweep = sweep_levels(cfg, block["parameter"], grid, block["levels"], model=model)
+        for p, x in enumerate(grid):
+            spec = diagonalize(MODEL_BUILDERS[model](set_parameter(cfg, block["parameter"], x)))
+            assert_row_matches_diagonalize(sweep, p, spec)
+            assert sweep.labels[p].tolist() == [b for b, _ in spec.labels[1:block["levels"] + 1]]
+
+
+def test_sweep_without_dsyevr_solves_with_eigh(monkeypatch):
+    # where numpy's LAPACK exports no dsyevr, each point is solved in full by
+    # eigh, whose rows equal diagonalize's bit for bit
+    cfg = build_system(get_preset("fig1b"))
+    grid = np.linspace(0.45, 0.55, 7)
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: 3)
+    monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
+    sweep = sweep_levels(cfg, "qubits[2].omega", grid, 6)
+    assert sweep.eigensolver == "eigh"
+    for p, x in enumerate(grid):
+        spec = diagonalize(build_generalized_dicke(set_parameter(cfg, "qubits[2].omega", x)))
+        assert_row_matches_diagonalize(sweep, p, spec)
         assert sweep.energies[p].tobytes() == spec.energies[1:7].tobytes()
         assert sweep.labels[p].tolist() == [b for b, _ in spec.labels[1:7]]
         assert sweep.overlaps[p].tolist() == [w for _, w in spec.labels[1:7]]
+
+
+needs_dsyevr = pytest.mark.skipif(spectrum._dsyevr() is None,
+                                  reason="numpy's LAPACK exports no dsyevr")
+
+
+@needs_dsyevr
+@pytest.mark.parametrize("fault", ["info", "count"])
+def test_dsyevr_failure_is_reported_as_numpy_does(monkeypatch, fault):
+    # A stand-in with dsyevr's C signature runs the real solve and then
+    # reports a failure (info != 0) or fewer eigenvalues than asked for; the
+    # sweep raises numpy.linalg.eigh's error either way.  The workspace
+    # query, where lwork is -1, passes through.
+    dsyevr = spectrum._dsyevr()
+    c_signature = ctypes.CFUNCTYPE(None, *dsyevr.argtypes)
+
+    @c_signature
+    def failing(*args):
+        dsyevr(*args)
+        lwork, m, info = args[17], args[11], args[20]
+        if lwork[0] != -1:
+            if fault == "info":
+                info[0] = 3
+            else:
+                m[0] -= 1
+
+    monkeypatch.setattr(spectrum, "_dsyevr", lambda: failing)
+    cfg = build_system(get_preset("fig1b"))
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        sweep_levels(cfg, "qubits[2].omega", np.linspace(0.45, 0.55, 3), 6)
 
 
 @needs_blas_control
@@ -441,15 +548,15 @@ def test_pooled_sweep_raises_a_point_error_and_restores_blas(monkeypatch, failin
     grid = np.linspace(0.45, 0.55, 7)
     target = _assemble_dicke(set_parameter(cfg, "qubits[2].omega", grid[failing]),
                              np.empty((cfg.layout.dim,) * 2))
-    eigh, threads_seen = spectrum._eigh, []
+    solve, threads_seen = spectrum._eigh_lowest, []
 
-    def failing_eigh(mat, scratch, out=None):
+    def failing_solve(mat, scratch, out):
         threads_seen.append(blas_threads())
         if np.array_equal(mat, target):
             raise NumericalError(f"planted at point {failing}")
-        return eigh(mat, scratch, out)
+        return solve(mat, scratch, out)
 
-    monkeypatch.setattr(spectrum, "_eigh", failing_eigh)
+    monkeypatch.setattr(spectrum, "_eigh_lowest", failing_solve)
     before = blas_threads()
     with pytest.raises(NumericalError, match=f"planted at point {failing}"):
         sweep_levels(cfg, "qubits[2].omega", grid, 6)
@@ -465,13 +572,16 @@ def test_blas_count_is_restored_after_each_solver(monkeypatch):
     preset = get_preset("fig1b")
     cfg, anti = build_system(preset), preset["anticross"]
     control_get, control_set = spectrum._blas_control()
-    original, eigh, seen = control_get(), spectrum._eigh, []
+    original, seen = control_get(), []
 
-    def spy(mat, scratch, out=None):
-        seen.append(blas_threads())
-        return eigh(mat, scratch, out)
+    def spy(solve):
+        def spied(mat, scratch, out=None):
+            seen.append((solve.__name__, blas_threads()))
+            return solve(mat, scratch, out)
+        return spied
 
-    monkeypatch.setattr(spectrum, "_eigh", spy)
+    for name in ("_eigh", "_eigh_lowest"):
+        monkeypatch.setattr(spectrum, name, spy(getattr(spectrum, name)))
     try:
         for count in (2, 3):
             control_set(count)
@@ -483,7 +593,8 @@ def test_blas_count_is_restored_after_each_solver(monkeypatch):
             assert blas_threads() == count
     finally:
         control_set(original)
-    assert seen and set(seen) == {1}
+    assert {name for name, _ in seen} == {"_eigh", "_eigh_lowest"}
+    assert {threads for _, threads in seen} == {1}
 
 
 def test_sweep_without_blas_control_runs_on_one_worker(monkeypatch):
