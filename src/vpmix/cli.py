@@ -327,14 +327,19 @@ def cmd_levels(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]
                        "eigensolver": grid.eigensolver}})
 
 
-def cmd_anticross(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
+def _solver_record(rep) -> dict:
+    """How a search's evaluations were solved, for the manifest."""
+    return {"eigensolver": rep.eigensolver, "solved_pairs": rep.solved_pairs}
+
+
+def cmd_anticross(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
     rep = _search(find_anticrossing, system, _require(cfg, "anticross"))
     payload = {key: getattr(rep, key) for key in (
         "parameter", "location", "splitting", "branch_indices", "branch_energies",
         "superposition_overlaps", "evaluations")}
     payload.update(half_splitting=rep.splitting / 2.0,
                    pair=[system.layout.label_string(b) for b in rep.bare_pair])
-    return {"anticross.json": _json(payload)}
+    return {"anticross.json": _json(payload)}, {"search": _solver_record(rep)}
 
 
 def _observable_ops(obs: dict, lowering, layout, spectrum):
@@ -353,7 +358,7 @@ def _observable_ops(obs: dict, lowering, layout, spectrum):
     return [a.dag(), a]
 
 
-def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
+def cmd_dynamics(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
     dyn = _require(cfg, "dynamics")
     rep = _search(find_anticrossing, system, _require(cfg, "anticross"))
     spectrum, layout = rep.spectrum, system.layout
@@ -397,14 +402,13 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
         "initial": initial,
         "time_unit": "1/omega_0",
     }
-    return {
-        "dynamics.csv": _csv(["t"] + [obs["name"] for obs in observables],
-                             ([t, *row] for t, row in zip(grid, values))),
-        "dynamics_meta.json": _json(meta),
-    }
+    return ({"dynamics.csv": _csv(["t"] + [obs["name"] for obs in observables],
+                                  ([t, *row] for t, row in zip(grid, values))),
+             "dynamics_meta.json": _json(meta)},
+            {"search": _solver_record(rep)})
 
 
-def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
+def cmd_perturb(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
     block = _require(cfg, "perturb")
     initial, final = block["initial"], block["final"]
     order = block.get("order", 4)
@@ -428,22 +432,23 @@ def cmd_perturb(cfg: dict, system: SystemConfig) -> dict[str, bytes]:
                 for p in report.paths
             ],
         }
-        return {"paths.json": _json(payload)}
+        return {"paths.json": _json(payload)}, {}
     factor = block.get("cavity_offset_factor", 2.5)
     theta = system.qubits[0].theta
     omega_ref = system.qubits[-1].omega
-    rows = []
+    rows, searches = [], []
     for lam in map(float, block["lambdas"]):
         omega_c = omega_ref + factor * lam
         cfg_l = replace(system, omega_c=omega_c,
                         qubits=tuple(replace(q, lam=lam) for q in system.qubits))
         rep = _search(find_anticrossing, cfg_l, block)
+        searches.append(_solver_record(rep))
         path_rep = effective_coupling(cfg_l, initial, final, order, **options)
         closed = three_mix_coupling(lam, omega_ref, omega_c, theta)
         rows.append([lam, omega_c, rep.splitting, 2.0 * abs(path_rep.total),
                      2.0 * abs(closed)])
     header = ["lam", "omega_c", "splitting_numeric", "two_j_paths", "two_j_closed_form"]
-    return {"coupling_sweep.csv": _csv(header, rows)}
+    return {"coupling_sweep.csv": _csv(header, rows)}, {"searches": searches}
 
 
 def cmd_ecc(cfg: dict) -> dict[str, bytes]:
@@ -475,7 +480,11 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     Sweeps spread their grid points over the available cores by themselves,
     and a ``levels`` manifest records how (``sweep.workers`` threads,
     whether OpenBLAS was held at one thread, ``sweep.blas_pinned``, and
-    ``sweep.eigensolver``, ``"dsyevr"`` or ``"eigh"``).
+    ``sweep.eigensolver``, ``"dsyevr"`` or ``"eigh"``).  An ``anticross`` or
+    ``dynamics`` manifest records how its search solved its evaluations
+    (``search.eigensolver`` and ``search.solved_pairs``, the K of
+    :func:`find_anticrossing`), and a ``perturb`` coupling sweep the same of
+    each of its searches, in ``searches``.
     ``threads`` remains only for callers written when the thread count was an
     argument, such as ``perfbench/test_oracle.py``, which passes
     ``threads=1``; any other value raises :class:`ConfigError`.
@@ -501,11 +510,11 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
         if command == "levels":
             outputs, extra = cmd_levels(cfg, system)
         elif command == "anticross":
-            outputs = cmd_anticross(cfg, system)
+            outputs, extra = cmd_anticross(cfg, system)
         elif command == "dynamics":
-            outputs = cmd_dynamics(cfg, system)
+            outputs, extra = cmd_dynamics(cfg, system)
         elif command == "perturb":
-            outputs = cmd_perturb(cfg, system)
+            outputs, extra = cmd_perturb(cfg, system)
         else:
             raise ConfigError(f"unknown command {command!r}")
 

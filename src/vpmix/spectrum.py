@@ -21,13 +21,13 @@ real-symmetric path and the phase gauge of :func:`diagonalize` reduces to a
 sign gauge.  Eigenvectors are stored complex either way.  Each thread of a
 sweep, and each search, assembles every grid point into one reused buffer
 and reads labels, energies and branch weights straight off the real
-eigenvectors, so a grid point allocates no d x d array.  A search has
-``eigh`` write all of them into one reused pair of outputs.  A sweep reads
-only its lowest levels, and LAPACK's ``dsyevr`` solves for just those into
-small reused arrays; its rows therefore match :func:`diagonalize` to
-rounding rather than bit for bit (see :func:`sweep_levels`).
-:func:`diagonalize` and :func:`find_anticrossing` keep ``eigh``: the dynamics
-need every eigenvector of the search's final spectrum.
+eigenvectors, so a grid point allocates no d x d array.  Both read only the
+lowest eigenpairs, and LAPACK's ``dsyevr`` solves for just those into small
+reused arrays: a sweep for the levels it reports, a search for those up to
+its pair's upper branch.  A sweep's rows therefore match :func:`diagonalize`
+to rounding rather than bit for bit (see :func:`sweep_levels`).
+:func:`diagonalize` keeps ``eigh``: the dynamics need every eigenvector of
+the search's final spectrum.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class _LowestPairs:
 
     def __init__(self, dsyevr, mat: np.ndarray, count: int):
         d = len(mat)
-        self._dsyevr, self._count = dsyevr, count
+        self._dsyevr, self.count = dsyevr, count
         w, z = np.empty(d), np.empty((count, d))
         self._solution = w[:count], z.T
         self._m, self._info = ctypes.c_int64(), ctypes.c_int64()
@@ -279,7 +279,7 @@ class _LowestPairs:
         """The lowest eigenvalues and, as columns, their eigenvectors, both
         views that the next solve overwrites."""
         self._dsyevr(*self._arguments)
-        if self._info.value != 0 or self._m.value != self._count:
+        if self._info.value != 0 or self._m.value != self.count:
             raise LinAlgError("Eigenvalues did not converge")
         return self._solution
 
@@ -298,9 +298,9 @@ def _workspace(config: SystemConfig, count: int | None = None):
 
 def _eigh_lowest(mat: np.ndarray, scratch: np.ndarray,
                  out: _LowestPairs | tuple[np.ndarray, np.ndarray]):
-    """:func:`_eigh` for a sweep, into what :func:`_workspace` gives: a
-    :class:`_LowestPairs` solves for its lowest eigenpairs only, overwriting
-    ``mat``; a pair of ``eigh`` outputs, where ``dsyevr`` is missing, for all."""
+    """:func:`_eigh` for a sweep or a search, into what :func:`_workspace`
+    gives: a :class:`_LowestPairs` solves for its lowest eigenpairs only,
+    overwriting ``mat``; a pair of ``eigh`` outputs for all of them."""
     if not isinstance(out, _LowestPairs):
         return _eigh(mat, scratch, out)
     _check_hermitian(mat, _HERMITICITY_TOL, HermiticityError, "matrix", scratch)
@@ -512,6 +512,11 @@ class AnticrossingReport:
     are the squared overlaps of the two branch eigenstates with the symmetric/
     antisymmetric combinations (|u> +- |v>)/sqrt(2) of the nominated pair.
     All are read from ``spectrum``, the model diagonalized at ``location``.
+    ``evaluations`` counts the gap evaluations and the final diagonalization;
+    the evaluations after the first solved for the lowest ``solved_pairs``
+    eigenpairs with ``eigensolver``, ``"dsyevr"``, or ``"eigh"`` (for all of
+    them) where numpy's LAPACK lacks it.  Neither changes the result, so
+    neither takes part in comparisons.
     """
 
     parameter: str
@@ -522,21 +527,38 @@ class AnticrossingReport:
     superposition_overlaps: tuple[float, float]
     bare_pair: tuple[int, int]
     evaluations: int
+    eigensolver: str = field(compare=False)
+    solved_pairs: int = field(compare=False)
     spectrum: SpectrumResult = field(compare=False, repr=False)
 
 
 def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
     """Indices of the two eigenvectors (columns of ``states``) carrying the
-    weight of bare states u, v."""
+    weight of bare states u, v.
+
+    ``states`` may hold only the lowest eigenvectors.  By completeness the
+    pair's weight summed over all of them is 2, so the missing ones hold
+    r = 2 - (the summed weight of the given columns) between them, and none
+    of them more.  r counts as a third-state candidate, and the second branch
+    must hold more than r: then no missing eigenvector could displace either
+    branch or fail the thresholds, and the pick is the full spectrum's.  With
+    every column r is rounding noise.
+    """
     combined = np.abs(states[u, :]) ** 2 + np.abs(states[v, :]) ** 2
     order = np.argsort(combined)[::-1]
     a, b = int(order[0]), int(order[1])
-    third = float(combined[order[2]]) if combined.size > 2 else 0.0
-    if combined[a] < _PAIR_MIN or combined[b] < _PAIR_MIN or third > _THIRD_MAX:
+    unseen = 2.0 - float(combined.sum())
+    third, holder = 0.0, "none"
+    if combined.size > 2:
+        third, holder = float(combined[order[2]]), f"eigenstate {int(order[2])}"
+    if unseen > third:
+        third, holder = unseen, f"eigenstates above {combined.size - 1}, unsolved"
+    if (combined[a] < _PAIR_MIN or combined[b] < _PAIR_MIN or third > _THIRD_MAX
+            or combined[b] <= unseen):
         raise BranchTrackingError(
             f"cannot isolate two branches for bare pair ({u}, {v}): "
             f"top weights {combined[a]:.3f}, {combined[b]:.3f}, "
-            f"third {third:.3f} (eigenstate {int(order[2])})"
+            f"third {third:.3f} ({holder})"
         )
     return (a, b) if a < b else (b, a)
 
@@ -585,19 +607,56 @@ def find_anticrossing(
     ones included) raises :class:`ConfigError`: the interval stops shrinking
     there, and the refinement would never end.  The last evaluation builds the
     model at the minimum and diagonalizes it for the report's ``spectrum``.
+
+    An evaluation reads only the pair's two branches, so it solves only for
+    the lowest K eigenpairs, with LAPACK's ``dsyevr``.  The first evaluation
+    solves for all of them, with ``eigh``, and sets K to the upper branch's
+    index + 1.  :func:`_pair_branches` proves each pick from those K by
+    completeness: the unsolved eigenvectors hold too little of the pair's
+    weight to displace a branch or to fail its thresholds.  Where they might,
+    the point is solved again with K doubled, up to d, and only a pick that
+    fails with every eigenpair solved raises :class:`BranchTrackingError`.
+    Every proven pick is the one a full solve makes, so the gaps, and with
+    them the golden-section steps, agree with a full solve's to rounding.
+    Where numpy's LAPACK lacks ``dsyevr``, ``eigh`` solves every evaluation
+    in full.  The report records the solver and the final K.
     """
     assemble, u, v, lo, hi = _search_inputs(config, parameter, bracket, bare_pair, model, tol)
-    evaluations = 0
-    mat, scratch, out = _workspace(config)
+    dsyevr, dim = _dsyevr(), config.layout.dim
+    mat, scratch, out = _workspace(config)  # eigh's outputs, for the first evaluation
+    evaluations, count = 0, dim
+
+    def branches(x: float) -> tuple[float, int]:
+        """The gap of the pair's branches at x and the upper one's index.
+        Its views of the solver's arrays end with it, so they can be freed."""
+        # raw real eigenvectors: the sign gauge of diagonalize changes no weight
+        energies, states = _eigh_lowest(assemble(set_parameter(config, parameter, x), mat),
+                                        scratch, out)
+        a, b = _pair_branches(states, u, v)
+        return float(energies[b] - energies[a]), b
+
+    def solve_for(pairs: int) -> None:
+        nonlocal out, count
+        out = None  # freed first: a search holds one solver's arrays at a time
+        out = _LowestPairs(dsyevr, mat, pairs)
+        count = out.count
 
     def gap_at(x: float) -> float:
-        # raw real eigenvectors: the sign gauge of diagonalize changes no weight
         nonlocal evaluations
         evaluations += 1
-        energies, states = _eigh(assemble(set_parameter(config, parameter, x), mat), scratch,
-                                 out)
-        a, b = _pair_branches(states, u, v)
-        return float(energies[b] - energies[a])
+        while True:
+            try:
+                gap, upper = branches(x)
+            except BranchTrackingError:
+                if count == dim:
+                    raise
+            else:
+                if evaluations == 1 and dsyevr is not None:
+                    solve_for(upper + 1)
+                return gap
+            # the solved pairs leave the pick unproven; dsyevr overwrote the
+            # matrix, so the point is assembled again
+            solve_for(min(2 * count, dim))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -640,6 +699,7 @@ def find_anticrossing(
         parameter=parameter, location=float(x_min), splitting=float(energies[ib] - energies[ia]),
         branch_indices=(ia, ib), branch_energies=(float(energies[ia]), float(energies[ib])),
         superposition_overlaps=overlaps, bare_pair=(u, v), evaluations=evaluations,
+        eigensolver="eigh" if dsyevr is None else "dsyevr", solved_pairs=count,
         spectrum=spectrum)
 
 

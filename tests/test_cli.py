@@ -309,16 +309,21 @@ def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
 @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
 def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch, scenario):
     # the search's last evaluation supplies the spectrum the dynamics run in.
-    # The gufunc behind numpy.linalg.eigh counts every eigensolve, whether it
-    # comes through that function or straight from vpmix.spectrum._eigh.
+    # The gufunc behind numpy.linalg.eigh counts every full eigensolve,
+    # whether it comes through that function or straight from
+    # vpmix.spectrum._eigh, and _LowestPairs.__call__ every dsyevr subset
+    # solve; no bundled search solves a point twice.
     calls = []
-    eigh = _umath_linalg.eigh_lo
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counting(solve):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(_umath_linalg, "eigh_lo", counted)
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", counting(_umath_linalg.eigh_lo))
+    monkeypatch.setattr(spectrum._LowestPairs, "__call__",
+                        counting(spectrum._LowestPairs.__call__))
     cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario, "dynamics": {"points": 5}})
     assert main(["anticross", "--config", cfg, "--out", str(tmp_path / "anticross")]) == 0
     report = json.loads((tmp_path / "anticross" / "anticross.json").read_text())
@@ -503,6 +508,32 @@ def test_levels_manifest_records_the_forced_worker_count(tmp_path, monkeypatch):
 
 def sweep_eigensolver() -> str:
     return "eigh" if spectrum._dsyevr() is None else "dsyevr"
+
+
+@pytest.mark.parametrize("command, payload, key, counts", [
+    ("anticross", {"scenario": "fig1b"}, "search", [5]),
+    ("dynamics", {"scenario": "fig3", "dynamics": {"points": 5}}, "search", [5]),
+    ("perturb", {"scenario": "fig2", "perturb": {"lambdas": [0.1, 0.2]}}, "searches", [5, 5]),
+])
+def test_search_manifests_record_the_eigensolver(tmp_path, monkeypatch, command, payload, key,
+                                                 counts):
+    # the lowest K = upper branch index + 1 eigenpairs with dsyevr, every one
+    # of the d = 64 with eigh; the data files keep their bytes either way
+    cfg = resolve_config(payload)
+    runs = {}
+    for solver in ("found", "missing"):
+        if solver == "missing":
+            monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
+        manifest = run_command(command, cfg, tmp_path / solver)
+        dsyevr = spectrum._dsyevr() is not None
+        expected = [{"eigensolver": "dsyevr" if dsyevr else "eigh",
+                     "solved_pairs": count if dsyevr else 64} for count in counts]
+        assert "sweep" not in manifest
+        assert manifest[key] == (expected[0] if key == "search" else expected)
+        written = json.loads((tmp_path / solver / "manifest.json").read_text())
+        assert written[key] == manifest[key]
+        runs[solver] = [(rec["file"], rec["sha256"]) for rec in manifest["outputs"]]
+    assert runs["found"] == runs["missing"]
 
 
 def test_levels_manifest_records_the_eigensolver(tmp_path, monkeypatch):
