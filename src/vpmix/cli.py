@@ -329,7 +329,8 @@ def cmd_levels(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]
 
 def _solver_record(rep) -> dict:
     """How a search's evaluations were solved, for the manifest."""
-    return {"eigensolver": rep.eigensolver, "solved_pairs": rep.solved_pairs}
+    return {"eigensolver": rep.eigensolver, "solved_pairs": list(rep.solved_pairs),
+            "unseen_weight_max": rep.unseen_weight_max}
 
 
 def cmd_anticross(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
@@ -482,9 +483,12 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     whether OpenBLAS was held at one thread, ``sweep.blas_pinned``, and
     ``sweep.eigensolver``, ``"dsyevr"`` or ``"eigh"``).  An ``anticross`` or
     ``dynamics`` manifest records how its search solved its evaluations
-    (``search.eigensolver`` and ``search.solved_pairs``, the K of
-    :func:`find_anticrossing`), and a ``perturb`` coupling sweep the same of
-    each of its searches, in ``searches``.
+    (``search.eigensolver``; ``search.solved_pairs``, the range [first, last]
+    of eigen indices that :func:`find_anticrossing` solved for, the pair's
+    two branches unless a pick needed more; and ``search.unseen_weight_max``,
+    the largest pair weight left in the unsolved eigenvectors, the margin of
+    its branch picks), and a ``perturb`` coupling sweep the same of each of
+    its searches, in ``searches``.
     ``threads`` remains only for callers written when the thread count was an
     argument, such as ``perfbench/test_oracle.py``, which passes
     ``threads=1``; any other value raises :class:`ConfigError`.

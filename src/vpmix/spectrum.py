@@ -21,11 +21,12 @@ real-symmetric path and the phase gauge of :func:`diagonalize` reduces to a
 sign gauge.  Eigenvectors are stored complex either way.  Each thread of a
 sweep, and each search, assembles every grid point into one reused buffer
 and reads labels, energies and branch weights straight off the real
-eigenvectors, so a grid point allocates no d x d array.  Both read only the
-lowest eigenpairs, and LAPACK's ``dsyevr`` solves for just those into small
-reused arrays: a sweep for the levels it reports, a search for those up to
-its pair's upper branch.  A sweep's rows therefore match :func:`diagonalize`
-to rounding rather than bit for bit (see :func:`sweep_levels`).
+eigenvectors, so a grid point allocates no d x d array.  Both read only a
+few eigenpairs, and LAPACK's ``dsyevr`` solves for just those into small
+reused arrays: a sweep for the lowest ones, up to the levels it reports, a
+search for its pair's two branches.  A sweep's rows therefore match
+:func:`diagonalize` to rounding rather than bit for bit (see
+:func:`sweep_levels`).
 :func:`diagonalize` keeps ``eigh``: the dynamics need every eigenvector of
 the search's final spectrum.
 """
@@ -236,8 +237,10 @@ def _eigh(mat: np.ndarray, scratch: np.ndarray,
 
 
 class _LowestPairs:
-    """One thread's ``dsyevr`` solve (MRRR, RANGE='I') for the lowest
-    ``count`` eigenpairs of ``mat``, its reused real symmetric assembly buffer.
+    """One thread's ``dsyevr`` solve (MRRR, RANGE='I') for the ``count``
+    eigenpairs of ``mat`` from eigen index ``first`` up (in ascending order of
+    energy, from 0), where ``mat`` is its reused real symmetric assembly buffer.
+    A sweep solves from 0, a search for its pair's two branches.
 
     Fortran reads the C-ordered ``mat`` transposed, so UPLO='U' reads the
     triangle that ``eigh`` reads; the solve overwrites ``mat``.  The
@@ -247,13 +250,13 @@ class _LowestPairs:
     allocates no array.
     """
 
-    def __init__(self, dsyevr, mat: np.ndarray, count: int):
+    def __init__(self, dsyevr, mat: np.ndarray, count: int, first: int = 0):
         d = len(mat)
-        self._dsyevr, self.count = dsyevr, count
+        self._dsyevr, self.count, self.first = dsyevr, count, first
         w, z = np.empty(d), np.empty((count, d))
         self._solution = w[:count], z.T
         self._m, self._info = ctypes.c_int64(), ctypes.c_int64()
-        n, il, iu = ctypes.c_int64(d), ctypes.c_int64(1), ctypes.c_int64(count)
+        n, il, iu = ctypes.c_int64(d), ctypes.c_int64(first + 1), ctypes.c_int64(first + count)
         lwork, liwork, zero = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_double(0.0)
         # A, W, Z, ISUPPZ, WORK, IWORK; the query's one-element work arrays
         # are replaced by full ones below
@@ -276,8 +279,8 @@ class _LowestPairs:
         self._arrays, self._arguments = arrays, arguments()  # the arrays outlive the pointers
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lowest eigenvalues and, as columns, their eigenvectors, both
-        views that the next solve overwrites."""
+        """The eigenvalues and, as columns, the eigenvectors of the range,
+        both views that the next solve overwrites."""
         self._dsyevr(*self._arguments)
         if self._info.value != 0 or self._m.value != self.count:
             raise LinAlgError("Eigenvalues did not converge")
@@ -299,7 +302,7 @@ def _workspace(config: SystemConfig, count: int | None = None):
 def _eigh_lowest(mat: np.ndarray, scratch: np.ndarray,
                  out: _LowestPairs | tuple[np.ndarray, np.ndarray]):
     """:func:`_eigh` for a sweep or a search, into what :func:`_workspace`
-    gives: a :class:`_LowestPairs` solves for its lowest eigenpairs only,
+    gives: a :class:`_LowestPairs` solves for its range of eigenpairs only,
     overwriting ``mat``; a pair of ``eigh`` outputs for all of them."""
     if not isinstance(out, _LowestPairs):
         return _eigh(mat, scratch, out)
@@ -513,10 +516,14 @@ class AnticrossingReport:
     antisymmetric combinations (|u> +- |v>)/sqrt(2) of the nominated pair.
     All are read from ``spectrum``, the model diagonalized at ``location``.
     ``evaluations`` counts the gap evaluations and the final diagonalization;
-    the evaluations after the first solved for the lowest ``solved_pairs``
-    eigenpairs with ``eigensolver``, ``"dsyevr"``, or ``"eigh"`` (for all of
-    them) where numpy's LAPACK lacks it.  Neither changes the result, so
-    neither takes part in comparisons.
+    the evaluations after the first solved for the eigenpairs of the eigen
+    index range ``solved_pairs`` = (first, last), both included, with
+    ``eigensolver``: ``"dsyevr"``, or ``"eigh"`` (for all of them) where
+    numpy's LAPACK lacks it.  ``unseen_weight_max`` is the largest pair weight
+    that an evaluation's unsolved eigenvectors held between them, r of
+    :func:`_pair_branches`: the margin by which each branch pick was proven,
+    rounding noise where every eigenpair was solved.  None of the three
+    changes the result, so none takes part in comparisons.
     """
 
     parameter: str
@@ -528,15 +535,19 @@ class AnticrossingReport:
     bare_pair: tuple[int, int]
     evaluations: int
     eigensolver: str = field(compare=False)
-    solved_pairs: int = field(compare=False)
+    solved_pairs: tuple[int, int] = field(compare=False)
+    unseen_weight_max: float = field(compare=False)
     spectrum: SpectrumResult = field(compare=False, repr=False)
 
 
-def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
-    """Indices of the two eigenvectors (columns of ``states``) carrying the
-    weight of bare states u, v.
+def _pair_branches(states: np.ndarray, u: int, v: int,
+                   first: int = 0) -> tuple[int, int, float]:
+    """Eigen indices of the two eigenvectors carrying the weight of bare
+    states u, v, where the columns of ``states`` are the eigenvectors of eigen
+    index ``first``, ``first + 1``, and so on, and the pair weight r that the
+    other eigenvectors may hold between them.
 
-    ``states`` may hold only the lowest eigenvectors.  By completeness the
+    ``states`` may hold only some of the eigenvectors.  By completeness the
     pair's weight summed over all of them is 2, so the missing ones hold
     r = 2 - (the summed weight of the given columns) between them, and none
     of them more.  r counts as a third-state candidate, and the second branch
@@ -550,9 +561,10 @@ def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
     unseen = 2.0 - float(combined.sum())
     third, holder = 0.0, "none"
     if combined.size > 2:
-        third, holder = float(combined[order[2]]), f"eigenstate {int(order[2])}"
+        third, holder = float(combined[order[2]]), f"eigenstate {first + int(order[2])}"
     if unseen > third:
-        third, holder = unseen, f"eigenstates above {combined.size - 1}, unsolved"
+        third, holder = unseen, (f"eigenstates outside {first}..{first + combined.size - 1}, "
+                                 "unsolved")
     if (combined[a] < _PAIR_MIN or combined[b] < _PAIR_MIN or third > _THIRD_MAX
             or combined[b] <= unseen):
         raise BranchTrackingError(
@@ -560,7 +572,8 @@ def _pair_branches(states: np.ndarray, u: int, v: int) -> tuple[int, int]:
             f"top weights {combined[a]:.3f}, {combined[b]:.3f}, "
             f"third {third:.3f} ({holder})"
         )
-    return (a, b) if a < b else (b, a)
+    a, b = (first + a, first + b) if a < b else (first + b, first + a)
+    return a, b, unseen
 
 
 def _two(name: str, items) -> tuple:
@@ -609,54 +622,61 @@ def find_anticrossing(
     model at the minimum and diagonalizes it for the report's ``spectrum``.
 
     An evaluation reads only the pair's two branches, so it solves only for
-    the lowest K eigenpairs, with LAPACK's ``dsyevr``.  The first evaluation
-    solves for all of them, with ``eigh``, and sets K to the upper branch's
-    index + 1.  :func:`_pair_branches` proves each pick from those K by
-    completeness: the unsolved eigenvectors hold too little of the pair's
-    weight to displace a branch or to fail its thresholds.  Where they might,
-    the point is solved again with K doubled, up to d, and only a pick that
-    fails with every eigenpair solved raises :class:`BranchTrackingError`.
-    Every proven pick is the one a full solve makes, so the gaps, and with
-    them the golden-section steps, agree with a full solve's to rounding.
-    Where numpy's LAPACK lacks ``dsyevr``, ``eigh`` solves every evaluation
-    in full.  The report records the solver and the final K.
+    them, with LAPACK's ``dsyevr``.  The first evaluation solves for every
+    eigenpair, with ``eigh``, and fixes the range from the lower branch's
+    eigen index a to the upper one's, b.  :func:`_pair_branches` proves each
+    pick from the eigenpairs a..b by completeness: the unsolved eigenvectors
+    hold too little of the pair's weight to displace a branch or to fail its
+    thresholds.  Where they might, the point is solved again for the lowest
+    b + 1 eigenpairs, and then for twice as many each time, up to d; only a
+    pick that fails with every eigenpair solved raises
+    :class:`BranchTrackingError`.  Every proven pick is the one a full solve
+    makes, so the gaps, and with them the golden-section steps, agree with a
+    full solve's to rounding.  Where numpy's LAPACK lacks ``dsyevr``, ``eigh``
+    solves every evaluation in full.  The report records the solver, the
+    final range and the largest unsolved pair weight.
     """
     assemble, u, v, lo, hi = _search_inputs(config, parameter, bracket, bare_pair, model, tol)
     dsyevr, dim = _dsyevr(), config.layout.dim
     mat, scratch, out = _workspace(config)  # eigh's outputs, for the first evaluation
-    evaluations, count = 0, dim
+    evaluations, solved, unseen_max = 0, (0, dim - 1), -math.inf
 
-    def branches(x: float) -> tuple[float, int]:
-        """The gap of the pair's branches at x and the upper one's index.
-        Its views of the solver's arrays end with it, so they can be freed."""
+    def branches(x: float) -> tuple[float, int, int, float]:
+        """The gap of the pair's branches at x, their eigen indices and the
+        pair weight of the unsolved eigenvectors.  Its views of the solver's
+        arrays end with it, so they can be freed."""
         # raw real eigenvectors: the sign gauge of diagonalize changes no weight
         energies, states = _eigh_lowest(assemble(set_parameter(config, parameter, x), mat),
                                         scratch, out)
-        a, b = _pair_branches(states, u, v)
-        return float(energies[b] - energies[a]), b
+        first = solved[0]
+        a, b, unseen = _pair_branches(states, u, v, first)
+        return float(energies[b - first] - energies[a - first]), a, b, unseen
 
-    def solve_for(pairs: int) -> None:
-        nonlocal out, count
+    def solve_for(count: int, first: int = 0) -> None:
+        nonlocal out, solved
         out = None  # freed first: a search holds one solver's arrays at a time
-        out = _LowestPairs(dsyevr, mat, pairs)
-        count = out.count
+        out = _LowestPairs(dsyevr, mat, count, first)
+        solved = (out.first, out.first + out.count - 1)
 
     def gap_at(x: float) -> float:
-        nonlocal evaluations
+        nonlocal evaluations, unseen_max
         evaluations += 1
         while True:
+            first, last = solved
             try:
-                gap, upper = branches(x)
+                gap, a, b, unseen = branches(x)
             except BranchTrackingError:
-                if count == dim:
+                if last - first + 1 == dim:
                     raise
             else:
+                unseen_max = max(unseen_max, unseen)
                 if evaluations == 1 and dsyevr is not None:
-                    solve_for(upper + 1)
+                    solve_for(b - a + 1, a)
                 return gap
             # the solved pairs leave the pick unproven; dsyevr overwrote the
-            # matrix, so the point is assembled again
-            solve_for(min(2 * count, dim))
+            # matrix, so the point is assembled again, solved from the ground
+            # state up to the range's end, then for twice as many pairs
+            solve_for(last + 1 if first else min(2 * (last + 1), dim))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -686,7 +706,7 @@ def find_anticrossing(
         evaluations += 1
         spectrum = diagonalize(MODEL_BUILDERS[model](set_parameter(config, parameter, x_min)))
     energies, states = spectrum.energies, spectrum.states
-    ia, ib = _pair_branches(states, u, v)
+    ia, ib, _ = _pair_branches(states, u, v)
 
     bare_u, bare_v = np.eye(spectrum.dim, dtype=complex)[[u, v]]
     plus, minus = (bare_u + bare_v) / math.sqrt(2.0), (bare_u - bare_v) / math.sqrt(2.0)
@@ -699,8 +719,8 @@ def find_anticrossing(
         parameter=parameter, location=float(x_min), splitting=float(energies[ib] - energies[ia]),
         branch_indices=(ia, ib), branch_energies=(float(energies[ia]), float(energies[ib])),
         superposition_overlaps=overlaps, bare_pair=(u, v), evaluations=evaluations,
-        eigensolver="eigh" if dsyevr is None else "dsyevr", solved_pairs=count,
-        spectrum=spectrum)
+        eigensolver="eigh" if dsyevr is None else "dsyevr", solved_pairs=solved,
+        unseen_weight_max=unseen_max, spectrum=spectrum)
 
 
 def superposition_states(report: AnticrossingReport) -> tuple[Ket, Ket]:

@@ -511,27 +511,33 @@ def sweep_eigensolver() -> str:
 
 
 @pytest.mark.parametrize("command, payload, key, counts", [
-    ("anticross", {"scenario": "fig1b"}, "search", [5]),
-    ("dynamics", {"scenario": "fig3", "dynamics": {"points": 5}}, "search", [5]),
-    ("perturb", {"scenario": "fig2", "perturb": {"lambdas": [0.1, 0.2]}}, "searches", [5, 5]),
+    ("anticross", {"scenario": "fig1b"}, "search", [2]),
+    ("dynamics", {"scenario": "fig3", "dynamics": {"points": 5}}, "search", [2]),
+    ("perturb", {"scenario": "fig2", "perturb": {"lambdas": [0.1, 0.2]}}, "searches", [2, 2]),
 ])
 def test_search_manifests_record_the_eigensolver(tmp_path, monkeypatch, command, payload, key,
                                                  counts):
-    # the lowest K = upper branch index + 1 eigenpairs with dsyevr, every one
-    # of the d = 64 with eigh; the data files keep their bytes either way
+    # with dsyevr, each search solves for its two branches, eigen indices
+    # 3..4, leaving a pair weight of 0.1-0.3 unsolved; with eigh for every
+    # one of the d = 64, leaving rounding noise.  The data files keep their
+    # bytes either way
     cfg = resolve_config(payload)
     runs = {}
     for solver in ("found", "missing"):
         if solver == "missing":
             monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
         manifest = run_command(command, cfg, tmp_path / solver)
-        dsyevr = spectrum._dsyevr() is not None
-        expected = [{"eigensolver": "dsyevr" if dsyevr else "eigh",
-                     "solved_pairs": count if dsyevr else 64} for count in counts]
         assert "sweep" not in manifest
-        assert manifest[key] == (expected[0] if key == "search" else expected)
         written = json.loads((tmp_path / solver / "manifest.json").read_text())
         assert written[key] == manifest[key]
+        dsyevr = spectrum._dsyevr() is not None
+        records = manifest[key] if key == "searches" else [manifest[key]]
+        assert len(records) == len(counts)
+        for record, count in zip(records, counts):
+            unseen = record.pop("unseen_weight_max")
+            assert record == {"eigensolver": "dsyevr" if dsyevr else "eigh",
+                              "solved_pairs": [3, 3 + count - 1] if dsyevr else [0, 63]}
+            assert 0.1 < unseen < 0.3 if dsyevr else abs(unseen) < 1e-12
         runs[solver] = [(rec["file"], rec["sha256"]) for rec in manifest["outputs"]]
     assert runs["found"] == runs["missing"]
 

@@ -568,7 +568,10 @@ def search(cfg, block, **options):
 def test_search_without_dsyevr_reports_the_same_bits(monkeypatch, cfg, block):
     # the subset evaluations prove each branch pick, so the golden-section
     # steps, and with them the location and the final spectrum, are those of
-    # a search that has eigh solve every eigenpair
+    # a search that has eigh solve every eigenpair.  With dsyevr, every
+    # evaluation after the first solves for the two branches alone, and no
+    # pick needs more
+    found = spectrum._dsyevr() is not None
     subset = search(cfg, block)
     monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
     full = search(cfg, block)
@@ -576,32 +579,36 @@ def test_search_without_dsyevr_reports_the_same_bits(monkeypatch, cfg, block):
     assert subset.location.hex() == full.location.hex()
     assert subset.splitting.hex() == full.splitting.hex()
     assert subset.evaluations == full.evaluations
-    assert (full.eigensolver, full.solved_pairs) == ("eigh", cfg.layout.dim)
-    if spectrum._dsyevr() is not None:
+    assert (full.eigensolver, full.solved_pairs) == ("eigh", (0, cfg.layout.dim - 1))
+    assert abs(full.unseen_weight_max) < 1e-12
+    if found:
         assert subset.eigensolver == "dsyevr"
-        assert subset.solved_pairs == max(subset.branch_indices) + 1
+        assert subset.solved_pairs == subset.branch_indices
+        assert subset.branch_indices[1] - subset.branch_indices[0] == 1
+        assert 0.1 < subset.unseen_weight_max < 0.3
 
 
 @needs_dsyevr
 @pytest.mark.parametrize("scenario, counts", [("fig1b", [2, 4, 8]), ("fig4", [2, 4, 8, 16])])
 def test_search_grows_a_short_count_to_the_full_solve_report(monkeypatch, scenario, counts):
-    # the tight count is cut to 2, below the upper branch (4 on fig1b, 8 on
-    # fig4): the unsolved eigenvectors then may hold a branch, so the point is
-    # solved again with the count doubled until the pick is proven, and the
-    # search ends where a full solve's does, in as many evaluations
+    # the branch range is replaced by the lowest 2 pairs, below the upper
+    # branch (4 on fig1b, 8 on fig4): the unsolved eigenvectors then may hold
+    # a branch, so the point is solved again with the count doubled until the
+    # pick is proven, and the search ends where a full solve's does, in as
+    # many evaluations
     preset = get_preset(scenario)
     cfg, block = build_system(preset), preset["anticross"]
     built = []
 
     class Short(spectrum._LowestPairs):
-        def __init__(self, dsyevr, mat, count):
+        def __init__(self, dsyevr, mat, count, first=0):
             built.append(2 if not built else count)
-            super().__init__(dsyevr, mat, built[-1])
+            super().__init__(dsyevr, mat, built[-1], 0 if len(built) == 1 else first)
 
     monkeypatch.setattr(spectrum, "_LowestPairs", Short)
     grown = search(cfg, block)
     assert built == counts
-    assert grown.solved_pairs == counts[-1]
+    assert grown.solved_pairs == (0, counts[-1] - 1)
     monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
     full = search(cfg, block)
     assert grown == full
@@ -621,10 +628,30 @@ def test_a_pick_proven_from_the_lowest_columns_is_the_full_pick(seed, noise, dim
     states, _ = np.linalg.qr(base[:, rng.permutation(dim)] + noise * rng.normal(size=(dim, dim)))
     for count in range(2, dim + 1):
         try:
-            pick = _pair_branches(states[:, :count], 0, 1)
+            pick = _pair_branches(states[:, :count], 0, 1)[:2]
         except BranchTrackingError:
             continue
-        assert pick == _pair_branches(states, 0, 1)
+        assert pick == _pair_branches(states, 0, 1)[:2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 0.8), dim=st.integers(3, 10))
+def test_a_pick_proven_from_any_column_range_is_the_full_pick(seed, noise, dim):
+    # as above, from every contiguous range of at least two columns: the pick
+    # either raises or names, as eigen indices, the pick from all of them,
+    # which then passes
+    rng = np.random.default_rng(seed)
+    base = np.eye(dim)
+    base[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    states, _ = np.linalg.qr(base[:, rng.permutation(dim)] + noise * rng.normal(size=(dim, dim)))
+    for first in range(dim - 1):
+        for last in range(first + 1, dim):
+            try:
+                pick = _pair_branches(states[:, first:last + 1], 0, 1, first)[:2]
+            except BranchTrackingError:
+                continue
+            assert pick == _pair_branches(states, 0, 1)[:2]
+            assert first <= pick[0] < pick[1] <= last
 
 
 def test_pair_branches_names_the_unsolved_weight():
@@ -634,25 +661,68 @@ def test_pair_branches_names_the_unsolved_weight():
     r = 1.0 / math.sqrt(2.0)
     states = np.array([[1.0, 0.0, 0.0], [0.0, r, r], [0.0, r, -r]])
     with pytest.raises(BranchTrackingError, match=re.escape(
-            "top weights 1.000, 0.500, third 0.500 (eigenstates above 1, unsolved)")):
+            "top weights 1.000, 0.500, third 0.500 (eigenstates outside 0..1, unsolved)")):
         _pair_branches(states[:, :2], 0, 1)
     with pytest.raises(BranchTrackingError, match=re.escape(
             "top weights 1.000, 0.500, third 0.500 (eigenstate ")):
         _pair_branches(states, 0, 1)
 
 
+def test_pair_branches_names_an_unsolved_range():
+    # as above, below a ground state that holds none of the pair: given
+    # eigenvectors 1 and 2, the unsolved ones outside them may hold 0.5
+    r = 1.0 / math.sqrt(2.0)
+    states = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, r, r], [0.0, 0.0, r, -r],
+                       [1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(BranchTrackingError, match=re.escape(
+            "top weights 1.000, 0.500, third 0.500 (eigenstates outside 1..2, unsolved)")):
+        _pair_branches(states[:, 1:3], 0, 1, 1)
+
+
+@needs_dsyevr
+@pytest.mark.parametrize("scenario, ranges", [("fig1b", [(2, 3), (0, 3), (0, 7)]),
+                                              ("fig4", [(6, 7), (0, 7), (0, 15)])])
+def test_a_search_that_misses_a_branch_falls_back_to_the_full_solve_report(
+        monkeypatch, scenario, ranges):
+    # the range misses the upper branch (4 on fig1b, 8 on fig4), so the point
+    # is solved again from the ground state to the range's end, which misses
+    # it too, and then for twice as many pairs, which holds it: the search
+    # ends where a full solve's does, bit for bit, in as many evaluations
+    preset = get_preset(scenario)
+    cfg, block = build_system(preset), preset["anticross"]
+    built = []
+
+    class Shifted(spectrum._LowestPairs):
+        def __init__(self, dsyevr, mat, count, first=0):
+            super().__init__(dsyevr, mat, count, max(first - 1, 0))
+            built.append((self.first, self.first + self.count - 1))
+
+    monkeypatch.setattr(spectrum, "_LowestPairs", Shifted)
+    fallen = search(cfg, block)
+    assert built == ranges
+    assert fallen.solved_pairs == ranges[-1]
+    monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
+    full = search(cfg, block)
+    assert fallen == full
+    assert fallen.location.hex() == full.location.hex()
+    assert fallen.splitting.hex() == full.splitting.hex()
+    assert fallen.evaluations == full.evaluations
+
+
 @needs_dsyevr
 @pytest.mark.parametrize("fault", ["info", "count"])
 def test_dsyevr_failure_in_a_search_is_reported_as_numpy_does(monkeypatch, fault):
     # as in a sweep: the first evaluation, which eigh solves in full, passes;
-    # the first subset solve after it raises numpy.linalg.eigh's error
-    dsyevr = spectrum._dsyevr()
+    # the first solve after it, for the branch range 3..4 (IL = 4, not the
+    # sweep's 1), raises numpy.linalg.eigh's error
+    dsyevr, ranges = spectrum._dsyevr(), []
 
     @ctypes.CFUNCTYPE(None, *dsyevr.argtypes)
     def failing(*args):
         dsyevr(*args)
-        lwork, m, info = args[17], args[11], args[20]
+        il, iu, lwork, m, info = args[8], args[9], args[17], args[11], args[20]
         if lwork[0] != -1:
+            ranges.append((il[0], iu[0]))
             if fault == "info":
                 info[0] = 3
             else:
@@ -662,6 +732,7 @@ def test_dsyevr_failure_in_a_search_is_reported_as_numpy_does(monkeypatch, fault
     preset = get_preset("fig1b")
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
         search(build_system(preset), preset["anticross"])
+    assert ranges == [(4, 5)]
 
 
 @needs_blas_control
@@ -961,7 +1032,7 @@ class TestAnticrossing:
             assert rep.spectrum.layout == spec.layout
             u, v = rep.bare_pair
             ia, ib = rep.branch_indices
-            assert _pair_branches(spec.states, u, v) == (ia, ib)
+            assert _pair_branches(spec.states, u, v)[:2] == (ia, ib)
             assert rep.branch_energies == (float(spec.energies[ia]), float(spec.energies[ib]))
             assert rep.splitting == float(spec.energies[ib] - spec.energies[ia])
             lay = cfg.layout
