@@ -25,30 +25,25 @@ import math
 import sys
 import time
 from dataclasses import asdict, replace
-from functools import cache
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .algebra import bare_state, cavity_number
+from .algebra import Ket, bare_state, cavity_number
 from .circuits import run_ecc
-from .dynamics import (
-    build_cavity_lowering,
-    build_dissipators,
-    build_dressed_lowering,
-    expectation_series,
-)
+from .dynamics import _cavity_lowering, _dressed_lowering, _series, build_dissipators
 from .errors import ConfigError, VpmixError
 from .model import MODEL_BUILDERS, QubitParams, SystemConfig
 from .perturbation import _dispersive_warning, effective_coupling, three_mix_coupling
 from .presets import SCENARIOS, get_preset
 from .spectrum import (
+    _pair_columns,
     _search_inputs,
     _sweep_inputs,
     coupling_sign,
     find_anticrossing,
-    superposition_states,
     sweep_levels,
 )
 
@@ -171,10 +166,6 @@ def _check(kind, value, where: str, errors: list[str]) -> None:
         errors.append(f"{where} must be {text}, got {value!r}")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -184,11 +175,16 @@ def _json(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _csv(header, rows) -> bytes:
-    """Bytes of a CSV data file: strings as given, numbers through :func:`_fmt`."""
-    lines = [",".join(header)]
-    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode()
+def _csv(header, numbers, labels=None) -> bytes:
+    """Bytes of a CSV data file.  Row r holds the numbers of ``numbers[r]``,
+    each as ``%.17g`` (enough digits to read back the same float), then the
+    strings of ``labels[r]`` as given, if ``labels`` is not None."""
+    numbers = np.asarray(numbers, dtype=float)
+    line = ",".join(["%.17g"] * numbers.shape[1])
+    rows = [line % tuple(row) for row in numbers.tolist()]
+    if labels is not None:
+        rows = [",".join([row, *cells]) for row, cells in zip(rows, labels, strict=True)]
+    return ("\n".join([",".join(header), *rows]) + "\n").encode()
 
 
 def _deep_merge(base, override):
@@ -314,8 +310,8 @@ def _sweep_csv(result) -> bytes:
               + [f"E{m + 1}" for m in range(n_levels)]
               + [f"label{m + 1}" for m in range(n_levels)])
     names = result.layout.labels
-    return _csv(header, ([x, *energies, *(names[b] for b in labels)] for x, energies, labels
-                         in zip(result.grid, result.energies, result.labels.tolist())))
+    return _csv(header, np.column_stack([result.grid, result.energies]),
+                [[names[b] for b in labels] for labels in result.labels.tolist()])
 
 
 def cmd_levels(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
@@ -343,38 +339,42 @@ def cmd_anticross(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], di
     return {"anticross.json": _json(payload)}, {"search": _solver_record(rep)}
 
 
-def _observable_ops(obs: dict, lowering, layout, spectrum):
-    kind = obs["kind"]
+def _observable_matrix(obs: dict, lowering, spectrum) -> np.ndarray:
+    """Eigenbasis matrix U+ O U of one configured observable; ``lowering(q)``
+    gives qubit q's dressed lowering operator in the eigenbasis."""
+    kind, u, layout = obs["kind"], spectrum.states, spectrum.layout
     if kind == "excitation":
         s = lowering(obs["qubit"])
-        return [s.dag(), s]
+        return s.conj().T @ s
     if kind == "correlation":
         qs = obs["qubits"]
-        return [lowering(q).dag() for q in qs] + [lowering(q) for q in reversed(qs)]
-    if kind == "photon":
-        return [bare_state(layout, "g" * layout.qubit_count, 1).projector()]
-    if kind == "cavity_number":
-        return [cavity_number(layout)]
-    a = build_cavity_lowering(spectrum)  # cavity_emission
-    return [a.dag(), a]
+        return reduce(np.matmul, [lowering(q).conj().T for q in qs]
+                      + [lowering(q) for q in reversed(qs)])
+    if kind == "photon":  # |g...g,1><g...g,1| is rank 1: w+ w, w its row of U
+        w = u[layout.bare_index("g" * layout.qubit_count, 1)]
+        return np.outer(w.conj(), w)
+    if kind == "cavity_number":  # a+ a is diagonal
+        return u.conj().T @ (cavity_number(layout).mat.diagonal().real[:, None] * u)
+    a = _cavity_lowering(spectrum)  # cavity_emission
+    return a.conj().T @ a
 
 
 def cmd_dynamics(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
     dyn = _require(cfg, "dynamics")
     rep = _search(find_anticrossing, system, _require(cfg, "anticross"))
     spectrum, layout = rep.spectrum, system.layout
-    u_dressed, v_dressed = superposition_states(rep)
-    overrides = dict(zip(rep.bare_pair, (u_dressed, v_dressed)))
+    columns = _pair_columns(rep)  # the dressed pair's eigenbasis frame columns
 
     @cache  # each qubit's operator is built once, when an observable first needs it
     def lowering(q: int):
-        return build_dressed_lowering(spectrum, q, overrides)
+        return _dressed_lowering(spectrum, q, columns)
 
     initial = dyn.get("initial", "pair_symmetric")
     if isinstance(initial, list):  # ["bare", levels, photons]
         rho0 = bare_state(layout, initial[1], initial[2])
-    else:
-        rho0 = u_dressed if initial == "pair_symmetric" else v_dressed
+    else:  # the dressed pair member, U times its frame column
+        bare = rep.bare_pair[0 if initial == "pair_symmetric" else 1]
+        rho0 = Ket(spectrum.states @ columns[bare], layout)
 
     half_j = rep.splitting / 2.0
     if half_j <= 0:
@@ -390,8 +390,8 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dic
     grid = math.ldexp(round(mantissa * 2**bits), exponent - bits) * np.arange(points)
     rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, system)
     observables = dyn.get("observables", [])
-    values = expectation_series(rho0, spectrum, rates, grid, [
-        _observable_ops(obs, lowering, layout, spectrum) for obs in observables])
+    values, kept, dropped_weight = _series(rho0, spectrum, rates, grid, [
+        _observable_matrix(obs, lowering, spectrum) for obs in observables])
 
     meta = {
         "parameter": rep.parameter,
@@ -404,9 +404,10 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dic
         "time_unit": "1/omega_0",
     }
     return ({"dynamics.csv": _csv(["t"] + [obs["name"] for obs in observables],
-                                  ([t, *row] for t, row in zip(grid, values))),
+                                  np.column_stack([grid, values])),
              "dynamics_meta.json": _json(meta)},
-            {"search": _solver_record(rep)})
+            {"search": _solver_record(rep), "coherences_kept": kept,
+             "dropped_weight": dropped_weight})
 
 
 def cmd_perturb(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
@@ -488,7 +489,10 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     two branches unless a pick needed more; and ``search.unseen_weight_max``,
     the largest pair weight left in the unsolved eigenvectors, the margin of
     its branch picks), and a ``perturb`` coupling sweep the same of each of
-    its searches, in ``searches``.
+    its searches, in ``searches``.  A ``dynamics`` manifest also records
+    ``coherences_kept``, the number of eigenbasis coherences the propagation
+    carried, and ``dropped_weight``, the summed bound of the ones it dropped
+    (at most 1e-15), which no data file holds.
     ``threads`` remains only for callers written when the thread count was an
     argument, such as ``perfbench/test_oracle.py``, which passes
     ``threads=1``; any other value raises :class:`ConfigError`.

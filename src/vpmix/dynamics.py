@@ -20,9 +20,21 @@ Observables use dressed ladder operators.  For qubit i the lowering operator
 is the bare sigma_-^(i) seen through one dressed frame F, S_- = F sigma_- F+,
 where column b of F is the eigenstate that bare state b labels (zero where
 no eigenstate, or more than one, claims b).  It maps each eigenstate labeled
-(e_i, rest) to the one labeled (g_i, rest).  For the cavity the lowering
-operator is the positive-frequency part of a + a+ in the eigenbasis, which
+(e_i, rest) to the one labeled (g_i, rest).  It is built in the eigenbasis:
+there the frame is S = U+ F, a column selection (label b picks the unit
+vector of its eigen index) in which only columns given explicitly, such as
+an anticrossing's recombined pair (one 2 x 2 rotation on the two branch
+rows), hold more than one entry.  So L~ = S sigma_- S+ costs no product with
+U, and the bare-basis S_- is U L~ U+.  For the cavity the lowering operator
+is the positive-frequency part of a + a+ in the eigenbasis, which
 annihilates the dressed vacuum by construction.
+
+Both models give real eigenvectors, and sigma_x, sigma_- and a + a+ are real,
+so the rate matrices, the lowering operators and the observables' eigenbasis
+matrices are all formed in real arithmetic; the dtype follows the spectrum's
+eigenvectors, and a complex Hamiltonian takes the same path in complex
+arithmetic.  Complex numbers enter the dynamics through the state and the
+coherence multipliers.
 
 The master equation is integrated with the classical fixed-step fourth-order
 Runge-Kutta scheme.  In the eigenbasis the generator is time independent and
@@ -30,21 +42,26 @@ secular: each coherence rho~_ij evolves alone, multiplied by its own g_ij at
 every step, and only the populations mix.  So the RK4 step is a constant
 linear map; steps are composed by exact powers of the per-step multipliers,
 which reproduces the literal stage-by-stage iteration to rounding error at a
-tiny fraction of the cost.  The state is streamed in the eigenbasis,
-rho~(t_p) = U+ rho(t_p) U, one grid time at a time, as a real population
-vector plus a 1-D array of the coherences kept at fixed indices (i, j).
-:func:`expectation_series` transforms each observable product once,
-O~ = U+ O U, and keeps only the coherences that can reach an observable: it
-drops them in ascending order of the bound
-w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|)^(T-1) while their summed
-bound stays <= 1e-15, so no value moves by more than that.  Each time step
-then costs O(d^2) for the populations plus O(m n_obs) for the m kept
-coherences, contracted as pops . diag(O~_k) + sum rho~_ij O~_k,ji; a
-``pair_symmetric`` start keeps 2.  No snapshot stack is built, and the
-``dynamics`` command takes this path.  :func:`evolve` keeps every coherence
-with rho~0_ij != 0 (the rest stay exactly zero), turns every rho~(t_p) back
-into the bare basis and keeps them all as one read-only (T, d, d) array,
-which :func:`expectation` contracts with an operator product.
+tiny fraction of the cost.  The one-step multipliers g_ij are computed for
+every coherence, and the stability check reads |g_ij|^n off them, but only
+the kept coherences' multipliers are raised to the n-th power.  The state is
+streamed in the eigenbasis, rho~(t_p) = U+ rho(t_p) U, one grid time at a
+time, as a real population vector plus a 1-D array of the coherences kept at
+fixed indices (i, j).  :func:`expectation_series` transforms each observable
+product once, O~ = U+ O U, and hands the O~ to ``_series``, which keeps only
+the coherences that can reach an observable: it drops them in ascending
+order of the bound w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|^n)^(T-1)
+while their summed bound stays <= 1e-15, so no value moves by more than
+that.  Each time step then costs O(d^2) for the populations plus
+O(m n_obs) for the m kept coherences, contracted as
+pops . diag(O~_k) + sum rho~_ij O~_k,ji; a ``pair_symmetric`` start keeps 2.
+No snapshot stack is built.  The ``dynamics`` command builds its O~ in the
+eigenbasis itself and calls ``_series`` directly, which also reports the
+kept count and the dropped weight for its manifest.  :func:`evolve` keeps
+every coherence with rho~0_ij != 0 (the rest stay exactly zero), turns every
+rho~(t_p) back into the bare basis and keeps them all as one read-only
+(T, d, d) array, which :func:`expectation` contracts with an operator
+product.
 """
 
 from __future__ import annotations
@@ -127,6 +144,43 @@ class TimeSeries:
     states: np.ndarray
 
 
+def _real(op: Operator) -> np.ndarray:
+    """Contiguous real part of a real-valued operator's matrix, such as
+    X = a + a+ or sigma_x^(i); a strided ``.real`` view would take numpy's
+    slow non-BLAS matmul."""
+    return np.ascontiguousarray(op.mat.real)
+
+
+def _dressed_lowering(spectrum: SpectrumResult, qubit_index: int,
+                      columns: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Eigenbasis matrix L~ = S sigma_-^(i) S+ of one qubit's dressed lowering
+    operator, with S = U+ F the dressed frame seen from the eigenbasis.
+
+    Column b of S is the unit vector e_k of the eigenstate k that alone claims
+    label b, or ``columns[b]`` (bare index -> eigenbasis vector) where one is
+    given, and zero where no eigenstate or several claim b.  sigma_- pairs
+    each bare state with qubit i excited to the one with it lowered, so L~ is
+    S's lowered columns times the conjugate transpose of the excited ones.
+    Its dtype follows the spectrum and ``columns``.  Raises
+    :class:`LabelAmbiguityError` when no context has both columns.
+    """
+    layout, dim = spectrum.layout, spectrum.dim
+    lowered, excited = np.nonzero(embed_qubit_op(layout, qubit_index, SIGMA_MINUS).mat)
+    labels = np.array([bare for bare, _ in spectrum.labels])
+    unique = ~np.isin(labels, spectrum.label_collisions)
+    frame = np.zeros((dim, dim), dtype=np.result_type(spectrum.states, *columns.values()))
+    frame[np.flatnonzero(unique), labels[unique]] = 1.0
+    for bare, column in columns.items():
+        frame[:, bare] = column
+    claimed = frame.any(axis=0)
+    if not (claimed[lowered] & claimed[excited]).any():
+        raise LabelAmbiguityError(
+            f"no resolvable contexts for qubit {qubit_index}; labels do not "
+            "cover the needed sector"
+        )
+    return frame[:, lowered] @ frame[:, excited].conj().T
+
+
 def build_dressed_lowering(
     spectrum: SpectrumResult,
     qubit_index: int,
@@ -140,7 +194,9 @@ def build_dressed_lowering(
     eigenstate or several claim b.  So S_- sums |psi(g_i, rest)><psi(e_i, rest)|
     over the contexts whose two labels both have a dressed vector; a context
     touching a truncation-edge or collided label drops out.  With all
-    couplings zero this reduces exactly to the bare sigma_-.
+    couplings zero this reduces exactly to the bare sigma_-.  It is built in
+    the eigenbasis, S_- = U L~ U+, with L~ the matrix the ``dynamics``
+    command contracts directly.
 
     At an anticrossing minimum the two split eigenstates are +- superpositions
     and neither carries a unique label; pass the recombined dressed pair from
@@ -152,21 +208,20 @@ def build_dressed_lowering(
     of those two labels the pair's symmetric and antisymmetric eigenstates
     both claim one and leave the other unclaimed.
     """
-    layout = spectrum.layout
-    lowering = embed_qubit_op(layout, qubit_index, SIGMA_MINUS).mat
-    labels = np.array([bare for bare, _ in spectrum.labels])
-    unique = ~np.isin(labels, spectrum.label_collisions)
-    frame = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
-    frame[:, labels[unique]] = spectrum.states[:, unique]
-    for bare, ket in (overrides or {}).items():
-        frame[:, layout.resolve(bare)] = ket.amp
-    claimed = frame.any(axis=0)
-    if not lowering[np.ix_(claimed, claimed)].any():
-        raise LabelAmbiguityError(
-            f"no resolvable contexts for qubit {qubit_index}; labels do not "
-            "cover the needed sector"
-        )
-    return Operator(frame @ lowering @ frame.conj().T, layout)
+    u = spectrum.states
+    columns = {spectrum.layout.resolve(bare): u.conj().T @ ket.amp
+               for bare, ket in (overrides or {}).items()}
+    return Operator(u @ _dressed_lowering(spectrum, qubit_index, columns) @ u.conj().T,
+                    spectrum.layout)
+
+
+def _cavity_lowering(spectrum: SpectrumResult) -> np.ndarray:
+    """Eigenbasis matrix of :func:`build_cavity_lowering`'s A_-: the elements
+    <psi_j|X|psi_k> with E_j < E_k, and zeros elsewhere."""
+    u = spectrum.states
+    x_eig = u.conj().T @ _real(cavity_quadrature(spectrum.layout)) @ u
+    e = spectrum.energies
+    return np.where(e[:, None] < e[None, :] - _ENERGY_TOL, x_eig, 0.0)
 
 
 def build_cavity_lowering(spectrum: SpectrumResult) -> Operator:
@@ -177,10 +232,7 @@ def build_cavity_lowering(spectrum: SpectrumResult) -> Operator:
     number operator A_+ A_- counts physically detectable photons.
     """
     u = spectrum.states
-    x_eig = u.conj().T @ cavity_quadrature(spectrum.layout).mat @ u
-    e = spectrum.energies
-    lower = np.where(e[:, None] < e[None, :] - _ENERGY_TOL, x_eig, 0.0)
-    return Operator(u @ lower @ u.conj().T, spectrum.layout)
+    return Operator(u @ _cavity_lowering(spectrum) @ u.conj().T, spectrum.layout)
 
 
 def build_dissipators(spectrum: SpectrumResult, config: SystemConfig) -> dict[str, np.ndarray]:
@@ -191,6 +243,8 @@ def build_dissipators(spectrum: SpectrumResult, config: SystemConfig) -> dict[st
     (gamma_i) times the squared dressed matrix element of X (sigma_x^(i))
     between eigenstates j and k when E_k > E_j, and zero for upward or
     degenerate pairs and for squared elements at or below the noise floor.
+    The products run in the dtype of ``spectrum.states``: real arithmetic for
+    the real eigenvectors of both models.
     """
     layout = spectrum.layout
     if layout != config.layout:
@@ -200,7 +254,7 @@ def build_dissipators(spectrum: SpectrumResult, config: SystemConfig) -> dict[st
     downward = e[None, :] > e[:, None]
 
     def rate_matrix(strength: float, op: Operator) -> np.ndarray:
-        elem2 = np.abs(u.conj().T @ op.mat @ u) ** 2
+        elem2 = np.abs(u.conj().T @ _real(op) @ u) ** 2
         return np.where(downward & (elem2 > _RATE_FLOOR), strength * elem2, 0.0)
 
     rates = {}
@@ -240,18 +294,24 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
 
 def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
     """Validate the inputs of :func:`evolve` eagerly, then return the time grid,
-    the flat indices i d + j of the coherences rho~_ij that are kept, and a
-    generator of (diagonal, kept coherences) of rho~(t_p) = U+ rho(t_p) U, one
-    pair per grid time.
+    the flat indices i d + j of the coherences rho~_ij that are kept, the
+    summed weight of the dropped ones, and a generator of (diagonal, kept
+    coherences) of rho~(t_p) = U+ rho(t_p) U, one pair per grid time.
 
     The first diagonal is rho~(t_0)'s own; later ones are the real populations.
     Without ``reach`` every coherence with rho~0_ij != 0 is kept: the rest
     stay exactly zero.  ``reach`` is a d x d array bounding the observables
     elementwise, reach >= |O~_k| for every eigenbasis observable O~_k.  With
     it, coherence ij has the weight w_ij = |rho~0_ij| reach_ji
-    max(1, |g_ij|)^(T-1), which bounds its term in every Tr[rho~(t_p) O~_k];
-    coherences are dropped in ascending weight while their summed weight
-    stays <= ``_DROP_BOUND``.
+    max(1, |g_1|^n)^(T-1), with the largest |g_1|^n over the grid intervals,
+    which bounds its term in every Tr[rho~(t_p) O~_k]; coherences are
+    dropped in ascending weight while their summed weight stays
+    <= ``_DROP_BOUND``.
+
+    An interval of n RK4 steps multiplies coherence ij by g_1^n, with g_1 its
+    one-step multiplier.  g_1 is computed for every coherence, and the
+    stability check and the weights read |g_1|^n off it; only the kept
+    coherences' g_1 are raised to the n-th power.
 
     The generator advances its arrays in place: a yielded pair is valid until
     the next step, so a caller that keeps it must copy it.
@@ -295,23 +355,25 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
     decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
     w_pop = gain - np.diag(out_rate)
 
-    # One RK4 map per distinct interval: the coherence multipliers g_n and the
-    # population map p_n.  A stable step keeps |g_n| <= 1 on every live
-    # coherence, one with rho~0_ij != 0: the others stay exactly zero whatever
-    # their multipliers.  g_reach is max(1, |g_ij|) over all intervals on the
-    # live coherences, which the drop weights need.
+    # One RK4 map per distinct interval: the one-step coherence multipliers
+    # g_1, the step count n and the population map p_n.  A stable step keeps
+    # |g_1|^n <= 1 on every live coherence, one with rho~0_ij != 0: the others
+    # stay exactly zero whatever their multipliers.  g_reach is
+    # max(1, |g_1|^n) over all intervals on the live coherences, which the
+    # drop weights need.
     live = rho != 0
     np.fill_diagonal(live, False)  # the populations follow p_n instead
     intervals = np.diff(times).tolist()
-    maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    maps: dict[float, tuple[np.ndarray, int, np.ndarray]] = {}
     g_reach = np.ones((dim, dim))
     for p, dt in enumerate(intervals, start=1):
         if dt in maps:
             continue
         n = max(1, int(math.ceil(dt / h_max))) if math.isfinite(h_max) else 1
         h = dt / n
-        g_n = _rk4_scalar(h * (-1j * omega - decay)) ** n
-        size = np.where(live, np.abs(g_n), 1.0)
+        g_1 = _rk4_scalar(h * (-1j * omega - decay))
+        with np.errstate(over="ignore"):  # an overflow to inf raises below
+            size = np.where(live, np.abs(g_1) ** n, 1.0)
         worst = float(size.max())
         if not worst <= 1.0 + _DRIFT_TOL:  # also an overflow to inf or NaN
             raise StepSizeError(
@@ -319,7 +381,7 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
                 f"t = {times[p]:.6g}; retry with a smaller max_step"
             )
         np.maximum(g_reach, size, out=g_reach)
-        maps[dt] = (g_n, np.linalg.matrix_power(_rk4_matrix(h * w_pop), n))
+        maps[dt] = (g_1, n, np.linalg.matrix_power(_rk4_matrix(h * w_pop), n))
 
     weight = np.abs(rho)
     bound = 0.0  # drops exactly the coherences that start at zero
@@ -329,9 +391,11 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
     np.fill_diagonal(weight, 0.0)  # the populations are always carried
     weight = weight.reshape(-1)
     order = np.argsort(weight, kind="stable")
-    dropped = int(np.searchsorted(np.cumsum(weight[order]), bound, side="right"))
+    cumulative = np.cumsum(weight[order])
+    dropped = int(np.searchsorted(cumulative, bound, side="right"))
+    dropped_weight = float(cumulative[dropped - 1]) if dropped else 0.0
     keep = np.sort(order[dropped:])
-    step_maps = {dt: (g_n.reshape(-1)[keep], p_n) for dt, (g_n, p_n) in maps.items()}
+    step_maps = {dt: (g_1.reshape(-1)[keep] ** n, p_n) for dt, (g_1, n, p_n) in maps.items()}
 
     def steps():
         pops = np.real(np.diagonal(rho))
@@ -360,7 +424,7 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
                 )
             yield pops, coh
 
-    return times, keep, steps()
+    return times, keep, dropped_weight, steps()
 
 
 def evolve(
@@ -389,7 +453,7 @@ def evolve(
     1e-7, or a population below -1e-7 raises :class:`StepSizeError`; so a
     returned state is a density matrix only to those 1e-7 limits.
     """
-    times, keep, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
+    times, keep, _, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
     dim, u = spectrum.dim, spectrum.states
     u_dag = u.conj().T
     rho = np.zeros((dim, dim), dtype=complex)
@@ -423,26 +487,39 @@ def expectation_series(
     (T, d, d) stack of snapshots is built.
     """
     dim, u = spectrum.dim, spectrum.states
-    u_dag = u.conj().T
-    basis = np.empty((len(observables), dim, dim), dtype=complex)
-    reach = np.zeros((dim, dim))
-    for k, operators in enumerate(observables):
+    basis = []
+    for operators in observables:
         prod = _operator_product(operators)
         if prod.shape != (dim, dim):
             raise ConfigError(
                 f"operator dimension {prod.shape[0]} does not match state dimension {dim}"
             )
-        basis[k] = u_dag @ prod @ u
-        np.maximum(reach, np.abs(basis[k]), out=reach)
-    times, keep, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach)
+        basis.append(u.conj().T @ prod @ u)
+    return _series(rho0, spectrum, rates, t_grid, basis, max_step)[0]
+
+
+def _series(rho0, spectrum: SpectrumResult, rates: Mapping[str, np.ndarray],
+            t_grid: Sequence[float], basis: Sequence[np.ndarray],
+            max_step: float | None = None) -> tuple[np.ndarray, int, float]:
+    """:func:`expectation_series` on observables given in the eigenbasis.
+
+    ``basis`` holds one d x d matrix O~_k = U+ O_k U per observable.  Returns
+    the float (T, n_obs) values, the number of coherences kept and the
+    summed weight of the dropped ones, which bounds how far any value moved.
+    """
+    dim = spectrum.dim
+    basis = np.reshape(basis, (-1, dim, dim))
+    reach = np.abs(basis).max(axis=0, initial=0.0)
+    times, keep, dropped_weight, stream = _eigenbasis_stream(
+        rho0, spectrum, rates, t_grid, max_step, reach)
     # Tr[rho~ O~] = sum_i rho~_ii O~_ii + sum_ij rho~_ij O~_ji over the kept ij
     ii, jj = np.divmod(keep, dim)
     diagonal_basis = np.diagonal(basis, axis1=1, axis2=2).T.copy()
     coherence_basis = basis[:, jj, ii].T.copy()
-    values = np.empty((times.size, len(observables)), dtype=complex)
+    values = np.empty((times.size, len(basis)), dtype=complex)
     for p, (diagonal, coh) in enumerate(stream):
         values[p] = diagonal @ diagonal_basis + coh @ coherence_basis
-    return _real_values(values)
+    return _real_values(values), int(keep.size), dropped_weight
 
 
 def _operator_product(operators) -> np.ndarray:

@@ -18,7 +18,9 @@ takes 0.19 ms against 0.30 ms on one.
 Both model Hamiltonians are real float64 matrices, assembled from terms that
 :mod:`vpmix.model` caches once per layout, so ``eigh`` takes its
 real-symmetric path and the phase gauge of :func:`diagonalize` reduces to a
-sign gauge.  Eigenvectors are stored complex either way.  Each thread of a
+sign gauge.  Eigenvectors keep the dtype ``eigh`` gives them, float64 for a
+real Hamiltonian, so the dynamics' dressed products on them run in real
+arithmetic; a complex Hamiltonian gives complex128 ones.  Each thread of a
 sweep, and each search, assembles every grid point into one reused buffer
 and reads labels, energies and branch weights straight off the real
 eigenvectors, so a grid point allocates no d x d array.  Both read only a
@@ -176,6 +178,11 @@ class SpectrumResult:
     lists bare indices claimed by more than one eigenstate.  Nothing resolves
     them: a collided label gets no dressed vector, so dressed operators drop
     every context that passes through it.
+
+    ``states`` holds one eigenvector a column, read-only.  Its dtype follows
+    the input: real input is stored as float64, which is what
+    :func:`diagonalize` gives for the real Hamiltonians of both models, and
+    complex input as complex128.
     """
 
     energies: np.ndarray
@@ -187,7 +194,7 @@ class SpectrumResult:
     def __post_init__(self):
         e = np.array(self.energies, dtype=float)
         e.setflags(write=False)
-        s = np.array(self.states, dtype=complex)
+        s = np.array(self.states, dtype=complex if np.iscomplexobj(self.states) else float)
         s.setflags(write=False)
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "states", s)
@@ -731,20 +738,41 @@ def superposition_states(report: AnticrossingReport) -> tuple[Ket, Ket]:
     the bare pair.  Phases are gauged so <u_bare|u~> and <v_bare|v~> are real
     and positive.
     """
+    states, layout = report.spectrum.states, report.spectrum.layout
+    u_col, v_col = _pair_columns(report).values()
+    return Ket(states @ u_col, layout), Ket(states @ v_col, layout)
+
+
+def _pair_columns(report: AnticrossingReport) -> dict[int, np.ndarray]:
+    """The dressed pair's columns of the frame U+ F, keyed by bare index:
+    ``{bare_u: U+ u~, bare_v: U+ v~}``, each zero off the branch rows a, b,
+    which hold the rotation of :func:`_pair_rotation`."""
+    spectrum = report.spectrum
+    rotation = _pair_rotation(report)
+    columns = np.zeros((spectrum.dim, 2), dtype=rotation.dtype)
+    columns[list(report.branch_indices)] = rotation
+    return dict(zip(report.bare_pair, columns.T))
+
+
+def _pair_rotation(report: AnticrossingReport) -> np.ndarray:
+    """The 2 x 2 matrix R with (u~, v~) = (psi_a, psi_b) R for the dressed
+    pair of :func:`superposition_states`, its block of the dressed frame
+    U+ F on the branch rows a, b.  A column is (1, +-1)/sqrt(2) times the
+    phase that makes the bare amplitude real and positive, so R is real for
+    real eigenvectors."""
     spectrum, (bare_u, bare_v) = report.spectrum, report.bare_pair
-    psi_a, psi_b = (spectrum.states[:, k] for k in report.branch_indices)
-    plus = (psi_a + psi_b) / math.sqrt(2.0)
-    minus = (psi_a - psi_b) / math.sqrt(2.0)
-    u_vec, v_vec = ((plus, minus) if abs(plus[bare_u]) ** 2 >= abs(minus[bare_u]) ** 2
-                    else (minus, plus))
-    for vec, bare in ((u_vec, bare_u), (v_vec, bare_v)):
-        amp = vec[bare]
-        if abs(amp) < 1e-12:
+    # the amplitudes of psi_a and psi_b (columns) on bare u and bare v (rows)
+    amps = spectrum.states[np.ix_((bare_u, bare_v), report.branch_indices)]
+    plus = (amps[:, 0] + amps[:, 1]) / math.sqrt(2.0)
+    minus = (amps[:, 0] - amps[:, 1]) / math.sqrt(2.0)
+    signs = (1.0, -1.0) if abs(plus[0]) ** 2 >= abs(minus[0]) ** 2 else (-1.0, 1.0)
+    amp = np.where(np.array(signs) > 0, plus, minus)  # each state's bare amplitude
+    for value, bare in zip(amp, (bare_u, bare_v)):
+        if abs(value) < 1e-12:
             raise BranchTrackingError(
                 f"dressed counterpart of bare state {bare} has no weight on it"
             )
-        vec *= np.conj(amp / abs(amp))
-    return Ket(u_vec, spectrum.layout), Ket(v_vec, spectrum.layout)
+    return np.array([[1.0, 1.0], signs]) / math.sqrt(2.0) * np.conj(amp / abs(amp))
 
 
 def coupling_sign(report: AnticrossingReport) -> int:

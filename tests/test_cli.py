@@ -8,13 +8,17 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 import vpmix
 from vpmix import spectrum
-from vpmix.cli import (build_system, load_config, main, resolve_config, run_command,
+from vpmix.cli import (_csv, build_system, load_config, main, resolve_config, run_command,
                        validate_config)
 from vpmix.errors import ConfigError
 from vpmix.presets import SCENARIOS
@@ -449,6 +453,65 @@ def test_anticross_minimum_at_bracket_edge_exits_3(tmp_path, capsys):
     assert main(["anticross", "--config", cfg, "--out", str(out)]) == 3
     assert not out.exists()
     assert "widen the bracket" in capsys.readouterr().err
+
+
+def cell_by_cell_csv(header, rows) -> bytes:
+    """Reference: the CSV writer that formatted one cell at a time, strings as
+    given and numbers through ``f"{float(x):.17g}"``."""
+    def _fmt(x: float) -> str:
+        return f"{float(x):.17g}"
+
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+                  math.nan, 1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e16, 123456789.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 12), width=st.integers(1, 6),
+       labels=st.integers(0, 3))
+@example(data=None, rows=len(SPECIAL_FLOATS), width=1, labels=1)
+def test_csv_writes_the_bytes_of_the_cell_by_cell_writer(data, rows, width, labels):
+    if data is None:  # every special value, each beside a label
+        numbers = [[x] for x in SPECIAL_FLOATS]
+        strings = [["ggg:0"]] * rows
+    else:
+        numbers = data.draw(st.lists(
+            st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+                     min_size=width, max_size=width), min_size=rows, max_size=rows))
+        strings = data.draw(st.lists(
+            st.lists(st.text("egx:0123456789", min_size=1, max_size=8),
+                     min_size=labels, max_size=labels), min_size=rows, max_size=rows))
+    header = [f"c{k}" for k in range(len(numbers[0]) + len(strings[0]))]
+    expected = cell_by_cell_csv(header, [n + s for n, s in zip(numbers, strings)])
+    assert _csv(header, numbers, strings) == expected
+    assert _csv(header, np.array(numbers), strings) == expected
+    if not strings[0]:
+        assert _csv(header, numbers) == expected
+
+
+@pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
+def test_dynamics_manifest_records_the_kept_coherences(tmp_path, scenario):
+    # a pair_symmetric start keeps the pair's two coherences; the dropped
+    # ones weigh at most the 1e-15 bound in all.  The data files do not
+    # carry the two keys, and their checksums are those of the bytes written
+    out = tmp_path / "out"
+    manifest = run_command("dynamics", resolve_config({"scenario": scenario}), out)
+    assert manifest["coherences_kept"] == 2
+    assert 0.0 <= manifest["dropped_weight"] <= 1e-15
+    written = json.loads((out / "manifest.json").read_text())
+    for key in ("coherences_kept", "dropped_weight"):
+        assert written[key] == manifest[key]
+    assert [record["file"] for record in manifest["outputs"]] == ["dynamics.csv",
+                                                                  "dynamics_meta.json"]
+    for record in manifest["outputs"]:
+        data = (out / record["file"]).read_bytes()
+        assert record["sha256"] == hashlib.sha256(data).hexdigest()
+    assert not {"coherences_kept", "dropped_weight"} & json.loads(
+        (out / "dynamics_meta.json").read_text()).keys()
 
 
 def test_levels_csv_format_and_manifest(tmp_path):

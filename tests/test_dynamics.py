@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -183,6 +184,90 @@ class TestDressedFrame:
         assert np.max(np.abs(s3.mat - context_loop_lowering(rep.spectrum, 3, overrides))) <= 1e-14
 
 
+def dense_frame_lowering(spectrum, qubit_index, overrides=None):
+    """Reference: the bare-basis construction F sigma_- F+ that
+    build_dressed_lowering made before it built in the eigenbasis."""
+    layout = spectrum.layout
+    lowering = embed_qubit_op(layout, qubit_index, SIGMA_MINUS).mat
+    labels = np.array([bare for bare, _ in spectrum.labels])
+    unique = ~np.isin(labels, spectrum.label_collisions)
+    frame = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
+    frame[:, labels[unique]] = spectrum.states[:, unique]
+    for bare, ket in (overrides or {}).items():
+        frame[:, layout.resolve(bare)] = ket.amp
+    claimed = frame.any(axis=0)
+    if not lowering[np.ix_(claimed, claimed)].any():
+        raise LabelAmbiguityError(f"no resolvable contexts for qubit {qubit_index}")
+    return frame @ lowering @ frame.conj().T
+
+
+class TestLabelFrame:
+    """The eigenbasis lowering operator L~ = S sigma_- S+, S = U+ F, against
+    U+ (F sigma_- F+) U from the dense bare-basis frame."""
+
+    @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
+    def test_command_operators_match_the_dense_frame(self, scenario, monkeypatch):
+        built = []
+
+        def record(spectrum, qubit_index, columns):
+            built.append((qubit_index, columns))
+            return dynamics._dressed_lowering(spectrum, qubit_index, columns)
+
+        cfg = get_preset(scenario)
+        system = build_system(cfg)
+        monkeypatch.setattr(cli, "_dressed_lowering", record)
+        cli.cmd_dynamics(cfg, system)
+        rep = _search(find_anticrossing, system, cfg["anticross"])
+        spec, u = rep.spectrum, rep.spectrum.states
+        assert u.dtype == np.float64
+        overrides = dict(zip(rep.bare_pair, superposition_states(rep)))
+        (_, columns), *_ = built
+        # the pair's columns hold one real 2 x 2 rotation on the branch rows
+        assert sorted(columns) == sorted(rep.bare_pair)
+        for column in columns.values():
+            assert column.dtype == np.float64
+            assert np.flatnonzero(column).tolist() == sorted(rep.branch_indices)
+        assert {q for q, _ in built} == {
+            q for obs in cfg["dynamics"]["observables"]
+            for q in [obs.get("qubit")] + obs.get("qubits", []) if q is not None}
+        for q in range(1, system.qubit_count + 1):
+            eigen = dynamics._dressed_lowering(spec, q, columns)
+            assert eigen.dtype == np.float64
+            dense = u.conj().T @ dense_frame_lowering(spec, q, overrides) @ u
+            assert np.max(np.abs(eigen - dense)) <= 1e-14, q
+            # the public operator is U L~ U+, the same construction
+            public = build_dressed_lowering(spec, q, overrides).mat
+            assert np.max(np.abs(public - dense_frame_lowering(spec, q, overrides))) <= 1e-14
+
+    def test_collided_labels_match_the_dense_frame(self):
+        # the library-use system of the README: qubits 1 and 2 at one
+        # frequency, so their symmetric and antisymmetric states collide
+        cfg = SystemConfig((QubitParams(0.5, 0.1, PI6), QubitParams(0.5, 0.1, PI6),
+                            QubitParams(1.0, 0.1, PI6)), omega_c=1.25)
+        rep = find_anticrossing(cfg, "qubits[2].omega", (0.9, 1.06),
+                                (("gge", 0), ("eeg", 0)))
+        spec, u = rep.spectrum, rep.spectrum.states
+        assert len(spec.label_collisions) > 10
+        overrides = dict(zip(rep.bare_pair, superposition_states(rep)))
+        columns = {b: u.conj().T @ ket.amp for b, ket in overrides.items()}
+        for q in (1, 2):
+            with pytest.raises(LabelAmbiguityError, match="no resolvable contexts"):
+                dense_frame_lowering(spec, q, overrides)
+            with pytest.raises(LabelAmbiguityError, match="no resolvable contexts"):
+                dynamics._dressed_lowering(spec, q, columns)
+        dense = u.conj().T @ dense_frame_lowering(spec, 3, overrides) @ u
+        assert np.max(np.abs(dynamics._dressed_lowering(spec, 3, columns) - dense)) <= 1e-14
+        # without the pair's overrides more contexts drop out, the same ones
+        for q in (1, 2, 3):
+            try:
+                dense = u.conj().T @ dense_frame_lowering(spec, q) @ u
+            except LabelAmbiguityError:
+                with pytest.raises(LabelAmbiguityError):
+                    dynamics._dressed_lowering(spec, q, {})
+                continue
+            assert np.max(np.abs(dynamics._dressed_lowering(spec, q, {}) - dense)) <= 1e-14
+
+
 def nonzero_rates(rates):
     """(channel, j, k, rate) for every nonzero entry of every rate matrix."""
     return [(name, int(j), int(k), float(r[j, k]))
@@ -192,16 +277,19 @@ def nonzero_rates(rates):
 def pair_loop_rates(spectrum, config):
     """Reference: the per-(j, k) loop that built one decay term per downward
     eigenstate pair before rates became matrices.  Returns the channel names
-    in order and the (channel, j, k, rate) terms."""
+    in order and the (channel, j, k, rate) terms.  X and sigma_x are real, and
+    their real matrices are multiplied, so real eigenvectors give the
+    products in real arithmetic, as build_dissipators forms them."""
     layout = spectrum.layout
     u = spectrum.states
     e = spectrum.energies
     channels = []
     if config.kappa > 0:
-        channels.append(("cavity", config.kappa, cavity_quadrature(layout).mat))
+        channels.append(("cavity", config.kappa, cavity_quadrature(layout).mat.real))
     for i, q in enumerate(config.qubits, start=1):
         if q.gamma > 0:
-            channels.append((f"qubit{i}", q.gamma, embed_qubit_op(layout, i, SIGMA_X).mat))
+            channels.append((f"qubit{i}", q.gamma,
+                             embed_qubit_op(layout, i, SIGMA_X).mat.real))
     terms = []
     for name, strength, op in channels:
         m_eig = u.conj().T @ op @ u
@@ -617,6 +705,53 @@ def random_hermitian_product(rng, layout, n_ops):
     return [a.dag() for a in outer] + middle + outer[::-1]
 
 
+def rejected_runs():
+    """(error, rates, grid, max_step, message pattern[, start, observable,
+    spectrum]) of the runs that evolve and expectation_series both reject.
+    A run without the last three starts in |e,1> of a four-level ladder
+    (energies 0, 1, 2, 3) and observes sigma_+ sigma_-."""
+    lay = HilbertLayout(1, 2)
+    spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+    rates = np.zeros((4, 4))
+    rates[[0, 1, 0, 2, 1], [3, 3, 1, 3, 2]] = [1.0, 0.5, 0.3, 0.2, 0.4]
+    diagonal = rates.copy()
+    diagonal[2, 2] = 0.1
+    cascade = np.zeros((4, 4))
+    cascade[[0, 1, 0, 2, 1], [1, 2, 2, 3, 3]] = [1.0, 0.5, 0.3, 0.7, 0.2]
+    plus = Ket(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2), lay)
+    quadrature = Operator(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), lay)
+    # rate dominated: spread 0.01, decay rate 1
+    lay2 = HilbertLayout(1, 1)
+    spec2 = diagonalize(Operator(np.diag([0.0, 0.01]), lay2))
+    decay = {"qubit1": np.array([[0.0, 1.0], [0.0, 0.0]])}
+    plus2 = Ket(np.array([1.0, 1.0]) / math.sqrt(2), lay2)
+    s2 = embed_qubit_op(lay2, 1, SIGMA_MINUS)
+    return [
+        (ConfigError, {}, [0.0, 2.0, 1.0], None, "strictly increasing"),
+        (ConfigError, {}, [], None, "empty"),
+        (ConfigError, {"cavity": diagonal}, [0.0, 1.0], None, "diagonal"),
+        (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 100.0, "trace drift"),
+        # the step overflows the populations to inf and the trace to NaN
+        (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 10.0, "trace drift"),
+        # the step keeps the trace at 1 but sends the populations to
+        # -22.0, 357.0, -518.3 and 184.4
+        (StepSizeError, {"cavity": cascade}, [0.0, 10.0], 10.0, "population"),
+        # with h = 4 the live coherence of (|0> + |1>)/sqrt(2) shrinks by
+        # about 0.33 a step, while the upper population grows fivefold and
+        # the lower one goes to -1.5 ...
+        (StepSizeError, decay, [0.0, 4.0], 4.0, "population", plus2, [s2.dag(), s2], spec2),
+        # ... and 500 such steps overflow them, the trace to NaN
+        (StepSizeError, decay, [0.0, 2000.0], 4.0, "trace drift", plus2, [s2.dag(), s2],
+         spec2),
+        # lossless, so trace and populations stay exact, but the step
+        # multiplies the coherence of (|0> + |1>)/sqrt(2) by about 3.4e4,
+        # and its quadrature |0><1| + h.c. reached 6.6e25 unchecked
+        (StepSizeError, {}, np.linspace(0.0, 100.0, 11), 10.0, "coherence multiplier",
+         plus, [quadrature], spec),
+    ]
+
+
 SMALL_LAYOUTS = [HilbertLayout(q, c) for q in (1, 2, 3) for c in range(1, 9)
                  if 2**q * c <= 16]
 
@@ -668,46 +803,8 @@ class TestExpectationSeries:
         spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
         rho0 = bare_state(lay, "e", 1)
         s1 = embed_qubit_op(lay, 1, SIGMA_MINUS)
-        rates = np.zeros((4, 4))
-        rates[[0, 1, 0, 2, 1], [3, 3, 1, 3, 2]] = [1.0, 0.5, 0.3, 0.2, 0.4]
-        diagonal = rates.copy()
-        diagonal[2, 2] = 0.1
-        cascade = np.zeros((4, 4))
-        cascade[[0, 1, 0, 2, 1], [1, 2, 2, 3, 3]] = [1.0, 0.5, 0.3, 0.7, 0.2]
-        plus = Ket(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2), lay)
-        quadrature = Operator(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-                                        [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), lay)
-        # rate dominated: spread 0.01, decay rate 1
-        lay2 = HilbertLayout(1, 1)
-        spec2 = diagonalize(Operator(np.diag([0.0, 0.01]), lay2))
-        decay = {"qubit1": np.array([[0.0, 1.0], [0.0, 0.0]])}
-        plus2 = Ket(np.array([1.0, 1.0]) / math.sqrt(2), lay2)
-        s2 = embed_qubit_op(lay2, 1, SIGMA_MINUS)
-        cases = [
-            (ConfigError, {}, [0.0, 2.0, 1.0], None, "strictly increasing"),
-            (ConfigError, {}, [], None, "empty"),
-            (ConfigError, {"cavity": diagonal}, [0.0, 1.0], None, "diagonal"),
-            (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 100.0, "trace drift"),
-            # the step overflows the populations to inf and the trace to NaN
-            (StepSizeError, {"cavity": rates}, [0.0, 1000.0], 10.0, "trace drift"),
-            # the step keeps the trace at 1 but sends the populations to
-            # -22.0, 357.0, -518.3 and 184.4
-            (StepSizeError, {"cavity": cascade}, [0.0, 10.0], 10.0, "population"),
-            # with h = 4 the live coherence of (|0> + |1>)/sqrt(2) shrinks by
-            # about 0.33 a step, while the upper population grows fivefold and
-            # the lower one goes to -1.5 ...
-            (StepSizeError, decay, [0.0, 4.0], 4.0, "population", plus2, [s2.dag(), s2], spec2),
-            # ... and 500 such steps overflow them, the trace to NaN
-            (StepSizeError, decay, [0.0, 2000.0], 4.0, "trace drift", plus2, [s2.dag(), s2],
-             spec2),
-            # lossless, so trace and populations stay exact, but the step
-            # multiplies the coherence of (|0> + |1>)/sqrt(2) by about 3.4e4,
-            # and its quadrature |0><1| + h.c. reached 6.6e25 unchecked
-            (StepSizeError, {}, np.linspace(0.0, 100.0, 11), 10.0, "coherence multiplier",
-             plus, [quadrature], spec),
-        ]
         with np.errstate(all="ignore"):
-            for error, channels, grid, max_step, match, *state in cases:
+            for error, channels, grid, max_step, match, *state in rejected_runs():
                 start, observable, spectrum = state or (rho0, [s1.dag(), s1], spec)
                 with pytest.raises(error, match=match):
                     evolve(start, spectrum, channels, grid, max_step=max_step)
@@ -723,6 +820,39 @@ class TestExpectationSeries:
         coherent = (bare_state(lay, "e", 0).amp + 1j * bare_state(lay, "g", 0).amp) / math.sqrt(2)
         with pytest.raises(NumericalError):
             expectation_series(coherent, spec, {}, [0.0, 1.0], [s1])
+
+    def test_rejections_keep_their_messages(self):
+        # the messages in full, as the stream gave them when it raised every
+        # coherence's multiplier to the n-th power; it now reads the stability
+        # check off |g_1|^n and raises only the kept multipliers
+        messages = [
+            "time grid must be strictly increasing",
+            "empty time grid",
+            "rate matrix 'cavity' must be zero on the diagonal",
+            "trace drift 4.017e+59 exceeds 1.0e-07 at t = 1000; retry with a smaller max_step",
+            "trace drift nan exceeds 1.0e-07 at t = 1000; retry with a smaller max_step",
+            "population -5.183e+02 below -1.0e-07 at t = 10; retry with a smaller max_step",
+            "population -1.500e+00 below -1.0e-07 at t = 4; retry with a smaller max_step",
+            "trace drift nan exceeds 1.0e-07 at t = 2000; retry with a smaller max_step",
+            "coherence multiplier 3.997e+02 exceeds 1 + 1.0e-07 at t = 10; retry with a "
+            "smaller max_step",
+        ]
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        s1 = embed_qubit_op(lay, 1, SIGMA_MINUS)
+        default = (bare_state(lay, "e", 1), [s1.dag(), s1], spec)
+        runs = rejected_runs()
+        assert len(runs) == len(messages)
+        with np.errstate(all="ignore"):
+            for (error, channels, grid, max_step, _, *state), message in zip(runs, messages):
+                start, observable, spectrum = state or default
+                with pytest.raises(error) as raised:
+                    evolve(start, spectrum, channels, grid, max_step=max_step)
+                assert str(raised.value) == message
+                with pytest.raises(error) as raised:
+                    expectation_series(start, spectrum, channels, grid, [observable],
+                                       max_step=max_step)
+                assert str(raised.value) == message
 
     def test_coarse_step_on_a_population_start(self):
         # the lossless coarse step rejected above multiplies the coherences by
@@ -767,16 +897,19 @@ class TestExpectationSeries:
 
     @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
     def test_matches_snapshot_stack_at_preset_minima(self, scenario):
-        rho0, spec, rates, grid, observables = dynamics_arguments(scenario)
+        rho0, spec, rates, grid, basis = dynamics_arguments(scenario)
         assert isinstance(rho0, Ket)  # the pair_symmetric start
-        values = expectation_series(rho0, spec, rates, grid, observables)
+        values, _, _ = dynamics._series(rho0, spec, rates, grid, basis)
+        observables = bare_observables(spec, basis)
         stack = reference_evolve(rho0, None, rates, grid, spectrum=spec)
         expected = np.array([reference_expectation(stack, ops) for ops in observables]).T
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(expectation_series(rho0, spec, rates, grid, observables),
+                                   expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("start", ["pair_symmetric", "bare", "random"])
     def test_dropped_coherences_stay_within_the_bound(self, start, monkeypatch):
-        rho0, spec, rates, grid, observables = dynamics_arguments("fig3")
+        rho0, spec, rates, grid, basis = dynamics_arguments("fig3")
         d = spec.dim
         if start == "bare":
             rho0 = bare_state(spec.layout, "gge", 0)
@@ -786,11 +919,10 @@ class TestExpectationSeries:
             rho0 = a @ a.conj().T
             rho0 /= np.trace(rho0).real
         u = spec.states
-        basis = np.array([u.conj().T @ functools.reduce(np.matmul, [op.mat for op in ops]) @ u
-                          for ops in observables])
+        basis = np.array(basis)
 
         # the same stream with nothing but the zero coherences dropped
-        times, every, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None)
+        times, every, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None)
         ii, jj = np.divmod(every, d)
         undropped = np.array([diagonal @ np.diagonal(basis, axis1=1, axis2=2).T
                               + coh @ basis[:, jj, ii].T for diagonal, coh in stream]).real
@@ -800,13 +932,13 @@ class TestExpectationSeries:
 
         def spy(*args):
             seen["reach"] = args[-1]
-            times, keep, steps = eigenbasis_stream(*args)
+            times, keep, dropped_weight, steps = eigenbasis_stream(*args)
             seen["keep"] = keep
-            return times, keep, steps
+            return times, keep, dropped_weight, steps
 
         monkeypatch.setattr(dynamics, "_eigenbasis_stream", spy)
-        values = expectation_series(rho0, spec, rates, grid, observables)
-        # the observables' bound that expectation_series passes covers each of them
+        values, kept_count, dropped_weight = dynamics._series(rho0, spec, rates, grid, basis)
+        # the observables' bound that the series passes covers each of them
         np.testing.assert_allclose(seen["reach"], np.abs(basis).max(axis=0), rtol=1e-12, atol=0)
 
         # w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|)^(T-1), off the diagonal
@@ -826,33 +958,125 @@ class TestExpectationSeries:
         assert dropped.max() <= 1e-15
         # the rule drops as much as the bound allows: one more would cross it
         assert dropped.sum() + weight[kept].min() > 1e-15
+        # what the manifest records: the kept count and the dropped weight
+        assert kept_count == len(seen["keep"])
+        assert dropped_weight == pytest.approx(dropped.sum(), rel=1e-12, abs=0)
 
         # the drops move no value by more than the bound, plus rounding of the
         # two sums (measured: at most 6.3e-16)
         np.testing.assert_allclose(values, undropped, rtol=0, atol=2e-15)
         stack = reference_evolve(rho0, None, rates, grid, spectrum=spec)
-        expected = np.array([reference_expectation(stack, ops) for ops in observables]).T
+        expected = np.array([reference_expectation(stack, ops)
+                             for ops in bare_observables(spec, basis)]).T
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
+
+
+    @pytest.mark.parametrize("scenario, pair_coherences", [
+        ("fig3", [196, 259]), ("fig5b", [904, 1031]), ("figS2b", [904, 1031])])
+    def test_stream_keeps_the_pair_and_its_exact_multipliers(self, scenario, pair_coherences):
+        # the stream kept the flat indices a d + b and b d + a of the pair's
+        # coherences (branches 3, 4 at d = 64; 7, 8 at d = 128) when it raised
+        # every multiplier to the n-th power, and keeps them now
+        rho0, spec, rates, grid, basis = dynamics_arguments(scenario)
+        a, b = sorted(np.flatnonzero(np.abs(spec.states.T @ rho0.amp) > 0.5).tolist())
+        assert pair_coherences == [a * spec.dim + b, b * spec.dim + a]
+        reach = np.abs(np.array(basis)).max(axis=0)
+        _, keep, dropped_weight, _ = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None,
+                                                                 reach)
+        assert keep.tolist() == pair_coherences
+        assert 0.0 <= dropped_weight <= 1e-15
+        assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach)
+
+    def test_a_random_start_keeps_the_full_powers(self):
+        # a dense start keeps many coherences, each with its own multiplier
+        _, spec, rates, grid, basis = dynamics_arguments("fig3")
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1, 1, (spec.dim,) * 2) + 1j * rng.uniform(-1, 1, (spec.dim,) * 2)
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0).real
+        reach = np.abs(np.array(basis)).max(axis=0)
+        assert assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach) > 1000
+        assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid[:50], None)
+
+
+def assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach):
+    """Step the stream and check, bit for bit, that each kept coherence is
+    multiplied by its entry of the full-array g_1**n of the reference maps;
+    returns the number of kept coherences."""
+    times, keep, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
+    (dt,) = set(np.diff(times).tolist())
+    g_n = reference_interval_maps(spec, rates, times)(dt)[0].reshape(-1)[keep]
+    expected = None
+    for _, coh in stream:
+        expected = coh.copy() if expected is None else g_n * expected
+        np.testing.assert_array_equal(coh, expected)
+    return keep.size
+
+
+@pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
+def test_real_frame_matches_the_complex_frame(scenario):
+    # the same spectrum with complex eigenvectors takes every product in
+    # complex arithmetic, as all of them ran before the frame was real
+    rho0, spec, rates, grid, basis = dynamics_arguments(scenario)
+    system = build_system(get_preset(scenario))
+    complex_spec = dataclasses.replace(spec, states=spec.states.astype(complex))
+    assert spec.states.dtype == np.float64 and complex_spec.states.dtype == np.complex128
+    complex_rates = build_dissipators(complex_spec, system)
+    assert list(complex_rates) == list(rates)
+    for name, r in rates.items():
+        np.testing.assert_allclose(r, complex_rates[name], rtol=0, atol=1e-14 * r.max())
+    values, kept, _ = dynamics._series(rho0, spec, rates, grid, basis)
+    complex_values, complex_kept, _ = dynamics._series(
+        rho0, complex_spec, complex_rates, grid, [o.astype(complex) for o in basis])
+    assert kept == complex_kept
+    np.testing.assert_allclose(values, complex_values, rtol=0, atol=1e-14)
+    lower = dynamics._cavity_lowering(spec)
+    assert lower.dtype == np.float64
+    np.testing.assert_allclose(lower, dynamics._cavity_lowering(complex_spec), rtol=0,
+                               atol=1e-14)
+
+
+@pytest.mark.parametrize("initial, member", [("pair_symmetric", 0),
+                                             ("pair_antisymmetric", 1)])
+def test_pair_start_is_the_superposition_state(initial, member):
+    # the command forms its start from the frame columns of its lowering
+    # operators; it must be the vector superposition_states gives
+    cfg = get_preset("fig3")
+    cfg = dict(cfg, dynamics=dict(cfg["dynamics"], initial=initial, observables=[]))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_series", lambda *args: calls.append(args) or
+                      dynamics._series(*args))
+        cli.cmd_dynamics(cfg, build_system(cfg))
+    (rho0, *_), = calls
+    rep = _search(find_anticrossing, build_system(cfg), cfg["anticross"])
+    np.testing.assert_array_equal(rho0.amp, superposition_states(rep)[member].amp)
 
 
 @functools.cache
 def dynamics_arguments(scenario):
-    """The arguments the ``dynamics`` command passes to expectation_series for
-    a bundled scenario: the initial state, the spectrum at the search minimum,
-    the rates, the time grid and the observables, built with the pair
-    overrides."""
+    """The arguments the ``dynamics`` command passes to dynamics._series for a
+    bundled scenario: the initial state, the spectrum at the search minimum,
+    the rates, the time grid and the observables' eigenbasis matrices, built
+    with the dressed pair's frame columns."""
     calls = []
 
     def record(*args):
         calls.append(args)
-        return expectation_series(*args)
+        return dynamics._series(*args)
 
     cfg = get_preset(scenario)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "expectation_series", record)
+        patch.setattr(cli, "_series", record)
         cli.cmd_dynamics(cfg, build_system(cfg))
     (args,) = calls
     return args
+
+
+def bare_observables(spec, basis):
+    """The bare-basis operators U O~ U+ of eigenbasis observables."""
+    u = spec.states
+    return [Operator(u @ o @ u.conj().T, spec.layout) for o in basis]
 
 
 def test_cascade_triple_correlation_tracks_excitations(four_qubit_cascade):

@@ -136,6 +136,22 @@ def test_real_eigh_matches_complex_eigh_on_presets(scenario, model):
     assert np.all(overlap.real[isolated & determined] >= 1.0 - 1e-10)
 
 
+def test_states_keep_the_dtype_of_the_eigenvectors(fig1b_preset):
+    # both models are real, so the dynamics' dressed products run in real
+    # arithmetic; a complex Hamiltonian keeps complex eigenvectors
+    h = build_generalized_dicke(fig1b_preset)
+    assert diagonalize(h).states.dtype == np.float64
+    assert diagonalize(Operator(h.mat.astype(complex), h.layout)).states.dtype == np.complex128
+    real = diagonalize(h)
+    assert replace(real, states=real.states.astype(np.float32)).states.dtype == np.float64
+    assert replace(real, states=real.states.astype(int)).states.dtype == np.float64
+    # nested lists are read as their values, as Operator reads them
+    listed = replace(real, states=real.states.tolist()).states
+    assert listed.dtype == np.float64 and np.array_equal(listed, real.states)
+    listed = replace(real, states=real.states.astype(complex).tolist()).states
+    assert listed.dtype == np.complex128 and np.array_equal(listed, real.states)
+
+
 def test_unknown_model_is_a_config_error(fig1b_preset, monkeypatch):
     # the path sum checks the name before it builds anything
     monkeypatch.setattr(vpmix.perturbation, "bare_hamiltonian", None)
@@ -413,7 +429,7 @@ def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
     # does: the assembly buffer, the Hermiticity check's scratch and the
     # solver's outputs, reused at every evaluation.  The first evaluation has
     # eigh write every eigenpair; its outputs are freed before dsyevr's small
-    # ones for the lowest 9 are built.  The last evaluation builds and
+    # ones for the pair's two eigenpairs (indices 7..8) are built.  The last evaluation builds and
     # diagonalizes the model afresh for the report, so the measured span ends
     # where the search asks for the builder.
     preset = get_preset("fig4")
@@ -1056,6 +1072,31 @@ class TestAnticrossing:
         assert abs(u.overlap(v)) < 1e-12
         assert u.amp[lay.bare_index("gge", 0)].real > 0.9
         assert v.amp[lay.bare_index("eeg", 0)].real > 0.9
+
+    @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_pair_rotation_gives_the_superposition_states(self, scenario, dtype):
+        # (u~, v~) = (psi_a, psi_b) R, R the frame block the dynamics command
+        # builds on the branch rows, against the vector construction that
+        # superposition_states made before R: it is real for real eigenvectors
+        cfg = get_preset(scenario)
+        rep = find_anticrossing(build_system(cfg), cfg["anticross"]["parameter"],
+                                tuple(cfg["anticross"]["bracket"]), cfg["anticross"]["pair"])
+        rep = replace(rep, spectrum=replace(rep.spectrum,
+                                            states=rep.spectrum.states.astype(dtype)))
+        rotation = spectrum._pair_rotation(rep)
+        assert rotation.dtype == dtype
+        psi_a, psi_b = (rep.spectrum.states[:, k] for k in rep.branch_indices)
+        plus, minus = (psi_a + psi_b) / math.sqrt(2.0), (psi_a - psi_b) / math.sqrt(2.0)
+        bare_u, bare_v = rep.bare_pair
+        vectors = ((plus, minus) if abs(plus[bare_u]) ** 2 >= abs(minus[bare_u]) ** 2
+                   else (minus, plus))
+        for vec, bare, column, ket in zip(vectors, rep.bare_pair,
+                                          (np.stack([psi_a, psi_b], axis=1) @ rotation).T,
+                                          superposition_states(rep)):
+            expected = vec * np.conj(vec[bare] / abs(vec[bare]))
+            np.testing.assert_allclose(column, expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(ket.amp, expected, rtol=0, atol=1e-15)
 
     def test_coupling_sign_defined(self, fig1b_preset):
         rep = find_anticrossing(
