@@ -20,17 +20,18 @@ Both model Hamiltonians are real float64 matrices, assembled from terms that
 real-symmetric path and the phase gauge of :func:`diagonalize` reduces to a
 sign gauge.  Eigenvectors keep the dtype ``eigh`` gives them, float64 for a
 real Hamiltonian, so the dynamics' dressed products on them run in real
-arithmetic; a complex Hamiltonian gives complex128 ones.  Each thread of a
-sweep, and each search, assembles every grid point into one reused buffer
-and reads labels, energies and branch weights straight off the real
-eigenvectors, so a grid point allocates no d x d array.  Both read only a
-few eigenpairs, and LAPACK's ``dsyevr`` solves for just those into small
-reused arrays: a sweep for the lowest ones, up to the levels it reports, a
-search for its pair's two branches.  A sweep's rows therefore match
-:func:`diagonalize` to rounding rather than bit for bit (see
-:func:`sweep_levels`).
-:func:`diagonalize` keeps ``eigh``: the dynamics need every eigenvector of
-the search's final spectrum.
+arithmetic; a complex Hamiltonian gives complex128 ones.
+
+Every eigensolve goes through one checked solver, :class:`_Solver`, which
+reuses the arrays it owns.  Each thread of a sweep, and each search,
+assembles every grid point into its solver's buffer and reads labels,
+energies and branch weights straight off the real eigenvectors, so a grid
+point allocates no d x d array.  Both read only a few eigenpairs, and
+LAPACK's ``dsyevr`` solves for just those: a sweep for the lowest ones, up
+to the levels it reports, a search for its pair's two branches.  A sweep's
+rows therefore match :func:`diagonalize` to rounding rather than bit for
+bit (see :func:`sweep_levels`).  :func:`diagonalize` solves with ``eigh``:
+the dynamics need every eigenvector of the search's final spectrum.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ __all__ = [
 # any third state at most _THIRD_MAX, otherwise tracking is ambiguous.
 _PAIR_MIN = 0.45
 _THIRD_MAX = 0.45
-_HERMITICITY_TOL = 1e-9  # largest |H - H+| entry _eigh accepts
+_HERMITICITY_TOL = 1e-9  # largest |H - H+| entry _Solver accepts
 # Bare weights within this of an eigenstate's largest count as tied for its
 # label, and the lowest tied bare index wins, so rounding noise cannot decide.
 _LABEL_TIE_TOL = 1e-12
@@ -214,52 +215,37 @@ def _nonconvergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
-def _eigh(mat: np.ndarray, scratch: np.ndarray,
-          out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Checked ``eigh``: ground-offset energies and the raw eigenvectors.
+class _Solver:
+    """Checked eigensolves of ``mat``, the matrix it is built on, into arrays
+    it owns.  A call checks that ``mat`` is Hermitian and finite (a NaN or an
+    infinity raises :class:`HermiticityError`; the solver's scratch holds
+    |H - H+|), solves it and returns the energies, less the first one solved,
+    and the raw eigenvectors as columns: views that the next call overwrites.
 
-    ``scratch``, an array of ``mat``'s shape and dtype, holds the Hermiticity
-    check's |H - H+| and is overwritten; a NaN or an infinity in ``mat``
-    raises :class:`HermiticityError` there.  A real ``mat`` gives real
-    eigenvectors, which are neither labeled nor gauged here.  They and the
-    energies are written into ``out``, a real length-d array and an array
-    like ``mat``, or into fresh arrays if it is None.
-
-    This calls the gufunc behind ``numpy.linalg.eigh``, with that function's
-    error handling, because only the gufunc takes ``out``.  A loop that
-    reuses ``out`` frees no d x d array per point, which in some heap layouts
-    left a block above glibc's trim threshold free at the heap top, to be
-    returned to the OS and faulted back in (9,900 minor faults a warm
-    200-point sweep instead of 130).
-    """
-    _check_hermitian(mat, _HERMITICITY_TOL, HermiticityError, "matrix", scratch)
-    if out is None:
-        out = np.empty(len(mat)), np.empty_like(mat)
-    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        energies, states = _umath_linalg.eigh_lo(
-            mat, out=out, signature="D->dD" if np.iscomplexobj(mat) else "d->dd")
-    energies -= energies[0]
-    return energies, states
-
-
-class _LowestPairs:
-    """One thread's ``dsyevr`` solve (MRRR, RANGE='I') for the ``count``
-    eigenpairs of ``mat`` from eigen index ``first`` up (in ascending order of
-    energy, from 0), where ``mat`` is its reused real symmetric assembly buffer.
-    A sweep solves from 0, a search for its pair's two branches.
-
-    Fortran reads the C-ordered ``mat`` transposed, so UPLO='U' reads the
-    triangle that ``eigh`` reads; the solve overwrites ``mat``.  The
-    eigenvalues land in a length-d array and the eigenvectors in the rows of
-    a ``count`` x d one.  One workspace query on ``mat`` sizes the work
-    arrays, and the ctypes arguments are built here once, so a solve
-    allocates no array.
+    Given ``count``, and where :func:`_dsyevr` is found, LAPACK's ``dsyevr``
+    (MRRR, RANGE='I') solves the real symmetric ``mat`` for the ``count``
+    eigenpairs from eigen index ``first`` up, in ascending order of energy
+    from 0, and overwrites it.  Fortran reads the C-ordered ``mat``
+    transposed, so UPLO='U' reads the triangle that ``eigh`` reads.  One
+    workspace query sizes the work arrays and the ctypes arguments are built
+    once, so a solve allocates no array.  Otherwise the gufunc behind
+    ``numpy.linalg.eigh``, the one that takes ``out``, solves for every
+    eigenpair, with that function's error handling.  Reused outputs free no
+    d x d array per point, which in some heap layouts left a block above
+    glibc's trim threshold at the heap top, returned to the OS and faulted
+    back in (9,900 minor faults a warm 200-point sweep instead of 130).
+    ``name`` (``"dsyevr"`` or ``"eigh"``), ``first`` and ``count`` record the solve.
     """
 
-    def __init__(self, dsyevr, mat: np.ndarray, count: int, first: int = 0):
+    def __init__(self, mat: np.ndarray, count: int | None = None, first: int = 0):
         d = len(mat)
-        self._dsyevr, self.count, self.first = dsyevr, count, first
+        self.mat, self._scratch = mat, np.empty_like(mat)
+        dsyevr = None if count is None else _dsyevr()
+        if dsyevr is None:
+            self.name, self.first, self.count = "eigh", 0, d
+            self._solution = np.empty(d), np.empty_like(mat)
+            return
+        self.name, self.first, self.count, self._dsyevr = "dsyevr", first, count, dsyevr
         w, z = np.empty(d), np.empty((count, d))
         self._solution = w[:count], z.T
         self._m, self._info = ctypes.c_int64(), ctypes.c_int64()
@@ -286,37 +272,21 @@ class _LowestPairs:
         self._arrays, self._arguments = arrays, arguments()  # the arrays outlive the pointers
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues and, as columns, the eigenvectors of the range,
-        both views that the next solve overwrites."""
-        self._dsyevr(*self._arguments)
-        if self._info.value != 0 or self._m.value != self.count:
-            raise LinAlgError("Eigenvalues did not converge")
-        return self._solution
-
-
-def _workspace(config: SystemConfig, count: int | None = None):
-    """Arrays one thread reuses at every grid point: the assembly target, the
-    Hermiticity check's scratch and where the solve writes.  That is the
-    outputs of ``eigh``, or, given ``count`` and where :func:`_dsyevr` is
-    found, a :class:`_LowestPairs` for the lowest ``count`` eigenpairs."""
-    mat, scratch = _buffer(config), _buffer(config)
-    dsyevr = None if count is None else _dsyevr()
-    out = ((np.empty(len(mat)), np.empty_like(mat)) if dsyevr is None
-           else _LowestPairs(dsyevr, mat, count))
-    return mat, scratch, out
-
-
-def _eigh_lowest(mat: np.ndarray, scratch: np.ndarray,
-                 out: _LowestPairs | tuple[np.ndarray, np.ndarray]):
-    """:func:`_eigh` for a sweep or a search, into what :func:`_workspace`
-    gives: a :class:`_LowestPairs` solves for its range of eigenpairs only,
-    overwriting ``mat``; a pair of ``eigh`` outputs for all of them."""
-    if not isinstance(out, _LowestPairs):
-        return _eigh(mat, scratch, out)
-    _check_hermitian(mat, _HERMITICITY_TOL, HermiticityError, "matrix", scratch)
-    energies, states = out()
-    energies -= energies[0]
-    return energies, states
+        mat = self.mat
+        _check_hermitian(mat, _HERMITICITY_TOL, HermiticityError, "matrix", self._scratch)
+        if self.name == "dsyevr":
+            self._dsyevr(*self._arguments)
+            if self._info.value != 0 or self._m.value != self.count:
+                raise LinAlgError("Eigenvalues did not converge")
+            energies, states = self._solution
+        else:
+            with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+                             divide="ignore", under="ignore"):
+                energies, states = _umath_linalg.eigh_lo(
+                    mat, out=self._solution,
+                    signature="D->dD" if np.iscomplexobj(mat) else "d->dd")
+        energies -= energies[0]
+        return energies, states
 
 
 def _dominant(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,7 +314,7 @@ def diagonalize(op: Operator) -> SpectrumResult:
     a real symmetric input this is a choice of sign.
     """
     with _one_blas_thread():
-        energies, states = _eigh(op.mat, np.empty_like(op.mat))
+        energies, states = _Solver(op.mat)()
     dominant, amp, norm = _dominant(states)
     states = states * np.conj(amp / norm)
     labels = tuple(zip(dominant.tolist(), (norm * norm).tolist()))
@@ -446,17 +416,18 @@ def sweep_levels(
 
     The grid is split into contiguous chunks, one per available core and at
     most one per point.  The calling thread evaluates the first chunk and a
-    thread of its own each other one, every thread with its own buffers and
-    rows of the result, while OpenBLAS is held at one thread: at d = 128 on
-    two cores this takes 1.14 ms a point against 2.0 ms serially, where the
-    same threads over a two-thread BLAS took 3.47 ms.  Where OpenBLAS's
-    thread count cannot be set, one thread evaluates the whole grid.
+    thread of its own each other one, every thread with its own
+    :class:`_Solver` and rows of the result, while OpenBLAS is held at one
+    thread: at d = 128 on two cores this takes 1.14 ms a point against 2.0 ms
+    serially, where the same threads over a two-thread BLAS took 3.47 ms.
+    Where OpenBLAS's thread count cannot be set, one thread evaluates the
+    whole grid.
 
     Each point is solved for its lowest ``level_count + 1`` eigenpairs only,
     the ground state and the reported levels, by LAPACK's ``dsyevr`` (MRRR),
     which at d = 128 and 13 pairs takes 1.3 ms against 2.3 ms for ``eigh``.
     Where numpy's LAPACK does not export it, ``eigh`` solves for all of them;
-    ``eigensolver`` records which.  The rows therefore match
+    ``eigensolver`` is the solvers' ``name``.  The rows therefore match
     :func:`diagonalize` of the model's builder to rounding, not bit for bit:
     energies within 1e-13, and the weight and label of each level more than
     1e-6 from its neighbours.  In a degenerate or nearly degenerate group of
@@ -468,13 +439,12 @@ def sweep_levels(
     shape = (grid_arr.size, level_count)
     energies, labels, overlaps = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape)
     sel = slice(1, level_count + 1)
-    eigensolver = "eigh" if _dsyevr() is None else "dsyevr"
 
     def evaluate(lo: int, hi: int) -> None:
-        mat, scratch, out = workspaces.pop()
+        solver = solvers.pop()
         for p in range(lo, hi):
-            e, states = _eigh_lowest(
-                assemble(set_parameter(config, parameter, grid_arr[p]), mat), scratch, out)
+            assemble(set_parameter(config, parameter, grid_arr[p]), solver.mat)
+            e, states = solver()
             dominant, _, norm = _dominant(states[:, sel])
             energies[p], labels[p], overlaps[p] = e[sel], dominant, norm * norm
 
@@ -482,7 +452,8 @@ def sweep_levels(
         workers = max(1, min(_available_cores(), grid_arr.size)) if pinned else 1
         # every thread's arrays exist before any thread starts, so the peak
         # memory of a sweep does not depend on how its threads overlap
-        workspaces = [_workspace(config, level_count + 1) for _ in range(workers)]
+        solvers = [_Solver(_buffer(config), level_count + 1) for _ in range(workers)]
+        eigensolver = solvers[0].name
         _in_chunks(evaluate, grid_arr.size, workers)
     return SweepResult(parameter=parameter, grid=grid_arr, energies=energies, labels=labels,
                        overlaps=overlaps, layout=config.layout, workers=workers,
@@ -629,61 +600,58 @@ def find_anticrossing(
     model at the minimum and diagonalizes it for the report's ``spectrum``.
 
     An evaluation reads only the pair's two branches, so it solves only for
-    them, with LAPACK's ``dsyevr``.  The first evaluation solves for every
-    eigenpair, with ``eigh``, and fixes the range from the lower branch's
-    eigen index a to the upper one's, b.  :func:`_pair_branches` proves each
-    pick from the eigenpairs a..b by completeness: the unsolved eigenvectors
-    hold too little of the pair's weight to displace a branch or to fail its
-    thresholds.  Where they might, the point is solved again for the lowest
-    b + 1 eigenpairs, and then for twice as many each time, up to d; only a
-    pick that fails with every eigenpair solved raises
-    :class:`BranchTrackingError`.  Every proven pick is the one a full solve
+    them, with LAPACK's ``dsyevr``.  The first evaluation's solver solves for
+    every eigenpair, with ``eigh``, and fixes the range from the lower
+    branch's eigen index a to the upper one's, b; a :class:`_Solver` for that
+    range replaces it.  :func:`_pair_branches` proves each pick from the
+    eigenpairs a..b by completeness: the unsolved eigenvectors hold too
+    little of the pair's weight to displace a branch or to fail its
+    thresholds.  Where they might, a solver for the lowest b + 1 eigenpairs
+    replaces it and solves the point again, and then one for twice as many
+    each time, up to d; only a pick that fails with every eigenpair solved
+    raises :class:`BranchTrackingError`.  Every proven pick is the one a full solve
     makes, so the gaps, and with them the golden-section steps, agree with a
     full solve's to rounding.  Where numpy's LAPACK lacks ``dsyevr``, ``eigh``
-    solves every evaluation in full.  The report records the solver, the
-    final range and the largest unsolved pair weight.
+    solves every evaluation in full.  The report records the last solver's
+    name and range, and the largest unsolved pair weight.
     """
     assemble, u, v, lo, hi = _search_inputs(config, parameter, bracket, bare_pair, model, tol)
-    dsyevr, dim = _dsyevr(), config.layout.dim
-    mat, scratch, out = _workspace(config)  # eigh's outputs, for the first evaluation
-    evaluations, solved, unseen_max = 0, (0, dim - 1), -math.inf
+    mat, dim = _buffer(config), config.layout.dim
+    solver = _Solver(mat)  # every eigenpair, for the first evaluation
+    evaluations, unseen_max = 0, -math.inf
 
     def branches(x: float) -> tuple[float, int, int, float]:
         """The gap of the pair's branches at x, their eigen indices and the
         pair weight of the unsolved eigenvectors.  Its views of the solver's
         arrays end with it, so they can be freed."""
         # raw real eigenvectors: the sign gauge of diagonalize changes no weight
-        energies, states = _eigh_lowest(assemble(set_parameter(config, parameter, x), mat),
-                                        scratch, out)
-        first = solved[0]
+        assemble(set_parameter(config, parameter, x), mat)
+        energies, states = solver()
+        first = solver.first
         a, b, unseen = _pair_branches(states, u, v, first)
         return float(energies[b - first] - energies[a - first]), a, b, unseen
 
-    def solve_for(count: int, first: int = 0) -> None:
-        nonlocal out, solved
-        out = None  # freed first: a search holds one solver's arrays at a time
-        out = _LowestPairs(dsyevr, mat, count, first)
-        solved = (out.first, out.first + out.count - 1)
-
     def gap_at(x: float) -> float:
-        nonlocal evaluations, unseen_max
+        nonlocal evaluations, unseen_max, solver
         evaluations += 1
         while True:
-            first, last = solved
+            first, count = solver.first, solver.count
             try:
                 gap, a, b, unseen = branches(x)
             except BranchTrackingError:
-                if last - first + 1 == dim:
+                if count == dim:
                     raise
             else:
                 unseen_max = max(unseen_max, unseen)
-                if evaluations == 1 and dsyevr is not None:
-                    solve_for(b - a + 1, a)
+                if evaluations == 1:
+                    solver = None  # freed first: a search holds one solver's arrays at a time
+                    solver = _Solver(mat, b - a + 1, a)
                 return gap
             # the solved pairs leave the pick unproven; dsyevr overwrote the
             # matrix, so the point is assembled again, solved from the ground
             # state up to the range's end, then for twice as many pairs
-            solve_for(last + 1 if first else min(2 * (last + 1), dim))
+            solver = None
+            solver = _Solver(mat, first + count if first else min(2 * count, dim))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -726,7 +694,7 @@ def find_anticrossing(
         parameter=parameter, location=float(x_min), splitting=float(energies[ib] - energies[ia]),
         branch_indices=(ia, ib), branch_energies=(float(energies[ia]), float(energies[ib])),
         superposition_overlaps=overlaps, bare_pair=(u, v), evaluations=evaluations,
-        eigensolver="eigh" if dsyevr is None else "dsyevr", solved_pairs=solved,
+        eigensolver=solver.name, solved_pairs=(solver.first, solver.first + solver.count - 1),
         unseen_weight_max=unseen_max, spectrum=spectrum)
 
 

@@ -313,21 +313,28 @@ def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
 @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
 def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch, scenario):
     # the search's last evaluation supplies the spectrum the dynamics run in.
-    # The gufunc behind numpy.linalg.eigh counts every full eigensolve,
-    # whether it comes through that function or straight from
-    # vpmix.spectrum._eigh, and _LowestPairs.__call__ every dsyevr subset
-    # solve; no bundled search solves a point twice.
-    calls = []
+    # vpmix.spectrum._Solver.__call__ counts every eigensolve of the package,
+    # eigh or dsyevr subset, and the gufunc behind numpy.linalg.eigh every
+    # full one that does not come through the solver; no bundled search
+    # solves a point twice.
+    calls, solving = [], []
+    solve, eigh = spectrum._Solver.__call__, _umath_linalg.eigh_lo
 
-    def counting(solve):
-        def counted(*args, **kwargs):
+    def counted_solve(solver):
+        calls.append(1)
+        solving.append(1)
+        try:
+            return solve(solver)
+        finally:
+            solving.pop()
+
+    def counted_eigh(*args, **kwargs):
+        if not solving:
             calls.append(1)
-            return solve(*args, **kwargs)
-        return counted
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(_umath_linalg, "eigh_lo", counting(_umath_linalg.eigh_lo))
-    monkeypatch.setattr(spectrum._LowestPairs, "__call__",
-                        counting(spectrum._LowestPairs.__call__))
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", counted_eigh)
+    monkeypatch.setattr(spectrum._Solver, "__call__", counted_solve)
     cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario, "dynamics": {"points": 5}})
     assert main(["anticross", "--config", cfg, "--out", str(tmp_path / "anticross")]) == 0
     report = json.loads((tmp_path / "anticross" / "anticross.json").read_text())

@@ -1,17 +1,22 @@
-"""The data-file comparison of ``scripts/run_all_scenarios.py --compare``."""
+"""The data-file comparison of ``scripts/run_all_scenarios.py --compare`` and
+the counts of ``scripts/line_counts.py``."""
 
 import importlib.util
 import shutil
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_all_scenarios.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def scenario_script():
-    spec = importlib.util.spec_from_file_location("_run_all_scenarios", SCRIPT)
+def script(name: str):
+    spec = importlib.util.spec_from_file_location(f"_{name}", SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def scenario_script():
+    return script("run_all_scenarios")
 
 
 def write_tree(root: Path, cell: float, manifest: str) -> Path:
@@ -66,3 +71,42 @@ def test_compare_reports_text_and_structure_changes(tmp_path, capsys):
     assert compare(run, other) == 2
     assert verdicts(capsys) == {"ecc-ecc/ecc_report.json": "differs",
                                 "fig2-perturb/coupling_sweep.csv": "differs"}
+
+
+# 22 physical lines, 9 of them code: the import, def, the two lines of the
+# string assigned to text, the return's first and last line, class and the
+# two lines of the call assigned to y.  The docstrings, comments, blank lines
+# and the blank and comment lines inside the brackets are not code.
+LINE_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment on a code line
+
+# a comment alone
+
+
+def f(x):
+    """One-line docstring."""
+    text = """a string
+that is code"""
+    return (x +
+            # a comment inside brackets
+
+            1)
+
+
+class A:
+    "a docstring in single quotes"
+    y = f(
+        2)
+'''
+
+
+def test_line_counts_drop_comments_blank_lines_and_docstrings(tmp_path, capsys):
+    counts = script("line_counts")
+    assert counts.line_counts(LINE_FIXTURE) == (22, 9)
+    (tmp_path / "fixture.py").write_text(LINE_FIXTURE)
+    (tmp_path / "empty.py").write_text("")
+    assert counts.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["empty.py", "0", "0"], ["fixture.py", "22", "9"], ["total", "22", "9"]]

@@ -31,11 +31,11 @@ from vpmix import (
     sweep_levels,
 )
 from vpmix.algebra import HilbertLayout, bare_state
-from vpmix.model import _assemble_dicke, _assemble_tc
+from vpmix.model import _assemble_dicke, _assemble_tc, _buffer
 from vpmix.cli import build_system
 from vpmix.presets import SCENARIOS, get_preset
 from vpmix import spectrum
-from vpmix.spectrum import MODEL_BUILDERS, _eigh, _pair_branches, coupling_sign
+from vpmix.spectrum import MODEL_BUILDERS, _Solver, _pair_branches, coupling_sign
 
 PI6 = math.pi / 6
 
@@ -212,7 +212,7 @@ def test_non_hermitian_rejected():
 def test_eigh_rejects_non_hermitian(bad, defect):
     message = f"matrix is not Hermitian (max deviation {defect} > 1.0e-09)"
     with pytest.raises(HermiticityError, match=re.escape(message)):
-        _eigh(bad, np.empty_like(bad))
+        _Solver(bad)()
     with pytest.raises(HermiticityError, match=re.escape(message)):
         diagonalize(Operator(bad, HilbertLayout(1, 1)))
 
@@ -232,25 +232,25 @@ def test_eigh_rejects_non_finite_matrices(entry):
     message = "matrix has a non-finite entry"
     for bad in (mat, one_sided, mat.astype(complex), np.diag([entry, 1.0])):
         with pytest.raises(HermiticityError, match=message):
-            _eigh(bad, np.empty_like(bad))
+            _Solver(bad)()
         with pytest.raises(HermiticityError, match=message):
             diagonalize(Operator(bad, HilbertLayout(1, len(bad) // 2)))
 
 
 def test_eigh_reports_lapack_failure_as_numpy_does(monkeypatch):
     # A failed eigh_lo raises the floating-point invalid flag, as the stand-in
-    # does, and _eigh turns it into numpy.linalg.eigh's error, given outputs
-    # or not.  NaN input, which once drove LAPACK there, now stops at the
-    # Hermiticity check.
+    # does, and the solver turns it into numpy.linalg.eigh's error, into its
+    # fresh outputs or into reused ones.  NaN input, which once drove LAPACK
+    # there, now stops at the Hermiticity check.
     def failing(mat, out, signature):
         np.sqrt(np.full(1, -1.0))
         return out
 
     monkeypatch.setattr(spectrum._umath_linalg, "eigh_lo", failing)
-    mat = np.diag([0.0, 1.0])
-    for out in (None, (np.empty(2), np.empty((2, 2)))):
+    solver = _Solver(np.diag([0.0, 1.0]))
+    for _ in range(2):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            _eigh(mat, np.empty_like(mat), out)
+            solver()
 
 
 def test_gauge_fixed_dominant_component_positive(fig1b_spec_literal):
@@ -391,28 +391,31 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
 
     # A temporary freed within its stage does not raise the sweep's peak, so
     # each stage is bounded on its own: assembly writes only into its buffer,
-    # the checked eigensolve allocates only the outputs it is not given, and
-    # with them given it allocates no d x d array at all.  A sweep's
-    # workspace holds two d x d arrays and dsyevr's small ones, and its query
-    # runs on the assembly buffer; the subset solve allocates nothing more.
-    mat, scratch = np.empty((128, 128)), np.empty((128, 128))
-    out = (np.empty(128), np.empty((128, 128)))
+    # an eigh solver allocates only its outputs beside its scratch, and a
+    # solve into them allocates no d x d array at all.  A sweep's solver,
+    # with its assembly buffer, holds two d x d arrays and dsyevr's small
+    # ones, and its query runs on the assembly buffer; the subset solve
+    # allocates nothing more.
+    mat = np.empty((128, 128))
     tracemalloc.start()
     try:
         _assemble_dicke(cfg, mat)
         _assemble_tc(cfg, mat)
         assembly = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        _eigh(mat, scratch)
-        solve = tracemalloc.get_traced_memory()[1]
+        solver = _Solver(mat)
+        solve = tracemalloc.get_traced_memory()[1] - mat_bytes  # beside the scratch
         tracemalloc.reset_peak()
-        _eigh(mat, scratch, out)
-        solve_into = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        solver()
+        solve_into = tracemalloc.get_traced_memory()[1] - before
+        del solver
         tracemalloc.reset_peak()
-        workspace = spectrum._workspace(cfg, 6)
+        solver = _Solver(_buffer(cfg), 6)
         held, setup = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        spectrum._eigh_lowest(_assemble_dicke(cfg, workspace[0]), *workspace[1:])
+        _assemble_dicke(cfg, solver.mat)
+        solver()
         subset_solve = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -425,13 +428,14 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
 
 
 def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
-    # d = 128.  The search loop holds one thread's workspace, as a sweep
+    # d = 128.  The search loop holds one solver, as each thread of a sweep
     # does: the assembly buffer, the Hermiticity check's scratch and the
-    # solver's outputs, reused at every evaluation.  The first evaluation has
-    # eigh write every eigenpair; its outputs are freed before dsyevr's small
-    # ones for the pair's two eigenpairs (indices 7..8) are built.  The last evaluation builds and
-    # diagonalizes the model afresh for the report, so the measured span ends
-    # where the search asks for the builder.
+    # solver's outputs, reused at every evaluation.  The first evaluation's
+    # solver has eigh write every eigenpair; it is freed before the dsyevr
+    # solver for the pair's two eigenpairs (indices 7..8) is built on the
+    # same buffer.  The last evaluation builds and diagonalizes the model
+    # afresh for the report, so the measured span ends where the search asks
+    # for the builder.
     preset = get_preset("fig4")
     cfg, block = build_system(preset), preset["anticross"]
     mat_bytes = cfg.layout.dim ** 2 * 8
@@ -460,8 +464,9 @@ def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
     assert many - few < mat_bytes
     # three arrays at the first evaluation (3.08 measured, with and without
     # dsyevr); fresh eigh outputs at each evaluation, allocated while the
-    # workspace's are held, make four, and dsyevr's d-wide eigenvectors kept
-    # beside eigh's, or beside the 9 it solves for later, make four as well
+    # solver's are held, make four, and so does a d x d eigenvector array
+    # for dsyevr, kept beside eigh's outputs or beside the 2 x d one that it
+    # solves the branch pairs 7..8 into
     assert many < 3.25 * mat_bytes
 
 
@@ -616,12 +621,14 @@ def test_search_grows_a_short_count_to_the_full_solve_report(monkeypatch, scenar
     cfg, block = build_system(preset), preset["anticross"]
     built = []
 
-    class Short(spectrum._LowestPairs):
-        def __init__(self, dsyevr, mat, count, first=0):
-            built.append(2 if not built else count)
-            super().__init__(dsyevr, mat, built[-1], 0 if len(built) == 1 else first)
+    class Short(spectrum._Solver):
+        def __init__(self, mat, count=None, first=0):
+            if count is not None:  # the range solvers, not the first evaluation's eigh
+                count, first = (count, first) if built else (2, 0)
+                built.append(count)
+            super().__init__(mat, count, first)
 
-    monkeypatch.setattr(spectrum, "_LowestPairs", Short)
+    monkeypatch.setattr(spectrum, "_Solver", Short)
     grown = search(cfg, block)
     assert built == counts
     assert grown.solved_pairs == (0, counts[-1] - 1)
@@ -708,12 +715,13 @@ def test_a_search_that_misses_a_branch_falls_back_to_the_full_solve_report(
     cfg, block = build_system(preset), preset["anticross"]
     built = []
 
-    class Shifted(spectrum._LowestPairs):
-        def __init__(self, dsyevr, mat, count, first=0):
-            super().__init__(dsyevr, mat, count, max(first - 1, 0))
-            built.append((self.first, self.first + self.count - 1))
+    class Shifted(spectrum._Solver):
+        def __init__(self, mat, count=None, first=0):
+            super().__init__(mat, count, max(first - 1, 0))
+            if count is not None:  # the range solvers, not the first evaluation's eigh
+                built.append((self.first, self.first + self.count - 1))
 
-    monkeypatch.setattr(spectrum, "_LowestPairs", Shifted)
+    monkeypatch.setattr(spectrum, "_Solver", Shifted)
     fallen = search(cfg, block)
     assert built == ranges
     assert fallen.solved_pairs == ranges[-1]
@@ -759,15 +767,15 @@ def test_pooled_sweep_raises_a_point_error_and_restores_blas(monkeypatch, failin
     grid = np.linspace(0.45, 0.55, 7)
     target = _assemble_dicke(set_parameter(cfg, "qubits[2].omega", grid[failing]),
                              np.empty((cfg.layout.dim,) * 2))
-    solve, threads_seen = spectrum._eigh_lowest, []
+    solve, threads_seen = _Solver.__call__, []
 
-    def failing_solve(mat, scratch, out):
+    def failing_solve(solver):
         threads_seen.append(blas_threads())
-        if np.array_equal(mat, target):
+        if np.array_equal(solver.mat, target):
             raise NumericalError(f"planted at point {failing}")
-        return solve(mat, scratch, out)
+        return solve(solver)
 
-    monkeypatch.setattr(spectrum, "_eigh_lowest", failing_solve)
+    monkeypatch.setattr(_Solver, "__call__", failing_solve)
     before = blas_threads()
     with pytest.raises(NumericalError, match=f"planted at point {failing}"):
         sweep_levels(cfg, "qubits[2].omega", grid, 6)
@@ -785,18 +793,17 @@ def test_blas_count_is_restored_after_each_solver(monkeypatch):
     control_get, control_set = spectrum._blas_control()
     original, seen = control_get(), []
 
-    def spy(solve):
-        def spied(mat, scratch, out=None):
-            seen.append((solve.__name__, blas_threads()))
-            return solve(mat, scratch, out)
-        return spied
+    solve = _Solver.__call__
 
-    for name in ("_eigh", "_eigh_lowest"):
-        monkeypatch.setattr(spectrum, name, spy(getattr(spectrum, name)))
+    def spied(solver):
+        seen.append((solver.name, blas_threads()))
+        return solve(solver)
+
+    monkeypatch.setattr(_Solver, "__call__", spied)
     try:
         for count in (2, 3):
             control_set(count)
-            sweep_levels(cfg, "qubits[2].omega", np.linspace(0.45, 0.55, 4), 6)
+            sweep = sweep_levels(cfg, "qubits[2].omega", np.linspace(0.45, 0.55, 4), 6)
             assert blas_threads() == count
             find_anticrossing(cfg, anti["parameter"], tuple(anti["bracket"]), anti["pair"])
             assert blas_threads() == count
@@ -804,7 +811,7 @@ def test_blas_count_is_restored_after_each_solver(monkeypatch):
             assert blas_threads() == count
     finally:
         control_set(original)
-    assert {name for name, _ in seen} == {"_eigh", "_eigh_lowest"}
+    assert {name for name, _ in seen} == {"eigh", sweep.eigensolver}
     assert {threads for _, threads in seen} == {1}
 
 
