@@ -74,11 +74,13 @@ def _require_finite(owner, names: Sequence[str], prefix: str = "") -> None:
             raise ConfigError(f"{prefix}{name} must be finite, got {value!r}")
 
 
-def _require_integer(what: str, value) -> None:
+def _require_integer(what: str, value, least: int | None = None) -> None:
     """Raise :class:`ConfigError` unless ``value`` is an int or numpy integer
-    (a bool is not one)."""
+    (a bool is not one) and, given ``least``, at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{what} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,7 @@ class HilbertLayout:
     def __post_init__(self):
         _require_finite(self, ("qubit_count", "fock_cutoff"))
         for name in ("qubit_count", "fock_cutoff"):
-            value = getattr(self, name)
-            _require_integer(name, value)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            _require_integer(name, getattr(self, name), 1)
 
     @property
     def dim(self) -> int:

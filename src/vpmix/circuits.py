@@ -61,6 +61,7 @@ class RegisterState:
     amp: np.ndarray
 
     def __post_init__(self):
+        _require_integer("qubit_count", self.qubit_count, 1)
         v = np.array(self.amp, dtype=complex).reshape(-1)
         if v.shape[0] != 2**self.qubit_count:
             raise ConfigError(
@@ -76,6 +77,8 @@ class RegisterState:
 
 def register_state(amplitudes, qubit_count: int | None = None) -> RegisterState:
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if v.size == 0:
+        raise ConfigError("register state needs at least one amplitude")
     n = qubit_count if qubit_count is not None else int(round(math.log2(v.shape[0])))
     return RegisterState(qubit_count=n, amp=v)
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import Ket, bare_state, cavity_number
+from .algebra import cavity_number
 from .circuits import run_ecc
 from .dynamics import _cavity_lowering, _dressed_lowering, _series, build_dissipators
 from .errors import ConfigError, VpmixError
@@ -370,11 +370,11 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dic
         return _dressed_lowering(spectrum, q, columns)
 
     initial = dyn.get("initial", "pair_symmetric")
-    if isinstance(initial, list):  # ["bare", levels, photons]
-        rho0 = bare_state(layout, initial[1], initial[2])
-    else:  # the dressed pair member, U times its frame column
-        bare = rep.bare_pair[0 if initial == "pair_symmetric" else 1]
-        rho0 = Ket(spectrum.states @ columns[bare], layout)
+    if isinstance(initial, list):  # ["bare", levels, photons]: U+ e_b, row b of U conjugated
+        column = spectrum.states[layout.bare_index(initial[1], initial[2])].conj()
+    else:  # the dressed pair member's frame column
+        column = columns[rep.bare_pair[0 if initial == "pair_symmetric" else 1]]
+    start = np.outer(column, column.conj())  # rho~0, the start in the eigenbasis
 
     half_j = rep.splitting / 2.0
     if half_j <= 0:
@@ -390,7 +390,7 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dic
     grid = math.ldexp(round(mantissa * 2**bits), exponent - bits) * np.arange(points)
     rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, system)
     observables = dyn.get("observables", [])
-    values, kept, dropped_weight = _series(rho0, spectrum, rates, grid, [
+    values, kept, dropped_weight = _series(start, spectrum, rates, grid, [
         _observable_matrix(obs, lowering, spectrum) for obs in observables])
 
     meta = {

@@ -42,26 +42,34 @@ secular: each coherence rho~_ij evolves alone, multiplied by its own g_ij at
 every step, and only the populations mix.  So the RK4 step is a constant
 linear map; steps are composed by exact powers of the per-step multipliers,
 which reproduces the literal stage-by-stage iteration to rounding error at a
-tiny fraction of the cost.  The one-step multipliers g_ij are computed for
-every coherence, and the stability check reads |g_ij|^n off them, but only
-the kept coherences' multipliers are raised to the n-th power.  The state is
-streamed in the eigenbasis, rho~(t_p) = U+ rho(t_p) U, one grid time at a
-time, as a real population vector plus a 1-D array of the coherences kept at
-fixed indices (i, j).  :func:`expectation_series` transforms each observable
-product once, O~ = U+ O U, and hands the O~ to ``_series``, which keeps only
+tiny fraction of the cost.
+
+The propagation (``_eigenbasis_stream`` and ``_series``) takes only
+eigenbasis inputs, the start rho~0 = U+ rho0 U and the observables
+O~ = U+ O U, and reads no eigenvector.  :func:`evolve` and
+:func:`expectation_series` own the change of basis: each checks its bare
+start (a Ket, a vector or a matrix) and forms rho~0 once.  The live
+coherences, i != j with rho~0_ij != 0, are read once as index arrays; the
+rest stay exactly zero.  Their one-step multipliers g_ij, the stability
+check on |g_ij|^n and the drop weights are 1-D arrays over them, and only
+the kept coherences' multipliers are raised to the n-th power.  The state
+is streamed in the eigenbasis, rho~(t_p) = U+ rho(t_p) U, one grid time at a
+time, as a real population vector plus a 1-D array of the coherences kept
+at fixed indices (i, j).  :func:`expectation_series` transforms each
+observable product once and hands the O~ to ``_series``, which keeps only
 the coherences that can reach an observable: it drops them in ascending
 order of the bound w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|^n)^(T-1)
 while their summed bound stays <= 1e-15, so no value moves by more than
 that.  Each time step then costs O(d^2) for the populations plus
 O(m n_obs) for the m kept coherences, contracted as
-pops . diag(O~_k) + sum rho~_ij O~_k,ji; a ``pair_symmetric`` start keeps 2.
-No snapshot stack is built.  The ``dynamics`` command builds its O~ in the
-eigenbasis itself and calls ``_series`` directly, which also reports the
-kept count and the dropped weight for its manifest.  :func:`evolve` keeps
-every coherence with rho~0_ij != 0 (the rest stay exactly zero), turns every
-rho~(t_p) back into the bare basis and keeps them all as one read-only
-(T, d, d) array, which :func:`expectation` contracts with an operator
-product.
+pops . diag(O~_k) + sum rho~_ij O~_k,ji.  No snapshot stack is built.  The
+``dynamics`` command builds its start and its O~ in the eigenbasis itself
+and calls ``_series`` directly, which also reports the kept count and the
+dropped weight for its manifest; a pair start there has exactly 2 live
+coherences and keeps both.  :func:`evolve` keeps every live coherence,
+turns every rho~(t_p) back into the bare basis and keeps them all as one
+read-only (T, d, d) array, which :func:`expectation` contracts with an
+operator product.
 """
 
 from __future__ import annotations
@@ -292,39 +300,41 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
     return mat
 
 
-def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
-    """Validate the inputs of :func:`evolve` eagerly, then return the time grid,
-    the flat indices i d + j of the coherences rho~_ij that are kept, the
-    summed weight of the dropped ones, and a generator of (diagonal, kept
-    coherences) of rho~(t_p) = U+ rho(t_p) U, one pair per grid time.
+def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
+    """Validate the time grid, the rates and the step bound eagerly, then
+    return the time grid, the flat indices i d + j of the coherences rho~_ij
+    that are kept, the summed weight of the dropped ones, and a generator of
+    (diagonal, kept coherences) of rho~(t_p) = U+ rho(t_p) U, one pair per
+    grid time.
 
-    The first diagonal is rho~(t_0)'s own; later ones are the real populations.
-    Without ``reach`` every coherence with rho~0_ij != 0 is kept: the rest
-    stay exactly zero.  ``reach`` is a d x d array bounding the observables
-    elementwise, reach >= |O~_k| for every eigenbasis observable O~_k.  With
-    it, coherence ij has the weight w_ij = |rho~0_ij| reach_ji
-    max(1, |g_1|^n)^(T-1), with the largest |g_1|^n over the grid intervals,
-    which bounds its term in every Tr[rho~(t_p) O~_k]; coherences are
-    dropped in ascending weight while their summed weight stays
-    <= ``_DROP_BOUND``.
+    ``start`` is the initial state in the eigenbasis, the d x d matrix
+    rho~0 = U+ rho0 U, taken unchecked; of ``spectrum`` only the energies are
+    read.  The first diagonal is rho~0's own; later ones are the real
+    populations.  The live coherences, i != j with rho~0_ij != 0, are read
+    once as index arrays; the rest stay exactly zero.  Without ``reach``
+    every live coherence is kept.  ``reach`` is a d x d array bounding the
+    observables elementwise, reach >= |O~_k| for every eigenbasis observable
+    O~_k.  With it, live coherence ij has the weight
+    w_ij = |rho~0_ij| reach_ji max(1, |g_1|^n)^(T-1), with the largest
+    |g_1|^n over the grid intervals, which bounds its term in every
+    Tr[rho~(t_p) O~_k]; coherences are dropped in ascending weight while
+    their summed weight stays <= ``_DROP_BOUND``.
 
     An interval of n RK4 steps multiplies coherence ij by g_1^n, with g_1 its
-    one-step multiplier.  g_1 is computed for every coherence, and the
+    one-step multiplier.  g_1 is computed for every live coherence, and the
     stability check and the weights read |g_1|^n off it; only the kept
     coherences' g_1 are raised to the n-th power.
 
     The generator advances its arrays in place: a yielded pair is valid until
     the next step, so a caller that keeps it must copy it.
     """
-    dim, u, e = spectrum.dim, spectrum.states, spectrum.energies
+    dim, e = spectrum.dim, spectrum.energies
 
     times = np.asarray(list(t_grid), dtype=float)
     if times.size < 1:
         raise ConfigError("empty time grid")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ConfigError("time grid must be strictly increasing")
-
-    rho = u.conj().T @ _coerce_rho(rho0, dim) @ u
 
     gain = np.zeros((dim, dim))
     for name, r in rates.items():
@@ -343,38 +353,32 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
             raise ConfigError("max_step must be positive")
         h_max = float(max_step)
     else:
-        spread = float(e[-1] - e[0])
-        span = float(times[-1] - times[0])
-        h_max = math.inf
-        if spread > 0:
-            h_max = 0.01 / spread
-        if span > 0:
-            h_max = min(h_max, span / 1000.0)
+        spread, span = float(e[-1] - e[0]), float(times[-1] - times[0])
+        h_max = min(0.01 / spread if spread > 0 else math.inf,
+                    span / 1000.0 if span > 0 else math.inf)
 
-    omega = e[:, None] - e[None, :]
-    decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
+    live = np.array(np.nonzero(start))
+    ii, jj = live[:, live[0] != live[1]]  # the populations follow p_n instead
+    # each live coherence's rate: d rho~_ij / dt = (-i omega_ij - decay_ij) rho~_ij
+    coherence_rate = -1j * (e[ii] - e[jj]) - 0.5 * (out_rate[ii] + out_rate[jj])
     w_pop = gain - np.diag(out_rate)
 
-    # One RK4 map per distinct interval: the one-step coherence multipliers
-    # g_1, the step count n and the population map p_n.  A stable step keeps
-    # |g_1|^n <= 1 on every live coherence, one with rho~0_ij != 0: the others
-    # stay exactly zero whatever their multipliers.  g_reach is
-    # max(1, |g_1|^n) over all intervals on the live coherences, which the
-    # drop weights need.
-    live = rho != 0
-    np.fill_diagonal(live, False)  # the populations follow p_n instead
+    # One RK4 map per distinct interval: the live coherences' one-step
+    # multipliers g_1, the step count n and the population map p_n.  A stable
+    # step keeps |g_1|^n <= 1 on every live coherence.  g_reach is
+    # max(1, |g_1|^n) over all intervals, which the drop weights need.
     intervals = np.diff(times).tolist()
     maps: dict[float, tuple[np.ndarray, int, np.ndarray]] = {}
-    g_reach = np.ones((dim, dim))
+    g_reach = np.ones(ii.size)
     for p, dt in enumerate(intervals, start=1):
         if dt in maps:
             continue
         n = max(1, int(math.ceil(dt / h_max))) if math.isfinite(h_max) else 1
         h = dt / n
-        g_1 = _rk4_scalar(h * (-1j * omega - decay))
+        g_1 = _rk4_scalar(h * coherence_rate)
         with np.errstate(over="ignore"):  # an overflow to inf raises below
-            size = np.where(live, np.abs(g_1) ** n, 1.0)
-        worst = float(size.max())
+            size = np.abs(g_1) ** n
+        worst = float(size.max(initial=1.0))
         if not worst <= 1.0 + _DRIFT_TOL:  # also an overflow to inf or NaN
             raise StepSizeError(
                 f"coherence multiplier {worst:.3e} exceeds 1 + {_DRIFT_TOL:.1e} at "
@@ -383,25 +387,24 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
         np.maximum(g_reach, size, out=g_reach)
         maps[dt] = (g_1, n, np.linalg.matrix_power(_rk4_matrix(h * w_pop), n))
 
-    weight = np.abs(rho)
-    bound = 0.0  # drops exactly the coherences that start at zero
+    weight = np.abs(start[ii, jj])
+    bound = 0.0  # keeps every live coherence
     if reach is not None:
-        weight *= reach.T * g_reach ** (times.size - 1)
+        weight *= reach[jj, ii] * g_reach ** (times.size - 1)
         bound = _DROP_BOUND
-    np.fill_diagonal(weight, 0.0)  # the populations are always carried
-    weight = weight.reshape(-1)
     order = np.argsort(weight, kind="stable")
     cumulative = np.cumsum(weight[order])
     dropped = int(np.searchsorted(cumulative, bound, side="right"))
     dropped_weight = float(cumulative[dropped - 1]) if dropped else 0.0
-    keep = np.sort(order[dropped:])
-    step_maps = {dt: (g_1.reshape(-1)[keep] ** n, p_n) for dt, (g_1, n, p_n) in maps.items()}
+    kept = np.sort(order[dropped:])
+    ii, jj = ii[kept], jj[kept]
+    step_maps = {dt: (g_1[kept] ** n, p_n) for dt, (g_1, n, p_n) in maps.items()}
 
     def steps():
-        pops = np.real(np.diagonal(rho))
-        coh = rho.reshape(-1)[keep]
+        pops = np.real(np.diagonal(start))
+        coh = start[ii, jj].astype(complex)
         trace0 = float(pops.sum())
-        yield np.diagonal(rho), coh
+        yield np.diagonal(start), coh
         for p, dt in enumerate(intervals, start=1):
             g_n, p_n = step_maps[dt]
             pops = p_n @ pops
@@ -424,7 +427,7 @@ def _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step, reach=None):
                 )
             yield pops, coh
 
-    return times, keep, dropped_weight, steps()
+    return times, ii * dim + jj, dropped_weight, steps()
 
 
 def evolve(
@@ -453,9 +456,10 @@ def evolve(
     1e-7, or a population below -1e-7 raises :class:`StepSizeError`; so a
     returned state is a density matrix only to those 1e-7 limits.
     """
-    times, keep, _, stream = _eigenbasis_stream(rho0, spectrum, rates, t_grid, max_step)
     dim, u = spectrum.dim, spectrum.states
     u_dag = u.conj().T
+    start = u_dag @ _coerce_rho(rho0, dim) @ u
+    times, keep, _, stream = _eigenbasis_stream(start, spectrum, rates, t_grid, max_step)
     rho = np.zeros((dim, dim), dtype=complex)
     states = np.empty((times.size, dim, dim), dtype=complex)
     for p, (diagonal, coh) in enumerate(stream):
@@ -487,6 +491,7 @@ def expectation_series(
     (T, d, d) stack of snapshots is built.
     """
     dim, u = spectrum.dim, spectrum.states
+    start = u.conj().T @ _coerce_rho(rho0, dim) @ u
     basis = []
     for operators in observables:
         prod = _operator_product(operators)
@@ -495,23 +500,25 @@ def expectation_series(
                 f"operator dimension {prod.shape[0]} does not match state dimension {dim}"
             )
         basis.append(u.conj().T @ prod @ u)
-    return _series(rho0, spectrum, rates, t_grid, basis, max_step)[0]
+    return _series(start, spectrum, rates, t_grid, basis, max_step)[0]
 
 
-def _series(rho0, spectrum: SpectrumResult, rates: Mapping[str, np.ndarray],
+def _series(start, spectrum: SpectrumResult, rates: Mapping[str, np.ndarray],
             t_grid: Sequence[float], basis: Sequence[np.ndarray],
             max_step: float | None = None) -> tuple[np.ndarray, int, float]:
-    """:func:`expectation_series` on observables given in the eigenbasis.
+    """:func:`expectation_series` on a start and observables given in the eigenbasis.
 
-    ``basis`` holds one d x d matrix O~_k = U+ O_k U per observable.  Returns
-    the float (T, n_obs) values, the number of coherences kept and the
-    summed weight of the dropped ones, which bounds how far any value moved.
+    ``start`` is the d x d matrix rho~0 = U+ rho0 U, taken unchecked, and
+    ``basis`` holds one d x d matrix O~_k = U+ O_k U per observable;
+    ``spectrum.states`` is not read.  Returns the float (T, n_obs) values,
+    the number of coherences kept and the summed weight of the dropped ones,
+    which bounds how far any value moved.
     """
     dim = spectrum.dim
     basis = np.reshape(basis, (-1, dim, dim))
     reach = np.abs(basis).max(axis=0, initial=0.0)
     times, keep, dropped_weight, stream = _eigenbasis_stream(
-        rho0, spectrum, rates, t_grid, max_step, reach)
+        start, spectrum, rates, t_grid, max_step, reach)
     # Tr[rho~ O~] = sum_i rho~_ii O~_ii + sum_ij rho~_ij O~_ji over the kept ij
     ii, jj = np.divmod(keep, dim)
     diagonal_basis = np.diagonal(basis, axis1=1, axis2=2).T.copy()

@@ -235,11 +235,14 @@ class _Solver:
     glibc's trim threshold at the heap top, returned to the OS and faulted
     back in (9,900 minor faults a warm 200-point sweep instead of 130).
     ``name`` (``"dsyevr"`` or ``"eigh"``), ``first`` and ``count`` record the solve.
+    ``scratch``, a solver's ``_scratch`` for the same ``mat``, is reused
+    rather than allocated again.
     """
 
-    def __init__(self, mat: np.ndarray, count: int | None = None, first: int = 0):
+    def __init__(self, mat: np.ndarray, count: int | None = None, first: int = 0,
+                 scratch: np.ndarray | None = None):
         d = len(mat)
-        self.mat, self._scratch = mat, np.empty_like(mat)
+        self.mat, self._scratch = mat, np.empty_like(mat) if scratch is None else scratch
         dsyevr = None if count is None else _dsyevr()
         if dsyevr is None:
             self.name, self.first, self.count = "eigh", 0, d
@@ -608,7 +611,8 @@ def find_anticrossing(
     little of the pair's weight to displace a branch or to fail its
     thresholds.  Where they might, a solver for the lowest b + 1 eigenpairs
     replaces it and solves the point again, and then one for twice as many
-    each time, up to d; only a pick that fails with every eigenpair solved
+    each time, up to d.  Each solver that replaces another takes over its
+    Hermiticity scratch.  Only a pick that fails with every eigenpair solved
     raises :class:`BranchTrackingError`.  Every proven pick is the one a full solve
     makes, so the gaps, and with them the golden-section steps, agree with a
     full solve's to rounding.  Where numpy's LAPACK lacks ``dsyevr``, ``eigh``
@@ -644,14 +648,15 @@ def find_anticrossing(
             else:
                 unseen_max = max(unseen_max, unseen)
                 if evaluations == 1:
-                    solver = None  # freed first: a search holds one solver's arrays at a time
-                    solver = _Solver(mat, b - a + 1, a)
+                    # the rest is freed first: a search holds one solver's arrays at a time
+                    scratch, solver = solver._scratch, None
+                    solver = _Solver(mat, b - a + 1, a, scratch)
                 return gap
             # the solved pairs leave the pick unproven; dsyevr overwrote the
             # matrix, so the point is assembled again, solved from the ground
             # state up to the range's end, then for twice as many pairs
-            solver = None
-            solver = _Solver(mat, first + count if first else min(2 * count, dim))
+            scratch, solver = solver._scratch, None
+            solver = _Solver(mat, first + count if first else min(2 * count, dim), 0, scratch)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0

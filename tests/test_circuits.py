@@ -74,6 +74,23 @@ class TestGates:
         out = apply_gate(basis(2, 0), GateSpec("x", (np.int64(2),)))
         assert out.amp[0b01] == 1.0
 
+    @pytest.mark.parametrize("count, message", [
+        (0, "qubit_count must be >= 1, got 0"), (-1, "qubit_count must be >= 1, got -1"),
+        (1.0, "qubit_count must be an integer, got 1.0"),
+        (True, "qubit_count must be an integer, got True")])
+    def test_register_wire_count_is_checked(self, count, message):
+        # checked as HilbertLayout checks its sizes: an integer, at least 1
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RegisterState(count, [1.0])
+        assert RegisterState(np.int64(1), [1.0, 0.0]).qubit_count == 1
+
+    def test_register_state_needs_an_amplitude(self):
+        with pytest.raises(ConfigError, match="^register state needs at least one amplitude$"):
+            register_state([])
+        # one amplitude would make a register of zero wires
+        with pytest.raises(ConfigError, match="^qubit_count must be >= 1, got 0$"):
+            register_state([1.0])
+
     @settings(max_examples=25)
     @given(logical_states)
     def test_gates_preserve_norm(self, v):

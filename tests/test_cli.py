@@ -502,13 +502,14 @@ def test_csv_writes_the_bytes_of_the_cell_by_cell_writer(data, rows, width, labe
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
 def test_dynamics_manifest_records_the_kept_coherences(tmp_path, scenario):
-    # a pair_symmetric start keeps the pair's two coherences; the dropped
-    # ones weigh at most the 1e-15 bound in all.  The data files do not
-    # carry the two keys, and their checksums are those of the bytes written
+    # a pair_symmetric start, given in the eigenbasis, has exactly the pair's
+    # two live coherences: both are kept and nothing is dropped.  The data
+    # files do not carry the two keys, and their checksums are those of the
+    # bytes written
     out = tmp_path / "out"
     manifest = run_command("dynamics", resolve_config({"scenario": scenario}), out)
     assert manifest["coherences_kept"] == 2
-    assert 0.0 <= manifest["dropped_weight"] <= 1e-15
+    assert manifest["dropped_weight"] == 0.0
     written = json.loads((out / "manifest.json").read_text())
     for key in ("coherences_kept", "dropped_weight"):
         assert written[key] == manifest[key]

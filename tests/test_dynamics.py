@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import math
 
 import numpy as np
@@ -40,7 +41,7 @@ from vpmix import cli, dynamics
 from vpmix.algebra import SIGMA_MINUS, SIGMA_X, HilbertLayout, Ket
 from vpmix.cli import _search, build_system
 from vpmix.presets import get_preset
-from vpmix.spectrum import MODEL_BUILDERS
+from vpmix.spectrum import MODEL_BUILDERS, _pair_columns
 
 PI6 = math.pi / 6
 
@@ -897,19 +898,25 @@ class TestExpectationSeries:
 
     @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
     def test_matches_snapshot_stack_at_preset_minima(self, scenario):
-        rho0, spec, rates, grid, basis = dynamics_arguments(scenario)
+        start, spec, rates, grid, basis = dynamics_arguments(scenario)
+        rho0 = pair_start(scenario)
         assert isinstance(rho0, Ket)  # the pair_symmetric start
-        values, _, _ = dynamics._series(rho0, spec, rates, grid, basis)
+        # the command's exact eigenbasis start is U+ rho0 U up to its rounding
+        np.testing.assert_allclose(start, eigenbasis_start(spec, rho0), rtol=0, atol=1e-14)
+        values, _, _ = dynamics._series(eigenbasis_start(spec, rho0), spec, rates, grid, basis)
         observables = bare_observables(spec, basis)
         stack = reference_evolve(rho0, None, rates, grid, spectrum=spec)
         expected = np.array([reference_expectation(stack, ops) for ops in observables]).T
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dynamics._series(start, spec, rates, grid, basis)[0],
+                                   expected, rtol=0, atol=1e-13)
         np.testing.assert_allclose(expectation_series(rho0, spec, rates, grid, observables),
                                    expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("start", ["pair_symmetric", "bare", "random"])
     def test_dropped_coherences_stay_within_the_bound(self, start, monkeypatch):
-        rho0, spec, rates, grid, basis = dynamics_arguments("fig3")
+        _, spec, rates, grid, basis = dynamics_arguments("fig3")
+        rho0 = pair_start("fig3")
         d = spec.dim
         if start == "bare":
             rho0 = bare_state(spec.layout, "gge", 0)
@@ -920,9 +927,11 @@ class TestExpectationSeries:
             rho0 /= np.trace(rho0).real
         u = spec.states
         basis = np.array(basis)
+        # the rounding of U+ rho0 U leaves small coherences for the rule to drop
+        rho0_eig = eigenbasis_start(spec, rho0)
 
         # the same stream with nothing but the zero coherences dropped
-        times, every, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None)
+        times, every, _, stream = dynamics._eigenbasis_stream(rho0_eig, spec, rates, grid, None)
         ii, jj = np.divmod(every, d)
         undropped = np.array([diagonal @ np.diagonal(basis, axis1=1, axis2=2).T
                               + coh @ basis[:, jj, ii].T for diagonal, coh in stream]).real
@@ -937,7 +946,8 @@ class TestExpectationSeries:
             return times, keep, dropped_weight, steps
 
         monkeypatch.setattr(dynamics, "_eigenbasis_stream", spy)
-        values, kept_count, dropped_weight = dynamics._series(rho0, spec, rates, grid, basis)
+        values, kept_count, dropped_weight = dynamics._series(rho0_eig, spec, rates, grid,
+                                                              basis)
         # the observables' bound that the series passes covers each of them
         np.testing.assert_allclose(seen["reach"], np.abs(basis).max(axis=0), rtol=1e-12, atol=0)
 
@@ -977,15 +987,18 @@ class TestExpectationSeries:
         # the stream kept the flat indices a d + b and b d + a of the pair's
         # coherences (branches 3, 4 at d = 64; 7, 8 at d = 128) when it raised
         # every multiplier to the n-th power, and keeps them now
-        rho0, spec, rates, grid, basis = dynamics_arguments(scenario)
-        a, b = sorted(np.flatnonzero(np.abs(spec.states.T @ rho0.amp) > 0.5).tolist())
+        start, spec, rates, grid, basis = dynamics_arguments(scenario)
+        a, b = sorted(np.flatnonzero(np.diagonal(start) > 0.25).tolist())
         assert pair_coherences == [a * spec.dim + b, b * spec.dim + a]
         reach = np.abs(np.array(basis)).max(axis=0)
-        _, keep, dropped_weight, _ = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None,
-                                                                 reach)
-        assert keep.tolist() == pair_coherences
-        assert 0.0 <= dropped_weight <= 1e-15
-        assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach)
+        # the command's exact start has no other live coherence to drop; the
+        # rounding noise of U+ rho0 U on the bare start is dropped
+        for rho0, most in ((start, 0.0), (eigenbasis_start(spec, pair_start(scenario)), 1e-15)):
+            _, keep, dropped_weight, _ = dynamics._eigenbasis_stream(rho0, spec, rates, grid,
+                                                                     None, reach)
+            assert keep.tolist() == pair_coherences
+            assert 0.0 <= dropped_weight <= most
+            assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach)
 
     def test_a_random_start_keeps_the_full_powers(self):
         # a dense start keeps many coherences, each with its own multiplier
@@ -1040,17 +1053,41 @@ def test_real_frame_matches_the_complex_frame(scenario):
                                              ("pair_antisymmetric", 1)])
 def test_pair_start_is_the_superposition_state(initial, member):
     # the command forms its start from the frame columns of its lowering
-    # operators; it must be the vector superposition_states gives
+    # operators; U times the column must be the vector superposition_states
+    # gives, and the start its eigenbasis projector
     cfg = get_preset("fig3")
     cfg = dict(cfg, dynamics=dict(cfg["dynamics"], initial=initial, observables=[]))
+    calls, frames = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_series", lambda *args: calls.append(args) or
+                      dynamics._series(*args))
+        patch.setattr(cli, "_pair_columns",
+                      lambda rep: frames.append(_pair_columns(rep)) or frames[-1])
+        cli.cmd_dynamics(cfg, build_system(cfg))
+    (rho0, spec, *_), = calls
+    rep = _search(find_anticrossing, build_system(cfg), cfg["anticross"])
+    column = frames[0][rep.bare_pair[member]]
+    np.testing.assert_array_equal(spec.states @ column, superposition_states(rep)[member].amp)
+    np.testing.assert_array_equal(rho0, np.outer(column, column.conj()))
+
+
+def test_bare_start_is_the_bare_state_in_the_eigenbasis():
+    # ["bare", levels, photons] starts in U+ e_b, row b of U conjugated: the
+    # command writes what expectation_series gives for the bare state and
+    # the bare observables U O~ U+
+    cfg = get_preset("fig3")
+    cfg = dict(cfg, dynamics=dict(cfg["dynamics"], initial=["bare", "gge", 0]))
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_series", lambda *args: calls.append(args) or
                       dynamics._series(*args))
-        cli.cmd_dynamics(cfg, build_system(cfg))
-    (rho0, *_), = calls
-    rep = _search(find_anticrossing, build_system(cfg), cfg["anticross"])
-    np.testing.assert_array_equal(rho0.amp, superposition_states(rep)[member].amp)
+        files, _ = cli.cmd_dynamics(cfg, build_system(cfg))
+    (_, spec, rates, grid, basis), = calls
+    written = np.loadtxt(io.BytesIO(files["dynamics.csv"]), delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(written[:, 0], grid)
+    expected = expectation_series(bare_state(spec.layout, "gge", 0), spec, rates, grid,
+                                  bare_observables(spec, basis))
+    np.testing.assert_allclose(written[:, 1:], expected, rtol=0, atol=1e-13)
 
 
 @functools.cache
@@ -1071,6 +1108,21 @@ def dynamics_arguments(scenario):
         cli.cmd_dynamics(cfg, build_system(cfg))
     (args,) = calls
     return args
+
+
+@functools.cache
+def pair_start(scenario):
+    """The bare-basis Ket of a bundled scenario's pair_symmetric start."""
+    cfg = get_preset(scenario)
+    return superposition_states(_search(find_anticrossing, build_system(cfg),
+                                        cfg["anticross"]))[0]
+
+
+def eigenbasis_start(spec, rho0):
+    """U+ rho0 U of a bare start (Ket, vector or matrix), as evolve and
+    expectation_series form it."""
+    u = spec.states
+    return u.conj().T @ dynamics._coerce_rho(rho0, spec.dim) @ u
 
 
 def bare_observables(spec, basis):

@@ -622,11 +622,11 @@ def test_search_grows_a_short_count_to_the_full_solve_report(monkeypatch, scenar
     built = []
 
     class Short(spectrum._Solver):
-        def __init__(self, mat, count=None, first=0):
+        def __init__(self, mat, count=None, first=0, scratch=None):
             if count is not None:  # the range solvers, not the first evaluation's eigh
                 count, first = (count, first) if built else (2, 0)
                 built.append(count)
-            super().__init__(mat, count, first)
+            super().__init__(mat, count, first, scratch)
 
     monkeypatch.setattr(spectrum, "_Solver", Short)
     grown = search(cfg, block)
@@ -710,14 +710,17 @@ def test_a_search_that_misses_a_branch_falls_back_to_the_full_solve_report(
     # the range misses the upper branch (4 on fig1b, 8 on fig4), so the point
     # is solved again from the ground state to the range's end, which misses
     # it too, and then for twice as many pairs, which holds it: the search
-    # ends where a full solve's does, bit for bit, in as many evaluations
+    # ends where a full solve's does, bit for bit, in as many evaluations.
+    # Each solver that replaces another checks Hermiticity in the first
+    # one's scratch; the closing diagonalize allocates its own
     preset = get_preset(scenario)
     cfg, block = build_system(preset), preset["anticross"]
-    built = []
+    built, scratches = [], []
 
     class Shifted(spectrum._Solver):
-        def __init__(self, mat, count=None, first=0):
-            super().__init__(mat, count, max(first - 1, 0))
+        def __init__(self, mat, count=None, first=0, scratch=None):
+            super().__init__(mat, count, max(first - 1, 0), scratch)
+            scratches.append(self._scratch)
             if count is not None:  # the range solvers, not the first evaluation's eigh
                 built.append((self.first, self.first + self.count - 1))
 
@@ -725,6 +728,10 @@ def test_a_search_that_misses_a_branch_falls_back_to_the_full_solve_report(
     fallen = search(cfg, block)
     assert built == ranges
     assert fallen.solved_pairs == ranges[-1]
+    first, *replacements, closing = scratches
+    assert len(replacements) == len(ranges)
+    assert all(scratch is first for scratch in replacements)
+    assert closing is not first
     monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
     full = search(cfg, block)
     assert fallen == full
