@@ -265,6 +265,8 @@ def _value_errors(cfg: dict, system: SystemConfig) -> list[str]:
         qubits = {"excitation": [obs.get("qubit")], "correlation": obs.get("qubits")}
         for q in qubits.get(obs["kind"], []):
             check(f"dynamics.observables[{j}]", layout.qubit_index, q)
+        if obs["kind"] == "photon":  # |g...g, 1>, which needs a cutoff of at least 2
+            check(f"dynamics.observables[{j}]", layout.bare_index, "g" * layout.qubit_count, 1)
     return errors
 
 
@@ -485,11 +487,12 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     ``sweep.eigensolver``, ``"dsyevr"`` or ``"eigh"``).  An ``anticross`` or
     ``dynamics`` manifest records how its search solved its evaluations
     (``search.eigensolver``; ``search.solved_pairs``, the range [first, last]
-    of eigen indices that :func:`find_anticrossing` solved for, the pair's
-    two branches unless a pick needed more; and ``search.unseen_weight_max``,
-    the largest pair weight left in the unsolved eigenvectors, the margin of
-    its branch picks), and a ``perturb`` coupling sweep the same of each of
-    its searches, in ``searches``.  A ``dynamics`` manifest also records
+    of eigen indices that :func:`find_anticrossing` solved its last
+    evaluation for, the pair's two branches unless that pick needed every
+    eigenpair; and ``search.unseen_weight_max``, the largest pair weight
+    left in the unsolved eigenvectors, the margin of its branch picks), and
+    a ``perturb`` coupling sweep the same of each of its searches, in
+    ``searches``.  A ``dynamics`` manifest also records
     ``coherences_kept``, the number of eigenbasis coherences the propagation
     carried, and ``dropped_weight``, the summed bound of the ones it dropped
     (at most 1e-15), which no data file holds.

@@ -335,6 +335,8 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
         raise ConfigError("empty time grid")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ConfigError("time grid must be strictly increasing")
+    if not np.all(np.isfinite(times)):
+        raise ConfigError("time grid must be finite")
 
     gain = np.zeros((dim, dim))
     for name, r in rates.items():
@@ -373,7 +375,11 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     for p, dt in enumerate(intervals, start=1):
         if dt in maps:
             continue
-        n = max(1, int(math.ceil(dt / h_max))) if math.isfinite(h_max) else 1
+        steps = dt / h_max  # 0 for an unbounded step
+        if steps == math.inf:
+            raise ConfigError(f"interval {dt:.6g} before t = {times[p]:.6g} needs more RK4 "
+                              f"steps of at most {h_max:.3g} than a float can count")
+        n = max(1, math.ceil(steps))
         h = dt / n
         g_1 = _rk4_scalar(h * coherence_rate)
         with np.errstate(over="ignore"):  # an overflow to inf raises below
@@ -450,7 +456,9 @@ def evolve(
     lossless.
 
     The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
-    ``max_step`` replaces that rule with an explicit bound.  A coherence
+    ``max_step`` replaces that rule with an explicit bound.  A time grid that
+    is not strictly increasing or not finite, or an interval that needs more
+    steps than a float can count, raises :class:`ConfigError`.  A coherence
     multiplier above 1 + 1e-7 over any grid interval, on a coherence
     rho~0_ij != 0 of the initial state in the eigenbasis, trace drift beyond
     1e-7, or a population below -1e-7 raises :class:`StepSizeError`; so a

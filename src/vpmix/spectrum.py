@@ -23,15 +23,16 @@ real Hamiltonian, so the dynamics' dressed products on them run in real
 arithmetic; a complex Hamiltonian gives complex128 ones.
 
 Every eigensolve goes through one checked solver, :class:`_Solver`, which
-reuses the arrays it owns.  Each thread of a sweep, and each search,
-assembles every grid point into its solver's buffer and reads labels,
-energies and branch weights straight off the real eigenvectors, so a grid
-point allocates no d x d array.  Both read only a few eigenpairs, and
-LAPACK's ``dsyevr`` solves for just those: a sweep for the lowest ones, up
-to the levels it reports, a search for its pair's two branches.  A sweep's
-rows therefore match :func:`diagonalize` to rounding rather than bit for
-bit (see :func:`sweep_levels`).  :func:`diagonalize` solves with ``eigh``:
-the dynamics need every eigenvector of the search's final spectrum.
+reuses the arrays it owns and takes the eigenpair range per call.  Each
+thread of a sweep, and each search, keeps one solver, assembles every grid
+point into its buffer and reads labels, energies and branch weights
+straight off the real eigenvectors, so a grid point allocates no d x d
+array.  Both read only a few eigenpairs, and LAPACK's ``dsyevr`` solves for
+just those: a sweep for the lowest ones, up to the levels it reports, a
+search for its pair's two branches.  A sweep's rows therefore match
+:func:`diagonalize` to rounding rather than bit for bit (see
+:func:`sweep_levels`).  :func:`diagonalize` solves with ``eigh``: the
+dynamics need every eigenvector of the search's final spectrum.
 """
 
 from __future__ import annotations
@@ -217,76 +218,80 @@ def _nonconvergence(err, flag):
 
 class _Solver:
     """Checked eigensolves of ``mat``, the matrix it is built on, into arrays
-    it owns.  A call checks that ``mat`` is Hermitian and finite (a NaN or an
-    infinity raises :class:`HermiticityError`; the solver's scratch holds
-    |H - H+|), solves it and returns the energies, less the first one solved,
-    and the raw eigenvectors as columns: views that the next call overwrites.
+    it owns.  A call ``solver(first=0, count=None)`` checks that ``mat`` is
+    Hermitian and finite (a NaN or an infinity raises
+    :class:`HermiticityError`), solves it and returns the energies, less the
+    first one solved, and the raw eigenvectors as columns: views that the
+    next call overwrites.  The eigenvectors are written into the scratch that
+    held |H - H+|, which the check no longer needs, so a solver owns one
+    d x d array.
 
-    Given ``count``, and where :func:`_dsyevr` is found, LAPACK's ``dsyevr``
-    (MRRR, RANGE='I') solves the real symmetric ``mat`` for the ``count``
+    Given ``count``, and where ``mat`` is real and :func:`_dsyevr` is found,
+    LAPACK's ``dsyevr`` (MRRR, RANGE='I') solves it for the ``count``
     eigenpairs from eigen index ``first`` up, in ascending order of energy
     from 0, and overwrites it.  Fortran reads the C-ordered ``mat``
-    transposed, so UPLO='U' reads the triangle that ``eigh`` reads.  One
-    workspace query sizes the work arrays and the ctypes arguments are built
-    once, so a solve allocates no array.  Otherwise the gufunc behind
+    transposed, so UPLO='U' reads the triangle that ``eigh`` reads.  Its
+    workspace does not depend on the range, so one query sizes the work
+    arrays, the ctypes arguments are built once and a call only resets
+    IL and IU: a solve allocates no array.  Otherwise the gufunc behind
     ``numpy.linalg.eigh``, the one that takes ``out``, solves for every
     eigenpair, with that function's error handling.  Reused outputs free no
     d x d array per point, which in some heap layouts left a block above
     glibc's trim threshold at the heap top, returned to the OS and faulted
     back in (9,900 minor faults a warm 200-point sweep instead of 130).
-    ``name`` (``"dsyevr"`` or ``"eigh"``), ``first`` and ``count`` record the solve.
-    ``scratch``, a solver's ``_scratch`` for the same ``mat``, is reused
-    rather than allocated again.
+    ``name`` (``"dsyevr"`` or ``"eigh"``), ``first`` and ``count`` record the
+    last solve.  Before the first, ``name`` is the eigensolver that a range
+    would take, and ``first`` and ``count`` are not set.
     """
 
-    def __init__(self, mat: np.ndarray, count: int | None = None, first: int = 0,
-                 scratch: np.ndarray | None = None):
+    def __init__(self, mat: np.ndarray):
         d = len(mat)
-        self.mat, self._scratch = mat, np.empty_like(mat) if scratch is None else scratch
-        dsyevr = None if count is None else _dsyevr()
-        if dsyevr is None:
-            self.name, self.first, self.count = "eigh", 0, d
-            self._solution = np.empty(d), np.empty_like(mat)
+        self.mat, self._scratch, self._energies = mat, np.empty_like(mat), np.empty(d)
+        self._dsyevr = None if np.iscomplexobj(mat) else _dsyevr()
+        self.name = "eigh" if self._dsyevr is None else "dsyevr"  # until the first solve
+        if self._dsyevr is None:
             return
-        self.name, self.first, self.count, self._dsyevr = "dsyevr", first, count, dsyevr
-        w, z = np.empty(d), np.empty((count, d))
-        self._solution = w[:count], z.T
         self._m, self._info = ctypes.c_int64(), ctypes.c_int64()
-        n, il, iu = ctypes.c_int64(d), ctypes.c_int64(first + 1), ctypes.c_int64(first + count)
+        self._il, self._iu, n = ctypes.c_int64(1), ctypes.c_int64(1), ctypes.c_int64(d)
         lwork, liwork, zero = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_double(0.0)
         # A, W, Z, ISUPPZ, WORK, IWORK; the query's one-element work arrays
         # are replaced by full ones below
-        arrays = [mat, w, z, np.empty(2 * count, dtype=np.int64), np.empty(1),
-                  np.empty(1, dtype=np.int64)]
+        arrays = [mat, self._energies, self._scratch, np.empty(2 * d, dtype=np.int64),
+                  np.empty(1), np.empty(1, dtype=np.int64)]
 
         def arguments() -> tuple:
             a, w, z, isuppz, work, iwork = (array.ctypes.data for array in arrays)
             n_, zero_ = ctypes.byref(n), ctypes.byref(zero)
-            return (b"V", b"I", b"U", n_, a, n_, zero_, zero_, ctypes.byref(il),
-                    ctypes.byref(iu), zero_, ctypes.byref(self._m), w, z, n_, isuppz, work,
-                    ctypes.byref(lwork), iwork, ctypes.byref(liwork), ctypes.byref(self._info),
-                    1, 1, 1)
+            return (b"V", b"I", b"U", n_, a, n_, zero_, zero_, ctypes.byref(self._il),
+                    ctypes.byref(self._iu), zero_, ctypes.byref(self._m), w, z, n_, isuppz,
+                    work, ctypes.byref(lwork), iwork, ctypes.byref(liwork),
+                    ctypes.byref(self._info), 1, 1, 1)
 
-        dsyevr(*arguments())  # workspace query: the sizes land in work[0], iwork[0]
+        self._dsyevr(*arguments())  # workspace query: the sizes land in work[0], iwork[0]
         if self._info.value != 0:
             raise LinAlgError("Eigenvalues did not converge")
         lwork.value, liwork.value = int(arrays[4][0]), int(arrays[5][0])
         arrays[4:] = np.empty(lwork.value), np.empty(liwork.value, dtype=np.int64)
         self._arrays, self._arguments = arrays, arguments()  # the arrays outlive the pointers
 
-    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        mat = self.mat
+    def __call__(self, first: int = 0, count: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        mat, d = self.mat, len(self.mat)
         _check_hermitian(mat, _HERMITICITY_TOL, HermiticityError, "matrix", self._scratch)
-        if self.name == "dsyevr":
+        if count is not None and self._dsyevr is not None:
+            self.name, self.first, self.count = "dsyevr", first, count
+            self._il.value, self._iu.value = first + 1, first + count
             self._dsyevr(*self._arguments)
-            if self._info.value != 0 or self._m.value != self.count:
+            if self._info.value != 0 or self._m.value != count:
                 raise LinAlgError("Eigenvalues did not converge")
-            energies, states = self._solution
+            # Z, d x count in Fortran order, fills the scratch's first count rows
+            energies, states = self._energies[:count], self._scratch[:count].T
         else:
+            self.name, self.first, self.count = "eigh", 0, d
             with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
                              divide="ignore", under="ignore"):
                 energies, states = _umath_linalg.eigh_lo(
-                    mat, out=self._solution,
+                    mat, out=(self._energies, self._scratch),
                     signature="D->dD" if np.iscomplexobj(mat) else "d->dd")
         energies -= energies[0]
         return energies, states
@@ -380,7 +385,8 @@ class SweepResult:
     ``energies[p, m]`` is the (m+1)-th excited ground-offset energy at grid
     point p; ``labels``/``overlaps`` give each level's dominant bare index and
     weight.  ``workers`` threads evaluated the grid, with OpenBLAS held at one
-    thread if ``blas_pinned``.
+    thread if ``blas_pinned``, and ``eigensolver`` solved the points
+    (:func:`sweep_levels`).
     """
 
     parameter: str
@@ -444,10 +450,10 @@ def sweep_levels(
     sel = slice(1, level_count + 1)
 
     def evaluate(lo: int, hi: int) -> None:
-        solver = solvers.pop()
+        solver = next(pool)
         for p in range(lo, hi):
             assemble(set_parameter(config, parameter, grid_arr[p]), solver.mat)
-            e, states = solver()
+            e, states = solver(0, level_count + 1)
             dominant, _, norm = _dominant(states[:, sel])
             energies[p], labels[p], overlaps[p] = e[sel], dominant, norm * norm
 
@@ -455,12 +461,12 @@ def sweep_levels(
         workers = max(1, min(_available_cores(), grid_arr.size)) if pinned else 1
         # every thread's arrays exist before any thread starts, so the peak
         # memory of a sweep does not depend on how its threads overlap
-        solvers = [_Solver(_buffer(config), level_count + 1) for _ in range(workers)]
-        eigensolver = solvers[0].name
+        solvers = [_Solver(_buffer(config)) for _ in range(workers)]
+        pool = iter(solvers)  # each thread takes its own
         _in_chunks(evaluate, grid_arr.size, workers)
     return SweepResult(parameter=parameter, grid=grid_arr, energies=energies, labels=labels,
                        overlaps=overlaps, layout=config.layout, workers=workers,
-                       blas_pinned=pinned, eigensolver=eigensolver)
+                       blas_pinned=pinned, eigensolver=solvers[0].name)
 
 
 def _in_chunks(evaluate, points: int, workers: int) -> None:
@@ -497,11 +503,11 @@ class AnticrossingReport:
     antisymmetric combinations (|u> +- |v>)/sqrt(2) of the nominated pair.
     All are read from ``spectrum``, the model diagonalized at ``location``.
     ``evaluations`` counts the gap evaluations and the final diagonalization;
-    the evaluations after the first solved for the eigenpairs of the eigen
-    index range ``solved_pairs`` = (first, last), both included, with
-    ``eigensolver``: ``"dsyevr"``, or ``"eigh"`` (for all of them) where
-    numpy's LAPACK lacks it.  ``unseen_weight_max`` is the largest pair weight
-    that an evaluation's unsolved eigenvectors held between them, r of
+    the last evaluation solved for the eigenpairs of the eigen index range
+    ``solved_pairs`` = (first, last), both included, with ``eigensolver``:
+    ``"dsyevr"``, or ``"eigh"`` (for all of them) where numpy's LAPACK lacks
+    it.  ``unseen_weight_max`` is the largest pair weight that an
+    evaluation's unsolved eigenvectors held between them, r of
     :func:`_pair_branches`: the margin by which each branch pick was proven,
     rounding noise where every eigenpair was solved.  None of the three
     changes the result, so none takes part in comparisons.
@@ -602,61 +608,50 @@ def find_anticrossing(
     there, and the refinement would never end.  The last evaluation builds the
     model at the minimum and diagonalizes it for the report's ``spectrum``.
 
-    An evaluation reads only the pair's two branches, so it solves only for
-    them, with LAPACK's ``dsyevr``.  The first evaluation's solver solves for
-    every eigenpair, with ``eigh``, and fixes the range from the lower
-    branch's eigen index a to the upper one's, b; a :class:`_Solver` for that
-    range replaces it.  :func:`_pair_branches` proves each pick from the
-    eigenpairs a..b by completeness: the unsolved eigenvectors hold too
-    little of the pair's weight to displace a branch or to fail its
-    thresholds.  Where they might, a solver for the lowest b + 1 eigenpairs
-    replaces it and solves the point again, and then one for twice as many
-    each time, up to d.  Each solver that replaces another takes over its
-    Hermiticity scratch.  Only a pick that fails with every eigenpair solved
-    raises :class:`BranchTrackingError`.  Every proven pick is the one a full solve
+    An evaluation reads only the pair's two branches, so one :class:`_Solver`
+    solves each evaluation for the branch range a..b, from the lower branch's
+    eigen index to the upper one's, that the evaluation before it found,
+    with LAPACK's ``dsyevr``; the first evaluation solves every eigenpair,
+    with ``eigh``.  :func:`_pair_branches` proves each pick from the solved
+    eigenpairs by completeness: the unsolved eigenvectors hold too little of
+    the pair's weight to displace a branch or to fail its thresholds.  Where
+    they might, the point is solved again in full, and that solve fixes the
+    range anew.  Only a pick that fails with every eigenpair solved raises
+    :class:`BranchTrackingError`.  Every proven pick is the one a full solve
     makes, so the gaps, and with them the golden-section steps, agree with a
-    full solve's to rounding.  Where numpy's LAPACK lacks ``dsyevr``, ``eigh``
-    solves every evaluation in full.  The report records the last solver's
-    name and range, and the largest unsolved pair weight.
+    full solve's to rounding.  Where numpy's LAPACK lacks ``dsyevr``,
+    ``eigh`` solves every evaluation in full.  The report records the last
+    solve's eigensolver and range, and the largest unsolved pair weight.
     """
     assemble, u, v, lo, hi = _search_inputs(config, parameter, bracket, bare_pair, model, tol)
-    mat, dim = _buffer(config), config.layout.dim
-    solver = _Solver(mat)  # every eigenpair, for the first evaluation
-    evaluations, unseen_max = 0, -math.inf
+    solver, dim = _Solver(_buffer(config)), config.layout.dim
+    pairs, evaluations, unseen_max = (), 0, -math.inf  # every pair at first
 
-    def branches(x: float) -> tuple[float, int, int, float]:
+    def branches(x: float, *pairs: int) -> tuple[float, int, int, float]:
         """The gap of the pair's branches at x, their eigen indices and the
-        pair weight of the unsolved eigenvectors.  Its views of the solver's
-        arrays end with it, so they can be freed."""
+        pair weight of the unsolved eigenvectors, from a solve of ``pairs``,
+        (first, count) or none for all.  Its views of the solver's arrays end
+        with it."""
         # raw real eigenvectors: the sign gauge of diagonalize changes no weight
-        assemble(set_parameter(config, parameter, x), mat)
-        energies, states = solver()
-        first = solver.first
-        a, b, unseen = _pair_branches(states, u, v, first)
-        return float(energies[b - first] - energies[a - first]), a, b, unseen
+        assemble(set_parameter(config, parameter, x), solver.mat)
+        energies, states = solver(*pairs)
+        a, b, unseen = _pair_branches(states, u, v, solver.first)
+        return float(energies[b - solver.first] - energies[a - solver.first]), a, b, unseen
 
     def gap_at(x: float) -> float:
-        nonlocal evaluations, unseen_max, solver
+        nonlocal pairs, evaluations, unseen_max
         evaluations += 1
-        while True:
-            first, count = solver.first, solver.count
-            try:
-                gap, a, b, unseen = branches(x)
-            except BranchTrackingError:
-                if count == dim:
-                    raise
-            else:
-                unseen_max = max(unseen_max, unseen)
-                if evaluations == 1:
-                    # the rest is freed first: a search holds one solver's arrays at a time
-                    scratch, solver = solver._scratch, None
-                    solver = _Solver(mat, b - a + 1, a, scratch)
-                return gap
+        try:
+            gap, a, b, unseen = branches(x, *pairs)
+        except BranchTrackingError:
+            if solver.count == dim:
+                raise
             # the solved pairs leave the pick unproven; dsyevr overwrote the
-            # matrix, so the point is assembled again, solved from the ground
-            # state up to the range's end, then for twice as many pairs
-            scratch, solver = solver._scratch, None
-            solver = _Solver(mat, first + count if first else min(2 * count, dim), 0, scratch)
+            # matrix, so the point is assembled again and solved in full
+            gap, a, b, unseen = branches(x)
+        unseen_max = max(unseen_max, unseen)
+        pairs = a, b - a + 1
+        return gap
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0

@@ -320,11 +320,11 @@ def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch,
     calls, solving = [], []
     solve, eigh = spectrum._Solver.__call__, _umath_linalg.eigh_lo
 
-    def counted_solve(solver):
+    def counted_solve(solver, *args):
         calls.append(1)
         solving.append(1)
         try:
-            return solve(solver)
+            return solve(solver, *args)
         finally:
             solving.pop()
 
@@ -341,6 +341,20 @@ def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch,
     calls.clear()
     assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "dynamics")]) == 0
     assert len(calls) == report["evaluations"]
+
+
+def test_a_photon_observable_needs_a_photon_level(tmp_path, capsys, monkeypatch):
+    # fig3 observes |ggg, 1>, which a cutoff of 1 does not hold: validate
+    # names the observable, and dynamics stops on it before any solve
+    cfg = write_config(tmp_path, "cfg.json", {"scenario": "fig3", "system": {"fock_cutoff": 1}})
+    message = "dynamics.observables[3]: photon number 1 outside 0..0"
+    assert main(["validate", "--config", cfg]) == 0
+    assert f"error: {message}" in capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(spectrum._Solver, "__call__", lambda *args: pytest.fail("solved"))
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"configuration error: {message}"
+    assert not out.exists()
 
 
 def test_cutoff_override_is_validated_as_the_system_it_runs(tmp_path, capsys):

@@ -750,6 +750,12 @@ def rejected_runs():
         # and its quadrature |0><1| + h.c. reached 6.6e25 unchecked
         (StepSizeError, {}, np.linspace(0.0, 100.0, 11), 10.0, "coherence multiplier",
          plus, [quadrature], spec),
+        # appended cases go last so the earlier cases keep their positions:
+        # an infinite time passes the increasing check, and an interval can
+        # need more steps of the default bound than a float counts
+        (ConfigError, {}, [0.0, math.inf], None, "finite"),
+        (ConfigError, {}, [-math.inf, 0.0], 1.0, "finite"),
+        (ConfigError, {}, [0.0, 1e308], None, "RK4 steps"),
     ]
 
 
@@ -837,6 +843,10 @@ class TestExpectationSeries:
             "trace drift nan exceeds 1.0e-07 at t = 2000; retry with a smaller max_step",
             "coherence multiplier 3.997e+02 exceeds 1 + 1.0e-07 at t = 10; retry with a "
             "smaller max_step",
+            "time grid must be finite",
+            "time grid must be finite",
+            "interval 1e+308 before t = 1e+308 needs more RK4 steps of at most 0.00333 than a "
+            "float can count",
         ]
         lay = HilbertLayout(1, 2)
         spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))

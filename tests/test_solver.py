@@ -78,8 +78,9 @@ def reference_lowest(mat, scratch, out):
 
 def reference(mat, count, first):
     """The earlier solve of ``mat`` for the range, as a sweep or a search
-    ran it: dsyevr's where it is found and a range is asked, else eigh's."""
-    dsyevr = None if count is None else spectrum._dsyevr()
+    ran it: dsyevr's where it is found and a range of a real matrix is
+    asked, else eigh's."""
+    dsyevr = None if count is None or np.iscomplexobj(mat) else spectrum._dsyevr()
     if dsyevr is None:
         return reference_eigh(mat, np.empty_like(mat), (np.empty(len(mat)), np.empty_like(mat)))
     return reference_lowest(mat, np.empty_like(mat), ReferenceLowestPairs(dsyevr, mat, count,
@@ -119,12 +120,13 @@ def failing_eigh(mat, out, signature):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 24), complex_=st.booleans(),
        data=st.data())
 def test_solver_matches_the_earlier_solves(ranged, hidden, fault, seed, dim, complex_, data):
-    # real symmetric matrices with a random range, solved by dsyevr or, with
-    # it hidden, eigh; complex Hermitian ones on the eigh path
-    subset = ranged and not hidden and spectrum._dsyevr() is not None
+    # real symmetric or complex Hermitian matrices, each solved three times
+    # by one solver, for a random range each time or for every pair: dsyevr
+    # solves a range of a real matrix where it is found, eigh everything else
+    subset = ranged and not hidden and not complex_ and spectrum._dsyevr() is not None
     rng = np.random.default_rng(seed)
     mat = rng.normal(size=(dim, dim))
-    if complex_ and not subset:
+    if complex_:
         mat = mat + 1j * rng.normal(size=(dim, dim))
     mat = mat + mat.conj().T
     if fault == "asymmetric":
@@ -132,10 +134,6 @@ def test_solver_matches_the_earlier_solves(ranged, hidden, fault, seed, dim, com
     elif fault in ("nan", "inf"):
         i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
         mat[i, j] = mat[j, i] = math.nan if fault == "nan" else -math.inf
-    count = first = None
-    if ranged:
-        count = data.draw(st.integers(1, dim))
-        first = data.draw(st.integers(0, dim - count))
     with pytest.MonkeyPatch.context() as patch:
         if fault == "lapack" and subset:
             failing = failing_dsyevr()
@@ -144,13 +142,20 @@ def test_solver_matches_the_earlier_solves(ranged, hidden, fault, seed, dim, com
             patch.setattr(_umath_linalg, "eigh_lo", failing_eigh)
         if hidden:
             patch.setattr(spectrum, "_dsyevr", lambda: None)
-        expected = outcome(reference, mat.copy(), count, first)
-        solver = _Solver(mat.copy(), *(() if count is None else (count, first)))
-        assert (solver.name, solver.first, solver.count) == (
-            ("dsyevr", first, count) if subset else ("eigh", 0, dim))
-        found = outcome(solver)
-    assert found == expected
-    if fault is None:
-        assert len(found[0]) == 8 * solver.count
-    else:
-        assert found[0] in (HermiticityError, LinAlgError)
+        solver = _Solver(mat.copy())
+        for _ in range(3):
+            count = first = None
+            if ranged:
+                count = data.draw(st.integers(1, dim))
+                first = data.draw(st.integers(0, dim - count))
+            expected = outcome(reference, mat.copy(), count, first)
+            solver.mat[...] = mat  # dsyevr overwrites it
+            found = outcome(solver, *(() if count is None else (first, count)))
+            assert found == expected
+            if fault is None:
+                assert len(found[0]) == 8 * solver.count
+            else:
+                assert found[0] in (HermiticityError, LinAlgError)
+            if fault in (None, "lapack"):  # the matrix passed its check and was solved
+                assert (solver.name, solver.first, solver.count) == (
+                    ("dsyevr", first, count) if subset else ("eigh", 0, dim))

@@ -354,11 +354,10 @@ def assert_row_matches_diagonalize(sweep, p, spec):
 
 def test_sweep_allocates_no_per_point_arrays(monkeypatch):
     # d = 128.  Each thread of a sweep holds its assembly buffer, the
-    # Hermiticity check's scratch and the solver's outputs and work arrays:
-    # dsyevr's for the lowest 6 eigenpairs (0.45 of a d x d array), or, where
-    # it is missing, eigh's eigenvectors.  All are reused at every point; one
-    # more d x d array kept per point, or a grid-sized stack, breaks one of
-    # the bounds.
+    # Hermiticity check's scratch, which then takes the eigenvectors, and the
+    # solver's energies and, where dsyevr is found, its work arrays (0.38 of a
+    # d x d array).  All are reused at every point; one more d x d array kept
+    # per point, or a grid-sized stack, breaks one of the bounds.
     cfg = build_system(get_preset("fig4"))
     mat_bytes = cfg.layout.dim ** 2 * 8
     assert cfg.layout.dim == 128
@@ -383,19 +382,19 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
         assert workers == forced
         assert many - few < mat_bytes
         assert many < 4.5 * forced * mat_bytes
-        # three reused arrays a thread with eigh (3.2 measured); a fresh
-        # eigenvector array per point, allocated while the previous one lives,
-        # makes four.  With dsyevr two and its small arrays (2.5 measured); a
-        # d x d eigenvector array kept beside them makes 3.5.
-        assert many < (3.0 if subset else 3.5) * forced * mat_bytes
+        # two reused arrays a thread: 2.2 measured with eigh, 2.5 with
+        # dsyevr's small arrays.  A d x d eigenvector array kept beside the
+        # scratch makes 3.2 or 3.5, and a fresh one per point, allocated
+        # while the previous one lives, more.
+        assert many < 3.0 * forced * mat_bytes
 
     # A temporary freed within its stage does not raise the sweep's peak, so
     # each stage is bounded on its own: assembly writes only into its buffer,
-    # an eigh solver allocates only its outputs beside its scratch, and a
-    # solve into them allocates no d x d array at all.  A sweep's solver,
-    # with its assembly buffer, holds two d x d arrays and dsyevr's small
-    # ones, and its query runs on the assembly buffer; the subset solve
-    # allocates nothing more.
+    # a solver allocates only its small outputs beside its scratch, and an
+    # eigh solve, which writes its eigenvectors into the scratch, allocates
+    # no d x d array at all.  A sweep's solver, with its assembly buffer,
+    # holds two d x d arrays and dsyevr's small ones, and its query runs on
+    # the assembly buffer; the subset solve allocates nothing more.
     mat = np.empty((128, 128))
     tracemalloc.start()
     try:
@@ -411,11 +410,11 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
         solve_into = tracemalloc.get_traced_memory()[1] - before
         del solver
         tracemalloc.reset_peak()
-        solver = _Solver(_buffer(cfg), 6)
+        solver = _Solver(_buffer(cfg))
         held, setup = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         _assemble_dicke(cfg, solver.mat)
-        solver()
+        solver(0, 6)
         subset_solve = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -428,14 +427,14 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
 
 
 def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
-    # d = 128.  The search loop holds one solver, as each thread of a sweep
-    # does: the assembly buffer, the Hermiticity check's scratch and the
-    # solver's outputs, reused at every evaluation.  The first evaluation's
-    # solver has eigh write every eigenpair; it is freed before the dsyevr
-    # solver for the pair's two eigenpairs (indices 7..8) is built on the
-    # same buffer.  The last evaluation builds and diagonalizes the model
-    # afresh for the report, so the measured span ends where the search asks
-    # for the builder.
+    # d = 128.  The search holds one solver, as each thread of a sweep does:
+    # the assembly buffer, the Hermiticity check's scratch, which takes the
+    # eigenvectors, and the solver's small outputs, reused at every
+    # evaluation.  The first evaluation has eigh write every eigenpair, the
+    # later ones dsyevr the pair's two (indices 7..8), both into the same
+    # scratch.  The last evaluation builds and diagonalizes the model afresh
+    # for the report, so the measured span ends where the search asks for
+    # the builder.
     preset = get_preset("fig4")
     cfg, block = build_system(preset), preset["anticross"]
     mat_bytes = cfg.layout.dim ** 2 * 8
@@ -462,12 +461,10 @@ def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
     (few, n_few), (many, n_many) = peak(1e-3), peak(1e-7)
     assert n_many > n_few + 10
     assert many - few < mat_bytes
-    # three arrays at the first evaluation (3.08 measured, with and without
-    # dsyevr); fresh eigh outputs at each evaluation, allocated while the
-    # solver's are held, make four, and so does a d x d eigenvector array
-    # for dsyevr, kept beside eigh's outputs or beside the 2 x d one that it
-    # solves the branch pairs 7..8 into
-    assert many < 3.25 * mat_bytes
+    # two arrays and dsyevr's small ones (2.45 measured; 2.09 without
+    # dsyevr).  A d x d eigenvector output beside the scratch makes three
+    # (3.08 measured with one), and fresh eigh outputs at each evaluation more
+    assert many < 2.75 * mat_bytes
 
 
 def blas_threads() -> int:
@@ -609,36 +606,6 @@ def test_search_without_dsyevr_reports_the_same_bits(monkeypatch, cfg, block):
         assert 0.1 < subset.unseen_weight_max < 0.3
 
 
-@needs_dsyevr
-@pytest.mark.parametrize("scenario, counts", [("fig1b", [2, 4, 8]), ("fig4", [2, 4, 8, 16])])
-def test_search_grows_a_short_count_to_the_full_solve_report(monkeypatch, scenario, counts):
-    # the branch range is replaced by the lowest 2 pairs, below the upper
-    # branch (4 on fig1b, 8 on fig4): the unsolved eigenvectors then may hold
-    # a branch, so the point is solved again with the count doubled until the
-    # pick is proven, and the search ends where a full solve's does, in as
-    # many evaluations
-    preset = get_preset(scenario)
-    cfg, block = build_system(preset), preset["anticross"]
-    built = []
-
-    class Short(spectrum._Solver):
-        def __init__(self, mat, count=None, first=0, scratch=None):
-            if count is not None:  # the range solvers, not the first evaluation's eigh
-                count, first = (count, first) if built else (2, 0)
-                built.append(count)
-            super().__init__(mat, count, first, scratch)
-
-    monkeypatch.setattr(spectrum, "_Solver", Short)
-    grown = search(cfg, block)
-    assert built == counts
-    assert grown.solved_pairs == (0, counts[-1] - 1)
-    monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
-    full = search(cfg, block)
-    assert grown == full
-    assert grown.location.hex() == full.location.hex()
-    assert grown.splitting.hex() == full.splitting.hex()
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 0.8), dim=st.integers(3, 10))
 def test_a_pick_proven_from_the_lowest_columns_is_the_full_pick(seed, noise, dim):
@@ -702,42 +669,87 @@ def test_pair_branches_names_an_unsolved_range():
         _pair_branches(states[:, 1:3], 0, 1, 1)
 
 
-@needs_dsyevr
-@pytest.mark.parametrize("scenario, ranges", [("fig1b", [(2, 3), (0, 3), (0, 7)]),
-                                              ("fig4", [(6, 7), (0, 7), (0, 15)])])
-def test_a_search_that_misses_a_branch_falls_back_to_the_full_solve_report(
-        monkeypatch, scenario, ranges):
-    # the range misses the upper branch (4 on fig1b, 8 on fig4), so the point
-    # is solved again from the ground state to the range's end, which misses
-    # it too, and then for twice as many pairs, which holds it: the search
-    # ends where a full solve's does, bit for bit, in as many evaluations.
-    # Each solver that replaces another checks Hermiticity in the first
-    # one's scratch; the closing diagonalize allocates its own
-    preset = get_preset(scenario)
-    cfg, block = build_system(preset), preset["anticross"]
-    built, scratches = [], []
+@pytest.mark.parametrize("cfg, block", search_cases())
+def test_a_search_keeps_one_solver(monkeypatch, cfg, block):
+    # one solver for every evaluation, and one more in the closing diagonalize
+    init, built = _Solver.__init__, []
 
-    class Shifted(spectrum._Solver):
-        def __init__(self, mat, count=None, first=0, scratch=None):
-            super().__init__(mat, count, max(first - 1, 0), scratch)
-            scratches.append(self._scratch)
-            if count is not None:  # the range solvers, not the first evaluation's eigh
-                built.append((self.first, self.first + self.count - 1))
+    def counted(solver, mat, *args):
+        built.append(mat.shape)
+        init(solver, mat, *args)
 
-    monkeypatch.setattr(spectrum, "_Solver", Shifted)
-    fallen = search(cfg, block)
-    assert built == ranges
-    assert fallen.solved_pairs == ranges[-1]
-    first, *replacements, closing = scratches
-    assert len(replacements) == len(ranges)
-    assert all(scratch is first for scratch in replacements)
-    assert closing is not first
+    monkeypatch.setattr(_Solver, "__init__", counted)
+    search(cfg, block)
+    assert built == [(cfg.layout.dim,) * 2] * 2
+
+
+def _search_with_second_range(monkeypatch, cfg, block, move):
+    """Search with the second evaluation's range replaced by ``move(first,
+    count)``; return the report and every solve's (name, first, count)."""
+    solve, solves = _Solver.__call__, []
+
+    def moved(solver, first=0, count=None):
+        if count is not None and len(solves) == 1:
+            first, count = move(first, count)
+        try:
+            return solve(solver, first, count)
+        finally:
+            solves.append((solver.name, solver.first, solver.count))
+
+    monkeypatch.setattr(_Solver, "__call__", moved)
+    report = search(cfg, block)
+    monkeypatch.undo()
+    return report, solves
+
+
+def _assert_full_solve_report(monkeypatch, cfg, block, report):
     monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
     full = search(cfg, block)
-    assert fallen == full
-    assert fallen.location.hex() == full.location.hex()
-    assert fallen.splitting.hex() == full.splitting.hex()
-    assert fallen.evaluations == full.evaluations
+    assert report == full
+    assert report.location.hex() == full.location.hex()
+    assert report.splitting.hex() == full.splitting.hex()
+    assert report.evaluations == full.evaluations
+
+
+@needs_dsyevr
+@pytest.mark.parametrize("scenario, ranges", [("fig1b", [(2, 3), (3, 4)]),
+                                              ("fig4", [(6, 7), (7, 8)])])
+def test_a_search_that_misses_a_branch_falls_back_to_the_full_solve_report(
+        monkeypatch, scenario, ranges):
+    # the second evaluation's range is moved down one pair, so it misses the
+    # upper branch (4 on fig1b, 8 on fig4): the point is solved again in
+    # full, each later evaluation solves the branch pair that solve found,
+    # and the search ends where a full solve's does, bit for bit, in as many
+    # evaluations
+    preset = get_preset(scenario)
+    cfg, block = build_system(preset), preset["anticross"]
+    missed, solves = _search_with_second_range(
+        monkeypatch, cfg, block, lambda first, count: (first - 1, count))
+    (a, b), every = missed.branch_indices, ("eigh", 0, cfg.layout.dim)
+    assert [(first, first + count - 1) for name, first, count in solves
+            if name == "dsyevr"][:2] == ranges
+    # the closing diagonalize solves every pair too
+    assert solves == [every, ("dsyevr", a - 1, 2), every] + [("dsyevr", a, 2)] * (
+        missed.evaluations - 3) + [every]
+    assert (b - a, missed.eigensolver, missed.solved_pairs) == (1, "dsyevr", (a, b))
+    _assert_full_solve_report(monkeypatch, cfg, block, missed)
+
+
+@needs_dsyevr
+@pytest.mark.parametrize("scenario, counts", [("fig1b", [2, 64]), ("fig4", [2, 128])])
+def test_search_grows_a_short_count_to_the_full_solve_report(monkeypatch, scenario, counts):
+    # the second evaluation's range is replaced by the lowest 2 pairs, below
+    # the upper branch (4 on fig1b, 8 on fig4): the unsolved eigenvectors
+    # then may hold a branch, so the point is solved again for every pair,
+    # and the search ends where a full solve's does, in as many evaluations
+    preset = get_preset(scenario)
+    cfg, block = build_system(preset), preset["anticross"]
+    grown, solves = _search_with_second_range(
+        monkeypatch, cfg, block, lambda first, count: (0, 2))
+    assert [count for _, _, count in solves[1:3]] == counts
+    assert solves[1:3] == [("dsyevr", 0, 2), ("eigh", 0, cfg.layout.dim)]
+    assert grown.solved_pairs == grown.branch_indices
+    _assert_full_solve_report(monkeypatch, cfg, block, grown)
 
 
 @needs_dsyevr
@@ -776,11 +788,11 @@ def test_pooled_sweep_raises_a_point_error_and_restores_blas(monkeypatch, failin
                              np.empty((cfg.layout.dim,) * 2))
     solve, threads_seen = _Solver.__call__, []
 
-    def failing_solve(solver):
+    def failing_solve(solver, *args):
         threads_seen.append(blas_threads())
         if np.array_equal(solver.mat, target):
             raise NumericalError(f"planted at point {failing}")
-        return solve(solver)
+        return solve(solver, *args)
 
     monkeypatch.setattr(_Solver, "__call__", failing_solve)
     before = blas_threads()
@@ -802,9 +814,11 @@ def test_blas_count_is_restored_after_each_solver(monkeypatch):
 
     solve = _Solver.__call__
 
-    def spied(solver):
-        seen.append((solver.name, blas_threads()))
-        return solve(solver)
+    def spied(solver, *args):
+        try:
+            return solve(solver, *args)
+        finally:  # the solve records its eigensolver's name
+            seen.append((solver.name, blas_threads()))
 
     monkeypatch.setattr(_Solver, "__call__", spied)
     try:
@@ -904,10 +918,12 @@ def test_warm_sweep_and_search_reuse_their_heap():
     # returned to the OS and faulted back in: 19,800 minor faults on the sweep
     # and 2,700 on the search when the previous eigenvectors were freed before
     # the next eigh, and 9,900 and 1,500 in some heap layouts even when they
-    # were kept until it returned, against at most 140 and 270 with reused
+    # were kept until it returned, against at most 140 and 330 with reused
     # outputs over every layout tried.  The probe runs with the caller's
     # environment, whose size moves the heap layout: the extra variables that
-    # pytest sets were enough to turn it.
+    # pytest sets were enough to turn it.  Below the bounds the counts take a
+    # few levels, one or two d x d arrays apart (about 1 or 97 on the sweep,
+    # 232 or 296 on the search), and the environment's size alone picks one.
     env = dict(os.environ, PYTHONPATH=str(Path(vpmix.__file__).resolve().parents[1]))
     probe = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True,
                            text=True, timeout=300, check=True)
