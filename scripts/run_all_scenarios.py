@@ -6,12 +6,14 @@ one-line config ``<scenario>.json`` it ran from, and prints a one-line summary
 for each run.  Useful as a smoke test and to regenerate the full set of
 CSV/JSON artifacts in one go.
 
-With ``--compare DIR`` it then checks every data file of the run (manifests
-excluded) against the file at the same path under DIR, an earlier run's root.
-For each file it prints ``identical``, ``missing`` (from either tree), the
-largest absolute difference over the numeric CSV cells and JSON number
-leaves, or ``differs`` when text or structure differ.  It exits 1 if any file
-differs or is missing.
+With ``--compare DIR`` it then checks every data file of the run against the
+file at the same path under DIR, an earlier run's root, and every
+``manifest.json`` too, less its ``wall_time_s``: the records of the sweeps,
+searches and dynamics it holds are compared, and so are the checksums of the
+outputs.  For each file it prints ``identical``, ``missing`` (from either
+tree), the largest absolute difference over the numeric CSV cells and JSON
+number leaves, or ``differs`` when text or structure differ.  It exits 1 if
+any file differs or is missing.
 """
 
 import argparse
@@ -57,10 +59,14 @@ def run(root: Path) -> int:
 
 
 def _parse(path: Path):
-    """A JSON data file as its values, a CSV file as rows of floats and strings."""
+    """A JSON file as its values, a manifest without its wall time, and a CSV
+    file as rows of floats and strings."""
     text = path.read_text()
     if path.suffix == ".json":
-        return json.loads(text)
+        values = json.loads(text)
+        if path.name == "manifest.json":
+            values.pop("wall_time_s", None)
+        return values
     return [[_cell(cell) for cell in row] for row in csv.reader(io.StringIO(text))]
 
 
@@ -97,18 +103,18 @@ def _max_gap(a, b) -> float | None:
 
 
 def compare(root: Path, reference: Path) -> int:
-    """Print how each data file under ``root`` or ``reference`` compares with
-    its counterpart in the other tree; return the number that differ or are
-    missing from either."""
+    """Print how each data file and manifest under ``root`` or ``reference``
+    compares with its counterpart in the other tree; return the number that
+    differ or are missing from either."""
     names = sorted({path.relative_to(tree).as_posix() for tree in (root, reference)
-                    for path in tree.glob("*/*")
-                    if path.is_file() and path.name != "manifest.json"})
+                    for path in tree.glob("*/*") if path.is_file()})
     mismatches = 0
     for name in names:
         path, other = root / name, reference / name
         if not (path.is_file() and other.is_file()):
             verdict = "missing"
-        elif path.read_bytes() == other.read_bytes():
+        elif path.read_bytes() == other.read_bytes() or (
+                path.name == "manifest.json" and _parse(path) == _parse(other)):
             verdict = "identical"
         else:
             gap = _max_gap(_parse(path), _parse(other))
@@ -131,10 +137,11 @@ def main() -> int:
         print("all scenarios completed")
     mismatches = compare(Path(args.root), Path(args.compare)) if args.compare else 0
     if mismatches:
-        print(f"{mismatches} data file(s) differ from {args.compare} or miss on one side",
+        print(f"{mismatches} file(s) differ from {args.compare} or miss on one side",
               file=sys.stderr)
     elif args.compare:
-        print(f"every data file matches {args.compare} byte for byte")
+        print(f"every data file matches {args.compare} byte for byte, "
+              "and every manifest but for its wall time")
     return 1 if failures or mismatches else 0
 
 

@@ -275,14 +275,20 @@ def _hermiticity_defect(mat: np.ndarray, scratch: np.ndarray | None = None) -> f
     return float(np.max(np.abs(scratch, out=scratch)).real)
 
 
+def _check_finite(values: np.ndarray, error: type[Exception], what: str) -> None:
+    """Raise ``error`` naming ``what`` if ``values`` holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise error(f"{what} has a non-finite entry")
+
+
 def _check_hermitian(mat: np.ndarray, tol: float, error: type[Exception], what: str,
                     scratch: np.ndarray | None = None) -> None:
     """Raise ``error`` naming ``what`` if ``mat`` holds a NaN or an infinity,
     or if its :func:`_hermiticity_defect` exceeds ``tol``.  The finite case
     allocates nothing given ``scratch``."""
     defect = _hermiticity_defect(mat, scratch)
-    if not math.isfinite(defect) and not np.isfinite(mat).all():
-        raise error(f"{what} has a non-finite entry")
+    if not math.isfinite(defect):
+        _check_finite(mat, error, what)
     if not defect <= tol:
         raise error(f"{what} is not Hermitian (max deviation {defect:.3e} > {tol:.1e})")
 

@@ -14,10 +14,12 @@ conserving terms lam_i (a sigma_+^(i) + a+ sigma_-^(i)) and ignores theta.
 Every term of both models is real.  Their diagonals and nonzero entries are
 built once per :class:`HilbertLayout` and cached, and each Hamiltonian is a
 few scaled sums of them: a real float64 :class:`Operator`, with no tensor
-products or matrix products per call.  One private assembler per model writes
-that sum into a caller-owned buffer; the public builders hand it a fresh one,
-while the sweeps and searches of :mod:`vpmix.spectrum` reuse one buffer for
-every grid point.
+products or matrix products per call.  One private assembler writes either
+model's sum into a caller-owned buffer, and the public builders hand it a
+fresh one.  The sweeps and searches of :mod:`vpmix.spectrum` assemble once
+per call, into a :class:`_Pencil` of the swept field, which writes every
+grid point into a reused buffer from the entries the field does not move
+and the ones it does, bit for bit the assembler's matrix there.
 
 Effective qubit-only Hamiltonians describe the resonant mixing processes that
 the full model generates at fourth order: a two-qubit excitation swap, a
@@ -29,7 +31,7 @@ cascade, resonance omega_4 = omega_1+omega_2+omega_3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -43,13 +45,14 @@ from .algebra import (
     SIGMA_Z,
     HilbertLayout,
     Operator,
+    _check_finite,
     _ladder,
     _lift,
     _require_finite,
     cavity_number,
     embed_qubit_op,
 )
-from .errors import ConfigError
+from .errors import ConfigError, HermiticityError
 
 __all__ = [
     "QubitParams",
@@ -178,59 +181,53 @@ def _buffer(config: SystemConfig) -> np.ndarray:
     return np.empty((dim, dim))
 
 
-def _bare_diagonal(config: SystemConfig, terms: _LayoutTerms) -> np.ndarray:
-    diag = np.zeros(config.layout.dim)
-    for q, sz in zip(config.qubits, terms.sigma_z):
+def _bare_diagonal(qubits: tuple[QubitParams, ...], omega_c: float,
+                   terms: _LayoutTerms) -> np.ndarray:
+    diag = np.zeros(len(terms.number))
+    for q, sz in zip(qubits, terms.sigma_z):
         diag += 0.5 * q.omega * sz
-    diag += config.omega_c * terms.number
+    diag += omega_c * terms.number
     return diag
 
 
-def _dicke_coupling(config: SystemConfig, terms: _LayoutTerms, out: np.ndarray) -> np.ndarray:
-    longitudinal = np.zeros(config.layout.dim)
-    for q, sz in zip(config.qubits, terms.sigma_z):
+def _couplings(model: str, qubits: tuple[QubitParams, ...], terms: _LayoutTerms) -> list:
+    """(term, factor, reader) of each off-diagonal term of the ``model``
+    coupling, in the order they are written: the term's entries times
+    ``factor``, one number or one per entry, are its entries in H.
+    ``reader`` is the list index of the qubit whose fields the factor reads,
+    or None where it reads every qubit's."""
+    if model == "tc":
+        return [(term, q.lam, k) for k, (q, term) in enumerate(zip(qubits, terms.exchange))]
+    longitudinal = np.zeros(len(terms.number))
+    for q, sz in zip(qubits, terms.sigma_z):
         longitudinal += q.lam * math.sin(q.theta) * sz
-    out.fill(0.0)
-    flat = out.reshape(-1)
     x = terms.quadrature
-    flat[x.flat] = x.value * longitudinal[x.flat % config.layout.dim]
-    for q, x_sx in zip(config.qubits, terms.x_sigma_x):
-        flat[x_sx.flat] = x_sx.value * (q.lam * math.cos(q.theta))
-    return out
+    return [(x, longitudinal[x.flat % len(longitudinal)], None)] + [
+        (x_sx, q.lam * math.cos(q.theta), k)
+        for k, (q, x_sx) in enumerate(zip(qubits, terms.x_sigma_x))]
 
 
-def _tc_coupling(config: SystemConfig, terms: _LayoutTerms, out: np.ndarray) -> np.ndarray:
+def _write_coupling(couplings: list, out: np.ndarray) -> np.ndarray:
     out.fill(0.0)
     flat = out.reshape(-1)
-    for q, term in zip(config.qubits, terms.exchange):
-        flat[term.flat] = term.value * q.lam
+    for term, factor, _ in couplings:
+        flat[term.flat] = term.value * factor
     return out
 
 
-def _add_bare(config: SystemConfig, terms: _LayoutTerms, coupling: np.ndarray) -> np.ndarray:
-    """Add the bare diagonal to ``coupling`` in place, bit for bit the full sum
-    bare + coupling: adding +0.0 turns each -0.0 entry into +0.0, as adding
-    the bare term's zero off-diagonal did."""
-    coupling += 0.0
-    coupling.reshape(-1)[:: coupling.shape[0] + 1] += _bare_diagonal(config, terms)
-    return coupling
-
-
-def _assemble_dicke(config: SystemConfig, out: np.ndarray) -> np.ndarray:
-    """Write the generalized Dicke Hamiltonian of ``config`` into ``out``.
+def _assemble(model: str, config: SystemConfig, out: np.ndarray) -> np.ndarray:
+    """Write the ``model`` Hamiltonian of ``config`` into ``out``.
 
     ``out`` is a caller-owned C-ordered d x d float64 array, and every entry
-    is rewritten.  Returns ``out``.  Sweeps and searches call this with the
-    same buffer at every grid point.
+    is rewritten.  Returns ``out``.  The result is bit for bit the full sum
+    bare + coupling: adding +0.0 turns each -0.0 entry into +0.0, as adding
+    the bare term's zero off-diagonal did.
     """
     terms = _layout_terms(config.layout)
-    return _add_bare(config, terms, _dicke_coupling(config, terms, out))
-
-
-def _assemble_tc(config: SystemConfig, out: np.ndarray) -> np.ndarray:
-    """Tavis-Cummings counterpart of :func:`_assemble_dicke`."""
-    terms = _layout_terms(config.layout)
-    return _add_bare(config, terms, _tc_coupling(config, terms, out))
+    _write_coupling(_couplings(model, config.qubits, terms), out)
+    out += 0.0
+    out.reshape(-1)[:: len(out) + 1] += _bare_diagonal(config.qubits, config.omega_c, terms)
+    return out
 
 
 def bare_hamiltonian(config: SystemConfig) -> Operator:
@@ -239,35 +236,34 @@ def bare_hamiltonian(config: SystemConfig) -> Operator:
     Diagonal in the bare product basis; its diagonal supplies the unperturbed
     energies used by the path enumerator.
     """
-    return Operator(np.diag(_bare_diagonal(config, _layout_terms(config.layout))),
-                    config.layout)
+    terms = _layout_terms(config.layout)
+    return Operator(np.diag(_bare_diagonal(config.qubits, config.omega_c, terms)), config.layout)
 
 
 def dicke_interaction(config: SystemConfig) -> Operator:
     """Coupling term (a + a+) sum_i lam_i (cos(theta_i) sigma_x + sin(theta_i) sigma_z)."""
-    coupling = _dicke_coupling(config, _layout_terms(config.layout), _buffer(config))
-    return Operator(coupling, config.layout)
+    couplings = _couplings("dicke", config.qubits, _layout_terms(config.layout))
+    return Operator(_write_coupling(couplings, _buffer(config)), config.layout)
 
 
 def tavis_cummings_interaction(config: SystemConfig) -> Operator:
     """Excitation-conserving coupling sum_i lam_i (a sigma_+^(i) + a+ sigma_-^(i))."""
-    coupling = _tc_coupling(config, _layout_terms(config.layout), _buffer(config))
-    return Operator(coupling, config.layout)
+    couplings = _couplings("tc", config.qubits, _layout_terms(config.layout))
+    return Operator(_write_coupling(couplings, _buffer(config)), config.layout)
 
 
 def build_generalized_dicke(config: SystemConfig) -> Operator:
     """Full Hamiltonian including counter-rotating and longitudinal terms."""
-    return Operator(_assemble_dicke(config, _buffer(config)), config.layout)
+    return Operator(_assemble("dicke", config, _buffer(config)), config.layout)
 
 
 def build_tavis_cummings(config: SystemConfig) -> Operator:
     """Rotating-wave Hamiltonian; commutes with the total excitation number."""
-    return Operator(_assemble_tc(config, _buffer(config)), config.layout)
+    return Operator(_assemble("tc", config, _buffer(config)), config.layout)
 
 
-# Builder and in-place assembler of each model, by name.
+# Builder of each model, by name.
 MODEL_BUILDERS = {"dicke": build_generalized_dicke, "tc": build_tavis_cummings}
-_ASSEMBLERS = {"dicke": _assemble_dicke, "tc": _assemble_tc}
 # Parameters no term of a model reads: the decay rates enter only the
 # dissipators, and the Tavis-Cummings coupling ignores theta.
 _UNREAD = {"dicke": ("kappa", "gamma"), "tc": ("kappa", "gamma", "theta")}
@@ -280,6 +276,106 @@ def _check_model(model: str, field: str | None = None) -> str:
     if field in _UNREAD[model]:
         raise ConfigError(f"the {model} Hamiltonian does not depend on {field}")
     return model
+
+
+def _mirrored(term: _Sparse, dim: int) -> bool:
+    """Whether the d x d ``term`` equals its transpose, entry for entry (a
+    NaN counts as equal to a NaN)."""
+    rows, cols = np.divmod(term.flat, dim)
+    mirror = cols * dim + rows
+    at = np.minimum(np.searchsorted(term.flat, mirror), term.flat.size - 1)
+    return (np.array_equal(term.flat[at], mirror)
+            and np.array_equal(term.value[at], term.value, equal_nan=True))
+
+
+def _symmetric(terms: _LayoutTerms, dim: int) -> bool:
+    """Whether every matrix assembled from ``terms`` is exactly symmetric,
+    whatever the parameters, wherever it is finite: each off-diagonal term
+    equals its transpose, and each sigma_z^(i) is the same at both ends of
+    every entry of X, so that X sigma_z^(i) does too.  Finiteness is
+    checked apart."""
+    rows, cols = np.divmod(terms.quadrature.flat, dim)
+    return (all(_mirrored(term, dim)
+                for term in (terms.quadrature, *terms.x_sigma_x, *terms.exchange))
+            and all(np.array_equal(sz[rows], sz[cols], equal_nan=True) for sz in terms.sigma_z))
+
+
+class _Pencil:
+    """H(x), the ``model`` Hamiltonian of ``config`` with one field set to x,
+    written into caller-owned d x d buffers one point after another.
+
+    ``field`` is ``(k, name)``: the field ``name`` of the qubit of list index
+    k, or of the config where k is None, one that the model reads.  Built on
+    ``out``, the pencil assembles its base, the model at ``config`` itself,
+    there, and keeps the base's nonzero entries that x does not move: all but
+    the diagonal for a frequency, all but the terms whose factor reads qubit
+    k for ``lam`` or ``theta``.  It keeps them as one :class:`_Sparse`, 1,036
+    entries for fig4 at d = 128, not as a dense copy.  :meth:`write` fills a
+    buffer from them and writes the moved entries, computed by the model's
+    own expressions in its order, so H(x) is the same bits that
+    :func:`_assemble` writes for the config with the field set to x.
+
+    Where the layout's terms are exactly symmetric (:func:`_symmetric`), as
+    :func:`_layout_terms` builds them, so is every H(x), and it is
+    Hermitian and finite exactly when its entries are finite.  Then
+    ``checked`` is True: ``check()``, called once on ``out`` holding the
+    base, checks the kept entries, and :meth:`write` checks the entries it
+    moves, so no H(x) needs a check of its own.  Otherwise ``checked`` is
+    False, the base is not checked, and each H(x) needs the full check.
+    """
+
+    def __init__(self, config: SystemConfig, field: tuple[int | None, str], model: str,
+                 out: np.ndarray, check):
+        self._config, (self._k, self._name), self._model = config, field, model
+        self._terms = terms = _layout_terms(config.layout)
+        dim, flat = config.layout.dim, out.reshape(-1)
+        _assemble(model, config, out)
+        self.checked = _symmetric(terms, dim)
+        if self.checked:
+            check()
+        # the moved entries: the diagonal for a frequency, else the coupling
+        # terms (indices into _couplings) whose factor reads qubit k
+        couplings = _couplings(model, config.qubits, terms)
+        self._moved = [] if self._name in ("omega", "omega_c") else [
+            i for i, (_, _, reader) in enumerate(couplings) if reader in (None, self._k)]
+        if not self._moved:
+            flat[:: dim + 1] = 0.0
+        for i in self._moved:
+            flat[couplings[i][0].flat] = 0.0
+        kept = np.flatnonzero(flat)
+        self._kept = _Sparse(kept, flat[kept])
+
+    def _at(self, x: float) -> tuple[tuple[QubitParams, ...], float]:
+        """The qubits and the cavity frequency with the field set to x, which
+        the rule of the field's owner, a QubitParams or the config, checks."""
+        k, name, config = self._k, self._name, self._config
+        if k is None:
+            owner = replace(config, **{name: x})
+            return owner.qubits, owner.omega_c
+        qubits = config.qubits
+        return qubits[:k] + (replace(qubits[k], **{name: x}),) + qubits[k + 1:], config.omega_c
+
+    def write(self, x: float, out: np.ndarray) -> np.ndarray:
+        """Write H(x) into ``out`` and return it.  An x that the field's owner
+        rejects raises its :class:`ConfigError`, and a moved entry that is
+        not finite raises the solver check's :class:`HermiticityError`."""
+        qubits, omega_c = self._at(x)
+        out.fill(0.0)
+        flat = out.reshape(-1)
+        flat[self._kept.flat] = self._kept.value
+        if not self._moved:
+            diag = _bare_diagonal(qubits, omega_c, self._terms)
+            _check_finite(diag, HermiticityError, "matrix")
+            flat[:: len(out) + 1] += diag
+            return out
+        couplings = _couplings(self._model, qubits, self._terms)
+        for i in self._moved:
+            term, factor, _ = couplings[i]
+            entries = term.value * factor
+            entries += 0.0  # -0.0 to +0.0, as in _assemble
+            _check_finite(entries, HermiticityError, "matrix")
+            flat[term.flat] = entries
+        return out
 
 
 def total_excitation_number(layout: HilbertLayout) -> Operator:

@@ -37,7 +37,14 @@ from vpmix.algebra import (
     HilbertLayout,
     embed_qubit_op,
 )
-from vpmix.model import _assemble_dicke, _assemble_tc, _layout_terms, bare_hamiltonian
+from vpmix.model import (
+    _Pencil,
+    _assemble,
+    _buffer,
+    _layout_terms,
+    bare_hamiltonian,
+)
+from vpmix.spectrum import _parameter_field, _Solver, set_parameter
 
 PI6 = math.pi / 6
 
@@ -270,14 +277,14 @@ def summed_tc(config):
 
 def check_assembly(cfg):
     dim = cfg.layout.dim
-    for assemble, summed, public in (
-        (_assemble_dicke, summed_dicke, bare_hamiltonian(cfg) + dicke_interaction(cfg)),
-        (_assemble_tc, summed_tc, bare_hamiltonian(cfg) + tavis_cummings_interaction(cfg)),
+    for model, summed, public in (
+        ("dicke", summed_dicke, bare_hamiltonian(cfg) + dicke_interaction(cfg)),
+        ("tc", summed_tc, bare_hamiltonian(cfg) + tavis_cummings_interaction(cfg)),
     ):
         reference = summed(cfg)
         # a stale buffer, as a sweep hands it over: every entry is rewritten
         out = np.full((dim, dim), np.nan)
-        assert assemble(cfg, out) is out
+        assert _assemble(model, cfg, out) is out
         assert np.array_equal(out, reference)
         # bytes too, so the sign of every zero is kept
         assert out.tobytes() == reference.tobytes()
@@ -298,6 +305,52 @@ def check_assembly(cfg):
 )
 def test_in_place_assembly_matches_summed_terms(qubits, omega_c, cutoff):
     check_assembly(SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff))
+
+
+# Each swept field's values: lam = -0.0 passes QubitParams' check and makes
+# signed zeros, and theta over +-100 gives cos and sin each sign.
+FIELD_VALUES = {
+    "omega": st.floats(0.05, 3.0),
+    "omega_c": st.floats(0.05, 3.0),
+    "lam": st.sampled_from([0.0, -0.0]) | st.floats(0.0, 0.5),
+    "theta": st.floats(-100.0, 100.0),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    qubits=st.lists(
+        st.builds(QubitParams, omega=st.floats(0.05, 3.0), lam=FIELD_VALUES["lam"],
+                  theta=st.floats(-100.0, 100.0)),
+        min_size=1, max_size=4,
+    ),
+    omega_c=st.floats(0.05, 3.0),
+    cutoff=st.integers(1, 8),
+    model=st.sampled_from(["dicke", "tc"]),
+    data=st.data(),
+)
+def test_pencil_writes_the_assembled_bits(qubits, omega_c, cutoff, model, data):
+    # each point of a pencil is the model's assembly at set_parameter's
+    # config and the out-of-place sum of its terms, byte for byte, so the
+    # sign of every zero counts; also once a solve, dsyevr's where found,
+    # has overwritten the buffer
+    cfg = SystemConfig(tuple(qubits), omega_c=omega_c, fock_cutoff=cutoff)
+    fields = ("omega", "lam", "theta") if model == "dicke" else ("omega", "lam")
+    parameter = data.draw(st.sampled_from(
+        ["omega_c"] + [f"qubits[{k}].{field}" for k in range(len(qubits)) for field in fields]))
+    values = data.draw(st.lists(FIELD_VALUES[parameter.rsplit(".", 1)[-1]],
+                                min_size=1, max_size=4))
+    summed = {"dicke": summed_dicke, "tc": summed_tc}[model]
+    solver = _Solver(_buffer(cfg))
+    pencil = _Pencil(cfg, _parameter_field(cfg, parameter), model, solver.mat, solver.check)
+    assert pencil.checked
+    for x in values:
+        moved = set_parameter(cfg, parameter, x)
+        expected = _assemble(model, moved, _buffer(moved)).tobytes()
+        assert expected == summed(moved).tobytes()
+        assert pencil.write(x, solver.mat).tobytes() == expected
+        solver(0, min(2, cfg.layout.dim))
+        assert pencil.write(x, solver.mat).tobytes() == expected
 
 
 @pytest.mark.parametrize("lam, theta", [

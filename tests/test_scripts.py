@@ -1,7 +1,8 @@
-"""The data-file comparison of ``scripts/run_all_scenarios.py --compare`` and
-the counts of ``scripts/line_counts.py``."""
+"""The data-file and manifest comparison of ``scripts/run_all_scenarios.py
+--compare`` and the counts of ``scripts/line_counts.py``."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -38,11 +39,12 @@ def verdicts(capsys) -> dict:
 def test_compare_reports_identical_moved_and_missing_files(tmp_path, capsys):
     compare = scenario_script().compare
     run = write_tree(tmp_path / "run", 0.1, '{"wall_time_s": 1.0}')
-    # manifests hold wall times and never count
+    # a manifest is compared without its wall time
     same = write_tree(tmp_path / "same", 0.1, '{"wall_time_s": 2.0}')
     assert compare(run, same) == 0
     assert verdicts(capsys) == {"ecc-ecc/ecc_report.json": "identical",
-                                "fig2-perturb/coupling_sweep.csv": "identical"}
+                                "fig2-perturb/coupling_sweep.csv": "identical",
+                                "fig2-perturb/manifest.json": "identical"}
 
     moved = write_tree(tmp_path / "moved", 0.1 + 1e-16, '{"wall_time_s": 1.0}')
     assert compare(run, moved) == 1
@@ -70,7 +72,35 @@ def test_compare_reports_text_and_structure_changes(tmp_path, capsys):
     (other / "fig2-perturb" / "coupling_sweep.csv").write_text("lam,location\n0.05,0.1\n")
     assert compare(run, other) == 2
     assert verdicts(capsys) == {"ecc-ecc/ecc_report.json": "differs",
-                                "fig2-perturb/coupling_sweep.csv": "differs"}
+                                "fig2-perturb/coupling_sweep.csv": "differs",
+                                "fig2-perturb/manifest.json": "identical"}
+
+
+MANIFEST = ('{{"command": "perturb", "search": {{"eigensolver": "{solver}", '
+            '"solved_pairs": [3, 4], "unseen_weight_max": {unseen}}}, "wall_time_s": {wall}}}')
+
+
+def test_compare_checks_the_records_of_each_manifest(tmp_path, capsys):
+    # a manifest's records are compared as data, its wall time is not: a
+    # solver record that changes or moves is reported, a bare wall time
+    # change and a reformatted file are not
+    compare = scenario_script().compare
+    run = write_tree(tmp_path / "run", 0.1, MANIFEST.format(solver="dsyevr", unseen=0.25,
+                                                            wall=0.5))
+    cases = {
+        "rerun": (MANIFEST.format(solver="dsyevr", unseen=0.25, wall=0.7), "identical"),
+        "reformatted": (json.dumps(json.loads(MANIFEST.format(solver="dsyevr", unseen=0.25,
+                                                              wall=0.5)), indent=2),
+                        "identical"),
+        "solver": (MANIFEST.format(solver="eigh", unseen=0.25, wall=0.5), "differs"),
+        "moved": (MANIFEST.format(solver="dsyevr", unseen=0.25 + 2**-20, wall=0.5),
+                  f"max abs difference {2**-20:.3g}"),
+        "dropped": ('{"command": "perturb", "wall_time_s": 0.5}', "differs"),
+    }
+    for case, (manifest, verdict) in cases.items():
+        other = write_tree(tmp_path / case, 0.1, manifest)
+        assert compare(run, other) == (verdict != "identical")
+        assert verdicts(capsys)["fig2-perturb/manifest.json"] == verdict, case
 
 
 # 22 physical lines, 9 of them code: the import, def, the two lines of the

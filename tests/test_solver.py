@@ -10,6 +10,7 @@ the same messages.
 
 import ctypes
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,3 +160,19 @@ def test_solver_matches_the_earlier_solves(ranged, hidden, fault, seed, dim, com
             if fault in (None, "lapack"):  # the matrix passed its check and was solved
                 assert (solver.name, solver.first, solver.count) == (
                     ("dsyevr", first, count) if subset else ("eigh", 0, dim))
+
+
+@pytest.mark.parametrize("first, count", [(3, 2), (0, 0), (-1, 2)])
+@pytest.mark.parametrize("hidden", [False, True], ids=["dsyevr-found", "dsyevr-hidden"])
+def test_a_range_outside_the_matrix_is_refused_before_lapack(monkeypatch, capfd, hidden,
+                                                             first, count):
+    # LAPACK once took such a range: dsyevr's XERBLA printed its complaint to
+    # stdout and the solve failed as a non-convergence.  Now the call names
+    # the range and the matrix size, whichever eigensolver would have run.
+    if hidden:
+        monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
+    message = (f"eigenpair range first={first}, count={count} is not within the eigen "
+               "indices 0..3 of a matrix of d = 4")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _Solver(np.eye(4))(first, count)
+    assert capfd.readouterr() == ("", "")

@@ -31,7 +31,7 @@ from vpmix import (
     sweep_levels,
 )
 from vpmix.algebra import HilbertLayout, bare_state
-from vpmix.model import _assemble_dicke, _assemble_tc, _buffer
+from vpmix.model import _Pencil, _assemble, _buffer
 from vpmix.cli import build_system
 from vpmix.presets import SCENARIOS, get_preset
 from vpmix import spectrum
@@ -394,12 +394,16 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
     # eigh solve, which writes its eigenvectors into the scratch, allocates
     # no d x d array at all.  A sweep's solver, with its assembly buffer,
     # holds two d x d arrays and dsyevr's small ones, and its query runs on
-    # the assembly buffer; the subset solve allocates nothing more.
+    # the assembly buffer; the subset solve allocates nothing more.  The
+    # sweep's pencil assembles its base into that buffer and keeps the
+    # entries x does not move, 1,036 of 16 bytes each (0.13 of a d x d
+    # array; a dense copy of the base would be a whole one), and allocates
+    # little beside them; writing a point allocates only the new diagonal.
     mat = np.empty((128, 128))
     tracemalloc.start()
     try:
-        _assemble_dicke(cfg, mat)
-        _assemble_tc(cfg, mat)
+        _assemble("dicke", cfg, mat)
+        _assemble("tc", cfg, mat)
         assembly = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         solver = _Solver(mat)
@@ -413,9 +417,16 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
         solver = _Solver(_buffer(cfg))
         held, setup = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        _assemble_dicke(cfg, solver.mat)
+        _assemble("dicke", cfg, solver.mat)
         solver(0, 6)
         subset_solve = tracemalloc.get_traced_memory()[1] - held
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pencil = _Pencil(cfg, (0, "omega"), "dicke", solver.mat, solver.check)
+        kept, construction = (memory - before for memory in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        pencil.write(0.3, solver.mat)
+        write = tracemalloc.get_traced_memory()[1] - before - kept
     finally:
         tracemalloc.stop()
     assert assembly < mat_bytes / 8
@@ -424,6 +435,9 @@ def test_sweep_allocates_no_per_point_arrays(monkeypatch):
     assert held < (2.5 if subset else 3.1) * mat_bytes
     assert setup - held < mat_bytes / 8
     assert subset_solve < mat_bytes / 8
+    assert construction - kept < mat_bytes / 8
+    assert kept < mat_bytes / 4
+    assert write < mat_bytes / 8
 
 
 def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
@@ -784,8 +798,8 @@ def test_pooled_sweep_raises_a_point_error_and_restores_blas(monkeypatch, failin
     cfg = build_system(get_preset("fig1b"))
     monkeypatch.setattr(spectrum, "_available_cores", lambda: 3)
     grid = np.linspace(0.45, 0.55, 7)
-    target = _assemble_dicke(set_parameter(cfg, "qubits[2].omega", grid[failing]),
-                             np.empty((cfg.layout.dim,) * 2))
+    target = _assemble("dicke", set_parameter(cfg, "qubits[2].omega", grid[failing]),
+                       np.empty((cfg.layout.dim,) * 2))
     solve, threads_seen = _Solver.__call__, []
 
     def failing_solve(solver, *args):
@@ -803,6 +817,150 @@ def test_pooled_sweep_raises_a_point_error_and_restores_blas(monkeypatch, failin
     # chunks [0, 2), [2, 4) and [4, 7): each point but the one after the
     # failing point, in its chunk, was evaluated
     assert len(threads_seen) == 6
+
+
+def planted_terms(fault: str):
+    """vpmix.model._layout_terms with ``fault`` planted in the terms it
+    returns: "nan", a NaN at one entry of X and at its mirror;
+    "asymmetric" and "below-tolerance", one entry of X sigma_x^(1) moved
+    off its mirror by 1e-6 and by 1e-12."""
+    real = vpmix.model._layout_terms
+
+    def terms(layout):
+        found = real(layout)
+        if fault == "nan":
+            x = found.quadrature
+            row, col = divmod(int(x.flat[0]), layout.dim)
+            value = x.value.copy()
+            value[[0, int(np.searchsorted(x.flat, col * layout.dim + row))]] = math.nan
+            return found._replace(quadrature=x._replace(value=value))
+        x_sx = found.x_sigma_x[0]
+        value = x_sx.value.copy()
+        value[0] += 1e-6 if fault == "asymmetric" else 1e-12
+        return found._replace(x_sigma_x=(x_sx._replace(value=value),) + found.x_sigma_x[1:])
+
+    return terms
+
+
+class PerPointAssembly:
+    """The path the pencil replaced, standing in for spectrum._pencil: each
+    point is set_parameter's config assembled in full, and the solver checks
+    it before it solves."""
+
+    def __init__(self, config, field, model, solvers):
+        k, name = field
+        self.path = name if k is None else f"qubits[{k}].{name}"
+        self.config, self.model = config, model
+
+    def write(self, x, out):
+        return _assemble(self.model, set_parameter(self.config, self.path, x), out)
+
+
+FIG1B_GRID = np.linspace(0.45, 0.55, 7)
+FIG1B_BRACKET = tuple(get_preset("fig1b")["anticross"]["bracket"])
+# name: (fault planted in the terms, system changes, swept parameter, grid,
+# the start of the error's message or None, whether the pencil's base check
+# raises it before any solve), each on fig1b
+SWEEP_INPUTS = {
+    "nan": ("nan", {}, "qubits[2].omega", FIG1B_GRID, "matrix has a non-finite entry", True),
+    "asymmetric": ("asymmetric", {}, "qubits[2].omega", FIG1B_GRID,
+                   "matrix is not Hermitian (max deviation 1.126e-07 > 1.0e-09)", False),
+    # the swept lam scales the asymmetric term: each point has a defect of
+    # its own, not the base's
+    "asymmetric-moved": ("asymmetric", {}, "qubits[0].lam", [0.1, 0.2],
+                         "matrix is not Hermitian (max deviation 8.660e-08 > 1.0e-09)", False),
+    "below-tolerance": ("below-tolerance", {}, "qubits[2].omega", FIG1B_GRID, None, False),
+    "overflowing-base": (None, {"omega_c": 1e308}, "qubits[2].omega", FIG1B_GRID,
+                         "matrix has a non-finite entry", True),
+    "overflowing-diagonal": (None, {}, "omega_c", [1.4, 1.5, 1e308],
+                             "matrix has a non-finite entry", False),
+    "overflowing-coupling": (None, {}, "qubits[0].lam", [0.1, 0.2, 1e308],
+                             "matrix has a non-finite entry", False),
+    "nan-point": (None, {}, "qubits[2].omega", [math.nan],
+                  "qubit omega must be finite, got", False),
+    "infinite-point": (None, {}, "qubits[2].omega", [0.5, math.inf],
+                       "qubit omega must be finite, got", False),
+    "non-positive-point": (None, {}, "qubits[2].omega", np.linspace(0.5, -0.1, 7),
+                           "qubit frequency must be positive, got", False),
+}
+# name: as above with the search bracket in place of the grid
+SEARCH_INPUTS = {
+    **{name: SWEEP_INPUTS[name][:3] + (FIG1B_BRACKET,) + SWEEP_INPUTS[name][4:]
+       for name in ("nan", "asymmetric", "below-tolerance", "overflowing-base")},
+    "non-positive-golden-point": (None, {}, "qubits[2].omega", (-1.0, 0.5),
+                                  "qubit frequency must be positive, got -0.427", False),
+    # the bracket's lower end is no frequency, but no evaluation lands there
+    "non-positive-bracket-end": (None, {}, "qubits[2].omega", (-0.2, 1.2), None, False),
+}
+
+
+def assert_raises_as_the_per_point_path(monkeypatch, case, run):
+    """``run(cfg, parameter, span)`` on the faulty input ``case`` raises the
+    error, with the message, that the per-point path raises, or returns the
+    same result where neither raises."""
+    fault, changes, parameter, span, message, before_any_solve = case
+    if fault is not None:
+        monkeypatch.setattr(vpmix.model, "_layout_terms", planted_terms(fault))
+    cfg = replace(build_system(get_preset("fig1b")), **changes)
+
+    def outcome():
+        try:
+            result = run(cfg, parameter, span)
+        except (ConfigError, NumericalError) as err:
+            return type(err), str(err)
+        if isinstance(result, spectrum.SweepResult):
+            return "result", tuple(getattr(result, name).tobytes()
+                                   for name in ("energies", "labels", "overlaps"))
+        return "result", result
+
+    pencil, solve, calls = spectrum._pencil, _Solver.__call__, []
+    monkeypatch.setattr(spectrum, "_pencil", PerPointAssembly)
+    expected = outcome()
+    monkeypatch.setattr(spectrum, "_pencil", pencil)
+
+    def counted(solver, *args):
+        calls.append(args)
+        return solve(solver, *args)
+
+    monkeypatch.setattr(_Solver, "__call__", counted)
+    found = outcome()
+    assert found == expected
+    if message is None:
+        assert found[0] == "result"
+    else:
+        assert found[0] in (ConfigError, HermiticityError)
+        assert found[1].startswith(message)
+    if before_any_solve:
+        assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("hidden", [False, True], ids=["dsyevr-found", "dsyevr-hidden"])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", SWEEP_INPUTS)
+def test_a_sweep_raises_what_the_per_point_path_raised(monkeypatch, name, workers, hidden):
+    # the pencil checks its base once, and at each point the field's own
+    # rule and the finiteness of the entries it moves, where every point was
+    # assembled and checked in full: each input raises the same error, with
+    # the same message, or none
+    monkeypatch.setattr(spectrum, "_available_cores", lambda: workers)
+    if hidden:
+        monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
+    assert_raises_as_the_per_point_path(
+        monkeypatch, SWEEP_INPUTS[name],
+        lambda cfg, parameter, grid: sweep_levels(cfg, parameter, grid, 6))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("hidden", [False, True], ids=["dsyevr-found", "dsyevr-hidden"])
+@pytest.mark.parametrize("name", SEARCH_INPUTS)
+def test_a_search_raises_what_the_per_point_path_raised(monkeypatch, name, hidden):
+    if hidden:
+        monkeypatch.setattr(spectrum, "_dsyevr", lambda: None)
+    pair = get_preset("fig1b")["anticross"]["pair"]
+    assert_raises_as_the_per_point_path(
+        monkeypatch, SEARCH_INPUTS[name],
+        lambda cfg, parameter, bracket: find_anticrossing(cfg, parameter, bracket, pair))
 
 
 @needs_blas_control
