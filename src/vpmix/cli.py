@@ -31,11 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import cavity_number
 from .circuits import run_ecc
 from .dynamics import _cavity_lowering, _dressed_lowering, _series, build_dissipators
 from .errors import ConfigError, VpmixError
-from .model import MODEL_BUILDERS, QubitParams, SystemConfig
+from .model import MODEL_BUILDERS, QubitParams, SystemConfig, _layout_terms
 from .perturbation import _dispersive_warning, effective_coupling, three_mix_coupling
 from .presets import SCENARIOS, get_preset
 from .spectrum import (
@@ -256,6 +255,8 @@ def _value_errors(cfg: dict, system: SystemConfig) -> list[str]:
         check("anticross", _search, _search_inputs, system, anti)
     if pert.get("mode") == "coupling_sweep":
         check("perturb", _search, _search_inputs, system, pert)
+        for j, lam in enumerate(pert["lambdas"]):
+            check(f"perturb.lambdas[{j}]", _coupling_system, system, pert, float(lam))
     states = {f"perturb.{key}": pert[key] for key in ("initial", "final") if key in pert}
     if isinstance(dyn.get("initial"), list):  # ["bare", levels, photons]
         states["dynamics.initial"] = dyn["initial"][1:]
@@ -284,6 +285,15 @@ def _search(run, system: SystemConfig, block: dict):
     """``run`` (:func:`find_anticrossing` or its argument checks) on a section."""
     return run(system, block["parameter"], tuple(block["bracket"]), block["pair"],
                **_given(block, "model", "tol"))
+
+
+def _coupling_system(system: SystemConfig, block: dict, lam: float) -> SystemConfig:
+    """The system of one coupling-sweep point: every qubit's lam set to
+    ``lam``, and omega_c = omega_ref + cavity_offset_factor lam, where
+    omega_ref is the last qubit's frequency."""
+    omega_c = system.qubits[-1].omega + block.get("cavity_offset_factor", 2.5) * lam
+    return replace(system, omega_c=omega_c,
+                   qubits=tuple(replace(q, lam=lam) for q in system.qubits))
 
 
 def build_system(cfg: dict) -> SystemConfig:
@@ -356,7 +366,7 @@ def _observable_matrix(obs: dict, lowering, spectrum) -> np.ndarray:
         w = u[layout.bare_index("g" * layout.qubit_count, 1)]
         return np.outer(w.conj(), w)
     if kind == "cavity_number":  # a+ a is diagonal
-        return u.conj().T @ (cavity_number(layout).mat.diagonal().real[:, None] * u)
+        return u.conj().T @ (_layout_terms(layout).number[:, None] * u)
     a = _cavity_lowering(spectrum)  # cavity_emission
     return a.conj().T @ a
 
@@ -437,19 +447,16 @@ def cmd_perturb(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict
             ],
         }
         return {"paths.json": _json(payload)}, {}
-    factor = block.get("cavity_offset_factor", 2.5)
     theta = system.qubits[0].theta
     omega_ref = system.qubits[-1].omega
     rows, searches = [], []
     for lam in map(float, block["lambdas"]):
-        omega_c = omega_ref + factor * lam
-        cfg_l = replace(system, omega_c=omega_c,
-                        qubits=tuple(replace(q, lam=lam) for q in system.qubits))
+        cfg_l = _coupling_system(system, block, lam)
         rep = _search(find_anticrossing, cfg_l, block)
         searches.append(_solver_record(rep))
         path_rep = effective_coupling(cfg_l, initial, final, order, **options)
-        closed = three_mix_coupling(lam, omega_ref, omega_c, theta)
-        rows.append([lam, omega_c, rep.splitting, 2.0 * abs(path_rep.total),
+        closed = three_mix_coupling(lam, omega_ref, cfg_l.omega_c, theta)
+        rows.append([lam, cfg_l.omega_c, rep.splitting, 2.0 * abs(path_rep.total),
                      2.0 * abs(closed)])
     header = ["lam", "omega_c", "splitting_numeric", "two_j_paths", "two_j_closed_form"]
     return {"coupling_sweep.csv": _csv(header, rows)}, {"searches": searches}

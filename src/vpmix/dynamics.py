@@ -29,12 +29,12 @@ U, and the bare-basis S_- is U L~ U+.  For the cavity the lowering operator
 is the positive-frequency part of a + a+ in the eigenbasis, which
 annihilates the dressed vacuum by construction.
 
-Both models give real eigenvectors, and sigma_x, sigma_- and a + a+ are real,
-so the rate matrices, the lowering operators and the observables' eigenbasis
-matrices are all formed in real arithmetic; the dtype follows the spectrum's
-eigenvectors, and a complex Hamiltonian takes the same path in complex
-arithmetic.  Complex numbers enter the dynamics through the state and the
-coherence multipliers.
+Both models give real eigenvectors, and X = a + a+, sigma_x and sigma_- are
+real, read from the layout's cached entries (``model._layout_terms``), so the
+rate matrices, the lowering operators and the observables' eigenbasis matrices
+are formed in real arithmetic; the dtype follows the spectrum's eigenvectors,
+and a complex Hamiltonian takes the same path in complex arithmetic.  Complex
+numbers enter the dynamics through the state and the coherence multipliers.
 
 The master equation is integrated with the classical fixed-step fourth-order
 Runge-Kutta scheme.  In the eigenbasis the generator is time independent and
@@ -80,17 +80,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (
-    SIGMA_MINUS,
-    SIGMA_X,
-    Ket,
-    Operator,
-    _check_hermitian,
-    cavity_quadrature,
-    embed_qubit_op,
-)
+from .algebra import Ket, Operator, _check_hermitian
 from .errors import ConfigError, LabelAmbiguityError, NumericalError, StepSizeError
-from .model import SystemConfig
+from .model import SystemConfig, _layout_terms, _write_coupling
 from .spectrum import SpectrumResult
 
 __all__ = [
@@ -152,11 +144,11 @@ class TimeSeries:
     states: np.ndarray
 
 
-def _real(op: Operator) -> np.ndarray:
-    """Contiguous real part of a real-valued operator's matrix, such as
-    X = a + a+ or sigma_x^(i); a strided ``.real`` view would take numpy's
-    slow non-BLAS matmul."""
-    return np.ascontiguousarray(op.mat.real)
+def _lowering_pairs(layout, qubit_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each entry of sigma_-^(i), by row: (lowered, excited)."""
+    terms, i = _layout_terms(layout), layout.qubit_index(qubit_index)
+    excited = np.flatnonzero(terms.sigma_z[i - 1] > 0)
+    return terms.flip[i - 1, excited], excited
 
 
 def _dressed_lowering(spectrum: SpectrumResult, qubit_index: int,
@@ -172,8 +164,8 @@ def _dressed_lowering(spectrum: SpectrumResult, qubit_index: int,
     Its dtype follows the spectrum and ``columns``.  Raises
     :class:`LabelAmbiguityError` when no context has both columns.
     """
-    layout, dim = spectrum.layout, spectrum.dim
-    lowered, excited = np.nonzero(embed_qubit_op(layout, qubit_index, SIGMA_MINUS).mat)
+    dim = spectrum.dim
+    lowered, excited = _lowering_pairs(spectrum.layout, qubit_index)
     labels = np.array([bare for bare, _ in spectrum.labels])
     unique = ~np.isin(labels, spectrum.label_collisions)
     frame = np.zeros((dim, dim), dtype=np.result_type(spectrum.states, *columns.values()))
@@ -226,9 +218,10 @@ def build_dressed_lowering(
 def _cavity_lowering(spectrum: SpectrumResult) -> np.ndarray:
     """Eigenbasis matrix of :func:`build_cavity_lowering`'s A_-: the elements
     <psi_j|X|psi_k> with E_j < E_k, and zeros elsewhere."""
-    u = spectrum.states
-    x_eig = u.conj().T @ _real(cavity_quadrature(spectrum.layout)) @ u
-    e = spectrum.energies
+    u, e, dim = spectrum.states, spectrum.energies, spectrum.dim
+    x = _write_coupling([(_layout_terms(spectrum.layout).quadrature, 1.0, None)],
+                        np.empty((dim, dim)))
+    x_eig = u.conj().T @ x @ u
     return np.where(e[:, None] < e[None, :] - _ENERGY_TOL, x_eig, 0.0)
 
 
@@ -251,26 +244,28 @@ def build_dissipators(spectrum: SpectrumResult, config: SystemConfig) -> dict[st
     (gamma_i) times the squared dressed matrix element of X (sigma_x^(i))
     between eigenstates j and k when E_k > E_j, and zero for upward or
     degenerate pairs and for squared elements at or below the noise floor.
-    The products run in the dtype of ``spectrum.states``: real arithmetic for
-    the real eigenvectors of both models.
+    X is scattered from the layout's cached entries; sigma_x^(i), a
+    permutation, is a column gather of U+, so a qubit channel costs one d^3
+    product and the cavity two, in the dtype of ``spectrum.states``.
     """
     layout = spectrum.layout
     if layout != config.layout:
         raise ConfigError("spectrum and config layouts differ")
-    u = spectrum.states
-    e = spectrum.energies
+    u_dag, e = spectrum.states.conj().T, spectrum.energies
+    terms = _layout_terms(layout)
     downward = e[None, :] > e[:, None]
 
-    def rate_matrix(strength: float, op: Operator) -> np.ndarray:
-        elem2 = np.abs(u.conj().T @ _real(op) @ u) ** 2
+    def rate_matrix(strength: float, u_dag_op: np.ndarray) -> np.ndarray:
+        elem2 = np.abs(np.ascontiguousarray(u_dag_op) @ spectrum.states) ** 2
         return np.where(downward & (elem2 > _RATE_FLOOR), strength * elem2, 0.0)
 
     rates = {}
     if config.kappa > 0:
-        rates["cavity"] = rate_matrix(config.kappa, cavity_quadrature(layout))
+        x = _write_coupling([(terms.quadrature, 1.0, None)], np.empty((layout.dim,) * 2))
+        rates["cavity"] = rate_matrix(config.kappa, u_dag @ x)
     for i, q in enumerate(config.qubits, start=1):
-        if q.gamma > 0:
-            rates[f"qubit{i}"] = rate_matrix(q.gamma, embed_qubit_op(layout, i, SIGMA_X))
+        if q.gamma > 0:  # sigma_x^(i) permutes the columns of U+
+            rates[f"qubit{i}"] = rate_matrix(q.gamma, u_dag[:, terms.flip[i - 1]])
     return rates
 
 

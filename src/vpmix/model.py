@@ -49,7 +49,6 @@ from .algebra import (
     _ladder,
     _lift,
     _require_finite,
-    cavity_number,
     embed_qubit_op,
 )
 from .errors import ConfigError, HermiticityError
@@ -138,9 +137,11 @@ def _sparse(dense: np.ndarray) -> _Sparse:
 
 
 class _LayoutTerms(NamedTuple):
-    """Real building blocks of both models on one layout (read-only arrays)."""
+    """Real building blocks of both models on one layout, and of the
+    operators the dynamics applies to a spectrum (read-only arrays)."""
 
     sigma_z: np.ndarray                # (N, d): diagonal of sigma_z^(i) in row i-1
+    flip: np.ndarray                   # (N, d): row of the 1 in each column of sigma_x^(i)
     number: np.ndarray                 # (d,): diagonal of a+ a
     quadrature: _Sparse                # X = a + a+
     x_sigma_x: tuple[_Sparse, ...]     # X sigma_x^(i)
@@ -155,7 +156,8 @@ def _layout_terms(layout: HilbertLayout) -> _LayoutTerms:
     them share an entry, and none touches the diagonal, so each is written
     into a zeroed matrix by one scatter.  X sigma_z^(i) is not stored:
     sigma_z^(i) is diagonal, so it is X with its columns scaled by the
-    ``sigma_z`` row.
+    ``sigma_z`` row.  sigma_x^(i) is a permutation of the basis, stored as
+    ``flip``: column c of it is the unit vector of ``flip[i-1, c]``.
     """
     cutoff = layout.fock_cutoff
     a = _ladder(cutoff)
@@ -164,14 +166,15 @@ def _layout_terms(layout: HilbertLayout) -> _LayoutTerms:
     qubits = range(1, layout.qubit_count + 1)
     terms = _LayoutTerms(
         sigma_z=np.array([_lift(layout, i, SIGMA_Z.real, eye).diagonal() for i in qubits]),
+        flip=np.array([_lift(layout, i, SIGMA_X.real, eye).argmax(axis=0) for i in qubits]),
         number=np.array(_lift(layout, 1, np.eye(2), np.diag(np.arange(float(cutoff)))).diagonal()),
         quadrature=_sparse(_lift(layout, 1, np.eye(2), x)),
         x_sigma_x=tuple(_sparse(_lift(layout, i, SIGMA_X.real, x)) for i in qubits),
         exchange=tuple(_sparse(_lift(layout, i, SIGMA_PLUS.real, a)
                                + _lift(layout, i, SIGMA_MINUS.real, a.T)) for i in qubits),
     )
-    terms.sigma_z.setflags(write=False)
-    terms.number.setflags(write=False)
+    for arr in (terms.sigma_z, terms.flip, terms.number):
+        arr.setflags(write=False)
     return terms
 
 
@@ -181,12 +184,19 @@ def _buffer(config: SystemConfig) -> np.ndarray:
     return np.empty((dim, dim))
 
 
+# On a config too large for a float (omega_c = 1e308, say) the products and
+# sums below overflow to inf, or meet inf - inf and give NaN, with no warning:
+# the finiteness checks of the solvers and of _Pencil.write name them instead.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
 def _bare_diagonal(qubits: tuple[QubitParams, ...], omega_c: float,
                    terms: _LayoutTerms) -> np.ndarray:
     diag = np.zeros(len(terms.number))
-    for q, sz in zip(qubits, terms.sigma_z):
-        diag += 0.5 * q.omega * sz
-    diag += omega_c * terms.number
+    with np.errstate(**_QUIET):
+        for q, sz in zip(qubits, terms.sigma_z):
+            diag += 0.5 * q.omega * sz
+        diag += omega_c * terms.number
     return diag
 
 
@@ -199,8 +209,9 @@ def _couplings(model: str, qubits: tuple[QubitParams, ...], terms: _LayoutTerms)
     if model == "tc":
         return [(term, q.lam, k) for k, (q, term) in enumerate(zip(qubits, terms.exchange))]
     longitudinal = np.zeros(len(terms.number))
-    for q, sz in zip(qubits, terms.sigma_z):
-        longitudinal += q.lam * math.sin(q.theta) * sz
+    with np.errstate(**_QUIET):
+        for q, sz in zip(qubits, terms.sigma_z):
+            longitudinal += q.lam * math.sin(q.theta) * sz
     x = terms.quadrature
     return [(x, longitudinal[x.flat % len(longitudinal)], None)] + [
         (x_sx, q.lam * math.cos(q.theta), k)
@@ -210,8 +221,9 @@ def _couplings(model: str, qubits: tuple[QubitParams, ...], terms: _LayoutTerms)
 def _write_coupling(couplings: list, out: np.ndarray) -> np.ndarray:
     out.fill(0.0)
     flat = out.reshape(-1)
-    for term, factor, _ in couplings:
-        flat[term.flat] = term.value * factor
+    with np.errstate(**_QUIET):
+        for term, factor, _ in couplings:
+            flat[term.flat] = term.value * factor
     return out
 
 
@@ -253,12 +265,20 @@ def tavis_cummings_interaction(config: SystemConfig) -> Operator:
 
 
 def build_generalized_dicke(config: SystemConfig) -> Operator:
-    """Full Hamiltonian including counter-rotating and longitudinal terms."""
+    """Full Hamiltonian including counter-rotating and longitudinal terms.
+
+    A config whose entries overflow a float (``omega_c = 1e308``, say) yields
+    non-finite entries, without a warning; :func:`vpmix.diagonalize` rejects them.
+    """
     return Operator(_assemble("dicke", config, _buffer(config)), config.layout)
 
 
 def build_tavis_cummings(config: SystemConfig) -> Operator:
-    """Rotating-wave Hamiltonian; commutes with the total excitation number."""
+    """Rotating-wave Hamiltonian; commutes with the total excitation number.
+
+    A config whose entries overflow a float yields non-finite entries, without
+    a warning, as :func:`build_generalized_dicke` does.
+    """
     return Operator(_assemble("tc", config, _buffer(config)), config.layout)
 
 
@@ -369,28 +389,30 @@ class _Pencil:
             flat[:: len(out) + 1] += diag
             return out
         couplings = _couplings(self._model, qubits, self._terms)
-        for i in self._moved:
-            term, factor, _ = couplings[i]
-            entries = term.value * factor
-            entries += 0.0  # -0.0 to +0.0, as in _assemble
-            _check_finite(entries, HermiticityError, "matrix")
-            flat[term.flat] = entries
+        with np.errstate(**_QUIET):
+            for i in self._moved:
+                term, factor, _ = couplings[i]
+                entries = term.value * factor
+                entries += 0.0  # -0.0 to +0.0, as in _assemble
+                _check_finite(entries, HermiticityError, "matrix")
+                flat[term.flat] = entries
         return out
 
 
+def _excitations(layout: HilbertLayout) -> np.ndarray:
+    """Diagonal of N = a+ a + sum_i |e><e|^(i), exact integers."""
+    terms = _layout_terms(layout)
+    return terms.number + (terms.sigma_z > 0).sum(axis=0)
+
+
 def total_excitation_number(layout: HilbertLayout) -> Operator:
-    """N = a+ a + sum_i |e><e|^(i)."""
-    n = cavity_number(layout).mat.copy()
-    proj_e = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    for i in range(1, layout.qubit_count + 1):
-        n += embed_qubit_op(layout, i, proj_e).mat
-    return Operator(n, layout)
+    """N = a+ a + sum_i |e><e|^(i), a complex diagonal matrix."""
+    return Operator(np.diag(_excitations(layout).astype(complex)), layout)
 
 
 def parity_operator(layout: HilbertLayout) -> Operator:
     """Excitation parity exp(i pi N); diagonal with entries (-1)^N."""
-    n_diag = np.real(np.diag(total_excitation_number(layout).mat))
-    return Operator(np.diag((-1.0) ** np.rint(n_diag)), layout)
+    return Operator(np.diag((-1.0) ** _excitations(layout)), layout)
 
 
 class MixKind(Enum):

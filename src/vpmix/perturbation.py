@@ -42,8 +42,9 @@ from .errors import (
 from .model import (
     QubitParams,
     SystemConfig,
+    _bare_diagonal,
     _check_model,
-    bare_hamiltonian,
+    _layout_terms,
     dicke_interaction,
     tavis_cummings_interaction,
 )
@@ -209,7 +210,7 @@ def effective_coupling(
     _check_model(model)
     layout = config.layout
     idx_i, idx_f = layout.resolve(initial), layout.resolve(final)
-    h0 = np.real(np.diag(bare_hamiltonian(config).mat))
+    h0 = _bare_diagonal(config.qubits, config.omega_c, _layout_terms(layout))
     v = dicke_interaction(config) if model == "dicke" else tavis_cummings_interaction(config)
     try:
         return enumerate_paths(h0, v, idx_i, idx_f, order, epsilon)

@@ -736,7 +736,8 @@ def find_anticrossing(
     energies, states = spectrum.energies, spectrum.states
     ia, ib, _ = _pair_branches(states, u, v)
 
-    bare_u, bare_v = np.eye(spectrum.dim, dtype=complex)[[u, v]]
+    bare_u, bare_v = np.zeros((2, spectrum.dim), dtype=complex)
+    bare_u[u] = bare_v[v] = 1.0
     plus, minus = (bare_u + bare_v) / math.sqrt(2.0), (bare_u - bare_v) / math.sqrt(2.0)
     o_ap, o_am, o_bp, o_bm = (float(abs(np.vdot(vec, states[:, k])) ** 2)
                               for k in (ia, ib) for vec in (plus, minus))

@@ -369,6 +369,29 @@ def test_cutoff_override_is_validated_as_the_system_it_runs(tmp_path, capsys):
     assert manifest["config"]["system"]["fock_cutoff"] == 8
 
 
+def test_validate_names_each_coupling_sweep_system_error(tmp_path, capsys, monkeypatch):
+    # perturb builds one system per lambda, with every qubit's lam set to it
+    # and omega_c = 1.0 + cavity_offset_factor lam (fig2's last qubit is at
+    # 1.0): validate names each lambda whose system is invalid, and perturb
+    # stops on them before any solve and writes nothing
+    payload = {"scenario": "fig2",
+               "perturb": {"cavity_offset_factor": -100, "lambdas": [0.005, 0.01, -0.1, 0.05]}}
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    messages = ["perturb.lambdas[1]: cavity frequency must be positive, got 0.0",
+                "perturb.lambdas[2]: coupling rate must be >= 0, got -0.1",
+                "perturb.lambdas[3]: cavity frequency must be positive, got -4.0"]
+    assert validate_config(resolve_config(payload))[0] == messages
+    assert main(["validate", "--config", cfg]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("error:")] == [f"error: {m}" for m in messages]
+    monkeypatch.setattr(spectrum._Solver, "__call__", lambda *args: pytest.fail("solved"))
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "configuration error: " + "; ".join(messages))
+    assert not out.exists()
+
+
 def test_coupling_sweep_path_sum_uses_the_model(tmp_path):
     # Tavis-Cummings conserves excitations, so no path joins |gge,0> to |eeg,0>
     cfg = write_config(tmp_path, "cfg.json",

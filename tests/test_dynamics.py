@@ -37,8 +37,10 @@ from vpmix import (
     state_fidelity,
     superposition_states,
 )
-from vpmix import cli, dynamics
-from vpmix.algebra import SIGMA_MINUS, SIGMA_X, HilbertLayout, Ket
+from vpmix import cli, dynamics, parity_operator, total_excitation_number
+from vpmix.algebra import SIGMA_MINUS, SIGMA_X, HilbertLayout, Ket, cavity_number
+from vpmix.model import _layout_terms, _write_coupling
+from vpmix.spectrum import SpectrumResult
 from vpmix.cli import _search, build_system
 from vpmix.presets import get_preset
 from vpmix.spectrum import MODEL_BUILDERS, _pair_columns
@@ -369,6 +371,134 @@ class TestDissipators:
         # of the square carried through the product with the channel strength.
         np.testing.assert_array_max_ulp(np.array([t[3] for t in new_terms]),
                                         np.array([t[3] for t in old_terms]), maxulp=2)
+
+
+def kron_dressed_lowering(spectrum, qubit_index, columns):
+    """Reference: dynamics._dressed_lowering as it read sigma_-^(i)'s entries
+    off the kron-built operator, before they came from the layout's terms."""
+    dim = spectrum.dim
+    lowered, excited = np.nonzero(embed_qubit_op(spectrum.layout, qubit_index, SIGMA_MINUS).mat)
+    labels = np.array([bare for bare, _ in spectrum.labels])
+    unique = ~np.isin(labels, spectrum.label_collisions)
+    frame = np.zeros((dim, dim), dtype=np.result_type(spectrum.states, *columns.values()))
+    frame[np.flatnonzero(unique), labels[unique]] = 1.0
+    for bare, column in columns.items():
+        frame[:, bare] = column
+    claimed = frame.any(axis=0)
+    if not (claimed[lowered] & claimed[excited]).any():
+        raise LabelAmbiguityError(f"no resolvable contexts for qubit {qubit_index}")
+    return frame[:, lowered] @ frame[:, excited].conj().T
+
+
+def kron_real(op):
+    """The contiguous real matrix the kron path multiplied by."""
+    return np.ascontiguousarray(op.mat.real)
+
+
+def kron_cavity_lowering(spectrum):
+    """Reference: dynamics._cavity_lowering on the kron-built X."""
+    u, e = spectrum.states, spectrum.energies
+    x_eig = u.conj().T @ kron_real(cavity_quadrature(spectrum.layout)) @ u
+    return np.where(e[:, None] < e[None, :] - dynamics._ENERGY_TOL, x_eig, 0.0)
+
+
+def kron_dissipators(spectrum, config):
+    """Reference: build_dissipators on the kron-built X and sigma_x^(i), one
+    product U+ O U of two d^3 products a channel."""
+    layout, u, e = spectrum.layout, spectrum.states, spectrum.energies
+    downward = e[None, :] > e[:, None]
+
+    def rate_matrix(strength, op):
+        elem2 = np.abs(u.conj().T @ kron_real(op) @ u) ** 2
+        return np.where(downward & (elem2 > dynamics._RATE_FLOOR), strength * elem2, 0.0)
+
+    rates = {}
+    if config.kappa > 0:
+        rates["cavity"] = rate_matrix(config.kappa, cavity_quadrature(layout))
+    for i, q in enumerate(config.qubits, start=1):
+        if q.gamma > 0:
+            rates[f"qubit{i}"] = rate_matrix(q.gamma, embed_qubit_op(layout, i, SIGMA_X))
+    return rates
+
+
+def kron_excitation_number(layout):
+    """Reference: total_excitation_number summed from kron-built operators."""
+    n = cavity_number(layout).mat.copy()
+    proj_e = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    for i in range(1, layout.qubit_count + 1):
+        n += embed_qubit_op(layout, i, proj_e).mat
+    return n
+
+
+@st.composite
+def layout_spectra(draw):
+    """A spectrum on a random layout with a random real-orthogonal or complex
+    unitary U, energies with ties, labels with collisions, and a config of
+    that layout with some decay rates zero."""
+    qubits, cutoff = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    layout = HilbertLayout(qubits, cutoff)
+    dim = layout.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.normal(size=(dim, dim))
+    if draw(st.booleans()):
+        mat = mat + 1j * rng.normal(size=(dim, dim))
+    u = np.linalg.qr(mat)[0]
+    energies = rng.integers(0, draw(st.integers(1, 2 * dim)), dim).astype(float)
+    labels = rng.integers(0, dim, dim) if draw(st.booleans()) else rng.permutation(dim)
+    collisions = tuple(sorted({int(b) for b in labels if np.sum(labels == b) > 1}))
+    spectrum = SpectrumResult(energies, u, tuple((int(b), 1.0) for b in labels), layout,
+                              collisions)
+    rate = st.sampled_from([0.0, 3e-5, 1e-3])
+    config = SystemConfig(tuple(QubitParams(1.0, 0.1, gamma=draw(rate)) for _ in range(qubits)),
+                          omega_c=1.0, kappa=draw(rate), fock_cutoff=cutoff)
+    return spectrum, config, rng
+
+
+class TestLayoutTermOperators:
+    """X, sigma_x^(i), sigma_-^(i) and a+ a read from model._layout_terms
+    give the bits of the kron-built operators they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=layout_spectra(), with_columns=st.booleans())
+    def test_match_the_kron_built_operators(self, case, with_columns):
+        spectrum, config, rng = case
+        layout, dim, u = spectrum.layout, spectrum.dim, spectrum.states
+        terms = _layout_terms(layout)
+        for i in range(1, layout.qubit_count + 1):
+            flip = np.zeros((dim, dim))
+            flip[terms.flip[i - 1], np.arange(dim)] = 1.0
+            assert flip.tobytes() == kron_real(embed_qubit_op(layout, i, SIGMA_X)).tobytes()
+            pairs = np.nonzero(embed_qubit_op(layout, i, SIGMA_MINUS).mat)
+            found = dynamics._lowering_pairs(layout, i)
+            assert [a.tobytes() for a in found] == [a.tobytes() for a in pairs]
+        x = _write_coupling([(terms.quadrature, 1.0, None)], np.empty((dim, dim)))
+        assert x.tobytes() == kron_real(cavity_quadrature(layout)).tobytes()
+        assert terms.number.tobytes() == cavity_number(layout).mat.diagonal().real.tobytes()
+        n = kron_excitation_number(layout)
+        assert total_excitation_number(layout).mat.tobytes() == n.tobytes()
+        parity = np.diag((-1.0) ** np.rint(np.real(np.diag(n))))
+        assert parity_operator(layout).mat.tobytes() == parity.tobytes()
+
+        rates, reference = build_dissipators(spectrum, config), kron_dissipators(spectrum, config)
+        assert list(rates) == list(reference)
+        assert all(rates[name].tobytes() == reference[name].tobytes() for name in rates)
+        assert (dynamics._cavity_lowering(spectrum).tobytes()
+                == kron_cavity_lowering(spectrum).tobytes())
+        columns = {}
+        if with_columns:
+            for bare in rng.choice(dim, size=min(2, dim), replace=False).tolist():
+                column = rng.normal(size=dim)
+                columns[bare] = column + 1j * rng.normal(size=dim) if u.dtype == complex else column
+        for i in range(1, layout.qubit_count + 1):
+            try:
+                reference = kron_dressed_lowering(spectrum, i, columns)
+            except LabelAmbiguityError:
+                with pytest.raises(LabelAmbiguityError, match="no resolvable contexts"):
+                    dynamics._dressed_lowering(spectrum, i, columns)
+                continue
+            assert dynamics._dressed_lowering(spectrum, i, columns).tobytes() == reference.tobytes()
+        with pytest.raises(ConfigError, match="qubit index"):
+            dynamics._lowering_pairs(layout, layout.qubit_count + 1)
 
 
 class TestEvolve:

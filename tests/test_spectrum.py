@@ -154,7 +154,7 @@ def test_states_keep_the_dtype_of_the_eigenvectors(fig1b_preset):
 
 def test_unknown_model_is_a_config_error(fig1b_preset, monkeypatch):
     # the path sum checks the name before it builds anything
-    monkeypatch.setattr(vpmix.perturbation, "bare_hamiltonian", None)
+    monkeypatch.setattr(vpmix.perturbation, "_bare_diagonal", None)
     message = re.escape("unknown model 'xyz'; choose from dicke, tc")
     with pytest.raises(ConfigError, match=f"^{message}$"):
         sweep_levels(fig1b_preset, "omega_c", [1.0, 1.1], 2, model="xyz")
@@ -934,7 +934,6 @@ def assert_raises_as_the_per_point_path(monkeypatch, case, run):
         assert calls == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("hidden", [False, True], ids=["dsyevr-found", "dsyevr-hidden"])
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("name", SWEEP_INPUTS)
@@ -951,7 +950,6 @@ def test_a_sweep_raises_what_the_per_point_path_raised(monkeypatch, name, worker
         lambda cfg, parameter, grid: sweep_levels(cfg, parameter, grid, 6))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("hidden", [False, True], ids=["dsyevr-found", "dsyevr-hidden"])
 @pytest.mark.parametrize("name", SEARCH_INPUTS)
 def test_a_search_raises_what_the_per_point_path_raised(monkeypatch, name, hidden):
@@ -961,6 +959,32 @@ def test_a_search_raises_what_the_per_point_path_raised(monkeypatch, name, hidde
     assert_raises_as_the_per_point_path(
         monkeypatch, SEARCH_INPUTS[name],
         lambda cfg, parameter, bracket: find_anticrossing(cfg, parameter, bracket, pair))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+def test_overflowing_entries_raise_with_no_warning_first(model):
+    # entries too large for a float become inf, or NaN where inf meets -inf
+    # (four qubits at 1e308 put the bare diagonal at -inf below omega_c's
+    # +inf), and the finiteness checks name them with no warning before
+    preset = get_preset("fig1b")
+    cfg, pair = build_system(preset), preset["anticross"]["pair"]
+    message = "matrix has a non-finite entry"
+    for huge in (replace(cfg, omega_c=1e308),
+                 replace(cfg, qubits=(replace(cfg.qubits[0], lam=1e308),) + cfg.qubits[1:]),
+                 SystemConfig((QubitParams(1e308, 0.1),) * 4, omega_c=1e308, fock_cutoff=3)):
+        with pytest.raises(HermiticityError, match=message):
+            diagonalize(MODEL_BUILDERS[model](huge))
+    for parameter in ("omega_c", "qubits[0].lam", "qubits[2].omega"):
+        with pytest.raises(HermiticityError, match=message):
+            sweep_levels(replace(cfg, omega_c=1e308) if parameter.endswith("omega") else cfg,
+                         parameter, [0.5, 1e308], 4, model=model)
+    # the base overflows; then the first golden point, 3.8e307, does
+    with pytest.raises(HermiticityError, match=message):
+        find_anticrossing(replace(cfg, omega_c=1e308), "qubits[2].omega", FIG1B_BRACKET,
+                          pair, model=model)
+    with pytest.raises(HermiticityError, match=message):
+        find_anticrossing(cfg, "omega_c", (0.5, 1e308), pair, tol=1e300, model=model)
 
 
 @needs_blas_control
