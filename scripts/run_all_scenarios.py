@@ -24,8 +24,12 @@ import sys
 import time
 from pathlib import Path
 
-from vpmix.cli import main as vpmix_main
-from vpmix.presets import SCENARIOS
+# this checkout's sources, ahead of any installed vpmix, so that a run from a
+# second checkout runs that checkout's code
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from vpmix.cli import main as vpmix_main  # noqa: E402
+from vpmix.presets import SCENARIOS  # noqa: E402
 
 NATURAL_COMMANDS = {
     "fig1b": ["levels", "anticross"],

@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict, replace
 from functools import cache, reduce
 from pathlib import Path
@@ -232,8 +233,26 @@ def validate_config(cfg: dict) -> tuple[list[str], list[str]]:
     if errors or "system" not in cfg:
         return errors, []
     system = build_system(cfg)
-    return _value_errors(cfg, system), [message for i, q in enumerate(system.qubits, start=1)
-                                        if (message := _dispersive_warning(i, q, system.omega_c))]
+    return _value_errors(cfg, system), _dispersive_warnings(cfg, system)
+
+
+def _dispersive_warnings(cfg: dict, system: SystemConfig) -> list[str]:
+    """The marginal-dispersive warnings of each system a command runs from a
+    schema-valid ``cfg``: the base system, unless a coupling sweep is the only
+    section that runs any, and the system of each sweep point that builds,
+    prefixed with its ``perturb.lambdas[j]``."""
+    pert = cfg.get("perturb", {})
+    systems = [("", system)]
+    if pert.get("mode") == "coupling_sweep":
+        if not any(cfg.get(key) for key in ("sweep", "anticross", "dynamics")):
+            systems = []
+        for j, lam in enumerate(pert["lambdas"]):
+            with suppress(ConfigError):  # a system that does not build is a value error
+                systems.append((f"perturb.lambdas[{j}]: ",
+                                _coupling_system(system, pert, float(lam))))
+    return [prefix + message for prefix, config in systems
+            for i, q in enumerate(config.qubits, start=1)
+            if (message := _dispersive_warning(i, q, config.omega_c))]
 
 
 def _value_errors(cfg: dict, system: SystemConfig) -> list[str]:

@@ -52,24 +52,27 @@ start (a Ket, a vector or a matrix) and forms rho~0 once.  The live
 coherences, i != j with rho~0_ij != 0, are read once as index arrays; the
 rest stay exactly zero.  Their one-step multipliers g_ij, the stability
 check on |g_ij|^n and the drop weights are 1-D arrays over them, and only
-the kept coherences' multipliers are raised to the n-th power.  The state
-is streamed in the eigenbasis, rho~(t_p) = U+ rho(t_p) U, one grid time at a
-time, as a real population vector plus a 1-D array of the coherences kept
-at fixed indices (i, j).  :func:`expectation_series` transforms each
-observable product once and hands the O~ to ``_series``, which keeps only
-the coherences that can reach an observable: it drops them in ascending
-order of the bound w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|^n)^(T-1)
-while their summed bound stays <= 1e-15, so no value moves by more than
-that.  Each time step then costs O(d^2) for the populations plus
-O(m n_obs) for the m kept coherences, contracted as
-pops . diag(O~_k) + sum rho~_ij O~_k,ji.  No snapshot stack is built.  The
-``dynamics`` command builds its start and its O~ in the eigenbasis itself
-and calls ``_series`` directly, which also reports the kept count and the
-dropped weight for its manifest; a pair start there has exactly 2 live
-coherences and keeps both.  :func:`evolve` keeps every live coherence,
-turns every rho~(t_p) back into the bare basis and keeps them all as one
-read-only (T, d, d) array, which :func:`expectation` contracts with an
-operator product.
+the kept coherences' multipliers are raised to the n-th power.  The
+populations of every grid time are formed first, as one (T, d) float array
+(T d 8 bytes, 0.6 MB for fig5b), and the trace-drift and negative-population
+checks run over it before anything is returned.  The state is then streamed
+in the eigenbasis, rho~(t_p) = U+ rho(t_p) U, one grid time at a time, as
+that array's row plus a 1-D array of the coherences kept at fixed indices
+(i, j).  :func:`expectation_series` transforms each observable product once
+and hands the O~ to ``_series``, which keeps only the coherences that can
+reach an observable: it drops them in ascending order of the bound
+w_ij = |rho~0_ij| max_k |O~_k,ji| (1 + 1e-7)^(T-1), which holds because the
+stability check caps every |g_ij^n| at 1 + 1e-7, while their summed bound
+stays <= 1e-15, so no value moves by more than that.  Each time step then
+costs O(d^2) for the populations plus O(m n_obs) for the m kept coherences,
+contracted as pops . diag(O~_k) + sum rho~_ij O~_k,ji.  No (T, d, d) snapshot
+stack is built.  The ``dynamics`` command builds its start and its O~ in
+the eigenbasis itself and calls ``_series`` directly, which also reports the
+kept count and the dropped weight for its manifest; a pair start there has
+exactly 2 live coherences and keeps both.  :func:`evolve` keeps every live
+coherence, turns every rho~(t_p) back into the bare basis and keeps them all
+as one read-only (T, d, d) array, which :func:`expectation` contracts with
+an operator product.
 """
 
 from __future__ import annotations
@@ -215,14 +218,19 @@ def build_dressed_lowering(
                     spectrum.layout)
 
 
+def _downward(energies: np.ndarray) -> np.ndarray:
+    """Mask of the eigenstate pairs (j, k) that a decay can join, E_j < E_k, with
+    pairs within ``_ENERGY_TOL`` counted as degenerate."""
+    return energies[:, None] < energies[None, :] - _ENERGY_TOL
+
+
 def _cavity_lowering(spectrum: SpectrumResult) -> np.ndarray:
     """Eigenbasis matrix of :func:`build_cavity_lowering`'s A_-: the elements
-    <psi_j|X|psi_k> with E_j < E_k, and zeros elsewhere."""
-    u, e, dim = spectrum.states, spectrum.energies, spectrum.dim
+    <psi_j|X|psi_k> of the :func:`_downward` pairs, and zeros elsewhere."""
+    u, dim = spectrum.states, spectrum.dim
     x = _write_coupling([(_layout_terms(spectrum.layout).quadrature, 1.0, None)],
                         np.empty((dim, dim)))
-    x_eig = u.conj().T @ x @ u
-    return np.where(e[:, None] < e[None, :] - _ENERGY_TOL, x_eig, 0.0)
+    return np.where(_downward(spectrum.energies), u.conj().T @ x @ u, 0.0)
 
 
 def build_cavity_lowering(spectrum: SpectrumResult) -> Operator:
@@ -243,7 +251,8 @@ def build_dissipators(spectrum: SpectrumResult, config: SystemConfig) -> dict[st
     order, one for every positive kappa (gamma_i).  ``R[j, k]`` is kappa
     (gamma_i) times the squared dressed matrix element of X (sigma_x^(i))
     between eigenstates j and k when E_k > E_j, and zero for upward or
-    degenerate pairs and for squared elements at or below the noise floor.
+    degenerate pairs (gap at most 1e-12) and for squared elements at or below
+    the noise floor.
     X is scattered from the layout's cached entries; sigma_x^(i), a
     permutation, is a column gather of U+, so a qubit channel costs one d^3
     product and the cavity two, in the dtype of ``spectrum.states``.
@@ -251,9 +260,8 @@ def build_dissipators(spectrum: SpectrumResult, config: SystemConfig) -> dict[st
     layout = spectrum.layout
     if layout != config.layout:
         raise ConfigError("spectrum and config layouts differ")
-    u_dag, e = spectrum.states.conj().T, spectrum.energies
-    terms = _layout_terms(layout)
-    downward = e[None, :] > e[:, None]
+    u_dag, terms = spectrum.states.conj().T, _layout_terms(layout)
+    downward = _downward(spectrum.energies)
 
     def rate_matrix(strength: float, u_dag_op: np.ndarray) -> np.ndarray:
         elem2 = np.abs(np.ascontiguousarray(u_dag_op) @ spectrum.states) ** 2
@@ -296,11 +304,11 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
 
 
 def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
-    """Validate the time grid, the rates and the step bound eagerly, then
-    return the time grid, the flat indices i d + j of the coherences rho~_ij
-    that are kept, the summed weight of the dropped ones, and a generator of
-    (diagonal, kept coherences) of rho~(t_p) = U+ rho(t_p) U, one pair per
-    grid time.
+    """Validate the time grid, the rates and the step, propagate the
+    populations over the whole grid and check them, then return the time
+    grid, the flat indices i d + j of the coherences rho~_ij that are kept,
+    the summed weight of the dropped ones, and a generator of (diagonal, kept
+    coherences) of rho~(t_p) = U+ rho(t_p) U, one pair per grid time.
 
     ``start`` is the initial state in the eigenbasis, the d x d matrix
     rho~0 = U+ rho0 U, taken unchecked; of ``spectrum`` only the energies are
@@ -310,18 +318,20 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     every live coherence is kept.  ``reach`` is a d x d array bounding the
     observables elementwise, reach >= |O~_k| for every eigenbasis observable
     O~_k.  With it, live coherence ij has the weight
-    w_ij = |rho~0_ij| reach_ji max(1, |g_1|^n)^(T-1), with the largest
-    |g_1|^n over the grid intervals, which bounds its term in every
-    Tr[rho~(t_p) O~_k]; coherences are dropped in ascending weight while
+    w_ij = |rho~0_ij| reach_ji (1 + 1e-7)^(T-1), which bounds its term in
+    every Tr[rho~(t_p) O~_k] because the stability check caps every live
+    |g_1|^n at 1 + 1e-7; coherences are dropped in ascending weight while
     their summed weight stays <= ``_DROP_BOUND``.
 
     An interval of n RK4 steps multiplies coherence ij by g_1^n, with g_1 its
     one-step multiplier.  g_1 is computed for every live coherence, and the
-    stability check and the weights read |g_1|^n off it; only the kept
-    coherences' g_1 are raised to the n-th power.
-
-    The generator advances its arrays in place: a yielded pair is valid until
-    the next step, so a caller that keeps it must copy it.
+    stability check reads |g_1|^n off it; only the kept coherences' g_1 are
+    raised to the n-th power.  The populations of every grid time are formed
+    before the return, as one (T, d) array, and a trace drift or a negative
+    population raises :class:`StepSizeError` at the first grid time that has
+    either, the drift named first, so the generator raises nothing.  It
+    advances the coherences in place: a yielded pair is valid until the next
+    step, so a caller that keeps it must copy it.
     """
     dim, e = spectrum.dim, spectrum.energies
 
@@ -356,77 +366,68 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
 
     live = np.array(np.nonzero(start))
     ii, jj = live[:, live[0] != live[1]]  # the populations follow p_n instead
-    # each live coherence's rate: d rho~_ij / dt = (-i omega_ij - decay_ij) rho~_ij
-    coherence_rate = -1j * (e[ii] - e[jj]) - 0.5 * (out_rate[ii] + out_rate[jj])
-    w_pop = gain - np.diag(out_rate)
-
-    # One RK4 map per distinct interval: the live coherences' one-step
-    # multipliers g_1, the step count n and the population map p_n.  A stable
-    # step keeps |g_1|^n <= 1 on every live coherence.  g_reach is
-    # max(1, |g_1|^n) over all intervals, which the drop weights need.
-    intervals = np.diff(times).tolist()
-    maps: dict[float, tuple[np.ndarray, int, np.ndarray]] = {}
-    g_reach = np.ones(ii.size)
-    for p, dt in enumerate(intervals, start=1):
-        if dt in maps:
-            continue
-        steps = dt / h_max  # 0 for an unbounded step
-        if steps == math.inf:
-            raise ConfigError(f"interval {dt:.6g} before t = {times[p]:.6g} needs more RK4 "
-                              f"steps of at most {h_max:.3g} than a float can count")
-        n = max(1, math.ceil(steps))
-        h = dt / n
-        g_1 = _rk4_scalar(h * coherence_rate)
-        with np.errstate(over="ignore"):  # an overflow to inf raises below
-            size = np.abs(g_1) ** n
-        worst = float(size.max(initial=1.0))
-        if not worst <= 1.0 + _DRIFT_TOL:  # also an overflow to inf or NaN
-            raise StepSizeError(
-                f"coherence multiplier {worst:.3e} exceeds 1 + {_DRIFT_TOL:.1e} at "
-                f"t = {times[p]:.6g}; retry with a smaller max_step"
-            )
-        np.maximum(g_reach, size, out=g_reach)
-        maps[dt] = (g_1, n, np.linalg.matrix_power(_rk4_matrix(h * w_pop), n))
-
     weight = np.abs(start[ii, jj])
     bound = 0.0  # keeps every live coherence
-    if reach is not None:
-        weight *= reach[jj, ii] * g_reach ** (times.size - 1)
+    if reach is not None:  # a returned stream has every live |g_1|^n <= 1 + _DRIFT_TOL
+        weight *= reach[jj, ii] * (1.0 + _DRIFT_TOL) ** (times.size - 1)
         bound = _DROP_BOUND
     order = np.argsort(weight, kind="stable")
     cumulative = np.cumsum(weight[order])
     dropped = int(np.searchsorted(cumulative, bound, side="right"))
     dropped_weight = float(cumulative[dropped - 1]) if dropped else 0.0
     kept = np.sort(order[dropped:])
+    # each live coherence's rate: d rho~_ij / dt = (-i omega_ij - decay_ij) rho~_ij
+    coherence_rate = -1j * (e[ii] - e[jj]) - 0.5 * (out_rate[ii] + out_rate[jj])
+    w_pop = gain - np.diag(out_rate)
+
+    # One RK4 map per distinct interval: the kept coherences' multipliers g_1^n
+    # and the population map p_n.  A stable step keeps |g_1|^n <= 1 on every
+    # live coherence.  An unstable one may overflow the maps and the
+    # populations to inf or NaN, which the checks name.
+    intervals = np.diff(times).tolist()
+    maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    pops = np.empty((times.size, dim))
+    pops[0] = np.real(np.diagonal(start))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, dt in enumerate(intervals, start=1):
+            if dt in maps:
+                continue
+            steps = dt / h_max  # 0 for an unbounded step
+            if steps == math.inf:
+                raise ConfigError(f"interval {dt:.6g} before t = {times[p]:.6g} needs more "
+                                  f"RK4 steps of at most {h_max:.3g} than a float can count")
+            n = max(1, math.ceil(steps))
+            h = dt / n
+            g_1 = _rk4_scalar(h * coherence_rate)
+            worst = float((np.abs(g_1) ** n).max(initial=1.0))
+            if not worst <= 1.0 + _DRIFT_TOL:  # also an overflow to inf or NaN
+                raise StepSizeError(
+                    f"coherence multiplier {worst:.3e} exceeds 1 + {_DRIFT_TOL:.1e} at "
+                    f"t = {times[p]:.6g}; retry with a smaller max_step"
+                )
+            maps[dt] = (g_1[kept] ** n, np.linalg.matrix_power(_rk4_matrix(h * w_pop), n))
+        for p, dt in enumerate(intervals, start=1):
+            pops[p] = maps[dt][1] @ pops[p - 1]
+        drift = np.abs(pops[1:].sum(axis=1) - pops[0].sum())
+        # An unstable population step can keep the trace and still
+        # overshoot, which shows as a negative population.
+        low = pops[1:].min(axis=1)
+    failed = np.flatnonzero(~((drift <= _DRIFT_TOL) & (low >= -_DRIFT_TOL)))  # also NaN
+    if failed.size:  # at the first failing grid time, the trace drift before the population
+        p = failed[0]
+        what = (f"trace drift {drift[p]:.3e} exceeds {_DRIFT_TOL:.1e}" if not drift[p] <= _DRIFT_TOL
+                else f"population {low[p]:.3e} below -{_DRIFT_TOL:.1e}")
+        raise StepSizeError(f"{what} at t = {times[p + 1]:.6g}; retry with a smaller max_step")
     ii, jj = ii[kept], jj[kept]
-    step_maps = {dt: (g_1[kept] ** n, p_n) for dt, (g_1, n, p_n) in maps.items()}
 
     def steps():
-        pops = np.real(np.diagonal(start))
         coh = start[ii, jj].astype(complex)
-        trace0 = float(pops.sum())
         yield np.diagonal(start), coh
         for p, dt in enumerate(intervals, start=1):
-            g_n, p_n = step_maps[dt]
-            pops = p_n @ pops
             # g * rho~ in this operand order: with fused multiply-adds a complex
             # product can differ in the last bit when its factors swap
-            np.multiply(g_n, coh, out=coh)
-            drift = abs(float(pops.sum()) - trace0)
-            if not drift <= _DRIFT_TOL:  # also an overflow to inf or NaN
-                raise StepSizeError(
-                    f"trace drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
-                    "retry with a smaller max_step"
-                )
-            # An unstable population step can keep the trace and still
-            # overshoot, which shows as a negative population.
-            low = float(pops.min())
-            if not low >= -_DRIFT_TOL:
-                raise StepSizeError(
-                    f"population {low:.3e} below -{_DRIFT_TOL:.1e} at t = {times[p]:.6g}; "
-                    "retry with a smaller max_step"
-                )
-            yield pops, coh
+            np.multiply(maps[dt][0], coh, out=coh)
+            yield pops[p], coh
 
     return times, ii * dim + jj, dropped_weight, steps()
 
@@ -491,7 +492,9 @@ def expectation_series(
     transformed once, O~ = U+ O U, and contracted with the populations and
     the kept coherences of rho~(t_p) as they are produced; the coherences
     left out change no value by more than 1e-15.  Unlike :func:`evolve`, no
-    (T, d, d) stack of snapshots is built.
+    (T, d, d) stack of snapshots is built; the populations of every grid time
+    are held as T d floats of 8 bytes (0.6 MB for fig5b's 600 times at
+    d = 128).
     """
     dim, u = spectrum.dim, spectrum.states
     start = u.conj().T @ _coerce_rho(rho0, dim) @ u

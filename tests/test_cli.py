@@ -126,7 +126,10 @@ MARGINAL = "dispersive regime is marginal"
 
 @pytest.mark.parametrize("scenario, expected", [
     ("fig1b", [f"qubit 3: |omega - omega_c| = 0.0125 < 3 lam = 0.015; {MARGINAL}"]),
-    ("fig2", [f"qubit 3: |omega - omega_c| = 0.25 < 3 lam = 0.3; {MARGINAL}"]),
+    # the coupling sweep runs one system per lambda, and not the base system
+    ("fig2", [f"perturb.lambdas[{j}]: qubit 3: |omega - omega_c| = {2.5 * lam:.4g} < 3 lam "
+              f"= {3 * lam:.4g}; {MARGINAL}"
+              for j, lam in enumerate([0.03, 0.05, 0.07, 0.09, 0.11, 0.13, 0.15])]),
     ("fig3", [f"qubit 3: |omega - omega_c| = 0.0125 < 3 lam = 0.015; {MARGINAL}"]),
     ("figS2a", [f"qubit 1: |omega - omega_c| = 0.1052 < 3 lam = 0.15; {MARGINAL}"]),
     ("figS2b", [f"qubit 1: |omega - omega_c| = 0.1052 < 3 lam = 0.15; {MARGINAL}"]),
@@ -134,6 +137,29 @@ MARGINAL = "dispersive regime is marginal"
 ])
 def test_presets_keep_their_dispersive_warnings(scenario, expected):
     assert validate_config(resolve_config({"scenario": scenario})) == ([], expected)
+
+
+def test_the_base_system_warns_where_it_runs_or_nothing_runs():
+    base = f"qubit 3: |omega - omega_c| = 0.25 < 3 lam = 0.3; {MARGINAL}"
+    sweep = {"mode": "coupling_sweep", "lambdas": [0.03]}
+    first = f"perturb.lambdas[0]: qubit 3: |omega - omega_c| = 0.075 < 3 lam = 0.09; {MARGINAL}"
+    fig2 = resolve_config({"scenario": "fig2", "perturb": sweep})
+    assert validate_config(fig2) == ([], [first])
+    # a paths computation runs the base system, and so does a sweep section
+    # beside the coupling sweep
+    paths = resolve_config({"scenario": "fig2", "perturb": {"mode": "paths"}})
+    assert validate_config(paths) == ([], [base])
+    levels = {"parameter": "qubits[2].omega", "start": 0.9, "stop": 1.0, "points": 3,
+              "levels": 2}
+    assert validate_config(dict(fig2, sweep=levels)) == ([], [base, first])
+    # a config that runs no system is told about the one it gives
+    system = {key: value for key, value in fig2.items() if key != "perturb"}
+    assert validate_config(system) == ([], [base])
+    # a lambda whose system does not build is an error, not a warning
+    errors, messages = validate_config(dict(fig2, perturb=dict(fig2["perturb"],
+                                                               lambdas=[0.03, -1.0])))
+    assert [e.split(":")[0] for e in errors] == ["perturb.lambdas[1]"]
+    assert messages == [first]
 
 
 @pytest.mark.parametrize("lams, flagged", [(2.99, {1, 2}), (3.01, set())])

@@ -279,10 +279,11 @@ def nonzero_rates(rates):
 
 def pair_loop_rates(spectrum, config):
     """Reference: the per-(j, k) loop that built one decay term per downward
-    eigenstate pair before rates became matrices.  Returns the channel names
-    in order and the (channel, j, k, rate) terms.  X and sigma_x are real, and
-    their real matrices are multiplied, so real eigenvectors give the
-    products in real arithmetic, as build_dissipators forms them."""
+    eigenstate pair before rates became matrices, a pair within 1e-12 in
+    energy counting as degenerate.  Returns the channel names in order and
+    the (channel, j, k, rate) terms.  X and sigma_x are real, and their real
+    matrices are multiplied, so real eigenvectors give the products in real
+    arithmetic, as build_dissipators forms them."""
     layout = spectrum.layout
     u = spectrum.states
     e = spectrum.energies
@@ -298,7 +299,7 @@ def pair_loop_rates(spectrum, config):
         m_eig = u.conj().T @ op @ u
         for k in range(layout.dim):
             for j in range(layout.dim):
-                if e[k] <= e[j]:
+                if not e[j] < e[k] - 1e-12:
                     continue
                 elem2 = float(abs(m_eig[j, k]) ** 2)
                 if elem2 <= 1e-24:
@@ -344,6 +345,20 @@ class TestDissipators:
         spec = diagonalize(build_generalized_dicke(fig1b_preset))
         for _, j, k, _ in nonzero_rates(build_dissipators(spec, fig1b_preset)):
             assert spec.energies[k] > spec.energies[j]
+
+    def test_degenerate_pairs_neither_decay_nor_lower(self):
+        # E_1 - E_0 = 1e-14 is within the 1e-12 degeneracy gap: the rates and
+        # the cavity lowering operator both leave the pair out
+        lay, kappa = HilbertLayout(1, 2), 1e-3
+        spec = SpectrumResult(np.array([0.0, 1e-14, 1.0, 2.0]), np.eye(4),
+                              tuple((b, 1.0) for b in range(4)), lay, ())
+        cfg = SystemConfig((QubitParams(1.0, 0.1),), omega_c=1.0, kappa=kappa, fock_cutoff=2)
+        rates = build_dissipators(spec, cfg)["cavity"]
+        lowering = dynamics._cavity_lowering(spec)
+        assert abs(cavity_quadrature(lay).mat[0, 1]) == 1.0
+        assert rates[0, 1] == 0.0 and lowering[0, 1] == 0.0
+        np.testing.assert_array_equal(rates, kappa * np.abs(lowering) ** 2)
+        assert np.count_nonzero(rates) > 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -404,9 +419,10 @@ def kron_cavity_lowering(spectrum):
 
 def kron_dissipators(spectrum, config):
     """Reference: build_dissipators on the kron-built X and sigma_x^(i), one
-    product U+ O U of two d^3 products a channel."""
+    product U+ O U of two d^3 products a channel, on the downward pairs
+    beyond the 1e-12 degeneracy gap."""
     layout, u, e = spectrum.layout, spectrum.states, spectrum.energies
-    downward = e[None, :] > e[:, None]
+    downward = e[:, None] < e[None, :] - 1e-12
 
     def rate_matrix(strength, op):
         elem2 = np.abs(u.conj().T @ kron_real(op) @ u) ** 2
@@ -940,14 +956,13 @@ class TestExpectationSeries:
         spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
         rho0 = bare_state(lay, "e", 1)
         s1 = embed_qubit_op(lay, 1, SIGMA_MINUS)
-        with np.errstate(all="ignore"):
-            for error, channels, grid, max_step, match, *state in rejected_runs():
-                start, observable, spectrum = state or (rho0, [s1.dag(), s1], spec)
-                with pytest.raises(error, match=match):
-                    evolve(start, spectrum, channels, grid, max_step=max_step)
-                with pytest.raises(error, match=match):
-                    expectation_series(start, spectrum, channels, grid, [observable],
-                                       max_step=max_step)
+        for error, channels, grid, max_step, match, *state in rejected_runs():
+            start, observable, spectrum = state or (rho0, [s1.dag(), s1], spec)
+            with pytest.raises(error, match=match):
+                evolve(start, spectrum, channels, grid, max_step=max_step)
+            with pytest.raises(error, match=match):
+                expectation_series(start, spectrum, channels, grid, [observable],
+                                   max_step=max_step)
         with pytest.raises(ConfigError):
             expectation_series(rho0, spec, {}, [0.0, 1.0],
                                [embed_qubit_op(HilbertLayout(3, 1), 1, SIGMA_MINUS)])
@@ -984,16 +999,15 @@ class TestExpectationSeries:
         default = (bare_state(lay, "e", 1), [s1.dag(), s1], spec)
         runs = rejected_runs()
         assert len(runs) == len(messages)
-        with np.errstate(all="ignore"):
-            for (error, channels, grid, max_step, _, *state), message in zip(runs, messages):
-                start, observable, spectrum = state or default
-                with pytest.raises(error) as raised:
-                    evolve(start, spectrum, channels, grid, max_step=max_step)
-                assert str(raised.value) == message
-                with pytest.raises(error) as raised:
-                    expectation_series(start, spectrum, channels, grid, [observable],
-                                       max_step=max_step)
-                assert str(raised.value) == message
+        for (error, channels, grid, max_step, _, *state), message in zip(runs, messages):
+            start, observable, spectrum = state or default
+            with pytest.raises(error) as raised:
+                evolve(start, spectrum, channels, grid, max_step=max_step)
+            assert str(raised.value) == message
+            with pytest.raises(error) as raised:
+                expectation_series(start, spectrum, channels, grid, [observable],
+                                   max_step=max_step)
+            assert str(raised.value) == message
 
     def test_coarse_step_on_a_population_start(self):
         # the lossless coarse step rejected above multiplies the coherences by
@@ -1091,13 +1105,12 @@ class TestExpectationSeries:
         # the observables' bound that the series passes covers each of them
         np.testing.assert_allclose(seen["reach"], np.abs(basis).max(axis=0), rtol=1e-12, atol=0)
 
-        # w_ij = |rho~0_ij| max_k |O~_k,ji| max(1, |g_ij|)^(T-1), off the diagonal
+        # w_ij = |rho~0_ij| max_k |O~_k,ji| (1 + 1e-7)^(T-1), off the diagonal: the
+        # stability check caps every live |g_ij| at 1 + 1e-7
         rho0_mat = (np.outer(rho0.amp, rho0.amp.conj()) if isinstance(rho0, Ket)
                     else rho0)
-        (dt,) = set(np.diff(grid).tolist())
-        g_n, _ = reference_interval_maps(spec, rates, grid)(dt)
         weight = (np.abs(u.conj().T @ rho0_mat @ u) * np.abs(basis).max(axis=0).T
-                  * np.maximum(1.0, np.abs(g_n)) ** (len(grid) - 1))
+                  * (1 + 1e-7) ** (len(grid) - 1))
         np.fill_diagonal(weight, 0.0)
         kept = np.zeros(d * d, dtype=bool)
         kept[seen["keep"]] = True
@@ -1164,6 +1177,212 @@ def assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach):
         expected = coh.copy() if expected is None else g_n * expected
         np.testing.assert_array_equal(coh, expected)
     return keep.size
+
+
+def stepwise_stream(start, spectrum, rates, t_grid, max_step, reach=None):
+    """Reference: dynamics._eigenbasis_stream as it was when its generator
+    checked the trace drift and the populations one grid step at a time, and
+    weighted each coherence by max(1, |g_1|^n)^(T-1) off a per-coherence
+    growth array.  Returns what the stream returns; a drift or population
+    failure raises from the generator, at the step that has it."""
+    dim, e = spectrum.dim, spectrum.energies
+    tol = dynamics._DRIFT_TOL
+
+    times = np.asarray(list(t_grid), dtype=float)
+    if times.size < 1:
+        raise ConfigError("empty time grid")
+    if times.size > 1 and not np.all(np.diff(times) > 0):
+        raise ConfigError("time grid must be strictly increasing")
+    if not np.all(np.isfinite(times)):
+        raise ConfigError("time grid must be finite")
+
+    gain = np.zeros((dim, dim))
+    for name, r in rates.items():
+        r = np.asarray(r, dtype=float)
+        if r.shape != (dim, dim):
+            raise ConfigError(f"rate matrix {name!r} has shape {r.shape}, need {(dim, dim)}")
+        if not np.all(r >= 0):
+            raise ConfigError(f"rate matrix {name!r} has negative or NaN entries")
+        if np.any(np.diagonal(r) != 0):
+            raise ConfigError(f"rate matrix {name!r} must be zero on the diagonal")
+        gain += r
+    out_rate = gain.sum(axis=0)
+
+    if max_step is not None:
+        if not max_step > 0:
+            raise ConfigError("max_step must be positive")
+        h_max = float(max_step)
+    else:
+        spread, span = float(e[-1] - e[0]), float(times[-1] - times[0])
+        h_max = min(0.01 / spread if spread > 0 else math.inf,
+                    span / 1000.0 if span > 0 else math.inf)
+
+    live = np.array(np.nonzero(start))
+    ii, jj = live[:, live[0] != live[1]]
+    coherence_rate = -1j * (e[ii] - e[jj]) - 0.5 * (out_rate[ii] + out_rate[jj])
+    w_pop = gain - np.diag(out_rate)
+
+    intervals = np.diff(times).tolist()
+    maps = {}
+    g_reach = np.ones(ii.size)
+    for p, dt in enumerate(intervals, start=1):
+        if dt in maps:
+            continue
+        steps = dt / h_max
+        if steps == math.inf:
+            raise ConfigError(f"interval {dt:.6g} before t = {times[p]:.6g} needs more RK4 "
+                              f"steps of at most {h_max:.3g} than a float can count")
+        n = max(1, math.ceil(steps))
+        h = dt / n
+        g_1 = dynamics._rk4_scalar(h * coherence_rate)
+        size = np.abs(g_1) ** n
+        worst = float(size.max(initial=1.0))
+        if not worst <= 1.0 + tol:
+            raise StepSizeError(
+                f"coherence multiplier {worst:.3e} exceeds 1 + {tol:.1e} at "
+                f"t = {times[p]:.6g}; retry with a smaller max_step"
+            )
+        np.maximum(g_reach, size, out=g_reach)
+        maps[dt] = (g_1, n, np.linalg.matrix_power(dynamics._rk4_matrix(h * w_pop), n))
+
+    weight = np.abs(start[ii, jj])
+    bound = 0.0
+    if reach is not None:
+        weight *= reach[jj, ii] * g_reach ** (times.size - 1)
+        bound = dynamics._DROP_BOUND
+    order = np.argsort(weight, kind="stable")
+    cumulative = np.cumsum(weight[order])
+    dropped = int(np.searchsorted(cumulative, bound, side="right"))
+    dropped_weight = float(cumulative[dropped - 1]) if dropped else 0.0
+    kept = np.sort(order[dropped:])
+    ii, jj = ii[kept], jj[kept]
+    step_maps = {dt: (g_1[kept] ** n, p_n) for dt, (g_1, n, p_n) in maps.items()}
+
+    def steps():
+        pops = np.real(np.diagonal(start))
+        coh = start[ii, jj].astype(complex)
+        trace0 = float(pops.sum())
+        yield np.diagonal(start), coh
+        for p, dt in enumerate(intervals, start=1):
+            g_n, p_n = step_maps[dt]
+            pops = p_n @ pops
+            np.multiply(g_n, coh, out=coh)
+            drift = abs(float(pops.sum()) - trace0)
+            if not drift <= tol:
+                raise StepSizeError(
+                    f"trace drift {drift:.3e} exceeds {tol:.1e} at t = {times[p]:.6g}; "
+                    "retry with a smaller max_step"
+                )
+            low = float(pops.min())
+            if not low >= -tol:
+                raise StepSizeError(
+                    f"population {low:.3e} below -{tol:.1e} at t = {times[p]:.6g}; "
+                    "retry with a smaller max_step"
+                )
+            yield pops, coh
+
+    return times, ii * dim + jj, dropped_weight, steps()
+
+
+def drawn_stream(stream, *args):
+    """(times, kept indices, dropped weight, copies of every yielded pair) of
+    a stream, or the ConfigError or StepSizeError it raised while called or
+    drawn."""
+    try:
+        times, keep, dropped_weight, steps = stream(*args)
+        return times, keep, dropped_weight, [(d.copy(), c.copy()) for d, c in steps]
+    except (ConfigError, StepSizeError) as err:
+        return err
+
+
+class TestStreamOracle:
+    """The stream that checks the whole grid before it returns gives the
+    bits and the rejections of the stream that checked step by step."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(layout=st.sampled_from(SMALL_LAYOUTS), channels=st.integers(0, 2),
+           rate_scale=st.sampled_from([0.05, 2.0, 50.0]), uniform=st.booleans(),
+           points=st.integers(1, 12), step=st.sampled_from([None, "stable", "coarse"]),
+           start=st.sampled_from(["ket", "dense", "block", "populations"]),
+           with_reach=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_stepwise_stream(self, layout, channels, rate_scale, uniform,
+                                         points, step, start, with_reach, seed):
+        rng = np.random.default_rng(seed)
+        d = layout.dim
+        raw = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        spec = diagonalize(Operator(raw + raw.conj().T, layout))
+        # downward rates over the ascending eigenbasis, each entry present at random
+        rates = {f"channel{c}": np.triu(rng.uniform(0, rate_scale, (d, d))
+                                        * (rng.random((d, d)) < 0.5), 1)
+                 for c in range(channels)}
+        t0 = rng.uniform(-1, 1)
+        if uniform:
+            grid = np.linspace(t0, t0 + rng.uniform(0.1, 5.0), points)
+        else:
+            grid = t0 + np.cumsum(rng.uniform(0.01, 1.0, points))
+        # a stable step below the default rule's 0.01 / spread, or a coarse
+        # one, up to 1e4 times that, which the checks may reject
+        factor = {None: None, "stable": rng.uniform(0.1, 1),
+                  "coarse": 10.0 ** rng.uniform(0, 4)}[step]
+        max_step = None if factor is None else factor * 0.01 / (spec.energies[-1]
+                                                                - spec.energies[0])
+        # a pure state, a mixed one, a mixed one on eigen indices 0..r-1, or
+        # one with no coherence
+        r = int(rng.integers(1, min(d, 4) + 1)) if start == "block" else d
+        a = rng.uniform(-1, 1, (r, 2 * r)) + 1j * rng.uniform(-1, 1, (r, 2 * r))
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[:r, :r] = a[:, :1] @ a[:, :1].conj().T if start == "ket" else a @ a.conj().T
+        if start == "populations":
+            rho0 = np.diag(np.diagonal(rho0))
+        rho0 /= np.trace(rho0).real
+        # an observables' bound that drops every coherence, some or none
+        reach = rng.uniform(0, 1, (d, d)) * 10.0 ** rng.uniform(-18, 0) if with_reach else None
+
+        args = (rho0, spec, rates, grid, max_step, reach)
+        with np.errstate(all="ignore"):  # the reference's unstable steps overflow
+            expected = drawn_stream(stepwise_stream, *args)
+        got = drawn_stream(dynamics._eigenbasis_stream, *args)
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected)
+            assert str(got) == str(expected)
+            return
+        times, keep, dropped_weight, pairs = got
+        ref_times, ref_keep, ref_dropped_weight, ref_pairs = expected
+        assert times.tobytes() == ref_times.tobytes()
+        assert len(pairs) == len(ref_pairs) == points
+        if reach is None:
+            assert keep.tobytes() == ref_keep.tobytes()
+            assert dropped_weight == ref_dropped_weight == 0.0
+        assert dropped_weight <= dynamics._DROP_BOUND
+        _, at, ref_at = np.intersect1d(keep, ref_keep, assume_unique=True,
+                                       return_indices=True)
+        for (diagonal, coh), (ref_diagonal, ref_coh) in zip(pairs, ref_pairs):
+            assert diagonal.dtype == ref_diagonal.dtype
+            assert diagonal.tobytes() == ref_diagonal.tobytes()
+            assert coh[at].tobytes() == ref_coh[ref_at].tobytes()
+
+    def test_step_errors_raise_at_the_call(self):
+        # every trace drift and negative population is found before the
+        # stream returns, at the first failing grid time, so its generator
+        # is never drawn here
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        rho0 = bare_state(lay, "e", 1)
+        runs = [run for run in rejected_runs() if run[4] in ("trace drift", "population")]
+        assert len(runs) == 5
+        for _, channels, grid, max_step, match, *state in runs:
+            start, _, spectrum = state or (rho0, None, spec)
+            with pytest.raises(StepSizeError, match=match):
+                dynamics._eigenbasis_stream(eigenbasis_start(spectrum, start), spectrum,
+                                            channels, grid, max_step)
+        # the cascade overshoots at t = 10 and fails again at every later time
+        cascade = dict(rejected_runs()[5][1])
+        with pytest.raises(StepSizeError) as raised:
+            dynamics._eigenbasis_stream(eigenbasis_start(spec, rho0), spec, cascade,
+                                        [0.0, 10.0, 20.0, 30.0], 10.0)
+        assert str(raised.value) == ("population -5.183e+02 below -1.0e-07 at t = 10; "
+                                     "retry with a smaller max_step")
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
