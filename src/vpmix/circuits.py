@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _require_integer
+from .algebra import _require_finite, _require_integer
 from .errors import ConfigError, NumericalError
 
 __all__ = [
@@ -117,7 +117,7 @@ def _apply(state: RegisterState, wires, mat: np.ndarray) -> RegisterState:
 @dataclass(frozen=True)
 class GateSpec:
     """One gate: kind in {x, z, s, y, cnot, u3mix, u4mix}, 1-based wires,
-    and an angle for the y rotation."""
+    and an angle for the y rotation, a finite real number where given."""
 
     kind: str
     wires: tuple[int, ...]
@@ -125,6 +125,8 @@ class GateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "wires", _integer_wires(self.wires))
+        if self.angle is not None:
+            _require_finite(self, ("angle",), prefix="gate ")
 
 
 def _y_matrix(theta: float) -> np.ndarray:

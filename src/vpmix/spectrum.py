@@ -37,8 +37,11 @@ Both read only a few eigenpairs, and LAPACK's ``dsyevr`` solves for
 just those: a sweep for the lowest ones, up to the levels it reports, a
 search for its pair's two branches.  A sweep's rows therefore match
 :func:`diagonalize` to rounding rather than bit for bit (see
-:func:`sweep_levels`).  :func:`diagonalize` solves with ``eigh``: the
-dynamics need every eigenvector of the search's final spectrum.
+:func:`sweep_levels`).  The dynamics need every eigenvector of the
+search's spectrum at the minimum, so the search closes with a full
+``eigh`` solve, written by its pencil and solved by its solver, and
+labelled and gauged as :func:`diagonalize` labels and gauges its own:
+the same bits.
 """
 
 from __future__ import annotations
@@ -341,7 +344,12 @@ def diagonalize(op: Operator) -> SpectrumResult:
     a real symmetric input this is a choice of sign.
     """
     with _one_blas_thread():
-        energies, states = _Solver(op.mat)()
+        return _spectrum(*_Solver(op.mat)(), op.layout)
+
+
+def _spectrum(energies: np.ndarray, states: np.ndarray, layout: HilbertLayout) -> SpectrumResult:
+    """The labelled, gauged :class:`SpectrumResult` of a full solve's
+    energies and eigenvectors, copied out of the solver's arrays."""
     dominant, amp, norm = _dominant(states)
     states = states * np.conj(amp / norm)
     labels = tuple(zip(dominant.tolist(), (norm * norm).tolist()))
@@ -356,19 +364,20 @@ def diagonalize(op: Operator) -> SpectrumResult:
         energies=energies,
         states=states,
         labels=labels,
-        layout=op.layout,
+        layout=layout,
         label_collisions=tuple(collisions),
     )
 
 
-_PATH_RE = re.compile(r"^qubits\[(\d+)\]\.(omega|lam|theta|gamma)$")
+_PATH_RE = re.compile(r"qubits\[([0-9]+)\]\.(omega|lam|theta|gamma)")
 
 
 def _parameter_field(config: SystemConfig, path: str) -> tuple[int | None, str]:
-    """(qubit list index or None for a config field, field name) of a path."""
+    """(qubit list index or None for a config field, field name) of a path,
+    matched in full: no trailing newline, no digits but 0-9."""
     if path in ("omega_c", "kappa"):
         return None, path
-    m = _PATH_RE.match(path)
+    m = _PATH_RE.fullmatch(path) if isinstance(path, str) else None
     if not m:
         raise ConfigError(f"cannot resolve parameter path {path!r}")
     k = int(m.group(1))
@@ -546,7 +555,7 @@ class AnticrossingReport:
     are the squared overlaps of the two branch eigenstates with the symmetric/
     antisymmetric combinations (|u> +- |v>)/sqrt(2) of the nominated pair.
     All are read from ``spectrum``, the model diagonalized at ``location``.
-    ``evaluations`` counts the gap evaluations and the final diagonalization;
+    ``evaluations`` counts the gap evaluations and the closing solve;
     the last evaluation solved for the eigenpairs of the eigen index range
     ``solved_pairs`` = (first, last), both included, with ``eigensolver``:
     ``"dsyevr"``, or ``"eigh"`` (for all of them) where numpy's LAPACK lacks
@@ -649,8 +658,10 @@ def find_anticrossing(
     raises :class:`NumericalError`, since the gap may still fall beyond it.
     A ``tol`` below the float spacing of the bracket ends (zero and negative
     ones included) raises :class:`ConfigError`: the interval stops shrinking
-    there, and the refinement would never end.  The last evaluation builds the
-    model at the minimum and diagonalizes it for the report's ``spectrum``.
+    there, and the refinement would never end.  The closing solve writes the
+    model at the minimum with the search's pencil and solves it in full with
+    the search's solver, for the report's ``spectrum``: the bits
+    :func:`diagonalize` gives for the model built at the minimum.
 
     An evaluation reads only the pair's two branches, so one :class:`_Solver`
     solves each evaluation for the branch range a..b, from the lower branch's
@@ -665,7 +676,7 @@ def find_anticrossing(
     makes, so the gaps, and with them the golden-section steps, agree with a
     full solve's to rounding.  Where numpy's LAPACK lacks ``dsyevr``,
     ``eigh`` solves every evaluation in full.  The report records the last
-    solve's eigensolver and range, and the largest unsolved pair weight.
+    evaluation's eigensolver and range, and the largest unsolved pair weight.
 
     Every evaluation is written from one pencil of the swept field, as each
     point of :func:`sweep_levels` is, and is checked as those are: the base,
@@ -673,7 +684,8 @@ def find_anticrossing(
     evaluation the field's own rule and the entries the field moves.  So a
     bracket end that the field's rule rejects raises only where an
     evaluation lands on a rejected value; the ends themselves are never
-    evaluated.
+    evaluated.  The closing solve is written and checked the same way, so a
+    search builds one solver and no :class:`Operator`.
     """
     field, u, v, lo, hi = _search_inputs(config, parameter, bracket, bare_pair, model, tol)
     solver, dim = _Solver(_buffer(config)), config.layout.dim
@@ -732,7 +744,10 @@ def find_anticrossing(
                 f"bracket [{lo:g}, {hi:g}]; widen the bracket"
             )
         evaluations += 1
-        spectrum = diagonalize(MODEL_BUILDERS[model](set_parameter(config, parameter, x_min)))
+        # the report records the last evaluation's solve, not the closing one
+        eigensolver, first, count = solver.name, solver.first, solver.count
+        pencil.write(x_min, solver.mat)
+        spectrum = _spectrum(*solver(), config.layout)
     energies, states = spectrum.energies, spectrum.states
     ia, ib, _ = _pair_branches(states, u, v)
 
@@ -748,7 +763,7 @@ def find_anticrossing(
         parameter=parameter, location=float(x_min), splitting=float(energies[ib] - energies[ia]),
         branch_indices=(ia, ib), branch_energies=(float(energies[ia]), float(energies[ib])),
         superposition_overlaps=overlaps, bare_pair=(u, v), evaluations=evaluations,
-        eigensolver=solver.name, solved_pairs=(solver.first, solver.first + solver.count - 1),
+        eigensolver=eigensolver, solved_pairs=(first, first + count - 1),
         unseen_weight_max=unseen_max, spectrum=spectrum)
 
 

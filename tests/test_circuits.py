@@ -74,6 +74,18 @@ class TestGates:
         out = apply_gate(basis(2, 0), GateSpec("x", (np.int64(2),)))
         assert out.amp[0b01] == 1.0
 
+    @pytest.mark.parametrize("angle, fault", [
+        (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+        (10**400, "finite"), ("0.5", "a real number"), (1j, "a real number")],
+        ids=["nan", "inf", "-inf", "int-1e400", "str", "complex"])
+    def test_y_angle_must_be_a_finite_real(self, angle, fault):
+        # NaN gave NaN amplitudes, an infinity a bare math domain error and
+        # a string a TypeError
+        message = f"^gate angle must be {fault}, got {re.escape(repr(angle))}$"
+        with pytest.raises(ConfigError, match=message):
+            GateSpec("y", (1,), angle=angle)
+        assert apply_gate(basis(1, 0), GateSpec("y", (1,), angle=np.float64(0.0))).amp[0] == 1.0
+
     @pytest.mark.parametrize("count, message", [
         (0, "qubit_count must be >= 1, got 0"), (-1, "qubit_count must be >= 1, got -1"),
         (1.0, "qubit_count must be an integer, got 1.0"),

@@ -116,6 +116,13 @@ def test_bad_field_values_exit_2_without_outputs(tmp_path, capsys, payload, fiel
     assert_config_error(tmp_path, capsys, "levels", payload, field)
 
 
+def test_a_parameter_path_with_a_trailing_newline_is_an_error(tmp_path, capsys):
+    payload = {"scenario": "fig1b", "sweep": {"parameter": "qubits[2].omega\n"}}
+    message = "sweep: cannot resolve parameter path 'qubits[2].omega\\n'"
+    assert validate_config(resolve_config(payload))[0] == [message]
+    assert_config_error(tmp_path, capsys, "levels", payload, message)
+
+
 def test_presets_validate_without_errors():
     for scenario in SCENARIOS:
         assert validate_config(resolve_config({"scenario": scenario}))[0] == []
@@ -332,13 +339,15 @@ def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", fig3_dynamics(points=5))
     with tracer.installed(), tracer.command("fig3-dynamics"):
         assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    for name in ("cli.cmd", "cli.run_command", "model.build", "spectrum.find_anticrossing"):
+    for name in ("cli.cmd", "cli.run_command", "spectrum.find_anticrossing"):
         assert tracer.counts[f"{name}.calls"] == 1, name
+    # the search's closing solve runs on its own pencil: no model is built
+    assert tracer.counts["model.build.calls"] == 0
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
 def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch, scenario):
-    # the search's last evaluation supplies the spectrum the dynamics run in.
+    # the search's closing solve supplies the spectrum the dynamics run in.
     # vpmix.spectrum._Solver.__call__ counts every eigensolve of the package,
     # eigh or dsyevr subset, and the gufunc behind numpy.linalg.eigh every
     # full one that does not come through the solver; no bundled search

@@ -288,6 +288,18 @@ def test_set_parameter_paths(fig1b_spec_literal):
         set_parameter(fig1b_spec_literal, "nonsense", 1.0)
 
 
+@pytest.mark.parametrize("path", ["qubits[2].omega\n", "qubits[\u0662].omega",
+                                  " qubits[2].omega", "omega_c\n", 2, None, b"omega_c"])
+def test_parameter_paths_match_in_full(fig1b_spec_literal, path):
+    # a regex's $ also matches before a final newline, and \d matches any
+    # Unicode digit; a path resolves only as the exact ASCII string
+    message = re.escape(f"cannot resolve parameter path {path!r}")
+    with pytest.raises(ConfigError, match=message):
+        set_parameter(fig1b_spec_literal, path, 1.0)
+    with pytest.raises(ConfigError, match=message):
+        sweep_levels(fig1b_spec_literal, path, [0.9, 1.0], 2)
+
+
 def test_sweep_empty_grid(fig1b_spec_literal):
     res = sweep_levels(fig1b_spec_literal, "qubits[2].omega", [], 5)
     assert res.grid.size == 0
@@ -446,21 +458,21 @@ def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
     # eigenvectors, and the solver's small outputs, reused at every
     # evaluation.  The first evaluation has eigh write every eigenpair, the
     # later ones dsyevr the pair's two (indices 7..8), both into the same
-    # scratch.  The last evaluation builds and diagonalizes the model afresh
-    # for the report, so the measured span ends where the search asks for
-    # the builder.
+    # scratch.  The closing solve, in full into the same scratch, is then
+    # copied out for the report, so the measured span ends where the search
+    # labels that spectrum.
     preset = get_preset("fig4")
     cfg, block = build_system(preset), preset["anticross"]
     mat_bytes = cfg.layout.dim ** 2 * 8
     assert cfg.layout.dim == 128
-    build, peaks = MODEL_BUILDERS["dicke"], []
+    label, peaks = spectrum._spectrum, []
 
-    def end_span(config):
+    def end_span(*args):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-        return build(config)
+        return label(*args)
 
-    monkeypatch.setitem(MODEL_BUILDERS, "dicke", end_span)
+    monkeypatch.setattr(spectrum, "_spectrum", end_span)
 
     def peak(tol: float) -> tuple[int, int]:
         tracemalloc.start()
@@ -479,6 +491,29 @@ def test_search_allocates_no_per_evaluation_arrays(monkeypatch):
     # dsyevr).  A d x d eigenvector output beside the scratch makes three
     # (3.08 measured with one), and fresh eigh outputs at each evaluation more
     assert many < 2.75 * mat_bytes
+
+
+def test_a_whole_search_holds_under_five_arrays():
+    # d = 128, from the first evaluation to the report: the solver's two
+    # arrays, then the closing solve's labelling (its weights) and the
+    # report's gauged eigenvectors with their copy (4.65 measured).  A
+    # closing diagonalize of a model built afresh, with its own buffer,
+    # Operator copy and solver, makes 6.55.
+    preset = get_preset("fig4")
+    cfg, block = build_system(preset), preset["anticross"]
+    mat_bytes = cfg.layout.dim ** 2 * 8
+    assert cfg.layout.dim == 128
+
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            find_anticrossing(cfg, block["parameter"], block["bracket"], block["pair"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # layout terms cached first
+    assert peak() < 5.0 * mat_bytes
 
 
 def blas_threads() -> int:
@@ -685,7 +720,7 @@ def test_pair_branches_names_an_unsolved_range():
 
 @pytest.mark.parametrize("cfg, block", search_cases())
 def test_a_search_keeps_one_solver(monkeypatch, cfg, block):
-    # one solver for every evaluation, and one more in the closing diagonalize
+    # one solver for every evaluation and the closing solve
     init, built = _Solver.__init__, []
 
     def counted(solver, mat, *args):
@@ -694,7 +729,7 @@ def test_a_search_keeps_one_solver(monkeypatch, cfg, block):
 
     monkeypatch.setattr(_Solver, "__init__", counted)
     search(cfg, block)
-    assert built == [(cfg.layout.dim,) * 2] * 2
+    assert built == [(cfg.layout.dim,) * 2]
 
 
 def _search_with_second_range(monkeypatch, cfg, block, move):
@@ -742,7 +777,7 @@ def test_a_search_that_misses_a_branch_falls_back_to_the_full_solve_report(
     (a, b), every = missed.branch_indices, ("eigh", 0, cfg.layout.dim)
     assert [(first, first + count - 1) for name, first, count in solves
             if name == "dsyevr"][:2] == ranges
-    # the closing diagonalize solves every pair too
+    # the closing solve solves every pair too
     assert solves == [every, ("dsyevr", a - 1, 2), every] + [("dsyevr", a, 2)] * (
         missed.evaluations - 3) + [every]
     assert (b - a, missed.eigensolver, missed.solved_pairs) == (1, "dsyevr", (a, b))
@@ -1104,8 +1139,11 @@ def test_warm_sweep_and_search_reuse_their_heap():
     # outputs over every layout tried.  The probe runs with the caller's
     # environment, whose size moves the heap layout: the extra variables that
     # pytest sets were enough to turn it.  Below the bounds the counts take a
-    # few levels, one or two d x d arrays apart (about 1 or 97 on the sweep,
-    # 232 or 296 on the search), and the environment's size alone picks one.
+    # few levels, whole d x d arrays (32 pages) apart, and the environment's
+    # size alone picks one: over 48 sizes the warm sweep read 1 to 21 and
+    # the search 131 to 169, in three levels: 131-137, 151-158, 163-169.  So one
+    # reading cannot compare two commits; a comparison takes the counts over
+    # many environment sizes, from checkouts at paths of equal length.
     env = dict(os.environ, PYTHONPATH=str(Path(vpmix.__file__).resolve().parents[1]))
     probe = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True,
                            text=True, timeout=300, check=True)
@@ -1241,17 +1279,20 @@ class TestAnticrossing:
             _pair_branches(spread / math.sqrt(dim), 0, 1)
 
     def test_report_matches_diagonalize_at_minimum(self, fig1b_preset):
-        # the report carries the spectrum of its last evaluation: bit for bit
+        # the report carries the spectrum of its closing solve: bit for bit
         # an independent diagonalize of the builder at the location, and the
-        # source of the branches, energies and overlaps
-        fig4 = get_preset("fig4")
-        cases = [(fig1b_preset, {"parameter": "qubits[2].omega", "bracket": (0.90, 1.02),
-                                 "pair": (("gge", 0), ("eeg", 0))}),
-                 (build_system(fig4), fig4["anticross"])]
-        for cfg, block in cases:
+        # source of the branches, energies and overlaps, for either model
+        fig1b_block = {"parameter": "qubits[2].omega", "bracket": (0.90, 1.02),
+                       "pair": (("gge", 0), ("eeg", 0))}
+        fig4, fig5a = get_preset("fig4"), get_preset("fig5a")
+        cases = [(fig1b_preset, fig1b_block, "dicke"),
+                 (build_system(fig4), fig4["anticross"], "dicke"),
+                 (fig1b_preset, fig1b_block, "tc"),
+                 (build_system(fig5a), fig5a["anticross"], "tc")]
+        for cfg, block, model in cases:
             rep = find_anticrossing(cfg, block["parameter"], tuple(block["bracket"]),
-                                    block["pair"])
-            spec = diagonalize(build_generalized_dicke(
+                                    block["pair"], model=model)
+            spec = diagonalize(MODEL_BUILDERS[model](
                 set_parameter(cfg, block["parameter"], rep.location)))
             assert rep.spectrum.energies.tobytes() == spec.energies.tobytes()
             assert rep.spectrum.states.tobytes() == spec.states.tobytes()
