@@ -26,14 +26,15 @@ import sys
 import time
 from contextlib import suppress
 from dataclasses import asdict, replace
-from functools import cache, reduce
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .circuits import run_ecc
-from .dynamics import _cavity_lowering, _dressed_lowering, _series, build_dissipators
+from .dynamics import (_cavity_lowering, _dressed_lowering, _propagated_levels, _series,
+                       build_dissipators)
 from .errors import ConfigError, VpmixError
 from .model import MODEL_BUILDERS, QubitParams, SystemConfig, _layout_terms
 from .perturbation import _dispersive_warning, effective_coupling, three_mix_coupling
@@ -370,23 +371,27 @@ def cmd_anticross(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], di
     return {"anticross.json": _json(payload)}, {"search": _solver_record(rep)}
 
 
-def _observable_matrix(obs: dict, lowering, spectrum) -> np.ndarray:
-    """Eigenbasis matrix U+ O U of one configured observable; ``lowering(q)``
-    gives qubit q's dressed lowering operator in the eigenbasis."""
-    kind, u, layout = obs["kind"], spectrum.states, spectrum.layout
+def _observable_matrix(obs: dict, lowering, spectrum, levels: int) -> np.ndarray:
+    """Leading levels x levels block of the eigenbasis matrix U+ O U of one
+    configured observable; ``lowering(q)`` gives qubit q's dressed lowering
+    operator in the eigenbasis.  Each is a product A+ A, of which only the
+    first ``levels`` columns of A are formed."""
+    kind, u, layout = obs["kind"], spectrum.states[:, :levels], spectrum.layout
     if kind == "excitation":
-        s = lowering(obs["qubit"])
+        s = lowering(obs["qubit"])[:, :levels]
         return s.conj().T @ s
-    if kind == "correlation":
+    if kind == "correlation":  # A = L_n ... L_2 L_1 for qubits [q_1, ..., q_n]
         qs = obs["qubits"]
-        return reduce(np.matmul, [lowering(q).conj().T for q in qs]
-                      + [lowering(q) for q in reversed(qs)])
+        a = lowering(qs[0])[:, :levels]
+        for q in qs[1:]:
+            a = lowering(q) @ a
+        return a.conj().T @ a
     if kind == "photon":  # |g...g,1><g...g,1| is rank 1: w+ w, w its row of U
         w = u[layout.bare_index("g" * layout.qubit_count, 1)]
         return np.outer(w.conj(), w)
     if kind == "cavity_number":  # a+ a is diagonal
         return u.conj().T @ (_layout_terms(layout).number[:, None] * u)
-    a = _cavity_lowering(spectrum)  # cavity_emission
+    a = _cavity_lowering(spectrum)[:, :levels]  # cavity_emission
     return a.conj().T @ a
 
 
@@ -421,8 +426,10 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dic
     grid = math.ldexp(round(mantissa * 2**bits), exponent - bits) * np.arange(points)
     rates = {} if dyn.get("lossless", False) else build_dissipators(spectrum, system)
     observables = dyn.get("observables", [])
+    # the levels the start and the rates reach, the block the propagation runs on
+    levels = _propagated_levels(start, sum(rates.values(), np.zeros(start.shape)))
     values, kept, dropped_weight = _series(start, spectrum, rates, grid, [
-        _observable_matrix(obs, lowering, spectrum) for obs in observables])
+        _observable_matrix(obs, lowering, spectrum, levels) for obs in observables])
 
     meta = {
         "parameter": rep.parameter,
@@ -437,8 +444,8 @@ def cmd_dynamics(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dic
     return ({"dynamics.csv": _csv(["t"] + [obs["name"] for obs in observables],
                                   np.column_stack([grid, values])),
              "dynamics_meta.json": _json(meta)},
-            {"search": _solver_record(rep), "coherences_kept": kept,
-             "dropped_weight": dropped_weight})
+            {"search": _solver_record(rep), "propagated_levels": levels,
+             "coherences_kept": kept, "dropped_weight": dropped_weight})
 
 
 def cmd_perturb(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
@@ -519,9 +526,12 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     left in the unsolved eigenvectors, the margin of its branch picks), and
     a ``perturb`` coupling sweep the same of each of its searches, in
     ``searches``.  A ``dynamics`` manifest also records
-    ``coherences_kept``, the number of eigenbasis coherences the propagation
-    carried, and ``dropped_weight``, the summed bound of the ones it dropped
-    (at most 1e-15), which no data file holds.
+    ``propagated_levels``, the number r of leading eigen levels that the
+    start and the rates reach and the propagation ran on (d for a start
+    with weight on the top level), ``coherences_kept``, the number of
+    eigenbasis coherences the propagation carried, and ``dropped_weight``,
+    the summed bound of the ones it dropped (at most 1e-15), which no data
+    file holds.
     ``threads`` remains only for callers written when the thread count was an
     argument, such as ``perfbench/test_oracle.py``, which passes
     ``threads=1``; any other value raises :class:`ConfigError`.

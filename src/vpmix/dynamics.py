@@ -48,30 +48,44 @@ The propagation (``_eigenbasis_stream`` and ``_series``) takes only
 eigenbasis inputs, the start rho~0 = U+ rho0 U and the observables
 O~ = U+ O U, and reads no eigenvector.  :func:`evolve` and
 :func:`expectation_series` own the change of basis: each checks its bare
-start (a Ket, a vector or a matrix) and forms rho~0 once.  The live
-coherences, i != j with rho~0_ij != 0, are read once as index arrays; the
+start (a Ket, a vector or a matrix) and forms rho~0 once.  Every jump of
+the zero-temperature rates goes down in energy, so in the ascending
+eigenbasis the population generator is upper triangular, and a start on
+eigen levels 0..r-1 never leaves them.  The propagation runs on that
+leading r x r block alone: r is 1 + the largest index of rho~0's nonzero
+entries, grown while the summed rates lead out of levels 0..r-1, as a
+rate matrix given by hand may do.  A pair start at a bundled minimum has
+r = 5 of d = 64 (fig3) or r = 9 of d = 128 (fig5b, figS2b); a start with
+weight on the top level, such as U+ rho0 U of almost any bare state, whose
+rounding leaves every entry nonzero, has r = d.  The rates are checked
+whole, and the step obeys the full spectrum's spread, so the block takes
+the RK4 maps of the full propagation.  The live coherences, i != j with
+rho~0_ij != 0, lie in the block and are read once as index arrays; the
 rest stay exactly zero.  Their one-step multipliers g_ij, the stability
 check on |g_ij|^n and the drop weights are 1-D arrays over them, and only
 the kept coherences' multipliers are raised to the n-th power.  The
-populations of every grid time are formed first, as one (T, d) float array
-(T d 8 bytes, 0.6 MB for fig5b), and the trace-drift and negative-population
+populations of every grid time are formed first, as one (T, r) float array
+(T r 8 bytes, 43 kB for fig5b), and the trace-drift and negative-population
 checks run over it before anything is returned.  The state is then streamed
 in the eigenbasis, rho~(t_p) = U+ rho(t_p) U, one grid time at a time, as
 that array's row plus a 1-D array of the coherences kept at fixed indices
 (i, j).  :func:`expectation_series` transforms each observable product once
-and hands the O~ to ``_series``, which keeps only the coherences that can
-reach an observable: it drops them in ascending order of the bound
+and hands the O~ to ``_series``, which reads only their leading r x r
+blocks and keeps only the coherences that can reach an observable: it drops
+them in ascending order of the bound
 w_ij = |rho~0_ij| max_k |O~_k,ji| (1 + 1e-7)^(T-1), which holds because the
 stability check caps every |g_ij^n| at 1 + 1e-7, while their summed bound
-stays <= 1e-15, so no value moves by more than that.  Each time step then
-costs O(d^2) for the populations plus O(m n_obs) for the m kept coherences,
-contracted as pops . diag(O~_k) + sum rho~_ij O~_k,ji.  No (T, d, d) snapshot
-stack is built.  The ``dynamics`` command builds its start and its O~ in
-the eigenbasis itself and calls ``_series`` directly, which also reports the
-kept count and the dropped weight for its manifest; a pair start there has
-exactly 2 live coherences and keeps both.  :func:`evolve` keeps every live
-coherence, turns every rho~(t_p) back into the bare basis and keeps them all
-as one read-only (T, d, d) array, which :func:`expectation` contracts with
+stays <= 1e-15, so no value moves by more than that.  The values are
+pops . diag(O~_k) + sum rho~_ij O~_k,ji: the populations of the whole grid
+are contracted in one (T, r) by (r, n_obs) product, and each time step
+costs O(m n_obs) for the m kept coherences.  No (T, d, d) snapshot stack
+is built.  The ``dynamics`` command builds its start in the eigenbasis
+itself, and only the r x r blocks of its O~, and calls ``_series``
+directly, which also reports the kept count and the dropped weight for its
+manifest; a pair start there has exactly 2 live coherences and keeps both.
+:func:`evolve` keeps every live coherence, turns every rho~(t_p) back into
+the bare basis, U[:, :r] rho~_r U[:, :r]+, and keeps them all as one
+read-only (T, d, d) array, which :func:`expectation` contracts with
 an operator product.
 """
 
@@ -303,35 +317,88 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
     return mat
 
 
+def _propagated_levels(start, gain) -> int:
+    """The number r of leading eigen levels a stream propagates: 1 + the
+    largest index of a nonzero entry of the start ``start``, grown until no
+    nonzero entry of the summed rate matrix ``gain`` leads out of levels
+    0..r-1, so that gain[r:, :r] is zero.  Zero-temperature rates only lead
+    downward, to lower indices, so they never grow r."""
+    levels = 1 + int(np.max(np.nonzero(start), initial=0))
+    reached = np.flatnonzero(gain[levels:, :levels].any(axis=1))
+    while reached.size:
+        levels += 1 + int(reached[-1])
+        reached = np.flatnonzero(gain[levels:, :levels].any(axis=1))
+    return levels
+
+
+class _Stream:
+    """rho~(t_p) = U+ rho(t_p) U at every grid time of a checked propagation.
+
+    ``populations`` is the (T, r) array of the populations of levels 0..r-1
+    at every grid time; the levels beyond r hold none.  ``coherences()``
+    yields the kept coherences of rho~(t_p), one 1-D array per grid time,
+    advanced in place: an array is valid until the next step.  Iterating
+    yields (diagonal, kept coherences) pairs, the first diagonal rho~0's own
+    and the later ones of length d, zero beyond r, in one buffer that is
+    also valid until the next step.
+    """
+
+    def __init__(self, start, populations, kept, multipliers):
+        self.populations = populations
+        self._start, self._kept, self._multipliers = start, kept, multipliers
+
+    def coherences(self):
+        coh = self._start[self._kept].astype(complex)
+        yield coh
+        for g_n in self._multipliers:
+            # g * rho~ in this operand order: with fused multiply-adds a complex
+            # product can differ in the last bit when its factors swap
+            np.multiply(g_n, coh, out=coh)
+            yield coh
+
+    def __iter__(self):
+        coherences = self.coherences()
+        yield np.diagonal(self._start), next(coherences)
+        diagonal = np.zeros(len(self._start))
+        for row, coh in zip(self.populations[1:], coherences):
+            diagonal[:row.size] = row
+            yield diagonal, coh
+
+
 def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     """Validate the time grid, the rates and the step, propagate the
     populations over the whole grid and check them, then return the time
     grid, the flat indices i d + j of the coherences rho~_ij that are kept,
-    the summed weight of the dropped ones, and a generator of (diagonal, kept
-    coherences) of rho~(t_p) = U+ rho(t_p) U, one pair per grid time.
+    the summed weight of the dropped ones, and a :class:`_Stream` of
+    rho~(t_p) = U+ rho(t_p) U at every grid time.
 
     ``start`` is the initial state in the eigenbasis, the d x d matrix
     rho~0 = U+ rho0 U, taken unchecked; of ``spectrum`` only the energies are
-    read.  The first diagonal is rho~0's own; later ones are the real
-    populations.  The live coherences, i != j with rho~0_ij != 0, are read
-    once as index arrays; the rest stay exactly zero.  Without ``reach``
-    every live coherence is kept.  ``reach`` is a d x d array bounding the
-    observables elementwise, reach >= |O~_k| for every eigenbasis observable
-    O~_k.  With it, live coherence ij has the weight
-    w_ij = |rho~0_ij| reach_ji (1 + 1e-7)^(T-1), which bounds its term in
-    every Tr[rho~(t_p) O~_k] because the stability check caps every live
-    |g_1|^n at 1 + 1e-7; coherences are dropped in ascending weight while
-    their summed weight stays <= ``_DROP_BOUND``.
+    read.  The rates only move population from level k to level j where
+    the summed rate matrix has gain[j, k] > 0, so levels 0..r-1 of
+    :func:`_propagated_levels` hold the whole state at every time, and only
+    that leading r x r block is propagated: a zero-temperature start on
+    levels 0..r-1 keeps r, an upward rate out of them grows it, and a start
+    with weight on the top level has r = d.  The rate matrices are checked
+    whole, and the step rule reads the full spectrum's spread, so the block
+    is propagated with the RK4 maps of the full one.  The live coherences,
+    i != j with rho~0_ij != 0, are read once as index arrays; the rest stay
+    exactly zero.  Without ``reach`` every live coherence is kept.
+    ``reach`` is an array of at least r x r bounding the observables
+    elementwise, reach >= |O~_k| for every eigenbasis observable O~_k.  With
+    it, live coherence ij has the weight w_ij = |rho~0_ij| reach_ji
+    (1 + 1e-7)^(T-1), which bounds its term in every Tr[rho~(t_p) O~_k]
+    because the stability check caps every live |g_1|^n at 1 + 1e-7;
+    coherences are dropped in ascending weight while their summed weight
+    stays <= ``_DROP_BOUND``.
 
     An interval of n RK4 steps multiplies coherence ij by g_1^n, with g_1 its
     one-step multiplier.  g_1 is computed for every live coherence, and the
     stability check reads |g_1|^n off it; only the kept coherences' g_1 are
     raised to the n-th power.  The populations of every grid time are formed
-    before the return, as one (T, d) array, and a trace drift or a negative
+    before the return, as one (T, r) array, and a trace drift or a negative
     population raises :class:`StepSizeError` at the first grid time that has
-    either, the drift named first, so the generator raises nothing.  It
-    advances the coherences in place: a yielded pair is valid until the next
-    step, so a caller that keeps it must copy it.
+    either, the drift named first, so the stream raises nothing.
     """
     dim, e = spectrum.dim, spectrum.energies
 
@@ -354,6 +421,7 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
             raise ConfigError(f"rate matrix {name!r} must be zero on the diagonal")
         gain += r
     out_rate = gain.sum(axis=0)
+    levels = _propagated_levels(start, gain)
 
     if max_step is not None:
         if not max_step > 0:  # also NaN
@@ -378,16 +446,16 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     kept = np.sort(order[dropped:])
     # each live coherence's rate: d rho~_ij / dt = (-i omega_ij - decay_ij) rho~_ij
     coherence_rate = -1j * (e[ii] - e[jj]) - 0.5 * (out_rate[ii] + out_rate[jj])
-    w_pop = gain - np.diag(out_rate)
+    w_pop = gain[:levels, :levels] - np.diag(out_rate[:levels])
 
     # One RK4 map per distinct interval: the kept coherences' multipliers g_1^n
-    # and the population map p_n.  A stable step keeps |g_1|^n <= 1 on every
-    # live coherence.  An unstable one may overflow the maps and the
-    # populations to inf or NaN, which the checks name.
+    # and the population map p_n of the block.  A stable step keeps
+    # |g_1|^n <= 1 on every live coherence.  An unstable one may overflow the
+    # maps and the populations to inf or NaN, which the checks name.
     intervals = np.diff(times).tolist()
     maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    pops = np.empty((times.size, dim))
-    pops[0] = np.real(np.diagonal(start))
+    pops = np.empty((times.size, levels))
+    pops[0] = np.real(np.diagonal(start))[:levels]
     with np.errstate(over="ignore", invalid="ignore"):
         for p, dt in enumerate(intervals, start=1):
             if dt in maps:
@@ -419,17 +487,8 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
                 else f"population {low[p]:.3e} below -{_DRIFT_TOL:.1e}")
         raise StepSizeError(f"{what} at t = {times[p + 1]:.6g}; retry with a smaller max_step")
     ii, jj = ii[kept], jj[kept]
-
-    def steps():
-        coh = start[ii, jj].astype(complex)
-        yield np.diagonal(start), coh
-        for p, dt in enumerate(intervals, start=1):
-            # g * rho~ in this operand order: with fused multiply-adds a complex
-            # product can differ in the last bit when its factors swap
-            np.multiply(maps[dt][0], coh, out=coh)
-            yield pops[p], coh
-
-    return times, ii * dim + jj, dropped_weight, steps()
+    stream = _Stream(start, pops, (ii, jj), [maps[dt][0] for dt in intervals])
+    return times, ii * dim + jj, dropped_weight, stream
 
 
 def evolve(
@@ -459,17 +518,27 @@ def evolve(
     rho~0_ij != 0 of the initial state in the eigenbasis, trace drift beyond
     1e-7, or a population below -1e-7 raises :class:`StepSizeError`; so a
     returned state is a density matrix only to those 1e-7 limits.
+
+    Only the eigen levels 0..r-1 that rho0 and the rates reach are
+    propagated (see ``_eigenbasis_stream``): r = 1 + the largest index of a
+    nonzero entry of U+ rho0 U, grown while a rate leads out of those
+    levels, and r = d for a state with weight on the top level.  Each state
+    is formed as U[:, :r] rho~_r U[:, :r]+ from the r x r block rho~_r that
+    holds all of it; the step rule still reads the spread of all of H.
     """
     dim, u = spectrum.dim, spectrum.states
-    u_dag = u.conj().T
-    start = u_dag @ _coerce_rho(rho0, dim) @ u
+    start = u.conj().T @ _coerce_rho(rho0, dim) @ u
     times, keep, _, stream = _eigenbasis_stream(start, spectrum, rates, t_grid, max_step)
-    rho = np.zeros((dim, dim), dtype=complex)
+    levels = stream.populations.shape[1]
+    ii, jj = np.divmod(keep, dim)
+    u_block = u[:, :levels]
+    u_block_dag = u_block.conj().T
+    rho = np.zeros((levels, levels), dtype=complex)  # the leading block of rho~
     states = np.empty((times.size, dim, dim), dtype=complex)
     for p, (diagonal, coh) in enumerate(stream):
-        np.fill_diagonal(rho, diagonal)
-        rho.reshape(-1)[keep] = coh
-        states[p] = u @ rho @ u_dag
+        np.fill_diagonal(rho, diagonal[:levels])
+        rho[ii, jj] = coh
+        states[p] = u_block @ rho @ u_block_dag
     times.setflags(write=False)
     states.setflags(write=False)
     return TimeSeries(times=times, states=states)
@@ -491,10 +560,12 @@ def expectation_series(
     grid time.  No density matrix leaves the eigenbasis: each product is
     transformed once, O~ = U+ O U, and contracted with the populations and
     the kept coherences of rho~(t_p) as they are produced; the coherences
-    left out change no value by more than 1e-15.  Unlike :func:`evolve`, no
-    (T, d, d) stack of snapshots is built; the populations of every grid time
-    are held as T d floats of 8 bytes (0.6 MB for fig5b's 600 times at
-    d = 128).
+    left out change no value by more than 1e-15.  Only the leading r x r
+    block of each O~ is read, r the eigen levels that the start and the
+    rates reach, as :func:`evolve` propagates them.  Unlike :func:`evolve`,
+    no (T, d, d) stack of snapshots is built; the populations of every grid
+    time are held as T r floats of 8 bytes (43 kB for fig5b's 600 times at
+    r = 9 of d = 128, and T d, 0.6 MB there, for a start with r = d).
     """
     dim, u = spectrum.dim, spectrum.states
     start = u.conj().T @ _coerce_rho(rho0, dim) @ u
@@ -515,23 +586,30 @@ def _series(start, spectrum: SpectrumResult, rates: Mapping[str, np.ndarray],
     """:func:`expectation_series` on a start and observables given in the eigenbasis.
 
     ``start`` is the d x d matrix rho~0 = U+ rho0 U, taken unchecked, and
-    ``basis`` holds one d x d matrix O~_k = U+ O_k U per observable;
-    ``spectrum.states`` is not read.  Returns the float (T, n_obs) values,
-    the number of coherences kept and the summed weight of the dropped ones,
-    which bounds how far any value moved.
+    ``basis`` holds one matrix O~_k = U+ O_k U per observable, all of one
+    size, at least the r x r of the levels the stream propagates (the
+    ``dynamics`` command passes exactly those blocks); only their leading
+    r x r blocks are read.  ``spectrum.states`` is not read.  The
+    populations of the whole grid are contracted in one product,
+    pops . diag(O~_k)[:r]; only the kept coherences are contracted one grid
+    time at a time.  Returns the float (T, n_obs) values, the number of
+    coherences kept and the summed weight of the dropped ones, which bounds
+    how far any value moved.
     """
     dim = spectrum.dim
-    basis = np.reshape(basis, (-1, dim, dim))
+    basis = np.asarray(basis) if len(basis) else np.zeros((0, dim, dim))
     reach = np.abs(basis).max(axis=0, initial=0.0)
     times, keep, dropped_weight, stream = _eigenbasis_stream(
         start, spectrum, rates, t_grid, max_step, reach)
-    # Tr[rho~ O~] = sum_i rho~_ii O~_ii + sum_ij rho~_ij O~_ji over the kept ij
+    # Tr[rho~ O~] = sum_i rho~_ii O~_ii + sum_ij rho~_ij O~_ji, over the
+    # propagated levels i and the kept coherences ij
+    levels = stream.populations.shape[1]
     ii, jj = np.divmod(keep, dim)
-    diagonal_basis = np.diagonal(basis, axis1=1, axis2=2).T.copy()
-    coherence_basis = basis[:, jj, ii].T.copy()
+    coherence_basis = basis[:, jj, ii].T.astype(complex)
     values = np.empty((times.size, len(basis)), dtype=complex)
-    for p, (diagonal, coh) in enumerate(stream):
-        values[p] = diagonal @ diagonal_basis + coh @ coherence_basis
+    for p, coh in enumerate(stream.coherences()):
+        np.matmul(coh, coherence_basis, out=values[p])
+    values += stream.populations @ np.diagonal(basis, axis1=1, axis2=2)[:, :levels].T
     return _real_values(values), int(keep.size), dropped_weight
 
 

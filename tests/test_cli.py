@@ -594,6 +594,22 @@ def test_dynamics_manifest_records_the_kept_coherences(tmp_path, scenario):
         (out / "dynamics_meta.json").read_text()).keys()
 
 
+@pytest.mark.parametrize("scenario, initial, levels", [
+    ("fig3", None, 5), ("fig5b", None, 9), ("figS2b", None, 9), ("fig3", ["bare", "gge", 0], 64)])
+def test_dynamics_manifest_records_the_propagated_levels(tmp_path, scenario, initial, levels):
+    # a pair start reaches the levels up to its upper branch, 0..4 of 64 on
+    # fig3 and 0..8 of 128 on fig5b and figS2b; a bare start has weight on
+    # every level.  The data files do not carry the key
+    cfg = {"scenario": scenario}
+    if initial is not None:
+        cfg["dynamics"] = {"initial": initial}
+    out = tmp_path / "out"
+    manifest = run_command("dynamics", resolve_config(cfg), out)
+    assert manifest["propagated_levels"] == levels
+    assert json.loads((out / "manifest.json").read_text())["propagated_levels"] == levels
+    assert "propagated_levels" not in json.loads((out / "dynamics_meta.json").read_text())
+
+
 def test_levels_csv_format_and_manifest(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "system": TINY_SYSTEM,

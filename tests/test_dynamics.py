@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1179,12 +1180,16 @@ def assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach):
     return keep.size
 
 
-def stepwise_stream(start, spectrum, rates, t_grid, max_step, reach=None):
+def stepwise_stream(start, spectrum, rates, t_grid, max_step, reach=None, whole=False):
     """Reference: dynamics._eigenbasis_stream as it was when its generator
     checked the trace drift and the populations one grid step at a time, and
     weighted each coherence by max(1, |g_1|^n)^(T-1) off a per-coherence
-    growth array.  Returns what the stream returns; a drift or population
-    failure raises from the generator, at the step that has it."""
+    growth array, with its populations propagated on the leading r levels
+    that the start and the rates reach, as the stream propagates them, or
+    on all d levels with ``whole``, as the stream did before.  Returns what
+    the stream returns, with a generator that yields rho~0's diagonal and
+    then the r leading populations; a drift or population failure raises
+    from the generator, at the step that has it."""
     dim, e = spectrum.dim, spectrum.energies
     tol = dynamics._DRIFT_TOL
 
@@ -1207,6 +1212,10 @@ def stepwise_stream(start, spectrum, rates, t_grid, max_step, reach=None):
             raise ConfigError(f"rate matrix {name!r} must be zero on the diagonal")
         gain += r
     out_rate = gain.sum(axis=0)
+    # levels 0..r-1 hold the start, and no rate gain[j, k], from k to j, leads out
+    levels = dim if whole else 1 + int(np.max(np.nonzero(start), initial=0))
+    while np.any(gain[levels:, :levels]):
+        levels += 1
 
     if max_step is not None:
         if not max_step > 0:
@@ -1220,7 +1229,7 @@ def stepwise_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     live = np.array(np.nonzero(start))
     ii, jj = live[:, live[0] != live[1]]
     coherence_rate = -1j * (e[ii] - e[jj]) - 0.5 * (out_rate[ii] + out_rate[jj])
-    w_pop = gain - np.diag(out_rate)
+    w_pop = (gain - np.diag(out_rate))[:levels, :levels]
 
     intervals = np.diff(times).tolist()
     maps = {}
@@ -1259,7 +1268,7 @@ def stepwise_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     step_maps = {dt: (g_1[kept] ** n, p_n) for dt, (g_1, n, p_n) in maps.items()}
 
     def steps():
-        pops = np.real(np.diagonal(start))
+        pops = np.real(np.diagonal(start))[:levels]
         coh = start[ii, jj].astype(complex)
         trace0 = float(pops.sum())
         yield np.diagonal(start), coh
@@ -1358,8 +1367,12 @@ class TestStreamOracle:
         _, at, ref_at = np.intersect1d(keep, ref_keep, assume_unique=True,
                                        return_indices=True)
         for (diagonal, coh), (ref_diagonal, ref_coh) in zip(pairs, ref_pairs):
+            # the reference's r leading populations, bit for bit, and no
+            # population beyond them
+            levels = ref_diagonal.size
             assert diagonal.dtype == ref_diagonal.dtype
-            assert diagonal.tobytes() == ref_diagonal.tobytes()
+            assert diagonal[:levels].tobytes() == ref_diagonal.tobytes()
+            assert np.all(diagonal[levels:] == 0.0)
             assert coh[at].tobytes() == ref_coh[ref_at].tobytes()
 
     def test_step_errors_raise_at_the_call(self):
@@ -1383,6 +1396,140 @@ class TestStreamOracle:
                                         [0.0, 10.0, 20.0, 30.0], 10.0)
         assert str(raised.value) == ("population -5.183e+02 below -1.0e-07 at t = 10; "
                                      "retry with a smaller max_step")
+
+
+def whole_stream_series(start, spectrum, rates, t_grid, basis):
+    """Reference: dynamics._series as it was before the stream ran on a
+    leading block: the stepwise stream on all d levels, each grid time's
+    populations and kept coherences contracted with the whole d x d
+    observables."""
+    dim = spectrum.dim
+    basis = np.reshape(basis, (-1, dim, dim))
+    _, keep, _, steps = stepwise_stream(start, spectrum, rates, t_grid, None,
+                                        np.abs(basis).max(axis=0, initial=0.0), whole=True)
+    ii, jj = np.divmod(keep, dim)
+    diagonal_basis, coherence_basis = np.diagonal(basis, axis1=1, axis2=2).T, basis[:, jj, ii].T
+    return np.array([diagonal @ diagonal_basis + coh @ coherence_basis
+                     for diagonal, coh in steps]).real
+
+
+class TestLeadingBlock:
+    """The stream propagates the leading r levels that its start and its
+    rates reach, and gives what the stream on all d levels gave."""
+
+    @pytest.mark.parametrize("scenario", ["fig3", "fig5b"])
+    @pytest.mark.parametrize("levels", [1, 4, 9, 40])
+    def test_a_start_on_a_leading_block_matches_the_whole_stream(self, scenario, levels):
+        _, spec, rates, grid, basis = dynamics_arguments(scenario)
+        d = spec.dim
+        rng = np.random.default_rng(levels)
+        a = rng.uniform(-1, 1, (levels, levels)) + 1j * rng.uniform(-1, 1, (levels, levels))
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[:levels, :levels] = a @ a.conj().T
+        rho0 /= np.trace(rho0).real
+        assert dynamics._propagated_levels(rho0, sum(rates.values())) == levels
+        _, _, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None)
+        assert stream.populations.shape == (len(grid), levels)
+        values, _, _ = dynamics._series(rho0, spec, rates, grid, basis)
+        np.testing.assert_allclose(values, whole_stream_series(rho0, spec, rates, grid, basis),
+                                   rtol=0, atol=1e-13)
+
+    def test_a_bare_start_propagates_every_level(self):
+        # ["bare", "gge", 0] has weight on the top level, so r = d: the
+        # stream's populations and coherences are those of the stream on all
+        # d levels, bit for bit, and only the single product that contracts
+        # the populations rounds differently (by 5.6e-16 measured)
+        cfg = get_preset("fig3")
+        cfg = dict(cfg, dynamics=dict(cfg["dynamics"], initial=["bare", "gge", 0]))
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_series", lambda *args: calls.append(args) or
+                          dynamics._series(*args))
+            files, manifest = cli.cmd_dynamics(cfg, build_system(cfg))
+        (start, spec, rates, grid, basis), = calls
+        assert manifest["propagated_levels"] == spec.dim == 64
+        assert manifest["coherences_kept"] == 2966
+        assert all(o.shape == (spec.dim, spec.dim) for o in basis)
+        pairs = drawn_stream(dynamics._eigenbasis_stream, start, spec, rates, grid, None)[3]
+        ref_pairs = drawn_stream(stepwise_stream, start, spec, rates, grid, None, None, True)[3]
+        for (diagonal, coh), (ref_diagonal, ref_coh) in zip(pairs, ref_pairs):
+            assert diagonal.tobytes() == ref_diagonal.tobytes()
+            assert coh.tobytes() == ref_coh.tobytes()
+        written = np.loadtxt(io.BytesIO(files["dynamics.csv"]), delimiter=",", skiprows=1)
+        np.testing.assert_allclose(written[:, 1:],
+                                   whole_stream_series(start, spec, rates, grid, basis),
+                                   rtol=0, atol=1e-15)
+
+    def test_an_upward_rate_grows_the_block(self):
+        # a pair start on levels 3 and 4 of a diagonal Hamiltonian, whose
+        # eigenbasis start is exact, under downward rates and a pump from
+        # level 0 up to 5 and from 5 up to 6: levels 0..4 grow to 0..6 of 8.
+        # Without the growth the pumped population would leave the block
+        lay = HilbertLayout(2, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 1.7, 2.2, 2.3, 3.1, 3.9, 4.6]), lay))
+        rng = np.random.default_rng(5)
+        rates = {"cavity": np.triu(rng.uniform(0, 0.05, (8, 8)), 1)}
+        rho0 = Ket(np.array([0, 0, 0, 1, 1, 0, 0, 0]) / math.sqrt(2), lay)
+        start = eigenbasis_start(spec, rho0)
+        assert dynamics._propagated_levels(start, rates["cavity"]) == 5
+        pump = np.zeros((8, 8))
+        pump[5, 0] = pump[6, 5] = 0.05
+        rates["pump"] = pump
+        assert dynamics._propagated_levels(start, sum(rates.values())) == 7
+        grid = np.linspace(0.0, 40.0, 41)
+        _, _, _, stream = dynamics._eigenbasis_stream(start, spec, rates, grid, None)
+        assert stream.populations.shape == (41, 7)
+        assert stream.populations[-1, 5] > 1e-2 and stream.populations[-1, 6] > 1e-2
+        stack = reference_evolve(rho0, None, rates, grid, spectrum=spec)
+        np.testing.assert_allclose(evolve(rho0, spec, rates, grid).states, stack,
+                                   rtol=0, atol=1e-13)
+        observables = [random_hermitian_product(rng, lay, n) for n in (1, 2, 3)]
+        expected = np.array([reference_expectation(stack, ops) for ops in observables]).T
+        np.testing.assert_allclose(expectation_series(rho0, spec, rates, grid, observables),
+                                   expected, rtol=0, atol=1e-13)
+
+    def test_an_upward_rate_on_the_command_start_matches_the_whole_stream(self):
+        # the same pump on fig3's exact pair start (branches 3 and 4), up to
+        # level 5 and from 5 up to 9, grows its levels 0..4 to 0..9 of 64
+        start, spec, rates, grid, basis = dynamics_arguments("fig3")
+        assert dynamics._propagated_levels(start, sum(rates.values())) == 5
+        pump = np.zeros((spec.dim, spec.dim))
+        pump[5, 3] = pump[9, 5] = 1e-3
+        pumped = dict(rates, pump=pump)
+        _, _, _, stream = dynamics._eigenbasis_stream(start, spec, pumped, grid, None)
+        assert stream.populations.shape[1] == 10
+        assert stream.populations[-1, 5] > 1e-3 and stream.populations[-1, 9] > 1e-3
+        np.testing.assert_allclose(dynamics._series(start, spec, pumped, grid, basis)[0],
+                                   whole_stream_series(start, spec, pumped, grid, basis),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
+    def test_command_observables_are_the_leading_blocks(self, scenario):
+        # the command builds each observable's r x r block from the first r
+        # columns of its lowering factors: the same bits as the leading block
+        # of the whole d x d product
+        whole = dynamics_arguments(scenario)[4]
+        block = dynamics_arguments(scenario, whole=False)[4]
+        levels = {"fig3": 5, "fig5b": 9, "figS2b": 9}[scenario]
+        assert len(block) == len(whole)
+        for o_block, o_whole in zip(block, whole):
+            assert o_block.shape == (levels, levels)
+            assert o_block.tobytes() == o_whole[:levels, :levels].tobytes()
+
+    def test_series_allocates_no_grid_by_dimension_array(self):
+        # fig5b's command arguments, d = 128 and T = 600: the populations of
+        # the whole grid are held as a (T, 9) array, well under half of the
+        # (T, d) array the stream built when it propagated every level
+        start, spec, rates, grid, basis = dynamics_arguments("fig5b", whole=False)
+        dynamics._series(start, spec, rates, grid, basis)
+        tracemalloc.start()
+        try:
+            dynamics._series(start, spec, rates, grid, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(grid), spec.dim) == (600, 128)
+        assert peak < len(grid) * spec.dim * 8 / 2
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
@@ -1450,11 +1597,13 @@ def test_bare_start_is_the_bare_state_in_the_eigenbasis():
 
 
 @functools.cache
-def dynamics_arguments(scenario):
+def dynamics_arguments(scenario, whole=True):
     """The arguments the ``dynamics`` command passes to dynamics._series for a
     bundled scenario: the initial state, the spectrum at the search minimum,
     the rates, the time grid and the observables' eigenbasis matrices, built
-    with the dressed pair's frame columns."""
+    with the dressed pair's frame columns.  The command builds only the
+    leading r x r blocks of the observables, r the levels its start reaches;
+    with ``whole`` they are built d x d, as the command built them before."""
     calls = []
 
     def record(*args):
@@ -1464,6 +1613,8 @@ def dynamics_arguments(scenario):
     cfg = get_preset(scenario)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_series", record)
+        if whole:
+            patch.setattr(cli, "_propagated_levels", lambda start, gain: len(start))
         cli.cmd_dynamics(cfg, build_system(cfg))
     (args,) = calls
     return args
