@@ -12,8 +12,11 @@ file at the same path under DIR, an earlier run's root, and every
 searches and dynamics it holds are compared, and so are the checksums of the
 outputs.  For each file it prints ``identical``, ``missing`` (from either
 tree), the largest absolute difference over the numeric CSV cells and JSON
-number leaves, or ``differs`` when text or structure differ.  It exits 1 if
-any file differs or is missing.
+number leaves, or ``differs`` when text or structure differ, and under a
+file that differs, an indented line with the path of its first differing
+leaf and both values, such as ``search.solved_pairs[0]: 2 vs 3``, so that a
+change can be declared key by key.  It exits 1 if any file differs or is
+missing.
 """
 
 import argparse
@@ -81,29 +84,53 @@ def _cell(text: str):
         return text
 
 
+_ABSENT = object()  # a key or item that one of two parsed files lacks
+
+
+def _leaves(a, b, where: str = ""):
+    """(path, value in a, value in b) of each leaf of two parsed files, in
+    sorted key order, a key or item that one of them lacks giving _ABSENT on
+    its side."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from _leaves(a.get(key, _ABSENT), b.get(key, _ABSENT),
+                               f"{where}.{key}" if where else key)
+    elif isinstance(a, list) and isinstance(b, list):
+        for j in range(max(len(a), len(b))):
+            yield from _leaves(a[j] if j < len(a) else _ABSENT,
+                               b[j] if j < len(b) else _ABSENT, f"{where}[{j}]")
+    else:
+        yield where, a, b
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _max_gap(a, b) -> float | None:
     """Largest |a - b| over the number leaves of two parsed files, or None if
     anything else in them differs."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            return None
-        pairs = [(a[key], b[key]) for key in a]
-    elif isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            return None
-        pairs = list(zip(a, b))
-    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
-        gap = 0.0 if a == b else abs(a - b)
-        return gap if gap == gap else None  # a NaN differs
-    else:
-        return 0.0 if a == b else None
     worst = 0.0
-    for pair in pairs:
-        gap = _max_gap(*pair)
-        if gap is None:
+    for _, x, y in _leaves(a, b):
+        if not (_number(x) and _number(y)):
+            if x != y:
+                return None
+            continue
+        gap = 0.0 if x == y else abs(x - y)
+        if gap != gap:  # a NaN differs
             return None
         worst = max(worst, gap)
     return worst
+
+
+def _first_difference(a, b):
+    """(path, value in a, value in b) of the first leaf at which two parsed
+    files differ, or None if they do not."""
+    return next(((where, x, y) for where, x, y in _leaves(a, b) if x != y), None)
+
+
+def _leaf(value) -> str:
+    return "absent" if value is _ABSENT else json.dumps(value)
 
 
 def compare(root: Path, reference: Path) -> int:
@@ -124,6 +151,11 @@ def compare(root: Path, reference: Path) -> int:
             gap = _max_gap(_parse(path), _parse(other))
             verdict = "differs" if gap is None else f"max abs difference {gap:.3g}"
         print(f"{name}: {verdict}")
+        first = (None if verdict in ("identical", "missing")
+                 else _first_difference(_parse(path), _parse(other)))
+        if first is not None:
+            where, mine, theirs = first
+            print(f"    first difference {where or '(the file)'}: {_leaf(mine)} vs {_leaf(theirs)}")
         mismatches += verdict != "identical"
     return mismatches
 

@@ -358,7 +358,9 @@ def cmd_levels(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]
 def _solver_record(rep) -> dict:
     """How a search's evaluations were solved, for the manifest."""
     return {"eigensolver": rep.eigensolver, "solved_pairs": list(rep.solved_pairs),
-            "unseen_weight_max": rep.unseen_weight_max}
+            "unseen_weight_max": rep.unseen_weight_max,
+            "ritz_evaluations": rep.ritz_evaluations,
+            "gap_error_bound_max": rep.gap_error_bound_max}
 
 
 def cmd_anticross(cfg: dict, system: SystemConfig) -> tuple[dict[str, bytes], dict]:
@@ -518,17 +520,21 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     and a ``levels`` manifest records how (``sweep.workers`` threads,
     whether OpenBLAS was held at one thread, ``sweep.blas_pinned``, and
     ``sweep.eigensolver``, ``"dsyevr"`` or ``"eigh"``).  An ``anticross`` or
-    ``dynamics`` manifest records how its search solved its evaluations
-    (``search.eigensolver``; ``search.solved_pairs``, the range [first, last]
-    of eigen indices that :func:`find_anticrossing` solved its last
-    evaluation for, the pair's two branches unless that pick needed every
-    eigenpair; and ``search.unseen_weight_max``, the largest pair weight
-    left in the unsolved eigenvectors, the margin of its branch picks), and
-    a ``perturb`` coupling sweep the same of each of its searches, in
-    ``searches``.  A ``dynamics`` manifest also records
-    ``propagated_levels``, the number r of leading eigen levels that the
-    start and the rates reach and the propagation ran on (d for a start
-    with weight on the top level), ``coherences_kept``, the number of
+    ``dynamics`` manifest records how its search evaluated its gaps
+    (``search``): of its LAPACK solves, the last one's eigensolver
+    (``eigensolver``) and range [first, last] of eigen indices
+    (``solved_pairs``, the pair's two branches widened by one index on each
+    side, unless that pick needed every eigenpair), and the largest pair
+    weight any of them left in the unsolved eigenvectors, the margin of its
+    branch picks (``unseen_weight_max``); ``ritz_evaluations``, the number
+    of certified Rayleigh-Ritz evaluations; and ``gap_error_bound_max``,
+    the largest error bound of a certified gap that a golden-section
+    comparison took (0 where none did).  A ``perturb`` coupling sweep
+    records the same of each of its searches, in ``searches``.  A
+    ``dynamics`` manifest also records ``propagated_levels``, the number r
+    of leading eigen levels that the start and the rates reach and the
+    propagation ran on (d for a start with weight on the top level),
+    ``coherences_kept``, the number of
     eigenbasis coherences the propagation carried, and ``dropped_weight``,
     the summed bound of the ones it dropped (at most 1e-15), which no data
     file holds.
@@ -594,7 +600,11 @@ def cmd_validate(cfg: dict) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at the first :func:`main` call of a
+    process (0.8 ms, against 30 us to parse) and kept: parsing reads it and
+    changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="vpmix",
         description="multi-qubit mixing laboratory: spectra, path sums, dynamics, "
@@ -607,7 +617,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--cutoff", type=int, default=None, help="override fock_cutoff")
         p.add_argument("--seed", type=int, default=None, help="override random seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = resolve_config(load_config(args.config))

@@ -190,12 +190,19 @@ def _buffer(config: SystemConfig) -> np.ndarray:
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
-def _bare_diagonal(qubits: tuple[QubitParams, ...], omega_c: float,
-                   terms: _LayoutTerms) -> np.ndarray:
+def _qubit_diagonal(qubits: tuple[QubitParams, ...], terms: _LayoutTerms) -> np.ndarray:
+    """sum_i (omega_i/2) sigma_z^(i) over ``qubits``, the first of the layout's, in order."""
     diag = np.zeros(len(terms.number))
     with np.errstate(**_QUIET):
         for q, sz in zip(qubits, terms.sigma_z):
             diag += 0.5 * q.omega * sz
+    return diag
+
+
+def _bare_diagonal(qubits: tuple[QubitParams, ...], omega_c: float,
+                   terms: _LayoutTerms) -> np.ndarray:
+    diag = _qubit_diagonal(qubits, terms)
+    with np.errstate(**_QUIET):
         diag += omega_c * terms.number
     return diag
 
@@ -342,6 +349,14 @@ class _Pencil:
     base, checks the kept entries, and :meth:`write` checks the entries it
     moves, so no H(x) needs a check of its own.  Otherwise ``checked`` is
     False, the base is not checked, and each H(x) needs the full check.
+
+    For a frequency the bare diagonal is a sum in a fixed order: the
+    qubits' terms, then the cavity's.  The terms before the swept one are
+    summed once, into the pencil's prefix, and the products after it are
+    formed once; a write adds them to the swept term in that order.
+    :meth:`write` forms the moved entries in a caller-owned buffer from
+    :meth:`entries`, and :meth:`distance` bounds ||H(x) - H(y)|| from the
+    moved entries of two writes.
     """
 
     def __init__(self, config: SystemConfig, field: tuple[int | None, str], model: str,
@@ -360,43 +375,83 @@ class _Pencil:
             i for i, (_, _, reader) in enumerate(couplings) if reader in (None, self._k)]
         if not self._moved:
             flat[:: dim + 1] = 0.0
+            self._diagonal(config, terms)
         for i in self._moved:
             flat[couplings[i][0].flat] = 0.0
         kept = np.flatnonzero(flat)
         self._kept = _Sparse(kept, flat[kept])
+        # the row of each moved entry, in the order write forms them
+        self._rows = (np.arange(dim) if not self._moved else
+                      np.concatenate([couplings[i][0].flat // dim for i in self._moved]))
 
-    def _at(self, x: float) -> tuple[tuple[QubitParams, ...], float]:
-        """The qubits and the cavity frequency with the field set to x, which
-        the rule of the field's owner, a QubitParams or the config, checks."""
+    def _diagonal(self, config: SystemConfig, terms: _LayoutTerms) -> None:
+        """The bare diagonal's sum around the swept frequency's term, s x
+        times ``_base``: ``_prefix``, the terms before it summed as
+        :func:`_bare_diagonal` sums them, and ``_after``, each term after it."""
+        qubits, k = config.qubits, self._k
+        swept = len(qubits) if k is None else k  # the cavity's term comes last
+        self._prefix = _qubit_diagonal(qubits[:swept], terms)
+        with np.errstate(**_QUIET):
+            self._after = [0.5 * q.omega * sz for q, sz in zip(qubits[swept + 1:],
+                                                                terms.sigma_z[swept + 1:])]
+            if k is not None:
+                self._after.append(config.omega_c * terms.number)
+        self._scale, self._base = ((1.0, terms.number) if k is None
+                                   else (0.5, terms.sigma_z[k]))
+
+    def _at(self, x: float) -> tuple[QubitParams, ...]:
+        """The qubits with the field set to x, which the rule of the field's
+        owner, a QubitParams or the config, checks."""
         k, name, config = self._k, self._name, self._config
         if k is None:
-            owner = replace(config, **{name: x})
-            return owner.qubits, owner.omega_c
+            return replace(config, **{name: x}).qubits
         qubits = config.qubits
-        return qubits[:k] + (replace(qubits[k], **{name: x}),) + qubits[k + 1:], config.omega_c
+        return qubits[:k] + (replace(qubits[k], **{name: x}),) + qubits[k + 1:]
 
-    def write(self, x: float, out: np.ndarray) -> np.ndarray:
-        """Write H(x) into ``out`` and return it.  An x that the field's owner
-        rejects raises its :class:`ConfigError`, and a moved entry that is
-        not finite raises the solver check's :class:`HermiticityError`."""
-        qubits, omega_c = self._at(x)
+    def entries(self) -> np.ndarray:
+        """A buffer for the moved entries of one :meth:`write`."""
+        return np.empty(self._rows.size)
+
+    def write(self, x: float, out: np.ndarray, moved: np.ndarray | None = None) -> np.ndarray:
+        """Write H(x) into ``out`` and return it, its moved entries formed in
+        ``moved``, a buffer from :meth:`entries` (a fresh one where None).
+        An x that the field's owner rejects raises its
+        :class:`ConfigError`, and a moved entry that is not finite raises the
+        solver check's :class:`HermiticityError`."""
+        qubits = self._at(x)
+        if moved is None:
+            moved = self.entries()
         out.fill(0.0)
         flat = out.reshape(-1)
         flat[self._kept.flat] = self._kept.value
-        if not self._moved:
-            diag = _bare_diagonal(qubits, omega_c, self._terms)
-            _check_finite(diag, HermiticityError, "matrix")
-            flat[:: len(out) + 1] += diag
-            return out
-        couplings = _couplings(self._model, qubits, self._terms)
         with np.errstate(**_QUIET):
+            if not self._moved:
+                # the swept term plus the prefix, then each term after it: the
+                # order of _bare_diagonal, as a + b and b + a are the same bits
+                np.multiply(self._base, self._scale * x, out=moved)
+                moved += self._prefix
+                for term in self._after:
+                    moved += term
+                _check_finite(moved, HermiticityError, "matrix")
+                flat[:: len(out) + 1] += moved
+                return out
+            start, couplings = 0, _couplings(self._model, qubits, self._terms)
             for i in self._moved:
                 term, factor, _ = couplings[i]
-                entries = term.value * factor
+                entries = moved[start:start + term.flat.size]
+                start += term.flat.size
+                np.multiply(term.value, factor, out=entries)
                 entries += 0.0  # -0.0 to +0.0, as in _assemble
                 _check_finite(entries, HermiticityError, "matrix")
                 flat[term.flat] = entries
         return out
+
+    def distance(self, moved: np.ndarray, other: np.ndarray) -> float:
+        """A bound on ||H(x) - H(y)||_2 from the moved entries of the writes
+        of x and y: the largest absolute row sum of their difference, which
+        bounds the norm of a symmetric matrix.  For a frequency, a change of
+        the diagonal alone, it is the largest change of a diagonal entry."""
+        return float(np.bincount(self._rows, np.abs(moved - other)).max())
 
 
 def _excitations(layout: HilbertLayout) -> np.ndarray:

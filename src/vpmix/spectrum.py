@@ -35,13 +35,21 @@ the model's assembler give, with the field's own rule and a finiteness
 check on the moved entries in place of the full check of every point.
 Both read only a few eigenpairs, and LAPACK's ``dsyevr`` solves for
 just those: a sweep for the lowest ones, up to the levels it reports, a
-search for its pair's two branches.  A sweep's rows therefore match
-:func:`diagonalize` to rounding rather than bit for bit (see
-:func:`sweep_levels`).  The dynamics need every eigenvector of the
-search's spectrum at the minimum, so the search closes with a full
-``eigh`` solve, written by its pencil and solved by its solver, and
-labelled and gauged as :func:`diagonalize` labels and gauges its own:
-the same bits.
+search for its pair's two branches and their neighbours.  A sweep's rows
+therefore match :func:`diagonalize` to rounding rather than bit for bit
+(see :func:`sweep_levels`).  A search solves only its first few gap
+evaluations by LAPACK; the later ones project H(x) on the branch pairs of
+earlier evaluations (eigenvector continuation) and certify the result:
+Weyl's inequality keeps every level but the branches' out of a window
+between the neighbour levels of the last LAPACK solve, Kato-Temple bounds
+the branch energies' errors and Davis-Kahan the branch weights.  A point whose certificate fails is
+solved by LAPACK, and so is a certified point that a golden-section
+comparison cannot tell apart from its rival within the error bounds, so
+the search takes the steps that LAPACK's gaps give it.  The dynamics need
+every eigenvector of the search's spectrum at the minimum, so the search
+closes with a full ``eigh`` solve, written by its pencil and solved by its
+solver, and labelled and gauged as :func:`diagonalize` labels and gauges
+its own: the same bits.
 """
 
 from __future__ import annotations
@@ -82,6 +90,20 @@ __all__ = [
 _PAIR_MIN = 0.45
 _THIRD_MAX = 0.45
 _HERMITICITY_TOL = 1e-9  # largest |H - H+| entry _Solver accepts
+# A certified gap evaluation projects H(x) on the branch pairs of this many
+# earlier evaluations (an 8-dimensional basis).
+_RITZ_PAIRS = 4
+# The rounding allowance of the certificate, in ulps of ||H||: the error of
+# a LAPACK eigenvalue, and of the certificate's own sums.
+_ROUNDING_ULPS = 64
+# Gram eigenvalues below this fraction of the largest are dropped: their
+# directions of the basis are rounding noise.
+_GRAM_FLOOR = 1e-12
+# The rows of the solver's scratch that certified evaluations take: the
+# Ritz vectors and their images, at most 2 _RITZ_PAIRS each, the basis and
+# its image under H.  A search with d below it certifies nothing: there a
+# LAPACK solve costs less than the certificate.
+_WORK_ROWS = 8 * _RITZ_PAIRS
 # Bare weights within this of an eigenstate's largest count as tied for its
 # label, and the lowest tied bare index wins, so rounding noise cannot decide.
 _LABEL_TIE_TOL = 1e-12
@@ -253,13 +275,18 @@ class _Solver:
     glibc's trim threshold at the heap top, returned to the OS and faulted
     back in (9,900 minor faults a warm 200-point sweep instead of 130).
     ``name`` (``"dsyevr"`` or ``"eigh"``), ``first`` and ``count`` record the
-    last solve.  Before the first, ``name`` is the eigensolver that a range
-    would take, and ``first`` and ``count`` are not set.
+    last solve, and ``offset`` the energy it subtracted, the first one
+    solved, so that ``energies + offset`` are the absolute energies.  Before
+    the first, ``name`` is the eigensolver that a range would take, and
+    ``first``, ``count`` and ``offset`` are not set.  A solve leaves
+    ``scratch`` holding only its eigenvectors, in the first ``count`` rows
+    for ``dsyevr`` and in all of them for ``eigh``; between solves its
+    owner may use it as workspace.
     """
 
     def __init__(self, mat: np.ndarray):
         d = len(mat)
-        self.mat, self._scratch, self._energies = mat, np.empty_like(mat), np.empty(d)
+        self.mat, self.scratch, self._energies = mat, np.empty_like(mat), np.empty(d)
         self.checked = False
         self._dsyevr = None if np.iscomplexobj(mat) else _dsyevr()
         self.name = "eigh" if self._dsyevr is None else "dsyevr"  # until the first solve
@@ -270,7 +297,7 @@ class _Solver:
         lwork, liwork, zero = ctypes.c_int64(-1), ctypes.c_int64(-1), ctypes.c_double(0.0)
         # A, W, Z, ISUPPZ, WORK, IWORK; the query's one-element work arrays
         # are replaced by full ones below
-        arrays = [mat, self._energies, self._scratch, np.empty(2 * d, dtype=np.int64),
+        arrays = [mat, self._energies, self.scratch, np.empty(2 * d, dtype=np.int64),
                   np.empty(1), np.empty(1, dtype=np.int64)]
 
         def arguments() -> tuple:
@@ -290,7 +317,7 @@ class _Solver:
 
     def check(self) -> None:
         """Raise :class:`HermiticityError` unless ``mat`` is Hermitian and finite."""
-        _check_hermitian(self.mat, _HERMITICITY_TOL, HermiticityError, "matrix", self._scratch)
+        _check_hermitian(self.mat, _HERMITICITY_TOL, HermiticityError, "matrix", self.scratch)
 
     def __call__(self, first: int = 0, count: int | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -307,15 +334,16 @@ class _Solver:
             if self._info.value != 0 or self._m.value != count:
                 raise LinAlgError("Eigenvalues did not converge")
             # Z, d x count in Fortran order, fills the scratch's first count rows
-            energies, states = self._energies[:count], self._scratch[:count].T
+            energies, states = self._energies[:count], self.scratch[:count].T
         else:
             self.name, self.first, self.count = "eigh", 0, d
             with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
                              divide="ignore", under="ignore"):
                 energies, states = _umath_linalg.eigh_lo(
-                    mat, out=(self._energies, self._scratch),
+                    mat, out=(self._energies, self.scratch),
                     signature="D->dD" if np.iscomplexobj(mat) else "d->dd")
-        energies -= energies[0]
+        self.offset = float(energies[0])
+        energies -= self.offset
         return energies, states
 
 
@@ -502,9 +530,9 @@ def sweep_levels(
     sel = slice(1, level_count + 1)
 
     def evaluate(lo: int, hi: int) -> None:
-        solver = next(pool)
+        solver, moved = next(pool), pencil.entries()
         for p in range(lo, hi):
-            pencil.write(grid_arr[p], solver.mat)
+            pencil.write(grid_arr[p], solver.mat, moved)
             e, states = solver(0, level_count + 1)
             dominant, _, norm = _dominant(states[:, sel])
             energies[p], labels[p], overlaps[p] = e[sel], dominant, norm * norm
@@ -555,15 +583,19 @@ class AnticrossingReport:
     are the squared overlaps of the two branch eigenstates with the symmetric/
     antisymmetric combinations (|u> +- |v>)/sqrt(2) of the nominated pair.
     All are read from ``spectrum``, the model diagonalized at ``location``.
-    ``evaluations`` counts the gap evaluations and the closing solve;
-    the last evaluation solved for the eigenpairs of the eigen index range
-    ``solved_pairs`` = (first, last), both included, with ``eigensolver``:
-    ``"dsyevr"``, or ``"eigh"`` (for all of them) where numpy's LAPACK lacks
-    it.  ``unseen_weight_max`` is the largest pair weight that an
-    evaluation's unsolved eigenvectors held between them, r of
-    :func:`_pair_branches`: the margin by which each branch pick was proven,
-    rounding noise where every eigenpair was solved.  None of the three
-    changes the result, so none takes part in comparisons.
+    ``evaluations`` counts the gap evaluations and the closing solve.  The
+    search's last LAPACK solve solved for the eigenpairs of the eigen index
+    range ``solved_pairs`` = (first, last), both included, with
+    ``eigensolver``: ``"dsyevr"``, or ``"eigh"`` (for all of them) where
+    numpy's LAPACK lacks it.  ``unseen_weight_max`` is the largest pair
+    weight that a LAPACK solve's unsolved eigenvectors held between them, r
+    of :func:`_pair_branches`: the margin by which each of those branch
+    picks was proven, rounding noise where every eigenpair was solved.
+    ``ritz_evaluations`` counts the evaluations that a certified
+    Rayleigh-Ritz projection took instead of LAPACK, and
+    ``gap_error_bound_max`` is the largest error bound of a certified gap
+    that a golden-section comparison took, 0.0 where none did.  None of the
+    five changes the result, so none takes part in comparisons.
     """
 
     parameter: str
@@ -577,6 +609,8 @@ class AnticrossingReport:
     eigensolver: str = field(compare=False)
     solved_pairs: tuple[int, int] = field(compare=False)
     unseen_weight_max: float = field(compare=False)
+    ritz_evaluations: int = field(compare=False)
+    gap_error_bound_max: float = field(compare=False)
     spectrum: SpectrumResult = field(compare=False, repr=False)
 
 
@@ -642,6 +676,270 @@ def _search_inputs(config: SystemConfig, parameter: str, bracket: tuple[float, f
     return field, u, v, lo, hi
 
 
+def _proven_pick(combined: list[float], margin: list[float]) -> tuple[int, int] | None:
+    """The positions of the two branches among some eigenvectors of given
+    indices, whose pair weights each lie within ``margin`` of ``combined``,
+    where the weights prove the pick of :func:`_pair_branches` from every
+    eigenvector: the two pass its thresholds, and no other eigenvector,
+    given or not, can hold as much of the pair weight.  Else None."""
+    low = [w - m for w, m in zip(combined, margin)]
+    order = sorted(range(len(combined)), key=combined.__getitem__, reverse=True)
+    i, j = order[0], order[1]
+    # by completeness, the eigenvectors not given hold at most 2 - sum(low)
+    third = max([2.0 - sum(low)] + [combined[k] + margin[k] for k in order[2:]])
+    weaker = min(low[i], low[j])
+    if weaker >= _PAIR_MIN and third <= _THIRD_MAX and weaker > third:
+        return (i, j) if i < j else (j, i)
+    return None
+
+
+class _Ritz:
+    """The branch pairs of a search's recent evaluations, and certified
+    Rayleigh-Ritz eigenpairs on them.
+
+    The ring holds ``_RITZ_PAIRS`` pairs, as the rows of one basis V.  A new
+    pair takes the slot of its own x where the ring holds it, else an empty
+    one, else the one farthest from it.  :meth:`eigenpairs` projects H(x)
+    on span(V), orthonormalised in the span's own coordinates from the
+    eigenvectors of the Gram matrix V V^T (canonical orthogonalisation), and
+    certifies the Ritz pairs it finds in a window of energies.
+
+    It works in the search solver's ``scratch``, which holds nothing
+    between solves: the Ritz vectors and their images in its first rows.
+    Where ``dsyevr`` solves the search's ranges, V H and the ring take its
+    last rows, which a range solve, writing its first ``count`` rows,
+    leaves alone; :meth:`solved` empties the ring after a solve whose rows
+    reached it, a full one.  Where ``eigh`` solves every evaluation in
+    full, they have rows of their own.
+    """
+
+    def __init__(self, scratch: np.ndarray, shared: bool):
+        self._xs: list[float | None] = [None] * _RITZ_PAIRS
+        rows, dim = 4 * _RITZ_PAIRS, len(scratch)
+        # V H, then V, so that one product gives V H^2 V^T, V H V^T and V V^T
+        self._rows = scratch[dim - rows:] if shared else np.empty((rows, dim))
+        self._basis = self._rows[rows // 2:]
+        self._reach = dim - rows // 2 if shared else dim  # rows a solve may write
+        self._work = scratch
+
+    @property
+    def full(self) -> bool:
+        return None not in self._xs
+
+    def solved(self, count: int) -> None:
+        """Note a solve that wrote ``count`` rows of the scratch."""
+        if count > self._reach:
+            self._xs = [None] * _RITZ_PAIRS
+
+    def record(self, x: float, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Keep the branch vectors of an evaluation at x, which must not
+        lie in the ring's rows."""
+        xs = self._xs
+        slot = xs.index(x) if x in xs else max(
+            range(_RITZ_PAIRS), key=lambda s: math.inf if xs[s] is None else abs(xs[s] - x))
+        xs[slot] = x
+        self._basis[2 * slot], self._basis[2 * slot + 1] = lower, upper
+
+    def eigenpairs(self, mat: np.ndarray, lower: float, upper: float, count: int,
+                   margin: float) -> tuple | None:
+        """The ``count`` eigenvalues of the symmetric ``mat`` in (``lower``,
+        ``upper``), where no others lie, certified: (Ritz values, bounds on
+        their errors, bounds on the sine of each Ritz vector's angle to its
+        eigenvector, the unit Ritz vectors as rows of the scratch), or None
+        where the certificate fails.  ``margin`` is the rounding allowance.
+
+        The Ritz values theta and residuals r are recomputed from the Ritz
+        vectors themselves.  Each interval theta +- rho, rho = r + 2 margin,
+        holds an eigenvalue; if ``count`` of them lie inside the window and
+        apart, they hold its ``count`` eigenvalues, one each.  With delta the
+        distance from theta to the window's edge or to the next interval,
+        less the margin, Kato-Temple bounds the error of theta by
+        margin + rho^2 / delta and Davis-Kahan the sine by rho / delta.
+        """
+        n, rows, basis = 2 * _RITZ_PAIRS, self._rows, self._basis
+        if count > n:
+            return None
+        np.matmul(basis, mat, out=rows[:n])  # the rows of (H V^T)^T: H is symmetric
+        gram = rows @ rows.T
+        # a failed small eigh leaves NaN, and a NaN fails every test below
+        with np.errstate(all="ignore"):
+            scales, frame = _umath_linalg.eigh_lo(gram[n:, n:], signature="d->dd")
+            keep = scales > _GRAM_FLOOR * scales[-1]
+            frame = frame[:, keep] / np.sqrt(scales[keep])  # frame^T V: orthonormal rows
+            theta, coef = _umath_linalg.eigh_lo(frame.T @ gram[n:, :n] @ frame,
+                                                signature="d->dd")
+            coef = frame @ coef
+            images = np.einsum("ij,ij->j", coef, gram[:n, :n] @ coef)  # |H V^T y|^2
+        # the projection's squared residuals |H V^T y|^2 - theta^2, for unit y,
+        # rounding noise below about 1e-16: they only pick the Ritz pairs that
+        # mixtures of other eigenvectors would crowd the window with
+        picked = [j for j, (t, h) in enumerate(zip(theta.tolist(), images.tolist()))
+                  if lower < t < upper and h - t * t < min(t - lower, upper - t) ** 2]
+        if len(picked) != count:
+            return None
+        states, images = self._work[:count], self._work[n:n + count]
+        with np.errstate(all="ignore"):
+            np.matmul(coef[:, picked].T, basis, out=states)
+            states /= np.sqrt(np.einsum("ij,ij->i", states, states))[:, None]
+            np.matmul(states, mat, out=images)
+            theta = np.einsum("ij,ij->i", states, images)
+            images -= theta[:, None] * states
+            residuals = np.sqrt(np.einsum("ij,ij->i", images, images))
+        theta, rho = theta.tolist(), [r + 2.0 * margin for r in residuals.tolist()]
+        edges = [lower] + [t + r for t, r in zip(theta, rho)]  # below each interval
+        tops = [t - r for t, r in zip(theta[1:], rho[1:])] + [upper]  # above each
+        if not all(edge < t - r and t + r < top
+                   for edge, t, r, top in zip(edges, theta, rho, tops)):
+            return None
+        slack = [min(t - edge, top - t) - margin for edge, t, top in zip(edges, theta, tops)]
+        return (theta, [margin + r * r / s for r, s in zip(rho, slack)],
+                [r / s for r, s in zip(rho, slack)], states)
+
+
+@dataclass
+class _Point:
+    """A golden-section point: x, the gap there and a bound on the gap's
+    error, 0.0 for a LAPACK solve's."""
+
+    x: float
+    gap: float
+    error: float
+
+
+class _Gaps:
+    """The gap of the two branches of bare states u, v along a pencil of the
+    swept field, one evaluation per call, for :func:`find_anticrossing`.
+
+    A LAPACK solve (:meth:`_solve`) solves one :class:`_Solver` for the
+    branch range a..b of the evaluation before it, widened to a-1..b+1
+    within 0..d-1, or for every eigenpair at the first; the pick is proven
+    by :func:`_pair_branches`, or the point is solved again in full.  It
+    keeps the absolute energies of its pick's neighbours, eigen indices
+    a-1 and b+1, the moved entries of its H and its branch pair.
+
+    Once :class:`_Ritz` holds ``_RITZ_PAIRS`` pairs, an evaluation at x is
+    certified where it can be.  Weyl keeps every eigenvalue of H(x) but
+    a..b out of the window (E_{a-1} + e, E_{b+1} - e), where E are the
+    energies of the last LAPACK solve, at x_f, and e >= ||H(x) - H(x_f)||
+    is the pencil's :meth:`~vpmix.model._Pencil.distance`, widened by the
+    rounding allowance.  The b - a + 1 Ritz pairs certified in that window
+    therefore stand for eigen indices a..b, one each, and Davis-Kahan carries the thresholds of
+    :func:`_pair_branches` to their vectors with a margin of twice the
+    sine bound (:func:`_proven_pick`).  The gap's error is the sum of its
+    two energies' Kato-Temple bounds.  A point whose certificate fails is
+    solved by LAPACK, from the H(x) already written.  The rounding allowance
+    is ``_ROUNDING_ULPS`` ulps of ||H|| at the first evaluation.
+    """
+
+    def __init__(self, config: SystemConfig, field: tuple[int | None, str], model: str,
+                 u: int, v: int):
+        self.u, self.v, self.dim = u, v, config.layout.dim
+        self.solver = _Solver(_buffer(config))
+        self.pencil = _pencil(config, field, model, [self.solver])
+        self.moved, self._moved_solved = self.pencil.entries(), self.pencil.entries()
+        # the last LAPACK solve's pick (a, b) and the absolute energies of
+        # eigen indices a - 1 and b + 1 there, -inf and inf outside 0..d-1,
+        # None where it did not solve them
+        self._window: tuple = (None, None, None)
+        # a Ritz pair is certified only on a matrix the pencil vouches for,
+        # exactly symmetric as Weyl and Kato-Temple need, and where the
+        # scratch holds the certificate's rows: below that a LAPACK solve
+        # costs less than the certificate
+        self._ritz = (_Ritz(self.solver.scratch, self.solver.name == "dsyevr")
+                      if self.solver.checked and self.dim >= _WORK_ROWS else None)
+        self.branches: tuple[int, int] | None = None  # of the last evaluation
+        self._margin = 0.0
+        self.evaluations = self.ritz_evaluations = 0
+        self.unseen_max, self.error_max = -math.inf, 0.0
+
+    def __call__(self, x: float) -> _Point:
+        self.evaluations += 1
+        self.pencil.write(x, self.solver.mat, self.moved)
+        if self._ritz is not None and self._ritz.full:
+            certified = self._certified(x)
+            if certified is not None:
+                self.ritz_evaluations += 1
+                return _Point(x, *certified)
+        return _Point(x, self._solve(x), 0.0)
+
+    def less(self, c: _Point, d: _Point) -> bool:
+        """Whether the gap at c is below the gap at d, as LAPACK's gaps
+        compare.  Where a certified gap takes part and the gaps lie closer
+        than the error bounds and the rounding allowance of both, each
+        certified point is solved by LAPACK first."""
+        if c.error or d.error:
+            if abs(c.gap - d.gap) > c.error + d.error + 2.0 * self._margin:
+                self.error_max = max(self.error_max, c.error, d.error)
+                return c.gap < d.gap
+            for point in (c, d):
+                if point.error:
+                    self.pencil.write(point.x, self.solver.mat, self.moved)
+                    point.gap, point.error = self._solve(point.x), 0.0
+        return c.gap < d.gap
+
+    def _solve(self, x: float) -> float:
+        """The gap at x, H(x) written, from a LAPACK solve."""
+        solver, u, v = self.solver, self.u, self.v
+        pairs = ()
+        if self.branches is not None:
+            a, b = self.branches
+            first = max(a - 1, 0)
+            pairs = first, min(b + 1, self.dim - 1) - first + 1
+        energies, states = solver(*pairs)
+        try:
+            a, b, unseen = _pair_branches(states, u, v, solver.first)
+        except BranchTrackingError:
+            if solver.count == self.dim:
+                raise
+            # the solved pairs leave the pick unproven; dsyevr overwrote the
+            # matrix, so the point is written again and solved in full
+            self.pencil.write(x, solver.mat, self.moved)
+            energies, states = solver()
+            a, b, unseen = _pair_branches(states, u, v)
+        first, count = solver.first, solver.count
+        self.unseen_max = max(self.unseen_max, unseen)
+        if self.branches is None:  # the first solve, of every eigenpair: ||H|| = max |E|
+            self._margin = (_ROUNDING_ULPS * float(np.finfo(float).eps)
+                            * max(-solver.offset, float(energies[-1]) + solver.offset))
+        self.branches = a, b
+
+        def level(k: int, outside: float) -> float | None:
+            if not 0 <= k < self.dim:
+                return outside
+            if not first <= k < first + count:
+                return None
+            return float(energies[k - first]) + solver.offset
+
+        self._window = (a, b), level(a - 1, -math.inf), level(b + 1, math.inf)
+        if self._ritz is not None:
+            self._moved_solved[...] = self.moved
+            self._ritz.solved(count)
+            self._ritz.record(x, *states[:, [a - first, b - first]].T)  # a copy
+        return float(energies[b - first] - energies[a - first])
+
+    def _certified(self, x: float) -> tuple[float, float] | None:
+        """The certified gap at x, H(x) written, and its error bound, or None."""
+        branches, below, above = self._window
+        if branches != self.branches or below is None or above is None:
+            return None
+        (a, b), margin = branches, self._margin
+        shift = self.pencil.distance(self.moved, self._moved_solved) + margin
+        found = self._ritz.eigenpairs(self.solver.mat, below + shift, above - shift,
+                                      b - a + 1, margin)
+        if found is None:
+            return None
+        theta, error, sine, states = found
+        weights = [p * p + q * q for p, q in zip(states[:, self.u].tolist(),
+                                                 states[:, self.v].tolist())]
+        pick = _proven_pick(weights, [2.0 * s for s in sine])
+        if pick is None:
+            return None
+        i, j = pick
+        self.branches = a + i, a + j
+        self._ritz.record(x, states[i], states[j])
+        return theta[j] - theta[i], error[i] + error[j]
+
+
 def find_anticrossing(
     config: SystemConfig,
     parameter: str,
@@ -663,20 +961,23 @@ def find_anticrossing(
     the search's solver, for the report's ``spectrum``: the bits
     :func:`diagonalize` gives for the model built at the minimum.
 
-    An evaluation reads only the pair's two branches, so one :class:`_Solver`
-    solves each evaluation for the branch range a..b, from the lower branch's
-    eigen index to the upper one's, that the evaluation before it found,
-    with LAPACK's ``dsyevr``; the first evaluation solves every eigenpair,
-    with ``eigh``.  :func:`_pair_branches` proves each pick from the solved
-    eigenpairs by completeness: the unsolved eigenvectors hold too little of
-    the pair's weight to displace a branch or to fail its thresholds.  Where
-    they might, the point is solved again in full, and that solve fixes the
-    range anew.  Only a pick that fails with every eigenpair solved raises
-    :class:`BranchTrackingError`.  Every proven pick is the one a full solve
-    makes, so the gaps, and with them the golden-section steps, agree with a
-    full solve's to rounding.  Where numpy's LAPACK lacks ``dsyevr``,
-    ``eigh`` solves every evaluation in full.  The report records the last
-    evaluation's eigensolver and range, and the largest unsolved pair weight.
+    The gaps come from :class:`_Gaps`.  Its first evaluations are LAPACK
+    solves, each for the branch range a..b that the evaluation before it
+    found, widened by one eigen index on each side (the first for every
+    eigenpair); the later ones are certified Rayleigh-Ritz evaluations on the
+    branch pairs of earlier ones, and a point whose certificate fails is
+    solved by LAPACK.  A golden-section comparison that involves a certified
+    gap is taken only where its error bounds prove that LAPACK's gaps
+    compare the same way; otherwise the certified points are solved by
+    LAPACK and compared as those are.  :func:`_pair_branches` proves each
+    LAPACK pick from the solved eigenpairs by completeness, and the
+    certificate proves each of its own, so every pick is the one a full
+    solve makes, and the golden-section steps, the location and the
+    spectrum at the minimum are those of a search that solves every
+    evaluation in full.  The report records the last LAPACK solve's
+    eigensolver and range and the largest pair weight those solves left
+    unsolved, the number of certified evaluations, and the largest error
+    bound of a certified gap that a comparison took.
 
     Every evaluation is written from one pencil of the swept field, as each
     point of :func:`sweep_levels` is, and is checked as those are: the base,
@@ -688,35 +989,8 @@ def find_anticrossing(
     search builds one solver and no :class:`Operator`.
     """
     field, u, v, lo, hi = _search_inputs(config, parameter, bracket, bare_pair, model, tol)
-    solver, dim = _Solver(_buffer(config)), config.layout.dim
-    pencil = _pencil(config, field, model, [solver])
-    pairs, evaluations, unseen_max = (), 0, -math.inf  # every pair at first
-
-    def branches(x: float, *pairs: int) -> tuple[float, int, int, float]:
-        """The gap of the pair's branches at x, their eigen indices and the
-        pair weight of the unsolved eigenvectors, from a solve of ``pairs``,
-        (first, count) or none for all.  Its views of the solver's arrays end
-        with it."""
-        # raw real eigenvectors: the sign gauge of diagonalize changes no weight
-        pencil.write(x, solver.mat)
-        energies, states = solver(*pairs)
-        a, b, unseen = _pair_branches(states, u, v, solver.first)
-        return float(energies[b - solver.first] - energies[a - solver.first]), a, b, unseen
-
-    def gap_at(x: float) -> float:
-        nonlocal pairs, evaluations, unseen_max
-        evaluations += 1
-        try:
-            gap, a, b, unseen = branches(x, *pairs)
-        except BranchTrackingError:
-            if solver.count == dim:
-                raise
-            # the solved pairs leave the pick unproven; dsyevr overwrote the
-            # matrix, so the point is written again and solved in full
-            gap, a, b, unseen = branches(x)
-        unseen_max = max(unseen_max, unseen)
-        pairs = a, b - a + 1
-        return gap
+    gaps = _Gaps(config, field, model, u, v)
+    solver = gaps.solver
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -725,28 +999,25 @@ def find_anticrossing(
     c_x = a_x + invphi2 * h
     d_x = a_x + invphi * h
     with _one_blas_thread():
-        yc, yd = gap_at(c_x), gap_at(d_x)
+        c, d = gaps(c_x), gaps(d_x)
         while h > tol:
-            if yc < yd:
-                b_x, d_x, yd = d_x, c_x, yc
+            if gaps.less(c, d):
+                b_x, d = d.x, c
                 h = b_x - a_x
-                c_x = a_x + invphi2 * h
-                yc = gap_at(c_x)
+                c = gaps(a_x + invphi2 * h)
             else:
-                a_x, c_x, yc = c_x, d_x, yd
+                a_x, c = c.x, d
                 h = b_x - a_x
-                d_x = a_x + invphi * h
-                yd = gap_at(d_x)
+                d = gaps(a_x + invphi * h)
         x_min = 0.5 * (a_x + b_x)
         if min(x_min - lo, hi - x_min) <= tol:
             raise NumericalError(
                 f"gap minimum {x_min:.9g} lies within tol {tol:g} of an end of the "
                 f"bracket [{lo:g}, {hi:g}]; widen the bracket"
             )
-        evaluations += 1
-        # the report records the last evaluation's solve, not the closing one
+        # the report records the last LAPACK solve, not the closing one
         eigensolver, first, count = solver.name, solver.first, solver.count
-        pencil.write(x_min, solver.mat)
+        gaps.pencil.write(x_min, solver.mat, gaps.moved)
         spectrum = _spectrum(*solver(), config.layout)
     energies, states = spectrum.energies, spectrum.states
     ia, ib, _ = _pair_branches(states, u, v)
@@ -762,9 +1033,10 @@ def find_anticrossing(
     return AnticrossingReport(
         parameter=parameter, location=float(x_min), splitting=float(energies[ib] - energies[ia]),
         branch_indices=(ia, ib), branch_energies=(float(energies[ia]), float(energies[ib])),
-        superposition_overlaps=overlaps, bare_pair=(u, v), evaluations=evaluations,
+        superposition_overlaps=overlaps, bare_pair=(u, v), evaluations=gaps.evaluations + 1,
         eigensolver=eigensolver, solved_pairs=(first, first + count - 1),
-        unseen_weight_max=unseen_max, spectrum=spectrum)
+        unseen_weight_max=gaps.unseen_max, ritz_evaluations=gaps.ritz_evaluations,
+        gap_error_bound_max=gaps.error_max, spectrum=spectrum)
 
 
 def superposition_states(report: AnticrossingReport) -> tuple[Ket, Ket]:

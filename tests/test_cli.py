@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 import vpmix
-from vpmix import spectrum
+from vpmix import cli, spectrum
 from vpmix.cli import (_csv, build_system, load_config, main, resolve_config, run_command,
                        validate_config)
 from vpmix.errors import ConfigError
@@ -346,12 +346,16 @@ def test_tracer_sees_each_layer_of_a_dynamics_run(tmp_path):
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "fig5b", "figS2b"])
-def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch, scenario):
+def test_dynamics_diagonalizes_only_in_its_search(tmp_path, monkeypatch, scenario):
     # the search's closing solve supplies the spectrum the dynamics run in.
     # vpmix.spectrum._Solver.__call__ counts every eigensolve of the package,
     # eigh or dsyevr subset, and the gufunc behind numpy.linalg.eigh every
-    # full one that does not come through the solver; no bundled search
-    # solves a point twice.
+    # full one that does not come through the solver (a certified
+    # evaluation's eigh of an 8 x 8 projection is no eigensolve of the
+    # model, and is not counted): the dynamics command
+    # solves exactly what the anticross command's search solves, one solve
+    # for each evaluation that no certificate took, at most two more for
+    # each comparison that none proved, and the closing solve
     calls, solving = [], []
     solve, eigh = spectrum._Solver.__call__, _umath_linalg.eigh_lo
 
@@ -364,7 +368,7 @@ def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch,
             solving.pop()
 
     def counted_eigh(*args, **kwargs):
-        if not solving:
+        if not solving and len(args[0]) > 2 * spectrum._RITZ_PAIRS:
             calls.append(1)
         return eigh(*args, **kwargs)
 
@@ -373,9 +377,13 @@ def test_dynamics_diagonalizes_once_per_search_evaluation(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, "cfg.json", {"scenario": scenario, "dynamics": {"points": 5}})
     assert main(["anticross", "--config", cfg, "--out", str(tmp_path / "anticross")]) == 0
     report = json.loads((tmp_path / "anticross" / "anticross.json").read_text())
+    search = json.loads((tmp_path / "anticross" / "manifest.json").read_text())["search"]
+    searched = len(calls)
     calls.clear()
     assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "dynamics")]) == 0
-    assert len(calls) == report["evaluations"]
+    assert len(calls) == searched
+    lapack = report["evaluations"] - search["ritz_evaluations"]
+    assert lapack <= searched <= lapack + 4 < report["evaluations"]
 
 
 def test_a_photon_observable_needs_a_photon_level(tmp_path, capsys, monkeypatch):
@@ -676,10 +684,12 @@ def sweep_eigensolver() -> str:
 ])
 def test_search_manifests_record_the_eigensolver(tmp_path, monkeypatch, command, payload, key,
                                                  counts):
-    # with dsyevr, each search solves for its two branches, eigen indices
-    # 3..4, leaving a pair weight of 0.1-0.3 unsolved; with eigh for every
-    # one of the d = 64, leaving rounding noise.  The data files keep their
-    # bytes either way
+    # with dsyevr, each LAPACK solve of a search solves for its two branches,
+    # eigen indices 3..4, and one neighbour on each side, leaving a pair
+    # weight of 0.04-0.2 unsolved; with eigh for every one of the d = 64,
+    # leaving rounding noise.  The same evaluations are certified either
+    # way, with error bounds that differ by rounding, and the data files
+    # keep their bytes
     cfg = resolve_config(payload)
     runs = {}
     for solver in ("found", "missing"):
@@ -694,11 +704,39 @@ def test_search_manifests_record_the_eigensolver(tmp_path, monkeypatch, command,
         assert len(records) == len(counts)
         for record, count in zip(records, counts):
             unseen = record.pop("unseen_weight_max")
+            certified = {name: record.pop(name)
+                         for name in ("ritz_evaluations", "gap_error_bound_max")}
             assert record == {"eigensolver": "dsyevr" if dsyevr else "eigh",
-                              "solved_pairs": [3, 3 + count - 1] if dsyevr else [0, 63]}
-            assert 0.1 < unseen < 0.3 if dsyevr else abs(unseen) < 1e-12
+                              "solved_pairs": [2, 2 + count + 1] if dsyevr else [0, 63]}
+            assert 0.04 < unseen < 0.2 if dsyevr else abs(unseen) < 1e-12
+            runs.setdefault(("certified", solver), []).append(certified["ritz_evaluations"])
+            assert 0.0 < certified["gap_error_bound_max"] < 1e-7
         runs[solver] = [(rec["file"], rec["sha256"]) for rec in manifest["outputs"]]
     assert runs["found"] == runs["missing"]
+    assert runs["certified", "found"] == runs["certified", "missing"]
+
+
+@pytest.mark.parametrize("command, payload, key, searches", [
+    ("anticross", {"scenario": "fig4"}, "search", 1),
+    ("dynamics", {"scenario": "fig5b", "dynamics": {"points": 5}}, "search", 1),
+    ("perturb", {"scenario": "fig2"}, "searches", 7),
+])
+def test_search_manifests_record_the_certified_evaluations(tmp_path, command, payload, key,
+                                                           searches):
+    # every search record, one per lambda of a coupling sweep, counts its
+    # certified Rayleigh-Ritz evaluations, all but the first four LAPACK
+    # ones and those whose certificate failed, and the largest error bound
+    # that a comparison took, far below the gaps the comparisons told apart
+    out = tmp_path / "out"
+    manifest = run_command(command, resolve_config(payload), out)
+    assert json.loads((out / "manifest.json").read_text())[key] == manifest[key]
+    records = manifest[key] if key == "searches" else [manifest[key]]
+    assert len(records) == searches
+    for record in records:
+        assert set(record) == {"eigensolver", "solved_pairs", "unseen_weight_max",
+                               "ritz_evaluations", "gap_error_bound_max"}
+        assert 20 <= record["ritz_evaluations"] <= 23
+        assert 0.0 < record["gap_error_bound_max"] < 1e-7
 
 
 def test_levels_manifest_records_the_eigensolver(tmp_path, monkeypatch):
@@ -797,6 +835,30 @@ def test_zero_cutoff_override_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["anticross", "--config", cfg, "--out", str(out), "--cutoff", "0"]) == 2
     assert not out.exists()
+
+
+def test_main_parses_each_call_with_the_one_parser(tmp_path, capsys):
+    # the parser is built at the first call of a process, not at import, and
+    # kept: each later call parses its own argv, with the same exit codes
+    cfg = write_config(tmp_path, "cfg.json", {
+        "system": TINY_SYSTEM,
+        "anticross": {"parameter": "qubits[2].omega", "bracket": [0.95, 1.03],
+                      "pair": [["gge", 0], ["eeg", 0]]},
+    })
+    with pytest.raises(SystemExit) as exit_:
+        main(["anticross", "--config", cfg, "--cutoff", "four"])
+    assert exit_.value.code == 2
+    assert "invalid int value: 'four'" in capsys.readouterr().err
+    assert main(["anticross", "--config", cfg, "--out", str(tmp_path / "a"), "--cutoff", "0"]) == 2
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["anticross", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["command"] == "anticross"
+    assert cli._parser() is cli._parser()
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import vpmix.cli as cli; print(cli._parser.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=str(Path(vpmix.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=120, check=True)
+    assert fresh.stdout.split() == ["0"]
 
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):

@@ -44,6 +44,8 @@ from vpmix.model import (
     _layout_terms,
     bare_hamiltonian,
 )
+from vpmix.cli import build_system
+from vpmix.presets import get_preset
 from vpmix.spectrum import _parameter_field, _Solver, set_parameter
 
 PI6 = math.pi / 6
@@ -351,6 +353,54 @@ def test_pencil_writes_the_assembled_bits(qubits, omega_c, cutoff, model, data):
         assert pencil.write(x, solver.mat).tobytes() == expected
         solver(0, min(2, cfg.layout.dim))
         assert pencil.write(x, solver.mat).tobytes() == expected
+
+
+@pytest.mark.parametrize("scenario, parameter", [("fig1b", "qubits[2].omega"),
+                                                 ("fig4", "qubits[0].omega"),
+                                                 ("fig1b", "omega_c")])
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4))
+def test_pencil_sums_the_fixed_diagonal_terms_once(scenario, parameter, values):
+    # the bare diagonal around the swept frequency, summed once per pencil
+    # before it (qubits 0 and 1 of fig1b's three; nothing for fig4's qubit 0;
+    # every qubit for omega_c) and formed once after it, gives the bits of
+    # the assembler at every point, written into one reused buffer of moved
+    # entries, which then holds the diagonal
+    cfg = build_system(get_preset(scenario))
+    solver = _Solver(_buffer(cfg))
+    pencil = _Pencil(cfg, _parameter_field(cfg, parameter), "dicke", solver.mat, solver.check)
+    moved = pencil.entries()
+    assert moved.shape == (cfg.layout.dim,)
+    for x in values:
+        expected = _assemble("dicke", set_parameter(cfg, parameter, x), _buffer(cfg))
+        found = pencil.write(x, solver.mat, moved)
+        assert [v.hex() for v in found.ravel().tolist()] == [
+            v.hex() for v in expected.ravel().tolist()]
+        assert moved.tobytes() == expected.diagonal().tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(["fig1b", "fig4"]), data=st.data())
+def test_pencil_distance_bounds_the_change_of_h(scenario, data):
+    # for every field, the largest absolute row sum of the moved entries'
+    # change is at least the spectral norm of H(x) - H(y), and for a
+    # frequency, whose change is diagonal, it is that norm: half the change
+    # of a qubit's omega
+    cfg = build_system(get_preset(scenario))
+    field = data.draw(st.sampled_from(["omega_c"] + [
+        f"qubits[{k}].{name}" for k in range(cfg.qubit_count) for name in ("omega", "lam",
+                                                                          "theta")]))
+    x, y = (data.draw(FIELD_VALUES[field.rsplit(".", 1)[-1]]) for _ in range(2))
+    solver = _Solver(_buffer(cfg))
+    pencil = _Pencil(cfg, _parameter_field(cfg, field), "dicke", solver.mat, solver.check)
+    at_x, at_y = pencil.entries(), pencil.entries()
+    change = pencil.write(x, solver.mat, at_x).copy() - pencil.write(y, solver.mat, at_y)
+    norm = np.linalg.norm(change, 2)
+    bound = pencil.distance(at_x, at_y)
+    assert norm <= bound * (1 + 1e-12) + 1e-300
+    if field.endswith("omega"):
+        assert bound == pytest.approx(0.5 * abs(x - y), rel=1e-12, abs=1e-15)
+        assert norm == pytest.approx(bound, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("lam, theta", [

@@ -33,7 +33,9 @@ def write_tree(root: Path, cell: float, manifest: str) -> Path:
 
 
 def verdicts(capsys) -> dict:
-    return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    """Each file's verdict; the indented first-difference lines are left out."""
+    return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                if not line.startswith(" "))
 
 
 def test_compare_reports_identical_moved_and_missing_files(tmp_path, capsys):
@@ -101,6 +103,31 @@ def test_compare_checks_the_records_of_each_manifest(tmp_path, capsys):
         other = write_tree(tmp_path / case, 0.1, manifest)
         assert compare(run, other) == (verdict != "identical")
         assert verdicts(capsys)["fig2-perturb/manifest.json"] == verdict, case
+
+
+def test_compare_names_the_first_differing_leaf(tmp_path, capsys):
+    # under each file that differs, the path of its first differing leaf, in
+    # sorted key order, and both values, so that a change can be declared
+    # key by key; a missing file, or an identical one, gets no such line
+    compare = scenario_script().compare
+    run = write_tree(tmp_path / "run", 0.1, MANIFEST.format(solver="dsyevr", unseen=0.25,
+                                                            wall=0.5))
+    moved = json.loads(MANIFEST.format(solver="dsyevr", unseen=0.25, wall=0.5))
+    moved["search"].update(solved_pairs=[2, 5], ritz_evaluations=22)
+    other = write_tree(tmp_path / "other", 0.1 + 2**-40, json.dumps(moved))
+    (other / "ecc-ecc" / "ecc_report.json").unlink()
+    assert compare(run, other) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "ecc-ecc/ecc_report.json: missing",
+        "fig2-perturb/coupling_sweep.csv: max abs difference 9.09e-13",
+        f"    first difference [1][1]: 0.1 vs {0.1 + 2**-40!r}",
+        "fig2-perturb/manifest.json: differs",
+        "    first difference search.ritz_evaluations: absent vs 22",
+    ]
+    assert scenario_script()._first_difference(
+        {"search": {"solved_pairs": [3, 4]}}, {"search": {"solved_pairs": [2, 5]}}) == (
+        "search.solved_pairs[0]", 3, 2)
 
 
 # 22 physical lines, 9 of them code: the import, def, the two lines of the
