@@ -12,10 +12,11 @@ file at the same path under DIR, an earlier run's root, and every
 searches and dynamics it holds are compared, and so are the checksums of the
 outputs.  For each file it prints ``identical``, ``missing`` (from either
 tree), the largest absolute difference over the numeric CSV cells and JSON
-number leaves, or ``differs`` when text or structure differ, and under a
-file that differs, an indented line with the path of its first differing
-leaf and both values, such as ``search.solved_pairs[0]: 2 vs 3``, so that a
-change can be declared key by key.  It exits 1 if any file differs or is
+number leaves, or ``differs`` when text or structure differ.  Under a JSON
+file that differs it prints an indented line for each differing leaf, with
+its path and both values, such as ``difference search.solved_pairs[0]: 2
+vs 3``, so that a change can be declared key by key; under a CSV file, a
+line for its first differing cell.  It exits 1 if any file differs or is
 missing.
 """
 
@@ -123,10 +124,10 @@ def _max_gap(a, b) -> float | None:
     return worst
 
 
-def _first_difference(a, b):
-    """(path, value in a, value in b) of the first leaf at which two parsed
-    files differ, or None if they do not."""
-    return next(((where, x, y) for where, x, y in _leaves(a, b) if x != y), None)
+def _differences(a, b) -> list:
+    """(path, value in a, value in b) of each leaf at which two parsed files
+    differ, in sorted key order."""
+    return [(where, x, y) for where, x, y in _leaves(a, b) if x != y]
 
 
 def _leaf(value) -> str:
@@ -151,11 +152,12 @@ def compare(root: Path, reference: Path) -> int:
             gap = _max_gap(_parse(path), _parse(other))
             verdict = "differs" if gap is None else f"max abs difference {gap:.3g}"
         print(f"{name}: {verdict}")
-        first = (None if verdict in ("identical", "missing")
-                 else _first_difference(_parse(path), _parse(other)))
-        if first is not None:
-            where, mine, theirs = first
-            print(f"    first difference {where or '(the file)'}: {_leaf(mine)} vs {_leaf(theirs)}")
+        differences = ([] if verdict in ("identical", "missing")
+                       else _differences(_parse(path), _parse(other)))
+        # a JSON file names every leaf that differs, a CSV file its first
+        label = "difference" if path.suffix == ".json" else "first difference"
+        for where, mine, theirs in differences[:None if path.suffix == ".json" else 1]:
+            print(f"    {label} {where or '(the file)'}: {_leaf(mine)} vs {_leaf(theirs)}")
         mismatches += verdict != "identical"
     return mismatches
 

@@ -359,7 +359,7 @@ def _solver_record(rep) -> dict:
     """How a search's evaluations were solved, for the manifest."""
     return {"eigensolver": rep.eigensolver, "solved_pairs": list(rep.solved_pairs),
             "unseen_weight_max": rep.unseen_weight_max,
-            "ritz_evaluations": rep.ritz_evaluations,
+            "ritz_evaluations": rep.ritz_evaluations, "ritz_resolves": rep.ritz_resolves,
             "gap_error_bound_max": rep.gap_error_bound_max}
 
 
@@ -527,7 +527,10 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     side, unless that pick needed every eigenpair), and the largest pair
     weight any of them left in the unsolved eigenvectors, the margin of its
     branch picks (``unseen_weight_max``); ``ritz_evaluations``, the number
-    of certified Rayleigh-Ritz evaluations; and ``gap_error_bound_max``,
+    of certified Rayleigh-Ritz evaluations; ``ritz_resolves``, the number
+    of certified points that a comparison solved again by LAPACK, so that
+    the search solved evaluations - ritz_evaluations + ritz_resolves
+    points by LAPACK, its closing solve included; and ``gap_error_bound_max``,
     the largest error bound of a certified gap that a golden-section
     comparison took (0 where none did).  A ``perturb`` coupling sweep
     records the same of each of its searches, in ``searches``.  A

@@ -31,9 +31,10 @@ cascade, resonance omega_4 = omega_1+omega_2+omega_3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +68,35 @@ __all__ = [
 ]
 
 
+# The rule of each field that has one, beyond being a finite real number:
+# (the name its message gives it, whether it must be positive or only >= 0).
+_FIELD_RULES = {
+    "omega": ("qubit frequency", True),
+    "lam": ("coupling rate", False),
+    "gamma": ("decay rate", False),
+    "omega_c": ("cavity frequency", True),
+    "kappa": ("cavity decay rate", False),
+}
+# The fields of a qubit, whose messages name them as the qubit's.
+_QUBIT_FIELDS = ("omega", "lam", "theta", "gamma")
+
+
+def _check_fields(owner, names: tuple[str, ...]) -> None:
+    """Raise :class:`ConfigError` unless each field ``names`` of ``owner``,
+    a QubitParams, a SystemConfig or any object with those attributes,
+    holds a value its rule accepts: every one a finite real number first,
+    then each the sign its rule asks.  The one owner of the fields' rules,
+    which the dataclasses and :class:`_Pencil` both call."""
+    _require_finite(owner, names, prefix="qubit " if names[0] in _QUBIT_FIELDS else "")
+    for name in names:
+        if name in _FIELD_RULES:
+            what, positive = _FIELD_RULES[name]
+            value = getattr(owner, name)
+            if value <= 0 if positive else value < 0:
+                raise ConfigError(f"{what} must be {'positive' if positive else '>= 0'}, "
+                                  f"got {value}")
+
+
 @dataclass(frozen=True)
 class QubitParams:
     """One qubit: transition frequency, cavity coupling rate, coupling-mixing
@@ -78,13 +108,7 @@ class QubitParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, ("omega", "lam", "theta", "gamma"), prefix="qubit ")
-        if self.omega <= 0:
-            raise ConfigError(f"qubit frequency must be positive, got {self.omega}")
-        if self.lam < 0:
-            raise ConfigError(f"coupling rate must be >= 0, got {self.lam}")
-        if self.gamma < 0:
-            raise ConfigError(f"decay rate must be >= 0, got {self.gamma}")
+        _check_fields(self, ("omega", "lam", "theta", "gamma"))
 
 
 @dataclass(frozen=True)
@@ -105,11 +129,7 @@ class SystemConfig:
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
         self.layout  # built now, so a bad qubit count or cutoff raises here
-        _require_finite(self, ("omega_c", "kappa"))
-        if self.omega_c <= 0:
-            raise ConfigError(f"cavity frequency must be positive, got {self.omega_c}")
-        if self.kappa < 0:
-            raise ConfigError(f"cavity decay rate must be >= 0, got {self.kappa}")
+        _check_fields(self, ("omega_c", "kappa"))
 
     @property
     def qubit_count(self) -> int:
@@ -136,7 +156,7 @@ def _sparse(dense: np.ndarray) -> _Sparse:
     return term
 
 
-class _LayoutTerms(NamedTuple):
+class _Terms(NamedTuple):
     """Real building blocks of both models on one layout, and of the
     operators the dynamics applies to a spectrum (read-only arrays)."""
 
@@ -146,6 +166,16 @@ class _LayoutTerms(NamedTuple):
     quadrature: _Sparse                # X = a + a+
     x_sigma_x: tuple[_Sparse, ...]     # X sigma_x^(i)
     exchange: tuple[_Sparse, ...]      # a sigma_+^(i) + a+ sigma_-^(i)
+
+
+class _LayoutTerms(_Terms):
+    """:class:`_Terms` that also know, once, whether every matrix assembled
+    from them is exactly symmetric (:func:`_symmetric`).  A copy made by
+    ``_replace`` asks again."""
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return _symmetric(self, len(self.number))
 
 
 @lru_cache(maxsize=8)
@@ -342,12 +372,12 @@ class _Pencil:
     own expressions in its order, so H(x) is the same bits that
     :func:`_assemble` writes for the config with the field set to x.
 
-    Where the layout's terms are exactly symmetric (:func:`_symmetric`), as
-    :func:`_layout_terms` builds them, so is every H(x), and it is
-    Hermitian and finite exactly when its entries are finite.  Then
-    ``checked`` is True: ``check()``, called once on ``out`` holding the
-    base, checks the kept entries, and :meth:`write` checks the entries it
-    moves, so no H(x) needs a check of its own.  Otherwise ``checked`` is
+    Where the layout's terms are exactly symmetric (``terms.symmetric``,
+    found once per layout), as :func:`_layout_terms` builds them, so is
+    every H(x), and it is Hermitian and finite exactly when its entries are
+    finite.  Then ``checked`` is True: ``check()``, called once on ``out``
+    holding the base, checks the kept entries, and :meth:`write` checks the
+    entries it moves, so no H(x) needs a check of its own.  Otherwise ``checked`` is
     False, the base is not checked, and each H(x) needs the full check.
 
     For a frequency the bare diagonal is a sum in a fixed order: the
@@ -362,10 +392,14 @@ class _Pencil:
     def __init__(self, config: SystemConfig, field: tuple[int | None, str], model: str,
                  out: np.ndarray, check):
         self._config, (self._k, self._name), self._model = config, field, model
+        # the other fields of the swept qubit
+        self._fields = {} if self._k is None else {
+            name: getattr(config.qubits[self._k], name) for name in _QUBIT_FIELDS
+            if name != self._name}
         self._terms = terms = _layout_terms(config.layout)
         dim, flat = config.layout.dim, out.reshape(-1)
         _assemble(model, config, out)
-        self.checked = _symmetric(terms, dim)
+        self.checked = terms.symmetric
         if self.checked:
             check()
         # the moved entries: the diagonal for a frequency, else the coupling
@@ -399,31 +433,35 @@ class _Pencil:
         self._scale, self._base = ((1.0, terms.number) if k is None
                                    else (0.5, terms.sigma_z[k]))
 
-    def _at(self, x: float) -> tuple[QubitParams, ...]:
-        """The qubits with the field set to x, which the rule of the field's
-        owner, a QubitParams or the config, checks."""
-        k, name, config = self._k, self._name, self._config
-        if k is None:
-            return replace(config, **{name: x}).qubits
-        qubits = config.qubits
-        return qubits[:k] + (replace(qubits[k], **{name: x}),) + qubits[k + 1:]
+    def _at(self, x: float) -> tuple:
+        """The qubits with the field set to x, once the field's rule
+        (:func:`_check_fields`) accepts x.  The swept qubit is a stand-in
+        that carries the fields the model reads."""
+        swept = SimpleNamespace(**self._fields, **{self._name: x})
+        _check_fields(swept, (self._name,))
+        k, qubits = self._k, self._config.qubits
+        return qubits if k is None else qubits[:k] + (swept,) + qubits[k + 1:]
 
     def entries(self) -> np.ndarray:
         """A buffer for the moved entries of one :meth:`write`."""
         return np.empty(self._rows.size)
 
-    def write(self, x: float, out: np.ndarray, moved: np.ndarray | None = None) -> np.ndarray:
+    def write(self, x: float, out: np.ndarray, moved: np.ndarray | None = None,
+              whole: bool = True) -> np.ndarray:
         """Write H(x) into ``out`` and return it, its moved entries formed in
         ``moved``, a buffer from :meth:`entries` (a fresh one where None).
-        An x that the field's owner rejects raises its
-        :class:`ConfigError`, and a moved entry that is not finite raises the
-        solver check's :class:`HermiticityError`."""
+        Where ``whole`` is False, ``out`` holds an earlier write of this
+        pencil and only the moved entries are written.  An x that the
+        field's owner rejects raises its :class:`ConfigError`, and a moved
+        entry that is not finite raises the solver check's
+        :class:`HermiticityError`."""
         qubits = self._at(x)
         if moved is None:
             moved = self.entries()
-        out.fill(0.0)
         flat = out.reshape(-1)
-        flat[self._kept.flat] = self._kept.value
+        if whole:
+            out.fill(0.0)
+            flat[self._kept.flat] = self._kept.value
         with np.errstate(**_QUIET):
             if not self._moved:
                 # the swept term plus the prefix, then each term after it: the
@@ -433,7 +471,7 @@ class _Pencil:
                 for term in self._after:
                     moved += term
                 _check_finite(moved, HermiticityError, "matrix")
-                flat[:: len(out) + 1] += moved
+                np.add(moved, 0.0, out=flat[:: len(out) + 1])  # onto the zero diagonal
                 return out
             start, couplings = 0, _couplings(self._model, qubits, self._terms)
             for i in self._moved:

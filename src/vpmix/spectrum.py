@@ -38,14 +38,18 @@ just those: a sweep for the lowest ones, up to the levels it reports, a
 search for its pair's two branches and their neighbours.  A sweep's rows
 therefore match :func:`diagonalize` to rounding rather than bit for bit
 (see :func:`sweep_levels`).  A search solves only its first few gap
-evaluations by LAPACK; the later ones project H(x) on the branch pairs of
-earlier evaluations (eigenvector continuation) and certify the result:
-Weyl's inequality keeps every level but the branches' out of a window
-between the neighbour levels of the last LAPACK solve, Kato-Temple bounds
-the branch energies' errors and Davis-Kahan the branch weights.  A point whose certificate fails is
-solved by LAPACK, and so is a certified point that a golden-section
-comparison cannot tell apart from its rival within the error bounds, so
-the search takes the steps that LAPACK's gaps give it.  The dynamics need
+evaluations by LAPACK; the later ones project H(x) on an orthonormal basis
+of the branch pairs of its LAPACK solves (eigenvector continuation) and of
+the directions a certified evaluation found beyond them, its branch
+vectors' part outside the pairs and their residual vectors (a Davidson
+step), and certify the result: Weyl's inequality keeps every level but the
+branches' out of a window between the neighbour levels of the last LAPACK
+solve, Kato-Temple bounds the branch energies' errors and Davis-Kahan the
+branch weights.  A point whose certificate fails is solved by LAPACK.  A
+certified point that a golden-section comparison cannot tell apart from
+its rival within the error bounds is certified again on the basis as it
+is then, and solved by LAPACK where that does not settle it, so the search
+takes the steps that LAPACK's gaps give it.  The dynamics need
 every eigenvector of the search's spectrum at the minimum, so the search
 closes with a full ``eigh`` solve, written by its pencil and solved by its
 solver, and labelled and gauged as :func:`diagonalize` labels and gauges
@@ -54,6 +58,7 @@ its own: the same bits.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import math
 import os
@@ -91,19 +96,17 @@ _PAIR_MIN = 0.45
 _THIRD_MAX = 0.45
 _HERMITICITY_TOL = 1e-9  # largest |H - H+| entry _Solver accepts
 # A certified gap evaluation projects H(x) on the branch pairs of this many
-# earlier evaluations (an 8-dimensional basis).
+# LAPACK solves, and the directions of _RITZ_DIM below.
 _RITZ_PAIRS = 4
 # The rounding allowance of the certificate, in ulps of ||H||: the error of
 # a LAPACK eigenvalue, and of the certificate's own sums.
 _ROUNDING_ULPS = 64
-# Gram eigenvalues below this fraction of the largest are dropped: their
-# directions of the basis are rounding noise.
-_GRAM_FLOOR = 1e-12
-# The rows of the solver's scratch that certified evaluations take: the
-# Ritz vectors and their images, at most 2 _RITZ_PAIRS each, the basis and
-# its image under H.  A search with d below it certifies nothing: there a
-# LAPACK solve costs less than the certificate.
-_WORK_ROWS = 8 * _RITZ_PAIRS
+# The largest projection: the ring's pairs and the four directions that a
+# certified evaluation leaves.
+_RITZ_DIM = 2 * _RITZ_PAIRS + 4
+# A search with d below this certifies nothing: there a LAPACK solve costs
+# less than the certificate.
+_RITZ_MIN_DIM = 32
 # Bare weights within this of an eigenstate's largest count as tied for its
 # label, and the lowest tied bare index wins, so rounding noise cannot decide.
 _LABEL_TIE_TOL = 1e-12
@@ -592,10 +595,12 @@ class AnticrossingReport:
     of :func:`_pair_branches`: the margin by which each of those branch
     picks was proven, rounding noise where every eigenpair was solved.
     ``ritz_evaluations`` counts the evaluations that a certified
-    Rayleigh-Ritz projection took instead of LAPACK, and
-    ``gap_error_bound_max`` is the largest error bound of a certified gap
-    that a golden-section comparison took, 0.0 where none did.  None of the
-    five changes the result, so none takes part in comparisons.
+    Rayleigh-Ritz projection took instead of LAPACK, ``ritz_resolves`` the
+    certified points that a comparison solved again by LAPACK, so the search
+    made ``evaluations - ritz_evaluations + ritz_resolves`` LAPACK solves,
+    and ``gap_error_bound_max`` is the largest error bound of a certified
+    gap that a golden-section comparison took, 0.0 where none did.  None of
+    the six changes the result, so none takes part in comparisons.
     """
 
     parameter: str
@@ -612,6 +617,7 @@ class AnticrossingReport:
     ritz_evaluations: int = field(compare=False)
     gap_error_bound_max: float = field(compare=False)
     spectrum: SpectrumResult = field(compare=False, repr=False)
+    ritz_resolves: int = field(default=0, compare=False)
 
 
 def _pair_branches(states: np.ndarray, u: int, v: int,
@@ -693,34 +699,64 @@ def _proven_pick(combined: list[float], margin: list[float]) -> tuple[int, int] 
     return None
 
 
-class _Ritz:
-    """The branch pairs of a search's recent evaluations, and certified
-    Rayleigh-Ritz eigenpairs on them.
+def _orthonormalise(rows: np.ndarray, basis: np.ndarray) -> bool:
+    """Make ``rows`` orthonormal and orthogonal to the rows of ``basis``,
+    which are orthonormal or zero, in place, and return True; or return
+    False where they are numerically dependent, and ``rows`` hold NaN.  Two
+    passes of block Gram-Schmidt, each closing with the inverse Cholesky
+    factor of the rows' Gram matrix: the second restores the orthogonality
+    that cancellation in the first loses."""
+    # a Gram matrix that is not positive definite leaves NaN
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            rows -= (rows @ basis.T) @ basis
+            factor = _umath_linalg.cholesky_lo(rows @ rows.T, signature="d->d")
+            rows[...] = _umath_linalg.inv(factor, signature="d->d") @ rows
+    return math.isfinite(rows.sum())
 
-    The ring holds ``_RITZ_PAIRS`` pairs, as the rows of one basis V.  A new
-    pair takes the slot of its own x where the ring holds it, else an empty
-    one, else the one farthest from it.  :meth:`eigenpairs` projects H(x)
-    on span(V), orthonormalised in the span's own coordinates from the
-    eigenvectors of the Gram matrix V V^T (canonical orthogonalisation), and
-    certifies the Ritz pairs it finds in a window of energies.
+
+class _Ritz:
+    """The branch pairs of a search's LAPACK solves and the directions its
+    certified evaluations found, and certified Rayleigh-Ritz eigenpairs on
+    them.
+
+    The ring holds the branch pairs of the last ``_RITZ_PAIRS`` LAPACK
+    solves as the rows of an orthonormal basis Q.  A new pair takes the
+    slot of its own x where the ring holds it, else an empty one, else the
+    one farthest from it, and enters orthonormalised against the other
+    slots' rows (:func:`_orthonormalise`), so it lies in span(Q) until its
+    slot is taken.  A certified evaluation whose error bounds the basis,
+    not rounding, limits leaves the directions outside Q of its two branch
+    vectors s and of their residual vectors (H - theta) s behind
+    (:meth:`extend`): the part of s that its projection found beyond Q, and
+    the Davidson correction for the next one (Davidson, J. Comput. Phys. 17,
+    87, 1975).  The next projections run on Q and those four directions,
+    ``_RITZ_DIM`` orthonormal vectors W, until a later evaluation leaves
+    new ones, so the basis gains directions as the search closes in, where
+    certified vectors alone lie in span(Q) and add none.  A LAPACK pair
+    drops the four.  :meth:`eigenpairs` projects H(x) on W, one symmetric
+    eigensolve of its size, and certifies the Ritz pairs it finds in a
+    window of energies.
 
     It works in the search solver's ``scratch``, which holds nothing
-    between solves: the Ritz vectors and their images in its first rows.
-    Where ``dsyevr`` solves the search's ranges, V H and the ring take its
-    last rows, which a range solve, writing its first ``count`` rows,
-    leaves alone; :meth:`solved` empties the ring after a solve whose rows
-    reached it, a full one.  Where ``eigh`` solves every evaluation in
-    full, they have rows of their own.
+    between solves: the Ritz vectors and their residual vectors in its
+    first rows.  Where ``dsyevr`` solves the search's ranges, W and its
+    image W H take its last rows, Q the very last, which a range solve,
+    writing its first ``count`` rows, leaves alone; :meth:`solved` empties
+    the ring after a solve whose rows reached Q, a full one.  Where ``eigh``
+    solves every evaluation in full, they have rows of their own.
     """
 
     def __init__(self, scratch: np.ndarray, shared: bool):
         self._xs: list[float | None] = [None] * _RITZ_PAIRS
-        rows, dim = 4 * _RITZ_PAIRS, len(scratch)
-        # V H, then V, so that one product gives V H^2 V^T, V H V^T and V V^T
+        rows, dim, ring = 2 * _RITZ_DIM, len(scratch), 2 * _RITZ_PAIRS
+        # W H, then W: the certified directions, then Q
         self._rows = scratch[dim - rows:] if shared else np.empty((rows, dim))
-        self._basis = self._rows[rows // 2:]
-        self._reach = dim - rows // 2 if shared else dim  # rows a solve may write
-        self._work = scratch
+        self._images, self._basis = self._rows[:_RITZ_DIM], self._rows[_RITZ_DIM:]
+        self._ring = self._basis[_RITZ_DIM - ring:]
+        self._reach = dim - ring if shared else dim  # rows a solve may write
+        self._size = ring  # the rows of W in use, its last ones
+        self._work = scratch[:len(scratch) - rows if shared else None]
 
     @property
     def full(self) -> bool:
@@ -731,69 +767,92 @@ class _Ritz:
         if count > self._reach:
             self._xs = [None] * _RITZ_PAIRS
 
-    def record(self, x: float, lower: np.ndarray, upper: np.ndarray) -> None:
-        """Keep the branch vectors of an evaluation at x, which must not
-        lie in the ring's rows."""
-        xs = self._xs
+    def record(self, x: float, vectors: np.ndarray) -> None:
+        """Keep the two branch vectors of a LAPACK solve at x, rows of an
+        array of their own, which this overwrites, in place of the certified
+        directions."""
+        xs, ring = self._xs, self._ring
+        if xs == [None] * _RITZ_PAIRS:
+            ring.fill(0.0)  # rows a solve overwrote, or never written
         slot = xs.index(x) if x in xs else max(
             range(_RITZ_PAIRS), key=lambda s: math.inf if xs[s] is None else abs(xs[s] - x))
-        xs[slot] = x
-        self._basis[2 * slot], self._basis[2 * slot + 1] = lower, upper
+        rows = ring[2 * slot:2 * slot + 2]
+        rows.fill(0.0)
+        found = _orthonormalise(vectors, ring)
+        if found:
+            rows[...] = vectors
+        xs[slot] = x if found else None
+        self._size = 2 * _RITZ_PAIRS
+
+    def extend(self, rows: list[int]) -> None:
+        """Keep, for the next projection, the directions outside the ring of
+        the scratch's rows ``rows``: the last certified branch vectors and
+        their residual vectors."""
+        ring, found = 2 * _RITZ_PAIRS, self._work[rows]
+        self._size = ring + (len(rows) if _orthonormalise(found, self._ring) else 0)
+        self._basis[_RITZ_DIM - self._size:_RITZ_DIM - ring] = found[:self._size - ring]
 
     def eigenpairs(self, mat: np.ndarray, lower: float, upper: float, count: int,
                    margin: float) -> tuple | None:
         """The ``count`` eigenvalues of the symmetric ``mat`` in (``lower``,
         ``upper``), where no others lie, certified: (Ritz values, bounds on
         their errors, bounds on the sine of each Ritz vector's angle to its
-        eigenvector, the unit Ritz vectors as rows of the scratch), or None
-        where the certificate fails.  ``margin`` is the rounding allowance.
+        eigenvector, the unit Ritz vectors as rows of the scratch, whose
+        rows before them hold their residual vectors), or None where the
+        certificate fails.  ``margin`` is the rounding allowance.
 
         The Ritz values theta and residuals r are recomputed from the Ritz
-        vectors themselves.  Each interval theta +- rho, rho = r + 2 margin,
-        holds an eigenvalue; if ``count`` of them lie inside the window and
-        apart, they hold its ``count`` eigenvalues, one each.  With delta the
-        distance from theta to the window's edge or to the next interval,
-        less the margin, Kato-Temple bounds the error of theta by
-        margin + rho^2 / delta and Davis-Kahan the sine by rho / delta.
+        vectors and their images.  Each interval theta +- rho, rho = r + 2
+        margin, holds an eigenvalue; if ``count`` of them lie inside the
+        window and apart, they hold its ``count`` eigenvalues, one each.
+        With delta the distance from theta to the window's edge or to the
+        next interval, less the margin, Kato-Temple bounds the error of
+        theta by margin + rho^2 / delta and Davis-Kahan the sine by
+        rho / delta.
         """
-        n, rows, basis = 2 * _RITZ_PAIRS, self._rows, self._basis
-        if count > n:
-            return None
-        np.matmul(basis, mat, out=rows[:n])  # the rows of (H V^T)^T: H is symmetric
-        gram = rows @ rows.T
+        size, dim = self._size, len(mat)
+        basis, images = self._basis[-size:], self._images[-size:]
+        np.matmul(basis, mat, out=images)  # the rows of (H W^T)^T: H is symmetric
         # a failed small eigh leaves NaN, and a NaN fails every test below
         with np.errstate(all="ignore"):
-            scales, frame = _umath_linalg.eigh_lo(gram[n:, n:], signature="d->dd")
-            keep = scales > _GRAM_FLOOR * scales[-1]
-            frame = frame[:, keep] / np.sqrt(scales[keep])  # frame^T V: orthonormal rows
-            theta, coef = _umath_linalg.eigh_lo(frame.T @ gram[n:, :n] @ frame,
-                                                signature="d->dd")
-            coef = frame @ coef
-            images = np.einsum("ij,ij->j", coef, gram[:n, :n] @ coef)  # |H V^T y|^2
-        # the projection's squared residuals |H V^T y|^2 - theta^2, for unit y,
-        # rounding noise below about 1e-16: they only pick the Ritz pairs that
-        # mixtures of other eigenvectors would crowd the window with
-        picked = [j for j, (t, h) in enumerate(zip(theta.tolist(), images.tolist()))
-                  if lower < t < upper and h - t * t < min(t - lower, upper - t) ** 2]
+            values, coef = _umath_linalg.eigh_lo(images @ basis.T, signature="d->dd")
+            values = values.tolist()
+            # the Ritz pairs whose values lie in the window, in ascending order
+            lo, hi = bisect.bisect_right(values, lower), bisect.bisect_left(values, upper)
+            near = hi - lo
+            if near < count or 2 * near > len(self._work):
+                return None
+            # the images of the Ritz vectors, then the vectors: one product
+            # of their coefficients with W H and W
+            found = self._work[:2 * near].reshape(2, near, dim)
+            np.matmul(coef[:, lo:hi].T, self._rows.reshape(2, _RITZ_DIM, dim)[:, -size:],
+                      out=found)
+            residuals, states = found
+            products, norms = np.einsum("kij,ij->ki", found, states)
+            theta = products / norms
+            residuals -= theta[:, None] * states
+            squares = np.einsum("ij,ij->i", residuals, residuals)
+            states /= np.sqrt(norms)[:, None]
+        theta = theta.tolist()
+        r = [math.sqrt(q / n) for q, n in zip(squares.tolist(), norms.tolist())]
+        # the ones whose intervals lie in it too: mixtures of other
+        # eigenvectors would crowd it with wider ones
+        picked = [j for j, (t, s) in enumerate(zip(theta, r)) if lower < t - s and t + s < upper]
         if len(picked) != count:
             return None
-        states, images = self._work[:count], self._work[n:n + count]
-        with np.errstate(all="ignore"):
-            np.matmul(coef[:, picked].T, basis, out=states)
-            states /= np.sqrt(np.einsum("ij,ij->i", states, states))[:, None]
-            np.matmul(states, mat, out=images)
-            theta = np.einsum("ij,ij->i", states, images)
-            images -= theta[:, None] * states
-            residuals = np.sqrt(np.einsum("ij,ij->i", images, images))
-        theta, rho = theta.tolist(), [r + 2.0 * margin for r in residuals.tolist()]
-        edges = [lower] + [t + r for t, r in zip(theta, rho)]  # below each interval
-        tops = [t - r for t, r in zip(theta[1:], rho[1:])] + [upper]  # above each
-        if not all(edge < t - r and t + r < top
-                   for edge, t, r, top in zip(edges, theta, rho, tops)):
+        if count < near:  # the picked residual vectors first, then the picked vectors
+            self._work[:2 * count] = self._work[picked + [near + j for j in picked]]
+            states = self._work[count:2 * count]
+            theta, r = [theta[j] for j in picked], [r[j] for j in picked]
+        rho = [s + 2.0 * margin for s in r]
+        edges = [lower] + [t + s for t, s in zip(theta, rho)]  # below each interval
+        tops = [t - s for t, s in zip(theta[1:], rho[1:])] + [upper]  # above each
+        if not all(edge < t - s and t + s < top
+                   for edge, t, s, top in zip(edges, theta, rho, tops)):
             return None
         slack = [min(t - edge, top - t) - margin for edge, t, top in zip(edges, theta, tops)]
-        return (theta, [margin + r * r / s for r, s in zip(rho, slack)],
-                [r / s for r, s in zip(rho, slack)], states)
+        return (theta, [margin + s * s / g for s, g in zip(rho, slack)],
+                [s / g for s, g in zip(rho, slack)], states)
 
 
 @dataclass
@@ -818,8 +877,10 @@ class _Gaps:
     a-1 and b+1, the moved entries of its H and its branch pair.
 
     Once :class:`_Ritz` holds ``_RITZ_PAIRS`` pairs, an evaluation at x is
-    certified where it can be.  Weyl keeps every eigenvalue of H(x) but
-    a..b out of the window (E_{a-1} + e, E_{b+1} - e), where E are the
+    certified where it can be, on the ring's pairs and the directions a
+    certified evaluation left it, which one leaves where either of its
+    branch energies' error bounds exceeds twice the rounding allowance.
+    Weyl keeps every eigenvalue of H(x) but a..b out of the window (E_{a-1} + e, E_{b+1} - e), where E are the
     energies of the last LAPACK solve, at x_f, and e >= ||H(x) - H(x_f)||
     is the pencil's :meth:`~vpmix.model._Pencil.distance`, widened by the
     rounding allowance.  The b - a + 1 Ritz pairs certified in that window
@@ -829,6 +890,8 @@ class _Gaps:
     two energies' Kato-Temple bounds.  A point whose certificate fails is
     solved by LAPACK, from the H(x) already written.  The rounding allowance
     is ``_ROUNDING_ULPS`` ulps of ||H|| at the first evaluation.
+    ``ritz_resolves`` counts the certified points that :meth:`less` solved
+    again by LAPACK.
     """
 
     def __init__(self, config: SystemConfig, field: tuple[int | None, str], model: str,
@@ -846,15 +909,22 @@ class _Gaps:
         # scratch holds the certificate's rows: below that a LAPACK solve
         # costs less than the certificate
         self._ritz = (_Ritz(self.solver.scratch, self.solver.name == "dsyevr")
-                      if self.solver.checked and self.dim >= _WORK_ROWS else None)
+                      if self.solver.checked and self.dim >= _RITZ_MIN_DIM else None)
         self.branches: tuple[int, int] | None = None  # of the last evaluation
+        self._written = False  # whether the solver's matrix holds a whole write
         self._margin = 0.0
-        self.evaluations = self.ritz_evaluations = 0
+        self.evaluations = self.ritz_evaluations = self.ritz_resolves = 0
         self.unseen_max, self.error_max = -math.inf, 0.0
+
+    def _write(self, x: float) -> None:
+        """Write H(x) into the solver's matrix: only the moved entries where
+        it holds a write that no solve has overwritten since."""
+        self.pencil.write(x, self.solver.mat, self.moved, whole=not self._written)
+        self._written = True
 
     def __call__(self, x: float) -> _Point:
         self.evaluations += 1
-        self.pencil.write(x, self.solver.mat, self.moved)
+        self._write(x)
         if self._ritz is not None and self._ritz.full:
             certified = self._certified(x)
             if certified is not None:
@@ -866,16 +936,25 @@ class _Gaps:
         """Whether the gap at c is below the gap at d, as LAPACK's gaps
         compare.  Where a certified gap takes part and the gaps lie closer
         than the error bounds and the rounding allowance of both, each
-        certified point is solved by LAPACK first."""
-        if c.error or d.error:
+        certified point is certified again, on the ring as it is now, and
+        where they still do, it is solved by LAPACK."""
+        for settle in (self._certified, self._solved_again):
+            if not (c.error or d.error):
+                break
             if abs(c.gap - d.gap) > c.error + d.error + 2.0 * self._margin:
                 self.error_max = max(self.error_max, c.error, d.error)
-                return c.gap < d.gap
+                break
             for point in (c, d):
                 if point.error:
-                    self.pencil.write(point.x, self.solver.mat, self.moved)
-                    point.gap, point.error = self._solve(point.x), 0.0
+                    self._write(point.x)
+                    point.gap, point.error = settle(point.x) or (point.gap, point.error)
         return c.gap < d.gap
+
+    def _solved_again(self, x: float) -> tuple[float, float]:
+        """The gap at a certified point x, H(x) written, from a LAPACK solve,
+        and its error, 0.0."""
+        self.ritz_resolves += 1
+        return self._solve(x), 0.0
 
     def _solve(self, x: float) -> float:
         """The gap at x, H(x) written, from a LAPACK solve."""
@@ -885,6 +964,7 @@ class _Gaps:
             a, b = self.branches
             first = max(a - 1, 0)
             pairs = first, min(b + 1, self.dim - 1) - first + 1
+        self._written = False  # the solve overwrites the matrix
         energies, states = solver(*pairs)
         try:
             a, b, unseen = _pair_branches(states, u, v, solver.first)
@@ -914,7 +994,7 @@ class _Gaps:
         if self._ritz is not None:
             self._moved_solved[...] = self.moved
             self._ritz.solved(count)
-            self._ritz.record(x, *states[:, [a - first, b - first]].T)  # a copy
+            self._ritz.record(x, states[:, [a - first, b - first]].T)  # a copy
         return float(energies[b - first] - energies[a - first])
 
     def _certified(self, x: float) -> tuple[float, float] | None:
@@ -924,19 +1004,20 @@ class _Gaps:
             return None
         (a, b), margin = branches, self._margin
         shift = self.pencil.distance(self.moved, self._moved_solved) + margin
-        found = self._ritz.eigenpairs(self.solver.mat, below + shift, above - shift,
-                                      b - a + 1, margin)
+        count = b - a + 1
+        found = self._ritz.eigenpairs(self.solver.mat, below + shift, above - shift, count,
+                                      margin)
         if found is None:
             return None
         theta, error, sine, states = found
-        weights = [p * p + q * q for p, q in zip(states[:, self.u].tolist(),
-                                                 states[:, self.v].tolist())]
+        weights = [p * p + q * q for p, q in states[:, (self.u, self.v)].tolist()]
         pick = _proven_pick(weights, [2.0 * s for s in sine])
         if pick is None:
             return None
         i, j = pick
         self.branches = a + i, a + j
-        self._ritz.record(x, states[i], states[j])
+        if max(error[i], error[j]) > 2.0 * margin:  # the basis, not rounding, limits them
+            self._ritz.extend([count + i, count + j, i, j])
         return theta[j] - theta[i], error[i] + error[j]
 
 
@@ -964,20 +1045,26 @@ def find_anticrossing(
     The gaps come from :class:`_Gaps`.  Its first evaluations are LAPACK
     solves, each for the branch range a..b that the evaluation before it
     found, widened by one eigen index on each side (the first for every
-    eigenpair); the later ones are certified Rayleigh-Ritz evaluations on the
-    branch pairs of earlier ones, and a point whose certificate fails is
-    solved by LAPACK.  A golden-section comparison that involves a certified
-    gap is taken only where its error bounds prove that LAPACK's gaps
-    compare the same way; otherwise the certified points are solved by
-    LAPACK and compared as those are.  :func:`_pair_branches` proves each
+    eigenpair); the later ones are certified Rayleigh-Ritz evaluations on an
+    orthonormal basis of the branch pairs of the last four LAPACK solves and
+    the directions a certified evaluation whose bounds were above their
+    rounding floor found beyond them (its branch vectors' part outside the
+    pairs and their residual vectors), and a point whose certificate fails
+    is solved by LAPACK.  A golden-section
+    comparison that involves a certified gap is taken only where its error
+    bounds prove that LAPACK's gaps compare the same way; otherwise the
+    certified points are certified again on the basis as it is then, and
+    where that still leaves the comparison open, solved by LAPACK and
+    compared as those are.  :func:`_pair_branches` proves each
     LAPACK pick from the solved eigenpairs by completeness, and the
     certificate proves each of its own, so every pick is the one a full
     solve makes, and the golden-section steps, the location and the
     spectrum at the minimum are those of a search that solves every
     evaluation in full.  The report records the last LAPACK solve's
     eigensolver and range and the largest pair weight those solves left
-    unsolved, the number of certified evaluations, and the largest error
-    bound of a certified gap that a comparison took.
+    unsolved, the number of certified evaluations and of certified points
+    solved again, and the largest error bound of a certified gap that a
+    comparison took.
 
     Every evaluation is written from one pencil of the swept field, as each
     point of :func:`sweep_levels` is, and is checked as those are: the base,
@@ -1017,7 +1104,7 @@ def find_anticrossing(
             )
         # the report records the last LAPACK solve, not the closing one
         eigensolver, first, count = solver.name, solver.first, solver.count
-        gaps.pencil.write(x_min, solver.mat, gaps.moved)
+        gaps._write(x_min)
         spectrum = _spectrum(*solver(), config.layout)
     energies, states = spectrum.energies, spectrum.states
     ia, ib, _ = _pair_branches(states, u, v)
@@ -1036,7 +1123,7 @@ def find_anticrossing(
         superposition_overlaps=overlaps, bare_pair=(u, v), evaluations=gaps.evaluations + 1,
         eigensolver=eigensolver, solved_pairs=(first, first + count - 1),
         unseen_weight_max=gaps.unseen_max, ritz_evaluations=gaps.ritz_evaluations,
-        gap_error_bound_max=gaps.error_max, spectrum=spectrum)
+        gap_error_bound_max=gaps.error_max, spectrum=spectrum, ritz_resolves=gaps.ritz_resolves)
 
 
 def superposition_states(report: AnticrossingReport) -> tuple[Ket, Ket]:

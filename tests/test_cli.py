@@ -351,8 +351,8 @@ def test_dynamics_diagonalizes_only_in_its_search(tmp_path, monkeypatch, scenari
     # vpmix.spectrum._Solver.__call__ counts every eigensolve of the package,
     # eigh or dsyevr subset, and the gufunc behind numpy.linalg.eigh every
     # full one that does not come through the solver (a certified
-    # evaluation's eigh of an 8 x 8 projection is no eigensolve of the
-    # model, and is not counted): the dynamics command
+    # evaluation's eigh of a projection on at most _RITZ_DIM vectors is no
+    # eigensolve of the model, and is not counted): the dynamics command
     # solves exactly what the anticross command's search solves, one solve
     # for each evaluation that no certificate took, at most two more for
     # each comparison that none proved, and the closing solve
@@ -368,7 +368,7 @@ def test_dynamics_diagonalizes_only_in_its_search(tmp_path, monkeypatch, scenari
             solving.pop()
 
     def counted_eigh(*args, **kwargs):
-        if not solving and len(args[0]) > 2 * spectrum._RITZ_PAIRS:
+        if not solving and len(args[0]) > spectrum._RITZ_DIM:
             calls.append(1)
         return eigh(*args, **kwargs)
 
@@ -705,7 +705,7 @@ def test_search_manifests_record_the_eigensolver(tmp_path, monkeypatch, command,
         for record, count in zip(records, counts):
             unseen = record.pop("unseen_weight_max")
             certified = {name: record.pop(name)
-                         for name in ("ritz_evaluations", "gap_error_bound_max")}
+                         for name in ("ritz_evaluations", "ritz_resolves", "gap_error_bound_max")}
             assert record == {"eigensolver": "dsyevr" if dsyevr else "eigh",
                               "solved_pairs": [2, 2 + count + 1] if dsyevr else [0, 63]}
             assert 0.04 < unseen < 0.2 if dsyevr else abs(unseen) < 1e-12
@@ -725,8 +725,10 @@ def test_search_manifests_record_the_certified_evaluations(tmp_path, command, pa
                                                            searches):
     # every search record, one per lambda of a coupling sweep, counts its
     # certified Rayleigh-Ritz evaluations, all but the first four LAPACK
-    # ones and those whose certificate failed, and the largest error bound
-    # that a comparison took, far below the gaps the comparisons told apart
+    # ones and those whose certificate failed, the certified points that a
+    # comparison solved again (none on the bundled searches), and the
+    # largest error bound that a comparison took, far below the gaps the
+    # comparisons told apart
     out = tmp_path / "out"
     manifest = run_command(command, resolve_config(payload), out)
     assert json.loads((out / "manifest.json").read_text())[key] == manifest[key]
@@ -734,8 +736,9 @@ def test_search_manifests_record_the_certified_evaluations(tmp_path, command, pa
     assert len(records) == searches
     for record in records:
         assert set(record) == {"eigensolver", "solved_pairs", "unseen_weight_max",
-                               "ritz_evaluations", "gap_error_bound_max"}
+                               "ritz_evaluations", "ritz_resolves", "gap_error_bound_max"}
         assert 20 <= record["ritz_evaluations"] <= 23
+        assert record["ritz_resolves"] == 0
         assert 0.0 < record["gap_error_bound_max"] < 1e-7
 
 

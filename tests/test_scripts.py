@@ -105,10 +105,11 @@ def test_compare_checks_the_records_of_each_manifest(tmp_path, capsys):
         assert verdicts(capsys)["fig2-perturb/manifest.json"] == verdict, case
 
 
-def test_compare_names_the_first_differing_leaf(tmp_path, capsys):
-    # under each file that differs, the path of its first differing leaf, in
+def test_compare_names_every_differing_leaf(tmp_path, capsys):
+    # under a JSON file that differs, the path of each differing leaf, in
     # sorted key order, and both values, so that a change can be declared
-    # key by key; a missing file, or an identical one, gets no such line
+    # key by key; under a CSV file, its first differing cell; a missing
+    # file, or an identical one, gets no such line
     compare = scenario_script().compare
     run = write_tree(tmp_path / "run", 0.1, MANIFEST.format(solver="dsyevr", unseen=0.25,
                                                             wall=0.5))
@@ -123,11 +124,13 @@ def test_compare_names_the_first_differing_leaf(tmp_path, capsys):
         "fig2-perturb/coupling_sweep.csv: max abs difference 9.09e-13",
         f"    first difference [1][1]: 0.1 vs {0.1 + 2**-40!r}",
         "fig2-perturb/manifest.json: differs",
-        "    first difference search.ritz_evaluations: absent vs 22",
+        "    difference search.ritz_evaluations: absent vs 22",
+        "    difference search.solved_pairs[0]: 3 vs 2",
+        "    difference search.solved_pairs[1]: 4 vs 5",
     ]
-    assert scenario_script()._first_difference(
-        {"search": {"solved_pairs": [3, 4]}}, {"search": {"solved_pairs": [2, 5]}}) == (
-        "search.solved_pairs[0]", 3, 2)
+    assert scenario_script()._differences(
+        {"search": {"solved_pairs": [3, 4]}}, {"search": {"solved_pairs": [2, 5]}}) == [
+        ("search.solved_pairs[0]", 3, 2), ("search.solved_pairs[1]", 4, 5)]
 
 
 # 22 physical lines, 9 of them code: the import, def, the two lines of the

@@ -141,13 +141,58 @@ def assert_same_search(found, expected):
     assert found.spectrum.states.tobytes() == expected.spectrum.states.tobytes()
 
 
+def counted_solves(monkeypatch) -> list:
+    """The arguments of every LAPACK solve from here on."""
+    calls, solve = [], _Solver.__call__
+
+    def counted(solver, *args):
+        calls.append(args)
+        return solve(solver, *args)
+
+    monkeypatch.setattr(_Solver, "__call__", counted)
+    return calls
+
+
 @pytest.mark.parametrize("cfg, block", cases())
-def test_the_search_takes_the_steps_of_the_old_search(cfg, block):
-    # the bundled searches certify all but a few of their evaluations
-    found, expected = outcome(find_anticrossing, cfg, block), outcome(reference_search, cfg, block)
+def test_the_search_takes_the_steps_of_the_old_search(monkeypatch, cfg, block):
+    # the bundled searches certify all but a few of their evaluations, and
+    # their bounds prove every comparison: no certified point is solved
+    # again, so the LAPACK solves are the evaluations that no certificate
+    # took, the closing one included
+    expected = outcome(reference_search, cfg, block)
+    calls = counted_solves(monkeypatch)
+    found = outcome(find_anticrossing, cfg, block)
     assert_same_search(found, expected)
     assert found.ritz_evaluations >= found.evaluations - 6
     assert found.gap_error_bound_max < 1e-7
+    assert found.ritz_resolves == 0
+    assert len(calls) == found.evaluations - found.ritz_evaluations + found.ritz_resolves
+
+
+@pytest.mark.parametrize("cfg, block", cases())
+def test_the_basis_stays_orthonormal(monkeypatch, cfg, block):
+    # once the ring holds its pairs, after every LAPACK pair and every set
+    # of certified directions enters it, the basis of the next projection,
+    # the ring's pairs and the directions, has orthonormal rows (fig1b and
+    # figS2a certify every evaluation at the rounding floor on the pairs
+    # alone, and leave no directions)
+    worst = {"record": [], "extend": []}
+
+    def checked(name):
+        method = getattr(spectrum._Ritz, name)
+
+        def run(ritz, *args):
+            method(ritz, *args)
+            if ritz.full:
+                basis = ritz._basis[-ritz._size:]
+                worst[name].append(np.abs(basis @ basis.T - np.eye(len(basis))).max())
+        return run
+
+    for name in worst:
+        monkeypatch.setattr(spectrum._Ritz, name, checked(name))
+    outcome(find_anticrossing, cfg, block)
+    assert worst["record"]
+    assert max(worst["record"] + worst["extend"]) <= 1e-13
 
 
 @settings(max_examples=25, deadline=None)
@@ -162,6 +207,19 @@ def test_drawn_searches_take_the_steps_of_the_old_search(first, second, lo, hi, 
     qubits = (replace(system.qubits[0], omega=first, lam=lam),
               replace(system.qubits[1], omega=second, lam=lam), system.qubits[2])
     cfg = replace(system, qubits=qubits)
+    assert_same_search(outcome(find_anticrossing, cfg, block, (lo, hi)),
+                       outcome(reference_search, cfg, block, (lo, hi)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(lo=st.floats(0.2, 0.235), hi=st.floats(0.26, 0.3), lam=st.floats(0.13, 0.17))
+def test_drawn_d128_searches_take_the_steps_of_the_old_search(lo, hi, lam):
+    # fig4 (d = 128) with a drawn coupling of every qubit, which moves the
+    # anticrossing, and a drawn bracket: the same report, or the same error
+    preset = get_preset("fig4")
+    system, block = build_system(preset), preset["anticross"]
+    cfg = replace(system, qubits=tuple(replace(q, lam=lam) for q in system.qubits))
+    assert cfg.layout.dim == 128
     assert_same_search(outcome(find_anticrossing, cfg, block, (lo, hi)),
                        outcome(reference_search, cfg, block, (lo, hi)))
 

@@ -897,7 +897,8 @@ class PerPointAssembly:
     def entries(self):
         return None
 
-    def write(self, x, out, moved=None):
+    def write(self, x, out, moved=None, whole=True):
+        # every point assembled in full, whether or not out holds one
         return _assemble(self.model, set_parameter(self.config, self.path, x), out)
 
 
