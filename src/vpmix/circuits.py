@@ -107,11 +107,22 @@ def _apply(state: RegisterState, wires, mat: np.ndarray) -> RegisterState:
     n, k = state.qubit_count, len(ws)
     if mat.shape[0] != 2**k:
         raise ConfigError(f"gate acts on {mat.shape[0].bit_length() - 1} wires, got {ws}")
-    axes, tail = [w - 1 for w in ws], list(range(n - k, n))
-    moved = np.moveaxis(state.amp.reshape((2,) * n), axes, tail)
-    out = moved.reshape(moved.shape[:n - k] + (2**k,)) @ mat.T
-    out = np.moveaxis(out.reshape(moved.shape), tail, axes)
-    return RegisterState(n, out.reshape(-1))
+    index = _gate_index(n, ws)
+    out = np.empty_like(state.amp)
+    out[index] = state.amp[index] @ mat.T
+    return RegisterState(n, out)
+
+
+@lru_cache(maxsize=None)
+def _gate_index(n: int, wires: tuple[int, ...]) -> np.ndarray:
+    """The (2^(n-k), 2^k) amplitude indices of an n-wire register with the k
+    named wires moved last, in their order: row j holds the amplitudes that
+    a gate on those wires mixes, as ``np.moveaxis`` lays them out."""
+    k = len(wires)
+    index = np.moveaxis(np.arange(2**n).reshape((2,) * n), [w - 1 for w in wires],
+                        list(range(n - k, n))).reshape(2 ** (n - k), 2**k)
+    index.setflags(write=False)
+    return index
 
 
 @dataclass(frozen=True)

@@ -66,20 +66,30 @@ check on |g_ij|^n and the drop weights are 1-D arrays over them, and only
 the kept coherences' multipliers are raised to the n-th power.  The
 populations of every grid time are formed first, as one (T, r) float array
 (T r 8 bytes, 43 kB for fig5b), and the trace-drift and negative-population
-checks run over it before anything is returned.  The state is then streamed
-in the eigenbasis, rho~(t_p) = U+ rho(t_p) U, one grid time at a time, as
-that array's row plus a 1-D array of the coherences kept at fixed indices
-(i, j).  :func:`expectation_series` transforms each observable product once
-and hands the O~ to ``_series``, which reads only their leading r x r
+checks run over it before anything is returned.  A run of equal grid
+intervals, such as the whole grid of the ``dynamics`` command, is advanced
+in blocks of b grid times, with no Python step per grid time: the
+populations of a block are one product of the stacked powers M, ..., M^b
+of the interval's population map with the populations before it, and its
+coherences the elementwise powers g, ..., g^b of their multipliers times
+the coherences before it.  b is at most the interval's longest run over
+r, so that forming the powers (b r^3) costs no more than the steps they
+replace (r^2 each), and at most the grid times whose kept coherences fit
+in 1 MiB; a grid of unequal intervals advances one grid time a block.
+The state is then streamed in the eigenbasis, rho~(t_p) = U+ rho(t_p) U,
+one block at a time, as rows of the populations array plus a (b, m) array
+of the coherences kept at fixed indices (i, j).
+:func:`expectation_series` transforms each observable product once and
+hands the O~ to ``_series``, which reads only their leading r x r
 blocks and keeps only the coherences that can reach an observable: it drops
 them in ascending order of the bound
 w_ij = |rho~0_ij| max_k |O~_k,ji| (1 + 1e-7)^(T-1), which holds because the
 stability check caps every |g_ij^n| at 1 + 1e-7, while their summed bound
 stays <= 1e-15, so no value moves by more than that.  The values are
 pops . diag(O~_k) + sum rho~_ij O~_k,ji: the populations of the whole grid
-are contracted in one (T, r) by (r, n_obs) product, and each time step
-costs O(m n_obs) for the m kept coherences.  No (T, d, d) snapshot stack
-is built.  The ``dynamics`` command builds its start in the eigenbasis
+are contracted in one (T, r) by (r, n_obs) product, and the m kept
+coherences of each block in one (b, m) by (m,) product per observable.  No
+(T, d, d) snapshot stack is built.  The ``dynamics`` command builds its start in the eigenbasis
 itself, and only the r x r blocks of its O~, and calls ``_series``
 directly, which also reports the kept count and the dropped weight for its
 manifest; a pair start there has exactly 2 live coherences and keeps both.
@@ -122,6 +132,8 @@ _DRIFT_TOL = 1e-7
 # Summed weight of the coherences expectation_series drops: no observable
 # moves by more than this at any grid time.
 _DROP_BOUND = 1e-15
+# The bytes of a block of kept coherences that the stream advances at once.
+_BLOCK_BYTES = 1 << 20
 # check_density limits: Hermiticity defect, trace error, lowest eigenvalue.
 _STATE_HERM_TOL = 1e-10
 _STATE_TRACE_TOL = 1e-8
@@ -331,36 +343,70 @@ def _propagated_levels(start, gain) -> int:
     return levels
 
 
+def _powers(base: np.ndarray, count: int, product) -> np.ndarray:
+    """base, base^2, ..., base^count stacked along a new first axis, under
+    ``product`` (``np.matmul`` for a matrix, ``np.multiply`` elementwise),
+    each stacked range formed in one call by doubling,
+    base^(n+j) = base^j base^n; for a count of one, a view of ``base``."""
+    if count == 1:
+        return base[None]
+    out = np.empty((count,) + base.shape, dtype=base.dtype)
+    out[0] = base
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        product(out[:step], out[done - 1], out=out[done:done + step])
+        done += step
+    return out
+
+
+def _block_size(run: int, levels: int, kept: int) -> int:
+    """The grid times b that one block of an interval advances, at least 1:
+    the b powers of its r x r population map cost b r^3, at most the r^2 of
+    each step of its longest run of ``run`` equal intervals, which the
+    blocks replace, and b grid times of the ``kept`` coherences take at
+    most ``_BLOCK_BYTES``."""
+    return max(1, min(run // levels, _BLOCK_BYTES // (16 * max(kept, 1))))
+
+
 class _Stream:
     """rho~(t_p) = U+ rho(t_p) U at every grid time of a checked propagation.
 
     ``populations`` is the (T, r) array of the populations of levels 0..r-1
-    at every grid time; the levels beyond r hold none.  ``coherences()``
-    yields the kept coherences of rho~(t_p), one 1-D array per grid time,
-    advanced in place: an array is valid until the next step.  Iterating
-    yields (diagonal, kept coherences) pairs, the first diagonal rho~0's own
-    and the later ones of length d, zero beyond r, in one buffer that is
-    also valid until the next step.
+    at every grid time; the levels beyond r hold none.  ``blocks()`` yields
+    the kept coherences of consecutive grid times as (p, block) pairs, the
+    (b, m) array ``block`` holding them at grid times p..p+b-1: first
+    rho~0's alone, then each block of a run of equal intervals, the powers
+    g, g^2, ..., g^b of their multiplier times the coherences before it.
+    ``runs`` holds (first interval, end, powers) for each run.  A block
+    lives in one of two buffers, valid until the next but one.  Iterating
+    yields (diagonal, kept coherences) pairs one grid time at a time, the
+    first diagonal rho~0's own and the later ones of length d, zero beyond
+    r, in one buffer valid until the next pair.
     """
 
-    def __init__(self, start, populations, kept, multipliers):
+    def __init__(self, start, populations, kept, runs):
         self.populations = populations
-        self._start, self._kept, self._multipliers = start, kept, multipliers
+        self._start, self._kept, self._runs = start, kept, runs
 
-    def coherences(self):
-        coh = self._start[self._kept].astype(complex)
-        yield coh
-        for g_n in self._multipliers:
-            # g * rho~ in this operand order: with fused multiply-adds a complex
-            # product can differ in the last bit when its factors swap
-            np.multiply(g_n, coh, out=coh)
-            yield coh
+    def blocks(self):
+        block = self._start[self._kept][None].astype(complex)
+        yield 0, block
+        # two buffers in turn, each block computed from the last row of the one before
+        largest = max((len(g) for _, _, g in self._runs), default=1)
+        buffers, turn = np.empty((2, largest, block.shape[1]), dtype=complex), 0
+        for begin, end, g in self._runs:
+            for p in range(begin, end, len(g)):
+                turn, size = 1 - turn, min(len(g), end - p)
+                # g^k * rho~, in the operand order of a single step
+                block = np.multiply(g[:size], block[-1], out=buffers[turn, :size])
+                yield p + 1, block
 
     def __iter__(self):
-        coherences = self.coherences()
-        yield np.diagonal(self._start), next(coherences)
+        rows = (coh for _, block in self.blocks() for coh in block)
+        yield np.diagonal(self._start), next(rows)
         diagonal = np.zeros(len(self._start))
-        for row, coh in zip(self.populations[1:], coherences):
+        for row, coh in zip(self.populations[1:], rows):
             diagonal[:row.size] = row
             yield diagonal, coh
 
@@ -392,13 +438,22 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     coherences are dropped in ascending weight while their summed weight
     stays <= ``_DROP_BOUND``.
 
-    An interval of n RK4 steps multiplies coherence ij by g_1^n, with g_1 its
-    one-step multiplier.  g_1 is computed for every live coherence, and the
-    stability check reads |g_1|^n off it; only the kept coherences' g_1 are
-    raised to the n-th power.  The populations of every grid time are formed
-    before the return, as one (T, r) array, and a trace drift or a negative
-    population raises :class:`StepSizeError` at the first grid time that has
-    either, the drift named first, so the stream raises nothing.
+    An interval of n RK4 steps multiplies coherence ij by g = g_1^n, with
+    g_1 its one-step multiplier, and the populations by the map M = p_n.
+    One ``np.unique`` finds the distinct intervals, and each gets its maps
+    once, checked in the order of its first grid time: g_1 is computed for
+    every live coherence, and the stability check reads |g_1|^n off it;
+    only the kept coherences' g_1 are raised to the n-th power.  A run of
+    equal intervals is advanced in blocks of b grid times
+    (:func:`_block_size`): the populations of a block are one product of
+    the stacked powers M, M^2, ..., M^b with the populations before it, and
+    its coherences the powers g, g^2, ..., g^b times the coherences before
+    it, each set of powers formed once per distinct interval.  A grid of
+    unequal intervals has runs, and so blocks, of one.  The populations of
+    every grid time are formed before the return, as one (T, r) array, and
+    a trace drift or a negative population raises :class:`StepSizeError`
+    at the first grid time that has either, the drift named first, so the
+    stream raises nothing.
     """
     dim, e = spectrum.dim, spectrum.energies
 
@@ -448,18 +503,23 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     coherence_rate = -1j * (e[ii] - e[jj]) - 0.5 * (out_rate[ii] + out_rate[jj])
     w_pop = gain[:levels, :levels] - np.diag(out_rate[:levels])
 
-    # One RK4 map per distinct interval: the kept coherences' multipliers g_1^n
-    # and the population map p_n of the block.  A stable step keeps
-    # |g_1|^n <= 1 on every live coherence.  An unstable one may overflow the
-    # maps and the populations to inf or NaN, which the checks name.
-    intervals = np.diff(times).tolist()
-    maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    # One RK4 map per distinct interval, checked in the order of the
+    # intervals' first grid times: the powers of the kept coherences'
+    # multipliers g_1^n and of the population map p_n of the block, up to
+    # the block size.  A stable step keeps |g_1|^n <= 1 on every live
+    # coherence.  An unstable one may overflow the maps and the populations
+    # to inf or NaN, which the checks name.
+    distinct, first, which = np.unique(np.diff(times), return_index=True, return_inverse=True)
+    runs = np.flatnonzero(np.diff(which, prepend=-1))  # the first interval of each run
+    ends = np.append(runs[1:], which.size)
+    longest = np.zeros(distinct.size, dtype=int)
+    np.maximum.at(longest, which[runs], ends - runs)
+    maps: list = [None] * distinct.size
     pops = np.empty((times.size, levels))
     pops[0] = np.real(np.diagonal(start))[:levels]
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, dt in enumerate(intervals, start=1):
-            if dt in maps:
-                continue
+        for k in np.argsort(first).tolist():
+            dt, p = float(distinct[k]), int(first[k]) + 1
             steps = dt / h_max  # 0 for an unbounded step
             if steps == math.inf:
                 raise ConfigError(f"interval {dt:.6g} before t = {times[p]:.6g} needs more "
@@ -473,9 +533,19 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
                     f"coherence multiplier {worst:.3e} exceeds 1 + {_DRIFT_TOL:.1e} at "
                     f"t = {times[p]:.6g}; retry with a smaller max_step"
                 )
-            maps[dt] = (g_1[kept] ** n, np.linalg.matrix_power(_rk4_matrix(h * w_pop), n))
-        for p, dt in enumerate(intervals, start=1):
-            pops[p] = maps[dt][1] @ pops[p - 1]
+            size = _block_size(int(longest[k]), levels, kept.size)
+            maps[k] = (_powers(g_1[kept] ** n, size, np.multiply),
+                       _powers(np.linalg.matrix_power(_rk4_matrix(h * w_pop), n), size,
+                               np.matmul).reshape(-1, levels))
+        # each run: its first interval, the one after its last, its maps
+        runs = [(begin, end, maps[k]) for begin, end, k in
+                zip(runs.tolist(), ends.tolist(), which[runs].tolist())]
+        # each block of a run: p_n^1..p_n^b times the populations before it, one product
+        for begin, end, (_, powers) in runs:
+            for p in range(begin, end, len(powers) // levels):
+                stop = min(p + len(powers) // levels, end)
+                np.matmul(powers[:(stop - p) * levels], pops[p],
+                          out=pops[p + 1:stop + 1].reshape(-1))
         drift = np.abs(pops[1:].sum(axis=1) - pops[0].sum())
         # An unstable population step can keep the trace and still
         # overshoot, which shows as a negative population.
@@ -487,7 +557,7 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
                 else f"population {low[p]:.3e} below -{_DRIFT_TOL:.1e}")
         raise StepSizeError(f"{what} at t = {times[p + 1]:.6g}; retry with a smaller max_step")
     ii, jj = ii[kept], jj[kept]
-    stream = _Stream(start, pops, (ii, jj), [maps[dt][0] for dt in intervals])
+    stream = _Stream(start, pops, (ii, jj), [(begin, end, g) for begin, end, (g, _) in runs])
     return times, ii * dim + jj, dropped_weight, stream
 
 
@@ -591,10 +661,10 @@ def _series(start, spectrum: SpectrumResult, rates: Mapping[str, np.ndarray],
     ``dynamics`` command passes exactly those blocks); only their leading
     r x r blocks are read.  ``spectrum.states`` is not read.  The
     populations of the whole grid are contracted in one product,
-    pops . diag(O~_k)[:r]; only the kept coherences are contracted one grid
-    time at a time.  Returns the float (T, n_obs) values, the number of
-    coherences kept and the summed weight of the dropped ones, which bounds
-    how far any value moved.
+    pops . diag(O~_k)[:r], and the kept coherences of each block of the
+    stream in one matrix-vector product per observable.  Returns the float
+    (T, n_obs) values, the number of coherences kept and the summed weight
+    of the dropped ones, which bounds how far any value moved.
     """
     dim = spectrum.dim
     basis = np.asarray(basis) if len(basis) else np.zeros((0, dim, dim))
@@ -605,12 +675,16 @@ def _series(start, spectrum: SpectrumResult, rates: Mapping[str, np.ndarray],
     # propagated levels i and the kept coherences ij
     levels = stream.populations.shape[1]
     ii, jj = np.divmod(keep, dim)
-    coherence_basis = basis[:, jj, ii].T.astype(complex)
-    values = np.empty((times.size, len(basis)), dtype=complex)
-    for p, coh in enumerate(stream.coherences()):
-        np.matmul(coh, coherence_basis, out=values[p])
-    values += stream.populations @ np.diagonal(basis, axis1=1, axis2=2)[:, :levels].T
-    return _real_values(values), int(keep.size), dropped_weight
+    coherence_basis = basis[:, jj, ii].astype(complex)
+    values = np.zeros((len(basis), times.size), dtype=complex)  # one row an observable
+    for p, coh in stream.blocks() if keep.size else ():  # none kept add nothing
+        # one matrix-vector product per observable: a (b, m) by (m, n_obs)
+        # complex matrix product raises the peak RSS by about 0.3 MB, which
+        # BLAS's work buffers take
+        for row, observable in zip(values, coherence_basis):
+            np.matmul(coh, observable, out=row[p:p + len(coh)])
+    values += (stream.populations @ np.diagonal(basis, axis1=1, axis2=2)[:, :levels].T).T
+    return _real_values(values.T), int(keep.size), dropped_weight
 
 
 def _operator_product(operators) -> np.ndarray:

@@ -871,10 +871,14 @@ class _Gaps:
 
     A LAPACK solve (:meth:`_solve`) solves one :class:`_Solver` for the
     branch range a..b of the evaluation before it, widened to a-1..b+1
-    within 0..d-1, or for every eigenpair at the first; the pick is proven
-    by :func:`_pair_branches`, or the point is solved again in full.  It
-    keeps the absolute energies of its pick's neighbours, eigen indices
-    a-1 and b+1, the moved entries of its H and its branch pair.
+    within 0..d-1, or at the first for eigen indices 0..k+1, k the number
+    of diagonal entries of H(x) below the larger of the pair's two: that
+    diagonal is the bare energies in both models, and every bundled search
+    has its branches at k-1 and k, so the range holds them and their
+    neighbours.  The pick is proven by :func:`_pair_branches`, or the point
+    is solved again in full.  It keeps the absolute energies of its pick's
+    neighbours, eigen indices a-1 and b+1, the moved entries of its H and
+    its branch pair.
 
     Once :class:`_Ritz` holds ``_RITZ_PAIRS`` pairs, an evaluation at x is
     certified where it can be, on the ring's pairs and the directions a
@@ -889,7 +893,9 @@ class _Gaps:
     sine bound (:func:`_proven_pick`).  The gap's error is the sum of its
     two energies' Kato-Temple bounds.  A point whose certificate fails is
     solved by LAPACK, from the H(x) already written.  The rounding allowance
-    is ``_ROUNDING_ULPS`` ulps of ||H|| at the first evaluation.
+    is ``_ROUNDING_ULPS`` ulps of a bound on ||H||, the largest absolute row
+    sum of H(x) at the first evaluation, read into the solver's scratch
+    before the solve overwrites H, whichever eigensolver runs.
     ``ritz_resolves`` counts the certified points that :meth:`less` solved
     again by LAPACK.
     """
@@ -959,11 +965,17 @@ class _Gaps:
     def _solve(self, x: float) -> float:
         """The gap at x, H(x) written, from a LAPACK solve."""
         solver, u, v = self.solver, self.u, self.v
-        pairs = ()
         if self.branches is not None:
             a, b = self.branches
             first = max(a - 1, 0)
             pairs = first, min(b + 1, self.dim - 1) - first + 1
+        else:  # eigen indices 0..k+1, k the diagonal entries below the pair's larger one
+            diagonal = np.diagonal(solver.mat)
+            k = int(np.count_nonzero(diagonal < max(diagonal[u], diagonal[v])))
+            pairs = 0, min(k + 2, self.dim)
+            # ||H|| <= the largest absolute row sum, read before the solve overwrites H
+            norm = np.abs(solver.mat, out=solver.scratch).sum(axis=1).real.max()
+            self._margin = _ROUNDING_ULPS * float(np.finfo(float).eps) * float(norm)
         self._written = False  # the solve overwrites the matrix
         energies, states = solver(*pairs)
         try:
@@ -978,9 +990,6 @@ class _Gaps:
             a, b, unseen = _pair_branches(states, u, v)
         first, count = solver.first, solver.count
         self.unseen_max = max(self.unseen_max, unseen)
-        if self.branches is None:  # the first solve, of every eigenpair: ||H|| = max |E|
-            self._margin = (_ROUNDING_ULPS * float(np.finfo(float).eps)
-                            * max(-solver.offset, float(energies[-1]) + solver.offset))
         self.branches = a, b
 
         def level(k: int, outside: float) -> float | None:
@@ -1044,8 +1053,9 @@ def find_anticrossing(
 
     The gaps come from :class:`_Gaps`.  Its first evaluations are LAPACK
     solves, each for the branch range a..b that the evaluation before it
-    found, widened by one eigen index on each side (the first for every
-    eigenpair); the later ones are certified Rayleigh-Ritz evaluations on an
+    found, widened by one eigen index on each side (the first from eigen
+    index 0 to one above the number of bare energies below the pair's
+    larger one); the later ones are certified Rayleigh-Ritz evaluations on an
     orthonormal basis of the branch pairs of the last four LAPACK solves and
     the directions a certified evaluation whose bounds were above their
     rounding floor found beyond them (its branch vectors' part outside the

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -949,8 +950,24 @@ class TestExpectationSeries:
         expected = np.array([reference_expectation(stack, ops) for ops in observables])
         np.testing.assert_allclose(values, expected.reshape(n_obs, points).T,
                                    rtol=0, atol=1e-13)
+        # evolve's states are the reference's to the rounding of the products
+        # that propagate rho~ (stream_rounding_bounds), carried through
+        # U rho~ U+, and of the two products of inner dimension d that form
+        # U rho~ U+ on each side, within gamma_2d |U| |rho~| |U+| of its
+        # exact value (Higham §3.5), so twice that between the sides
         series = evolve(rho0, spec, rates, grid, max_step=max_step)
-        np.testing.assert_array_equal(series.states, stack)
+        start = eigenbasis_start(spec, rho0)
+        off_diagonal = ~np.eye(d, dtype=bool)
+        keep = np.flatnonzero(start * off_diagonal)
+        assert start.all()  # a dense start: r = d, and evolve keeps every coherence
+        bounds = stream_rounding_bounds(start, spec, rates, grid, d, keep, max_step)
+        magnitude, moved = np.zeros((2, points, d, d))
+        for array, pops, coh in ((magnitude, *bounds[:2]), (moved, *bounds[2:])):
+            array[:, off_diagonal] = coh
+            array[:, np.arange(d), np.arange(d)] = pops
+        u = np.abs(spec.states)
+        bound = u @ moved @ u.T + 2.0 * gamma(2 * d) * (u @ (magnitude + moved) @ u.T)
+        assert np.all(np.abs(series.states - stack) <= bound)
 
     def test_rejects_what_evolve_rejects(self):
         lay = HilbertLayout(1, 2)
@@ -1167,17 +1184,75 @@ class TestExpectationSeries:
 
 
 def assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach):
-    """Step the stream and check, bit for bit, that each kept coherence is
-    multiplied by its entry of the full-array g_1**n of the reference maps;
-    returns the number of kept coherences."""
+    """Check, bit for bit, that the stream multiplies each kept coherence by
+    its entry of the full-array g_1**n of the reference maps, and that its
+    coherences are those of the step-by-step products g_n * rho~ within the
+    rounding bound of :func:`stream_rounding_bounds`; returns the number of
+    kept coherences."""
     times, keep, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
     (dt,) = set(np.diff(times).tolist())
     g_n = reference_interval_maps(spec, rates, times)(dt)[0].reshape(-1)[keep]
+    [(_, _, powers)] = stream._runs  # the one run of the grid's one interval
+    assert powers[0].tobytes() == g_n.tobytes()
+    levels = stream.populations.shape[1]
+    *_, coh_bound = stream_rounding_bounds(rho0, spec, rates, times, levels, keep)
     expected = None
-    for _, coh in stream:
+    for (_, coh), bound in zip(stream, coh_bound):
         expected = coh.copy() if expected is None else g_n * expected
-        np.testing.assert_array_equal(coh, expected)
+        assert np.all(np.abs(coh - expected) <= bound)
     return keep.size
+
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u the unit roundoff of float64 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, §3.1)."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def stream_rounding_bounds(start, spectrum, rates, times, levels, keep, max_step=None):
+    """How far two propagations of one start may move apart that take the
+    same interval maps in a different order of products: the stepwise
+    stream, one product a grid time, and the blocked one, which forms the
+    powers of a map and multiplies them with the state before the block.
+
+    The state at grid time t_p ends a chain of p products, each a step, a
+    power formed from lower powers, or a power times the state before its
+    block, with p maps as its factors however they are grouped.  A real
+    product of inner dimension r errs by at most gamma_r |A||B|
+    (Higham §3.5) and a complex one by at most sqrt(2) gamma_2 |x||y|
+    (Lemma 3.5), so a chain of p errs by at most (1 + gamma)^p - 1 times
+    the chain of magnitudes, |p_n| ... |p_n| |p_0| for the populations and
+    |g_n| ... |g_n| |rho~0_ij| for a coherence; two chains differ by at most
+    twice that.  A product that underflows errs by up to 2^-1075 more
+    (gradual underflow, Higham §2.1): at most r of them an entry of a real
+    product, 2 of a complex one, so each chain gains up to p such terms,
+    grown by the largest column sum of the later |p_n| (1-norm) or |g_n|.
+    Returns the chains of magnitudes of the r populations and of the kept
+    coherences, (T, r) and (T, m) arrays, and the bounds on the differences
+    of the populations and of the coherences, arrays of the same shapes."""
+    maps = reference_interval_maps(spectrum, rates, times, max_step)
+    tiny = float(np.finfo(float).smallest_subnormal)
+    ii, jj = np.divmod(keep, spectrum.dim)
+    pops, coh = np.abs(np.diagonal(start).real[:levels]), np.abs(start[ii, jj])
+    pop_growth = coh_growth = max(1.0, float(pops.sum()))
+    envelope, coh_envelope, pop_bound, coh_bound = [pops], [coh], [0 * pops], [0 * coh]
+    for p, dt in enumerate(np.diff(times).tolist(), start=1):
+        g_n, p_n = maps(dt)
+        p_n, g_n = np.abs(p_n[:levels, :levels]), np.abs(g_n[ii, jj])
+        pops, coh = p_n @ pops, g_n * coh
+        pop_growth *= max(1.0, float(p_n.sum(axis=0).max()))
+        coh_growth *= max(1.0, float(g_n.max(initial=0.0)))
+        envelope.append(pops)
+        coh_envelope.append(coh)
+        pop_bound.append(2.0 * ((1.0 + gamma(levels)) ** p - 1.0) * pops
+                         + 2.0 * p * levels * tiny * pop_growth)
+        coh_bound.append(2.0 * ((1.0 + math.sqrt(2.0) * gamma(2)) ** p - 1.0) * coh
+                         + 4.0 * p * tiny * coh_growth)
+    return (np.array(envelope), np.reshape(coh_envelope, (len(times), -1)),
+            np.array(pop_bound), np.reshape(coh_bound, (len(times), -1)))
 
 
 def stepwise_stream(start, spectrum, rates, t_grid, max_step, reach=None, whole=False):
@@ -1304,19 +1379,54 @@ def drawn_stream(stream, *args):
         return err
 
 
-class TestStreamOracle:
-    """The stream that checks the whole grid before it returns gives the
-    bits and the rejections of the stream that checked step by step."""
+def drawn_grid(rng, kind, points):
+    """A time grid of one of four kinds: ``linspace`` (whose intervals are
+    equal only to rounding, so its runs of equal intervals are short),
+    ``random`` intervals, ``equal`` intervals, or ``mixed``: a run of
+    ``points`` equal intervals, three random ones, a second run of the
+    first interval and a run of another.  The ``equal`` and ``mixed`` grids
+    are multiples of 2^-8, so their runs are exactly equal."""
+    t0 = rng.uniform(-1, 1)
+    if kind == "linspace":
+        return np.linspace(t0, t0 + rng.uniform(0.1, 5.0), points)
+    if kind == "random":
+        return t0 + np.cumsum(rng.uniform(0.01, 1.0, points))
+    step, other = rng.integers(1, 64, 2)
+    if kind == "equal":
+        ticks = step * np.arange(points)
+    else:
+        ticks = np.cumsum(np.concatenate([[0], [step] * points, rng.integers(1, 64, 3),
+                                          [step] * int(rng.integers(1, 6)), [other] * 4]))
+    return (int(t0 * 256) + ticks) / 256.0
 
-    @settings(max_examples=120, deadline=None)
+
+def same_rejection(got, expected):
+    """Whether two stream errors are one rejection: the same type and
+    message, up to the value of a trace drift or a population, which the
+    order of the products moves."""
+    def masked(err):
+        return re.sub(r"^(trace drift|population) \S+", r"\1", str(err))
+    return type(got) is type(expected) and masked(got) == masked(expected)
+
+
+class TestStreamOracle:
+    """The stream that checks the whole grid before it returns, and
+    advances it in blocks, gives the stepwise stream's values to the
+    rounding of their products, and its rejections."""
+
+    @settings(max_examples=160, deadline=None)
     @given(layout=st.sampled_from(SMALL_LAYOUTS), channels=st.integers(0, 2),
-           rate_scale=st.sampled_from([0.05, 2.0, 50.0]), uniform=st.booleans(),
-           points=st.integers(1, 12), step=st.sampled_from([None, "stable", "coarse"]),
+           rate_scale=st.sampled_from([0.05, 2.0, 50.0]),
+           grid_kind=st.sampled_from(["linspace", "random", "equal", "mixed"]),
+           points=st.integers(1, 40), block=st.sampled_from([None, 1, 2, 3, 5]),
+           blocks=st.integers(1, 4), overhang=st.sampled_from([-1, 0, 1]),
+           step=st.sampled_from([None, "stable", "coarse"]),
            start=st.sampled_from(["ket", "dense", "block", "populations"]),
            with_reach=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_stepwise_stream(self, layout, channels, rate_scale, uniform,
-                                         points, step, start, with_reach, seed):
+    def test_matches_the_stepwise_stream(self, layout, channels, rate_scale, grid_kind,
+                                         points, block, blocks, overhang, step, start,
+                                         with_reach, seed):
         rng = np.random.default_rng(seed)
         d = layout.dim
         raw = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
@@ -1325,11 +1435,10 @@ class TestStreamOracle:
         rates = {f"channel{c}": np.triu(rng.uniform(0, rate_scale, (d, d))
                                         * (rng.random((d, d)) < 0.5), 1)
                  for c in range(channels)}
-        t0 = rng.uniform(-1, 1)
-        if uniform:
-            grid = np.linspace(t0, t0 + rng.uniform(0.1, 5.0), points)
-        else:
-            grid = t0 + np.cumsum(rng.uniform(0.01, 1.0, points))
+        if block is not None and grid_kind in ("equal", "mixed"):
+            # a run of blocks * block intervals, one fewer or one more
+            points = blocks * block + overhang + (grid_kind == "equal")
+        grid = drawn_grid(rng, grid_kind, max(points, 1))
         # a stable step below the default rule's 0.01 / spread, or a coarse
         # one, up to 1e4 times that, which the checks may reject
         factor = {None: None, "stable": rng.uniform(0.1, 1),
@@ -1337,7 +1446,7 @@ class TestStreamOracle:
         max_step = None if factor is None else factor * 0.01 / (spec.energies[-1]
                                                                 - spec.energies[0])
         # a pure state, a mixed one, a mixed one on eigen indices 0..r-1, or
-        # one with no coherence
+        # one with no coherence; all but the block start have r = d
         r = int(rng.integers(1, min(d, 4) + 1)) if start == "block" else d
         a = rng.uniform(-1, 1, (r, 2 * r)) + 1j * rng.uniform(-1, 1, (r, 2 * r))
         rho0 = np.zeros((d, d), dtype=complex)
@@ -1351,29 +1460,39 @@ class TestStreamOracle:
         args = (rho0, spec, rates, grid, max_step, reach)
         with np.errstate(all="ignore"):  # the reference's unstable steps overflow
             expected = drawn_stream(stepwise_stream, *args)
-        got = drawn_stream(dynamics._eigenbasis_stream, *args)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:  # blocks of the drawn size, within each run
+                patch.setattr(dynamics, "_block_size", lambda *_: block)
+            got = drawn_stream(dynamics._eigenbasis_stream, *args)
         if isinstance(expected, Exception):
-            assert type(got) is type(expected)
-            assert str(got) == str(expected)
+            assert same_rejection(got, expected), (got, expected)
             return
         times, keep, dropped_weight, pairs = got
         ref_times, ref_keep, ref_dropped_weight, ref_pairs = expected
         assert times.tobytes() == ref_times.tobytes()
-        assert len(pairs) == len(ref_pairs) == points
+        assert len(pairs) == len(ref_pairs) == len(grid)
         if reach is None:
             assert keep.tobytes() == ref_keep.tobytes()
             assert dropped_weight == ref_dropped_weight == 0.0
         assert dropped_weight <= dynamics._DROP_BOUND
         _, at, ref_at = np.intersect1d(keep, ref_keep, assume_unique=True,
                                        return_indices=True)
-        for (diagonal, coh), (ref_diagonal, ref_coh) in zip(pairs, ref_pairs):
-            # the reference's r leading populations, bit for bit, and no
-            # population beyond them
-            levels = ref_diagonal.size
+        levels = ref_pairs[-1][0].size
+        *_, pop_bound, coh_bound = stream_rounding_bounds(rho0, spec, rates, times, levels,
+                                                          keep[at], max_step)
+        for (diagonal, coh), (ref_diagonal, ref_coh), pop_tol, coh_tol in zip(
+                pairs, ref_pairs, pop_bound, coh_bound):
+            # the reference's r leading populations, to the rounding of the
+            # products, and no population beyond them
             assert diagonal.dtype == ref_diagonal.dtype
-            assert diagonal[:levels].tobytes() == ref_diagonal.tobytes()
+            assert np.all(np.abs(diagonal[:levels] - ref_diagonal[:levels]) <= pop_tol)
             assert np.all(diagonal[levels:] == 0.0)
-            assert coh[at].tobytes() == ref_coh[ref_at].tobytes()
+            assert np.all(np.abs(coh[at] - ref_coh[ref_at]) <= coh_tol)
+        # rho~0 itself, and every grid time with blocks of one, bit for bit
+        for p, ((diagonal, coh), (ref_diagonal, ref_coh)) in enumerate(zip(pairs, ref_pairs)):
+            if p == 0 or block == 1:
+                assert diagonal[:ref_diagonal.size].tobytes() == ref_diagonal.tobytes()
+                assert coh[at].tobytes() == ref_coh[ref_at].tobytes()
 
     def test_step_errors_raise_at_the_call(self):
         # every trace drift and negative population is found before the
@@ -1436,9 +1555,13 @@ class TestLeadingBlock:
 
     def test_a_bare_start_propagates_every_level(self):
         # ["bare", "gge", 0] has weight on the top level, so r = d: the
-        # stream's populations and coherences are those of the stream on all
-        # d levels, bit for bit, and only the single product that contracts
-        # the populations rounds differently (by 5.6e-16 measured)
+        # stream's populations and coherences are those of the stepwise
+        # stream on all d levels to the rounding of their products
+        # (stream_rounding_bounds), and the written values are the stepwise
+        # series' to that rounding carried through the contraction with the
+        # observables, whose products of inner dimension d + m each err by at
+        # most gamma_(d+m+1) times the sum of the magnitudes of their terms
+        # (Higham §3.1), plus the weight each series drops, at most 1e-15
         cfg = get_preset("fig3")
         cfg = dict(cfg, dynamics=dict(cfg["dynamics"], initial=["bare", "gge", 0]))
         calls = []
@@ -1450,15 +1573,47 @@ class TestLeadingBlock:
         assert manifest["propagated_levels"] == spec.dim == 64
         assert manifest["coherences_kept"] == 2966
         assert all(o.shape == (spec.dim, spec.dim) for o in basis)
-        pairs = drawn_stream(dynamics._eigenbasis_stream, start, spec, rates, grid, None)[3]
+        _, keep, _, pairs = drawn_stream(dynamics._eigenbasis_stream, start, spec, rates, grid,
+                                         None)
         ref_pairs = drawn_stream(stepwise_stream, start, spec, rates, grid, None, None, True)[3]
-        for (diagonal, coh), (ref_diagonal, ref_coh) in zip(pairs, ref_pairs):
-            assert diagonal.tobytes() == ref_diagonal.tobytes()
-            assert coh.tobytes() == ref_coh.tobytes()
+        d = spec.dim
+        envelope, coh_envelope, pop_bound, coh_bound = stream_rounding_bounds(
+            start, spec, rates, grid, d, keep)
+        for (diagonal, coh), (ref_diagonal, ref_coh), pop_tol, coh_tol in zip(
+                pairs, ref_pairs, pop_bound, coh_bound):
+            assert np.all(np.abs(diagonal - ref_diagonal) <= pop_tol)
+            assert np.all(np.abs(coh - ref_coh) <= coh_tol)
+        ii, jj = np.divmod(keep, d)
+        diagonal_basis = np.abs(np.diagonal(np.array(basis), axis1=1, axis2=2)).T
+        coherence_basis = np.abs(np.array(basis)[:, jj, ii]).T
+        terms = ((envelope + pop_bound) @ diagonal_basis
+                 + (coh_envelope + coh_bound) @ coherence_basis)
+        bound = (pop_bound @ diagonal_basis + coh_bound @ coherence_basis
+                 + 2.0 * gamma(d + keep.size + 1) * terms + 2.0 * dynamics._DROP_BOUND)
         written = np.loadtxt(io.BytesIO(files["dynamics.csv"]), delimiter=",", skiprows=1)
-        np.testing.assert_allclose(written[:, 1:],
-                                   whole_stream_series(start, spec, rates, grid, basis),
-                                   rtol=0, atol=1e-15)
+        assert np.all(np.abs(written[:, 1:] - whole_stream_series(start, spec, rates, grid, basis))
+                      <= bound)
+
+    @pytest.mark.parametrize("scenario, blocks", [("fig3", (139, 10)), ("fig5b", (66, 4))])
+    def test_blocks_follow_the_sizes(self, scenario, blocks):
+        # a block of b grid times forms b powers of the r x r population map,
+        # b r^3 flops, at most the r^2 of each step of the run it replaces,
+        # and holds b grid times of the m kept coherences in at most 1 MiB.
+        # So the command's pair start (r = 5 of T = 700 on fig3, r = 9 of
+        # T = 600 on fig5b, m = 2) advances in blocks of 699 // 5 = 139 or
+        # 599 // 9 = 66; a bare start, r = d, in blocks of 699 // 64 = 10 on
+        # fig3, and on fig5b of 599 // 128 = 4, where 4 grid times of its
+        # 16,256 coherences take 1,040,384 bytes.  Random intervals, each
+        # its own run, advance one grid time a block
+        start, spec, rates, grid, _ = dynamics_arguments(scenario, whole=False)
+        excited_last = "g" * (spec.layout.qubit_count - 1) + "e"
+        bare = eigenbasis_start(spec, bare_state(spec.layout, excited_last, 0))
+        uneven = grid[0] + np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, len(grid)))
+        for rho0, block in zip((start, bare), blocks):
+            for times, size in ((grid, block), (uneven, 1)):
+                _, _, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, times, None)
+                sizes = [len(coh) for _, coh in stream.blocks()]
+                assert sizes[:3] == [1, size, size] and sum(sizes) == len(times)
 
     def test_an_upward_rate_grows_the_block(self):
         # a pair start on levels 3 and 4 of a diagonal Hamiltonian, whose
