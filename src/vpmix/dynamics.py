@@ -75,7 +75,10 @@ coherences the elementwise powers g, ..., g^b of their multipliers times
 the coherences before it.  b is at most the interval's longest run over
 r, so that forming the powers (b r^3) costs no more than the steps they
 replace (r^2 each), and at most the grid times whose kept coherences fit
-in 1 MiB; a grid of unequal intervals advances one grid time a block.
+in 1 MiB.  Where b is 1, as on a grid of unequal intervals, the
+coherences are stepped one grid time at a time into rows that are handed
+on together, as many as fit in 1 MiB, so the observables still contract
+them a block at a time.
 The state is then streamed in the eigenbasis, rho~(t_p) = U+ rho(t_p) U,
 one block at a time, as rows of the populations array plus a (b, m) array
 of the coherences kept at fixed indices (i, j).
@@ -375,32 +378,55 @@ class _Stream:
     ``populations`` is the (T, r) array of the populations of levels 0..r-1
     at every grid time; the levels beyond r hold none.  ``blocks()`` yields
     the kept coherences of consecutive grid times as (p, block) pairs, the
-    (b, m) array ``block`` holding them at grid times p..p+b-1: first
-    rho~0's alone, then each block of a run of equal intervals, the powers
-    g, g^2, ..., g^b of their multiplier times the coherences before it.
-    ``runs`` holds (first interval, end, powers) for each run.  A block
-    lives in one of two buffers, valid until the next but one.  Iterating
-    yields (diagonal, kept coherences) pairs one grid time at a time, the
-    first diagonal rho~0's own and the later ones of length d, zero beyond
-    r, in one buffer valid until the next pair.
+    (b, m) array ``block`` holding them at grid times p..p+b-1.  A block of
+    a run of equal intervals is the powers g, g^2, ..., g^b of their
+    multiplier times the coherences before it.  Intervals advanced one
+    grid time a block, such as those of a grid of unequal intervals, are
+    stepped one by one, g times the coherences before, into rows that are
+    yielded together, up to ``_BLOCK_BYTES`` of them, and rho~0's
+    coherences are the first of those rows.  ``runs`` holds (first
+    interval, end, powers) for each run.  A block is valid until the next
+    one is drawn.  Iterating yields (diagonal, kept coherences) pairs one
+    grid time at a time, the first diagonal rho~0's own and the later ones
+    of length d, zero beyond r, in one buffer valid until the next pair.
     """
 
     def __init__(self, start, populations, kept, runs):
         self.populations = populations
         self._start, self._kept, self._runs = start, kept, runs
+        steps = sum(end - begin for begin, end, g in runs if len(g) == 1)
+        self._rows = max(1, min(1 + steps, _BLOCK_BYTES // (16 * max(kept[0].size, 1))))
 
     def blocks(self):
-        block = self._start[self._kept][None].astype(complex)
-        yield 0, block
-        # two buffers in turn, each block computed from the last row of the one before
+        rows = np.empty((self._rows, self._kept[0].size), dtype=complex)
+        rows[0] = self._start[self._kept]
+        last, count = rows[0], 1  # the coherences before the next step, the rows held
+        # two buffers in turn, each block computed from the last row before it
         largest = max((len(g) for _, _, g in self._runs), default=1)
-        buffers, turn = np.empty((2, largest, block.shape[1]), dtype=complex), 0
+        buffers, turn = np.empty((2, largest, rows.shape[1]), dtype=complex), 0
         for begin, end, g in self._runs:
+            if len(g) == 1:  # one grid time a step, into the rows
+                g = g[0]
+                for p in range(begin + 1, end + 1):
+                    if count == len(rows):
+                        yield p - count, rows
+                        count = 0
+                    # g * rho~ in this operand order: with fused multiply-adds a complex
+                    # product can differ in the last bit when its factors swap
+                    last = np.multiply(g, last, out=rows[count])
+                    count += 1
+                continue
+            if count:
+                yield begin + 1 - count, rows[:count]
+                count = 0
             for p in range(begin, end, len(g)):
                 turn, size = 1 - turn, min(len(g), end - p)
                 # g^k * rho~, in the operand order of a single step
-                block = np.multiply(g[:size], block[-1], out=buffers[turn, :size])
+                block = np.multiply(g[:size], last, out=buffers[turn, :size])
+                last = block[-1]
                 yield p + 1, block
+        if count:
+            yield len(self.populations) - count, rows[:count]
 
     def __iter__(self):
         rows = (coh for _, block in self.blocks() for coh in block)
@@ -449,7 +475,8 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     the stacked powers M, M^2, ..., M^b with the populations before it, and
     its coherences the powers g, g^2, ..., g^b times the coherences before
     it, each set of powers formed once per distinct interval.  A grid of
-    unequal intervals has runs, and so blocks, of one.  The populations of
+    unequal intervals has runs, and so blocks, of one, whose coherences
+    the stream steps into rows it yields together.  The populations of
     every grid time are formed before the return, as one (T, r) array, and
     a trace drift or a negative population raises :class:`StepSizeError`
     at the first grid time that has either, the drift named first, so the
@@ -542,6 +569,10 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
                 zip(runs.tolist(), ends.tolist(), which[runs].tolist())]
         # each block of a run: p_n^1..p_n^b times the populations before it, one product
         for begin, end, (_, powers) in runs:
+            if len(powers) == levels:  # blocks of one: one map-vector product a step
+                for p in range(begin, end):
+                    np.matmul(powers, pops[p], out=pops[p + 1])
+                continue
             for p in range(begin, end, len(powers) // levels):
                 stop = min(p + len(powers) // levels, end)
                 np.matmul(powers[:(stop - p) * levels], pops[p],

@@ -1182,13 +1182,43 @@ class TestExpectationSeries:
         assert assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach) > 1000
         assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid[:50], None)
 
+    @pytest.mark.parametrize("scenario, start, block", [
+        ("fig3", "command", 139), ("fig5b", "command", 66), ("figS2b", "command", 66),
+        ("fig3", "random", 10)])
+    def test_blocked_coherences_keep_the_full_powers(self, scenario, start, block):
+        # the stream's own blocks: the command's exact start, and a dense start
+        # that keeps many coherences on r = d levels
+        rho0, spec, rates, grid, basis = dynamics_arguments(scenario)
+        if start == "random":
+            rng = np.random.default_rng(3)
+            a = rng.uniform(-1, 1, (spec.dim,) * 2) + 1j * rng.uniform(-1, 1, (spec.dim,) * 2)
+            rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        reach = np.abs(np.array(basis)).max(axis=0)
+        assert assert_blocked_coherences_are_the_full_powers(rho0, spec, rates, grid, reach) == block
+
 
 def assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach):
-    """Check, bit for bit, that the stream multiplies each kept coherence by
-    its entry of the full-array g_1**n of the reference maps, and that its
+    """Step the stream one grid time a block and check, bit for bit, that
+    each kept coherence is multiplied by its entry of the full-array g_1**n
+    of the reference maps; returns the number of kept coherences."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_block_size", lambda *_: 1)
+        times, keep, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
+    (dt,) = set(np.diff(times).tolist())
+    g_n = reference_interval_maps(spec, rates, times)(dt)[0].reshape(-1)[keep]
+    expected = None
+    for _, coh in stream:
+        expected = coh.copy() if expected is None else g_n * expected
+        np.testing.assert_array_equal(coh, expected)
+    return keep.size
+
+
+def assert_blocked_coherences_are_the_full_powers(rho0, spec, rates, grid, reach):
+    """Check that the stream's own blocks start from the one-step
+    multiplier g_1**n of the reference maps, bit for bit, and that its
     coherences are those of the step-by-step products g_n * rho~ within the
-    rounding bound of :func:`stream_rounding_bounds`; returns the number of
-    kept coherences."""
+    rounding bound of :func:`stream_rounding_bounds`; returns the largest
+    block."""
     times, keep, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
     (dt,) = set(np.diff(times).tolist())
     g_n = reference_interval_maps(spec, rates, times)(dt)[0].reshape(-1)[keep]
@@ -1200,7 +1230,7 @@ def assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach):
     for (_, coh), bound in zip(stream, coh_bound):
         expected = coh.copy() if expected is None else g_n * expected
         assert np.all(np.abs(coh - expected) <= bound)
-    return keep.size
+    return len(powers)
 
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -1594,8 +1624,9 @@ class TestLeadingBlock:
         assert np.all(np.abs(written[:, 1:] - whole_stream_series(start, spec, rates, grid, basis))
                       <= bound)
 
-    @pytest.mark.parametrize("scenario, blocks", [("fig3", (139, 10)), ("fig5b", (66, 4))])
-    def test_blocks_follow_the_sizes(self, scenario, blocks):
+    @pytest.mark.parametrize("scenario, blocks, rows", [
+        ("fig3", (139, 10), (700, 16)), ("fig5b", (66, 4), (600, 4))])
+    def test_blocks_follow_the_sizes(self, scenario, blocks, rows):
         # a block of b grid times forms b powers of the r x r population map,
         # b r^3 flops, at most the r^2 of each step of the run it replaces,
         # and holds b grid times of the m kept coherences in at most 1 MiB.
@@ -1604,16 +1635,20 @@ class TestLeadingBlock:
         # 599 // 9 = 66; a bare start, r = d, in blocks of 699 // 64 = 10 on
         # fig3, and on fig5b of 599 // 128 = 4, where 4 grid times of its
         # 16,256 coherences take 1,040,384 bytes.  Random intervals, each
-        # its own run, advance one grid time a block
+        # its own run, are stepped one grid time at a time into rows yielded
+        # together, as many as fit in 1 MiB: all T for the pair start, 16 of
+        # fig3's 4,032 bare-start coherences and 4 of fig5b's 16,256
         start, spec, rates, grid, _ = dynamics_arguments(scenario, whole=False)
         excited_last = "g" * (spec.layout.qubit_count - 1) + "e"
         bare = eigenbasis_start(spec, bare_state(spec.layout, excited_last, 0))
         uneven = grid[0] + np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, len(grid)))
-        for rho0, block in zip((start, bare), blocks):
-            for times, size in ((grid, block), (uneven, 1)):
+        for rho0, block, row in zip((start, bare), blocks, rows):
+            for times, leading in ((grid, [1, block, block]), (uneven, [row] * 3)):
                 _, _, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, times, None)
-                sizes = [len(coh) for _, coh in stream.blocks()]
-                assert sizes[:3] == [1, size, size] and sum(sizes) == len(times)
+                firsts, sizes = zip(*((p, len(coh)) for p, coh in stream.blocks()))
+                assert list(sizes[:3]) == leading[:len(sizes[:3])]
+                assert sum(sizes) == len(times)
+                assert list(firsts) == np.cumsum((0,) + sizes[:-1]).tolist()
 
     def test_an_upward_rate_grows_the_block(self):
         # a pair start on levels 3 and 4 of a diagonal Hamiltonian, whose
