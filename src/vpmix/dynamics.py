@@ -75,13 +75,13 @@ coherences the elementwise powers g, ..., g^b of their multipliers times
 the coherences before it.  b is at most the interval's longest run over
 r, so that forming the powers (b r^3) costs no more than the steps they
 replace (r^2 each), and at most the grid times whose kept coherences fit
-in 1 MiB.  Where b is 1, as on a grid of unequal intervals, the
-coherences are stepped one grid time at a time into rows that are handed
-on together, as many as fit in 1 MiB, so the observables still contract
-them a block at a time.
-The state is then streamed in the eigenbasis, rho~(t_p) = U+ rho(t_p) U,
-one block at a time, as rows of the populations array plus a (b, m) array
-of the coherences kept at fixed indices (i, j).
+in 1 MiB.  An interval of its own, as on a grid of unequal intervals, is
+a run of one, advanced by the same loops in blocks of one.  Every block's
+coherences are written into one buffer of as many grid times as fit in
+1 MiB, handed on whenever the next block does not fit, so the observables
+contract them many grid times at a time.  The state is then streamed in
+the eigenbasis, rho~(t_p) = U+ rho(t_p) U, as rows of the populations
+array plus (k, m) arrays of the coherences kept at fixed indices (i, j).
 :func:`expectation_series` transforms each observable product once and
 hands the O~ to ``_series``, which reads only their leading r x r
 blocks and keeps only the coherences that can reach an observable: it drops
@@ -91,20 +91,21 @@ stability check caps every |g_ij^n| at 1 + 1e-7, while their summed bound
 stays <= 1e-15, so no value moves by more than that.  The values are
 pops . diag(O~_k) + sum rho~_ij O~_k,ji: the populations of the whole grid
 are contracted in one (T, r) by (r, n_obs) product, and the m kept
-coherences of each block in one (b, m) by (m,) product per observable.  No
-(T, d, d) snapshot stack is built.  The ``dynamics`` command builds its start in the eigenbasis
-itself, and only the r x r blocks of its O~, and calls ``_series``
-directly, which also reports the kept count and the dropped weight for its
-manifest; a pair start there has exactly 2 live coherences and keeps both.
-:func:`evolve` keeps every live coherence, turns every rho~(t_p) back into
-the bare basis, U[:, :r] rho~_r U[:, :r]+, and keeps them all as one
-read-only (T, d, d) array, which :func:`expectation` contracts with
-an operator product.
+coherences of each yielded set of rows in one (k, m) by (m,) product per
+observable.  No (T, d, d) snapshot stack is built.  The ``dynamics``
+command builds its start in the eigenbasis itself, and only the r x r
+blocks of its O~, and calls ``_series`` directly, which also reports the
+kept count and the dropped weight for its manifest; a pair start there has
+exactly 2 live coherences and keeps both.  :func:`evolve` keeps every live
+coherence, turns every rho~(t_p) back into the bare basis,
+U[:, :r] rho~_r U[:, :r]+, and keeps them all as one read-only (T, d, d)
+array, which :func:`expectation` contracts with an operator product.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -350,9 +351,7 @@ def _powers(base: np.ndarray, count: int, product) -> np.ndarray:
     """base, base^2, ..., base^count stacked along a new first axis, under
     ``product`` (``np.matmul`` for a matrix, ``np.multiply`` elementwise),
     each stacked range formed in one call by doubling,
-    base^(n+j) = base^j base^n; for a count of one, a view of ``base``."""
-    if count == 1:
-        return base[None]
+    base^(n+j) = base^j base^n."""
     out = np.empty((count,) + base.shape, dtype=base.dtype)
     out[0] = base
     done = 1
@@ -377,56 +376,44 @@ class _Stream:
 
     ``populations`` is the (T, r) array of the populations of levels 0..r-1
     at every grid time; the levels beyond r hold none.  ``blocks()`` yields
-    the kept coherences of consecutive grid times as (p, block) pairs, the
-    (b, m) array ``block`` holding them at grid times p..p+b-1.  A block of
-    a run of equal intervals is the powers g, g^2, ..., g^b of their
-    multiplier times the coherences before it.  Intervals advanced one
-    grid time a block, such as those of a grid of unequal intervals, are
-    stepped one by one, g times the coherences before, into rows that are
-    yielded together, up to ``_BLOCK_BYTES`` of them, and rho~0's
-    coherences are the first of those rows.  ``runs`` holds (first
-    interval, end, powers) for each run.  A block is valid until the next
-    one is drawn.  Iterating yields (diagonal, kept coherences) pairs one
-    grid time at a time, the first diagonal rho~0's own and the later ones
-    of length d, zero beyond r, in one buffer valid until the next pair.
+    the kept coherences of consecutive grid times as (p, rows) pairs, the
+    (k, m) array ``rows`` holding them at grid times p..p+k-1, valid until
+    the next pair is drawn.  ``runs`` holds (first interval, end, powers)
+    for each run of equal intervals, one interval long or many, and each
+    run is advanced in blocks of up to b grid times, b the number of the
+    powers g, g^2, ..., g^b of its multiplier; a block's coherences are
+    those powers times the coherences before it.  Every block is written
+    into one buffer of min(T, ``_BLOCK_BYTES`` / 16 m) rows, never fewer
+    than the largest block, whose row 0 holds rho~0's coherences; a block
+    that does not fit first yields the rows held and restarts at row 0.
+    Iterating yields (diagonal, kept coherences) pairs one grid time at a
+    time, the first diagonal rho~0's own and the later ones of length d,
+    zero beyond r, in one buffer valid until the next pair.
     """
 
     def __init__(self, start, populations, kept, runs):
         self.populations = populations
         self._start, self._kept, self._runs = start, kept, runs
-        steps = sum(end - begin for begin, end, g in runs if len(g) == 1)
-        self._rows = max(1, min(1 + steps, _BLOCK_BYTES // (16 * max(kept[0].size, 1))))
 
     def blocks(self):
-        rows = np.empty((self._rows, self._kept[0].size), dtype=complex)
+        width = self._kept[0].size
+        fit = min(len(self.populations), _BLOCK_BYTES // (16 * max(width, 1)))
+        # never fewer than one row, nor than the largest block
+        rows = np.empty((max([1, fit] + [len(g) for _, _, g in self._runs]), width), dtype=complex)
         rows[0] = self._start[self._kept]
-        last, count = rows[0], 1  # the coherences before the next step, the rows held
-        # two buffers in turn, each block computed from the last row before it
-        largest = max((len(g) for _, _, g in self._runs), default=1)
-        buffers, turn = np.empty((2, largest, rows.shape[1]), dtype=complex), 0
+        last, count = rows[0], 1  # the coherences before the next block, the rows held
         for begin, end, g in self._runs:
-            if len(g) == 1:  # one grid time a step, into the rows
-                g = g[0]
-                for p in range(begin + 1, end + 1):
-                    if count == len(rows):
-                        yield p - count, rows
-                        count = 0
-                    # g * rho~ in this operand order: with fused multiply-adds a complex
-                    # product can differ in the last bit when its factors swap
-                    last = np.multiply(g, last, out=rows[count])
-                    count += 1
-                continue
-            if count:
-                yield begin + 1 - count, rows[:count]
-                count = 0
             for p in range(begin, end, len(g)):
-                turn, size = 1 - turn, min(len(g), end - p)
-                # g^k * rho~, in the operand order of a single step
-                block = np.multiply(g[:size], last, out=buffers[turn, :size])
-                last = block[-1]
-                yield p + 1, block
-        if count:
-            yield len(self.populations) - count, rows[:count]
+                size = min(len(g), end - p)
+                if count + size > len(rows):
+                    yield p + 1 - count, rows[:count]
+                    count = 0
+                # g^k * rho~ in this operand order: with fused multiply-adds a complex
+                # product can differ in the last bit when its factors swap.  ``last``
+                # may be a row this block overwrites; numpy reads it before writing
+                last = np.multiply(g[:size], last, out=rows[count:count + size])[-1]
+                count += size
+        yield len(self.populations) - count, rows[:count]
 
     def __iter__(self):
         rows = (coh for _, block in self.blocks() for coh in block)
@@ -475,16 +462,25 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     the stacked powers M, M^2, ..., M^b with the populations before it, and
     its coherences the powers g, g^2, ..., g^b times the coherences before
     it, each set of powers formed once per distinct interval.  A grid of
-    unequal intervals has runs, and so blocks, of one, whose coherences
-    the stream steps into rows it yields together.  The populations of
-    every grid time are formed before the return, as one (T, r) array, and
-    a trace drift or a negative population raises :class:`StepSizeError`
-    at the first grid time that has either, the drift named first, so the
-    stream raises nothing.
+    unequal intervals has runs, and so blocks, of one, which take the same
+    loops, and the stream writes every block's coherences into one buffer
+    of rows that it yields when the next block does not fit.  The
+    populations of every grid time are formed before the return, as one
+    (T, r) array, and a trace drift or a negative population raises
+    :class:`StepSizeError` at the first grid time that has either, the
+    drift named first, so the stream raises nothing.  A time grid that is
+    not a 1-D sequence of real numbers, or a ``max_step`` that is not a
+    real number, raises :class:`ConfigError`.
     """
     dim, e = spectrum.dim, spectrum.energies
 
-    times = np.asarray(list(t_grid), dtype=float)
+    try:
+        times = np.array(list(t_grid))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        times = np.array(None)
+    if times.ndim != 1 or times.dtype.kind not in "iuf":
+        raise ConfigError("time grid must be a 1-D sequence of real numbers")
+    times = times.astype(float)
     if times.size < 1:
         raise ConfigError("empty time grid")
     if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -506,6 +502,8 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     levels = _propagated_levels(start, gain)
 
     if max_step is not None:
+        if not isinstance(max_step, numbers.Real):
+            raise ConfigError(f"max_step must be a real number, got {max_step!r}")
         if not max_step > 0:  # also NaN
             raise ConfigError("max_step must be positive")
         h_max = float(max_step)
@@ -568,15 +566,11 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
         runs = [(begin, end, maps[k]) for begin, end, k in
                 zip(runs.tolist(), ends.tolist(), which[runs].tolist())]
         # each block of a run: p_n^1..p_n^b times the populations before it, one product
-        for begin, end, (_, powers) in runs:
-            if len(powers) == levels:  # blocks of one: one map-vector product a step
-                for p in range(begin, end):
-                    np.matmul(powers, pops[p], out=pops[p + 1])
-                continue
-            for p in range(begin, end, len(powers) // levels):
-                stop = min(p + len(powers) // levels, end)
-                np.matmul(powers[:(stop - p) * levels], pops[p],
-                          out=pops[p + 1:stop + 1].reshape(-1))
+        for begin, end, (g, powers) in runs:
+            for p in range(begin, end, len(g)):
+                size = min(len(g), end - p)
+                np.matmul(powers[:size * levels], pops[p],
+                          out=pops[p + 1:p + 1 + size].reshape(-1))
         drift = np.abs(pops[1:].sum(axis=1) - pops[0].sum())
         # An unstable population step can keep the trace and still
         # overshoot, which shows as a negative population.
@@ -613,8 +607,10 @@ def evolve(
 
     The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
     ``max_step`` replaces that rule with an explicit bound.  A time grid that
-    is not strictly increasing or not finite, or an interval that needs more
-    steps than a float can count, raises :class:`ConfigError`.  A coherence
+    is not a 1-D sequence of real numbers, not strictly increasing or not
+    finite, a ``max_step`` that is not a positive real number, or an
+    interval that needs more steps than a float can count, raises
+    :class:`ConfigError`.  A coherence
     multiplier above 1 + 1e-7 over any grid interval, on a coherence
     rho~0_ij != 0 of the initial state in the eigenbasis, trace drift beyond
     1e-7, or a population below -1e-7 raises :class:`StepSizeError`; so a

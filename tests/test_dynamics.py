@@ -1052,6 +1052,27 @@ class TestExpectationSeries:
         with pytest.raises(ConfigError, match="max_step must be positive"):
             expectation_series(rho0, spec, {}, [0.0, 1.0], [identity(lay)], max_step=max_step)
 
+    @pytest.mark.parametrize("t_grid, max_step, match", [
+        ([0.0, 1.0], "0.1", "max_step must be a real number, got '0.1'"),
+        ([0.0, 1.0], 1j, "max_step must be a real number, got 1j"),
+        (["0", "x"], None, "time grid must be a 1-D sequence of real numbers"),
+        (["0", "1"], None, "time grid must be a 1-D sequence of real numbers"),
+        ([[0.0, 1.0], [2.0, 3.0]], None, "time grid must be a 1-D sequence of real numbers"),
+        ([[0.0, 1.0], [2.0]], None, "time grid must be a 1-D sequence of real numbers"),
+        (1.0, None, "time grid must be a 1-D sequence of real numbers"),
+        ([0.0, 1j], None, "time grid must be a 1-D sequence of real numbers"),
+    ])
+    def test_rejects_malformed_arguments(self, t_grid, max_step, match):
+        # a max_step or a time grid of the wrong type or shape is a
+        # ConfigError, as every other argument check of the library
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        rho0 = bare_state(lay, "e", 1)
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            evolve(rho0, spec, {}, t_grid, max_step=max_step)
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            expectation_series(rho0, spec, {}, t_grid, [identity(lay)], max_step=max_step)
+
     def test_rejects_initial_states_that_are_not_density_matrices(self):
         lay = HilbertLayout(1, 2)
         spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
@@ -1625,7 +1646,8 @@ class TestLeadingBlock:
                       <= bound)
 
     @pytest.mark.parametrize("scenario, blocks, rows", [
-        ("fig3", (139, 10), (700, 16)), ("fig5b", (66, 4), (600, 4))])
+        ("fig3", ([700], [11, 10, 10]), ([700], [16, 16, 16])),
+        ("fig5b", ([600], [1, 4, 4]), ([600], [4, 4, 4]))])
     def test_blocks_follow_the_sizes(self, scenario, blocks, rows):
         # a block of b grid times forms b powers of the r x r population map,
         # b r^3 flops, at most the r^2 of each step of the run it replaces,
@@ -1634,21 +1656,28 @@ class TestLeadingBlock:
         # T = 600 on fig5b, m = 2) advances in blocks of 699 // 5 = 139 or
         # 599 // 9 = 66; a bare start, r = d, in blocks of 699 // 64 = 10 on
         # fig3, and on fig5b of 599 // 128 = 4, where 4 grid times of its
-        # 16,256 coherences take 1,040,384 bytes.  Random intervals, each
-        # its own run, are stepped one grid time at a time into rows yielded
-        # together, as many as fit in 1 MiB: all T for the pair start, 16 of
-        # fig3's 4,032 bare-start coherences and 4 of fig5b's 16,256
+        # 16,256 coherences take 1,040,384 bytes.  Every block is written
+        # into one buffer of min(T, 1 MiB / 16 m) rows, row 0 rho~0's, and a
+        # block that does not fit first yields the rows held: the pair start
+        # yields all T rows at once, fig3's bare start (16 rows of its 4,032
+        # coherences) row 0 with the first block, 11, and then 10 at a time,
+        # and fig5b's (4 rows) row 0 alone and then 4 at a time.  Random
+        # intervals, each its own run, advance in blocks of one into the
+        # same rows: all T for the pair start, 16 for fig3's bare start and
+        # 4 for fig5b's
         start, spec, rates, grid, _ = dynamics_arguments(scenario, whole=False)
         excited_last = "g" * (spec.layout.qubit_count - 1) + "e"
         bare = eigenbasis_start(spec, bare_state(spec.layout, excited_last, 0))
-        uneven = grid[0] + np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, len(grid)))
-        for rho0, block, row in zip((start, bare), blocks, rows):
-            for times, leading in ((grid, [1, block, block]), (uneven, [row] * 3)):
+        random_grid = grid[0] + np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, len(grid)))
+        for times, expected in ((grid, blocks), (random_grid, rows)):
+            for rho0, leading in zip((start, bare), expected):
                 _, _, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, times, None)
-                firsts, sizes = zip(*((p, len(coh)) for p, coh in stream.blocks()))
-                assert list(sizes[:3]) == leading[:len(sizes[:3])]
+                firsts, sizes, nbytes = zip(*((p, len(coh), coh.nbytes)
+                                              for p, coh in stream.blocks()))
+                assert list(sizes[:3]) == leading
                 assert sum(sizes) == len(times)
                 assert list(firsts) == np.cumsum((0,) + sizes[:-1]).tolist()
+                assert max(nbytes) <= 1 << 20
 
     def test_an_upward_rate_grows_the_block(self):
         # a pair start on levels 3 and 4 of a diagonal Hamiltonian, whose

@@ -399,8 +399,39 @@ def test_pencil_distance_bounds_the_change_of_h(scenario, data):
     bound = pencil.distance(at_x, at_y)
     assert norm <= bound * (1 + 1e-12) + 1e-300
     if field.endswith("omega"):
-        assert bound == pytest.approx(0.5 * abs(x - y), rel=1e-12, abs=1e-15)
+        assert_frequency_distance(cfg, field, x, y, bound)
         assert norm == pytest.approx(bound, rel=1e-12, abs=1e-15)
+
+
+def test_pencil_distance_of_close_frequencies():
+    # two close frequencies whose distance the rounding of the moved
+    # entries' sums moves by 1.55e-12 relative, 1.1e-15 absolute
+    cfg = build_system(get_preset("fig1b"))
+    field, x, y = "qubits[0].omega", 2.0, 2.001432501114896
+    solver = _Solver(_buffer(cfg))
+    pencil = _Pencil(cfg, _parameter_field(cfg, field), "dicke", solver.mat, solver.check)
+    at_x, at_y = pencil.entries(), pencil.entries()
+    pencil.write(x, solver.mat, at_x)
+    pencil.write(y, solver.mat, at_y)
+    assert_frequency_distance(cfg, field, x, y, pencil.distance(at_x, at_y))
+
+
+def assert_frequency_distance(cfg, field, x, y, distance):
+    """Check the pencil's ``distance`` for qubit k's omega at x and y
+    against the change of each moved diagonal entry, exactly half of
+    |x - y|.  Each entry sums the N + 1 terms of the N qubits and the
+    cavity, each formed with at most one rounding, so it errs by at most
+    gamma_(N+1) times the sum of their magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, §3.1), and the
+    change of an entry by at most twice the largest such sum; the
+    subtraction of the entries rounds relatively."""
+    k, terms = int(re.search(r"\d+", field).group()), _layout_terms(cfg.layout)
+    magnitudes = max(
+        (0.5 * np.abs([v if i == k else q.omega for i, q in enumerate(cfg.qubits)])
+         @ np.abs(terms.sigma_z) + abs(cfg.omega_c) * terms.number).max() for v in (x, y))
+    n = cfg.qubit_count + 1
+    tol = 2.0 * n * 2.0**-53 / (1.0 - n * 2.0**-53) * magnitudes  # 2 gamma_(N+1) max sum
+    assert distance == pytest.approx(0.5 * abs(x - y), rel=1e-12, abs=tol)
 
 
 @pytest.mark.parametrize("lam, theta", [
