@@ -44,70 +44,30 @@ linear map; steps are composed by exact powers of the per-step multipliers,
 which reproduces the literal stage-by-stage iteration to rounding error at a
 tiny fraction of the cost.
 
-The propagation (``_eigenbasis_stream`` and ``_series``) takes only
-eigenbasis inputs, the start rho~0 = U+ rho0 U and the observables
-O~ = U+ O U, and reads no eigenvector.  :func:`evolve` and
-:func:`expectation_series` own the change of basis: each checks its bare
-start (a Ket, a vector or a matrix) and forms rho~0 once.  Every jump of
-the zero-temperature rates goes down in energy, so in the ascending
-eigenbasis the population generator is upper triangular, and a start on
-eigen levels 0..r-1 never leaves them.  The propagation runs on that
-leading r x r block alone: r is 1 + the largest index of rho~0's nonzero
-entries, grown while the summed rates lead out of levels 0..r-1, as a
-rate matrix given by hand may do.  A pair start at a bundled minimum has
-r = 5 of d = 64 (fig3) or r = 9 of d = 128 (fig5b, figS2b); a start with
-weight on the top level, such as U+ rho0 U of almost any bare state, whose
-rounding leaves every entry nonzero, has r = d.  The rates are checked
-whole, and the step obeys the full spectrum's spread, so the block takes
-the RK4 maps of the full propagation.  The live coherences, i != j with
-rho~0_ij != 0, lie in the block and are read once as index arrays; the
-rest stay exactly zero.  Their one-step multipliers g_ij, the stability
-check on |g_ij|^n and the drop weights are 1-D arrays over them, and only
-the kept coherences' multipliers are raised to the n-th power.  The
-populations of every grid time are formed first, as one (T, r) float array
-(T r 8 bytes, 43 kB for fig5b), and the trace-drift and negative-population
-checks run over it before anything is returned.  A run of equal grid
-intervals, such as the whole grid of the ``dynamics`` command, is advanced
-in blocks of b grid times, with no Python step per grid time: the
-populations of a block are one product of the stacked powers M, ..., M^b
-of the interval's population map with the populations before it, and its
-coherences the elementwise powers g, ..., g^b of their multipliers times
-the coherences before it.  b is at most the interval's longest run over
-r, so that forming the powers (b r^3) costs no more than the steps they
-replace (r^2 each), and at most the grid times whose kept coherences fit
-in 1 MiB.  An interval of its own, as on a grid of unequal intervals, is
-a run of one, advanced by the same loops in blocks of one.  Every block's
-coherences are written into one buffer of as many grid times as fit in
-1 MiB, handed on whenever the next block does not fit, so the observables
-contract them many grid times at a time.  The state is then streamed in
-the eigenbasis, rho~(t_p) = U+ rho(t_p) U, as rows of the populations
-array plus (k, m) arrays of the coherences kept at fixed indices (i, j).
-:func:`expectation_series` transforms each observable product once and
-hands the O~ to ``_series``, which reads only their leading r x r
-blocks and keeps only the coherences that can reach an observable: it drops
-them in ascending order of the bound
-w_ij = |rho~0_ij| max_k |O~_k,ji| (1 + 1e-7)^(T-1), which holds because the
-stability check caps every |g_ij^n| at 1 + 1e-7, while their summed bound
-stays <= 1e-15, so no value moves by more than that.  The values are
-pops . diag(O~_k) + sum rho~_ij O~_k,ji: the populations of the whole grid
-are contracted in one (T, r) by (r, n_obs) product, and the m kept
-coherences of each yielded set of rows in one (k, m) by (m,) product per
-observable.  No (T, d, d) snapshot stack is built.  The ``dynamics``
-command builds its start in the eigenbasis itself, and only the r x r
-blocks of its O~, and calls ``_series`` directly, which also reports the
-kept count and the dropped weight for its manifest; a pair start there has
-exactly 2 live coherences and keeps both.  :func:`evolve` keeps every live
-coherence, turns every rho~(t_p) back into the bare basis,
-U[:, :r] rho~_r U[:, :r]+, and keeps them all as one read-only (T, d, d)
-array, which :func:`expectation` contracts with an operator product.
+The propagation (``_eigenbasis_stream``, the :class:`_Stream` it returns,
+and ``_series``) takes only eigenbasis inputs, the start rho~0 = U+ rho0 U
+and the observables O~ = U+ O U, and reads no eigenvector;
+``_eigenbasis_stream`` says which levels and coherences it propagates and
+by which block schedule.  :func:`evolve` and :func:`expectation_series` own
+the change of basis: each checks its bare start (a Ket, a vector or a
+matrix) and forms rho~0 once.  :func:`expectation_series` transforms each
+observable product once and hands the O~ to ``_series``, which contracts
+them with the stream's populations and kept coherences as they are
+produced, so no (T, d, d) snapshot stack is built.  The ``dynamics``
+command builds its start and the leading r x r blocks of its O~ in the
+eigenbasis itself and calls ``_series`` directly, which also reports the
+kept count and the dropped weight for its manifest.  :func:`evolve` keeps
+every live coherence and turns every rho~(t_p) back into the bare basis as
+one read-only (T, d, d) array, which :func:`expectation` contracts with an
+operator product.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,14 +108,25 @@ _FIDELITY_MARGIN = 1e-10
 
 def check_density(rho) -> None:
     """Raise :class:`NumericalError` unless ``rho`` is a Hermitian, unit-trace,
-    positive semidefinite d x d matrix (to the module's ``_STATE_*`` limits)."""
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"density matrix must be square, got {m.shape}")
+    positive semidefinite d x d matrix (to the module's ``_STATE_*`` limits);
+    :class:`ConfigError` if it is no square array of numbers."""
+    m = _array(rho, "biufc", complex)
+    if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigError("density matrix must be a square array of numbers")
     _check_hermitian_unit_trace(m, NumericalError, "density matrix")
     lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
     if lo < _STATE_EIG_FLOOR:
         raise NumericalError(f"negative population {lo:.3e}")
+
+
+def _array(values, kinds: str, dtype) -> np.ndarray | None:
+    """``values`` as an array of ``dtype``, or None unless they nest
+    rectangularly into an array of one of the numpy dtype ``kinds``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged
+        return None
+    return arr.astype(dtype, copy=False) if arr.dtype.kind in kinds else None
 
 
 def _check_hermitian_unit_trace(m: np.ndarray, error: type[Exception], what: str) -> None:
@@ -322,9 +293,12 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
     """The initial state as a d x d matrix; a Ket or vector becomes its projector.
 
     Raises :class:`ConfigError` unless the matrix is Hermitian and has unit
-    trace, to the ``_STATE_*`` limits of :func:`check_density`.
+    trace, to the ``_STATE_*`` limits of :func:`check_density`, or if
+    ``state`` is no Ket and no array of numbers.
     """
-    arr = state.amp if isinstance(state, Ket) else np.asarray(state, dtype=complex)
+    arr = state.amp if isinstance(state, Ket) else _array(state, "biufc", complex)
+    if arr is None:
+        raise ConfigError("initial state must be a Ket or an array of numbers")
     with np.errstate(invalid="ignore"):  # inf times 0 is NaN, which the check names
         mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)
     if mat.shape != (dim, dim):
@@ -374,62 +348,50 @@ def _block_size(run: int, levels: int, kept: int) -> int:
 class _Stream:
     """rho~(t_p) = U+ rho(t_p) U at every grid time of a checked propagation.
 
-    ``populations`` is the (T, r) array of the populations of levels 0..r-1
-    at every grid time; the levels beyond r hold none.  ``blocks()`` yields
-    the kept coherences of consecutive grid times as (p, rows) pairs, the
-    (k, m) array ``rows`` holding them at grid times p..p+k-1, valid until
-    the next pair is drawn.  ``runs`` holds (first interval, end, powers)
-    for each run of equal intervals, one interval long or many, and each
-    run is advanced in blocks of up to b grid times, b the number of the
-    powers g, g^2, ..., g^b of its multiplier; a block's coherences are
-    those powers times the coherences before it.  Every block is written
-    into one buffer of min(T, ``_BLOCK_BYTES`` / 16 m) rows, never fewer
-    than the largest block, whose row 0 holds rho~0's coherences; a block
-    that does not fit first yields the rows held and restarts at row 0.
-    Iterating yields (diagonal, kept coherences) pairs one grid time at a
-    time, the first diagonal rho~0's own and the later ones of length d,
-    zero beyond r, in one buffer valid until the next pair.
+    ``populations`` is the real (T, r) array of the populations of levels
+    0..r-1 at every grid time; the levels beyond r hold none.  ``kept`` =
+    (ii, jj) holds the index arrays of the m coherences rho~_ij that are
+    propagated, ``first`` their values in rho~0, and ``dropped_weight`` the
+    summed weight of the live ones left out.  ``blocks()`` yields the kept
+    coherences of consecutive grid times as (p, rows) pairs, the (k, m)
+    array ``rows`` holding them at grid times p..p+k-1, valid until the
+    next pair is drawn.  It walks ``schedule``, the blocks that
+    ``_eigenbasis_stream`` propagated the populations by, and writes each
+    block's g^k times the coherences before it into one buffer of
+    min(T, ``_BLOCK_BYTES`` / 16 m) rows, never fewer than the largest
+    block, whose row 0 holds ``first``; a block that does not fit first
+    yields the rows held and restarts at row 0.
     """
 
-    def __init__(self, start, populations, kept, runs):
-        self.populations = populations
-        self._start, self._kept, self._runs = start, kept, runs
+    def __init__(self, populations, kept, dropped_weight, start, schedule):
+        self.populations, self.kept, self.dropped_weight = populations, kept, dropped_weight
+        self.first, self.schedule = start[kept], schedule
 
     def blocks(self):
-        width = self._kept[0].size
+        width = self.first.size
         fit = min(len(self.populations), _BLOCK_BYTES // (16 * max(width, 1)))
         # never fewer than one row, nor than the largest block
-        rows = np.empty((max([1, fit] + [len(g) for _, _, g in self._runs]), width), dtype=complex)
-        rows[0] = self._start[self._kept]
+        rows = np.empty((max(1, fit, *(len(g) for _, g, _ in self.schedule)), width), complex)
+        rows[0] = self.first
         last, count = rows[0], 1  # the coherences before the next block, the rows held
-        for begin, end, g in self._runs:
-            for p in range(begin, end, len(g)):
-                size = min(len(g), end - p)
-                if count + size > len(rows):
-                    yield p + 1 - count, rows[:count]
-                    count = 0
-                # g^k * rho~ in this operand order: with fused multiply-adds a complex
-                # product can differ in the last bit when its factors swap.  ``last``
-                # may be a row this block overwrites; numpy reads it before writing
-                last = np.multiply(g[:size], last, out=rows[count:count + size])[-1]
-                count += size
+        for p, g, _ in self.schedule:
+            if count + len(g) > len(rows):
+                yield p + 1 - count, rows[:count]
+                count = 0
+            # g^k * rho~ in this operand order: with fused multiply-adds a complex
+            # product can differ in the last bit when its factors swap.  ``last``
+            # may be a row this block overwrites; numpy reads it before writing
+            last = np.multiply(g, last, out=rows[count:count + len(g)])[-1]
+            count += len(g)
         yield len(self.populations) - count, rows[:count]
-
-    def __iter__(self):
-        rows = (coh for _, block in self.blocks() for coh in block)
-        yield np.diagonal(self._start), next(rows)
-        diagonal = np.zeros(len(self._start))
-        for row, coh in zip(self.populations[1:], rows):
-            diagonal[:row.size] = row
-            yield diagonal, coh
 
 
 def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     """Validate the time grid, the rates and the step, propagate the
     populations over the whole grid and check them, then return the time
-    grid, the flat indices i d + j of the coherences rho~_ij that are kept,
-    the summed weight of the dropped ones, and a :class:`_Stream` of
-    rho~(t_p) = U+ rho(t_p) U at every grid time.
+    grid and a :class:`_Stream` of rho~(t_p) = U+ rho(t_p) U at every grid
+    time, which holds the populations, the kept coherences' indices and
+    the summed weight of the dropped ones.
 
     ``start`` is the initial state in the eigenbasis, the d x d matrix
     rho~0 = U+ rho0 U, taken unchecked; of ``spectrum`` only the energies are
@@ -456,31 +418,30 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     One ``np.unique`` finds the distinct intervals, and each gets its maps
     once, checked in the order of its first grid time: g_1 is computed for
     every live coherence, and the stability check reads |g_1|^n off it;
-    only the kept coherences' g_1 are raised to the n-th power.  A run of
-    equal intervals is advanced in blocks of b grid times
-    (:func:`_block_size`): the populations of a block are one product of
-    the stacked powers M, M^2, ..., M^b with the populations before it, and
-    its coherences the powers g, g^2, ..., g^b times the coherences before
-    it, each set of powers formed once per distinct interval.  A grid of
-    unequal intervals has runs, and so blocks, of one, which take the same
-    loops, and the stream writes every block's coherences into one buffer
-    of rows that it yields when the next block does not fit.  The
-    populations of every grid time are formed before the return, as one
-    (T, r) array, and a trace drift or a negative population raises
+    only the kept coherences' g_1 are raised to the n-th power, and the
+    powers g, g^2, ..., g^b and M, M^2, ..., M^b are stacked once per
+    distinct interval, b its block size (:func:`_block_size`).  The
+    schedule is built once: each run of equal intervals, one interval long
+    or many, is cut into blocks of up to b grid times, and each block is an
+    entry (p, g[:k], powers[:k r]) that advances grid time p to
+    p+1..p+k.  The populations of a block are one product of its stacked
+    powers with the populations at p, and ``_Stream.blocks()`` walks the
+    same schedule for the coherences.  So a grid of equal intervals, such
+    as the ``dynamics`` command's, takes no Python step per grid time, and
+    a grid of unequal intervals has blocks of one.  The populations of
+    every grid time are formed before the return, as one (T, r) array,
+    and a trace drift or a negative population raises
     :class:`StepSizeError` at the first grid time that has either, the
     drift named first, so the stream raises nothing.  A time grid that is
-    not a 1-D sequence of real numbers, or a ``max_step`` that is not a
-    real number, raises :class:`ConfigError`.
+    not a 1-D sequence of real numbers, ``rates`` that are not a mapping of
+    arrays of real numbers, or a ``max_step`` that is not a real number,
+    raises :class:`ConfigError`.
     """
     dim, e = spectrum.dim, spectrum.energies
 
-    try:
-        times = np.array(list(t_grid))
-    except (TypeError, ValueError):  # not iterable, or ragged
-        times = np.array(None)
-    if times.ndim != 1 or times.dtype.kind not in "iuf":
+    times = _array(list(t_grid) if np.iterable(t_grid) else None, "iuf", float)
+    if times is None or times.ndim != 1:
         raise ConfigError("time grid must be a 1-D sequence of real numbers")
-    times = times.astype(float)
     if times.size < 1:
         raise ConfigError("empty time grid")
     if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -488,9 +449,13 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     if not np.all(np.isfinite(times)):
         raise ConfigError("time grid must be finite")
 
+    if not isinstance(rates, Mapping):
+        raise ConfigError(f"rates must map channels to matrices, not {type(rates).__name__}")
     gain = np.zeros((dim, dim))
     for name, r in rates.items():
-        r = np.asarray(r, dtype=float)
+        r = _array(r, "biuf", float)
+        if r is None:
+            raise ConfigError(f"rate matrix {name!r} must be an array of real numbers")
         if r.shape != (dim, dim):
             raise ConfigError(f"rate matrix {name!r} has shape {r.shape}, need {(dim, dim)}")
         if not np.all(r >= 0):
@@ -562,15 +527,16 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
             maps[k] = (_powers(g_1[kept] ** n, size, np.multiply),
                        _powers(np.linalg.matrix_power(_rk4_matrix(h * w_pop), n), size,
                                np.matmul).reshape(-1, levels))
-        # each run: its first interval, the one after its last, its maps
-        runs = [(begin, end, maps[k]) for begin, end, k in
-                zip(runs.tolist(), ends.tolist(), which[runs].tolist())]
-        # each block of a run: p_n^1..p_n^b times the populations before it, one product
-        for begin, end, (g, powers) in runs:
+        # each block of each run: the grid time before it and its maps' powers
+        schedule = []
+        for begin, end, k in zip(runs.tolist(), ends.tolist(), which[runs].tolist()):
+            g, powers = maps[k]
             for p in range(begin, end, len(g)):
                 size = min(len(g), end - p)
-                np.matmul(powers[:size * levels], pops[p],
-                          out=pops[p + 1:p + 1 + size].reshape(-1))
+                schedule.append((p, g[:size], powers[:size * levels]))
+        # p_n^1..p_n^b times the populations before the block, one product
+        for p, g, powers in schedule:
+            np.matmul(powers, pops[p], out=pops[p + 1:p + 1 + len(g)].reshape(-1))
         drift = np.abs(pops[1:].sum(axis=1) - pops[0].sum())
         # An unstable population step can keep the trace and still
         # overshoot, which shows as a negative population.
@@ -581,9 +547,7 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
         what = (f"trace drift {drift[p]:.3e} exceeds {_DRIFT_TOL:.1e}" if not drift[p] <= _DRIFT_TOL
                 else f"population {low[p]:.3e} below -{_DRIFT_TOL:.1e}")
         raise StepSizeError(f"{what} at t = {times[p + 1]:.6g}; retry with a smaller max_step")
-    ii, jj = ii[kept], jj[kept]
-    stream = _Stream(start, pops, (ii, jj), [(begin, end, g) for begin, end, (g, _) in runs])
-    return times, ii * dim + jj, dropped_weight, stream
+    return times, _Stream(pops, (ii[kept], jj[kept]), dropped_weight, start, schedule)
 
 
 def evolve(
@@ -603,7 +567,9 @@ def evolve(
     :func:`expectation_series` when only observables are needed.  ``rates``
     maps channel names to d x d rate matrices over the ascending eigenbasis
     of ``spectrum``, as :func:`build_dissipators` returns them; ``{}`` is
-    lossless.
+    lossless.  Rates that are not such a mapping, or a matrix that is not a
+    d x d array of nonnegative real numbers, zero on its diagonal, raise
+    :class:`ConfigError`, which names the channel.
 
     The fixed RK4 step obeys h <= min(0.01 / spread(H), span / 1000); passing
     ``max_step`` replaces that rule with an explicit bound.  A time grid that
@@ -616,25 +582,24 @@ def evolve(
     1e-7, or a population below -1e-7 raises :class:`StepSizeError`; so a
     returned state is a density matrix only to those 1e-7 limits.
 
-    Only the eigen levels 0..r-1 that rho0 and the rates reach are
-    propagated (see ``_eigenbasis_stream``): r = 1 + the largest index of a
-    nonzero entry of U+ rho0 U, grown while a rate leads out of those
-    levels, and r = d for a state with weight on the top level.  Each state
-    is formed as U[:, :r] rho~_r U[:, :r]+ from the r x r block rho~_r that
-    holds all of it; the step rule still reads the spread of all of H.
+    Only the leading eigen levels 0..r-1 that rho0 and the rates reach are
+    propagated (see ``_eigenbasis_stream``), and each state is formed as
+    U[:, :r] rho~_r U[:, :r]+ from the r x r block rho~_r that holds all of
+    it, its diagonal the stream's real populations: the first state too,
+    so the imaginary rounding that U+ rho0 U leaves on its diagonal is
+    dropped.
     """
     dim, u = spectrum.dim, spectrum.states
     start = u.conj().T @ _coerce_rho(rho0, dim) @ u
-    times, keep, _, stream = _eigenbasis_stream(start, spectrum, rates, t_grid, max_step)
+    times, stream = _eigenbasis_stream(start, spectrum, rates, t_grid, max_step)
     levels = stream.populations.shape[1]
-    ii, jj = np.divmod(keep, dim)
     u_block = u[:, :levels]
     u_block_dag = u_block.conj().T
     rho = np.zeros((levels, levels), dtype=complex)  # the leading block of rho~
     states = np.empty((times.size, dim, dim), dtype=complex)
-    for p, (diagonal, coh) in enumerate(stream):
-        np.fill_diagonal(rho, diagonal[:levels])
-        rho[ii, jj] = coh
+    for p, coh in enumerate(row for _, rows in stream.blocks() for row in rows):
+        np.fill_diagonal(rho, stream.populations[p])
+        rho[stream.kept] = coh
         states[p] = u_block @ rho @ u_block_dag
     times.setflags(write=False)
     states.setflags(write=False)
@@ -688,38 +653,40 @@ def _series(start, spectrum: SpectrumResult, rates: Mapping[str, np.ndarray],
     ``dynamics`` command passes exactly those blocks); only their leading
     r x r blocks are read.  ``spectrum.states`` is not read.  The
     populations of the whole grid are contracted in one product,
-    pops . diag(O~_k)[:r], and the kept coherences of each block of the
-    stream in one matrix-vector product per observable.  Returns the float
-    (T, n_obs) values, the number of coherences kept and the summed weight
-    of the dropped ones, which bounds how far any value moved.
+    pops . diag(O~_k)[:r], and the kept coherences of each set of rows
+    that ``_Stream.blocks()`` yields in one matrix-vector product per
+    observable.  Returns the float (T, n_obs) values, the number of
+    coherences kept and the summed weight of the dropped ones, which bounds
+    how far any value moved.
     """
     dim = spectrum.dim
     basis = np.asarray(basis) if len(basis) else np.zeros((0, dim, dim))
     reach = np.abs(basis).max(axis=0, initial=0.0)
-    times, keep, dropped_weight, stream = _eigenbasis_stream(
-        start, spectrum, rates, t_grid, max_step, reach)
+    times, stream = _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach)
     # Tr[rho~ O~] = sum_i rho~_ii O~_ii + sum_ij rho~_ij O~_ji, over the
     # propagated levels i and the kept coherences ij
     levels = stream.populations.shape[1]
-    ii, jj = np.divmod(keep, dim)
+    ii, jj = stream.kept
     coherence_basis = basis[:, jj, ii].astype(complex)
     values = np.zeros((len(basis), times.size), dtype=complex)  # one row an observable
-    for p, coh in stream.blocks() if keep.size else ():  # none kept add nothing
+    for p, coh in stream.blocks() if ii.size else ():  # none kept add nothing
         # one matrix-vector product per observable: a (b, m) by (m, n_obs)
         # complex matrix product raises the peak RSS by about 0.3 MB, which
         # BLAS's work buffers take
         for row, observable in zip(values, coherence_basis):
             np.matmul(coh, observable, out=row[p:p + len(coh)])
     values += (stream.populations @ np.diagonal(basis, axis1=1, axis2=2)[:, :levels].T).T
-    return _real_values(values.T), int(keep.size), dropped_weight
+    return _real_values(values.T), int(ii.size), stream.dropped_weight
 
 
 def _operator_product(operators) -> np.ndarray:
     """Matrix of the product O_1 O_2 ... of an Operator or a sequence of them."""
     if isinstance(operators, Operator):
         operators = (operators,)
-    if not operators:
-        raise ConfigError("need at least one operator")
+    if not (isinstance(operators, Sequence) and operators
+            and all(isinstance(op, Operator) for op in operators)):
+        raise ConfigError("an observable must be an Operator or a nonempty sequence of them, "
+                          f"not {type(operators).__name__}")
     prod = operators[0].mat
     for op in operators[1:]:
         if op.mat.shape != prod.shape:
@@ -741,6 +708,8 @@ def expectation(rho, operators):
 
     ``rho`` is one d x d density matrix or a (..., d, d) stack such as
     ``TimeSeries.states``; the result has the stack's leading shape.
+    ``operators`` is an :class:`Operator` or a sequence of them; anything
+    else raises :class:`ConfigError`.
     """
     prod = _operator_product(operators)
     rho = np.asarray(rho)
@@ -758,8 +727,11 @@ def state_fidelity(rho, target: Ket) -> float:
     value further out means ``rho`` is not a density matrix or ``target`` is
     not normalised, and raises :class:`NumericalError`.  :func:`evolve` only
     guarantees its states to 1e-7 in trace and populations, so on a state it
-    returned from an explicit, coarse ``max_step`` this can raise.
+    returned from an explicit, coarse ``max_step`` this can raise.  A
+    ``target`` that is not a :class:`Ket` raises :class:`ConfigError`.
     """
+    if not isinstance(target, Ket):
+        raise ConfigError(f"target must be a Ket, not {type(target).__name__}")
     rho = np.asarray(rho)
     if rho.shape != (target.dim, target.dim):
         raise ConfigError(

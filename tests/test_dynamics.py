@@ -696,8 +696,27 @@ class TestObservables:
                     np.diag([1.1, -0.1])):
             with pytest.raises(NumericalError):
                 check_density(bad)
-        with pytest.raises(ConfigError):
-            check_density(np.ones((2, 3)))
+        # not square, a string, a ragged nesting
+        for bad in (np.ones((2, 3)), "x", [[0.5, 0.0], [0.5]]):
+            with pytest.raises(ConfigError, match="must be a square array of numbers"):
+                check_density(bad)
+
+    @pytest.mark.parametrize("observable", [np.eye(4), 3])
+    def test_an_observable_that_is_not_an_operator_is_rejected(self, observable):
+        # expectation and expectation_series read observables through one
+        # product, which names what it was given
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        match = ("an observable must be an Operator or a nonempty sequence of them, not "
+                 + type(observable).__name__)
+        with pytest.raises(ConfigError, match=match):
+            expectation(np.eye(4) / 4, observable)
+        with pytest.raises(ConfigError, match=match):
+            expectation_series(bare_state(lay, "e", 1), spec, {}, [0.0, 1.0], [observable])
+
+    def test_fidelity_target_must_be_a_ket(self):
+        with pytest.raises(ConfigError, match="target must be a Ket, not ndarray"):
+            state_fidelity(np.eye(4) / 4, np.ones(4))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
@@ -1073,13 +1092,35 @@ class TestExpectationSeries:
         with pytest.raises(ConfigError, match=re.escape(match)):
             expectation_series(rho0, spec, {}, t_grid, [identity(lay)], max_step=max_step)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rates, match", [
+        ({"cavity": "x"}, "rate matrix 'cavity' must be an array of real numbers"),
+        ({"cavity": [[0.0] * 4] * 3 + [[0.0] * 3]},
+         "rate matrix 'cavity' must be an array of real numbers"),
+        ([np.zeros((4, 4))], "rates must map channels to matrices, not list"),
+        ({"cavity": np.triu(np.full((4, 4), 0.1 + 0.1j), 1)},
+         "rate matrix 'cavity' must be an array of real numbers"),
+    ])
+    def test_rejects_malformed_rate_matrices(self, rates, match):
+        # a rate matrix of strings, a ragged one, a list in place of the
+        # mapping and a complex one (whose imaginary part a cast would drop
+        # with a ComplexWarning) are ConfigErrors that name the channel
+        lay = HilbertLayout(1, 2)
+        spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
+        rho0 = bare_state(lay, "e", 1)
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            evolve(rho0, spec, rates, [0.0, 1.0])
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            expectation_series(rho0, spec, rates, [0.0, 1.0], [identity(lay)])
+
     def test_rejects_initial_states_that_are_not_density_matrices(self):
         lay = HilbertLayout(1, 2)
         spec = diagonalize(Operator(np.diag([0.0, 1.0, 2.0, 3.0]), lay))
         one = [identity(lay)]
         for bad in (Ket([2.0, 0.0, 0.0, 0.0], lay), np.array([2.0, 0.0, 0.0, 0.0]),
                     np.diag([0.5, 0.5, 1e-6, 0.0]),
-                    np.array([[0.5, 0.1, 0, 0], [0.0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])):
+                    np.array([[0.5, 0.1, 0, 0], [0.0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+                    "x", [[1.0, 0.0], [0.0]]):
             with pytest.raises(ConfigError, match="initial state"):
                 expectation_series(bad, spec, {}, [0.0, 1.0], one)
             with pytest.raises(ConfigError, match="initial state"):
@@ -1124,19 +1165,20 @@ class TestExpectationSeries:
         rho0_eig = eigenbasis_start(spec, rho0)
 
         # the same stream with nothing but the zero coherences dropped
-        times, every, _, stream = dynamics._eigenbasis_stream(rho0_eig, spec, rates, grid, None)
-        ii, jj = np.divmod(every, d)
-        undropped = np.array([diagonal @ np.diagonal(basis, axis1=1, axis2=2).T
-                              + coh @ basis[:, jj, ii].T for diagonal, coh in stream]).real
+        times, stream = dynamics._eigenbasis_stream(rho0_eig, spec, rates, grid, None)
+        ii, jj = stream.kept
+        levels = stream.populations.shape[1]
+        undropped = np.array([pops @ np.diagonal(basis, axis1=1, axis2=2)[:, :levels].T
+                              + coh @ basis[:, jj, ii].T for pops, coh in grid_rows(stream)]).real
 
         seen = {}
         eigenbasis_stream = dynamics._eigenbasis_stream
 
         def spy(*args):
             seen["reach"] = args[-1]
-            times, keep, dropped_weight, steps = eigenbasis_stream(*args)
-            seen["keep"] = keep
-            return times, keep, dropped_weight, steps
+            times, stream = eigenbasis_stream(*args)
+            seen["keep"] = stream.kept
+            return times, stream
 
         monkeypatch.setattr(dynamics, "_eigenbasis_stream", spy)
         values, kept_count, dropped_weight = dynamics._series(rho0_eig, spec, rates, grid,
@@ -1151,9 +1193,8 @@ class TestExpectationSeries:
         weight = (np.abs(u.conj().T @ rho0_mat @ u) * np.abs(basis).max(axis=0).T
                   * (1 + 1e-7) ** (len(grid) - 1))
         np.fill_diagonal(weight, 0.0)
-        kept = np.zeros(d * d, dtype=bool)
+        kept = np.zeros((d, d), dtype=bool)
         kept[seen["keep"]] = True
-        kept = kept.reshape(d, d)
         dropped = weight[~kept & ~np.eye(d, dtype=bool)]
         assert dropped.sum() <= 1e-15
         assert np.count_nonzero(dropped) > 0
@@ -1161,7 +1202,7 @@ class TestExpectationSeries:
         # the rule drops as much as the bound allows: one more would cross it
         assert dropped.sum() + weight[kept].min() > 1e-15
         # what the manifest records: the kept count and the dropped weight
-        assert kept_count == len(seen["keep"])
+        assert kept_count == seen["keep"][0].size
         assert dropped_weight == pytest.approx(dropped.sum(), rel=1e-12, abs=0)
 
         # the drops move no value by more than the bound, plus rounding of the
@@ -1186,10 +1227,9 @@ class TestExpectationSeries:
         # the command's exact start has no other live coherence to drop; the
         # rounding noise of U+ rho0 U on the bare start is dropped
         for rho0, most in ((start, 0.0), (eigenbasis_start(spec, pair_start(scenario)), 1e-15)):
-            _, keep, dropped_weight, _ = dynamics._eigenbasis_stream(rho0, spec, rates, grid,
-                                                                     None, reach)
-            assert keep.tolist() == pair_coherences
-            assert 0.0 <= dropped_weight <= most
+            _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
+            assert flat_kept(stream, spec.dim).tolist() == pair_coherences
+            assert 0.0 <= stream.dropped_weight <= most
             assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach)
 
     def test_a_random_start_keeps_the_full_powers(self):
@@ -1224,14 +1264,14 @@ def assert_kept_multipliers_are_the_full_powers(rho0, spec, rates, grid, reach):
     of the reference maps; returns the number of kept coherences."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_block_size", lambda *_: 1)
-        times, keep, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
+        times, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
     (dt,) = set(np.diff(times).tolist())
-    g_n = reference_interval_maps(spec, rates, times)(dt)[0].reshape(-1)[keep]
+    g_n = reference_interval_maps(spec, rates, times)(dt)[0][stream.kept]
     expected = None
-    for _, coh in stream:
+    for _, coh in grid_rows(stream):
         expected = coh.copy() if expected is None else g_n * expected
         np.testing.assert_array_equal(coh, expected)
-    return keep.size
+    return g_n.size
 
 
 def assert_blocked_coherences_are_the_full_powers(rho0, spec, rates, grid, reach):
@@ -1240,15 +1280,16 @@ def assert_blocked_coherences_are_the_full_powers(rho0, spec, rates, grid, reach
     coherences are those of the step-by-step products g_n * rho~ within the
     rounding bound of :func:`stream_rounding_bounds`; returns the largest
     block."""
-    times, keep, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
-    (dt,) = set(np.diff(times).tolist())
-    g_n = reference_interval_maps(spec, rates, times)(dt)[0].reshape(-1)[keep]
-    [(_, _, powers)] = stream._runs  # the one run of the grid's one interval
+    times, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None, reach)
+    (dt,) = set(np.diff(times).tolist())  # one run of the grid's one interval
+    g_n = reference_interval_maps(spec, rates, times)(dt)[0][stream.kept]
+    (_, powers, _), *_ = stream.schedule
     assert powers[0].tobytes() == g_n.tobytes()
     levels = stream.populations.shape[1]
-    *_, coh_bound = stream_rounding_bounds(rho0, spec, rates, times, levels, keep)
+    *_, coh_bound = stream_rounding_bounds(rho0, spec, rates, times, levels,
+                                           flat_kept(stream, spec.dim))
     expected = None
-    for (_, coh), bound in zip(stream, coh_bound):
+    for (_, coh), bound in zip(grid_rows(stream), coh_bound):
         expected = coh.copy() if expected is None else g_n * expected
         assert np.all(np.abs(coh - expected) <= bound)
     return len(powers)
@@ -1419,6 +1460,28 @@ def stepwise_stream(start, spectrum, rates, t_grid, max_step, reach=None, whole=
     return times, ii * dim + jj, dropped_weight, steps()
 
 
+def grid_rows(stream):
+    """(populations, kept coherences) of a stream at every grid time, read
+    from its blocks; the coherences are copied out of the block buffer."""
+    return [(stream.populations[q], coh.copy())
+            for p, rows in stream.blocks() for q, coh in enumerate(rows, start=p)]
+
+
+def flat_kept(stream, dim):
+    """The flat indices i d + j of a stream's kept coherences, as the
+    stepwise stream gives them."""
+    ii, jj = stream.kept
+    return ii * dim + jj
+
+
+def stepped_stream(*args):
+    """dynamics._eigenbasis_stream in the form the stepwise stream returns:
+    the times, the flat indices of the kept coherences, the dropped weight,
+    and the populations and kept coherences at every grid time."""
+    times, stream = dynamics._eigenbasis_stream(*args)
+    return times, flat_kept(stream, args[1].dim), stream.dropped_weight, grid_rows(stream)
+
+
 def drawn_stream(stream, *args):
     """(times, kept indices, dropped weight, copies of every yielded pair) of
     a stream, or the ConfigError or StepSizeError it raised while called or
@@ -1514,7 +1577,7 @@ class TestStreamOracle:
         with pytest.MonkeyPatch.context() as patch:
             if block is not None:  # blocks of the drawn size, within each run
                 patch.setattr(dynamics, "_block_size", lambda *_: block)
-            got = drawn_stream(dynamics._eigenbasis_stream, *args)
+            got = drawn_stream(stepped_stream, *args)
         if isinstance(expected, Exception):
             assert same_rejection(got, expected), (got, expected)
             return
@@ -1528,21 +1591,24 @@ class TestStreamOracle:
         assert dropped_weight <= dynamics._DROP_BOUND
         _, at, ref_at = np.intersect1d(keep, ref_keep, assume_unique=True,
                                        return_indices=True)
-        levels = ref_pairs[-1][0].size
+        # the stream's r levels are the reference's, whose first row is
+        # rho~0's whole diagonal and every later row its r populations
+        levels = pairs[0][0].size
+        assert len(ref_pairs) == 1 or ref_pairs[-1][0].size == levels
         *_, pop_bound, coh_bound = stream_rounding_bounds(rho0, spec, rates, times, levels,
                                                           keep[at], max_step)
         for (diagonal, coh), (ref_diagonal, ref_coh), pop_tol, coh_tol in zip(
                 pairs, ref_pairs, pop_bound, coh_bound):
-            # the reference's r leading populations, to the rounding of the
-            # products, and no population beyond them
-            assert diagonal.dtype == ref_diagonal.dtype
-            assert np.all(np.abs(diagonal[:levels] - ref_diagonal[:levels]) <= pop_tol)
-            assert np.all(diagonal[levels:] == 0.0)
+            # the reference's r leading populations, real, to the rounding of
+            # the products, and no population beyond them
+            assert diagonal.dtype == np.float64 and diagonal.shape == (levels,)
+            assert np.all(np.abs(diagonal - ref_diagonal.real[:levels]) <= pop_tol)
+            assert np.all(ref_diagonal[levels:] == 0.0)
             assert np.all(np.abs(coh[at] - ref_coh[ref_at]) <= coh_tol)
         # rho~0 itself, and every grid time with blocks of one, bit for bit
         for p, ((diagonal, coh), (ref_diagonal, ref_coh)) in enumerate(zip(pairs, ref_pairs)):
             if p == 0 or block == 1:
-                assert diagonal[:ref_diagonal.size].tobytes() == ref_diagonal.tobytes()
+                assert diagonal.tobytes() == ref_diagonal.real[:levels].tobytes()
                 assert coh[at].tobytes() == ref_coh[ref_at].tobytes()
 
     def test_step_errors_raise_at_the_call(self):
@@ -1598,7 +1664,7 @@ class TestLeadingBlock:
         rho0[:levels, :levels] = a @ a.conj().T
         rho0 /= np.trace(rho0).real
         assert dynamics._propagated_levels(rho0, sum(rates.values())) == levels
-        _, _, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None)
+        _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, grid, None)
         assert stream.populations.shape == (len(grid), levels)
         values, _, _ = dynamics._series(rho0, spec, rates, grid, basis)
         np.testing.assert_allclose(values, whole_stream_series(rho0, spec, rates, grid, basis),
@@ -1624,17 +1690,18 @@ class TestLeadingBlock:
         assert manifest["propagated_levels"] == spec.dim == 64
         assert manifest["coherences_kept"] == 2966
         assert all(o.shape == (spec.dim, spec.dim) for o in basis)
-        _, keep, _, pairs = drawn_stream(dynamics._eigenbasis_stream, start, spec, rates, grid,
-                                         None)
+        _, stream = dynamics._eigenbasis_stream(start, spec, rates, grid, None)
+        pairs = grid_rows(stream)
         ref_pairs = drawn_stream(stepwise_stream, start, spec, rates, grid, None, None, True)[3]
         d = spec.dim
+        keep = flat_kept(stream, d)
         envelope, coh_envelope, pop_bound, coh_bound = stream_rounding_bounds(
             start, spec, rates, grid, d, keep)
         for (diagonal, coh), (ref_diagonal, ref_coh), pop_tol, coh_tol in zip(
                 pairs, ref_pairs, pop_bound, coh_bound):
             assert np.all(np.abs(diagonal - ref_diagonal) <= pop_tol)
             assert np.all(np.abs(coh - ref_coh) <= coh_tol)
-        ii, jj = np.divmod(keep, d)
+        ii, jj = stream.kept
         diagonal_basis = np.abs(np.diagonal(np.array(basis), axis1=1, axis2=2)).T
         coherence_basis = np.abs(np.array(basis)[:, jj, ii]).T
         terms = ((envelope + pop_bound) @ diagonal_basis
@@ -1671,13 +1738,42 @@ class TestLeadingBlock:
         random_grid = grid[0] + np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, len(grid)))
         for times, expected in ((grid, blocks), (random_grid, rows)):
             for rho0, leading in zip((start, bare), expected):
-                _, _, _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, times, None)
+                _, stream = dynamics._eigenbasis_stream(rho0, spec, rates, times, None)
                 firsts, sizes, nbytes = zip(*((p, len(coh), coh.nbytes)
                                               for p, coh in stream.blocks()))
                 assert list(sizes[:3]) == leading
                 assert sum(sizes) == len(times)
                 assert list(firsts) == np.cumsum((0,) + sizes[:-1]).tolist()
                 assert max(nbytes) <= 1 << 20
+                # the populations and the blocks walk one schedule, each
+                # entry advancing from the grid time where the one before
+                # ends, to the last grid time, with b powers of each map
+                starts, lengths = zip(*((p, len(g)) for p, g, _ in stream.schedule))
+                assert list(starts) == np.cumsum((0,) + lengths[:-1]).tolist()
+                assert sum(lengths) == len(times) - 1
+                levels = stream.populations.shape[1]
+                assert all(len(powers) == len(g) * levels for _, g, powers in stream.schedule)
+
+    def test_evolve_reads_row_zero_from_the_populations(self):
+        # evolve fills every state, the first too, from the stream's real
+        # populations and its kept coherences, so rho~0's diagonal loses the
+        # imaginary rounding that U+ rho0 U leaves on it: states[0] is
+        # U rho~0 U+ with rho~0's diagonal made real, which moves a dense
+        # start on fig3 by at most 1e-18 from U rho~0 U+ itself
+        _, spec, rates, grid, _ = dynamics_arguments("fig3")
+        d = spec.dim
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        start = eigenbasis_start(spec, rho0)
+        assert np.count_nonzero(np.diagonal(start).imag) > 0
+        real_diagonal = start.copy()
+        np.fill_diagonal(real_diagonal, np.diagonal(start).real)
+        u = spec.states
+        states = evolve(rho0, spec, rates, grid[:3]).states
+        assert states[0].tobytes() == (u @ real_diagonal @ u.conj().T).tobytes()
+        moved = np.abs(states[0] - u @ start @ u.conj().T).max()
+        assert 0.0 < moved <= 1e-18
 
     def test_an_upward_rate_grows_the_block(self):
         # a pair start on levels 3 and 4 of a diagonal Hamiltonian, whose
@@ -1696,7 +1792,7 @@ class TestLeadingBlock:
         rates["pump"] = pump
         assert dynamics._propagated_levels(start, sum(rates.values())) == 7
         grid = np.linspace(0.0, 40.0, 41)
-        _, _, _, stream = dynamics._eigenbasis_stream(start, spec, rates, grid, None)
+        _, stream = dynamics._eigenbasis_stream(start, spec, rates, grid, None)
         assert stream.populations.shape == (41, 7)
         assert stream.populations[-1, 5] > 1e-2 and stream.populations[-1, 6] > 1e-2
         stack = reference_evolve(rho0, None, rates, grid, spectrum=spec)
@@ -1715,7 +1811,7 @@ class TestLeadingBlock:
         pump = np.zeros((spec.dim, spec.dim))
         pump[5, 3] = pump[9, 5] = 1e-3
         pumped = dict(rates, pump=pump)
-        _, _, _, stream = dynamics._eigenbasis_stream(start, spec, pumped, grid, None)
+        _, stream = dynamics._eigenbasis_stream(start, spec, pumped, grid, None)
         assert stream.populations.shape[1] == 10
         assert stream.populations[-1, 5] > 1e-3 and stream.populations[-1, 9] > 1e-3
         np.testing.assert_allclose(dynamics._series(start, spec, pumped, grid, basis)[0],
