@@ -110,23 +110,26 @@ def check_density(rho) -> None:
     """Raise :class:`NumericalError` unless ``rho`` is a Hermitian, unit-trace,
     positive semidefinite d x d matrix (to the module's ``_STATE_*`` limits);
     :class:`ConfigError` if it is no square array of numbers."""
-    m = _array(rho, "biufc", complex)
-    if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError("density matrix must be a square array of numbers")
+    m = _array(rho, "biufc", "density matrix must be an array of numbers", complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigError(f"density matrix must be square, got {m.shape}")
     _check_hermitian_unit_trace(m, NumericalError, "density matrix")
     lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
     if lo < _STATE_EIG_FLOOR:
         raise NumericalError(f"negative population {lo:.3e}")
 
 
-def _array(values, kinds: str, dtype) -> np.ndarray | None:
-    """``values`` as an array of ``dtype``, or None unless they nest
-    rectangularly into an array of one of the numpy dtype ``kinds``."""
+def _array(values, kinds: str, message: str, dtype=None) -> np.ndarray:
+    """``values`` as an array of ``dtype``, by default their own; raise
+    :class:`ConfigError` with ``message`` unless they nest rectangularly into
+    an array of one of the numpy dtype ``kinds``."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged
-        return None
-    return arr.astype(dtype, copy=False) if arr.dtype.kind in kinds else None
+        arr = np.array(None)  # of object dtype, rejected below
+    if arr.dtype.kind not in kinds:
+        raise ConfigError(message)
+    return np.asarray(arr, dtype)
 
 
 def _check_hermitian_unit_trace(m: np.ndarray, error: type[Exception], what: str) -> None:
@@ -296,9 +299,8 @@ def _coerce_rho(state, dim: int) -> np.ndarray:
     trace, to the ``_STATE_*`` limits of :func:`check_density`, or if
     ``state`` is no Ket and no array of numbers.
     """
-    arr = state.amp if isinstance(state, Ket) else _array(state, "biufc", complex)
-    if arr is None:
-        raise ConfigError("initial state must be a Ket or an array of numbers")
+    arr = state.amp if isinstance(state, Ket) else _array(
+        state, "biufc", "initial state must be a Ket or an array of numbers", complex)
     with np.errstate(invalid="ignore"):  # inf times 0 is NaN, which the check names
         mat = np.outer(arr, arr.conj()) if arr.ndim == 1 else np.array(arr)
     if mat.shape != (dim, dim):
@@ -439,9 +441,10 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
     """
     dim, e = spectrum.dim, spectrum.energies
 
-    times = _array(list(t_grid) if np.iterable(t_grid) else None, "iuf", float)
-    if times is None or times.ndim != 1:
-        raise ConfigError("time grid must be a 1-D sequence of real numbers")
+    grid = "time grid must be a 1-D sequence of real numbers"
+    times = _array(list(t_grid) if np.iterable(t_grid) else None, "iuf", grid, float)
+    if times.ndim != 1:
+        raise ConfigError(grid)
     if times.size < 1:
         raise ConfigError("empty time grid")
     if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -453,9 +456,7 @@ def _eigenbasis_stream(start, spectrum, rates, t_grid, max_step, reach=None):
         raise ConfigError(f"rates must map channels to matrices, not {type(rates).__name__}")
     gain = np.zeros((dim, dim))
     for name, r in rates.items():
-        r = _array(r, "biuf", float)
-        if r is None:
-            raise ConfigError(f"rate matrix {name!r} must be an array of real numbers")
+        r = _array(r, "biuf", f"rate matrix {name!r} must be an array of real numbers", float)
         if r.shape != (dim, dim):
             raise ConfigError(f"rate matrix {name!r} has shape {r.shape}, need {(dim, dim)}")
         if not np.all(r >= 0):
@@ -709,10 +710,11 @@ def expectation(rho, operators):
     ``rho`` is one d x d density matrix or a (..., d, d) stack such as
     ``TimeSeries.states``; the result has the stack's leading shape.
     ``operators`` is an :class:`Operator` or a sequence of them; anything
-    else raises :class:`ConfigError`.
+    else, or a ``rho`` that is no array of numbers, raises
+    :class:`ConfigError`.
     """
     prod = _operator_product(operators)
-    rho = np.asarray(rho)
+    rho = _array(rho, "biufc", "rho must be an array of numbers")
     if rho.ndim < 2 or rho.shape[-2:] != prod.shape:
         raise ConfigError(
             f"operator dimension {prod.shape[0]} does not match state shape {rho.shape}"
@@ -728,11 +730,12 @@ def state_fidelity(rho, target: Ket) -> float:
     not normalised, and raises :class:`NumericalError`.  :func:`evolve` only
     guarantees its states to 1e-7 in trace and populations, so on a state it
     returned from an explicit, coarse ``max_step`` this can raise.  A
-    ``target`` that is not a :class:`Ket` raises :class:`ConfigError`.
+    ``target`` that is not a :class:`Ket`, or a ``rho`` that is no array of
+    numbers, raises :class:`ConfigError`.
     """
     if not isinstance(target, Ket):
         raise ConfigError(f"target must be a Ket, not {type(target).__name__}")
-    rho = np.asarray(rho)
+    rho = _array(rho, "biufc", "rho must be an array of numbers")
     if rho.shape != (target.dim, target.dim):
         raise ConfigError(
             f"target dimension {target.dim} does not match state shape {rho.shape}"

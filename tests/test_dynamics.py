@@ -696,9 +696,10 @@ class TestObservables:
                     np.diag([1.1, -0.1])):
             with pytest.raises(NumericalError):
                 check_density(bad)
-        # not square, a string, a ragged nesting
-        for bad in (np.ones((2, 3)), "x", [[0.5, 0.0], [0.5]]):
-            with pytest.raises(ConfigError, match="must be a square array of numbers"):
+        with pytest.raises(ConfigError, match=re.escape("must be square, got (2, 3)")):
+            check_density(np.ones((2, 3)))
+        for bad in ("x", [[0.5, 0.0], [0.5]]):  # a string, a ragged nesting
+            with pytest.raises(ConfigError, match="density matrix must be an array of numbers"):
                 check_density(bad)
 
     @pytest.mark.parametrize("observable", [np.eye(4), 3])
@@ -717,6 +718,15 @@ class TestObservables:
     def test_fidelity_target_must_be_a_ket(self):
         with pytest.raises(ConfigError, match="target must be a Ket, not ndarray"):
             state_fidelity(np.eye(4) / 4, np.ones(4))
+
+    @pytest.mark.parametrize("rho", ["x", [[0.5, 0.0], [0.5]]])
+    def test_a_state_that_is_no_array_of_numbers_is_rejected(self, rho):
+        # a string, a ragged nesting
+        lay = HilbertLayout(1, 1)
+        with pytest.raises(ConfigError, match="rho must be an array of numbers"):
+            expectation(rho, identity(lay))
+        with pytest.raises(ConfigError, match="rho must be an array of numbers"):
+            state_fidelity(rho, bare_state(lay, "g", 0))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
