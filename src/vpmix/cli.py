@@ -527,8 +527,10 @@ def run_command(command: str, cfg: dict, out_dir: str | Path, threads: int = 1,
     side, unless that pick needed every eigenpair), and the largest pair
     weight any of them left in the unsolved eigenvectors, the margin of its
     branch picks (``unseen_weight_max``); ``ritz_evaluations``, the number
-    of certified Rayleigh-Ritz evaluations; ``ritz_resolves``, the number
-    of certified points that a comparison solved again by LAPACK, so that
+    of certified Rayleigh-Ritz evaluations, each a projection on the
+    branch pairs of the last four LAPACK solves; ``ritz_resolves``, the
+    number of certified points that a comparison their error bounds left
+    open solved again by LAPACK, so that
     the search solved evaluations - ritz_evaluations + ritz_resolves
     points by LAPACK, its closing solve included; and ``gap_error_bound_max``,
     the largest error bound of a certified gap that a golden-section

@@ -39,16 +39,13 @@ search for its pair's two branches and their neighbours.  A sweep's rows
 therefore match :func:`diagonalize` to rounding rather than bit for bit
 (see :func:`sweep_levels`).  A search solves only its first few gap
 evaluations by LAPACK; the later ones project H(x) on an orthonormal basis
-of the branch pairs of its LAPACK solves (eigenvector continuation) and of
-the directions a certified evaluation found beyond them, its branch
-vectors' part outside the pairs and their residual vectors (a Davidson
-step), and certify the result: Weyl's inequality keeps every level but the
-branches' out of a window between the neighbour levels of the last LAPACK
-solve, Kato-Temple bounds the branch energies' errors and Davis-Kahan the
-branch weights.  A point whose certificate fails is solved by LAPACK.  A
-certified point that a golden-section comparison cannot tell apart from
-its rival within the error bounds is certified again on the basis as it
-is then, and solved by LAPACK where that does not settle it, so the search
+of the branch pairs of its last four LAPACK solves (eigenvector
+continuation) and certify the result: Weyl's inequality keeps every level
+but the branches' out of a window between the neighbour levels of the last
+LAPACK solve, Kato-Temple bounds the branch energies' errors and
+Davis-Kahan the branch weights.  A point whose certificate fails is solved
+by LAPACK, and so is a certified point that a golden-section comparison
+cannot tell apart from its rival within the error bounds, so the search
 takes the steps that LAPACK's gaps give it.  The dynamics need
 every eigenvector of the search's spectrum at the minimum, so the search
 closes with a full ``eigh`` solve, written by its pencil and solved by its
@@ -96,14 +93,12 @@ _PAIR_MIN = 0.45
 _THIRD_MAX = 0.45
 _HERMITICITY_TOL = 1e-9  # largest |H - H+| entry _Solver accepts
 # A certified gap evaluation projects H(x) on the branch pairs of this many
-# LAPACK solves, and the directions of _RITZ_DIM below.
+# LAPACK solves, _RITZ_DIM vectors.
 _RITZ_PAIRS = 4
+_RITZ_DIM = 2 * _RITZ_PAIRS
 # The rounding allowance of the certificate, in ulps of ||H||: the error of
 # a LAPACK eigenvalue, and of the certificate's own sums.
 _ROUNDING_ULPS = 64
-# The largest projection: the ring's pairs and the four directions that a
-# certified evaluation leaves.
-_RITZ_DIM = 2 * _RITZ_PAIRS + 4
 # A search with d below this certifies nothing: there a LAPACK solve costs
 # less than the certificate.
 _RITZ_MIN_DIM = 32
@@ -595,9 +590,11 @@ class AnticrossingReport:
     of :func:`_pair_branches`: the margin by which each of those branch
     picks was proven, rounding noise where every eigenpair was solved.
     ``ritz_evaluations`` counts the evaluations that a certified
-    Rayleigh-Ritz projection took instead of LAPACK, ``ritz_resolves`` the
-    certified points that a comparison solved again by LAPACK, so the search
-    made ``evaluations - ritz_evaluations + ritz_resolves`` LAPACK solves,
+    Rayleigh-Ritz projection on the branch pairs of the last four LAPACK
+    solves took instead of LAPACK, ``ritz_resolves`` the certified points
+    that a comparison their error bounds left open solved again by LAPACK,
+    so the search made ``evaluations - ritz_evaluations + ritz_resolves``
+    LAPACK solves,
     and ``gap_error_bound_max`` is the largest error bound of a certified
     gap that a golden-section comparison took, 0.0 where none did.  None of
     the six changes the result, so none takes part in comparisons.
@@ -716,32 +713,22 @@ def _orthonormalise(rows: np.ndarray, basis: np.ndarray) -> bool:
 
 
 class _Ritz:
-    """The branch pairs of a search's LAPACK solves and the directions its
-    certified evaluations found, and certified Rayleigh-Ritz eigenpairs on
-    them.
+    """The branch pairs of a search's LAPACK solves, and certified
+    Rayleigh-Ritz eigenpairs on them.
 
     The ring holds the branch pairs of the last ``_RITZ_PAIRS`` LAPACK
-    solves as the rows of an orthonormal basis Q.  A new pair takes the
-    slot of its own x where the ring holds it, else an empty one, else the
-    one farthest from it, and enters orthonormalised against the other
-    slots' rows (:func:`_orthonormalise`), so it lies in span(Q) until its
-    slot is taken.  A certified evaluation whose error bounds the basis,
-    not rounding, limits leaves the directions outside Q of its two branch
-    vectors s and of their residual vectors (H - theta) s behind
-    (:meth:`extend`): the part of s that its projection found beyond Q, and
-    the Davidson correction for the next one (Davidson, J. Comput. Phys. 17,
-    87, 1975).  The next projections run on Q and those four directions,
-    ``_RITZ_DIM`` orthonormal vectors W, until a later evaluation leaves
-    new ones, so the basis gains directions as the search closes in, where
-    certified vectors alone lie in span(Q) and add none.  A LAPACK pair
-    drops the four.  :meth:`eigenpairs` projects H(x) on W, one symmetric
-    eigensolve of its size, and certifies the Ritz pairs it finds in a
-    window of energies.
+    solves as the rows of an orthonormal basis Q, ``_RITZ_DIM`` vectors.  A
+    new pair takes the slot of its own x where the ring holds it, else an
+    empty one, else the one farthest from it, and enters orthonormalised
+    against the other slots' rows (:func:`_orthonormalise`), so it lies in
+    span(Q) until its slot is taken.  :meth:`eigenpairs` projects H(x) on
+    Q, one symmetric eigensolve of ``_RITZ_DIM``, and certifies the Ritz
+    pairs it finds in a window of energies.
 
     It works in the search solver's ``scratch``, which holds nothing
     between solves: the Ritz vectors and their residual vectors in its
-    first rows.  Where ``dsyevr`` solves the search's ranges, W and its
-    image W H take its last rows, Q the very last, which a range solve,
+    first rows.  Where ``dsyevr`` solves the search's ranges, Q and its
+    image Q H take its last rows, Q the very last, which a range solve,
     writing its first ``count`` rows, leaves alone; :meth:`solved` empties
     the ring after a solve whose rows reached Q, a full one.  Where ``eigh``
     solves every evaluation in full, they have rows of their own.
@@ -749,14 +736,11 @@ class _Ritz:
 
     def __init__(self, scratch: np.ndarray, shared: bool):
         self._xs: list[float | None] = [None] * _RITZ_PAIRS
-        rows, dim, ring = 2 * _RITZ_DIM, len(scratch), 2 * _RITZ_PAIRS
-        # W H, then W: the certified directions, then Q
-        self._rows = scratch[dim - rows:] if shared else np.empty((rows, dim))
-        self._images, self._basis = self._rows[:_RITZ_DIM], self._rows[_RITZ_DIM:]
-        self._ring = self._basis[_RITZ_DIM - ring:]
-        self._reach = dim - ring if shared else dim  # rows a solve may write
-        self._size = ring  # the rows of W in use, its last ones
-        self._work = scratch[:len(scratch) - rows if shared else None]
+        rows, dim = 2 * _RITZ_DIM, len(scratch)
+        self._rows = scratch[dim - rows:] if shared else np.empty((rows, dim))  # Q H, then Q
+        self._images, self._ring = self._rows[:_RITZ_DIM], self._rows[_RITZ_DIM:]
+        self._reach = dim - _RITZ_DIM if shared else dim  # rows a solve may write
+        self._work = scratch[:dim - rows if shared else None]
 
     @property
     def full(self) -> bool:
@@ -769,8 +753,7 @@ class _Ritz:
 
     def record(self, x: float, vectors: np.ndarray) -> None:
         """Keep the two branch vectors of a LAPACK solve at x, rows of an
-        array of their own, which this overwrites, in place of the certified
-        directions."""
+        array of their own, which this overwrites."""
         xs, ring = self._xs, self._ring
         if xs == [None] * _RITZ_PAIRS:
             ring.fill(0.0)  # rows a solve overwrote, or never written
@@ -782,23 +765,13 @@ class _Ritz:
         if found:
             rows[...] = vectors
         xs[slot] = x if found else None
-        self._size = 2 * _RITZ_PAIRS
-
-    def extend(self, rows: list[int]) -> None:
-        """Keep, for the next projection, the directions outside the ring of
-        the scratch's rows ``rows``: the last certified branch vectors and
-        their residual vectors."""
-        ring, found = 2 * _RITZ_PAIRS, self._work[rows]
-        self._size = ring + (len(rows) if _orthonormalise(found, self._ring) else 0)
-        self._basis[_RITZ_DIM - self._size:_RITZ_DIM - ring] = found[:self._size - ring]
 
     def eigenpairs(self, mat: np.ndarray, lower: float, upper: float, count: int,
                    margin: float) -> tuple | None:
         """The ``count`` eigenvalues of the symmetric ``mat`` in (``lower``,
         ``upper``), where no others lie, certified: (Ritz values, bounds on
         their errors, bounds on the sine of each Ritz vector's angle to its
-        eigenvector, the unit Ritz vectors as rows of the scratch, whose
-        rows before them hold their residual vectors), or None where the
+        eigenvector, the unit Ritz vectors as rows), or None where the
         certificate fails.  ``margin`` is the rounding allowance.
 
         The Ritz values theta and residuals r are recomputed from the Ritz
@@ -810,23 +783,21 @@ class _Ritz:
         theta by margin + rho^2 / delta and Davis-Kahan the sine by
         rho / delta.
         """
-        size, dim = self._size, len(mat)
-        basis, images = self._basis[-size:], self._images[-size:]
-        np.matmul(basis, mat, out=images)  # the rows of (H W^T)^T: H is symmetric
+        dim, ring, images = len(mat), self._ring, self._images
+        np.matmul(ring, mat, out=images)  # the rows of (H Q^T)^T: H is symmetric
         # a failed small eigh leaves NaN, and a NaN fails every test below
         with np.errstate(all="ignore"):
-            values, coef = _umath_linalg.eigh_lo(images @ basis.T, signature="d->dd")
+            values, coef = _umath_linalg.eigh_lo(images @ ring.T, signature="d->dd")
             values = values.tolist()
             # the Ritz pairs whose values lie in the window, in ascending order
             lo, hi = bisect.bisect_right(values, lower), bisect.bisect_left(values, upper)
             near = hi - lo
-            if near < count or 2 * near > len(self._work):
+            if near < count:
                 return None
             # the images of the Ritz vectors, then the vectors: one product
-            # of their coefficients with W H and W
+            # of their coefficients with Q H and Q
             found = self._work[:2 * near].reshape(2, near, dim)
-            np.matmul(coef[:, lo:hi].T, self._rows.reshape(2, _RITZ_DIM, dim)[:, -size:],
-                      out=found)
+            np.matmul(coef[:, lo:hi].T, self._rows.reshape(2, _RITZ_DIM, dim), out=found)
             residuals, states = found
             products, norms = np.einsum("kij,ij->ki", found, states)
             theta = products / norms
@@ -840,10 +811,8 @@ class _Ritz:
         picked = [j for j, (t, s) in enumerate(zip(theta, r)) if lower < t - s and t + s < upper]
         if len(picked) != count:
             return None
-        if count < near:  # the picked residual vectors first, then the picked vectors
-            self._work[:2 * count] = self._work[picked + [near + j for j in picked]]
-            states = self._work[count:2 * count]
-            theta, r = [theta[j] for j in picked], [r[j] for j in picked]
+        if count < near:
+            theta, r, states = [theta[j] for j in picked], [r[j] for j in picked], states[picked]
         rho = [s + 2.0 * margin for s in r]
         edges = [lower] + [t + s for t, s in zip(theta, rho)]  # below each interval
         tops = [t - s for t, s in zip(theta[1:], rho[1:])] + [upper]  # above each
@@ -881,16 +850,15 @@ class _Gaps:
     its branch pair.
 
     Once :class:`_Ritz` holds ``_RITZ_PAIRS`` pairs, an evaluation at x is
-    certified where it can be, on the ring's pairs and the directions a
-    certified evaluation left it, which one leaves where either of its
-    branch energies' error bounds exceeds twice the rounding allowance.
-    Weyl keeps every eigenvalue of H(x) but a..b out of the window (E_{a-1} + e, E_{b+1} - e), where E are the
-    energies of the last LAPACK solve, at x_f, and e >= ||H(x) - H(x_f)||
-    is the pencil's :meth:`~vpmix.model._Pencil.distance`, widened by the
-    rounding allowance.  The b - a + 1 Ritz pairs certified in that window
-    therefore stand for eigen indices a..b, one each, and Davis-Kahan carries the thresholds of
-    :func:`_pair_branches` to their vectors with a margin of twice the
-    sine bound (:func:`_proven_pick`).  The gap's error is the sum of its
+    certified where it can be, on the ring's pairs alone.  Weyl keeps every
+    eigenvalue of H(x) but a..b out of the window (E_{a-1} + e,
+    E_{b+1} - e), where E are the energies of the last LAPACK solve, at
+    x_f, and e >= ||H(x) - H(x_f)|| is the pencil's
+    :meth:`~vpmix.model._Pencil.distance`, widened by the rounding
+    allowance.  The b - a + 1 Ritz pairs certified in that window therefore
+    stand for eigen indices a..b, one each, and Davis-Kahan carries the
+    thresholds of :func:`_pair_branches` to their vectors with a margin of
+    twice the sine bound (:func:`_proven_pick`).  The gap's error is the sum of its
     two energies' Kato-Temple bounds.  A point whose certificate fails is
     solved by LAPACK, from the H(x) already written.  The rounding allowance
     is ``_ROUNDING_ULPS`` ulps of a bound on ||H||, the largest absolute row
@@ -940,27 +908,18 @@ class _Gaps:
 
     def less(self, c: _Point, d: _Point) -> bool:
         """Whether the gap at c is below the gap at d, as LAPACK's gaps
-        compare.  Where a certified gap takes part and the gaps lie closer
-        than the error bounds and the rounding allowance of both, each
-        certified point is certified again, on the ring as it is now, and
-        where they still do, it is solved by LAPACK."""
-        for settle in (self._certified, self._solved_again):
-            if not (c.error or d.error):
-                break
-            if abs(c.gap - d.gap) > c.error + d.error + 2.0 * self._margin:
-                self.error_max = max(self.error_max, c.error, d.error)
-                break
+        compare.  Where the gaps lie closer than the error bounds and the
+        rounding allowance of both, each certified point is solved by
+        LAPACK."""
+        if abs(c.gap - d.gap) > c.error + d.error + 2.0 * self._margin:
+            self.error_max = max(self.error_max, c.error, d.error)
+        else:
             for point in (c, d):
                 if point.error:
+                    self.ritz_resolves += 1
                     self._write(point.x)
-                    point.gap, point.error = settle(point.x) or (point.gap, point.error)
+                    point.gap, point.error = self._solve(point.x), 0.0
         return c.gap < d.gap
-
-    def _solved_again(self, x: float) -> tuple[float, float]:
-        """The gap at a certified point x, H(x) written, from a LAPACK solve,
-        and its error, 0.0."""
-        self.ritz_resolves += 1
-        return self._solve(x), 0.0
 
     def _solve(self, x: float) -> float:
         """The gap at x, H(x) written, from a LAPACK solve."""
@@ -1013,8 +972,7 @@ class _Gaps:
             return None
         (a, b), margin = branches, self._margin
         shift = self.pencil.distance(self.moved, self._moved_solved) + margin
-        count = b - a + 1
-        found = self._ritz.eigenpairs(self.solver.mat, below + shift, above - shift, count,
+        found = self._ritz.eigenpairs(self.solver.mat, below + shift, above - shift, b - a + 1,
                                       margin)
         if found is None:
             return None
@@ -1025,8 +983,6 @@ class _Gaps:
             return None
         i, j = pick
         self.branches = a + i, a + j
-        if max(error[i], error[j]) > 2.0 * margin:  # the basis, not rounding, limits them
-            self._ritz.extend([count + i, count + j, i, j])
         return theta[j] - theta[i], error[i] + error[j]
 
 
@@ -1055,17 +1011,13 @@ def find_anticrossing(
     solves, each for the branch range a..b that the evaluation before it
     found, widened by one eigen index on each side (the first from eigen
     index 0 to one above the number of bare energies below the pair's
-    larger one); the later ones are certified Rayleigh-Ritz evaluations on an
-    orthonormal basis of the branch pairs of the last four LAPACK solves and
-    the directions a certified evaluation whose bounds were above their
-    rounding floor found beyond them (its branch vectors' part outside the
-    pairs and their residual vectors), and a point whose certificate fails
-    is solved by LAPACK.  A golden-section
-    comparison that involves a certified gap is taken only where its error
-    bounds prove that LAPACK's gaps compare the same way; otherwise the
-    certified points are certified again on the basis as it is then, and
-    where that still leaves the comparison open, solved by LAPACK and
-    compared as those are.  :func:`_pair_branches` proves each
+    larger one); the later ones are certified Rayleigh-Ritz evaluations on
+    an orthonormal basis of the branch pairs of the last four LAPACK solves,
+    and a point whose certificate fails is solved by LAPACK.  A
+    golden-section comparison that involves a certified gap is taken only
+    where its error bounds prove that LAPACK's gaps compare the same way;
+    otherwise the certified points are solved by LAPACK and compared as
+    those are.  :func:`_pair_branches` proves each
     LAPACK pick from the solved eigenpairs by completeness, and the
     certificate proves each of its own, so every pick is the one a full
     solve makes, and the golden-section steps, the location and the

@@ -60,6 +60,17 @@ def four_qubit_cascade():
     )
 
 
+@pytest.fixture(scope="session")
+def ritz_resolves():
+    """The certified points that golden-section comparisons solve again by
+    LAPACK, for a bundled search named as ``fig4`` or, one of fig2's
+    coupling sweep, ``fig2-lam0.13``: both points of one comparison that
+    their bounds leave open on fig2 at lambda 0.13 and 0.15, none on every
+    other search."""
+    table = {"fig2-lam0.13": 2, "fig2-lam0.15": 2}
+    return lambda search: table.get(search, 0)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

@@ -721,24 +721,25 @@ def test_search_manifests_record_the_eigensolver(tmp_path, monkeypatch, command,
     ("dynamics", {"scenario": "fig5b", "dynamics": {"points": 5}}, "search", 1),
     ("perturb", {"scenario": "fig2"}, "searches", 7),
 ])
-def test_search_manifests_record_the_certified_evaluations(tmp_path, command, payload, key,
-                                                           searches):
+def test_search_manifests_record_the_certified_evaluations(tmp_path, ritz_resolves, command,
+                                                           payload, key, searches):
     # every search record, one per lambda of a coupling sweep, counts its
     # certified Rayleigh-Ritz evaluations, all but the first four LAPACK
     # ones and those whose certificate failed, the certified points that a
-    # comparison solved again (none on the bundled searches), and the
-    # largest error bound that a comparison took, far below the gaps the
-    # comparisons told apart
+    # comparison solved again, and the largest error bound that a
+    # comparison took, far below the gaps the comparisons told apart
     out = tmp_path / "out"
     manifest = run_command(command, resolve_config(payload), out)
     assert json.loads((out / "manifest.json").read_text())[key] == manifest[key]
     records = manifest[key] if key == "searches" else [manifest[key]]
-    assert len(records) == searches
-    for record in records:
+    names = ([f"fig2-lam{lam}" for lam in SCENARIOS["fig2"]["perturb"]["lambdas"]]
+             if key == "searches" else [payload["scenario"]])
+    assert len(records) == searches == len(names)
+    for record, search in zip(records, names):
         assert set(record) == {"eigensolver", "solved_pairs", "unseen_weight_max",
                                "ritz_evaluations", "ritz_resolves", "gap_error_bound_max"}
         assert 20 <= record["ritz_evaluations"] <= 23
-        assert record["ritz_resolves"] == 0
+        assert record["ritz_resolves"] == ritz_resolves(search)
         assert 0.0 < record["gap_error_bound_max"] < 1e-7
 
 
