@@ -74,6 +74,19 @@ def _require_finite(owner, names: Sequence[str], prefix: str = "") -> None:
             raise ConfigError(f"{prefix}{name} must be finite, got {value!r}")
 
 
+def _array(values, kinds: str, message: str, dtype=None) -> np.ndarray:
+    """``values`` as an array of ``dtype``, by default their own; raise
+    :class:`ConfigError` with ``message`` unless they nest rectangularly into
+    an array of one of the numpy dtype ``kinds``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged
+        arr = np.array(None)  # of object dtype, rejected below
+    if arr.dtype.kind not in kinds:
+        raise ConfigError(message)
+    return np.asarray(arr, dtype)
+
+
 def _require_integer(what: str, value, least: int | None = None) -> None:
     """Raise :class:`ConfigError` unless ``value`` is an int or numpy integer
     (a bool is not one) and, given ``least``, at least ``least``."""

@@ -30,6 +30,7 @@ calibrated by simulating each single error once rather than hard-coded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -233,6 +234,7 @@ def repetition_encode(logical, n_copies: int, variant: str = "cnot"):
     Returns ``(state, discarded_wire)`` with ``discarded_wire`` None for the
     cnot variant.
     """
+    _require_integer("n_copies", n_copies)
     if n_copies not in (2, 3):
         raise ConfigError(f"n_copies must be 2 or 3, got {n_copies}")
     if variant not in ("cnot", "mix"):
@@ -379,8 +381,9 @@ def run_ecc(a: complex, b: complex, error, mode: str = "bitflip",
             implementation: str = "cnot") -> EccReport:
     """Run the five-qubit error-correction circuit on a|0> + b|1>.
 
-    ``error`` is None or ``(kind, wire)`` with kind "x"/"z" and wire 1..3
-    (logical data positions); "bitflip" mode corrects x errors, "phaseflip"
+    ``error`` is None or a pair ``(kind, wire)`` with kind "x"/"z" and wire
+    an integer 1..3 (logical data positions); "bitflip" mode corrects x
+    errors, "phaseflip"
     mode wraps the channel in basis rotations and corrects z errors.  The
     measured syndrome is required to be deterministic, the correction wire
     comes from the calibrated table, and the fidelity compares the decoded
@@ -390,13 +393,18 @@ def run_ecc(a: complex, b: complex, error, mode: str = "bitflip",
         raise ConfigError(f"unknown implementation {implementation!r}")
     if mode not in ("bitflip", "phaseflip"):
         raise ConfigError(f"unknown mode {mode!r}")
+    if not all(isinstance(amp, numbers.Number) for amp in (a, b)):
+        raise ConfigError(f"logical amplitudes must be numbers, got {a!r} and {b!r}")
     norm = abs(a) ** 2 + abs(b) ** 2
     if not abs(norm - 1.0) <= 1e-10:  # also NaN
         raise ConfigError(f"logical amplitudes not normalized: |a|^2+|b|^2 = {norm}")
     if error is not None:
+        if not (isinstance(error, (tuple, list)) and len(error) == 2):
+            raise ConfigError(f"error must be None or a (kind, wire) pair, got {error!r}")
         kind, wire = error
         if kind not in ("x", "z"):
             raise ConfigError(f"error kind must be 'x' or 'z', got {kind!r}")
+        _require_integer("error wire", wire)
         if wire not in (1, 2, 3):
             raise ConfigError(f"error wire {wire} outside 1..3")
     ecc = _ECC[implementation]

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Ket, Operator, _check_hermitian
+from .algebra import Ket, Operator, _array, _check_hermitian
 from .errors import ConfigError, LabelAmbiguityError, NumericalError, StepSizeError
 from .model import SystemConfig, _layout_terms, _write_coupling
 from .spectrum import SpectrumResult
@@ -117,19 +117,6 @@ def check_density(rho) -> None:
     lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
     if lo < _STATE_EIG_FLOOR:
         raise NumericalError(f"negative population {lo:.3e}")
-
-
-def _array(values, kinds: str, message: str, dtype=None) -> np.ndarray:
-    """``values`` as an array of ``dtype``, by default their own; raise
-    :class:`ConfigError` with ``message`` unless they nest rectangularly into
-    an array of one of the numpy dtype ``kinds``."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged
-        arr = np.array(None)  # of object dtype, rejected below
-    if arr.dtype.kind not in kinds:
-        raise ConfigError(message)
-    return np.asarray(arr, dtype)
 
 
 def _check_hermitian_unit_trace(m: np.ndarray, error: type[Exception], what: str) -> None:

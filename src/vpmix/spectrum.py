@@ -58,6 +58,7 @@ from __future__ import annotations
 import bisect
 import ctypes
 import math
+import numbers
 import os
 import re
 import threading
@@ -69,7 +70,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .algebra import HilbertLayout, Ket, Operator, _check_hermitian
+from .algebra import HilbertLayout, Ket, Operator, _array, _check_hermitian, _require_integer
 from .errors import BranchTrackingError, ConfigError, HermiticityError, NumericalError
 from .model import MODEL_BUILDERS, SystemConfig, _buffer, _check_model, _Pencil
 
@@ -472,12 +473,16 @@ class SweepResult:
 def _sweep_inputs(config: SystemConfig, parameter: str, grid: Sequence[float],
                   level_count: int, model: str = "dicke"):
     """Checked grid array and swept field: the argument checks of :func:`sweep_levels`."""
-    grid_arr = np.asarray(list(grid), dtype=float)
+    message = "sweep grid must be a 1-D sequence of real numbers"
+    grid_arr = _array(list(grid) if np.iterable(grid) else None, "iuf", message, float)
+    if grid_arr.ndim != 1:
+        raise ConfigError(message)
     if grid_arr.size > 1:
         diffs = np.diff(grid_arr)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep grid must be strictly monotone")
     field = _swept_field(config, parameter, model)
+    _require_integer("level_count", level_count)
     if level_count < 1 or level_count >= config.layout.dim:
         raise ConfigError(f"level_count must be in 1..{config.layout.dim - 1}, got {level_count}")
     return grid_arr, field
@@ -669,13 +674,16 @@ def _search_inputs(config: SystemConfig, parameter: str, bracket: tuple[float, f
     u, v = (config.layout.resolve(spec) for spec in _two("bare_pair", bare_pair))
     if u == v:
         raise ConfigError("bare pair must be two distinct states")
-    lo, hi = (float(end) for end in _two("bracket", bracket))
+    ends = _two("bracket", bracket)
+    if not all(isinstance(end, numbers.Real) for end in ends):
+        raise ConfigError(f"bracket ends must be real numbers, got {bracket!r}")
+    lo, hi = (float(end) for end in ends)
     if not hi > lo:
         raise ConfigError(f"invalid bracket {bracket}")
     spacing = float(np.spacing(max(abs(lo), abs(hi))))
-    if not tol >= spacing:  # also NaN
-        raise ConfigError(f"tol must be positive and at least the float spacing {spacing:.3g} "
-                          f"of the bracket ends, got {tol!r}")
+    if not (isinstance(tol, numbers.Real) and tol >= spacing):  # also NaN
+        raise ConfigError(f"tol must be a positive real number, at least the float spacing "
+                          f"{spacing:.3g} of the bracket ends, got {tol!r}")
     return field, u, v, lo, hi
 
 

@@ -212,6 +212,8 @@ class TestRepetition:
             repetition_encode((1.0, 0.0), 4, "cnot")
         with pytest.raises(ConfigError):
             repetition_encode((1.0, 0.0), 3, "qft")
+        with pytest.raises(ConfigError, match="^n_copies must be an integer, got 2.0$"):
+            repetition_encode((1.0, 0.0), 2.0)
 
 
 class TestMeasurement:
@@ -283,6 +285,17 @@ class TestEcc:
             run_ecc(1.0, 0.0, None, mode="both")
         with pytest.raises(ConfigError):
             run_ecc(1.0, 0.0, None, implementation="toffoli")
+        # a wire that is no integer, a bool included, and an error that is no pair
+        for wire in (1.0, True):
+            with pytest.raises(ConfigError, match=f"^error wire must be an integer, got {wire}$"):
+                run_ecc(1, 0, ("x", wire))
+        for error in (5, ("x", 2, 3)):
+            message = re.escape(f"error must be None or a (kind, wire) pair, got {error!r}")
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                run_ecc(1, 0, error)
+        message = "^logical amplitudes must be numbers, got 'a' and 0$"
+        with pytest.raises(ConfigError, match=message):
+            run_ecc("a", 0, None)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_non_finite_amplitudes_rejected(self, a):

@@ -311,6 +311,21 @@ def test_sweep_monotonicity_enforced(fig1b_spec_literal):
         sweep_levels(fig1b_spec_literal, "qubits[2].omega", [0.5, 0.4, 0.6], 3)
 
 
+@pytest.mark.parametrize("grid, level_count, message", [
+    (["a", "b"], 3, "sweep grid must be a 1-D sequence of real numbers"),
+    (0.5, 3, "sweep grid must be a 1-D sequence of real numbers"),
+    ([[0.9, 1.0], [1.1, 1.2]], 3, "sweep grid must be a 1-D sequence of real numbers"),
+    ([0.9, 1j], 3, "sweep grid must be a 1-D sequence of real numbers"),
+    ([0.9, 1.0], "3", "level_count must be an integer, got '3'"),
+    ([0.9, 1.0], 3.0, "level_count must be an integer, got 3.0"),
+])
+def test_malformed_sweep_arguments_rejected(fig1b_preset, grid, level_count, message):
+    # each reached Python or numpy before: a 2-D grid as a qubit frequency
+    # that is no real number
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sweep_levels(fig1b_preset, "qubits[2].omega", grid, level_count)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     qubits=st.lists(
@@ -1238,6 +1253,12 @@ class TestAnticrossing:
         with pytest.raises(ConfigError):
             find_anticrossing(fig1b_preset, "qubits[2].omega", (1.0, 0.9),
                               (("gge", 0), ("eeg", 0)))
+        # ends that are no real numbers, numeric strings included
+        for bracket in (("a", 1.0), (1j, 1.0), ("0.9", 1.02)):
+            message = re.escape(f"bracket ends must be real numbers, got {bracket!r}")
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                find_anticrossing(fig1b_preset, "qubits[2].omega", bracket,
+                                  (("gge", 0), ("eeg", 0)))
 
     @pytest.mark.parametrize("bracket, pair", [
         ((0.9,), (("gge", 0), ("eeg", 0))),
@@ -1251,9 +1272,10 @@ class TestAnticrossing:
         with pytest.raises(ConfigError, match="must have exactly two items"):
             find_anticrossing(fig1b_preset, "qubits[2].omega", bracket, pair)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-300, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-300, math.nan, "1e-6"])
     def test_unresolvable_tol_rejected(self, fig1b_preset, tol):
-        # each of these would keep the golden-section loop running forever
+        # each number here would keep the golden-section loop running
+        # forever, and a string is no number
         with pytest.raises(ConfigError, match="tol"):
             find_anticrossing(fig1b_preset, "qubits[2].omega", (0.90, 1.02),
                               (("gge", 0), ("eeg", 0)), tol=tol)
