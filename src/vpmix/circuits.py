@@ -383,11 +383,10 @@ def run_ecc(a: complex, b: complex, error, mode: str = "bitflip",
 
     ``error`` is None or a pair ``(kind, wire)`` with kind "x"/"z" and wire
     an integer 1..3 (logical data positions); "bitflip" mode corrects x
-    errors, "phaseflip"
-    mode wraps the channel in basis rotations and corrects z errors.  The
-    measured syndrome is required to be deterministic, the correction wire
-    comes from the calibrated table, and the fidelity compares the decoded
-    wire against the input state.
+    errors, "phaseflip" mode wraps the channel in basis rotations and
+    corrects z errors.  The measured syndrome is required to be
+    deterministic, the correction wire comes from the calibrated table, and
+    the fidelity compares the decoded wire against the input state.
     """
     if implementation not in _ECC:
         raise ConfigError(f"unknown implementation {implementation!r}")

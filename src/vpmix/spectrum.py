@@ -599,10 +599,10 @@ class AnticrossingReport:
     solves took instead of LAPACK, ``ritz_resolves`` the certified points
     that a comparison their error bounds left open solved again by LAPACK,
     so the search made ``evaluations - ritz_evaluations + ritz_resolves``
-    LAPACK solves,
-    and ``gap_error_bound_max`` is the largest error bound of a certified
-    gap that a golden-section comparison took, 0.0 where none did.  None of
-    the six changes the result, so none takes part in comparisons.
+    LAPACK solves, and ``gap_error_bound_max`` is the largest error bound
+    of a certified gap that a golden-section comparison took, 0.0 where
+    none did.  None of the six changes the result, so none takes part in
+    comparisons.
     """
 
     parameter: str
@@ -866,9 +866,9 @@ class _Gaps:
     allowance.  The b - a + 1 Ritz pairs certified in that window therefore
     stand for eigen indices a..b, one each, and Davis-Kahan carries the
     thresholds of :func:`_pair_branches` to their vectors with a margin of
-    twice the sine bound (:func:`_proven_pick`).  The gap's error is the sum of its
-    two energies' Kato-Temple bounds.  A point whose certificate fails is
-    solved by LAPACK, from the H(x) already written.  The rounding allowance
+    twice the sine bound (:func:`_proven_pick`).  The gap's error is the
+    sum of its two energies' Kato-Temple bounds.  A point whose certificate
+    fails is solved by LAPACK, from the H(x) already written.  The rounding allowance
     is ``_ROUNDING_ULPS`` ulps of a bound on ||H||, the largest absolute row
     sum of H(x) at the first evaluation, read into the solver's scratch
     before the solve overwrites H, whichever eigensolver runs.
@@ -1025,12 +1025,11 @@ def find_anticrossing(
     golden-section comparison that involves a certified gap is taken only
     where its error bounds prove that LAPACK's gaps compare the same way;
     otherwise the certified points are solved by LAPACK and compared as
-    those are.  :func:`_pair_branches` proves each
-    LAPACK pick from the solved eigenpairs by completeness, and the
-    certificate proves each of its own, so every pick is the one a full
-    solve makes, and the golden-section steps, the location and the
-    spectrum at the minimum are those of a search that solves every
-    evaluation in full.  The report records the last LAPACK solve's
+    those are.  :func:`_pair_branches` proves each LAPACK pick from the
+    solved eigenpairs by completeness, and the certificate proves each of
+    its own, so every pick is the one a full solve makes, and the
+    golden-section steps, the location and the spectrum at the minimum are
+    those of a search that solves every evaluation in full.  The report records the last LAPACK solve's
     eigensolver and range and the largest pair weight those solves left
     unsolved, the number of certified evaluations and of certified points
     solved again, and the largest error bound of a certified gap that a
